@@ -20,7 +20,7 @@
 //!   scalar reference engine on the tracked ring/torus/random sweeps
 //!   (b ∈ {4, 8, 32}), asserted bit-identical before any timing.
 //! * `simd_vs_portable` — the same sweeps with the wide kernel pinned
-//!   to each backend this CPU offers (portable, then SSE2/AVX2 when
+//!   to each backend this CPU offers (portable, then AVX2 when
 //!   detected), every backend asserted bit-identical down to each lane
 //!   matrix cell before any timing.
 //! * `analysis` — `CycleTimeAnalysis::run` vs `analyze_batch` over a

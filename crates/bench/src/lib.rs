@@ -171,18 +171,14 @@ pub fn assert_wide_matches_scalar(sg: &SignalGraph, ctx: &str) {
 }
 
 /// The explicit wide-kernel backends this CPU can run, narrowest
-/// first — always starts with [`KernelBackend::Portable`], then SSE2
-/// and AVX2 when the features are present. `Auto` is excluded: it
-/// resolves to one of these, and the sweeps want each backend pinned.
+/// first — always starts with [`KernelBackend::Portable`], then AVX2
+/// when the feature is present. `Auto` is excluded: it resolves to one
+/// of these, and the sweeps want each backend pinned.
 pub fn available_backends() -> Vec<KernelBackend> {
-    [
-        KernelBackend::Portable,
-        KernelBackend::Sse2,
-        KernelBackend::Avx2,
-    ]
-    .into_iter()
-    .filter(|b| b.resolve() == Ok(*b))
-    .collect()
+    [KernelBackend::Portable, KernelBackend::Avx2]
+        .into_iter()
+        .filter(|b| b.resolve() == Ok(*b))
+        .collect()
 }
 
 /// The simd-vs-portable correctness gate for one graph: runs the

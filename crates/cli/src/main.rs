@@ -29,7 +29,7 @@ tsg — performance analysis based on timing simulation (DAC'94)
 
 USAGE:
     tsg analyze FILE [--diagram] [--dot] [--baselines] [--slack] [--default-delay X]
-                     [--threads N] [--kernel {auto|portable|sse2|avx2}]
+                     [--threads N] [--kernel {auto|portable|avx2}]
                      [--corners min,typ,max] [--derate PCT]
                      [--samples K] [--seed S]
     tsg sim FILE.g... [--periods N] [--vcd PATH] [--default-delay X]
@@ -37,7 +37,7 @@ USAGE:
     tsg sim FILE.ckt... [--horizon X] [--vcd PATH] [--threads N]
                         [--queue {heap|calendar}]
     tsg explore FILE [--edit SRC->DST=DELAY]... [--default-delay X]
-                     [--kernel {auto|portable|sse2|avx2}]
+                     [--kernel {auto|portable|avx2}]
                      [--report {text|json}]
                      [--optimize [--moves N] [--seed S] [--samples K]
                                  [--objective {tau|tau-p95}]]
@@ -46,7 +46,7 @@ USAGE:
               [--io-timeout MS] [--max-request-bytes N]
               [--max-connections N]
               [--listen tcp:HOST:PORT | --listen unix:PATH]
-              [--kernel {auto|portable|sse2|avx2}]
+              [--kernel {auto|portable|avx2}]
     tsg ping {tcp:HOST:PORT|unix:PATH} [--count N] [--deadline-ms MS]
              [--retries N] [--max-backoff-ms MS]
     tsg bench-serve [--connections N] [--requests N] [--threads N]
@@ -68,9 +68,9 @@ analysis itself also runs its b border simulations on that pool, in
 lockstep lane chunks of the SIMD-friendly wide kernel.
 
 `--kernel` pins the wide-kernel backend (default `auto`: the widest
-the CPU supports — AVX2, then SSE2, then the portable loop). All
-backends are bit-identical; requesting one the CPU lacks is an error,
-never a silent downgrade.
+the CPU supports — AVX2, else the portable loop; `sse2` is accepted
+as a name for `portable`). All backends are bit-identical; requesting
+one the CPU lacks is an error, never a silent downgrade.
 
 `analyze --corners min,typ,max` sweeps delay corners as extra scenario
 lanes of the same wide-kernel pass — every arc derated by `--derate`
@@ -102,15 +102,16 @@ bit-identical to a from-scratch analysis.
 
 `serve` runs the long-running analysis service: newline-delimited JSON
 requests (analyze/sim/batch/stats/session.open/session.edit/
-session.close) on stdin — or a TCP/Unix socket with --listen, where a
-single readiness event loop multiplexes every connection onto one
+session.close) on stdin — or a TCP/Unix socket with --listen — answered
+in request order by a persistent warm worker pool. One readiness event
+loop serves every transport: stdin/stdout is bridged into it as a
+single connection, and socket clients are multiplexed onto the one
 shared pool (thousands of idle or slow clients cost buffers, not
 threads; `--max-connections N` caps the live set, excess clients wait
-in the OS accept backlog) — answered in request order by a persistent
-warm worker pool. Workers are supervised: one dying mid-request
-answers that request `worker_lost` and respawns with a fresh
-workspace. Responses are byte-identical to the
-one-shot commands; EOF or Ctrl-C shuts down gracefully. Each open
+in the OS accept backlog). Unix only. Workers are supervised: one
+dying mid-request answers that request `worker_lost` and respawns with
+a fresh workspace. Responses are byte-identical to the one-shot
+commands; EOF or Ctrl-C shuts down gracefully. Each open
 incremental session pins O(b²·n) warm state to a worker for its whole
 life, so long-lived deployments should cap them: `--max-sessions N`
 answers any session.open beyond N open sessions with a structured
@@ -123,10 +124,11 @@ partial progress. `--max-pending N` bounds the dispatch queue —
 past it requests are answered `overloaded` with a retry-after hint.
 `--drain-deadline MS` (default 5000) bounds graceful shutdown: after
 Ctrl-C, in-flight work gets that long before being cancelled.
-`--io-timeout MS` arms socket read/write timeouts so stalled clients
-cannot hold connections forever; `--max-request-bytes N` (default
-1048576) bounds one request line. The `TSG_CHAOS` environment variable
-arms fault injection (see the README's Operations section).
+`--io-timeout MS` closes any connection, stdin/stdout included, that
+makes no progress for MS milliseconds, so stalled clients cannot hold
+it forever; `--max-request-bytes N` (default 1048576) bounds one
+request line. The `TSG_CHAOS` environment variable arms fault
+injection (see the README's Operations section).
 
 `ping` is the matching load probe: it sends `--count N` stats requests
 (default 1) over one connection, honours `overloaded` retry-after
@@ -182,7 +184,7 @@ fn parse_ms(args: &[String], i: usize, flag: &str) -> Result<Duration, String> {
 /// downgrade mid-run.
 fn parse_kernel(args: &[String], i: usize) -> Result<KernelBackend, String> {
     args.get(i)
-        .ok_or("--kernel needs {auto|portable|sse2|avx2}".to_owned())?
+        .ok_or("--kernel needs {auto|portable|avx2}".to_owned())?
         .parse::<KernelBackend>()
         .map_err(|e| e.to_string())?
         .resolve()
@@ -837,9 +839,25 @@ fn run(args: &[String]) -> Result<String, String> {
     }
 }
 
+/// The serve transports run on the `poll(2)` event loop, which is
+/// Unix-only; elsewhere `tsg serve` and `tsg bench-serve` refuse to run.
+#[cfg(not(unix))]
+const NO_SERVE: &str = "serve needs a Unix platform (its event loop runs on poll(2))";
+
+#[cfg(not(unix))]
+fn serve(_: &ServeOptions, _: Option<&str>) -> Result<String, String> {
+    Err(NO_SERVE.to_owned())
+}
+
+#[cfg(not(unix))]
+fn bench_serve(_: usize, _: usize, _: Option<usize>, _: &str) -> Result<String, String> {
+    Err(NO_SERVE.to_owned())
+}
+
 /// The `tsg serve` front-end: picks the transport, installs the SIGINT
 /// flag, runs the warm-pool request loop, and reports the session
 /// counters on stderr (stdout stays pure protocol).
+#[cfg(unix)]
 fn serve(opts: &ServeOptions, listen: Option<&str>) -> Result<String, String> {
     let shutdown = tsg_serve::install_sigint_flag();
     let pool = BatchRunner::sized(opts.threads).threads();
@@ -861,7 +879,6 @@ fn serve(opts: &ServeOptions, listen: Option<&str>) -> Result<String, String> {
                 eprintln!("tsg serve: listening on tcp {local} ({pool} worker thread(s))");
                 tsg_serve::serve_tcp(listener, opts, Some(shutdown), None)
             }
-            #[cfg(unix)]
             Some(("unix", path)) => {
                 // A previous non-graceful exit (kill -9, double Ctrl-C)
                 // leaves the socket file behind; unbound stale files must
@@ -1045,6 +1062,7 @@ struct BenchOutcome {
 /// mixes assigned round-robin: inline `analyze`, incremental
 /// `session.open`/`edit`/`close`, and `stats`+`sim`), then writes
 /// throughput and latency percentiles into `out_path` as JSON.
+#[cfg(unix)]
 fn bench_serve(
     connections: usize,
     requests: usize,
@@ -1423,17 +1441,15 @@ mod tests {
         let err = run(&["analyze".into(), p.clone(), "--kernel".into()]).unwrap_err();
         assert!(err.contains("--kernel"), "{err}");
         // A backend the CPU lacks is refused up front, not downgraded.
-        for backend in [KernelBackend::Sse2, KernelBackend::Avx2] {
-            if backend.resolve().is_err() {
-                let err = run(&[
-                    "analyze".into(),
-                    p.clone(),
-                    "--kernel".into(),
-                    backend.name().into(),
-                ])
-                .unwrap_err();
-                assert!(err.contains("not available"), "{err}");
-            }
+        if KernelBackend::Avx2.resolve().is_err() {
+            let err = run(&[
+                "analyze".into(),
+                p.clone(),
+                "--kernel".into(),
+                "avx2".into(),
+            ])
+            .unwrap_err();
+            assert!(err.contains("not available"), "{err}");
         }
         // explore honours the same flag.
         let out = run(&[

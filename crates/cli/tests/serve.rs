@@ -9,6 +9,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::sync::OnceLock;
 
 use tsg_serve::json::Json;
 
@@ -57,21 +58,29 @@ fn serve_session(script: &str, extra: &[&str]) -> Vec<Json> {
         .collect()
 }
 
-/// Writes the test fixtures once, returning their paths.
+/// Writes the test fixtures once per test process, returning their
+/// paths. Tests run concurrently, so rewriting the files per call would
+/// truncate them under a `tsg` child that is still reading them.
 fn fixtures() -> (PathBuf, PathBuf, PathBuf) {
-    let dir = std::env::temp_dir().join("tsg-cli-serve-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let osc_g = dir.join("osc.g");
-    let ring_g = dir.join("ring5.g");
-    let osc_ckt = dir.join("osc.ckt");
-    std::fs::write(&osc_g, tsg_stg::EXAMPLE_OSCILLATOR).unwrap();
-    std::fs::write(&ring_g, tsg_stg::EXAMPLE_RING5).unwrap();
-    std::fs::write(
-        &osc_ckt,
-        tsg_circuit::parse::write_ckt(&tsg_circuit::library::c_element_oscillator()),
-    )
-    .unwrap();
-    (osc_g, ring_g, osc_ckt)
+    static PATHS: OnceLock<(PathBuf, PathBuf, PathBuf)> = OnceLock::new();
+    PATHS
+        .get_or_init(|| {
+            let dir =
+                std::env::temp_dir().join(format!("tsg-cli-serve-test-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let osc_g = dir.join("osc.g");
+            let ring_g = dir.join("ring5.g");
+            let osc_ckt = dir.join("osc.ckt");
+            std::fs::write(&osc_g, tsg_stg::EXAMPLE_OSCILLATOR).unwrap();
+            std::fs::write(&ring_g, tsg_stg::EXAMPLE_RING5).unwrap();
+            std::fs::write(
+                &osc_ckt,
+                tsg_circuit::parse::write_ckt(&tsg_circuit::library::c_element_oscillator()),
+            )
+            .unwrap();
+            (osc_g, ring_g, osc_ckt)
+        })
+        .clone()
 }
 
 #[test]

@@ -56,18 +56,17 @@
 //! The portable lane loop is autovectorizer-friendly, but the x86-64
 //! baseline only guarantees 128-bit SSE2 — a portable build leaves half
 //! of an AVX2 machine's vector width on the table. [`KernelBackend`]
-//! closes that gap with explicit `core::arch::x86_64` paths over the
+//! closes that gap with an explicit `core::arch::x86_64` path over the
 //! contiguous lane dimension:
 //!
 //! | backend    | lane step | instructions                         | remainder lanes          |
 //! |------------|-----------|--------------------------------------|--------------------------|
 //! | `Avx2`     | 4 × f64   | `_mm256_add_pd` / `_mm256_max_pd`    | `_mm256_maskload_pd` / `_mm256_maskstore_pd` |
-//! | `Sse2`     | 2 × f64   | `_mm_add_pd` / `_mm_max_pd`          | scalar tail lane         |
 //! | `Portable` | compiler  | autovectorized scalar loop           | n/a                      |
 //!
 //! Selection is **runtime** dispatch: `Auto` resolves to the widest
 //! feature `is_x86_feature_detected!` reports (overridable through the
-//! `TSG_KERNEL` environment variable), and each `unsafe` dispatch arm
+//! `TSG_KERNEL` environment variable), and the `unsafe` dispatch branch
 //! carries its *own* `is_x86_feature_detected!` guard, so no intrinsic
 //! block can execute without the CPU check that makes it sound. The
 //! portable loop is the guaranteed fallback on every architecture.
@@ -128,8 +127,9 @@ use crate::graph::SignalGraph;
 ///
 /// `Auto` (the default) resolves at runtime to the widest path the CPU
 /// supports; the explicit variants pin the choice — `Portable` forces
-/// the autovectorized fallback loop, `Sse2`/`Avx2` the explicit-SIMD
-/// paths. Deployments audit or pin the decision through
+/// the autovectorized fallback loop, `Avx2` the explicit-SIMD path.
+/// `sse2` parses as `Portable`: SSE2 is the x86-64 baseline the
+/// portable loop already compiles to. Deployments audit or pin the decision through
 /// `tsg analyze --kernel`, `tsg serve --kernel`, the serve `stats` op
 /// and the `TSG_KERNEL` environment variable.
 ///
@@ -150,20 +150,17 @@ pub enum KernelBackend {
     Auto,
     /// The autovectorized portable lane loop — available everywhere.
     Portable,
-    /// Explicit 2-wide `_mm_add_pd`/`_mm_max_pd` over the lanes.
-    Sse2,
     /// Explicit 4-wide `_mm256_add_pd`/`_mm256_max_pd` over the lanes.
     Avx2,
 }
 
 impl KernelBackend {
-    /// The lowercase wire/flag name (`auto`, `portable`, `sse2`, `avx2`)
+    /// The lowercase wire/flag name (`auto`, `portable`, `avx2`)
     /// — what [`FromStr`] parses and the serve `stats` op reports.
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Auto => "auto",
             KernelBackend::Portable => "portable",
-            KernelBackend::Sse2 => "sse2",
             KernelBackend::Avx2 => "avx2",
         }
     }
@@ -172,8 +169,6 @@ impl KernelBackend {
     fn available(self) -> bool {
         match self {
             KernelBackend::Auto | KernelBackend::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            KernelBackend::Sse2 => std::arch::is_x86_feature_detected!("sse2"),
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
@@ -188,9 +183,6 @@ impl KernelBackend {
         {
             if std::arch::is_x86_feature_detected!("avx2") {
                 return KernelBackend::Avx2;
-            }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                return KernelBackend::Sse2;
             }
         }
         KernelBackend::Portable
@@ -255,8 +247,7 @@ impl FromStr for KernelBackend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Ok(KernelBackend::Auto),
-            "portable" => Ok(KernelBackend::Portable),
-            "sse2" => Ok(KernelBackend::Sse2),
+            "portable" | "sse2" => Ok(KernelBackend::Portable),
             "avx2" => Ok(KernelBackend::Avx2),
             _ => Err(UnknownKernel(s.to_string())),
         }
@@ -696,11 +687,11 @@ impl WideArena {
     /// `start_row..p_total`: the runtime dispatch point of
     /// [`KernelBackend`].
     ///
-    /// The SIMD arms each re-check `is_x86_feature_detected!` *in the
-    /// match guard*, so the `unsafe` call they contain can never execute
+    /// The AVX2 branch re-checks `is_x86_feature_detected!` *in its
+    /// own guard*, so the `unsafe` call it contains can never execute
     /// without the CPU check that makes it sound (std caches the cpuid
     /// result, so the re-check is an atomic load). Anything that fails
-    /// its guard — and every non-x86 build — falls through to the
+    /// the guard — and every non-x86 build — falls through to the
     /// portable loop, which dispatches to a lane-count-specialised
     /// instantiation for the common SIMD widths so the per-arc lane
     /// loops compile with a constant trip count.
@@ -712,53 +703,28 @@ impl WideArena {
     ) -> Result<(), Cancelled> {
         #[cfg(target_arch = "x86_64")]
         {
-            let (n, p_total, scenarios) = (self.n, self.p_total, self.scenarios);
-            match self.backend {
-                KernelBackend::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
-                    let WideArena {
-                        times,
+            if self.backend == KernelBackend::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
+                let (n, p_total, scenarios) = (self.n, self.p_total, self.scenarios);
+                let WideArena {
+                    times,
+                    origins,
+                    deltas,
+                    ..
+                } = self;
+                // SAFETY: this branch's own guard just verified AVX2.
+                return unsafe {
+                    rows_avx2(
+                        times.as_mut_slice(),
                         origins,
+                        scenarios,
                         deltas,
-                        ..
-                    } = self;
-                    // SAFETY: this arm's own guard just verified AVX2.
-                    return unsafe {
-                        rows_avx2(
-                            times.as_mut_slice(),
-                            origins,
-                            scenarios,
-                            deltas,
-                            structure,
-                            n,
-                            p_total,
-                            start_row,
-                            cancel,
-                        )
-                    };
-                }
-                KernelBackend::Sse2 if std::arch::is_x86_feature_detected!("sse2") => {
-                    let WideArena {
-                        times,
-                        origins,
-                        deltas,
-                        ..
-                    } = self;
-                    // SAFETY: this arm's own guard just verified SSE2.
-                    return unsafe {
-                        rows_sse2(
-                            times.as_mut_slice(),
-                            origins,
-                            scenarios,
-                            deltas,
-                            structure,
-                            n,
-                            p_total,
-                            start_row,
-                            cancel,
-                        )
-                    };
-                }
-                _ => {}
+                        structure,
+                        n,
+                        p_total,
+                        start_row,
+                        cancel,
+                    )
+                };
             }
         }
         match self.lanes() {
@@ -1037,7 +1003,8 @@ unsafe fn tail_mask(rem: usize) -> std::arch::x86_64::__m256i {
 
 /// 4-wide AVX2 lane arithmetic; remainder lanes go through
 /// `maskload`/`maskstore`, which architecturally never touch the
-/// masked-out lanes (no out-of-bounds access, no fault).
+/// masked-out lanes (no out-of-bounds access, no fault). It stays
+/// because it measured about 1.2–2x the portable loop at b=32.
 #[cfg(target_arch = "x86_64")]
 struct Avx2Ops;
 
@@ -1130,96 +1097,6 @@ impl LaneOps for Avx2Ops {
             let cand = _mm256_add_pd(_mm256_maskload_pd(src.as_ptr().add(i), mask), d);
             let best = _mm256_maskload_pd(dst.as_ptr().add(i), mask);
             _mm256_maskstore_pd(dst.as_mut_ptr().add(i), mask, _mm256_max_pd(cand, best));
-        }
-    }
-}
-
-/// 2-wide SSE2 lane arithmetic; the odd remainder lane runs the scalar
-/// step (bit-identical to the portable loop by construction).
-#[cfg(target_arch = "x86_64")]
-struct Sse2Ops;
-
-#[cfg(target_arch = "x86_64")]
-impl LaneOps for Sse2Ops {
-    #[inline(always)]
-    unsafe fn first(dst: &mut [f64], src: &[f64], delay: f64) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(dst.len(), src.len());
-        let n = dst.len();
-        let d = _mm_set1_pd(delay);
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let s = _mm_loadu_pd(src.as_ptr().add(i));
-            _mm_storeu_pd(dst.as_mut_ptr().add(i), _mm_add_pd(s, d));
-            i += 2;
-        }
-        if i < n {
-            dst[i] = src[i] + delay;
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(dst.len(), src.len());
-        let n = dst.len();
-        let d = _mm_set1_pd(delay);
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let cand = _mm_add_pd(_mm_loadu_pd(src.as_ptr().add(i)), d);
-            let best = _mm_loadu_pd(dst.as_ptr().add(i));
-            // Same tie/NaN argument as the AVX2 fold: MAXPD keeps its
-            // second operand on ties.
-            _mm_storeu_pd(dst.as_mut_ptr().add(i), _mm_max_pd(cand, best));
-            i += 2;
-        }
-        if i < n {
-            let cand = src[i] + delay;
-            if cand > dst[i] {
-                dst[i] = cand;
-            }
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn first_v(dst: &mut [f64], src: &[f64], deltas: &[f64]) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(dst.len(), src.len());
-        debug_assert_eq!(dst.len(), deltas.len());
-        let n = dst.len();
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let s = _mm_loadu_pd(src.as_ptr().add(i));
-            let d = _mm_loadu_pd(deltas.as_ptr().add(i));
-            _mm_storeu_pd(dst.as_mut_ptr().add(i), _mm_add_pd(s, d));
-            i += 2;
-        }
-        if i < n {
-            dst[i] = src[i] + deltas[i];
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn fold_v(dst: &mut [f64], src: &[f64], deltas: &[f64]) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(dst.len(), src.len());
-        debug_assert_eq!(dst.len(), deltas.len());
-        let n = dst.len();
-        let mut i = 0usize;
-        while i + 2 <= n {
-            let d = _mm_loadu_pd(deltas.as_ptr().add(i));
-            let cand = _mm_add_pd(_mm_loadu_pd(src.as_ptr().add(i)), d);
-            let best = _mm_loadu_pd(dst.as_ptr().add(i));
-            // Same tie/NaN argument as the AVX2 fold: MAXPD keeps its
-            // second operand on ties.
-            _mm_storeu_pd(dst.as_mut_ptr().add(i), _mm_max_pd(cand, best));
-            i += 2;
-        }
-        if i < n {
-            let cand = src[i] + deltas[i];
-            if cand > dst[i] {
-                dst[i] = cand;
-            }
         }
     }
 }
@@ -1347,31 +1224,6 @@ unsafe fn rows_avx2(
     )
 }
 
-/// SSE2 instantiation of the row recurrence.
-///
-/// # Safety
-///
-/// The CPU must support SSE2 (`is_x86_feature_detected!("sse2")` —
-/// baseline on x86-64, but the dispatch guard checks anyway).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn rows_sse2(
-    times: &mut [f64],
-    origins: &[EventId],
-    scenarios: usize,
-    deltas: &[f64],
-    structure: &CyclicStructure,
-    n: usize,
-    p_total: usize,
-    start_row: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<(), Cancelled> {
-    rows_body::<Sse2Ops>(
-        times, origins, scenarios, deltas, structure, n, p_total, start_row, cancel,
-    )
-}
-
 /// The reusable state of one full cycle-time analysis: the wide matrix
 /// all `b` lockstep border simulations share, plus the scalar
 /// [`SimArena`] the parent-tracked winner re-run uses.
@@ -1473,14 +1325,10 @@ mod tests {
     /// The backends that resolve on the running machine — always at
     /// least `Portable`, plus each SIMD path the CPU supports.
     fn available_backends() -> Vec<KernelBackend> {
-        [
-            KernelBackend::Portable,
-            KernelBackend::Sse2,
-            KernelBackend::Avx2,
-        ]
-        .into_iter()
-        .filter(|b| b.resolve() == Ok(*b))
-        .collect()
+        [KernelBackend::Portable, KernelBackend::Avx2]
+            .into_iter()
+            .filter(|b| b.resolve() == Ok(*b))
+            .collect()
     }
 
     #[test]
@@ -1806,13 +1654,13 @@ mod tests {
         for b in [
             KernelBackend::Auto,
             KernelBackend::Portable,
-            KernelBackend::Sse2,
             KernelBackend::Avx2,
         ] {
             assert_eq!(b.name().parse::<KernelBackend>(), Ok(b));
             assert_eq!(b.to_string(), b.name());
         }
         assert_eq!("AVX2".parse::<KernelBackend>(), Ok(KernelBackend::Avx2));
+        assert_eq!("sse2".parse::<KernelBackend>(), Ok(KernelBackend::Portable));
         assert_eq!(
             "wide".parse::<KernelBackend>(),
             Err(UnknownKernel("wide".to_string()))
@@ -1870,7 +1718,7 @@ mod tests {
 
     /// The explicit-SIMD backends against the portable loop, cell for
     /// cell, at lane counts that exercise full vectors, masked AVX2
-    /// tails (1..=3 remainder lanes) and the SSE2 scalar tail.
+    /// tails (1..=3 remainder lanes) and the portable fallback.
     #[test]
     fn simd_backends_match_portable_at_every_remainder_width() {
         let sg = {

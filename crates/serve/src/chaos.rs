@@ -12,8 +12,10 @@
 //!   executing (exercises deadlines, admission control and drain);
 //! * `garble=N` — every Nth response line is truncated and corrupted
 //!   before the writer sends it (exercises client-side framing);
-//! * `read_err=N` — every Nth request line read from a connection is
-//!   replaced with an I/O error (exercises the reader error path);
+//! * `read_err=N` — every Nth request line decoded from a connection is
+//!   refused with an I/O error: reading stops, the answers already owed
+//!   are flushed, then the connection closes (exercises the reader
+//!   error path; over stdio, `serve` returns the error);
 //! * `kill=N` — every Nth request takes its whole worker down *outside*
 //!   the per-request isolation boundary (exercises worker supervision:
 //!   the request is answered `worker_lost` and the worker respawns with
@@ -48,7 +50,8 @@ pub struct ChaosConfig {
     pub delay_ms: u64,
     /// Truncate-and-corrupt every Nth response line (0 = never).
     pub garble_every: u32,
-    /// Fail every Nth connection read with an I/O error (0 = never).
+    /// Refuse every Nth decoded request line with an I/O error that
+    /// ends its connection (0 = never).
     pub read_err_every: u32,
     /// Kill the whole worker on every Nth request, outside the
     /// per-request isolation boundary (0 = never).
@@ -205,8 +208,9 @@ impl Chaos {
         true
     }
 
-    /// True on every `read_err_every`th connection read: the reader
-    /// replaces the line with an injected I/O error.
+    /// True on every `read_err_every`th decoded request line: the
+    /// connection refuses it with an injected I/O error and closes once
+    /// its owed answers are flushed.
     pub fn fail_read(&self) -> bool {
         fires(&self.reads, self.config.read_err_every)
     }

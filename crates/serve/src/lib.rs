@@ -22,13 +22,14 @@
 //!   responses, graceful EOF/SIGINT shutdown, and served/failed
 //!   counters surfaced by the `stats` request;
 //! * transports — stdin/stdout ([`serve`]), TCP ([`serve_tcp`]) and Unix
-//!   sockets ([`serve_unix`]); socket connections all share the one
-//!   pool. On Unix they are multiplexed by the [`reactor`] readiness
-//!   event loop — one thread, `poll(2)`, nonblocking sockets, bounded
-//!   per-connection buffers — so thousands of idle, half-open or
+//!   sockets ([`serve_unix`]), all driven by the one [`reactor`]
+//!   readiness event loop — one thread, `poll(2)`, nonblocking sockets,
+//!   bounded per-connection buffers — so thousands of idle, half-open or
 //!   dribbling clients cost buffers, not threads, and the worker pool
-//!   stays available for well-behaved requests. Elsewhere the
-//!   historical thread-per-connection loop is retained.
+//!   stays available for well-behaved requests. stdin/stdout reaches the
+//!   loop through a socketpair bridge, so it shares the sockets'
+//!   framing, ordering, backpressure, drain and chaos code. The
+//!   transports are Unix-only.
 //!
 //! [`AnalysisSession`]: tsg_core::analysis::session::AnalysisSession
 //!
@@ -62,17 +63,11 @@
 //! assert!(lines[1].contains(r#""served":1"#));
 //! ```
 
-use std::io;
-#[cfg(not(unix))]
-use std::io::BufReader;
+use std::io::{self, BufRead, Write};
 use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(not(unix))]
-use std::sync::Arc;
-#[cfg(not(unix))]
-use std::time::Duration;
 
 pub mod chaos;
 pub mod json;
@@ -83,17 +78,44 @@ pub mod protocol;
 mod reactor;
 
 pub use chaos::ChaosConfig;
-pub use pool::{serve, Pool, ServeOptions, ServeStats};
+pub use pool::{Pool, ServeOptions, ServeStats};
 
-/// How often the socket accept loops poll the shutdown flag.
-#[cfg(not(unix))]
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Runs a single protocol session over a freshly spawned pool — the
+/// stdin/stdout serve mode, and the entry point in-memory tests drive.
+///
+/// `input` is pumped into one end of a socketpair by a detached thread
+/// (so a raised `shutdown` flag drains and returns even while `input`
+/// blocks forever), the event loop serves the other end as its only
+/// connection, and a scoped thread copies responses to `output`,
+/// flushing after every chunk. Blank lines and `#` comment lines are
+/// skipped, so request scripts can be annotated.
+///
+/// # Errors
+///
+/// Returns I/O errors of the input or output stream; request-level
+/// failures become `ok: false` response lines and count into
+/// [`ServeStats::failed`].
+#[cfg(unix)]
+pub fn serve<R, W>(
+    input: R,
+    output: W,
+    opts: &ServeOptions,
+    shutdown: Option<&AtomicBool>,
+) -> io::Result<ServeStats>
+where
+    R: BufRead + Send + 'static,
+    W: Write + Send,
+{
+    let pool = Pool::new(opts);
+    pool.serve_stream(input, output, shutdown)?;
+    Ok(pool.stats())
+}
 
 /// Serves protocol sessions over TCP: all connections share **one**
 /// warm worker [`Pool`] (returned stats are the pool's aggregate
-/// counters). On Unix the connections are multiplexed by the readiness
-/// event loop — thousands of concurrent clients on one thread, bounded
-/// buffers per connection, `opts.max_connections` capping the live set.
+/// counters), multiplexed by the readiness event loop — thousands of
+/// concurrent clients on one thread, bounded buffers per connection,
+/// `opts.max_connections` capping the live set.
 ///
 /// The loop exits when `shutdown` is raised or, if `accept_budget` is
 /// set, after accepting that many connections — without a budget and
@@ -115,53 +137,13 @@ pub fn serve_tcp(
 ) -> io::Result<ServeStats> {
     listener.set_nonblocking(true)?;
     let pool = Pool::new(opts);
+    let listener = reactor::Listener::Tcp(listener);
     reactor::run(
-        &reactor::Listener::Tcp(listener),
         &pool,
-        opts,
+        reactor::Ingress::Listen(&listener, accept_budget),
         shutdown,
-        accept_budget,
     )?;
     Ok(pool.stats())
-}
-
-/// Serves protocol sessions over TCP — the thread-per-connection
-/// fallback for platforms without the `poll(2)` readiness loop.
-///
-/// # Errors
-///
-/// Returns listener-level I/O errors.
-#[cfg(not(unix))]
-pub fn serve_tcp(
-    listener: TcpListener,
-    opts: &ServeOptions,
-    shutdown: Option<&AtomicBool>,
-    accept_budget: Option<u64>,
-) -> io::Result<ServeStats> {
-    listener.set_nonblocking(true)?;
-    accept_loop(
-        shutdown,
-        accept_budget,
-        opts,
-        move |pool, flag| match listener.accept() {
-            Ok((stream, peer)) => {
-                stream.set_nonblocking(false)?;
-                // A stalled or vanished client trips these timeouts; the
-                // session counts it and ends cleanly instead of holding
-                // the connection forever.
-                stream.set_read_timeout(opts.io_timeout)?;
-                stream.set_write_timeout(opts.io_timeout)?;
-                let reader = BufReader::new(stream.try_clone()?);
-                Ok(Some(std::thread::spawn(move || {
-                    if let Err(e) = pool.serve_session(reader, stream, Some(flag.as_ref())) {
-                        eprintln!("tsg serve: connection {peer}: {e}");
-                    }
-                })))
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        },
-    )
 }
 
 /// Serves protocol sessions over a Unix socket — same multiplexed
@@ -179,64 +161,13 @@ pub fn serve_unix(
 ) -> io::Result<ServeStats> {
     listener.set_nonblocking(true)?;
     let pool = Pool::new(opts);
+    let listener = reactor::Listener::Unix(listener);
     reactor::run(
-        &reactor::Listener::Unix(listener),
         &pool,
-        opts,
+        reactor::Ingress::Listen(&listener, accept_budget),
         shutdown,
-        accept_budget,
     )?;
     Ok(pool.stats())
-}
-
-/// The shared accept loop of the thread-per-connection fallback: polls
-/// `accept` (a non-blocking accept attempt returning a spawned
-/// connection thread, `None` on would-block), mirrors the caller's
-/// shutdown flag into one the `'static` connection threads can watch,
-/// and drains every connection before reporting the pool's aggregate
-/// stats.
-#[cfg(not(unix))]
-fn accept_loop<F>(
-    shutdown: Option<&AtomicBool>,
-    max_connections: Option<u64>,
-    opts: &ServeOptions,
-    mut accept: F,
-) -> io::Result<ServeStats>
-where
-    F: FnMut(Arc<Pool>, Arc<AtomicBool>) -> io::Result<Option<std::thread::JoinHandle<()>>>,
-{
-    let pool = Arc::new(Pool::new(opts));
-    // Connection threads need a `'static` flag; the loop below mirrors
-    // the caller's borrowed one into this owned bridge every poll.
-    let bridge = Arc::new(AtomicBool::new(false));
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    let mut accepted = 0u64;
-    let result = loop {
-        if max_connections.is_some_and(|max| accepted >= max) {
-            break Ok(());
-        }
-        if shutdown.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
-            bridge.store(true, Ordering::SeqCst);
-            break Ok(());
-        }
-        match accept(Arc::clone(&pool), Arc::clone(&bridge)) {
-            Ok(Some(handle)) => {
-                connections.push(handle);
-                accepted += 1;
-            }
-            Ok(None) => {
-                // Reap finished connections so a long-lived listener
-                // does not accumulate joined-out handles.
-                connections.retain(|h| !h.is_finished());
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    for handle in connections {
-        let _ = handle.join();
-    }
-    result.map(|()| pool.stats())
 }
 
 /// Installs a SIGINT handler that raises (and returns) a global

@@ -2,12 +2,13 @@
 //!
 //! A [`Pool`] owns a fixed set of worker threads — each holding one warm
 //! [`Workspace`] (arena + pre-sized queues + open sessions) for its
-//! whole lifetime — and any number of protocol *sessions* can feed it
-//! concurrently: stdin/stdout runs one ([`serve`]), the socket
-//! transports run one per accepted connection over the same shared pool
-//! ([`serve_tcp`](crate::serve_tcp)). Request failures (unreadable
-//! files, parse errors, even panicking handlers) are isolated to their
-//! response line; the pool keeps serving.
+//! whole lifetime — and any number of connections can feed it
+//! concurrently through the [`reactor`](crate::reactor) readiness event
+//! loop: the socket transports ([`serve_tcp`](crate::serve_tcp)) run
+//! one per accepted client, stdin/stdout ([`serve`](crate::serve)) runs
+//! one bridged connection. Request failures (unreadable files, parse
+//! errors, even panicking handlers) are isolated to their response
+//! line; the pool keeps serving.
 //!
 //! Two dispatch lanes feed the workers:
 //!
@@ -19,10 +20,9 @@
 //!   whole life executes in request order against one workspace's warm
 //!   state — no cross-worker state handoff, no reordering of edits.
 //!
-//! Each protocol session has a dedicated writer thread that reorders
-//! completions back into request order (a `BTreeMap` keyed by arrival
-//! sequence) and flushes after every response, so a client pipelining
-//! requests sees each answer as soon as ordering allows.
+//! Accepted lines enter through [`Pool::dispatch_line`]; each finished
+//! job's response goes back over its [`Reply`] to the event loop, which
+//! reorders completions into request order per connection.
 //!
 //! # Hardening
 //!
@@ -37,11 +37,10 @@
 //! request is answered `overloaded` (with the depth and a retry hint)
 //! without ever reaching a worker. Request lines are read under a byte
 //! cap — an oversized line is skipped in bounded chunks and answered
-//! `request_too_large`. Socket read/write timeouts surface here as a
-//! clean disconnect counted in `timed_out_connections`, not an error.
+//! `request_too_large`.
 //!
-//! When a shutdown flag is raised, each session stops accepting, and a
-//! detached watchdog gives in-flight work `drain_deadline` to finish
+//! When a shutdown flag is raised, the event loop stops accepting, and
+//! a detached watchdog gives in-flight work `drain_deadline` to finish
 //! before cancelling the stragglers through the drain group.
 //!
 //! Workers run under supervision: a panic that escapes the per-request
@@ -51,18 +50,13 @@
 //! released, and the worker respawns with a fresh [`Workspace`] — the
 //! pool self-heals instead of shrinking.
 //!
-//! On Unix the socket transports do not run one `serve_session` per
-//! connection: the [`reactor`](crate::reactor) readiness event loop
-//! multiplexes every connection onto this pool through
-//! [`Pool::dispatch_line`] and [`Reply::Reactor`], so a stalled client
-//! costs one buffer, never a thread.
-//!
 //! The [`chaos`](crate::chaos) fault points (worker panics and kills,
 //! injected delays, garbled response lines, refused reads, connection
 //! resets, dribbled writes) are threaded through this module and the
 //! reactor so soak tests can prove all of the above under fire.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+#[cfg(unix)]
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -77,10 +71,6 @@ use crate::chaos::{Chaos, ChaosConfig};
 use crate::json::Json;
 use crate::ops::{AnalyzeOptions, Objective, OpError, Source, Workspace};
 use crate::protocol::{self, Command, Request};
-
-/// How often the session loop re-checks the shutdown flag while waiting
-/// for the next request line.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
 /// How often the drain watchdog re-checks for quiescence.
 const DRAIN_POLL: Duration = Duration::from_millis(25);
@@ -113,9 +103,9 @@ pub struct ServeOptions {
     /// How long a graceful shutdown lets in-flight work finish before
     /// cancelling the stragglers (`--drain-deadline`).
     pub drain_deadline: Duration,
-    /// Socket read/write timeout applied by the TCP/Unix transports so
-    /// a stalled client cannot hold a session forever (`None` = never
-    /// time out; `--io-timeout`).
+    /// Idle/progress timeout applied to every connection — sockets and
+    /// stdio alike — so a stalled client cannot hold it forever (`None`
+    /// = never time out; `--io-timeout`).
     pub io_timeout: Option<Duration>,
     /// Cap on one request line's byte length; longer lines are skipped
     /// and answered `request_too_large` (`--max-request-bytes`).
@@ -166,7 +156,7 @@ pub struct ServeStats {
     pub deadline_exceeded: u64,
     /// Requests cancelled explicitly (drain or client cancel).
     pub cancelled: u64,
-    /// Connections ended by a socket read/write timeout.
+    /// Connections ended by the idle/progress timeout (`--io-timeout`).
     pub timed_out_connections: u64,
     /// Requests still queued or in flight when a drain deadline
     /// cancelled them.
@@ -205,35 +195,22 @@ enum JobPayload {
     },
 }
 
-/// Where a finished job's response line goes back to.
+/// Where a finished job's response line goes back to: `(conn, seq,
+/// line)` routed to the event loop's connection state machine, plus a
+/// wake callback so the loop's `poll` returns and packs the response
+/// immediately.
 #[derive(Clone)]
-pub(crate) enum Reply {
-    /// A thread-per-session writer: `(seq, line)`, reordered by the
-    /// session's dedicated writer thread.
-    Session(mpsc::Sender<(u64, String)>),
-    /// The readiness event loop: `(conn, seq, line)` routed back to the
-    /// connection's state machine, plus a wake callback so the loop's
-    /// `poll` returns and packs the response immediately.
-    #[cfg_attr(not(unix), allow(dead_code))]
-    Reactor {
-        conn: u64,
-        tx: mpsc::Sender<(u64, u64, String)>,
-        wake: Arc<dyn Fn() + Send + Sync>,
-    },
+pub(crate) struct Reply {
+    pub(crate) conn: u64,
+    pub(crate) tx: mpsc::Sender<(u64, u64, String)>,
+    pub(crate) wake: Arc<dyn Fn() + Send + Sync>,
 }
 
 impl Reply {
     /// Delivers one response line; a dead receiver discards it.
     fn send(&self, seq: u64, line: String) {
-        match self {
-            Reply::Session(tx) => {
-                let _ = tx.send((seq, line));
-            }
-            Reply::Reactor { conn, tx, wake } => {
-                if tx.send((*conn, seq, line)).is_ok() {
-                    wake();
-                }
-            }
+        if self.tx.send((self.conn, seq, line)).is_ok() {
+            (self.wake)();
         }
     }
 }
@@ -311,7 +288,7 @@ struct PoolShared {
     deadline_exceeded: AtomicU64,
     /// Requests cancelled explicitly.
     cancelled: AtomicU64,
-    /// Connections ended by a socket timeout.
+    /// Connections ended by the idle/progress timeout.
     timed_out_connections: AtomicU64,
     /// Requests cancelled by a drain deadline.
     drained_in_flight: AtomicU64,
@@ -388,35 +365,6 @@ fn stats_of(shared: &PoolShared) -> ServeStats {
     }
 }
 
-/// RAII release of one `active_connections` charge, so every exit path
-/// of a protocol session balances the gauge.
-struct ConnGuard<'a>(&'a PoolShared);
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.active_connections.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// True for the error kinds a socket read/write timeout surfaces as.
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// What the reader thread hands the session loop per line.
-enum ReadEvent {
-    /// One request line (lossily decoded: invalid UTF-8 becomes a parse
-    /// error response, not a dead connection).
-    Line(String),
-    /// A line longer than the byte cap, skipped without buffering it.
-    Oversized,
-    /// The connection read failed (or a chaos point refused it).
-    Err(io::Error),
-}
-
 /// A persistent warm worker pool; see the module docs.
 ///
 /// Dropping the pool closes the queues, drains what was accepted and
@@ -424,6 +372,9 @@ enum ReadEvent {
 pub struct Pool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<()>>,
+    /// The options the pool was built from; the event loop reads its
+    /// connection-level knobs (timeouts, caps, drain) from here.
+    opts: ServeOptions,
 }
 
 impl Pool {
@@ -474,7 +425,16 @@ impl Pool {
                 std::thread::spawn(move || supervise(&shared, index))
             })
             .collect();
-        Pool { shared, workers }
+        Pool {
+            shared,
+            workers,
+            opts: *opts,
+        }
+    }
+
+    /// The options the pool was built from.
+    pub(crate) fn opts(&self) -> &ServeOptions {
+        &self.opts
     }
 
     /// Number of worker threads.
@@ -535,8 +495,7 @@ impl Pool {
     /// connection `conn`: skips blanks and comments, answers
     /// `overloaded` at admission past the pending cap, otherwise arms
     /// the cancel token and queues the job — pinned to a worker when it
-    /// names an incremental session. Shared by the thread-per-session
-    /// loop and the readiness event loop.
+    /// names an incremental session.
     pub(crate) fn dispatch_line(&self, conn: u64, seq: u64, line: &str, reply: &Reply) -> Dispatch {
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
@@ -636,16 +595,17 @@ impl Pool {
     }
 
     /// Sweeps connection `conn`'s incremental sessions from every
-    /// worker, fire-and-forget: the pinned lanes are FIFO, so the sweep
-    /// runs after every request the connection queued.
-    pub(crate) fn sweep_conn(&self, conn: u64) {
+    /// worker: the pinned lanes are FIFO, so the sweep runs after every
+    /// request the connection queued. Each worker acknowledges on `ack`
+    /// when given; `None` is fire-and-forget.
+    pub(crate) fn sweep_conn(&self, conn: u64, ack: Option<&Reply>) {
         for worker in 0..self.shared.threads {
             self.submit(
                 Some(worker),
                 Job {
                     seq: 0,
                     payload: JobPayload::CloseSessions { conn },
-                    reply: None,
+                    reply: ack.cloned(),
                 },
             );
         }
@@ -657,226 +617,47 @@ impl Pool {
         arm_drain_watchdog(Arc::clone(&self.shared));
     }
 
+    /// Blocks until every worker has run everything already queued on
+    /// its pinned lane — in particular every session sweep submitted so
+    /// far, so their `--max-sessions` slots are free when this returns.
+    pub(crate) fn await_sweeps(&self) {
+        let (tx, rx) = mpsc::channel();
+        let ack = Reply {
+            conn: 0,
+            tx,
+            wake: Arc::new(|| {}),
+        };
+        // A fresh connection id owns no sessions: each worker's sweep of
+        // it is a no-op whose acknowledgement marks its lane's position.
+        self.sweep_conn(self.alloc_conn(), Some(&ack));
+        drop(ack);
+        for _ack in rx {}
+    }
+
     /// Runs one protocol session over this pool until `input` reaches
     /// EOF (or `shutdown` is raised), streaming one response line per
-    /// request to `output` in request order.
-    ///
-    /// Blank lines and `#` comment lines are skipped, so request
-    /// scripts can be annotated. Input is drained on a dedicated thread,
-    /// so a raised `shutdown` flag takes effect within one poll interval
-    /// even while the session is blocked waiting for the next request
-    /// line (`read` restarts after a signal under glibc's `SA_RESTART`,
-    /// so checking the flag only between reads would leave an idle
-    /// session uninterruptible): accepted requests finish, responses
-    /// flush, and the loop exits cleanly — a detached watchdog cancels
-    /// stragglers that outlive the pool's drain deadline. When the
-    /// session ends, the client's open incremental sessions are swept
-    /// from every worker.
+    /// request to `output` in request order — bridged into the same
+    /// event loop the socket transports use; see [`serve`](crate::serve).
+    /// When it returns, the session's incremental sessions are swept and
+    /// their `--max-sessions` slots released.
     ///
     /// # Errors
     ///
-    /// Returns I/O errors of the input or output stream. Request-level
-    /// failures are *not* errors: they become `ok: false` response
-    /// lines and count into the pool's `failed` counter. A socket
-    /// read/write timeout is also not an error: the session ends
-    /// cleanly and counts into `timed_out_connections`.
-    pub fn serve_session<R, W>(
+    /// Returns I/O errors of the input or output stream (and injected
+    /// chaos read errors). Request-level failures become `ok: false`
+    /// response lines and count into the pool's `failed` counter.
+    #[cfg(unix)]
+    pub fn serve_stream<R, W>(
         &self,
         input: R,
-        mut output: W,
+        output: W,
         shutdown: Option<&AtomicBool>,
     ) -> io::Result<()>
     where
         R: BufRead + Send + 'static,
         W: Write + Send,
     {
-        let conn = self.alloc_conn();
-        self.note_conn_open();
-        let _active = ConnGuard(&self.shared);
-        let (res_tx, res_rx) = mpsc::channel::<(u64, String)>();
-
-        let mut read_err: Option<io::Error> = None;
-        let mut timed_out = false;
-        let shared = &self.shared;
-        let write_result: io::Result<()> = std::thread::scope(|scope| {
-            let writer = scope.spawn(move || -> io::Result<()> {
-                let mut pending: BTreeMap<u64, String> = BTreeMap::new();
-                let mut next = 0u64;
-                for (seq, response) in res_rx {
-                    pending.insert(seq, response);
-                    // Flush every response the order now allows.
-                    while let Some(mut ready) = pending.remove(&next) {
-                        shared.chaos.garble(&mut ready);
-                        output.write_all(ready.as_bytes())?;
-                        output.write_all(b"\n")?;
-                        output.flush()?;
-                        next += 1;
-                    }
-                }
-                Ok(())
-            });
-
-            // Input drains on a detached thread (it may sit in a
-            // blocking `read` indefinitely); the session loop on the
-            // caller's thread polls it alongside the shutdown flag,
-            // parses accepted lines, tags them with their arrival order
-            // and feeds the pool — pinned to a worker when the request
-            // names an incremental session. After a shutdown the
-            // detached reader unblocks at its next line (or EOF/process
-            // exit) and finds the channel closed. Lines are read under
-            // the pool's byte cap: an oversized line is skipped in
-            // bounded chunks and reported, never buffered whole.
-            let (line_tx, line_rx) = mpsc::channel::<ReadEvent>();
-            let reader_shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || read_lines(input, &reader_shared, &line_tx));
-            let reply = Reply::Session(res_tx.clone());
-            let mut seq = 0u64;
-            loop {
-                if shutdown.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
-                    break;
-                }
-                if writer.is_finished() {
-                    break; // output died: stop accepting for this session
-                }
-                match line_rx.recv_timeout(SHUTDOWN_POLL) {
-                    Ok(ReadEvent::Line(line)) => {
-                        match self.dispatch_line(conn, seq, &line, &reply) {
-                            Dispatch::Skipped => {}
-                            Dispatch::Rejected(response) => {
-                                if res_tx.send((seq, response)).is_err() {
-                                    break;
-                                }
-                                seq += 1;
-                            }
-                            Dispatch::Submitted => seq += 1,
-                        }
-                    }
-                    Ok(ReadEvent::Oversized) => {
-                        shared.failed.fetch_add(1, Ordering::SeqCst);
-                        let line = protocol::too_large_response(shared.max_request_bytes);
-                        if res_tx.send((seq, line)).is_err() {
-                            break;
-                        }
-                        seq += 1;
-                    }
-                    Ok(ReadEvent::Err(e)) if is_timeout(&e) => {
-                        // A stalled client hit the socket timeout: end the
-                        // session cleanly, count it, keep the pool alive.
-                        shared.timed_out_connections.fetch_add(1, Ordering::SeqCst);
-                        timed_out = true;
-                        break;
-                    }
-                    Ok(ReadEvent::Err(e)) => {
-                        read_err = Some(e);
-                        break;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break, // EOF
-                }
-            }
-            // A graceful shutdown lets in-flight work finish below (the
-            // writer join waits for it) — under a watchdog that cancels
-            // stragglers through the drain group once the drain deadline
-            // passes, so shutdown completes in bounded time.
-            if shutdown.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
-                arm_drain_watchdog(Arc::clone(&self.shared));
-            }
-            // Sweep the client's sessions from every worker. The pinned
-            // lanes are FIFO, so the sweep runs after every accepted
-            // session request — and the loop below *waits* for each
-            // worker's acknowledgement, so when `serve_session` returns,
-            // the client's sessions (and their slots under the
-            // `--max-sessions` cap) are guaranteed released.
-            let (sweep_tx, sweep_rx) = mpsc::channel::<(u64, String)>();
-            for worker in 0..self.shared.threads {
-                self.submit(
-                    Some(worker),
-                    Job {
-                        seq: 0,
-                        payload: JobPayload::CloseSessions { conn },
-                        reply: Some(Reply::Session(sweep_tx.clone())),
-                    },
-                );
-            }
-            drop(sweep_tx);
-            for _ack in sweep_rx {}
-            // The writer exits once every accepted job's reply sender is
-            // gone: all responses flushed. `reply` holds one such clone.
-            drop(reply);
-            drop(res_tx);
-            writer.join().expect("writer thread never panics")
-        });
-
-        if let Err(e) = write_result {
-            if is_timeout(&e) {
-                self.shared
-                    .timed_out_connections
-                    .fetch_add(1, Ordering::SeqCst);
-            } else {
-                return Err(e);
-            }
-        }
-        if let Some(e) = read_err {
-            return Err(e);
-        }
-        let _ = timed_out; // already counted; the session ends Ok
-        Ok(())
-    }
-}
-
-/// The detached per-session reader: drains `input` line by line under
-/// the pool's byte cap (and its chaos read fault point) into `tx`.
-fn read_lines<R: BufRead>(mut input: R, shared: &PoolShared, tx: &mpsc::Sender<ReadEvent>) {
-    let cap = shared.max_request_bytes as u64;
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        if shared.chaos.fail_read() {
-            let _ = tx.send(ReadEvent::Err(io::Error::other(
-                "chaos: injected read error",
-            )));
-            return;
-        }
-        buf.clear();
-        // `cap + 1` so a line of exactly `cap` content bytes plus its
-        // newline still fits; anything longer truncates mid-line.
-        match io::Read::take(&mut input, cap + 1).read_until(b'\n', &mut buf) {
-            Ok(0) => return, // EOF
-            Ok(n) if n as u64 > cap && buf.last() != Some(&b'\n') => {
-                // Oversized: skip to the end of the line in bounded
-                // chunks without ever holding the whole line.
-                loop {
-                    buf.clear();
-                    match io::Read::take(&mut input, 64 * 1024).read_until(b'\n', &mut buf) {
-                        Ok(0) => break, // EOF mid-line
-                        Ok(_) => {
-                            if buf.last() == Some(&b'\n') {
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            let _ = tx.send(ReadEvent::Err(e));
-                            return;
-                        }
-                    }
-                }
-                if tx.send(ReadEvent::Oversized).is_err() {
-                    return;
-                }
-            }
-            Ok(_) => {
-                // Lossy decode: a line with invalid UTF-8 still reaches
-                // the parser (and fails there with a structured
-                // response) instead of killing the connection.
-                let line = String::from_utf8_lossy(&buf).into_owned();
-                if tx.send(ReadEvent::Line(line)).is_err() {
-                    return;
-                }
-            }
-            Err(e) => {
-                let _ = tx.send(ReadEvent::Err(e));
-                return;
-            }
-        }
+        crate::reactor::bridge(self, input, output, shutdown)
     }
 }
 
@@ -983,8 +764,8 @@ fn worker_loop(shared: &PoolShared, index: usize) {
                 shared.worker_sessions[index]
                     .store(workspace.open_sessions() as u64, Ordering::SeqCst);
                 if let Some(reply) = &job.reply {
-                    // Acknowledge so the disconnecting session can wait
-                    // for its slots to be released before returning.
+                    // Acknowledge so `Pool::await_sweeps` can wait for
+                    // the slots to be released.
                     reply.send(job.seq, String::new());
                 }
             }
@@ -1020,8 +801,8 @@ fn worker_loop(shared: &PoolShared, index: usize) {
                     .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
                 shared.in_flight.fetch_sub(1, Ordering::SeqCst);
                 if let Some(reply) = &job.reply {
-                    // A dead session writer just discards the response;
-                    // the pool keeps serving its other sessions.
+                    // A closed connection just discards the response;
+                    // the pool keeps serving the others.
                     reply.send(job.seq, response);
                 }
             }
@@ -1116,7 +897,7 @@ fn handle(
         } => {
             // Reserve a slot against the pool-wide cap before doing any
             // work; release it when the open does not go through.
-            if let Err(e) = reserve_session_slot(shared) {
+            if let Err(e) = claim_session_slot(shared) {
                 return respond(Err(OpError::Msg(e)));
             }
             let result =
@@ -1157,7 +938,7 @@ fn handle(
 /// explains why it cannot — the structured error a `session.open`
 /// beyond `--max-sessions` is answered with. Lock-free: concurrent
 /// opens race on a compare-exchange, so the cap is never oversubscribed.
-fn reserve_session_slot(shared: &PoolShared) -> Result<(), String> {
+fn claim_session_slot(shared: &PoolShared) -> Result<(), String> {
     loop {
         let open = shared.open_sessions.load(Ordering::SeqCst);
         if let Some(cap) = shared.max_sessions {
@@ -1197,27 +978,4 @@ where
             )))
         }
     }
-}
-
-/// Runs a single protocol session over a freshly spawned pool — the
-/// stdin/stdout serve mode, and the entry point in-memory tests drive.
-///
-/// # Errors
-///
-/// Returns I/O errors of the input or output stream; request-level
-/// failures become `ok: false` response lines and count into
-/// [`ServeStats::failed`].
-pub fn serve<R, W>(
-    input: R,
-    output: W,
-    opts: &ServeOptions,
-    shutdown: Option<&AtomicBool>,
-) -> io::Result<ServeStats>
-where
-    R: BufRead + Send + 'static,
-    W: Write + Send,
-{
-    let pool = Pool::new(opts);
-    pool.serve_session(input, output, shutdown)?;
-    Ok(pool.stats())
 }

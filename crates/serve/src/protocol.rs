@@ -643,7 +643,8 @@ pub enum Frame {
     Oversized,
 }
 
-/// Incremental newline-frame decoder for the multiplexed transports.
+/// Incremental newline-frame decoder: the one framing of every serve
+/// transport.
 ///
 /// The readiness event loop reads whatever bytes a socket has — a
 /// dribbling client may deliver one byte per poll tick — and feeds them
@@ -653,7 +654,7 @@ pub enum Frame {
 /// reads resumes where it left off. Oversized lines are skipped in
 /// place: the buffer is dropped, subsequent bytes are discarded
 /// unbuffered, and one [`Frame::Oversized`] is emitted at the line's
-/// end. This mirrors the blocking reader's framing byte for byte.
+/// end.
 #[derive(Debug)]
 pub struct FrameDecoder {
     /// Byte cap on one line's content (the newline is not counted).
@@ -714,7 +715,7 @@ impl FrameDecoder {
 
     /// Flushes the partial frame at EOF: a client that half-closes
     /// without a trailing newline still gets its last request served
-    /// (or its oversized line answered), matching the blocking reader.
+    /// (or its oversized line answered).
     pub fn finish(&mut self) -> Option<Frame> {
         if self.skipping {
             self.skipping = false;
@@ -945,7 +946,11 @@ mod tests {
         let Command::Batch { opts, .. } = r.cmd else {
             panic!("wrong cmd");
         };
-        assert_eq!(opts.kernel, KernelBackend::Sse2);
+        assert_eq!(
+            opts.kernel,
+            KernelBackend::Portable,
+            "sse2 is an alias of portable"
+        );
         let (_, e) =
             parse_request(r#"{"cmd":"analyze","path":"a.g","kernel":"avx512"}"#).unwrap_err();
         assert!(e.contains("unknown kernel backend"), "{e}");

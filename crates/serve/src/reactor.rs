@@ -1,21 +1,20 @@
-//! The readiness event loop multiplexing socket connections onto the
-//! warm worker [`Pool`].
+//! The readiness event loop: the one front-end that multiplexes every
+//! connection — socket clients and the stdin/stdout bridge alike — onto
+//! the warm worker [`Pool`].
 //!
-//! The socket transports used to run one reader thread and one writer
-//! thread per connection with blocking I/O — a few thousand idle or
-//! slow clients exhaust OS threads long before the CPU is busy. This
-//! module replaces that front-end on Unix with a single thread driving
-//! `poll(2)` (via a tiny `extern "C"` wrapper, no external crates) over
-//! the listener, a cross-thread waker and every live connection, all
-//! nonblocking:
+//! A single thread drives `poll(2)` (via a tiny `extern "C"` wrapper, no
+//! external crates) over the listener, a cross-thread waker and every
+//! live connection, all nonblocking:
 //!
 //! ```text
-//!            accept            readable               completions
-//!   listener ──────► Connection ───────► FrameDecoder ──┐
-//!                        ▲                               │ dispatch_line
-//!      waker ◄── workers │ writable                      ▼
-//!        │               │◄──────── wbuf ◄── pack ◄── worker Pool
-//!        └── poll(2) ────┴── timers (idle/progress, drain, dribble)
+//!   stdin ─► pump ─► socketpair ─┐ (bridge)
+//!            accept              ▼  readable               completions
+//!   listener ──────────────► Connection ───────► FrameDecoder ──┐
+//!                                ▲                               │ dispatch_line
+//!      waker ◄── workers         │ writable                      ▼
+//!        │                       │◄──────── wbuf ◄── pack ◄── worker Pool
+//!        └── poll(2) ────────────┴── timers (idle/progress, drain, dribble)
+//!   stdout ◄─ pump ◄─ socketpair ◄── (bridge)
 //! ```
 //!
 //! Each [`Connection`] is a small state machine — reading frames,
@@ -23,30 +22,40 @@
 //! draining — with bounded read and write buffers, so a stalled client
 //! costs one buffer, never a thread. Frames are reassembled across
 //! arbitrary chunk boundaries by [`FrameDecoder`]; accepted lines go
-//! through [`Pool::dispatch_line`] exactly like the thread-per-session
-//! path (same admission control, deadlines, pinning), and completions
-//! come back over an [`Reply::Reactor`] channel whose wake callback
-//! pokes a nonblocking socketpair so `poll` returns immediately.
+//! through [`Pool::dispatch_line`] (admission control, deadlines,
+//! pinning), and completions come back over a [`Reply`] channel whose
+//! wake callback pokes a nonblocking socketpair so `poll` returns
+//! immediately.
+//!
+//! stdin/stdout enters through [`bridge`]: a detached thread pumps the
+//! input into one end of a socketpair, the loop serves the other end as
+//! its only connection, and a scoped thread pumps responses out. The
+//! process's own fd 0/1 are never switched to nonblocking mode (that
+//! would change the open file description a parent shell shares), and
+//! in-memory readers and writers work unchanged.
 //!
 //! Backpressure is per connection: past [`PIPELINE_MAX`] dispatched-
 //! but-unanswered requests or a [`WBUF_HIGH`] write backlog the loop
-//! simply stops polling that connection for readability. `--io-timeout`
-//! is enforced here as an idle/progress timer; `--max-connections`
-//! caps the live set (excess clients wait in the OS accept backlog);
-//! a raised shutdown flag drains every connection under the pool's
-//! drain watchdog. The connection-level chaos knobs (`rst`, `dribble`,
-//! `halfopen`) are applied at pack/write/accept time respectively.
+//! simply stops polling that connection for readability — for stdio
+//! that stops the input pump too, so a fast producer facing a slow
+//! consumer never grows memory without bound. `--io-timeout` is
+//! enforced here as an idle/progress timer on every connection;
+//! `--max-connections` caps the live set (excess clients wait in the OS
+//! accept backlog); a raised shutdown flag drains every connection
+//! under the pool's drain watchdog. The connection-level chaos knobs
+//! (`read_err`, `rst`, `dribble`, `halfopen`) are applied at
+//! decode/pack/write/accept time respectively.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Read, Write};
-use std::net::TcpListener;
+use std::io::{self, BufRead, Read, Write};
+use std::net::{Shutdown, TcpListener};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::pool::{Dispatch, Pool, Reply, ServeOptions};
+use crate::pool::{Dispatch, Pool, Reply};
 use crate::protocol::{Frame, FrameDecoder};
 
 /// The poll tick: upper bound on how long flag changes (shutdown,
@@ -152,6 +161,16 @@ impl Listener {
     }
 }
 
+/// Where the loop's connections come from.
+pub(crate) enum Ingress<'a> {
+    /// Accept clients from a listener — at most the budget's worth
+    /// (`None` = forever).
+    Listen(&'a Listener, Option<u64>),
+    /// Serve one already-connected stream (the stdio [`bridge`]) and
+    /// report the I/O error it ended on, if any.
+    Bridge(UnixStream),
+}
+
 /// Accept errors that mean "try again later", not "listener is broken"
 /// (the client may have already reset the half-accepted connection).
 fn retriable_accept(e: &io::Error) -> bool {
@@ -215,7 +234,7 @@ impl Waker {
         })
     }
 
-    /// The callback handed to [`Reply::Reactor`] senders.
+    /// The callback handed to every [`Reply`].
     fn wake_fn(&self) -> Arc<dyn Fn() + Send + Sync> {
         let tx = Arc::clone(&self.tx);
         Arc::new(move || {
@@ -273,6 +292,8 @@ struct Connection {
     next_dribble: Instant,
     /// Chaos: hard-close once `written` reaches this.
     rst_at: Option<usize>,
+    /// The I/O error (real or injected) the connection ends on.
+    error: Option<io::Error>,
 }
 
 impl Connection {
@@ -296,7 +317,15 @@ impl Connection {
             dribbling: false,
             next_dribble: Instant::now(),
             rst_at: None,
+            error: None,
         }
+    }
+
+    /// Records the error the connection ends on; returns `false` (close
+    /// now) for the callers' convenience.
+    fn fail(&mut self, e: io::Error) -> bool {
+        self.error = Some(e);
+        false
     }
 
     /// Bytes packed but not yet accepted by the socket.
@@ -325,7 +354,15 @@ impl Connection {
     /// Routes one decoded frame: request lines through the pool's
     /// shared dispatch (admission control, deadlines, pinning),
     /// oversized frames straight to a `request_too_large` answer.
-    fn dispatch_frame(&mut self, frame: Frame, pool: &Pool) {
+    /// Returns `false` when the `read_err` chaos point refused the
+    /// frame: nothing more is read, what was accepted is still answered
+    /// and flushed, then the connection closes on the injected error.
+    fn dispatch_frame(&mut self, frame: Frame, pool: &Pool) -> bool {
+        if pool.chaos().fail_read() {
+            self.draining = true;
+            self.error = Some(io::Error::other("chaos: injected read error"));
+            return false;
+        }
         match frame {
             Frame::Line(line) => {
                 match pool.dispatch_line(self.conn, self.next_seq, &line, &self.reply) {
@@ -348,12 +385,12 @@ impl Connection {
                 self.outstanding += 1;
             }
         }
+        true
     }
 
     /// Reads as much as backpressure and the per-tick budget allow,
     /// decoding and dispatching complete frames. Returns `false` when
-    /// the connection must be closed immediately (I/O error, injected
-    /// read fault).
+    /// the connection must be closed immediately (I/O error).
     fn handle_read(&mut self, pool: &Pool, rbuf: &mut [u8], frames: &mut Vec<Frame>) -> bool {
         if self.halfopen {
             // Chaos-parked: bytes are consumed and discarded (nothing
@@ -365,7 +402,7 @@ impl Connection {
                     Ok(_) => {}
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return false,
+                    Err(e) => return self.fail(e),
                 }
             }
         }
@@ -373,9 +410,6 @@ impl Connection {
         loop {
             if !self.wants_read() || budget == 0 {
                 return true;
-            }
-            if pool.chaos().fail_read() {
-                return false;
             }
             match self.stream.read(rbuf) {
                 Ok(0) => {
@@ -393,7 +427,9 @@ impl Connection {
                     frames.clear();
                     self.decoder.feed_into(&rbuf[..n], frames);
                     for frame in frames.drain(..) {
-                        self.dispatch_frame(frame, pool);
+                        if !self.dispatch_frame(frame, pool) {
+                            return true;
+                        }
                     }
                     if n < rbuf.len() {
                         return true; // socket very likely drained
@@ -401,14 +437,13 @@ impl Connection {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return false,
+                Err(e) => return self.fail(e),
             }
         }
     }
 
     /// Packs every response the order now allows into the write
-    /// buffer, applying the response-side chaos points exactly like the
-    /// thread-per-session writer would.
+    /// buffer, applying the response-side chaos points.
     fn pack_ready(&mut self, pool: &Pool) {
         while let Some(mut line) = self.ready.remove(&self.next_flush) {
             self.next_flush += 1;
@@ -448,12 +483,12 @@ impl Connection {
             }
             if let Some(rst) = self.rst_at {
                 if self.written >= rst {
-                    return false; // injected mid-response reset
+                    return self.fail(io::Error::other("chaos: injected connection reset"));
                 }
                 end = end.min(self.wpos + (rst - self.written));
             }
             match self.stream.write(&self.wbuf[self.wpos..end]) {
-                Ok(0) => return false,
+                Ok(0) => return self.fail(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
                     self.wpos += n;
                     self.written += n;
@@ -465,38 +500,66 @@ impl Connection {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return false,
+                Err(e) => return self.fail(e),
             }
         }
     }
 }
 
+/// Registers one new connection: a fresh id, its `active_connections`
+/// charge, the reply route back into this loop, and the `halfopen`
+/// chaos point.
+fn open_conn(
+    pool: &Pool,
+    stream: Stream,
+    tx: &mpsc::Sender<(u64, u64, String)>,
+    wake: &Arc<dyn Fn() + Send + Sync>,
+) -> Connection {
+    let conn = pool.alloc_conn();
+    pool.note_conn_open();
+    let reply = Reply {
+        conn,
+        tx: tx.clone(),
+        wake: Arc::clone(wake),
+    };
+    let halfopen = pool.chaos().halfopen();
+    Connection::new(stream, conn, reply, pool.max_request_bytes(), halfopen)
+}
+
 // ---------------------------------------------------------------------
 // The loop itself.
 
-/// Runs the readiness event loop over `listener` until the accept
-/// budget is exhausted or `shutdown` is raised, and every accepted
-/// connection has closed. `accept_budget` preserves the socket
-/// transports' historical contract (`None` = accept forever); the
-/// *concurrency* cap is `opts.max_connections`.
+/// Runs the readiness event loop over `ingress` until no more
+/// connections can arrive (accept budget exhausted, bridged stream
+/// taken, or `shutdown` raised) and every connection has closed. The
+/// accept budget preserves the socket transports' historical contract
+/// (`None` = accept forever); the *concurrency* cap is the pool's
+/// `max_connections`. On return every closed connection's incremental
+/// sessions have been swept.
 ///
 /// # Errors
 ///
 /// Returns listener/poll-level I/O errors; per-connection failures
-/// close that connection and never stop the loop.
-pub(crate) fn run(
-    listener: &Listener,
-    pool: &Pool,
-    opts: &ServeOptions,
-    shutdown: Option<&AtomicBool>,
-    accept_budget: Option<u64>,
-) -> io::Result<()> {
+/// close that connection and never stop the loop. A bridged stream's
+/// own I/O error (real or injected) is returned once it has closed.
+pub(crate) fn run(pool: &Pool, ingress: Ingress, shutdown: Option<&AtomicBool>) -> io::Result<()> {
+    let opts = pool.opts();
     let mut waker = Waker::new()?;
     let wake = waker.wake_fn();
     let (done_tx, done_rx) = mpsc::channel::<(u64, u64, String)>();
     let dribble_ms = pool.chaos().config().dribble_ms;
 
     let mut conns: HashMap<u64, Connection> = HashMap::new();
+    let (listener, accept_budget) = match ingress {
+        Ingress::Listen(listener, budget) => (Some(listener), budget),
+        Ingress::Bridge(stream) => {
+            stream.set_nonblocking(true)?;
+            let c = open_conn(pool, Stream::Unix(stream), &done_tx, &wake);
+            conns.insert(c.conn, c);
+            (None, None)
+        }
+    };
+    let mut failure: Option<io::Error> = None;
     let mut accepted = 0u64;
     let mut drain_started = false;
     let mut force_close_at: Option<Instant> = None;
@@ -518,13 +581,14 @@ pub(crate) fn run(
             pool.arm_drain_watchdog();
             force_close_at = Some(Instant::now() + opts.drain_deadline + DRAIN_GRACE);
         }
-        let budget_left = accept_budget.is_none_or(|max| accepted < max);
+        let budget_left = listener.is_some() && accept_budget.is_none_or(|max| accepted < max);
         if conns.is_empty() && (shutting_down || !budget_left) {
             break Ok(());
         }
         let accepting = budget_left
             && !shutting_down
             && opts.max_connections.is_none_or(|cap| conns.len() < cap);
+        let accept_from = listener.filter(|_| accepting);
 
         // Build the poll set: waker, listener (while accepting), every
         // connection (registered even when paused, so errors/hangups
@@ -536,16 +600,13 @@ pub(crate) fn run(
             events: POLLIN,
             revents: 0,
         });
-        let listener_slot = if accepting {
+        if let Some(listener) = accept_from {
             pollfds.push(PollFd {
                 fd: listener.fd(),
                 events: POLLIN,
                 revents: 0,
             });
-            Some(1)
-        } else {
-            None
-        };
+        }
         let base = pollfds.len();
         let now = Instant::now();
         let mut timeout = TICK;
@@ -589,8 +650,8 @@ pub(crate) fn run(
 
         // Accept burst: everything queued in the backlog, up to the
         // budget and the concurrency cap.
-        if let Some(slot) = listener_slot {
-            if pollfds[slot].revents != 0 {
+        if let Some(listener) = accept_from {
+            if pollfds[1].revents != 0 {
                 loop {
                     if accept_budget.is_some_and(|max| accepted >= max)
                         || opts.max_connections.is_some_and(|cap| conns.len() >= cap)
@@ -600,29 +661,13 @@ pub(crate) fn run(
                     match listener.accept() {
                         Ok(Some(stream)) => {
                             accepted += 1;
-                            let conn = pool.alloc_conn();
-                            pool.note_conn_open();
-                            let reply = Reply::Reactor {
-                                conn,
-                                tx: done_tx.clone(),
-                                wake: Arc::clone(&wake),
-                            };
-                            let halfopen = pool.chaos().halfopen();
-                            conns.insert(
-                                conn,
-                                Connection::new(
-                                    stream,
-                                    conn,
-                                    reply,
-                                    pool.max_request_bytes(),
-                                    halfopen,
-                                ),
-                            );
+                            let c = open_conn(pool, stream, &done_tx, &wake);
+                            conns.insert(c.conn, c);
                         }
                         Ok(None) => break,
                         Err(e) => {
                             for (_, c) in conns.drain() {
-                                pool.sweep_conn(c.conn);
+                                pool.sweep_conn(c.conn, None);
                                 pool.note_conn_closed();
                             }
                             return Err(e);
@@ -684,19 +729,116 @@ pub(crate) fn run(
             }
         }
         for key in &to_close {
-            if let Some(c) = conns.remove(key) {
+            if let Some(mut c) = conns.remove(key) {
                 // Fire-and-forget session sweep: pinned lanes are FIFO,
                 // so it lands after every request this connection
                 // queued; its --max-sessions slots free right after.
-                pool.sweep_conn(c.conn);
+                pool.sweep_conn(c.conn, None);
                 pool.note_conn_closed();
+                if let Some(e) = c.error.take() {
+                    failure = Some(e);
+                }
                 drop(c); // closes the socket
             }
         }
     };
     for (_, c) in conns.drain() {
-        pool.sweep_conn(c.conn);
+        pool.sweep_conn(c.conn, None);
         pool.note_conn_closed();
     }
-    result
+    pool.await_sweeps();
+    result?;
+    match failure {
+        Some(e) if listener.is_none() => Err(e),
+        _ => Ok(()),
+    }
+}
+
+/// Serves `input`/`output` as the event loop's only connection. A
+/// detached thread pumps `input` into one end of a socketpair and
+/// half-closes it at EOF; it stays detached because `input` may block
+/// forever (an idle stdin), and a raised `shutdown` must still drain
+/// and return. A scoped thread copies the same end into `output`,
+/// flushing after every chunk. The loop serves the other end.
+///
+/// # Errors
+///
+/// Returns, in this order of precedence, a write error on `output`, a
+/// read error on `input`, and the connection's own error (such as an
+/// injected `read_err` fault). A read error ends the input like EOF:
+/// what arrived before it is still answered.
+pub(crate) fn bridge<R, W>(
+    pool: &Pool,
+    input: R,
+    mut output: W,
+    shutdown: Option<&AtomicBool>,
+) -> io::Result<()>
+where
+    R: BufRead + Send + 'static,
+    W: Write + Send,
+{
+    let (server, client) = UnixStream::pair()?;
+    let mut pump = client.try_clone()?;
+    let (read_err_tx, read_err_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        if let Err(e) = pump_input(input, &mut pump) {
+            // Sent before the half-close, so it is queued by the time
+            // the loop sees EOF and returns.
+            let _ = read_err_tx.send(e);
+        }
+        let _ = pump.shutdown(Shutdown::Write);
+    });
+    let (served, written) = std::thread::scope(|scope| {
+        let out = scope.spawn(|| pump_output(&client, &mut output));
+        let served = run(pool, Ingress::Bridge(server), shutdown);
+        (served, out.join().expect("output pump never panics"))
+    });
+    written?;
+    if let Ok(e) = read_err_rx.try_recv() {
+        return Err(e);
+    }
+    served
+}
+
+/// Copies `input` into the bridge socket until EOF or a read error. A
+/// failed socket write means the loop already closed the connection:
+/// nothing more can be delivered, which is not an input error.
+fn pump_input<R: BufRead>(mut input: R, sock: &mut UnixStream) -> io::Result<()> {
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok([]) => return Ok(()),
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let n = chunk.len();
+        if sock.write_all(chunk).is_err() {
+            return Ok(());
+        }
+        input.consume(n);
+    }
+}
+
+/// Copies responses from the bridge socket into `output`, flushing
+/// after every chunk, until the loop closes its end. On a failed write
+/// it shuts the socket down both ways, so the loop stops serving a
+/// client that can no longer be answered.
+fn pump_output<W: Write>(mut sock: &UnixStream, output: &mut W) -> io::Result<()> {
+    let mut buf = vec![0u8; 64 * 1024];
+    loop {
+        let n = match sock.read(&mut buf) {
+            // The loop closing its end with input still unread (drain,
+            // read fault, timeout) reads as a reset once every response
+            // it wrote has been consumed: the same end of stream.
+            Ok(0) => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => return Ok(()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if let Err(e) = output.write_all(&buf[..n]).and_then(|()| output.flush()) {
+            let _ = sock.shutdown(Shutdown::Both);
+            return Err(e);
+        }
+    }
 }

@@ -10,9 +10,9 @@
 //! truncated, interleaved and oversized frames (including randomized
 //! junk) must never panic a worker or hang a session.
 
-use std::io::{BufRead, BufReader, Cursor, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::io::{BufRead, BufReader, Cursor, Read, Write};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -217,6 +217,200 @@ fn injected_read_error_ends_session_after_accepted_work() {
     for line in lines {
         assert!(line.contains(r#""ok":true"#));
     }
+}
+
+/// The same fault over TCP: the event loop counts decoded frames, so
+/// the third request line is refused, the two accepted ones are
+/// answered and flushed, and only then does the connection close.
+#[test]
+fn tcp_injected_read_error_answers_accepted_work_then_closes() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let opts = ServeOptions {
+        threads: Some(1),
+        chaos: ChaosConfig {
+            read_err_every: 3,
+            ..ChaosConfig::default()
+        },
+        ..ServeOptions::default()
+    };
+    let server = std::thread::spawn(move || serve_tcp(listener, &opts, None, Some(1)).unwrap());
+    let mut client = std::net::TcpStream::connect(addr).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let script: String = (1..=5).map(|i| stats_req(i) + "\n").collect();
+    client.write_all(script.as_bytes()).unwrap();
+    let mut reader = BufReader::new(client);
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(_) => lines.push(line),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("the server must close the connection: {e}"),
+        }
+    }
+    assert_eq!(
+        lines.len(),
+        2,
+        "frames 1 and 2 landed before frame 3 failed"
+    );
+    for line in &lines {
+        assert!(line.contains(r#""ok":true"#));
+    }
+    let stats = server.join().unwrap();
+    assert_eq!((stats.served, stats.failed), (2, 0));
+}
+
+/// Counts the bytes the server has pulled from its input.
+struct CountingReader {
+    inner: Cursor<Vec<u8>>,
+    consumed: Arc<AtomicUsize>,
+}
+
+impl Read for CountingReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.consumed.fetch_add(n, Ordering::SeqCst);
+        Ok(n)
+    }
+}
+
+/// An output that blocks every write until the gate opens.
+struct GatedWriter {
+    out: Arc<Mutex<Vec<u8>>>,
+    gate: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl Write for GatedWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let (open, opened) = &*self.gate;
+        let mut guard = open.lock().unwrap();
+        while !*guard {
+            guard = opened.wait(guard).unwrap();
+        }
+        drop(guard);
+        self.out.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A fast producer facing a stalled consumer: the stdio transport
+/// stops reading once its pipeline and write backlog are full, so the
+/// input consumed stays under a constant bound instead of the whole
+/// multi-MiB script; once the output drains, every answer arrives in
+/// request order.
+#[test]
+fn stdio_read_ahead_is_bounded_while_output_stalls() {
+    let requests = 100_000u64;
+    let script: String = (1..=requests).map(|i| stats_req(i) + "\n").collect();
+    let script_len = script.len();
+    assert!(script_len > 2 << 20, "script is {script_len} bytes");
+    let consumed = Arc::new(AtomicUsize::new(0));
+    let reader = CountingReader {
+        inner: Cursor::new(script.into_bytes()),
+        consumed: Arc::clone(&consumed),
+    };
+    let out = Arc::new(Mutex::new(Vec::new()));
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let writer = GatedWriter {
+        out: Arc::clone(&out),
+        gate: Arc::clone(&gate),
+    };
+    let opts = ServeOptions {
+        threads: Some(1),
+        ..ServeOptions::default()
+    };
+    let server = std::thread::spawn(move || serve(BufReader::new(reader), writer, &opts, None));
+    // Wait for the read-ahead to settle: unchanged over three samples.
+    let mut last = usize::MAX;
+    let mut steady = 0;
+    for _ in 0..100 {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = consumed.load(Ordering::SeqCst);
+        steady = if now == last { steady + 1 } else { 0 };
+        last = now;
+        if steady == 3 {
+            break;
+        }
+    }
+    assert!(
+        last < 1 << 20,
+        "read {last} of {script_len} bytes while the output was stalled"
+    );
+    let (open, opened) = &*gate;
+    *open.lock().unwrap() = true;
+    opened.notify_all();
+    let stats = server.join().unwrap().unwrap();
+    assert_eq!(stats.served, requests);
+    let out = out.lock().unwrap();
+    let mut answered = 0u64;
+    for (i, line) in String::from_utf8_lossy(&out).lines().enumerate() {
+        assert!(
+            line.starts_with(&format!("{{\"id\":{},\"ok\":true", i + 1)),
+            "answer {i} out of order: {line}"
+        );
+        answered += 1;
+    }
+    assert_eq!(answered, requests);
+}
+
+/// Yields its script, then fails every read.
+struct FailingReader(Cursor<Vec<u8>>);
+
+impl Read for FailingReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self.0.read(buf)? {
+            0 => Err(std::io::Error::other("input device failed")),
+            n => Ok(n),
+        }
+    }
+}
+
+/// Fails every write.
+struct BrokenWriter;
+
+impl Write for BrokenWriter {
+    fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+        Err(std::io::ErrorKind::BrokenPipe.into())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// I/O errors of the caller's own streams come back from `serve`: a
+/// read error after the requests already sent (which are still
+/// answered), and a write error on the output.
+#[test]
+fn stdio_stream_errors_reach_the_caller() {
+    let opts = ServeOptions {
+        threads: Some(1),
+        ..ServeOptions::default()
+    };
+    let script = (stats_req(1) + "\n" + &stats_req(2) + "\n").into_bytes();
+    let mut out = Vec::new();
+    let err = serve(
+        BufReader::new(FailingReader(Cursor::new(script))),
+        &mut out,
+        &opts,
+        None,
+    )
+    .expect_err("the read error must propagate");
+    assert!(err.to_string().contains("input device failed"), "{err}");
+    let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+    assert_eq!(lines.len(), 2);
+    let script: String = (1..=3).map(|i| stats_req(i) + "\n").collect();
+    let err = serve(Cursor::new(script), BrokenWriter, &opts, None)
+        .expect_err("the write error must propagate");
+    assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
 }
 
 /// The deadline acceptance test: a `deadline_ms` request against a
@@ -489,7 +683,7 @@ fn interleaved_connections_stay_isolated() {
         let pool = Arc::clone(&pool);
         std::thread::spawn(move || {
             let mut out = Vec::new();
-            pool.serve_session(Cursor::new(script), &mut out, None)
+            pool.serve_stream(Cursor::new(script), &mut out, None)
                 .unwrap();
             String::from_utf8(out).unwrap()
         })

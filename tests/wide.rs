@@ -12,7 +12,7 @@
 //! `run_parallel`.
 //!
 //! PR 6 widens the bar to the explicit-SIMD backends: every backend
-//! the CPU offers (portable always, SSE2/AVX2 when detected) must
+//! the CPU offers (portable always, AVX2 when detected) must
 //! produce the same bits as `run_scalar` — including odd lane counts
 //! that force the masked remainder paths, and sessions resumed
 //! mid-matrix with the kernel pinned per backend.
@@ -132,7 +132,7 @@ proptest! {
     }
 
     /// Every explicit kernel backend this CPU offers (portable always;
-    /// SSE2/AVX2 when detected) ≡ `run_scalar` on every generator
+    /// AVX2 when detected) ≡ `run_scalar` on every generator
     /// family — analyses bit-identical, and every SIMD backend's lane
     /// matrix cell-identical to the portable loop's.
     #[test]
@@ -142,7 +142,7 @@ proptest! {
     }
 
     /// Odd lane counts force the remainder paths (AVX2 maskload /
-    /// maskstore tails, the SSE2 scalar lane): rings with b ∈ {1, 3,
+    /// maskstore tails): rings with b ∈ {1, 3,
     /// 5, 7} tokens give exactly b lanes, never a multiple of the
     /// vector width.
     #[test]
