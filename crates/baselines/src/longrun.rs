@@ -39,7 +39,8 @@ use tsg_sim::BatchRunner;
 /// average occurrence distance of a border event over the second half of
 /// the horizon.
 ///
-/// Returns `None` for graphs without repetitive events or `periods < 2`.
+/// Returns `None` for graphs without repetitive events, for
+/// `periods < 2`, and when an occurrence time overflows `f64`.
 ///
 /// # Examples
 ///
@@ -53,7 +54,7 @@ pub fn longrun_estimate(sg: &SignalGraph, periods: u32) -> Option<f64> {
         return None;
     }
     let probe = *sg.border_events().first()?;
-    let sim = EventSimulation::run(sg, periods);
+    let sim = EventSimulation::run(sg, periods).ok()?;
     let mid = periods / 2;
     let t_mid = sim.time(probe, mid)?;
     let t_end = sim.time(probe, periods - 1)?;

@@ -1,21 +1,18 @@
-//! Kernel microbenchmarks: the event-queue backends and the parallel
-//! analysis pipeline.
+//! Kernel microbenchmarks: the event queue and the parallel analysis
+//! pipeline.
 //!
 //! ```sh
 //! cargo bench --bench kernel
 //! cargo bench --bench kernel -- --test     # CI smoke mode
 //! ```
 //!
-//! Four groups:
+//! Groups:
 //!
-//! * `queue_push_pop` — bulk push then full drain, per backend, over a
-//!   queue-depth sweep: the raw `O(log n)` vs `O(1)` story.
+//! * `queue_push_pop` — bulk push then full drain of the binary-heap
+//!   event queue over a queue-depth sweep.
 //! * `queue_hold` — the classic hold model (pop one, push one a bounded
 //!   delay ahead) at steady depth: the access pattern every simulator in
 //!   the workspace actually generates.
-//! * `dispatch_overhead` — the runtime-selectable `AnyQueue` against the
-//!   static heap backend, same workload: the price of the CLI's
-//!   `--queue` flag.
 //! * `wide_vs_scalar` — the lane-batched lockstep kernel against the
 //!   scalar reference engine on the tracked ring/torus/random sweeps
 //!   (b ∈ {4, 8, 32}), asserted bit-identical before any timing.
@@ -35,14 +32,14 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tsg_bench::{
     assert_backends_match, assert_wide_matches_scalar, available_backends, edit_loop_graph,
-    edit_script, hold, push_pop, wide_scenarios, DELAY_BOUND,
+    edit_script, hold, push_pop, wide_scenarios,
 };
 use tsg_core::analysis::initiated::SimArena;
 use tsg_core::analysis::session::AnalysisSession;
 use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::CycleTimeAnalysis;
 use tsg_core::SignalGraph;
-use tsg_sim::{AnyQueue, BatchRunner, BinaryHeapQueue, CalendarQueue, EventQueue, QueueKind};
+use tsg_sim::{BatchRunner, EventQueue};
 
 fn bench_push_pop(c: &mut Criterion) {
     let mut group = c.benchmark_group("queue_push_pop");
@@ -52,14 +49,6 @@ fn bench_push_pop(c: &mut Criterion) {
             &depth,
             |b, &depth| b.iter(|| push_pop(EventQueue::with_capacity(depth), black_box(depth))),
         );
-        group.bench_with_input(BenchmarkId::new("calendar", depth), &depth, |b, &depth| {
-            b.iter(|| {
-                push_pop(
-                    EventQueue::with_backend(CalendarQueue::with_delay_bound(DELAY_BOUND)),
-                    black_box(depth),
-                )
-            })
-        });
     }
     group.finish();
 }
@@ -80,40 +69,7 @@ fn bench_hold(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(BenchmarkId::new("calendar", depth), &depth, |b, &depth| {
-            b.iter(|| {
-                hold(
-                    EventQueue::with_backend(CalendarQueue::with_delay_bound(DELAY_BOUND)),
-                    black_box(depth),
-                    4 * depth,
-                )
-            })
-        });
     }
-    group.finish();
-}
-
-fn bench_dispatch_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dispatch_overhead");
-    let depth = 1024usize;
-    group.bench_function("static_heap", |b| {
-        b.iter(|| {
-            hold(
-                EventQueue::with_backend(BinaryHeapQueue::with_capacity(depth)),
-                black_box(depth),
-                4 * depth,
-            )
-        })
-    });
-    group.bench_function("any_heap", |b| {
-        b.iter(|| {
-            hold(
-                EventQueue::with_backend(AnyQueue::of(QueueKind::Heap)),
-                black_box(depth),
-                4 * depth,
-            )
-        })
-    });
     group.finish();
 }
 
@@ -253,6 +209,6 @@ fn bench_edit_loop(c: &mut Criterion) {
 criterion_group! {
     name = kernel;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_push_pop, bench_hold, bench_dispatch_overhead, bench_wide_vs_scalar, bench_simd_vs_portable, bench_analysis, bench_edit_loop
+    targets = bench_push_pop, bench_hold, bench_wide_vs_scalar, bench_simd_vs_portable, bench_analysis, bench_edit_loop
 }
 criterion_main!(kernel);

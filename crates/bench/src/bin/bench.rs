@@ -4,7 +4,7 @@
 //! bench [--quick] [--threads N] [--out PATH]
 //! ```
 //!
-//! Runs the kernel's hot paths outside Criterion — per-backend queue
+//! Runs the kernel's hot paths outside Criterion — event-queue
 //! throughput (bulk push/pop and the steady-state hold model), the
 //! lane-batched wide kernel against the scalar reference engine on the
 //! tracked ring/torus/random sweeps (`wide_vs_scalar`), the explicit
@@ -23,7 +23,7 @@
 //! numbers to
 //! `BENCH_kernel.json` (see the README's "Performance" section for how
 //! to read it). CI runs `bench --quick` on every PR, so the perf
-//! trajectory of the queue backends, the wide analysis kernel and the
+//! trajectory of the event queue, the wide analysis kernel and the
 //! batch pipeline is recorded from PR 2 on.
 //!
 //! Every analysis result is asserted bit-identical between the
@@ -39,14 +39,14 @@ use tsg_baselines::{longrun_estimate_mc, longrun_estimate_mc_lanes};
 use tsg_bench::{
     apply_graph_edits, assert_backends_match, assert_scenarios_match_scalar,
     assert_wide_matches_scalar, available_backends, edit_loop_graph, edit_script, hold, push_pop,
-    structural_edit_script, wide_scenarios, DELAY_BOUND, EDIT_LOOP_WORKLOAD,
+    structural_edit_script, wide_scenarios, EDIT_LOOP_WORKLOAD,
 };
 use tsg_core::analysis::initiated::SimArena;
 use tsg_core::analysis::session::AnalysisSession;
 use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::{Corner, CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::SignalGraph;
-use tsg_sim::{BatchRunner, CalendarQueue, EventQueue};
+use tsg_sim::{BatchRunner, EventQueue};
 
 /// Best-of-`reps` wall time for `f`, which reports how many queue
 /// operations it performed.
@@ -83,7 +83,6 @@ fn time_per_call(reps: usize, mut f: impl FnMut() -> usize) -> f64 {
 }
 
 struct QueueRow {
-    backend: &'static str,
     workload: &'static str,
     depth: usize,
     ops: usize,
@@ -99,51 +98,22 @@ impl QueueRow {
 fn measure_queues(depths: &[usize], reps: usize) -> Vec<QueueRow> {
     let mut rows = Vec::new();
     for &depth in depths {
-        let (heap_pp, ops) = best_of(reps, || push_pop(EventQueue::with_capacity(depth), depth));
+        let (seconds, ops) = best_of(reps, || push_pop(EventQueue::with_capacity(depth), depth));
         rows.push(QueueRow {
-            backend: "binary_heap",
             workload: "push_pop",
             depth,
             ops,
-            seconds: heap_pp,
-        });
-        let (cal_pp, ops) = best_of(reps, || {
-            push_pop(
-                EventQueue::with_backend(CalendarQueue::with_delay_bound(DELAY_BOUND)),
-                depth,
-            )
-        });
-        rows.push(QueueRow {
-            backend: "calendar",
-            workload: "push_pop",
-            depth,
-            ops,
-            seconds: cal_pp,
+            seconds,
         });
         let hold_ops = 4 * depth;
-        let (heap_h, ops) = best_of(reps, || {
+        let (seconds, ops) = best_of(reps, || {
             hold(EventQueue::with_capacity(depth), depth, hold_ops)
         });
         rows.push(QueueRow {
-            backend: "binary_heap",
             workload: "hold",
             depth,
             ops,
-            seconds: heap_h,
-        });
-        let (cal_h, ops) = best_of(reps, || {
-            hold(
-                EventQueue::with_backend(CalendarQueue::with_delay_bound(DELAY_BOUND)),
-                depth,
-                hold_ops,
-            )
-        });
-        rows.push(QueueRow {
-            backend: "calendar",
-            workload: "hold",
-            depth,
-            ops,
-            seconds: cal_h,
+            seconds,
         });
     }
     rows
@@ -648,9 +618,8 @@ fn json_report(
         let comma = if i + 1 < queue_rows.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"backend\": \"{}\", \"workload\": \"{}\", \"depth\": {}, \"ops\": {}, \
+            "    {{\"workload\": \"{}\", \"depth\": {}, \"ops\": {}, \
              \"seconds\": {:.9}, \"mops_per_sec\": {:.3}}}{comma}",
-            r.backend,
             r.workload,
             r.depth,
             r.ops,
@@ -794,12 +763,11 @@ fn main() {
         (&[64, 1024, 16384, 131072], 5, 64)
     };
 
-    eprintln!("measuring queue backends ({} depths)...", depths.len());
+    eprintln!("measuring the event queue ({} depths)...", depths.len());
     let queue_rows = measure_queues(depths, reps);
     for r in &queue_rows {
         eprintln!(
-            "  {:<12} {:<9} depth {:>7}: {:>9.3} Mops/s",
-            r.backend,
+            "  {:<9} depth {:>7}: {:>9.3} Mops/s",
             r.workload,
             r.depth,
             r.mops()

@@ -1,7 +1,7 @@
 //! Shared kernel-benchmark workloads.
 //!
 //! Both `benches/kernel.rs` (the Criterion suite) and the `bench`
-//! binary (which writes `BENCH_kernel.json`) drive the queue backends
+//! binary (which writes `BENCH_kernel.json`) drive the event queue
 //! through these exact loops, so the interactive numbers and the
 //! tracked JSON measure the same workload by construction — tuning the
 //! distribution here changes both, never one.
@@ -11,10 +11,9 @@ use tsg_core::analysis::session::{DelayEdit, GraphEdit};
 use tsg_core::analysis::wide::WideArena;
 use tsg_core::analysis::{CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
-use tsg_sim::{EventQueue, QueueBackend};
+use tsg_sim::EventQueue;
 
-/// Upper bound of [`delay`]'s distribution; the calendar backend under
-/// test is tuned with `CalendarQueue::with_delay_bound(DELAY_BOUND)`.
+/// Upper bound of [`delay`]'s distribution.
 pub const DELAY_BOUND: f64 = 8.25;
 
 /// Deterministic bounded delays: a low-discrepancy scramble uniform in
@@ -28,7 +27,7 @@ pub fn delay(i: u64) -> f64 {
 ///
 /// Returns the number of queue operations performed (for throughput
 /// math and as a `black_box`-able result).
-pub fn push_pop<B: QueueBackend<u64>>(mut q: EventQueue<u64, B>, depth: usize) -> usize {
+pub fn push_pop(mut q: EventQueue<u64>, depth: usize) -> usize {
     for i in 0..depth as u64 {
         q.schedule(delay(i), i);
     }
@@ -45,7 +44,7 @@ pub fn push_pop<B: QueueBackend<u64>>(mut q: EventQueue<u64, B>, depth: usize) -
 /// generates.
 ///
 /// Returns the number of queue operations performed.
-pub fn hold<B: QueueBackend<u64>>(mut q: EventQueue<u64, B>, depth: usize, ops: usize) -> usize {
+pub fn hold(mut q: EventQueue<u64>, depth: usize, ops: usize) -> usize {
     for i in 0..depth as u64 {
         q.schedule(delay(i), i);
     }
@@ -359,19 +358,11 @@ pub fn structural_edit_script(sg: &SignalGraph, count: usize) -> Vec<Vec<GraphEd
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsg_sim::CalendarQueue;
 
     #[test]
     fn workloads_report_operation_counts() {
         assert_eq!(push_pop(EventQueue::new(), 100), 200);
         assert_eq!(hold(EventQueue::new(), 50, 200), 450);
-        assert_eq!(
-            push_pop(
-                EventQueue::with_backend(CalendarQueue::with_delay_bound(DELAY_BOUND)),
-                100
-            ),
-            200
-        );
     }
 
     #[test]

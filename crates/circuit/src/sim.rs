@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use tsg_sim::{AnyQueue, EventQueue, QueueKind, TraceId, TraceRecorder};
+use tsg_sim::{EventQueue, TraceId, TraceRecorder};
 
 use crate::netlist::{Netlist, SignalId};
 
@@ -69,26 +69,18 @@ struct Arrival {
 /// A simulator borrows its netlist, so a long-running service cannot
 /// keep one `EventDrivenSim` warm across requests for different
 /// netlists — but it *can* keep the queue: `SimQueue` outlives any one
-/// simulator, carrying its allocation (and backend choice) from netlist
-/// to netlist. Build simulators with
-/// [`EventDrivenSim::with_reused_queue`] and reclaim the storage with
-/// [`EventDrivenSim::into_queue`].
-#[derive(Clone, Debug)]
+/// simulator, carrying its allocation from netlist to netlist. Build
+/// simulators with [`EventDrivenSim::with_reused_queue`] and reclaim the
+/// storage with [`EventDrivenSim::into_queue`].
+#[derive(Clone, Debug, Default)]
 pub struct SimQueue {
-    inner: EventQueue<Arrival, AnyQueue<Arrival>>,
+    inner: EventQueue<Arrival>,
 }
 
 impl SimQueue {
-    /// An empty queue of the given backend kind.
-    pub fn new(kind: QueueKind) -> Self {
-        SimQueue {
-            inner: EventQueue::with_backend(AnyQueue::of(kind)),
-        }
-    }
-
-    /// The backend kind this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        self.inner.backend().kind()
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Pending-event capacity (for the warm-pool zero-allocation
@@ -126,29 +118,20 @@ pub struct EventDrivenSim<'n> {
     netlist: &'n Netlist,
     state: Vec<bool>,
     views: Vec<Vec<bool>>,
-    queue: EventQueue<Arrival, AnyQueue<Arrival>>,
+    queue: EventQueue<Arrival>,
     trace: Option<(TraceRecorder, Vec<TraceId>)>,
 }
 
 impl<'n> EventDrivenSim<'n> {
-    /// Prepares a simulation from the netlist's initial state on the
-    /// default binary-heap queue backend.
-    pub fn new(netlist: &'n Netlist) -> Self {
-        Self::with_queue(netlist, QueueKind::Heap)
-    }
-
-    /// Prepares a simulation running on the chosen kernel queue backend.
+    /// Prepares a simulation from the netlist's initial state.
     ///
-    /// Backends pop bit-identical streams, so this is purely a
-    /// performance choice: the calendar backend suits the bounded pin
-    /// delays of gate libraries. The queue is pre-sized to the netlist's
-    /// total fanout — a sizing heuristic for the typical pending load
-    /// (a fast signal feeding a slow pin can keep several arrivals in
-    /// flight per pin, growing it further) — and [`EventDrivenSim::run`]
-    /// reuses whatever allocation the first run settles on across
-    /// restarts.
-    pub fn with_queue(netlist: &'n Netlist, kind: QueueKind) -> Self {
-        Self::with_reused_queue(netlist, SimQueue::new(kind))
+    /// The queue is pre-sized to the netlist's total fanout — a sizing
+    /// heuristic for the typical pending load (a fast signal feeding a
+    /// slow pin can keep several arrivals in flight per pin, growing it
+    /// further) — and [`EventDrivenSim::run`] reuses whatever allocation
+    /// the first run settles on across restarts.
+    pub fn new(netlist: &'n Netlist) -> Self {
+        Self::with_reused_queue(netlist, SimQueue::new())
     }
 
     /// Prepares a simulation on a recycled [`SimQueue`].
@@ -156,8 +139,8 @@ impl<'n> EventDrivenSim<'n> {
     /// The queue is cleared (capacity-preserving) and re-sized to this
     /// netlist's fanout, so a service replaying many netlists through
     /// one queue allocates only when a request outgrows every previous
-    /// one. Results are bit-identical to a fresh queue of the same kind:
-    /// `clear` resets the clock and sequence counter.
+    /// one. Results are bit-identical to a fresh queue: `clear` resets
+    /// the clock and sequence counter.
     pub fn with_reused_queue(netlist: &'n Netlist, queue: SimQueue) -> Self {
         let state = netlist.initial_state().to_vec();
         let views: Vec<Vec<bool>> = netlist
@@ -181,11 +164,6 @@ impl<'n> EventDrivenSim<'n> {
     /// netlist.
     pub fn into_queue(self) -> SimQueue {
         SimQueue { inner: self.queue }
-    }
-
-    /// The label of the queue backend this simulator runs on.
-    pub fn queue_backend(&self) -> &'static str {
-        self.queue.backend_name()
     }
 
     /// Attaches a [`TraceRecorder`] capturing every signal change.
@@ -495,37 +473,19 @@ mod tests {
     }
 
     #[test]
-    fn calendar_queue_replays_identical_trace() {
-        for nl in [
-            crate::library::c_element_oscillator(),
-            crate::library::muller_ring(5, 1.0),
-            inverter_ring(7),
-        ] {
-            let heap_trace = EventDrivenSim::new(&nl).run(300.0, 1_000_000).unwrap();
-            let mut cal = EventDrivenSim::with_queue(&nl, QueueKind::Calendar);
-            assert_eq!(cal.queue_backend(), "calendar");
-            let cal_trace = cal.run(300.0, 1_000_000).unwrap();
-            assert_eq!(heap_trace, cal_trace);
-        }
-    }
-
-    #[test]
     fn reused_queue_replays_identically_across_netlists() {
         // One SimQueue cycled through different netlists gives the same
         // traces as fresh simulators, and once warmed by the largest
         // netlist it never regrows.
         let big = crate::library::muller_ring(9, 1.0);
         let small = crate::library::c_element_oscillator();
-        let mut queue = SimQueue::new(QueueKind::Calendar);
-        assert_eq!(queue.kind(), QueueKind::Calendar);
+        let mut queue = SimQueue::new();
         for _ in 0..2 {
             for nl in [&big, &small] {
                 let mut warm = EventDrivenSim::with_reused_queue(nl, queue);
                 let got = warm.run(150.0, 1_000_000).unwrap();
                 queue = warm.into_queue();
-                let fresh = EventDrivenSim::with_queue(nl, QueueKind::Calendar)
-                    .run(150.0, 1_000_000)
-                    .unwrap();
+                let fresh = EventDrivenSim::new(nl).run(150.0, 1_000_000).unwrap();
                 assert_eq!(got, fresh);
             }
         }

@@ -33,9 +33,8 @@ USAGE:
                      [--corners min,typ,max] [--derate PCT]
                      [--samples K] [--seed S]
     tsg sim FILE.g... [--periods N] [--vcd PATH] [--default-delay X]
-                      [--threads N] [--queue {heap|calendar}]
+                      [--threads N]
     tsg sim FILE.ckt... [--horizon X] [--vcd PATH] [--threads N]
-                        [--queue {heap|calendar}]
     tsg explore FILE [--edit SRC->DST=DELAY]... [--default-delay X]
                      [--kernel {auto|portable|avx2}]
                      [--report {text|json}]
@@ -62,10 +61,11 @@ FILE formats (by extension):
 
 `sim` runs the shared tsg-sim event kernel and prints the transition
 stream; `--vcd PATH` additionally dumps a waveform any VCD viewer opens.
-`--queue` selects the kernel queue backend (default: heap). Several
-files fan out across a `--threads N` pool (default: all cores); the
-analysis itself also runs its b border simulations on that pool, in
-lockstep lane chunks of the SIMD-friendly wide kernel.
+`--queue {heap|calendar}` is accepted and ignored: the kernel has one
+event queue, a binary heap. Several files fan out across a `--threads
+N` pool (default: all cores); the analysis itself also runs its b
+border simulations on that pool, in lockstep lane chunks of the
+SIMD-friendly wide kernel.
 
 `--kernel` pins the wide-kernel backend (default `auto`: the widest
 the CPU supports — AVX2, else the portable loop; `sse2` is accepted
@@ -260,7 +260,7 @@ fn run(args: &[String]) -> Result<String, String> {
             }
             let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
             let sg = ops::load(file, &text, opts.default_delay)?;
-            Ok(ops::report(&sg, &opts))
+            ops::report(&sg, &opts)
         }
         Some("sim") => {
             let mut files: Vec<String> = Vec::new();
@@ -312,7 +312,7 @@ fn run(args: &[String]) -> Result<String, String> {
                     }
                     "--queue" => {
                         i += 1;
-                        opts.queue = args.get(i).ok_or("--queue needs a backend name")?.parse()?;
+                        ops::check_queue_name(args.get(i).ok_or("--queue needs a backend name")?)?;
                     }
                     other => return Err(format!("unknown flag {other:?}")),
                 }
@@ -832,7 +832,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 "stack66" => tsg_gen::stack66(),
                 other => return Err(format!("unknown demo {other:?}")),
             };
-            Ok(ops::report(&sg, &opts))
+            ops::report(&sg, &opts)
         }
         Some("--help") | Some("-h") | None => Ok(USAGE.to_owned()),
         Some(other) => Err(format!("unknown command {other:?}")),
@@ -1593,6 +1593,28 @@ mod tests {
         let cal = run(&["sim".into(), p.clone(), "--queue".into(), "calendar".into()]).unwrap();
         assert_eq!(heap, cal, "backends must produce identical transcripts");
         assert!(run(&["sim".into(), p, "--queue".into(), "splay".into()]).is_err());
+    }
+
+    #[test]
+    fn sim_and_analyze_report_overflowing_delays() {
+        let dir = std::env::temp_dir().join("tsg-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("overflow-big.g");
+        std::fs::write(
+            &path,
+            ".model big\n.outputs x\n.graph\nx+ x-\nx- x+\n.marking { <x-,x+> }\n\
+             .delay x+ x- 1e308\n.delay x- x+ 1e308\n.end\n",
+        )
+        .unwrap();
+        let p = path.to_string_lossy().into_owned();
+        let sim = run(&["sim".into(), p.clone(), "--periods".into(), "3".into()]).unwrap_err();
+        assert_eq!(
+            sim,
+            "simulation failed: firing x-_0: cannot schedule event at non-finite time inf"
+        );
+        let analyze = run(&["analyze".into(), p]).unwrap_err();
+        assert!(analyze.contains("non-finite total delay"), "{analyze}");
+        assert!(!analyze.contains('\n'), "one-line message: {analyze}");
     }
 
     #[test]

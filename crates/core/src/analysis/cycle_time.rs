@@ -69,6 +69,14 @@ pub enum AnalysisError {
         /// Requested simulation periods.
         periods: u32,
     },
+    /// The winning cycle's total delay is not a finite `f64`: its arc
+    /// delays are so large that their sum overflows.
+    NonFiniteCycleLength {
+        /// Label of the border event whose record won.
+        event: String,
+        /// Periods the overflowing cycle spans.
+        periods: u32,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -91,6 +99,13 @@ impl fmt::Display for AnalysisError {
                 write!(
                     f,
                     "degenerate simulation batch: {lanes} lane(s) over {periods} period(s)"
+                )
+            }
+            AnalysisError::NonFiniteCycleLength { event, periods } => {
+                write!(
+                    f,
+                    "the critical cycle through {event} over {periods} period(s) \
+                     has a non-finite total delay (delays too large)"
                 )
             }
         }
@@ -765,6 +780,12 @@ impl CycleTimeAnalysis {
         }
         let (length, periods_spanned) =
             best.expect("every border event lies on a cycle with period <= b");
+        if !length.is_finite() {
+            return Err(AnalysisError::NonFiniteCycleLength {
+                event: sg.label(border[best_idx]).to_string(),
+                periods: periods_spanned,
+            });
+        }
         let cycle_time = CycleTime::new(length, periods_spanned);
 
         // Step 5: re-run the winning simulation with parent tracking and
@@ -1179,5 +1200,24 @@ mod tests {
         let out = CycleTimeAnalysis::analyze_batch(&graphs, &BatchRunner::with_threads(2));
         assert!(out[0].is_ok());
         assert_eq!(out[1].clone().unwrap_err(), AnalysisError::NoCyclicBehavior);
+    }
+
+    #[test]
+    fn overflowing_cycle_length_is_an_error_not_a_panic() {
+        // Two 1e308 delays sum past f64::MAX: the cycle length is inf.
+        let mut b = SignalGraph::builder();
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        b.arc(xp, xm, 1e308);
+        b.marked_arc(xm, xp, 1e308);
+        let sg = b.build().unwrap();
+        let err = CycleTimeAnalysis::run(&sg).unwrap_err();
+        assert!(
+            matches!(&err, AnalysisError::NonFiniteCycleLength { periods: 1, .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("non-finite total delay"), "{err}");
+        let par = CycleTimeAnalysis::run_parallel(&sg, &BatchRunner::with_threads(2));
+        assert_eq!(par.unwrap_err(), err);
     }
 }

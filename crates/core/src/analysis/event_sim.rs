@@ -15,9 +15,7 @@
 //! sources), and it feeds the long-run estimator in `tsg-baselines`
 //! through the same kernel as the gate-level netlist simulator.
 
-use tsg_sim::{
-    AnyQueue, CancelKind, CancelToken, EventQueue, QueueCheckpoint, QueueKind, TraceRecorder,
-};
+use tsg_sim::{CancelKind, CancelToken, EventQueue, QueueCheckpoint, ScheduleError, TraceRecorder};
 
 use crate::event::{EventId, Polarity};
 use crate::graph::SignalGraph;
@@ -27,9 +25,9 @@ use crate::graph::SignalGraph;
 /// over a batch instead of paid per event.
 const CANCEL_POLL_EVERY: u64 = 256;
 
-/// Error of [`EventSimulation::run_in_with_cancel`]: the drain loop
-/// observed its token mid-run. The scratch stays reusable — a later
-/// uncancelled run primes it from scratch as usual.
+/// The drain loop of [`EventSimulation::run_in_with_cancel`] observed
+/// its token mid-run. The scratch stays reusable — a later uncancelled
+/// run primes it from scratch as usual.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimCancelled {
     /// Why the run stopped.
@@ -52,6 +50,39 @@ impl std::fmt::Display for SimCancelled {
 
 impl std::error::Error for SimCancelled {}
 
+/// Why an [`EventSimulation`] run stopped short of its horizon.
+#[derive(Clone, Debug, PartialEq)]
+pub enum EventSimError {
+    /// The cancel token fired mid-drain.
+    Cancelled(SimCancelled),
+    /// A firing scheduled a successor token at a time the kernel queue
+    /// refuses — in practice delays so large that `t + δ` overflows to
+    /// infinity.
+    Unschedulable {
+        /// Label of the event whose firing scheduled the token.
+        event: String,
+        /// Instance (period) of that firing.
+        instance: u32,
+        /// The queue's refusal.
+        error: ScheduleError,
+    },
+}
+
+impl std::fmt::Display for EventSimError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EventSimError::Cancelled(c) => c.fmt(f),
+            EventSimError::Unschedulable {
+                event,
+                instance,
+                error,
+            } => write!(f, "firing {event}_{instance}: {error}"),
+        }
+    }
+}
+
+impl std::error::Error for EventSimError {}
+
 /// A pending token arrival for instantiation `instance` of `target`.
 #[derive(Clone, Copy, Debug)]
 struct Token {
@@ -62,30 +93,22 @@ struct Token {
 /// Reusable scratch state of [`EventSimulation::run_in`]: the pending
 /// token queue and the flat expected-token matrix.
 ///
-/// A long-running worker (the `tsg serve` pool) holds one scratch per
-/// queue kind and replays every `sim` request through it; after the
-/// first request of the largest shape, [`EventSimulation::run_in`]
-/// performs no queue or matrix allocation — `clear` keeps the queue's
-/// capacity and `resize`/`fill` touch existing cells only.
-#[derive(Clone, Debug)]
+/// A long-running worker (the `tsg serve` pool) holds one scratch and
+/// replays every `sim` request through it; after the first request of
+/// the largest shape, [`EventSimulation::run_in`] performs no queue or
+/// matrix allocation — `clear` keeps the queue's capacity and
+/// `resize`/`fill` touch existing cells only.
+#[derive(Clone, Debug, Default)]
 pub struct EventSimScratch {
-    queue: EventQueue<Token, AnyQueue<Token>>,
+    queue: EventQueue<Token>,
     /// Flat `periods × n` count of still-expected tokens per slot.
     remaining: Vec<u32>,
 }
 
 impl EventSimScratch {
-    /// An empty scratch running on the given queue backend.
-    pub fn new(kind: QueueKind) -> Self {
-        EventSimScratch {
-            queue: EventQueue::with_backend(AnyQueue::of(kind)),
-            remaining: Vec::new(),
-        }
-    }
-
-    /// The queue backend this scratch runs simulations on.
-    pub fn kind(&self) -> QueueKind {
-        self.queue.backend().kind()
+    /// An empty scratch.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Pending-event capacity of the warm queue (for the warm-pool
@@ -122,7 +145,7 @@ impl EventSimScratch {
 /// b.marked_arc(xm, xp, 2.0);
 /// let sg = b.build()?;
 ///
-/// let sim = EventSimulation::run(&sg, 3);
+/// let sim = EventSimulation::run(&sg, 3)?;
 /// assert_eq!(sim.time(xp, 0), Some(0.0));
 /// assert_eq!(sim.time(xm, 0), Some(3.0));
 /// assert_eq!(sim.time(xp, 1), Some(5.0));
@@ -139,41 +162,40 @@ pub struct EventSimulation {
 }
 
 impl EventSimulation {
-    /// Runs the event-driven timing simulation over `periods` periods on
-    /// the default binary-heap queue backend.
+    /// Runs the event-driven timing simulation over `periods` periods.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EventSimError::Unschedulable`] when an occurrence time
+    /// overflows (delays near `f64::MAX`).
     ///
     /// # Panics
     ///
     /// Panics if `periods == 0`.
-    pub fn run(sg: &SignalGraph, periods: u32) -> Self {
-        Self::run_on(sg, periods, QueueKind::Heap)
-    }
-
-    /// Runs the simulation on the chosen kernel queue backend.
-    ///
-    /// All backends pop bit-identical streams, so the result is the same
-    /// whatever the choice — which backend is *faster* depends on the
-    /// delay distribution; `benches/kernel.rs` measures it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `periods == 0`.
-    pub fn run_on(sg: &SignalGraph, periods: u32, queue: QueueKind) -> Self {
-        Self::run_in(sg, periods, &mut EventSimScratch::new(queue))
+    pub fn run(sg: &SignalGraph, periods: u32) -> Result<Self, EventSimError> {
+        Self::run_in(sg, periods, &mut EventSimScratch::new())
     }
 
     /// Allocation-reusing core: runs the simulation over `scratch`'s
     /// warm queue and token matrix.
     ///
-    /// Bit-identical to [`EventSimulation::run_on`] with `scratch`'s
-    /// queue kind — `clear` resets the queue's clock and sequence
-    /// counter, so a reused queue replays exactly like a fresh one.
+    /// Bit-identical to [`EventSimulation::run`] — `clear` resets the
+    /// queue's clock and sequence counter, so a reused queue replays
+    /// exactly like a fresh one.
+    ///
+    /// # Errors
+    ///
+    /// As [`EventSimulation::run`].
     ///
     /// # Panics
     ///
     /// Panics if `periods == 0`.
-    pub fn run_in(sg: &SignalGraph, periods: u32, scratch: &mut EventSimScratch) -> Self {
-        Self::run_in_with_cancel(sg, periods, scratch, None).expect("no cancel token was supplied")
+    pub fn run_in(
+        sg: &SignalGraph,
+        periods: u32,
+        scratch: &mut EventSimScratch,
+    ) -> Result<Self, EventSimError> {
+        Self::run_in_with_cancel(sg, periods, scratch, None)
     }
 
     /// [`run_in`](Self::run_in) under a cancellation token: the drain
@@ -183,7 +205,9 @@ impl EventSimulation {
     ///
     /// # Errors
     ///
-    /// Returns [`SimCancelled`] when `cancel` fires mid-drain.
+    /// Returns [`EventSimError::Cancelled`] when `cancel` fires
+    /// mid-drain, and [`EventSimError::Unschedulable`] as
+    /// [`EventSimulation::run`] does.
     ///
     /// # Panics
     ///
@@ -193,8 +217,8 @@ impl EventSimulation {
         periods: u32,
         scratch: &mut EventSimScratch,
         cancel: Option<&CancelToken>,
-    ) -> Result<Self, SimCancelled> {
-        let mut times = prime(sg, periods, scratch);
+    ) -> Result<Self, EventSimError> {
+        let mut times = prime(sg, periods, scratch)?;
         let EventSimScratch { queue, remaining } = scratch;
         drain(sg, queue, remaining, &mut times, None, cancel)?;
         Ok(EventSimulation { times, periods })
@@ -206,8 +230,11 @@ impl EventSimulation {
     ///
     /// [`PausedEventSim::resume`] completes the run — bit-identical to
     /// an uninterrupted [`EventSimulation::run_in`], even when the
-    /// resuming scratch uses a *different* queue backend (a
-    /// [`QueueCheckpoint`] is storage-independent).
+    /// resuming scratch is not the pausing one.
+    ///
+    /// # Errors
+    ///
+    /// As [`EventSimulation::run`].
     ///
     /// # Panics
     ///
@@ -217,17 +244,16 @@ impl EventSimulation {
         periods: u32,
         scratch: &mut EventSimScratch,
         pause_at: f64,
-    ) -> PausedEventSim {
-        let mut times = prime(sg, periods, scratch);
+    ) -> Result<PausedEventSim, EventSimError> {
+        let mut times = prime(sg, periods, scratch)?;
         let EventSimScratch { queue, remaining } = scratch;
-        drain(sg, queue, remaining, &mut times, Some(pause_at), None)
-            .expect("no cancel token was supplied");
-        PausedEventSim {
+        drain(sg, queue, remaining, &mut times, Some(pause_at), None)?;
+        Ok(PausedEventSim {
             queue: queue.checkpoint(),
             remaining: remaining.clone(),
             times,
             periods,
-        }
+        })
     }
 
     /// Number of simulated periods.
@@ -306,7 +332,11 @@ impl EventSimulation {
 ///   repetitive, unmarked   : every instance p (from src at p),
 ///   repetitive, marked     : instances 1.. (from src at p−1);
 ///                            the initial token enables p = 0 free.
-fn prime(sg: &SignalGraph, periods: u32, scratch: &mut EventSimScratch) -> Vec<Vec<f64>> {
+fn prime(
+    sg: &SignalGraph,
+    periods: u32,
+    scratch: &mut EventSimScratch,
+) -> Result<Vec<Vec<f64>>, EventSimError> {
     assert!(periods >= 1, "simulation needs at least one period");
     let n = sg.event_count();
     let p_max = periods as usize;
@@ -349,22 +379,22 @@ fn prime(sg: &SignalGraph, periods: u32, scratch: &mut EventSimScratch) -> Vec<V
         let instances = if sg.is_repetitive(e) { p_max } else { 1 };
         for p in 0..instances {
             if remaining[p * n + e.index()] == 0 {
-                fire(sg, queue, &mut times, e, p, 0.0);
+                fire(sg, queue, &mut times, e, p, 0.0)?;
             }
         }
     }
-    times
+    Ok(times)
 }
 
 /// Records a firing and schedules the tokens of its successors.
 fn fire(
     sg: &SignalGraph,
-    queue: &mut EventQueue<Token, AnyQueue<Token>>,
+    queue: &mut EventQueue<Token>,
     times: &mut [Vec<f64>],
     e: EventId,
     p: usize,
     t: f64,
-) {
+) -> Result<(), EventSimError> {
     let p_max = times.len();
     times[p][e.index()] = t;
     for a in sg.out_arcs(e) {
@@ -381,14 +411,19 @@ fn fire(
         if target_instance >= p_max {
             continue; // beyond the simulated horizon
         }
-        queue.schedule(
-            t + arc.delay().get(),
-            Token {
-                target: dst,
-                instance: target_instance as u32,
-            },
-        );
+        let token = Token {
+            target: dst,
+            instance: target_instance as u32,
+        };
+        queue
+            .try_schedule(t + arc.delay().get(), token)
+            .map_err(|error| EventSimError::Unschedulable {
+                event: sg.label(e).to_string(),
+                instance: p as u32,
+                error,
+            })?;
     }
+    Ok(())
 }
 
 /// Consumes one popped token arrival: counts it off its slot and fires
@@ -396,11 +431,11 @@ fn fire(
 #[inline]
 fn arrive(
     sg: &SignalGraph,
-    queue: &mut EventQueue<Token, AnyQueue<Token>>,
+    queue: &mut EventQueue<Token>,
     remaining: &mut [u32],
     times: &mut [Vec<f64>],
     ev: tsg_sim::Event<Token>,
-) {
+) -> Result<(), EventSimError> {
     let Token { target, instance } = ev.payload;
     let slot = instance as usize * sg.event_count() + target.index();
     debug_assert!(remaining[slot] > 0, "token for an already-fired slot");
@@ -412,51 +447,36 @@ fn arrive(
         // times to at least 0 (all delays are non-negative, so
         // the clamp only matters for empty maxima, handled in
         // `prime`).
-        fire(sg, queue, times, target, instance as usize, ev.time);
+        fire(sg, queue, times, target, instance as usize, ev.time)?;
     }
+    Ok(())
 }
 
 /// Pops (and propagates) queued tokens — all of them, or only those at
-/// or before `pause_at`. The unpaused path pops directly: a peek on the
-/// calendar backend costs the same forward scan as the pop itself, so
-/// peeking is reserved for the pausing path that needs it.
+/// or before `pause_at`.
 fn drain(
     sg: &SignalGraph,
-    queue: &mut EventQueue<Token, AnyQueue<Token>>,
+    queue: &mut EventQueue<Token>,
     remaining: &mut [u32],
     times: &mut [Vec<f64>],
     pause_at: Option<f64>,
     cancel: Option<&CancelToken>,
-) -> Result<(), SimCancelled> {
+) -> Result<(), EventSimError> {
+    let stop = pause_at.unwrap_or(f64::INFINITY);
     let mut processed = 0u64;
-    let poll = |processed: u64, pending: usize| {
-        if !processed.is_multiple_of(CANCEL_POLL_EVERY) {
-            return Ok(());
-        }
-        match cancel.and_then(CancelToken::check) {
-            Some(kind) => Err(SimCancelled {
-                kind,
-                events_done: processed,
-                pending,
-            }),
-            None => Ok(()),
-        }
-    };
-    match pause_at {
-        None => loop {
-            poll(processed, queue.len())?;
-            let Some(ev) = queue.pop() else { break };
-            arrive(sg, queue, remaining, times, ev);
-            processed += 1;
-        },
-        Some(stop) => {
-            while queue.peek_time().is_some_and(|t| t <= stop) {
-                poll(processed, queue.len())?;
-                let ev = queue.pop().expect("peeked");
-                arrive(sg, queue, remaining, times, ev);
-                processed += 1;
+    while queue.peek_time().is_some_and(|t| t <= stop) {
+        if processed.is_multiple_of(CANCEL_POLL_EVERY) {
+            if let Some(kind) = cancel.and_then(CancelToken::check) {
+                return Err(EventSimError::Cancelled(SimCancelled {
+                    kind,
+                    events_done: processed,
+                    pending: queue.len(),
+                }));
             }
         }
+        let ev = queue.pop().expect("peeked");
+        arrive(sg, queue, remaining, times, ev)?;
+        processed += 1;
     }
     Ok(())
 }
@@ -465,8 +485,8 @@ fn drain(
 /// plus the partial token and time matrices, produced by
 /// [`EventSimulation::run_until`].
 ///
-/// The checkpoint carries no queue-backend type, so a pause taken while
-/// simulating on one backend resumes on any other — the restart
+/// The checkpoint is independent of the scratch it was taken from, so a
+/// pause resumes on any scratch, any number of times — the restart
 /// machinery a dirty-region re-simulation builds on.
 #[derive(Clone, Debug)]
 pub struct PausedEventSim {
@@ -488,24 +508,31 @@ impl PausedEventSim {
         self.queue.len()
     }
 
-    /// Completes the simulation from the checkpoint on `scratch` —
-    /// which may run a different queue backend than the paused run.
+    /// Completes the simulation from the checkpoint on `scratch`.
     ///
     /// The result is bit-identical to an uninterrupted
     /// [`EventSimulation::run_in`] over the same graph and period count.
     /// Resuming does not consume the pause: the same checkpoint can be
     /// replayed any number of times.
-    pub fn resume(&self, sg: &SignalGraph, scratch: &mut EventSimScratch) -> EventSimulation {
+    ///
+    /// # Errors
+    ///
+    /// As [`EventSimulation::run`].
+    pub fn resume(
+        &self,
+        sg: &SignalGraph,
+        scratch: &mut EventSimScratch,
+    ) -> Result<EventSimulation, EventSimError> {
         let EventSimScratch { queue, remaining } = scratch;
         queue.restore(&self.queue);
         remaining.clear();
         remaining.extend_from_slice(&self.remaining);
         let mut times = self.times.clone();
-        drain(sg, queue, remaining, &mut times, None, None).expect("no cancel token was supplied");
-        EventSimulation {
+        drain(sg, queue, remaining, &mut times, None, None)?;
+        Ok(EventSimulation {
             times,
             periods: self.periods,
-        }
+        })
     }
 }
 
@@ -543,7 +570,7 @@ mod tests {
     #[test]
     fn example3_occurrence_times() {
         let sg = figure2();
-        let sim = EventSimulation::run(&sg, 2);
+        let sim = EventSimulation::run(&sg, 2).unwrap();
         let t = |label: &str, i: u32| sim.time(sg.event_by_label(label).unwrap(), i).unwrap();
         assert_eq!(t("e-", 0), 0.0);
         assert_eq!(t("f-", 0), 3.0);
@@ -563,7 +590,7 @@ mod tests {
         let sg = figure2();
         let periods = 6;
         let sync = TimingSimulation::run(&sg, periods);
-        let event = EventSimulation::run(&sg, periods);
+        let event = EventSimulation::run(&sg, periods).unwrap();
         for e in sg.events() {
             for p in 0..periods {
                 assert_eq!(sync.time(e, p), event.time(e, p), "{}_{p}", sg.label(e));
@@ -574,7 +601,7 @@ mod tests {
     #[test]
     fn prefix_events_have_single_instance() {
         let sg = figure2();
-        let sim = EventSimulation::run(&sg, 2);
+        let sim = EventSimulation::run(&sg, 2).unwrap();
         let e = sg.event_by_label("e-").unwrap();
         assert_eq!(sim.time(e, 0), Some(0.0));
         assert_eq!(sim.time(e, 1), None);
@@ -584,14 +611,14 @@ mod tests {
     fn chronological_matches_synchronous() {
         let sg = figure2();
         let sync = TimingSimulation::run(&sg, 2).chronological(&sg);
-        let event = EventSimulation::run(&sg, 2).chronological(&sg);
+        let event = EventSimulation::run(&sg, 2).unwrap().chronological(&sg);
         assert_eq!(sync, event);
     }
 
     #[test]
     fn trace_produces_signal_wires() {
         let sg = figure2();
-        let sim = EventSimulation::run(&sg, 2);
+        let sim = EventSimulation::run(&sg, 2).unwrap();
         let mut rec = TraceRecorder::new("tsg");
         sim.record_trace(&sg, &mut rec);
         // Five signals: a, b, c, e, f — one wire each, not one per event.
@@ -611,23 +638,20 @@ mod tests {
     #[test]
     fn run_in_reuses_scratch_and_matches_cold_runs() {
         let sg = figure2();
-        for kind in [QueueKind::Heap, QueueKind::Calendar] {
-            let mut scratch = EventSimScratch::new(kind);
-            assert_eq!(scratch.kind(), kind);
-            let cold = EventSimulation::run_on(&sg, 4, kind);
-            let first = EventSimulation::run_in(&sg, 4, &mut scratch);
-            let caps = (scratch.queue_capacity(), scratch.matrix_capacity());
-            let second = EventSimulation::run_in(&sg, 4, &mut scratch);
-            assert_eq!(
-                caps,
-                (scratch.queue_capacity(), scratch.matrix_capacity()),
-                "warm re-run must not regrow the scratch"
-            );
-            for e in sg.events() {
-                for p in 0..4 {
-                    assert_eq!(cold.time(e, p), first.time(e, p), "{}_{p}", sg.label(e));
-                    assert_eq!(cold.time(e, p), second.time(e, p), "{}_{p}", sg.label(e));
-                }
+        let mut scratch = EventSimScratch::new();
+        let cold = EventSimulation::run(&sg, 4).unwrap();
+        let first = EventSimulation::run_in(&sg, 4, &mut scratch).unwrap();
+        let caps = (scratch.queue_capacity(), scratch.matrix_capacity());
+        let second = EventSimulation::run_in(&sg, 4, &mut scratch).unwrap();
+        assert_eq!(
+            caps,
+            (scratch.queue_capacity(), scratch.matrix_capacity()),
+            "warm re-run must not regrow the scratch"
+        );
+        for e in sg.events() {
+            for p in 0..4 {
+                assert_eq!(cold.time(e, p), first.time(e, p), "{}_{p}", sg.label(e));
+                assert_eq!(cold.time(e, p), second.time(e, p), "{}_{p}", sg.label(e));
             }
         }
     }
@@ -637,10 +661,10 @@ mod tests {
         // A big run followed by a small one over the same scratch: no
         // stale tokens or counts may leak into the smaller shape.
         let sg = figure2();
-        let mut scratch = EventSimScratch::new(QueueKind::Heap);
-        let _ = EventSimulation::run_in(&sg, 8, &mut scratch);
-        let warm = EventSimulation::run_in(&sg, 2, &mut scratch);
-        let cold = EventSimulation::run(&sg, 2);
+        let mut scratch = EventSimScratch::new();
+        let _ = EventSimulation::run_in(&sg, 8, &mut scratch).unwrap();
+        let warm = EventSimulation::run_in(&sg, 2, &mut scratch).unwrap();
+        let cold = EventSimulation::run(&sg, 2).unwrap();
         for e in sg.events() {
             for p in 0..2 {
                 assert_eq!(cold.time(e, p), warm.time(e, p), "{}_{p}", sg.label(e));
@@ -651,41 +675,39 @@ mod tests {
     #[test]
     fn pause_and_resume_is_bit_identical_to_a_straight_run() {
         let sg = figure2();
-        let straight = EventSimulation::run(&sg, 4);
+        let straight = EventSimulation::run(&sg, 4).unwrap();
         for pause_at in [0.0, 1.0, 5.5, 10.0, 25.0, 1000.0] {
-            for kind in [QueueKind::Heap, QueueKind::Calendar] {
-                let mut scratch = EventSimScratch::new(kind);
-                let paused = EventSimulation::run_until(&sg, 4, &mut scratch, pause_at);
-                let resumed = paused.resume(&sg, &mut scratch);
-                for e in sg.events() {
-                    for p in 0..4 {
-                        assert_eq!(
-                            straight.time(e, p).map(f64::to_bits),
-                            resumed.time(e, p).map(f64::to_bits),
-                            "pause_at={pause_at} kind={kind:?} {}_{p}",
-                            sg.label(e)
-                        );
-                    }
+            let mut scratch = EventSimScratch::new();
+            let paused = EventSimulation::run_until(&sg, 4, &mut scratch, pause_at).unwrap();
+            let resumed = paused.resume(&sg, &mut scratch).unwrap();
+            for e in sg.events() {
+                for p in 0..4 {
+                    assert_eq!(
+                        straight.time(e, p).map(f64::to_bits),
+                        resumed.time(e, p).map(f64::to_bits),
+                        "pause_at={pause_at} {}_{p}",
+                        sg.label(e)
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn pause_resumes_across_queue_backends() {
-        // A checkpoint is storage-independent: pause on the heap, resume
-        // on the calendar (and vice versa), same bits out. The same
-        // pause also replays more than once.
+    fn pause_resumes_on_a_separate_scratch() {
+        // A checkpoint is independent of the scratch it came from: pause
+        // on one, resume on another (and on the pausing one), same bits
+        // out. The same pause also replays more than once.
         let sg = figure2();
-        let straight = EventSimulation::run(&sg, 3);
-        let mut heap = EventSimScratch::new(QueueKind::Heap);
-        let mut cal = EventSimScratch::new(QueueKind::Calendar);
-        let paused = EventSimulation::run_until(&sg, 3, &mut heap, 7.0);
+        let straight = EventSimulation::run(&sg, 3).unwrap();
+        let mut pausing = EventSimScratch::new();
+        let mut other = EventSimScratch::new();
+        let paused = EventSimulation::run_until(&sg, 3, &mut pausing, 7.0).unwrap();
         assert!(paused.time() <= 7.0);
         assert!(paused.pending() > 0);
-        for scratch in [&mut cal, &mut heap] {
+        for scratch in [&mut other, &mut pausing] {
             for _ in 0..2 {
-                let resumed = paused.resume(&sg, scratch);
+                let resumed = paused.resume(&sg, scratch).unwrap();
                 for e in sg.events() {
                     for p in 0..3 {
                         assert_eq!(straight.time(e, p), resumed.time(e, p));
@@ -698,11 +720,11 @@ mod tests {
     #[test]
     fn pause_beyond_the_horizon_is_already_complete() {
         let sg = figure2();
-        let mut scratch = EventSimScratch::new(QueueKind::Heap);
-        let paused = EventSimulation::run_until(&sg, 2, &mut scratch, f64::MAX);
+        let mut scratch = EventSimScratch::new();
+        let paused = EventSimulation::run_until(&sg, 2, &mut scratch, f64::MAX).unwrap();
         assert_eq!(paused.pending(), 0);
-        let resumed = paused.resume(&sg, &mut scratch);
-        let straight = EventSimulation::run(&sg, 2);
+        let resumed = paused.resume(&sg, &mut scratch).unwrap();
+        let straight = EventSimulation::run(&sg, 2).unwrap();
         for e in sg.events() {
             assert_eq!(straight.time(e, 1), resumed.time(e, 1));
         }
@@ -711,16 +733,19 @@ mod tests {
     #[test]
     fn cancelled_drain_reports_progress_and_a_rerun_succeeds() {
         let sg = figure2();
-        let mut scratch = EventSimScratch::new(QueueKind::Heap);
+        let mut scratch = EventSimScratch::new();
         let token = CancelToken::cancel_after_checks(0);
         let err =
             EventSimulation::run_in_with_cancel(&sg, 4, &mut scratch, Some(&token)).unwrap_err();
+        let EventSimError::Cancelled(err) = err else {
+            panic!("expected a cancellation, got {err}");
+        };
         assert_eq!(err.kind, CancelKind::Explicit);
         assert_eq!(err.events_done, 0);
         assert!(err.pending > 0, "sources had scheduled tokens");
         // The scratch stays reusable: an uncancelled rerun matches cold.
-        let warm = EventSimulation::run_in(&sg, 4, &mut scratch);
-        let cold = EventSimulation::run(&sg, 4);
+        let warm = EventSimulation::run_in(&sg, 4, &mut scratch).unwrap();
+        let cold = EventSimulation::run(&sg, 4).unwrap();
         for e in sg.events() {
             for p in 0..4 {
                 assert_eq!(
@@ -734,14 +759,33 @@ mod tests {
     }
 
     #[test]
-    fn calendar_backend_gives_identical_times() {
-        let sg = figure2();
-        let heap = EventSimulation::run_on(&sg, 4, QueueKind::Heap);
-        let calendar = EventSimulation::run_on(&sg, 4, QueueKind::Calendar);
-        for e in sg.events() {
-            for p in 0..4 {
-                assert_eq!(heap.time(e, p), calendar.time(e, p), "{}_{p}", sg.label(e));
+    fn overflowing_delays_report_the_firing_instead_of_panicking() {
+        // x+ → x- → x+ at 1e308 each: the first firing of x- lands at
+        // 1e308, and its token back to x+ would arrive at infinity.
+        let mut b = SignalGraph::builder();
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        b.arc(xp, xm, 1e308);
+        b.marked_arc(xm, xp, 1e308);
+        let sg = b.build().unwrap();
+        let mut scratch = EventSimScratch::new();
+        let err = EventSimulation::run_in(&sg, 3, &mut scratch).unwrap_err();
+        assert_eq!(
+            err,
+            EventSimError::Unschedulable {
+                event: "x-".to_owned(),
+                instance: 0,
+                error: ScheduleError::NonFiniteTime {
+                    time: f64::INFINITY
+                },
             }
-        }
+        );
+        assert_eq!(
+            err.to_string(),
+            "firing x-_0: cannot schedule event at non-finite time inf"
+        );
+        // The scratch stays reusable after the failed run.
+        let ok = EventSimulation::run_in(&figure2(), 2, &mut scratch).unwrap();
+        assert_eq!(ok.periods(), 2);
     }
 }

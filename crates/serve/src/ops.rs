@@ -15,7 +15,7 @@
 //!   event queues — through
 //!   [`Workspace::analyze`] / [`Workspace::simulate`], which are
 //!   bit-identical to the cold paths (`CycleTimeAnalysis::run_in` ≡
-//!   `run_parallel`, `EventSimulation::run_in` ≡ `run_on`; both
+//!   `run_parallel`, `EventSimulation::run_in` ≡ `run`; both
 //!   equivalences are asserted in the workspace tests).
 
 use std::borrow::Cow;
@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 use tsg_core::analysis::diagram::{self, DiagramOptions};
-use tsg_core::analysis::event_sim::{EventSimScratch, EventSimulation};
+use tsg_core::analysis::event_sim::{EventSimError, EventSimScratch, EventSimulation};
 use tsg_core::analysis::session::{
     AnalysisSession, CycleTimeDelta, DelayEdit, EditError, GraphEdit,
 };
@@ -31,7 +31,7 @@ use tsg_core::analysis::sim::TimingSimulation;
 use tsg_core::analysis::wide::{AnalysisArena, KernelBackend};
 use tsg_core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, ScenarioAnalysis, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
-use tsg_sim::{BatchRunner, CancelKind, CancelToken, QueueKind, TraceRecorder};
+use tsg_sim::{BatchRunner, CancelKind, CancelToken, TraceRecorder};
 
 /// Error of a workspace operation: either a plain user-facing message
 /// (rendered exactly as before this type existed) or a structured
@@ -483,8 +483,22 @@ pub struct SimOptions {
     pub vcd: Option<String>,
     /// Delay for unannotated arcs (`.g` inputs only).
     pub default_delay: Option<f64>,
-    /// Kernel queue backend to run on.
-    pub queue: QueueKind,
+}
+
+/// Validates a `sim` queue-backend name (`--queue` / `"queue"`). The
+/// event queue has one storage, a binary heap, so every accepted name
+/// runs on it; the names stay accepted for compatibility.
+///
+/// # Errors
+///
+/// Rejects any name other than `heap`, `binary_heap` or `calendar`.
+pub fn check_queue_name(name: &str) -> Result<(), String> {
+    match name {
+        "heap" | "binary_heap" | "calendar" => Ok(()),
+        other => Err(format!(
+            "unknown queue backend {other:?} (expected `heap` or `calendar`)"
+        )),
+    }
 }
 
 /// Parses `text` as the format `file`'s extension names and returns the
@@ -517,9 +531,17 @@ pub fn load(file: &str, text: &str, default_delay: f64) -> Result<SignalGraph, S
 /// `opts.threads` — and so do the scenario lanes when `opts` asks for
 /// a corner or sample sweep (scenarios chunked across the workers,
 /// bit-identical at any thread count).
-pub fn report(sg: &SignalGraph, opts: &AnalyzeOptions) -> String {
+///
+/// # Errors
+///
+/// Returns an overflowing cycle length as a message; other analysis
+/// failures render inline.
+pub fn report(sg: &SignalGraph, opts: &AnalyzeOptions) -> Result<String, String> {
     let runner = BatchRunner::sized(opts.threads);
     let analysis = CycleTimeAnalysis::run_parallel_on(sg, &runner, opts.kernel);
+    if let Some(abort) = analysis.as_ref().err().and_then(report_abort) {
+        return Err(abort.to_string());
+    }
     let scenarios = match scenario_set_for(opts, sg.arc_count()) {
         Ok(None) => Ok(None),
         Ok(Some(set)) => {
@@ -529,24 +551,52 @@ pub fn report(sg: &SignalGraph, opts: &AnalyzeOptions) -> String {
         }
         Err(e) => Err(e),
     };
-    render_report(sg, opts, analysis, scenarios)
+    Ok(render_report(sg, opts, analysis, scenarios))
+}
+
+/// The analysis failures that abort a report instead of rendering
+/// inline: a fired cancel token, and a cycle length that overflows.
+fn report_abort(err: &AnalysisError) -> Option<OpError> {
+    match *err {
+        AnalysisError::Cancelled {
+            kind,
+            rows_done,
+            rows_total,
+        } => Some(OpError::Cancelled {
+            kind,
+            done: rows_done as u64,
+            total: rows_total as u64,
+        }),
+        AnalysisError::NonFiniteCycleLength { .. } => {
+            Some(OpError::Msg(format!("analysis failed: {err}")))
+        }
+        _ => None,
+    }
 }
 
 /// The `tsg analyze` report, warm path: all simulations reuse `arena`.
 /// Byte-identical to [`report`] — `run_in` and `run_parallel` produce
 /// bit-identical analyses.
-pub fn report_in(sg: &SignalGraph, opts: &AnalyzeOptions, arena: &mut AnalysisArena) -> String {
-    report_in_with_cancel(sg, opts, arena, None).expect("no cancel token was supplied")
-}
-
-/// [`report_in`] with a cooperative cancel token. Analysis failures
-/// other than cancellation ("no cyclic behavior", kernel refusals) are
-/// still rendered *inline* in the report — byte-identical to the
-/// uncancelled path — so only a fired token surfaces as an error.
 ///
 /// # Errors
 ///
-/// Returns [`OpError::Cancelled`] when `cancel` fires mid-analysis.
+/// As [`report`].
+pub fn report_in(
+    sg: &SignalGraph,
+    opts: &AnalyzeOptions,
+    arena: &mut AnalysisArena,
+) -> Result<String, OpError> {
+    report_in_with_cancel(sg, opts, arena, None)
+}
+
+/// [`report_in`] with a cooperative cancel token. Analysis failures
+/// other than cancellation and overflow ("no cyclic behavior", kernel
+/// refusals) are still rendered *inline* in the report.
+///
+/// # Errors
+///
+/// Returns [`OpError::Cancelled`] when `cancel` fires mid-analysis, and
+/// [`OpError::Msg`] when the cycle length overflows.
 pub fn report_in_with_cancel(
     sg: &SignalGraph,
     opts: &AnalyzeOptions,
@@ -554,17 +604,8 @@ pub fn report_in_with_cancel(
     cancel: Option<&CancelToken>,
 ) -> Result<String, OpError> {
     let analysis = CycleTimeAnalysis::run_in_with_cancel(sg, None, arena, cancel);
-    if let Err(AnalysisError::Cancelled {
-        kind,
-        rows_done,
-        rows_total,
-    }) = analysis
-    {
-        return Err(OpError::Cancelled {
-            kind,
-            done: rows_done as u64,
-            total: rows_total as u64,
-        });
+    if let Some(abort) = analysis.as_ref().err().and_then(report_abort) {
+        return Err(abort);
     }
     // The scenario sweep reuses the same warm arena the nominal
     // analysis just ran on; only a fired token surfaces as an error,
@@ -1075,16 +1116,8 @@ pub fn optimize_session(
     }
 }
 
-/// Index of a [`QueueKind`] into the per-kind warm-state slots.
-fn kind_slot(kind: QueueKind) -> usize {
-    match kind {
-        QueueKind::Heap => 0,
-        QueueKind::Calendar => 1,
-    }
-}
-
 /// A serve worker's persistent scratch state: the warm arena and the
-/// per-backend event queues every request executes on.
+/// event queues every request executes on.
 ///
 /// After the first request of each shape ("warm-up"), replaying a
 /// request of the same or smaller shape performs no arena or queue
@@ -1093,8 +1126,8 @@ fn kind_slot(kind: QueueKind) -> usize {
 #[derive(Debug, Default)]
 pub struct Workspace {
     arena: AnalysisArena,
-    graph: [Option<EventSimScratch>; 2],
-    netlist: [Option<tsg_circuit::SimQueue>; 2],
+    graph: Option<EventSimScratch>,
+    netlist: Option<tsg_circuit::SimQueue>,
     /// Open incremental sessions, keyed `"{conn}/{name}"` — the
     /// dispatcher pins every request naming one session to one worker,
     /// so a session's whole life happens inside a single workspace.
@@ -1128,20 +1161,16 @@ impl Workspace {
         self.arena.capacity()
     }
 
-    /// Capacity of the warm signal-graph simulation queue for `kind`
-    /// (`None` until a `.g` sim request warmed it).
-    pub fn graph_queue_capacity(&self, kind: QueueKind) -> Option<usize> {
-        self.graph[kind_slot(kind)]
-            .as_ref()
-            .map(EventSimScratch::queue_capacity)
+    /// Capacity of the warm signal-graph simulation queue (`None` until
+    /// a `.g` sim request warmed it).
+    pub fn graph_queue_capacity(&self) -> Option<usize> {
+        self.graph.as_ref().map(EventSimScratch::queue_capacity)
     }
 
-    /// Capacity of the warm netlist simulation queue for `kind` (`None`
-    /// until a `.ckt` sim request warmed it).
-    pub fn netlist_queue_capacity(&self, kind: QueueKind) -> Option<usize> {
-        self.netlist[kind_slot(kind)]
-            .as_ref()
-            .map(tsg_circuit::SimQueue::capacity)
+    /// Capacity of the warm netlist simulation queue (`None` until a
+    /// `.ckt` sim request warmed it).
+    pub fn netlist_queue_capacity(&self) -> Option<usize> {
+        self.netlist.as_ref().map(tsg_circuit::SimQueue::capacity)
     }
 
     /// `tsg analyze` on the warm arena. Byte-identical to the one-shot
@@ -1416,16 +1445,14 @@ impl Workspace {
         before - self.sessions.len()
     }
 
-    /// Gate-level event-driven simulation on the warm per-kind queue.
+    /// Gate-level event-driven simulation on the warm queue.
     fn simulate_netlist(
         &mut self,
         nl: &tsg_circuit::Netlist,
         opts: &SimOptions,
     ) -> Result<String, String> {
         let horizon = opts.horizon.unwrap_or(100.0);
-        let queue = self.netlist[kind_slot(opts.queue)]
-            .take()
-            .unwrap_or_else(|| tsg_circuit::SimQueue::new(opts.queue));
+        let queue = self.netlist.take().unwrap_or_default();
         let mut sim = tsg_circuit::EventDrivenSim::with_reused_queue(nl, queue);
         if opts.vcd.is_some() {
             sim.enable_trace();
@@ -1434,7 +1461,7 @@ impl Workspace {
         let recorder = sim.take_trace();
         // Reclaim the queue before any early return: error isolation must
         // not leak the warm allocation.
-        self.netlist[kind_slot(opts.queue)] = Some(sim.into_queue());
+        self.netlist = Some(sim.into_queue());
         let trace = run.map_err(|e| format!("simulation failed: {e}"))?;
         let mut out = String::new();
         let _ = writeln!(
@@ -1458,7 +1485,7 @@ impl Workspace {
         Ok(out)
     }
 
-    /// Signal-graph event simulation on the warm per-kind scratch.
+    /// Signal-graph event simulation on the warm scratch.
     fn simulate_graph(
         &mut self,
         sg: &SignalGraph,
@@ -1466,16 +1493,17 @@ impl Workspace {
         cancel: Option<&CancelToken>,
     ) -> Result<String, OpError> {
         let periods = opts.periods.unwrap_or(4);
-        let scratch = self.graph[kind_slot(opts.queue)]
-            .get_or_insert_with(|| EventSimScratch::new(opts.queue));
-        let sim =
-            EventSimulation::run_in_with_cancel(sg, periods, scratch, cancel).map_err(|c| {
-                OpError::Cancelled {
+        let scratch = self.graph.get_or_insert_default();
+        let sim = EventSimulation::run_in_with_cancel(sg, periods, scratch, cancel).map_err(
+            |e| match e {
+                EventSimError::Cancelled(c) => OpError::Cancelled {
                     kind: c.kind,
                     done: c.events_done,
                     total: c.events_done + c.pending as u64,
-                }
-            })?;
+                },
+                e => OpError::Msg(format!("simulation failed: {e}")),
+            },
+        )?;
         let chron = sim.chronological(sg);
         let mut out = String::new();
         let _ = writeln!(

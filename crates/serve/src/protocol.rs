@@ -57,6 +57,10 @@
 //! structured error, and the `stats` response reports the backend the
 //! pool's warm workspaces run on.
 //!
+//! `sim` requests accept a `"queue"` field (`"heap"`, `"binary_heap"` or
+//! `"calendar"`) for compatibility; it is a no-op, as every simulation
+//! runs on the one binary-heap event queue.
+//!
 //! `analyze`/`batch` requests also accept scenario-sweep fields:
 //! `"corners"` (a `"min,typ,max"` string or array of corner names) with
 //! `"derate"` (percent, default 10), or `"samples"` (seeded Monte-Carlo
@@ -81,11 +85,10 @@
 use std::time::Duration;
 
 use crate::json::Json;
-use crate::ops::{AnalyzeOptions, EditOp, EditSpec, Objective, SimOptions, Source};
+use crate::ops::{self, AnalyzeOptions, EditOp, EditSpec, Objective, SimOptions, Source};
 use crate::pool::ServeStats;
 use tsg_core::analysis::wide::KernelBackend;
 use tsg_core::analysis::Corner;
-use tsg_sim::QueueKind;
 
 /// A parsed request body.
 #[derive(Clone, Debug)]
@@ -596,7 +599,7 @@ fn corners_of(doc: &Json) -> Result<Vec<Corner>, String> {
 }
 
 fn sim_opts(doc: &Json) -> Result<SimOptions, String> {
-    Ok(SimOptions {
+    let opts = SimOptions {
         periods: match doc.get("periods") {
             None => None,
             Some(v) => Some(
@@ -619,14 +622,13 @@ fn sim_opts(doc: &Json) -> Result<SimOptions, String> {
             None => None,
             Some(v) => Some(v.as_f64().ok_or("\"default_delay\" must be a number")?),
         },
-        queue: match doc.get("queue") {
-            None => QueueKind::Heap,
-            Some(v) => v
-                .as_str()
-                .ok_or("\"queue\" must be a string".to_owned())
-                .and_then(|s| s.parse::<QueueKind>())?,
-        },
-    })
+    };
+    // Checked after the other fields, so a request with several bad
+    // fields still reports the same first error.
+    if let Some(v) = doc.get("queue") {
+        ops::check_queue_name(v.as_str().ok_or("\"queue\" must be a string")?)?;
+    }
+    Ok(opts)
 }
 
 /// One frame the streaming [`FrameDecoder`] produced.
@@ -921,18 +923,23 @@ mod tests {
         assert_eq!(source.name(), "m.g");
         assert_eq!(source.read().unwrap(), ".model m");
         assert_eq!(opts.periods, Some(3));
-        assert_eq!(opts.queue, QueueKind::Heap);
     }
 
     #[test]
     fn parses_queue_kind_and_rejects_unknown() {
-        let r = parse_request(r#"{"cmd":"sim","path":"c.ckt","queue":"calendar"}"#).unwrap();
-        let Command::Sim { opts, .. } = r.cmd else {
-            panic!("wrong cmd");
-        };
-        assert_eq!(opts.queue, QueueKind::Calendar);
+        // Every accepted name runs the one heap-backed queue.
+        for name in ["heap", "binary_heap", "calendar"] {
+            let line = format!(r#"{{"cmd":"sim","path":"c.ckt","queue":"{name}"}}"#);
+            let r = parse_request(&line).unwrap();
+            assert!(matches!(r.cmd, Command::Sim { .. }), "{name}");
+        }
         let (_, e) = parse_request(r#"{"cmd":"sim","path":"c.ckt","queue":"splay"}"#).unwrap_err();
-        assert!(e.contains("unknown queue backend"), "{e}");
+        assert_eq!(
+            e,
+            "unknown queue backend \"splay\" (expected `heap` or `calendar`)"
+        );
+        let (_, e) = parse_request(r#"{"cmd":"sim","path":"c.ckt","queue":1}"#).unwrap_err();
+        assert_eq!(e, "\"queue\" must be a string");
     }
 
     #[test]

@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use tsg_serve::json::Json;
 use tsg_serve::ops::{self, AnalyzeOptions, SimOptions, Source, Workspace};
 use tsg_serve::{serve, serve_tcp, ServeOptions};
-use tsg_sim::QueueKind;
 
 /// One request line from `(key, value)` fields.
 fn req(fields: &[(&str, Json)]) -> String {
@@ -65,7 +64,7 @@ fn warm_analyze_is_allocation_free_and_byte_identical() {
     };
     let cold = {
         let sg = ops::load("osc.g", tsg_stg::EXAMPLE_OSCILLATOR, 1.0).unwrap();
-        ops::report(&sg, &opts)
+        ops::report(&sg, &opts).unwrap()
     };
     let first = ws.analyze(&source, &opts, None).unwrap();
     assert_eq!(first, cold, "warm path must match the one-shot report");
@@ -85,35 +84,31 @@ fn warm_analyze_is_allocation_free_and_byte_identical() {
 }
 
 #[test]
-fn warm_sim_queues_stay_put_per_backend() {
+fn warm_sim_queues_stay_put() {
     let mut ws = Workspace::new();
-    for kind in [QueueKind::Heap, QueueKind::Calendar] {
-        let g_opts = SimOptions {
-            periods: Some(3),
-            queue: kind,
-            ..SimOptions::default()
-        };
-        let c_opts = SimOptions {
-            horizon: Some(400.0),
-            queue: kind,
-            ..SimOptions::default()
-        };
-        let g_cold = Workspace::new()
-            .simulate(&inline_g(), &g_opts, None)
-            .unwrap();
-        let c_cold = Workspace::new()
-            .simulate(&inline_ckt(), &c_opts, None)
-            .unwrap();
+    let g_opts = SimOptions {
+        periods: Some(3),
+        ..SimOptions::default()
+    };
+    let c_opts = SimOptions {
+        horizon: Some(400.0),
+        ..SimOptions::default()
+    };
+    let g_cold = Workspace::new()
+        .simulate(&inline_g(), &g_opts, None)
+        .unwrap();
+    let c_cold = Workspace::new()
+        .simulate(&inline_ckt(), &c_opts, None)
+        .unwrap();
+    assert_eq!(ws.simulate(&inline_g(), &g_opts, None).unwrap(), g_cold);
+    assert_eq!(ws.simulate(&inline_ckt(), &c_opts, None).unwrap(), c_cold);
+    let g_cap = ws.graph_queue_capacity().expect("warmed");
+    let c_cap = ws.netlist_queue_capacity().expect("warmed");
+    for _ in 0..3 {
         assert_eq!(ws.simulate(&inline_g(), &g_opts, None).unwrap(), g_cold);
         assert_eq!(ws.simulate(&inline_ckt(), &c_opts, None).unwrap(), c_cold);
-        let g_cap = ws.graph_queue_capacity(kind).expect("warmed");
-        let c_cap = ws.netlist_queue_capacity(kind).expect("warmed");
-        for _ in 0..3 {
-            assert_eq!(ws.simulate(&inline_g(), &g_opts, None).unwrap(), g_cold);
-            assert_eq!(ws.simulate(&inline_ckt(), &c_opts, None).unwrap(), c_cold);
-            assert_eq!(ws.graph_queue_capacity(kind), Some(g_cap));
-            assert_eq!(ws.netlist_queue_capacity(kind), Some(c_cap));
-        }
+        assert_eq!(ws.graph_queue_capacity(), Some(g_cap));
+        assert_eq!(ws.netlist_queue_capacity(), Some(c_cap));
     }
 }
 
@@ -133,11 +128,53 @@ fn failed_netlist_run_keeps_the_warm_queue() {
     let err = ws.simulate(&bad, &opts, None).unwrap_err().to_string();
     assert!(err.contains("simulation failed"), "{err}");
     assert!(
-        ws.netlist_queue_capacity(QueueKind::Heap).is_some(),
+        ws.netlist_queue_capacity().is_some(),
         "error isolation must not leak the warm queue"
     );
     // And the workspace still serves good requests afterwards.
     assert!(ws.simulate(&inline_ckt(), &opts, None).is_ok());
+}
+
+/// A two-event loop whose 1e308 delays sum past `f64::MAX`.
+const OVERFLOW_G: &str = ".model big\n.outputs x\n.graph\nx+ x-\nx- x+\n\
+                          .marking { <x-,x+> }\n.delay x+ x- 1e308\n.delay x- x+ 1e308\n.end\n";
+
+#[test]
+fn overflowing_delays_answer_structured_errors() {
+    let request = |id: f64, cmd: &str| {
+        req(&[
+            ("id", Json::Num(id)),
+            ("cmd", Json::from(cmd)),
+            ("text", Json::from(OVERFLOW_G)),
+            ("name", Json::from("big.g")),
+        ])
+    };
+    let script = [
+        request(0.0, "sim"),
+        request(1.0, "analyze"),
+        req(&[("id", Json::Num(2.0)), ("cmd", Json::from("stats"))]),
+    ]
+    .join("\n")
+        + "\n";
+    let responses = session(&script, 1);
+    assert_eq!(responses.len(), 3);
+    for r in &responses[..2] {
+        assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{r:?}");
+        let error = r.get("error").and_then(Json::as_str).unwrap();
+        assert!(!error.contains("internal error"), "{error}");
+    }
+    let sim_error = responses[0].get("error").and_then(Json::as_str).unwrap();
+    assert_eq!(
+        sim_error,
+        "simulation failed: firing x-_0: cannot schedule event at non-finite time inf"
+    );
+    let analyze_error = responses[1].get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        analyze_error.contains("non-finite total delay"),
+        "{analyze_error}"
+    );
+    assert_eq!(responses[2].get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(responses[2].get("failed"), Some(&Json::Num(2.0)));
 }
 
 #[test]

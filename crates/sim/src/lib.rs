@@ -9,10 +9,7 @@
 //!   `(time, seq)` tie-breaking and a NaN-rejecting total order. Times
 //!   never go backwards and never go undefined, by construction: invalid
 //!   schedules are rejected at enqueue time, not discovered at pop time.
-//!   Storage is a swappable [`QueueBackend`] — the default
-//!   [`BinaryHeapQueue`], a [`CalendarQueue`] tuned for bounded-delay
-//!   loads, or the runtime-selectable [`AnyQueue`] — all popping
-//!   bit-identical streams.
+//!   Storage is a binary heap.
 //! * [`TraceRecorder`] — captures timed signal transitions during (or
 //!   after) a simulation and dumps them as a VCD waveform any standard
 //!   viewer (GTKWave, Surfer) can open.
@@ -22,8 +19,8 @@
 //!
 //! The kernel is deliberately free of Signal-Graph or netlist semantics:
 //! payloads are caller-defined, signals are plain names, scenarios are
-//! plain closures. That is what lets one queue implementation serve both
-//! simulators and every future backend.
+//! plain closures. That is what lets one queue implementation serve every
+//! simulator.
 //!
 //! # Example
 //!
@@ -38,16 +35,12 @@
 //! assert_eq!(order, ["a", "b", "c"]);
 //! ```
 
-pub mod backend;
 pub mod batch;
-pub mod calendar;
 pub mod cancel;
 pub mod queue;
 pub mod trace;
 
-pub use backend::{AnyQueue, BinaryHeapQueue, QueueBackend, QueueKind};
 pub use batch::BatchRunner;
-pub use calendar::CalendarQueue;
 pub use cancel::{CancelKind, CancelToken};
 pub use queue::{Event, EventQueue, QueueCheckpoint, ScheduleError};
 pub use trace::{TraceId, TraceRecorder};

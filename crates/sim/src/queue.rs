@@ -13,16 +13,14 @@
 //! Ties are broken by an enqueue sequence number, making pop order fully
 //! deterministic across runs, platforms and thread counts.
 //!
-//! The queue's *storage* is a swappable [`QueueBackend`]: the default
-//! [`BinaryHeapQueue`](crate::BinaryHeapQueue) or the bounded-delay-tuned
-//! [`CalendarQueue`](crate::CalendarQueue) — both pop bit-identical
-//! streams, so a simulator's backend is a performance choice, not a
-//! semantic one. `benches/kernel.rs` measures them head-to-head.
+//! Storage is a `std::collections::BinaryHeap`: `O(log n)` push and pop
+//! for any time distribution. The simulators keep at most a few thousand
+//! events pending, where a heap beats bucketed (calendar) storage;
+//! `benches/kernel.rs` tracks its push/pop and hold throughput.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt;
-use std::marker::PhantomData;
-
-use crate::backend::{BinaryHeapQueue, QueueBackend};
 
 /// A scheduled event popped from an [`EventQueue`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -71,10 +69,38 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
+/// Heap entry: min-ordered by `(time, seq)` under a reversed comparison.
+#[derive(Clone, Debug)]
+struct Entry<T> {
+    time: f64,
+    seq: u64,
+    payload: T,
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed so the max-heap `BinaryHeap` pops the earliest entry.
+        // `total_cmp` keeps the order total even though entry times are
+        // already validated finite.
+        other
+            .time
+            .total_cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
 /// A deterministic min-priority queue of timed events.
-///
-/// Generic over its storage [`QueueBackend`] `B`; the default is the
-/// binary heap, so `EventQueue<T>` behaves exactly as it always has.
 ///
 /// # Examples
 ///
@@ -92,52 +118,32 @@ impl std::error::Error for ScheduleError {}
 /// // Popping advanced the clock: the past is closed.
 /// assert!(q.try_schedule(1.0, 'y').is_err());
 /// ```
-///
-/// Running on the calendar backend instead:
-///
-/// ```
-/// use tsg_sim::{CalendarQueue, EventQueue};
-///
-/// let mut q = EventQueue::with_backend(CalendarQueue::with_delay_bound(4.0));
-/// q.schedule(2.0, "b");
-/// q.schedule(1.0, "a");
-/// assert_eq!(q.pop().unwrap().payload, "a");
-/// ```
 #[derive(Clone, Debug)]
-pub struct EventQueue<T, B = BinaryHeapQueue<T>> {
-    backend: B,
+pub struct EventQueue<T> {
+    heap: BinaryHeap<Entry<T>>,
     seq: u64,
     now: f64,
-    _payload: PhantomData<fn(T) -> T>,
 }
 
-impl<T, B: QueueBackend<T> + Default> Default for EventQueue<T, B> {
+impl<T> Default for EventQueue<T> {
     fn default() -> Self {
-        Self::with_backend(B::default())
+        Self::new()
     }
 }
 
 impl<T> EventQueue<T> {
-    /// An empty binary-heap queue at time `0.0`.
+    /// An empty queue at time `0.0`.
     pub fn new() -> Self {
-        Self::with_backend(BinaryHeapQueue::new())
+        Self::with_capacity(0)
     }
 
-    /// An empty binary-heap queue with room for `capacity` pending
-    /// events — sized once, a restartable simulator never regrows it.
+    /// An empty queue with room for `capacity` pending events — sized
+    /// once, a restartable simulator never regrows it.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_backend(BinaryHeapQueue::with_capacity(capacity))
-    }
-}
-
-impl<T, B: QueueBackend<T>> EventQueue<T, B> {
-    /// An empty queue at time `0.0` over the given storage backend.
-    pub fn with_backend(backend: B) -> Self {
         EventQueue {
-            backend,
+            heap: BinaryHeap::with_capacity(capacity),
             seq: 0,
             now: 0.0,
-            _payload: PhantomData,
         }
     }
 
@@ -149,23 +155,12 @@ impl<T, B: QueueBackend<T>> EventQueue<T, B> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.backend.len()
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.backend.is_empty()
-    }
-
-    /// The backend's label (`"binary_heap"`, `"calendar"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// The storage backend, for introspection (kind, capacity) by
-    /// simulators that keep warm queues across runs.
-    pub fn backend(&self) -> &B {
-        &self.backend
+        self.heap.is_empty()
     }
 
     /// Schedules `payload` at absolute `time`.
@@ -185,7 +180,11 @@ impl<T, B: QueueBackend<T>> EventQueue<T, B> {
             });
         }
         self.seq += 1;
-        self.backend.push(time, self.seq, payload);
+        self.heap.push(Entry {
+            time,
+            seq: self.seq,
+            payload,
+        });
         Ok(())
     }
 
@@ -217,44 +216,42 @@ impl<T, B: QueueBackend<T>> EventQueue<T, B> {
 
     /// Pops the earliest pending event and advances the clock to it.
     pub fn pop(&mut self) -> Option<Event<T>> {
-        let event = self.backend.pop_min()?;
-        self.now = event.time;
-        Some(event)
+        let Entry { time, seq, payload } = self.heap.pop()?;
+        self.now = time;
+        Some(Event { time, seq, payload })
     }
 
     /// The time of the earliest pending event without popping it.
     pub fn peek_time(&self) -> Option<f64> {
-        self.backend.peek_time()
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Drops all pending events and resets the clock to `0.0`, keeping
-    /// the backend's allocations — restarting a simulator over the same
+    /// the heap's allocation — restarting a simulator over the same
     /// queue costs no reallocation.
     pub fn clear(&mut self) {
-        self.backend.clear();
+        self.heap.clear();
         self.seq = 0;
         self.now = 0.0;
     }
 
     /// Pre-allocates room for `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
-        self.backend.reserve(additional);
+        self.heap.reserve(additional);
     }
 
     /// Pending events the queue can hold without reallocating.
     pub fn capacity(&self) -> usize {
-        self.backend.capacity()
+        self.heap.capacity()
     }
 }
 
 /// A point-in-time snapshot of an [`EventQueue`]: its clock, sequence
 /// counter and pending entries.
 ///
-/// A checkpoint is *storage-independent* — it carries no backend type —
-/// so a snapshot taken from a binary-heap queue restores into a
-/// calendar queue (or vice versa) and the two pop bit-identical streams
-/// from that point on. Entries are held in push order (ascending `seq`),
-/// so a restore replays the original enqueue schedule exactly.
+/// Entries are held in push order (ascending `seq`), so a restore
+/// replays the original enqueue schedule exactly — into the same queue
+/// or any other.
 #[derive(Clone, Debug)]
 pub struct QueueCheckpoint<T> {
     now: f64,
@@ -285,19 +282,20 @@ impl<T> QueueCheckpoint<T> {
     }
 }
 
-impl<T: Clone, B: QueueBackend<T>> EventQueue<T, B> {
+impl<T: Clone> EventQueue<T> {
     /// Snapshots the queue — clock, sequence counter, pending set — into
-    /// a backend-independent [`QueueCheckpoint`].
+    /// a [`QueueCheckpoint`].
     pub fn checkpoint(&self) -> QueueCheckpoint<T> {
-        let mut entries = Vec::with_capacity(self.len());
-        self.backend.visit_entries(&mut |time, seq, payload| {
-            entries.push(Event {
-                time,
-                seq,
-                payload: payload.clone(),
-            });
-        });
-        // Canonical push order: backends surrender entries unordered.
+        let mut entries: Vec<Event<T>> = self
+            .heap
+            .iter()
+            .map(|e| Event {
+                time: e.time,
+                seq: e.seq,
+                payload: e.payload.clone(),
+            })
+            .collect();
+        // Canonical push order: the heap yields entries unordered.
         entries.sort_by_key(|e| e.seq);
         QueueCheckpoint {
             now: self.now,
@@ -306,16 +304,11 @@ impl<T: Clone, B: QueueBackend<T>> EventQueue<T, B> {
         }
     }
 
-    /// Restores the queue to the checkpointed state, keeping the
-    /// backend's allocations. The pop stream after a restore is
-    /// bit-identical to the stream the checkpointed queue would have
-    /// produced — whatever backend either queue runs on.
+    /// Restores the queue to the checkpointed state, keeping the heap's
+    /// allocation. The pop stream after a restore is bit-identical to
+    /// the stream the checkpointed queue would have produced.
     pub fn restore(&mut self, cp: &QueueCheckpoint<T>) {
-        self.backend.clear();
-        for e in &cp.entries {
-            self.backend.push(e.time, e.seq, e.payload.clone());
-        }
-        self.seq = cp.seq;
+        self.refill(cp, f64::NEG_INFINITY);
         self.now = cp.now;
     }
 
@@ -332,19 +325,27 @@ impl<T: Clone, B: QueueBackend<T>> EventQueue<T, B> {
             from.is_finite(),
             "EventQueue::restore_from: time must be finite, got {from}"
         );
-        self.backend.clear();
-        for e in cp.entries.iter().filter(|e| e.time >= from) {
-            self.backend.push(e.time, e.seq, e.payload.clone());
-        }
-        self.seq = cp.seq;
+        self.refill(cp, from);
         self.now = from;
+    }
+
+    /// Replaces the pending set with `cp`'s entries at or after `from`
+    /// and restores its sequence counter.
+    fn refill(&mut self, cp: &QueueCheckpoint<T>, from: f64) {
+        self.heap.clear();
+        self.heap
+            .extend(cp.entries.iter().filter(|e| e.time >= from).map(|e| Entry {
+                time: e.time,
+                seq: e.seq,
+                payload: e.payload.clone(),
+            }));
+        self.seq = cp.seq;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calendar::CalendarQueue;
 
     #[test]
     fn pops_in_time_order() {
@@ -449,51 +450,32 @@ mod tests {
     }
 
     #[test]
-    fn backends_pop_identical_streams() {
-        let mut heap = EventQueue::new();
-        let mut cal = EventQueue::with_backend(CalendarQueue::new());
+    fn checkpoint_restore_round_trips() {
         let times = [4.0, 0.5, 2.25, 2.25, 9.0, 0.5, 7.5, 3.0];
+        let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            heap.schedule(t, i);
-            cal.schedule(t, i);
-        }
-        loop {
-            let (a, b) = (heap.pop(), cal.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn checkpoint_restore_round_trips_on_both_backends() {
-        let times = [4.0, 0.5, 2.25, 2.25, 9.0, 0.5, 7.5, 3.0];
-        let mut heap = EventQueue::new();
-        let mut cal = EventQueue::with_backend(CalendarQueue::new());
-        for (i, &t) in times.iter().enumerate() {
-            heap.schedule(t, i);
-            cal.schedule(t, i);
+            q.schedule(t, i);
         }
         // Pop a prefix, checkpoint mid-drain, drain, restore, drain again:
         // the two post-checkpoint streams must be identical.
         for _ in 0..3 {
-            assert_eq!(heap.pop(), cal.pop());
+            q.pop();
         }
-        let cp_h = heap.checkpoint();
-        let cp_c = cal.checkpoint();
-        assert_eq!(cp_h.time(), cp_c.time());
-        assert_eq!(cp_h.len(), 5);
-        let first: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
-        heap.restore(&cp_h);
-        assert_eq!(heap.now(), cp_h.time());
-        let second: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+        let cp = q.checkpoint();
+        assert_eq!(cp.len(), 5);
+        let seqs: Vec<u64> = cp.entries().iter().map(|e| e.seq).collect();
+        assert!(seqs.is_sorted(), "entries are in push order: {seqs:?}");
+        let first: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        q.restore(&cp);
+        assert_eq!(q.now(), cp.time());
+        let second: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(first, second);
-        // Cross-backend restore: the heap checkpoint into the calendar
-        // queue pops the same stream.
-        cal.restore(&cp_h);
-        let cross: Vec<_> = std::iter::from_fn(|| cal.pop()).collect();
-        assert_eq!(first, cross);
+        // Restoring into a different queue pops the same stream.
+        let mut other = EventQueue::with_capacity(64);
+        other.schedule(100.0, 99);
+        other.restore(&cp);
+        let third: Vec<_> = std::iter::from_fn(|| other.pop()).collect();
+        assert_eq!(first, third);
     }
 
     #[test]
@@ -549,21 +531,5 @@ mod tests {
         assert!(cp.is_empty());
         assert_eq!(cp.entries().len(), 0);
         assert_eq!(cp.time(), 0.0);
-    }
-
-    #[test]
-    fn calendar_backend_enforces_same_invariants() {
-        let mut q = EventQueue::with_backend(CalendarQueue::new());
-        assert!(matches!(
-            q.try_schedule(f64::NAN, ()),
-            Err(ScheduleError::NonFiniteTime { .. })
-        ));
-        q.schedule(2.0, ());
-        q.pop();
-        assert!(matches!(
-            q.try_schedule(1.0, ()),
-            Err(ScheduleError::TimeRegression { .. })
-        ));
-        assert_eq!(q.backend_name(), "calendar");
     }
 }

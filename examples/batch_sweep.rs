@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(b.1))
         .expect("non-empty");
-    let sim = EventSimulation::run(&scenarios[worst], 4);
+    let sim = EventSimulation::run(&scenarios[worst], 4)?;
     let mut recorder = TraceRecorder::new("worst_case");
     sim.record_trace(&scenarios[worst], &mut recorder);
     let path = std::env::temp_dir().join("tsg-batch-sweep.vcd");

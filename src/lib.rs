@@ -21,10 +21,9 @@
 //! * [`gen`] — workload generators (Muller rings, pipelines, stacks, seeded
 //!   random live graphs),
 //! * [`graph`] — the underlying directed-graph algorithm substrate,
-//! * [`sim`] — the shared event-simulation kernel: the monotone event
-//!   queue with swappable storage backends (binary heap, calendar
-//!   queue), VCD trace recording, and parallel batch execution that
-//!   every simulator in the workspace runs on.
+//! * [`sim`] — the shared event-simulation kernel: the monotone
+//!   binary-heap event queue, VCD trace recording, and parallel batch
+//!   execution that every simulator in the workspace runs on.
 //!
 //! # Quickstart
 //!

@@ -7,7 +7,7 @@
 //! drive random edit scripts over every `tsg_gen` generator family
 //! (rings, tori, handshake pipelines, seeded random live graphs), and
 //! pin the kernel checkpoint machinery underneath: the paused
-//! event simulation resumes bit-identically on either queue backend.
+//! event simulation resumes bit-identically on a separate scratch.
 
 use proptest::prelude::*;
 use tsg::core::analysis::event_sim::{EventSimScratch, EventSimulation};
@@ -15,7 +15,7 @@ use tsg::core::analysis::session::{AnalysisSession, DelayEdit, EditError, GraphE
 use tsg::core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg::core::{ArcId, EventId, SignalGraph};
 use tsg::gen::{handshake_pipeline, random_live_tsg, ring, torus, PipelineConfig, RandomTsgConfig};
-use tsg::sim::{CancelToken, QueueKind};
+use tsg::sim::CancelToken;
 use tsg_bench::{assert_analyses_identical, available_backends};
 
 /// One generated graph per `(family, seed)` pair, covering every
@@ -368,10 +368,9 @@ proptest! {
     }
 
     /// The kernel checkpoint underneath: an event simulation paused at
-    /// a random time resumes to the uninterrupted result — on both
-    /// queue backends, including pausing on one and resuming on the
-    /// other (a `QueueCheckpoint` is storage-independent), and on
-    /// graphs whose delays a session has already edited.
+    /// a random time resumes to the uninterrupted result — on a scratch
+    /// other than the pausing one, and on graphs whose delays a session
+    /// has already edited.
     #[test]
     fn paused_event_simulation_resumes_bit_identically(
         family in 0usize..4,
@@ -386,25 +385,19 @@ proptest! {
             session.edit_delay(e.arc, e.delay).unwrap();
         }
         let sg = session.graph();
-        let straight = EventSimulation::run(sg, periods);
-        for (pause_kind, resume_kind) in [
-            (QueueKind::Heap, QueueKind::Heap),
-            (QueueKind::Heap, QueueKind::Calendar),
-            (QueueKind::Calendar, QueueKind::Heap),
-            (QueueKind::Calendar, QueueKind::Calendar),
-        ] {
-            let mut pause_scratch = EventSimScratch::new(pause_kind);
-            let mut resume_scratch = EventSimScratch::new(resume_kind);
-            let paused = EventSimulation::run_until(sg, periods, &mut pause_scratch, pause_at);
-            let resumed = paused.resume(sg, &mut resume_scratch);
-            for e in sg.events() {
-                for p in 0..periods {
-                    prop_assert_eq!(
-                        straight.time(e, p).map(f64::to_bits),
-                        resumed.time(e, p).map(f64::to_bits),
-                        "{:?}->{:?} {}_{}", pause_kind, resume_kind, sg.label(e), p
-                    );
-                }
+        let straight = EventSimulation::run(sg, periods).unwrap();
+        let mut pause_scratch = EventSimScratch::new();
+        let mut resume_scratch = EventSimScratch::new();
+        let paused =
+            EventSimulation::run_until(sg, periods, &mut pause_scratch, pause_at).unwrap();
+        let resumed = paused.resume(sg, &mut resume_scratch).unwrap();
+        for e in sg.events() {
+            for p in 0..periods {
+                prop_assert_eq!(
+                    straight.time(e, p).map(f64::to_bits),
+                    resumed.time(e, p).map(f64::to_bits),
+                    "{}_{}", sg.label(e), p
+                );
             }
         }
     }

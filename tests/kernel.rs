@@ -18,7 +18,7 @@ use tsg::sim::{BatchRunner, EventQueue, TraceRecorder};
 /// exactly once the transient has died out (Proposition 2).
 fn observed_period(sg: &SignalGraph, periods: u32, span: u32) -> f64 {
     let probe = sg.border_events()[0];
-    let sim = EventSimulation::run(sg, periods);
+    let sim = EventSimulation::run(sg, periods).unwrap();
     let t_start = sim
         .time(probe, periods - 1 - span)
         .expect("start occurrence");
@@ -62,7 +62,7 @@ fn event_simulation_equals_synchronous_reference() {
     for sg in &graphs {
         let periods = 6;
         let sync = TimingSimulation::run(sg, periods);
-        let event = EventSimulation::run(sg, periods);
+        let event = EventSimulation::run(sg, periods).unwrap();
         for e in sg.events() {
             for p in 0..periods {
                 assert_eq!(sync.time(e, p), event.time(e, p));
@@ -117,7 +117,7 @@ fn batch_results_identical_across_thread_counts() {
     let reference: Vec<Vec<(u32, f64)>> = scenarios
         .iter()
         .map(|sg| {
-            let sim = EventSimulation::run(sg, 8);
+            let sim = EventSimulation::run(sg, 8).unwrap();
             sim.chronological(sg)
                 .into_iter()
                 .map(|(e, i, t)| (e.index() as u32 * 100 + i, t))
@@ -126,7 +126,7 @@ fn batch_results_identical_across_thread_counts() {
         .collect();
     for threads in [1, 2, 4, 8] {
         let got = BatchRunner::with_threads(threads).run(&scenarios, |sg| {
-            let sim = EventSimulation::run(sg, 8);
+            let sim = EventSimulation::run(sg, 8).unwrap();
             sim.chronological(sg)
                 .into_iter()
                 .map(|(e, i, t)| (e.index() as u32 * 100 + i, t))
@@ -193,7 +193,7 @@ fn queue_rejects_nan_and_regression() {
 #[test]
 fn tsg_trace_uses_signal_wires() {
     let sg = library::c_element_oscillator_tsg();
-    let sim = EventSimulation::run(&sg, 2);
+    let sim = EventSimulation::run(&sg, 2).unwrap();
     let mut recorder = TraceRecorder::new("osc");
     sim.record_trace(&sg, &mut recorder);
     // Signals a, b, c, e, f — not one wire per event.

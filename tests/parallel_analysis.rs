@@ -4,15 +4,14 @@
 //! thread count, any arena reuse pattern, the same bits out as the
 //! sequential `CycleTimeAnalysis::run`. These tests sweep the `tsg_gen`
 //! generator families (including the seeded random live graphs) to pin
-//! that down, plus the two kernel-backed simulators across queue
-//! backends.
+//! that down.
 
 use proptest::prelude::*;
 use tsg::core::analysis::wide::AnalysisArena;
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::core::SignalGraph;
 use tsg::gen::{random_live_tsg, ring, torus, RandomTsgConfig};
-use tsg::sim::{BatchRunner, QueueKind};
+use tsg::sim::BatchRunner;
 
 fn assert_bit_identical(a: &CycleTimeAnalysis, b: &CycleTimeAnalysis, ctx: &str) {
     assert_eq!(
@@ -107,20 +106,5 @@ proptest! {
         let par =
             CycleTimeAnalysis::run_parallel(&sg, &BatchRunner::with_threads(threads)).unwrap();
         assert_bit_identical(&seq, &par, "run_parallel");
-    }
-
-    /// The kernel event simulation is backend-invariant on random live
-    /// graphs — heap and calendar produce identical occurrence times.
-    #[test]
-    fn event_simulation_is_backend_invariant(seed in 0u64..10_000, periods in 1u32..6) {
-        use tsg::core::analysis::event_sim::EventSimulation;
-        let sg = random_live_tsg(seed, RandomTsgConfig::default());
-        let heap = EventSimulation::run_on(&sg, periods, QueueKind::Heap);
-        let cal = EventSimulation::run_on(&sg, periods, QueueKind::Calendar);
-        for e in sg.events() {
-            for p in 0..periods {
-                prop_assert_eq!(heap.time(e, p), cal.time(e, p));
-            }
-        }
     }
 }

@@ -1,11 +1,9 @@
-//! Property tests for the kernel queue backends.
+//! Property tests for the kernel event queue.
 //!
-//! The central claim of the swappable-backend design is that a backend
-//! is a *performance* choice, never a *semantic* one: whatever the
-//! storage, the pop stream is the `(time, seq)`-sorted order of the
-//! pushed events. These properties drive both backends through random
-//! interleaved push/pop schedules and compare them against each other
-//! and against a sort oracle.
+//! The queue's contract is that its pop stream is the `(time, seq)`-sorted
+//! order of the pushed events. These properties drive it through random
+//! interleaved push/pop schedules — including negative and
+//! sub-picosecond times — and compare it against a sort oracle.
 //!
 //! Why a plain sort is a valid oracle even under interleaving: the
 //! queue's monotonicity invariant (a push never precedes the last popped
@@ -14,7 +12,7 @@
 //! is exactly the global sorted order.
 
 use proptest::prelude::*;
-use tsg::sim::{BinaryHeapQueue, CalendarQueue, EventQueue, QueueBackend};
+use tsg::sim::EventQueue;
 
 /// A tiny deterministic generator (SplitMix64) so schedules derive from
 /// one seed.
@@ -38,14 +36,16 @@ impl Mix {
 /// A sequence of `(time, payload)` pairs, pushed or popped.
 type Stream = Vec<(f64, u32)>;
 
-/// Drives one queue through the schedule derived from `seed`, returning
-/// its push and full pop streams. `spread` shapes the delay
-/// distribution (small → heavy ties, large → sparse times).
-fn drive<B: QueueBackend<u32>>(
-    mut q: EventQueue<u32, B>,
+/// Drives `q` through the schedule derived from `seed` and returns its
+/// push and full pop streams. Every push lands a delay in `[0, spread)`
+/// after the clock, quantized to `step` so exact ties occur even at
+/// sub-picosecond resolution.
+fn drive(
+    q: &mut EventQueue<u32>,
     seed: u64,
     ops: usize,
     spread: f64,
+    step: f64,
 ) -> (Stream, Stream) {
     let mut rng = Mix(seed);
     let mut pushed = Vec::new();
@@ -53,8 +53,7 @@ fn drive<B: QueueBackend<u32>>(
     let mut id: u32 = 0;
     for _ in 0..ops {
         if !rng.next().is_multiple_of(3) {
-            // Quantize so exact ties actually occur.
-            let delay = (rng.delay(spread) * 4.0).round() / 4.0;
+            let delay = (rng.delay(spread) / step).round() * step;
             let time = q.now() + delay;
             q.schedule(time, id);
             pushed.push((time, id));
@@ -69,10 +68,18 @@ fn drive<B: QueueBackend<u32>>(
     (pushed, popped)
 }
 
+/// The oracle: a stable sort by time (push order is id order, which is
+/// seq order, so a stable sort encodes the tie-break).
+fn sorted(pushed: &Stream) -> Stream {
+    let mut oracle = pushed.clone();
+    oracle.sort_by(|a, b| a.0.total_cmp(&b.0));
+    oracle
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Both backends equal the stable-sort oracle on random interleaved
+    /// The queue equals the stable-sort oracle on random interleaved
     /// schedules.
     #[test]
     fn pop_order_matches_sort_oracle(
@@ -80,101 +87,15 @@ proptest! {
         ops in 1usize..500,
         spread in 1usize..40,
     ) {
-        let spread = spread as f64 * 0.25;
-        let (pushed_h, popped_h) = drive(EventQueue::new(), seed, ops, spread);
-        let (pushed_c, popped_c) =
-            drive(EventQueue::with_backend(CalendarQueue::new()), seed, ops, spread);
-
-        // Identical schedules were generated for both backends...
-        prop_assert_eq!(&pushed_h, &pushed_c);
-        // ...and the oracle: stable sort by time (push order is id order,
-        // which is seq order, so a stable sort encodes the tie-break).
-        let mut oracle = pushed_h.clone();
-        oracle.sort_by(|a, b| a.0.total_cmp(&b.0));
-        prop_assert_eq!(&popped_h, &oracle, "heap vs oracle (seed {})", seed);
-        prop_assert_eq!(&popped_c, &oracle, "calendar vs oracle (seed {})", seed);
+        let (pushed, popped) = drive(&mut EventQueue::new(), seed, ops, spread as f64 * 0.25, 0.25);
+        prop_assert_eq!(popped, sorted(&pushed), "seed {}", seed);
     }
 
-    /// A calendar tuned with a wildly wrong width hint still pops the
-    /// oracle order (width is performance-only).
+    /// Negative and sub-picosecond schedules match the sort oracle. The
+    /// clock starts below zero through `restore_from`, the one way to
+    /// rewind it.
     #[test]
-    fn calendar_width_hint_never_changes_semantics(
-        seed in 0u64..100_000,
-        ops in 1usize..200,
-        width_exp in 0usize..7,
-    ) {
-        let width = 10f64.powi(width_exp as i32 - 3); // 1e-3 .. 1e3
-        let (pushed, popped) =
-            drive(EventQueue::with_backend(CalendarQueue::with_width(width)), seed, ops, 5.0);
-        let mut oracle = pushed;
-        oracle.sort_by(|a, b| a.0.total_cmp(&b.0));
-        prop_assert_eq!(popped, oracle);
-    }
-
-    /// `clear` + reuse behaves like a fresh queue on both backends.
-    #[test]
-    fn cleared_queue_replays_like_fresh(seed in 0u64..100_000, ops in 1usize..150) {
-        let mut heap = EventQueue::<u32>::with_capacity(64);
-        let mut cal = EventQueue::with_backend(CalendarQueue::new());
-        // Warm both with one schedule, then clear.
-        let _ = drive_into(&mut heap, seed ^ 0xABCD, ops);
-        let _ = drive_into(&mut cal, seed ^ 0xABCD, ops);
-        heap.clear();
-        cal.clear();
-        // A cleared queue must replay exactly like a fresh one.
-        let fresh = drive(EventQueue::<u32>::new(), seed, ops, 3.0).1;
-        let h = drive_into(&mut heap, seed, ops);
-        let c = drive_into(&mut cal, seed, ops);
-        prop_assert_eq!(&h, &fresh);
-        prop_assert_eq!(&c, &fresh);
-    }
-}
-
-/// Drives one *backend* directly (below the [`EventQueue`] wrapper)
-/// through a contract-legal schedule that may start in negative time:
-/// every push is at or after the last popped time, quantized to `step`
-/// so exact ties occur even at sub-picosecond resolution.
-fn drive_backend<B: QueueBackend<u32>>(
-    backend: &mut B,
-    seed: u64,
-    ops: usize,
-    start: f64,
-    step: f64,
-) -> (Stream, Stream) {
-    let mut rng = Mix(seed);
-    let mut pushed = Vec::new();
-    let mut popped = Vec::new();
-    let mut floor = start; // last popped time; `start` before the first pop
-    let mut seq = 0u64;
-    let mut id: u32 = 0;
-    for _ in 0..ops {
-        if !rng.next().is_multiple_of(3) {
-            let delay = (rng.delay(6.0) / step).round() * step;
-            let time = floor + delay;
-            seq += 1;
-            backend.push(time, seq, id);
-            pushed.push((time, id));
-            id += 1;
-        } else if let Some(ev) = backend.pop_min() {
-            floor = ev.time;
-            popped.push((ev.time, ev.payload));
-        }
-    }
-    while let Some(ev) = backend.pop_min() {
-        popped.push((ev.time, ev.payload));
-    }
-    (pushed, popped)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Negative and sub-picosecond schedules pop bit-identically on both
-    /// backends and match the sort oracle. This is the regression net
-    /// for the calendar queue's old truncating `day_of`, which aliased
-    /// every negative-time event with day 0.
-    #[test]
-    fn backends_agree_on_negative_and_subpicosecond_times(
+    fn negative_and_subpicosecond_times_match_sort_oracle(
         seed in 0u64..1_000_000,
         ops in 1usize..400,
         start_units in 0usize..80,
@@ -185,55 +106,22 @@ proptest! {
         // at the VCD writer's 1000-stamps-per-unit scale).
         let start = -(start_units as f64) * 2.5;
         let step = 10f64.powi(-(step_exp as i32));
-        let mut heap = BinaryHeapQueue::new();
-        let mut cal = CalendarQueue::new();
-        let (pushed_h, popped_h) = drive_backend(&mut heap, seed, ops, start, step);
-        let (pushed_c, popped_c) = drive_backend(&mut cal, seed, ops, start, step);
-        prop_assert_eq!(&pushed_h, &pushed_c);
-        let mut oracle = pushed_h.clone();
-        oracle.sort_by(|a, b| a.0.total_cmp(&b.0));
-        prop_assert_eq!(&popped_h, &oracle, "heap vs oracle (seed {})", seed);
-        prop_assert_eq!(&popped_c, &oracle, "calendar vs oracle (seed {})", seed);
+        let mut q = EventQueue::new();
+        q.restore_from(&EventQueue::new().checkpoint(), start);
+        let (pushed, popped) = drive(&mut q, seed, ops, 6.0, step);
+        prop_assert!(pushed.iter().all(|&(t, _)| t >= start));
+        prop_assert_eq!(popped, sorted(&pushed), "seed {}", seed);
     }
 
-    /// A width hint is performance-only in negative time too — including
-    /// widths far larger than the whole schedule span, where every event
-    /// lands in day -1 or 0.
+    /// `clear` + reuse behaves like a fresh queue.
     #[test]
-    fn calendar_width_hint_is_semantics_free_below_zero(
-        seed in 0u64..100_000,
-        ops in 1usize..200,
-        width_exp in 0usize..7,
-    ) {
-        let width = 10f64.powi(width_exp as i32 - 3); // 1e-3 .. 1e3
-        let mut cal = CalendarQueue::with_width(width);
-        let (pushed, popped) = drive_backend(&mut cal, seed, ops, -50.0, 0.25);
-        let mut oracle = pushed;
-        oracle.sort_by(|a, b| a.0.total_cmp(&b.0));
-        prop_assert_eq!(popped, oracle);
+    fn cleared_queue_replays_like_fresh(seed in 0u64..100_000, ops in 1usize..150) {
+        let mut q = EventQueue::<u32>::with_capacity(64);
+        // Warm with one schedule, then clear.
+        let _ = drive(&mut q, seed ^ 0xABCD, ops, 3.0, 0.25);
+        q.clear();
+        // A cleared queue must replay exactly like a fresh one.
+        let fresh = drive(&mut EventQueue::new(), seed, ops, 3.0, 0.25);
+        prop_assert_eq!(drive(&mut q, seed, ops, 3.0, 0.25), fresh);
     }
-}
-
-/// Like [`drive`] but over an existing queue (for clear/reuse tests).
-fn drive_into<B: QueueBackend<u32>>(
-    q: &mut EventQueue<u32, B>,
-    seed: u64,
-    ops: usize,
-) -> Vec<(f64, u32)> {
-    let mut rng = Mix(seed);
-    let mut popped = Vec::new();
-    let mut id: u32 = 0;
-    for _ in 0..ops {
-        if !rng.next().is_multiple_of(3) {
-            let delay = (rng.delay(3.0) * 4.0).round() / 4.0;
-            q.schedule(q.now() + delay, id);
-            id += 1;
-        } else if let Some(ev) = q.pop() {
-            popped.push((ev.time, ev.payload));
-        }
-    }
-    while let Some(ev) = q.pop() {
-        popped.push((ev.time, ev.payload));
-    }
-    popped
 }
