@@ -19,7 +19,8 @@
 //! 64-graph `tsg_gen` sweep, the warm-session delay-edit loop
 //! (`edit_loop`), and the structural-edit loop (`structural_edit`):
 //! mixed split/nudge scripts replayed as from-scratch re-analyses vs
-//! one session resuming through `edit_structure` — and writes the
+//! one session resuming through `edit_structure`, and `.g` loading
+//! (`load`: `parse_stg` at 1024 and 4096 events) — and writes the
 //! numbers to
 //! `BENCH_kernel.json` (see the README's "Performance" section for how
 //! to read it). CI runs `bench --quick` on every PR, so the perf
@@ -39,7 +40,7 @@ use tsg_baselines::{longrun_estimate_mc, longrun_estimate_mc_lanes};
 use tsg_bench::{
     apply_graph_edits, assert_backends_match, assert_scenarios_match_scalar,
     assert_wide_matches_scalar, available_backends, edit_loop_graph, edit_script, hold, push_pop,
-    structural_edit_script, wide_scenarios, EDIT_LOOP_WORKLOAD,
+    ring_with_chords_text, structural_edit_script, wide_scenarios, EDIT_LOOP_WORKLOAD,
 };
 use tsg_core::analysis::initiated::SimArena;
 use tsg_core::analysis::session::AnalysisSession;
@@ -47,6 +48,7 @@ use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::{Corner, CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::SignalGraph;
 use tsg_sim::{BatchRunner, EventQueue};
+use tsg_stg::{parse_stg, StgOptions};
 
 /// Best-of-`reps` wall time for `f`, which reports how many queue
 /// operations it performed.
@@ -65,21 +67,31 @@ fn best_of(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
 /// until a sample spans ~2 ms of wall time, best of `reps` samples —
 /// single-call `Instant` stamps are too coarse for the µs-scale
 /// analyses of the wide-vs-scalar sweep.
-fn time_per_call(reps: usize, mut f: impl FnMut() -> usize) -> f64 {
+fn time_per_call(reps: usize, f: impl FnMut() -> usize) -> f64 {
+    samples_per_call(reps, f)
+        .into_iter()
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The `reps` calibrated per-call samples behind [`time_per_call`],
+/// sorted ascending.
+fn samples_per_call(reps: usize, mut f: impl FnMut() -> usize) -> Vec<f64> {
     let t = Instant::now();
     let mut sink = f();
     let once = t.elapsed().as_secs_f64().max(1e-9);
     let iters = ((2e-3 / once) as usize).clamp(1, 1_000_000);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        for _ in 0..iters {
-            sink = sink.wrapping_add(f());
-        }
-        best = best.min(t.elapsed().as_secs_f64() / iters as f64);
-    }
+    let mut samples: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                sink = sink.wrapping_add(f());
+            }
+            t.elapsed().as_secs_f64() / iters as f64
+        })
+        .collect();
     std::hint::black_box(sink);
-    best
+    samples.sort_by(f64::total_cmp);
+    samples
 }
 
 struct QueueRow {
@@ -117,6 +129,45 @@ fn measure_queues(depths: &[usize], reps: usize) -> Vec<QueueRow> {
         });
     }
     rows
+}
+
+struct LoadRow {
+    events: usize,
+    arcs: usize,
+    bytes: usize,
+    /// Per-call seconds, sorted ascending.
+    samples: Vec<f64>,
+}
+
+impl LoadRow {
+    fn median(&self) -> f64 {
+        self.samples[self.samples.len() / 2]
+    }
+}
+
+/// `.g` loading: `parse_stg` on ring-with-chords texts of growing size,
+/// `reps` repeated samples each. Linear loading keeps the per-byte cost
+/// flat, so 4x the events should take ~4x the time.
+fn measure_load(sizes: &[usize], reps: usize) -> Vec<LoadRow> {
+    sizes
+        .iter()
+        .map(|&events| {
+            let text = ring_with_chords_text(events);
+            let sg = parse_stg(&text, StgOptions::default()).expect("written text parses");
+            assert_eq!(sg.event_count(), events);
+            let samples = samples_per_call(reps, || {
+                parse_stg(&text, StgOptions::default())
+                    .expect("written text parses")
+                    .arc_count()
+            });
+            LoadRow {
+                events,
+                arcs: sg.arc_count(),
+                bytes: text.len(),
+                samples,
+            }
+        })
+        .collect()
 }
 
 struct BatchRow {
@@ -585,6 +636,7 @@ fn json_report(
     simd_rows: &[SimdRow],
     longrun_rows: &[LongrunRow],
     corner_rows: &[CornerRow],
+    load_rows: &[LoadRow],
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -710,6 +762,38 @@ fn json_report(
             "      {{\"workload\": \"{}\", \"kind\": \"{}\", \"scenarios\": {}, \
              \"per_scenario_seconds\": {:.9}, \"sweep_seconds\": {:.9}, \"speedup\": {:.3}}}{comma}",
             r.workload, r.kind, r.scenarios, r.per_scenario_seconds, r.sweep_seconds, r.speedup
+        );
+    }
+    let _ = writeln!(out, "    ]");
+    let _ = writeln!(out, "  }},");
+    let _ = writeln!(out, "  \"load\": {{");
+    let _ = writeln!(out, "    \"workload\": \"parse_stg, ring with chords\",");
+    if let [first, .., last] = load_rows {
+        let _ = writeln!(
+            out,
+            "    \"median_ratio_{}_over_{}\": {:.3},",
+            last.events,
+            first.events,
+            last.median() / first.median().max(1e-12)
+        );
+    }
+    let _ = writeln!(out, "    \"sweeps\": [");
+    for (i, r) in load_rows.iter().enumerate() {
+        let comma = if i + 1 < load_rows.len() { "," } else { "" };
+        let samples: Vec<String> = r.samples.iter().map(|s| format!("{s:.9}")).collect();
+        let _ = writeln!(
+            out,
+            "      {{\"events\": {}, \"arcs\": {}, \"bytes\": {}, \"median_seconds\": {:.9}, \
+             \"min_seconds\": {:.9}, \"max_seconds\": {:.9}, \"ns_per_byte\": {:.2}, \
+             \"samples\": [{}]}}{comma}",
+            r.events,
+            r.arcs,
+            r.bytes,
+            r.median(),
+            r.samples[0],
+            r.samples[r.samples.len() - 1],
+            r.median() * 1e9 / r.bytes as f64,
+            samples.join(", ")
         );
     }
     let _ = writeln!(out, "    ]");
@@ -859,6 +943,18 @@ fn main() {
         );
     }
 
+    eprintln!("measuring .g loading (parse_stg)...");
+    let load_rows = measure_load(&[1024, 4096], reps.max(7));
+    for r in &load_rows {
+        eprintln!(
+            "  {:>5} events, {:>7} bytes: median {:>8.3} ms ({:.1} ns/byte)",
+            r.events,
+            r.bytes,
+            r.median() * 1e3,
+            r.median() * 1e9 / r.bytes as f64
+        );
+    }
+
     let graphs: Vec<SignalGraph> = (0..graph_count as u64)
         .map(|seed| tsg_gen::random_live_tsg(seed, tsg_gen::RandomTsgConfig::default()))
         .collect();
@@ -894,6 +990,7 @@ fn main() {
         &simd_rows,
         &longrun_rows,
         &corner_rows,
+        &load_rows,
     );
     if let Err(e) = std::fs::write(&out_path, &report) {
         eprintln!("writing {out_path}: {e}");

@@ -64,6 +64,39 @@ pub fn edit_loop_graph() -> SignalGraph {
     tsg_gen::ring(256, 16, 1.0)
 }
 
+/// `.g` text of a ring with chords for the `load` rows: the
+/// `random_live_tsg` graph of `events` events (`events / 128` tokens,
+/// `events / 16` chords, seed 1), each event relabelled `vI+` so the
+/// format can express it. Written by `write_stg`, so every arc has its
+/// own `.delay` line, as in the served `analyze-large` requests.
+pub fn ring_with_chords_text(events: usize) -> String {
+    let config = tsg_gen::RandomTsgConfig {
+        events,
+        tokens: (events / 128).max(1),
+        chords: events / 16,
+        max_delay: 9,
+        with_prefix: false,
+    };
+    let sg = tsg_gen::random_live_tsg(1, config);
+    let mut b = SignalGraph::builder();
+    let ids: Vec<EventId> = sg
+        .events()
+        .map(|e| b.event(&format!("{}+", sg.label(e))))
+        .collect();
+    for arc in sg.arcs() {
+        let (src, dst) = (ids[arc.src().index()], ids[arc.dst().index()]);
+        if arc.is_marked() {
+            b.marked_arc(src, dst, arc.delay().get());
+        } else {
+            b.arc(src, dst, arc.delay().get());
+        }
+    }
+    let sg = b
+        .build()
+        .expect("relabelling keeps the generator's invariants");
+    tsg_stg::write_stg(&sg, "load").expect("every event is a transition")
+}
+
 /// The tracked workloads of the `wide-vs-scalar` scenario: rings and
 /// tori at border counts b ∈ {4, 8, 32} (a ring's border count is its
 /// token count; an `h × w` torus has `h + w - 1` border events) plus

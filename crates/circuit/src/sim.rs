@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use tsg_sim::{EventQueue, TraceId, TraceRecorder};
+use tsg_sim::{EventQueue, ScheduleError, TraceId, TraceRecorder};
 
 use crate::netlist::{Netlist, SignalId};
 
@@ -42,6 +42,17 @@ pub enum SimError {
         /// Number of transitions processed before giving up.
         processed: usize,
     },
+    /// A signal change scheduled a pin arrival at a time the kernel queue
+    /// refuses — in practice pin delays so large that `t + δ` overflows
+    /// to infinity.
+    Unschedulable {
+        /// Name of the signal whose change scheduled the arrival.
+        signal: String,
+        /// Time of that change.
+        time: f64,
+        /// The queue's refusal.
+        error: ScheduleError,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -50,6 +61,11 @@ impl fmt::Display for SimError {
             SimError::EventBudgetExhausted { processed } => {
                 write!(f, "event budget exhausted after {processed} transitions")
             }
+            SimError::Unschedulable {
+                signal,
+                time,
+                error,
+            } => write!(f, "signal {signal} changing at time {time:e}: {error}"),
         }
     }
 }
@@ -194,7 +210,13 @@ impl<'n> EventDrivenSim<'n> {
 
     /// Changes `signal` to `value` at `time`: records the transition and
     /// schedules pin arrivals at every fanout gate.
-    fn flip(&mut self, trace: &mut Vec<Transition>, time: f64, signal: SignalId, value: bool) {
+    fn flip(
+        &mut self,
+        trace: &mut Vec<Transition>,
+        time: f64,
+        signal: SignalId,
+        value: bool,
+    ) -> Result<(), SimError> {
         self.state[signal.index()] = value;
         trace.push(Transition {
             time,
@@ -206,28 +228,37 @@ impl<'n> EventDrivenSim<'n> {
         }
         for &(g, pin) in self.netlist.fanout(signal) {
             let delay = self.netlist.gates()[g].pin_delays[pin];
-            // The kernel rejects NaN and negative effective delays at
-            // enqueue time (netlist validation already guarantees both).
-            self.queue.schedule(
-                time + delay,
-                Arrival {
-                    gate: g,
-                    pin,
-                    value,
-                },
-            );
+            // The kernel rejects non-finite and negative effective delays
+            // at enqueue time; netlist validation rules out NaN and
+            // negative pin delays, but `time + delay` can still overflow.
+            self.queue
+                .try_schedule(
+                    time + delay,
+                    Arrival {
+                        gate: g,
+                        pin,
+                        value,
+                    },
+                )
+                .map_err(|error| SimError::Unschedulable {
+                    signal: self.netlist.name(signal).to_owned(),
+                    time,
+                    error,
+                })?;
         }
+        Ok(())
     }
 
     /// Re-evaluates gate `g` on its delayed views; flips its output at
     /// `time` if excited.
-    fn settle(&mut self, trace: &mut Vec<Transition>, time: f64, g: usize) {
+    fn settle(&mut self, trace: &mut Vec<Transition>, time: f64, g: usize) -> Result<(), SimError> {
         let gate = &self.netlist.gates()[g];
         let out = gate.output;
         let next = gate.kind.eval(&self.views[g], self.state[out.index()]);
         if next != self.state[out.index()] {
-            self.flip(trace, time, out, next);
+            self.flip(trace, time, out, next)?;
         }
+        Ok(())
     }
 
     /// Runs until `horizon` (inclusive) or `max_transitions`, returning the
@@ -243,7 +274,8 @@ impl<'n> EventDrivenSim<'n> {
     ///
     /// Returns [`SimError::EventBudgetExhausted`] when `max_transitions`
     /// signal changes occur before the horizon — the signature of a
-    /// zero-delay loop.
+    /// zero-delay loop — and [`SimError::Unschedulable`] when a pin
+    /// arrival time overflows (pin delays near `f64::MAX`).
     pub fn run(
         &mut self,
         horizon: f64,
@@ -269,11 +301,11 @@ impl<'n> EventDrivenSim<'n> {
         // Environment one-shot flips at t = 0.
         for &s in self.netlist.env_flips() {
             let v = !self.state[s.index()];
-            self.flip(&mut trace, 0.0, s, v);
+            self.flip(&mut trace, 0.0, s, v)?;
         }
         // Gates excited in the initial state fire at t = 0.
         for g in 0..self.netlist.gate_count() {
-            self.settle(&mut trace, 0.0, g);
+            self.settle(&mut trace, 0.0, g)?;
         }
 
         while let Some(ev) = self.queue.pop() {
@@ -287,7 +319,7 @@ impl<'n> EventDrivenSim<'n> {
             }
             let Arrival { gate, pin, value } = ev.payload;
             self.views[gate][pin] = value;
-            self.settle(&mut trace, ev.time, gate);
+            self.settle(&mut trace, ev.time, gate)?;
         }
         Ok(trace)
     }
@@ -413,6 +445,34 @@ mod tests {
             sim.run(1.0, 100),
             Err(SimError::EventBudgetExhausted { .. })
         ));
+    }
+
+    #[test]
+    fn overflowing_pin_delays_are_an_error() {
+        let mut b = Netlist::builder();
+        b.gate("a", GateKind::Inverter, &[("b", 1e308)], true)
+            .unwrap();
+        b.gate("b", GateKind::Inverter, &[("a", 1e308)], true)
+            .unwrap();
+        let nl = b.build().unwrap();
+        let mut sim = EventDrivenSim::new(&nl);
+        let err = sim.run(1.7e308, 100).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::Unschedulable {
+                    error: ScheduleError::NonFiniteTime { .. },
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "signal b changing at time 1e308: cannot schedule event at non-finite time inf"
+        );
+        // The simulator stays usable after the refusal.
+        assert!(sim.run(1.0, 100).is_ok());
     }
 
     #[test]

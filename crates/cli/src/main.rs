@@ -1618,6 +1618,21 @@ mod tests {
     }
 
     #[test]
+    fn sim_reports_overflowing_pin_delays() {
+        let dir = std::env::temp_dir().join("tsg-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("overflow-big.ckt");
+        std::fs::write(&path, "gate a inv(b:1e308) = 1\ngate b inv(a:1e308) = 1\n").unwrap();
+        let p = path.to_string_lossy().into_owned();
+        let err = run(&["sim".into(), p, "--horizon".into(), "1.7e308".into()]).unwrap_err();
+        assert_eq!(
+            err,
+            "simulation failed: signal b changing at time 1e308: \
+             cannot schedule event at non-finite time inf"
+        );
+    }
+
+    #[test]
     fn analyze_threads_flag_matches_sequential() {
         let dir = std::env::temp_dir().join("tsg-cli-test");
         std::fs::create_dir_all(&dir).unwrap();

@@ -226,6 +226,45 @@ fn session_script_through_the_binary_matches_explore() {
         .contains("after 1 edit(s)"),);
 }
 
+/// A two-inverter loop whose 1e308 pin delays push the second arrival
+/// past `f64::MAX`.
+const OVERFLOW_CKT: &str = "gate a inv(b:1e308) = 1\ngate b inv(a:1e308) = 1\n";
+
+#[test]
+fn overflowing_netlist_sim_fails_cleanly() {
+    let dir = std::env::temp_dir().join(format!("tsg-cli-overflow-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("x.ckt");
+    std::fs::write(&path, OVERFLOW_CKT).unwrap();
+    let path = path.to_string_lossy().into_owned();
+    let out = tsg()
+        .args(["sim", &path, "--horizon", "1.7e308"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with(
+            "error: simulation failed: signal b changing at time 1e308: \
+             cannot schedule event at non-finite time inf\n"
+        ),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    let request = Json::Obj(vec![
+        ("id".to_owned(), Json::Num(1.0)),
+        ("cmd".to_owned(), Json::from("sim")),
+        ("path".to_owned(), Json::from(path.as_str())),
+        ("horizon".to_owned(), Json::Num(1.7e308)),
+    ]);
+    let responses = serve_session(&format!("{}\n", request.dump()), &[]);
+    assert_eq!(responses.len(), 1);
+    assert_eq!(responses[0].get("ok"), Some(&Json::Bool(false)));
+    let error = responses[0].get("error").and_then(Json::as_str).unwrap();
+    assert!(error.starts_with("simulation failed: signal b"), "{error}");
+}
+
 #[test]
 fn serve_rejects_bad_flags() {
     let out = tsg().args(["serve", "--wat"]).output().unwrap();

@@ -1,5 +1,6 @@
 //! Incremental construction of validated [`SignalGraph`]s.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use tsg_graph::{DiGraph, NodeId};
@@ -53,11 +54,30 @@ impl SignalGraphBuilder {
         Self::default()
     }
 
-    fn add_event(&mut self, label: EventLabel, kind: EventKind) -> EventId {
+    /// An empty builder with room for `events` events and `arcs` arcs,
+    /// for callers that know the graph's size up front (the `.g`
+    /// reader).
+    pub fn with_capacity(events: usize, arcs: usize) -> Self {
+        SignalGraphBuilder {
+            events: Vec::with_capacity(events),
+            arcs: Vec::with_capacity(arcs),
+            by_label: HashMap::with_capacity(events),
+            errors: Vec::new(),
+        }
+    }
+
+    /// Adds an event under `key`, which must equal `label.to_string()`.
+    fn add_keyed_event(&mut self, key: String, label: EventLabel, kind: EventKind) -> EventId {
         let id = EventId(self.events.len() as u32);
-        let key = label.to_string();
-        if self.by_label.insert(key.clone(), id).is_some() {
-            self.errors.push(ValidationError::DuplicateLabel(key));
+        match self.by_label.entry(key) {
+            Entry::Occupied(mut slot) => {
+                slot.insert(id);
+                let key = slot.key().clone();
+                self.errors.push(ValidationError::DuplicateLabel(key));
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
         }
         self.events.push(EventNode {
             label,
@@ -67,34 +87,35 @@ impl SignalGraphBuilder {
         id
     }
 
-    fn parse(&mut self, label: &str) -> EventLabel {
-        label
+    /// Adds an event labelled by the lenient parse of `label`. The
+    /// label's display form is `label` itself in both the transition and
+    /// the bare case, so `label` keys the lookup map as given.
+    fn add_parsed_event(&mut self, label: &str, kind: EventKind) -> EventId {
+        let parsed = label
             .parse()
-            .unwrap_or_else(|_| EventLabel::bare(label.to_owned()))
+            .unwrap_or_else(|_| EventLabel::bare(label.to_owned()));
+        self.add_keyed_event(label.to_owned(), parsed, kind)
     }
 
     /// Adds a repetitive event (`∈ A_r`) and returns its id.
     pub fn event(&mut self, label: &str) -> EventId {
-        let l = self.parse(label);
-        self.add_event(l, EventKind::Repetitive)
+        self.add_parsed_event(label, EventKind::Repetitive)
     }
 
     /// Adds an initial event (`∈ I`): occurs once, at time 0, uncaused.
     pub fn initial_event(&mut self, label: &str) -> EventId {
-        let l = self.parse(label);
-        self.add_event(l, EventKind::Initial)
+        self.add_parsed_event(label, EventKind::Initial)
     }
 
     /// Adds a finite event: occurs once, caused by other prefix events
     /// (like `f-` in Figure 1).
     pub fn finite_event(&mut self, label: &str) -> EventId {
-        let l = self.parse(label);
-        self.add_event(l, EventKind::Finite)
+        self.add_parsed_event(label, EventKind::Finite)
     }
 
     /// Adds an event with an explicit [`EventLabel`] and [`EventKind`].
     pub fn event_with(&mut self, label: EventLabel, kind: EventKind) -> EventId {
-        self.add_event(label, kind)
+        self.add_keyed_event(label.to_string(), label, kind)
     }
 
     fn push_arc(
@@ -162,19 +183,14 @@ impl SignalGraphBuilder {
         for _ in 0..self.events.len() {
             graph.add_node();
         }
-        let mut pair: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-        for (i, arc) in self.arcs.iter().enumerate() {
+        for arc in &self.arcs {
             graph.add_edge(NodeId(arc.src().0), NodeId(arc.dst().0));
-            pair.entry((arc.src().0, arc.dst().0))
-                .or_default()
-                .push(i as u32);
         }
         let sg = SignalGraph {
             events: self.events,
             arcs: self.arcs,
             graph,
             by_label: self.by_label,
-            pair,
         };
         validate::validate(&sg)?;
         Ok(sg)

@@ -53,9 +53,6 @@ pub struct SignalGraph {
     pub(crate) arcs: Vec<Arc>,
     pub(crate) graph: DiGraph,
     pub(crate) by_label: HashMap<String, EventId>,
-    /// `(src, dst)` → live arc ids in insertion order; the adjacency
-    /// index behind [`arc_between`](SignalGraph::arc_between).
-    pub(crate) pair: HashMap<(u32, u32), Vec<u32>>,
 }
 
 #[derive(Clone, Debug)]
@@ -349,7 +346,6 @@ impl SignalGraph {
         let id = ArcId(self.arcs.len() as u32);
         self.arcs.push(Arc::new(src, dst, delay, marked, false));
         self.graph.add_edge(NodeId(src.0), NodeId(dst.0));
-        self.pair.entry((src.0, dst.0)).or_default().push(id.0);
         Ok(id)
     }
 
@@ -368,17 +364,7 @@ impl SignalGraph {
         if !self.is_live_arc(a) {
             return Err(ValidationError::UnknownArc(a));
         }
-        let (src, dst) = {
-            let arc = &self.arcs[a.index()];
-            (arc.src(), arc.dst())
-        };
         self.graph.remove_edge(EdgeId(a.0));
-        if let Some(ids) = self.pair.get_mut(&(src.0, dst.0)) {
-            ids.retain(|&i| i != a.0);
-            if ids.is_empty() {
-                self.pair.remove(&(src.0, dst.0));
-            }
-        }
         self.arcs[a.index()].kill();
         Ok(())
     }
@@ -399,15 +385,12 @@ impl SignalGraph {
     /// The first live arc (in insertion order) leading from `src` to
     /// `dst`, if any — how label-addressed edits (`tsg explore --edit
     /// "a+->b+=3"`, the serve tier's structural ops) resolve to an
-    /// [`ArcId`]. An `O(1)` lookup in the `(src, dst)` adjacency index,
-    /// maintained by [`add_arc`](Self::add_arc)/[`remove_arc`]
-    /// (Self::remove_arc) — this runs once per edit in the hot explore
-    /// loop, where the old linear scan over all arcs was measurable.
+    /// [`ArcId`]. `O(out-degree of src)`: a scan of
+    /// [`out_arcs`](Self::out_arcs), which keeps insertion order and
+    /// from which [`remove_arc`](Self::remove_arc) detaches tombstones.
     pub fn arc_between(&self, src: EventId, dst: EventId) -> Option<ArcId> {
-        self.pair
-            .get(&(src.0, dst.0))
-            .and_then(|v| v.first())
-            .map(|&i| ArcId(i))
+        self.out_arcs(src)
+            .find(|&a| self.arcs[a.index()].dst() == dst)
     }
 
     /// Arcs entering `e`.

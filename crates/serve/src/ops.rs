@@ -654,24 +654,20 @@ fn render_report(
                 "critical cycle: {}",
                 sg.display_path(a.critical_cycle())
             );
-            let borders: Vec<String> = a
-                .critical_borders()
-                .iter()
-                .map(|&e| sg.label(e).to_string())
-                .collect();
-            let _ = writeln!(out, "critical border event(s): {}", borders.join(", "));
+            out.push_str("critical border event(s): ");
+            for (k, &e) in a.critical_borders().iter().enumerate() {
+                let sep = if k == 0 { "" } else { ", " };
+                let _ = write!(out, "{sep}{}", sg.label(e));
+            }
+            out.push('\n');
             for rec in a.records() {
-                let cells: Vec<String> = rec
-                    .distances
-                    .iter()
-                    .map(|(i, t, d)| format!("δ({i})={t}/{i}={d:.4}"))
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "  {:<6} {}",
-                    sg.label(rec.event).to_string(),
-                    cells.join("  ")
-                );
+                // The label goes through `to_string` so `{:<6}` pads it.
+                let _ = write!(out, "  {:<6} ", sg.label(rec.event).to_string());
+                for (k, (i, t, d)) in rec.distances.iter().enumerate() {
+                    let sep = if k == 0 { "" } else { "  " };
+                    let _ = write!(out, "{sep}δ({i})={t}/{i}={d:.4}");
+                }
+                out.push('\n');
             }
         }
         Err(e) => {

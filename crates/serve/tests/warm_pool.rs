@@ -178,6 +178,38 @@ fn overflowing_delays_answer_structured_errors() {
 }
 
 #[test]
+fn overflowing_pin_delays_answer_a_structured_error() {
+    // The second arrival in this two-inverter loop lands past f64::MAX.
+    let script = [
+        req(&[
+            ("id", Json::Num(0.0)),
+            ("cmd", Json::from("sim")),
+            (
+                "text",
+                Json::from("gate a inv(b:1e308) = 1\ngate b inv(a:1e308) = 1\n"),
+            ),
+            ("name", Json::from("x.ckt")),
+            ("horizon", Json::Num(1.7e308)),
+        ]),
+        req(&[("id", Json::Num(1.0)), ("cmd", Json::from("stats"))]),
+    ]
+    .join("\n")
+        + "\n";
+    let responses = session(&script, 1);
+    assert_eq!(responses.len(), 2);
+    assert_eq!(responses[0].get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(
+        responses[0].get("error").and_then(Json::as_str),
+        Some(
+            "simulation failed: signal b changing at time 1e308: \
+             cannot schedule event at non-finite time inf"
+        )
+    );
+    assert_eq!(responses[1].get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(responses[1].get("failed"), Some(&Json::Num(1.0)));
+}
+
+#[test]
 fn responses_arrive_in_request_order_with_error_isolation() {
     let script = [
         req(&[

@@ -3,7 +3,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use tsg_core::{EventId, SignalGraph, ValidationError};
+use tsg_core::time::Delay;
+use tsg_core::{EventId, SignalGraph, SignalGraphBuilder, ValidationError};
 
 /// Parser options.
 #[derive(Clone, Copy, Debug)]
@@ -80,32 +81,106 @@ fn syntax(line: usize, message: impl Into<String>) -> StgError {
     }
 }
 
-/// Normalises an STG transition token (`a+`, `req-`, `a+/1`) to the event
-/// label used by `tsg-core` (`a+`, `req-`, `a#1+`).
+/// Normalises an STG transition token (`a+`, `req-`, `a+/1`) into `out`
+/// as the event label used by `tsg-core` (`a+`, `req-`, `a#1+`), reusing
+/// `out`'s buffer.
 ///
-/// Returns `None` for tokens that are not signal transitions.
-fn normalize(token: &str) -> Option<String> {
+/// Returns `false` (with `out` unspecified) for tokens that are not
+/// signal transitions.
+fn normalize(token: &str, out: &mut String) -> bool {
     let (stem, index) = match token.split_once('/') {
         Some((s, i)) => {
-            i.parse::<u32>().ok()?;
+            if i.parse::<u32>().is_err() {
+                return false;
+            }
             (s, Some(i))
         }
         None => (token, None),
     };
-    if stem.len() < 2 {
-        return None;
+    let (name, pol) = match (stem.strip_suffix('+'), stem.strip_suffix('-')) {
+        (Some(name), _) => (name, '+'),
+        (None, Some(name)) => (name, '-'),
+        (None, None) => return false,
+    };
+    if name.is_empty() {
+        return false;
     }
-    let (name, pol) = stem.split_at(stem.len() - 1);
-    if !matches!(pol, "+" | "-") {
-        return None;
+    out.clear();
+    out.push_str(name);
+    if let Some(i) = index {
+        out.push('#');
+        out.push_str(i);
     }
-    Some(match index {
-        Some(i) => format!("{name}#{i}{pol}"),
-        None => format!("{name}{pol}"),
-    })
+    out.push(pol);
+    true
+}
+
+/// The normalised label of a token already known to be a transition;
+/// for error messages only.
+fn label_of(token: &str) -> String {
+    let mut out = String::new();
+    normalize(token, &mut out);
+    out
+}
+
+/// Transition labels interned as dense ids in first-seen order, with one
+/// reused normalisation buffer: looking up a known label allocates
+/// nothing.
+#[derive(Default)]
+struct Transitions {
+    ids: HashMap<String, u32>,
+    buf: String,
+}
+
+impl Transitions {
+    /// The id of `token`'s label: `None` when `token` is not a signal
+    /// transition, `Some(None)` when its label has not been seen.
+    fn lookup(&mut self, token: &str) -> Option<Option<u32>> {
+        normalize(token, &mut self.buf).then(|| self.ids.get(self.buf.as_str()).copied())
+    }
+
+    /// The id of `token`'s label, assigning the next one on first sight;
+    /// `None` when `token` is not a signal transition.
+    fn intern(&mut self, token: &str) -> Option<u32> {
+        let known = self.lookup(token)?;
+        Some(known.unwrap_or_else(|| {
+            let id = self.ids.len() as u32;
+            self.ids.insert(self.buf.clone(), id);
+            id
+        }))
+    }
+
+    /// The labels indexed by id.
+    fn into_labels(self) -> Vec<String> {
+        let mut labels = vec![String::new(); self.ids.len()];
+        for (label, id) in self.ids {
+            labels[id as usize] = label;
+        }
+        labels
+    }
+}
+
+/// The first declared arc from `src` to `dst`, for a `.marking` /
+/// `.delay` reference whose tokens `s` and `d` are transitions; an
+/// unseen label or an undeclared pair is [`StgError::UnknownArc`].
+fn declared_arc(
+    first_arc: &HashMap<(u32, u32), usize>,
+    (src, dst): (Option<u32>, Option<u32>),
+    s: &str,
+    d: &str,
+) -> Result<usize, StgError> {
+    src.zip(dst)
+        .and_then(|pair| first_arc.get(&pair).copied())
+        .ok_or_else(|| StgError::UnknownArc {
+            src: label_of(s),
+            dst: label_of(d),
+        })
 }
 
 /// Parses `.g` text into a validated [`SignalGraph`].
+///
+/// Loading is linear in the text size: each transition is interned once,
+/// and `.marking` / `.delay` entries find their arc by hashed lookup.
 ///
 /// # Errors
 ///
@@ -114,21 +189,16 @@ fn normalize(token: &str) -> Option<String> {
 /// resulting graph.
 pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgError> {
     struct ArcSpec {
-        src: String,
-        dst: String,
+        src: u32,
+        dst: u32,
         delay: Option<f64>,
         marked: bool,
     }
     let mut arcs: Vec<ArcSpec> = Vec::new();
-    let mut order: Vec<String> = Vec::new(); // transition labels in first-seen order
-    let mut seen: HashMap<String, ()> = HashMap::new();
+    let mut names = Transitions::default();
+    // (src, dst) -> index of the first declared arc between them
+    let mut first_arc: HashMap<(u32, u32), usize> = HashMap::new();
     let mut in_graph = false;
-
-    let note = |label: &str, order: &mut Vec<String>, seen: &mut HashMap<String, ()>| {
-        if seen.insert(label.to_owned(), ()).is_none() {
-            order.push(label.to_owned());
-        }
-    };
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -136,6 +206,7 @@ pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgErro
         if line.is_empty() {
             continue;
         }
+        let bad_transition = |tok: &str| syntax(lineno, format!("bad transition {tok:?}"));
         if let Some(rest) = line.strip_prefix('.') {
             let mut words = rest.split_whitespace();
             match words.next() {
@@ -156,34 +227,32 @@ pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgErro
                         let (s, d) = tok
                             .split_once(',')
                             .ok_or_else(|| syntax(lineno, format!("bad marking token {tok:?}")))?;
-                        let s = normalize(s.trim())
-                            .ok_or_else(|| syntax(lineno, format!("bad transition {s:?}")))?;
-                        let d = normalize(d.trim())
-                            .ok_or_else(|| syntax(lineno, format!("bad transition {d:?}")))?;
-                        let arc = arcs
-                            .iter_mut()
-                            .find(|a| a.src == s && a.dst == d)
-                            .ok_or(StgError::UnknownArc { src: s, dst: d })?;
-                        arc.marked = true;
+                        let src = names.lookup(s.trim()).ok_or_else(|| bad_transition(s))?;
+                        let dst = names.lookup(d.trim()).ok_or_else(|| bad_transition(d))?;
+                        let arc = declared_arc(&first_arc, (src, dst), s.trim(), d.trim())?;
+                        arcs[arc].marked = true;
                     }
                 }
                 Some("delay") => {
-                    let toks: Vec<&str> = words.collect();
-                    if toks.len() != 3 {
+                    let (Some(s), Some(d), Some(v), None) =
+                        (words.next(), words.next(), words.next(), words.next())
+                    else {
                         return Err(syntax(lineno, "expected `.delay SRC DST VALUE`"));
-                    }
-                    let s = normalize(toks[0])
-                        .ok_or_else(|| syntax(lineno, format!("bad transition {:?}", toks[0])))?;
-                    let d = normalize(toks[1])
-                        .ok_or_else(|| syntax(lineno, format!("bad transition {:?}", toks[1])))?;
-                    let v: f64 = toks[2]
+                    };
+                    let src = names.lookup(s).ok_or_else(|| bad_transition(s))?;
+                    let dst = names.lookup(d).ok_or_else(|| bad_transition(d))?;
+                    let value: f64 = v
                         .parse()
-                        .map_err(|_| syntax(lineno, format!("bad delay {:?}", toks[2])))?;
-                    let arc = arcs
-                        .iter_mut()
-                        .find(|a| a.src == s && a.dst == d)
-                        .ok_or(StgError::UnknownArc { src: s, dst: d })?;
-                    arc.delay = Some(v);
+                        .map_err(|_| syntax(lineno, format!("bad delay {v:?}")))?;
+                    if Delay::new(value).is_err() {
+                        let (s, d) = (label_of(s), label_of(d));
+                        return Err(syntax(
+                            lineno,
+                            format!("bad delay {v:?} on {s} -> {d}: must be finite and >= 0"),
+                        ));
+                    }
+                    let arc = declared_arc(&first_arc, (src, dst), s, d)?;
+                    arcs[arc].delay = Some(value);
                 }
                 // interface declarations carry no structure we need
                 Some("model") | Some("inputs") | Some("outputs") | Some("internal")
@@ -196,21 +265,22 @@ pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgErro
         if !in_graph {
             return Err(syntax(lineno, "arc outside .graph section"));
         }
+        let not_transition = |tok: &str| StgError::NotMarkedGraph {
+            line: lineno,
+            token: tok.to_owned(),
+        };
         let mut toks = line.split_whitespace();
         let src_tok = toks.next().expect("non-empty line has a token");
-        let src = normalize(src_tok).ok_or(StgError::NotMarkedGraph {
-            line: lineno,
-            token: src_tok.to_owned(),
-        })?;
-        note(&src, &mut order, &mut seen);
+        let src = names
+            .intern(src_tok)
+            .ok_or_else(|| not_transition(src_tok))?;
         for dst_tok in toks {
-            let dst = normalize(dst_tok).ok_or(StgError::NotMarkedGraph {
-                line: lineno,
-                token: dst_tok.to_owned(),
-            })?;
-            note(&dst, &mut order, &mut seen);
+            let dst = names
+                .intern(dst_tok)
+                .ok_or_else(|| not_transition(dst_tok))?;
+            first_arc.entry((src, dst)).or_insert(arcs.len());
             arcs.push(ArcSpec {
-                src: src.clone(),
+                src,
                 dst,
                 delay: None,
                 marked: false,
@@ -218,13 +288,13 @@ pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgErro
         }
     }
 
-    let mut b = SignalGraph::builder();
-    let mut ids: HashMap<String, EventId> = HashMap::new();
-    for label in &order {
-        ids.insert(label.clone(), b.event(label));
+    let labels = names.into_labels();
+    let mut b = SignalGraphBuilder::with_capacity(labels.len(), arcs.len());
+    for label in &labels {
+        b.event(label);
     }
     for arc in &arcs {
-        let (s, d) = (ids[&arc.src], ids[&arc.dst]);
+        let (s, d) = (EventId(arc.src), EventId(arc.dst));
         let delay = arc.delay.unwrap_or(options.default_delay);
         if arc.marked {
             b.marked_arc(s, d, delay);
@@ -342,6 +412,126 @@ x- x+
             parse_stg(text, StgOptions::default()),
             Err(StgError::Invalid(_))
         ));
+    }
+
+    /// The exact error text for each class of malformed input.
+    #[test]
+    fn error_messages_are_pinned() {
+        const HEAD: &str = ".graph\nx+ x-\nx- x+\n.marking { <x-,x+> }\n";
+        let cases: &[(&str, &str)] = &[
+            (".delay x+ x-\n", "line 5: expected `.delay SRC DST VALUE`"),
+            (
+                ".delay x+ x- 1 2\n",
+                "line 5: expected `.delay SRC DST VALUE`",
+            ),
+            (".delay x x- 1\n", "line 5: bad transition \"x\""),
+            (".delay x+ x-/a 1\n", "line 5: bad transition \"x-/a\""),
+            (".marking { <x+, y> }\n", "line 5: bad transition \" y\""),
+            (".marking { <y,x+> }\n", "line 5: bad transition \"y\""),
+            (
+                ".marking { <x+ x-> }\n",
+                "line 5: bad marking token \"x+ x-\"",
+            ),
+            (".delay x+ x- fast\n", "line 5: bad delay \"fast\""),
+            (
+                ".delay x+ x- inf\n",
+                "line 5: bad delay \"inf\" on x+ -> x-: must be finite and >= 0",
+            ),
+            (
+                ".delay a+/1 x- 2\n",
+                "marking/delay references unknown arc a#1+ -> x-",
+            ),
+            (
+                ".marking { <x+/2,x-> }\n",
+                "marking/delay references unknown arc x#2+ -> x-",
+            ),
+            (
+                ".delay x- x- 2\n",
+                "marking/delay references unknown arc x- -> x-",
+            ),
+            (".end\nx+ x-\n", "line 6: arc outside .graph section"),
+            (
+                "x+ p0\n",
+                "line 5: \"p0\" is not a signal transition (explicit places are unsupported)",
+            ),
+            (".frob\n", "line 5: unknown directive .frob"),
+            (".\n", "line 5: empty directive"),
+        ];
+        for (tail, want) in cases {
+            let text = format!("{HEAD}{tail}.end\n");
+            let err = parse_stg(&text, StgOptions::default()).unwrap_err();
+            assert_eq!(err.to_string(), *want, "{tail:?}");
+        }
+        // A reference is only resolved against arcs declared before it.
+        let early = ".graph\n.delay x+ x- 2\nx+ x-\nx- x+\n.end\n";
+        assert_eq!(
+            parse_stg(early, StgOptions::default())
+                .unwrap_err()
+                .to_string(),
+            "marking/delay references unknown arc x+ -> x-"
+        );
+        // And an arc outside any section is caught on line 1.
+        assert_eq!(
+            parse_stg("x+ x-\n", StgOptions::default())
+                .unwrap_err()
+                .to_string(),
+            "line 1: arc outside .graph section"
+        );
+    }
+
+    #[test]
+    fn out_of_domain_delays_name_the_line_and_arc() {
+        for value in ["inf", "-inf", "NaN", "-1", "1e400"] {
+            let text = format!(
+                ".graph\na+/1 x-\nx- a+/1\n.marking {{ <x-,a+/1> }}\n.delay a+/1 x- {value}\n.end\n"
+            );
+            let err = parse_stg(&text, StgOptions::default()).unwrap_err();
+            assert_eq!(
+                err,
+                StgError::Syntax {
+                    line: 5,
+                    message: format!(
+                        "bad delay \"{value}\" on a#1+ -> x-: must be finite and >= 0"
+                    ),
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn first_declared_parallel_arc_takes_delay_and_marking() {
+        let text = "\
+.graph
+x+ x- x-
+x- x+
+.marking { <x-,x+> <x+,x-> }
+.delay x+ x- 3
+.end
+";
+        let sg = parse_stg(text, StgOptions::default()).unwrap();
+        let arcs = sg.arcs();
+        assert_eq!(arcs.len(), 3);
+        assert_eq!((arcs[0].delay().get(), arcs[0].is_marked()), (3.0, true));
+        assert_eq!((arcs[1].delay().get(), arcs[1].is_marked()), (1.0, false));
+    }
+
+    #[test]
+    fn multibyte_tokens_are_not_transitions() {
+        for token in ["aé", "é", "/", "+/1", "x\u{2212}"] {
+            let text = format!(".graph\nx+ {token}\n.end\n");
+            assert_eq!(
+                parse_stg(&text, StgOptions::default()).unwrap_err(),
+                StgError::NotMarkedGraph {
+                    line: 2,
+                    token: token.to_owned(),
+                },
+                "{token:?}"
+            );
+        }
+        // A non-ASCII signal name with an ASCII polarity is fine.
+        let text = ".graph\né+ é-\né- é+\n.marking { <é-,é+> }\n.end\n";
+        let sg = parse_stg(text, StgOptions::default()).unwrap();
+        assert!(sg.event_by_label("é+").is_some());
     }
 
     #[test]

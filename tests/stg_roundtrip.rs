@@ -84,3 +84,91 @@ proptest! {
         prop_assert_eq!(t1, t2);
     }
 }
+
+/// A `random_live_tsg` graph relabelled into `.g`-expressible transitions
+/// (every third one in the indexed `s7+/1` form), with fractional delays
+/// and without parallel arcs: a second arc between the same ordered pair
+/// is dropped, which keeps the graph live and strongly connected.
+fn relabelled_random(seed: u64, events: usize) -> SignalGraph {
+    let config = tsg::gen::RandomTsgConfig {
+        events,
+        tokens: (events / 28).max(2),
+        chords: events / 16 + 4,
+        max_delay: 9,
+        with_prefix: false,
+    };
+    let sg = tsg::gen::random_live_tsg(seed, config);
+    let mut b = SignalGraph::builder();
+    let ids: Vec<_> = sg
+        .events()
+        .map(|e| {
+            let i = e.index();
+            let pol = if i % 2 == 0 { '+' } else { '-' };
+            if i % 3 == 0 {
+                b.event(&format!("s{}#1{pol}", i / 2))
+            } else {
+                b.event(&format!("s{}{pol}", i / 2))
+            }
+        })
+        .collect();
+    let mut seen = std::collections::HashSet::new();
+    for a in sg.arc_ids() {
+        let arc = sg.arc(a);
+        if !seen.insert((arc.src(), arc.dst())) {
+            continue;
+        }
+        let (s, d) = (ids[arc.src().index()], ids[arc.dst().index()]);
+        let delay = arc.delay().get() + (seed as f64 + a.index() as f64) / 7.0;
+        if arc.is_marked() {
+            b.marked_arc(s, d, delay);
+        } else {
+            b.arc(s, d, delay);
+        }
+    }
+    b.build().unwrap()
+}
+
+/// `write_stg` then `parse_stg` at 12, 1024 and 4096 events gives back
+/// the graph arc for arc. The reader numbers events in first-seen order
+/// and arcs in declaration order, and the writer declares each event's
+/// out-arcs on one `.graph` line, in event order — so that is the order
+/// expected back: labels, endpoints, delay bits and markings.
+#[test]
+fn large_random_graphs_roundtrip_arc_for_arc() {
+    for (seed, events) in [(3, 12), (11, 1024), (29, 4096)] {
+        let sg = relabelled_random(seed, events);
+        let mut order = Vec::new();
+        let mut position = vec![usize::MAX; sg.event_count()];
+        let mut see = |e: tsg::core::EventId, order: &mut Vec<_>| {
+            if position[e.index()] == usize::MAX {
+                position[e.index()] = order.len();
+                order.push(e);
+            }
+        };
+        let mut arcs = Vec::new();
+        for e in sg.events() {
+            if sg.out_arcs(e).next().is_some() {
+                see(e, &mut order);
+            }
+            for a in sg.out_arcs(e) {
+                see(sg.arc(a).dst(), &mut order);
+                arcs.push(a);
+            }
+        }
+
+        let text = write_stg(&sg, "random").unwrap();
+        let back = parse_stg(&text, StgOptions::default()).unwrap();
+        assert_eq!(back.event_count(), order.len(), "{events} events");
+        for (i, (got, &want)) in back.events().zip(&order).enumerate() {
+            assert_eq!(back.label(got), sg.label(want), "event {i}");
+        }
+        assert_eq!(back.arc_count(), arcs.len());
+        for (got, &want) in back.arcs().iter().zip(&arcs) {
+            let want = sg.arc(want);
+            assert_eq!(got.src().index(), position[want.src().index()]);
+            assert_eq!(got.dst().index(), position[want.dst().index()]);
+            assert_eq!(got.delay().get().to_bits(), want.delay().get().to_bits());
+            assert_eq!(got.is_marked(), want.is_marked());
+        }
+    }
+}
