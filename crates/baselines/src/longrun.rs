@@ -7,10 +7,10 @@
 //! what the benchmarks demonstrate by comparing it with the exact
 //! algorithms.
 //!
-//! The simulation itself runs event-drivenly on the shared `tsg-sim`
-//! kernel ([`EventSimulation`]), the same queue that powers the
-//! gate-level netlist simulator; [`longrun_estimate_batch`] fans whole
-//! scenario sweeps out across threads with [`BatchRunner`].
+//! The simulation itself is the period-synchronous
+//! [`TimingSimulation`], the one `t(·)` recurrence behind `tsg sim` and
+//! the timing diagrams; [`longrun_estimate_batch`] fans whole scenario
+//! sweeps out across threads with [`BatchRunner`].
 //!
 //! # Lane-batched Monte-Carlo estimation
 //!
@@ -19,11 +19,11 @@
 //! estimator — the usual way to probe how sensitive a long-run estimate
 //! is to delay uncertainty. [`longrun_estimate_mc_lanes`] runs K such
 //! seeds at once as lanes of a single lockstep event-advance pass over
-//! the unfolding: the token-counting rules of the event-driven kernel
-//! are mirrored structurally (one schedule for all lanes), and only the
-//! per-lane delays differ. Because firing times are maxima over the same
+//! the unfolding: the unfolding's token-counting rules are mirrored
+//! structurally (one schedule for all lanes), and only the per-lane
+//! delays differ. Because firing times are maxima over the same
 //! contribution set, the lockstep pass is bit-identical to running the
-//! event-driven simulation once per seed — lane `k` reproduces
+//! timing simulation once per seed — lane `k` reproduces
 //! `longrun_estimate_mc(sg, periods, jitter, seeds[k])` exactly, and at
 //! `jitter == 0` every lane reproduces [`longrun_estimate`] itself.
 //! Each lane carries its own convergence verdict (tail slope vs the
@@ -31,7 +31,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
-use tsg_core::analysis::event_sim::EventSimulation;
+use tsg_core::analysis::sim::TimingSimulation;
 use tsg_core::SignalGraph;
 use tsg_sim::BatchRunner;
 
@@ -54,7 +54,7 @@ pub fn longrun_estimate(sg: &SignalGraph, periods: u32) -> Option<f64> {
         return None;
     }
     let probe = *sg.border_events().first()?;
-    let sim = EventSimulation::run(sg, periods).ok()?;
+    let sim = TimingSimulation::run(sg, periods, None).ok()?;
     let mid = periods / 2;
     let t_mid = sim.time(probe, mid)?;
     let t_end = sim.time(probe, periods - 1)?;
@@ -127,7 +127,7 @@ fn jitter_factor(rng: &mut SmallRng, jitter: f64) -> f64 {
 /// [`longrun_estimate`] under one Monte-Carlo delay perturbation: every
 /// arc delay is scaled by an independent factor in
 /// `[1 - jitter, 1 + jitter)` drawn from a stream seeded with `seed`,
-/// and the perturbed graph is simulated event-drivenly.
+/// and the perturbed graph is simulated.
 ///
 /// This is the sequential reference for [`longrun_estimate_mc_lanes`];
 /// lane `k` of the batch reproduces this function bit-for-bit.
@@ -160,21 +160,21 @@ pub fn longrun_estimate_mc(sg: &SignalGraph, periods: u32, jitter: f64, seed: u6
 
 /// Runs K Monte-Carlo seeds as lanes of one lockstep event-advance pass.
 ///
-/// The unfolding's token-counting rules (the event-driven kernel's
-/// `prime`/`fire` semantics) are mirrored once, structurally: each
-/// `(event, instance)` slot fires at the maximum over its expected token
-/// arrivals, instances are swept in order, and within an instance events
-/// follow a topological order of the same-instance dependency arcs
-/// (every arc except marked repetitive→repetitive ones, which cross
-/// instances; validated live graphs make that subgraph acyclic). Because
-/// a maximum is order-invariant over a fixed contribution set, each lane
+/// The unfolding's token-counting rules are mirrored once,
+/// structurally: each `(event, instance)` slot fires at the maximum
+/// over its expected token arrivals, instances are swept in order, and
+/// within an instance events follow a topological order of the
+/// same-instance dependency arcs (every arc except marked
+/// repetitive→repetitive ones, which cross instances; validated live
+/// graphs make that subgraph acyclic). Because a maximum is
+/// order-invariant over a fixed contribution set, each lane
 /// is bit-identical to [`longrun_estimate_mc`] on its seed — only the
 /// per-lane jittered delays differ between lanes, and they are stored
 /// lane-contiguously so the inner loop advances all K simulations in
 /// lockstep.
 ///
 /// Unfired slots are `NaN` and sticky: a missing token keeps every
-/// downstream slot unfired, matching the event-driven kernel.
+/// downstream slot unfired.
 ///
 /// # Panics
 ///
@@ -229,7 +229,7 @@ pub fn longrun_estimate_mc_lanes(
     }
 
     // Expected-token counts per (instance, event) slot and per-event
-    // contribution lists — the event-driven kernel's `prime` rules.
+    // contribution lists.
     // Classes: 0 = prefix source (instance 0 only), 1 = unmarked
     // repetitive (same instance), 2 = marked repetitive (previous
     // instance; the initial token enables instance 0 for free).

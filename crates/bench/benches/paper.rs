@@ -35,7 +35,11 @@ fn bench_extraction(c: &mut Criterion) {
 fn bench_timing_simulation(c: &mut Criterion) {
     let sg = tsg_circuit::library::c_element_oscillator_tsg();
     c.bench_function("ex3/timing_simulation_8_periods", |b| {
-        b.iter(|| TimingSimulation::run(black_box(&sg), 8).horizon())
+        b.iter(|| {
+            TimingSimulation::run(black_box(&sg), 8, None)
+                .unwrap()
+                .horizon()
+        })
     });
 }
 

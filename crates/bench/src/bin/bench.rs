@@ -327,7 +327,7 @@ fn measure_corner_sweep(reps: usize) -> Vec<CornerRow> {
             let per_scenario_seconds = time_per_call(reps, || {
                 (0..set.len())
                     .map(|j| {
-                        let g = set.reweighted(sg, j);
+                        let g = set.reweighted(sg, j).expect("finite scaled delays");
                         CycleTimeAnalysis::run_in(&g, None, &mut arena)
                             .expect("live")
                             .records()

@@ -270,8 +270,9 @@ pub fn assert_scenarios_match_scalar(sg: &SignalGraph, set: &ScenarioSet, ctx: &
     let swept = CycleTimeAnalysis::run_scenarios(sg, set).expect("scenarios stay live");
     assert_eq!(swept.len(), set.len(), "{ctx}: scenario count");
     for j in 0..set.len() {
-        let scratch = CycleTimeAnalysis::run_scalar(&set.reweighted(sg, j))
-            .expect("reweighting keeps the graph live");
+        let scratch =
+            CycleTimeAnalysis::run_scalar(&set.reweighted(sg, j).expect("finite scaled delays"))
+                .expect("reweighting keeps the graph live");
         assert_analyses_identical(
             &scratch,
             swept.analysis(j),

@@ -139,8 +139,8 @@ fn fig1b() -> String {
 /// Figure 1c: the timing diagram of the full simulation.
 fn fig1c() -> String {
     let sg = oscillator();
-    let sim = TimingSimulation::run(&sg, 3);
-    diagram::render(&sg, &sim, DiagramOptions::default())
+    let sim = TimingSimulation::run(&sg, 3, None).expect("the oscillator simulates");
+    diagram::render(&sg, &sim, DiagramOptions::default()).expect("Figure 1c fits")
 }
 
 /// Figure 1d: the a+-initiated timing diagram — occurrence distances
@@ -149,7 +149,8 @@ fn fig1d() -> String {
     let sg = oscillator();
     let ap = sg.event_by_label("a+").expect("a+ exists");
     let sim = InitiatedSimulation::run(&sg, ap, 3).expect("a+ is repetitive");
-    let mut out = diagram::render_initiated(&sg, &sim, DiagramOptions::default());
+    let mut out =
+        diagram::render_initiated(&sg, &sim, DiagramOptions::default()).expect("Figure 1d fits");
     let distances: Vec<String> = sim
         .distance_series()
         .iter()
@@ -162,7 +163,7 @@ fn fig1d() -> String {
 /// Example 3: the occurrence-time table of the first eleven events.
 fn ex3() -> String {
     let sg = oscillator();
-    let sim = TimingSimulation::run(&sg, 2);
+    let sim = TimingSimulation::run(&sg, 2, None).expect("the oscillator simulates");
     let mut out = String::from("event   ");
     let cols = [
         ("e-", 0),

@@ -59,8 +59,9 @@ FILE formats (by extension):
            `sim` runs the netlist directly through the event-driven
            transport-delay simulator)
 
-`sim` runs the shared tsg-sim event kernel and prints the transition
-stream; `--vcd PATH` additionally dumps a waveform any VCD viewer opens.
+`sim` simulates a `.g` graph period by period (a `.ckt` netlist on the
+tsg-sim event queue) and prints the transition stream; `--vcd PATH`
+additionally dumps a waveform any VCD viewer opens.
 `--queue {heap|calendar}` is accepted and ignored: the kernel has one
 event queue, a binary heap. Several files fan out across a `--threads
 N` pool (default: all cores); the analysis itself also runs its b

@@ -265,6 +265,89 @@ fn overflowing_netlist_sim_fails_cleanly() {
     assert!(error.starts_with("simulation failed: signal b"), "{error}");
 }
 
+/// A delay the reader accepts but a diagram cannot draw (6·10^11
+/// columns), and one the max corner scales past `f64::MAX`.
+const WIDE_G: &str = ".model big\n.outputs x\n.graph\nx+ x-\nx- x+\n.marking { <x-,x+> }\n\
+                      .delay x+ x- 99999999999\n.end\n";
+const NEAR_MAX_G: &str = ".model big\n.outputs x\n.graph\nx+ x-\nx- x+\n.marking { <x-,x+> }\n\
+                          .delay x+ x- 1.7e308\n.end\n";
+
+#[test]
+fn oversized_diagram_and_near_max_corners_fail_cleanly() {
+    let dir = std::env::temp_dir().join(format!("tsg-cli-domain-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: [(&str, &str, &[&str], &str); 3] = [
+        (
+            "wide.g",
+            WIDE_G,
+            &["--diagram"],
+            "timing diagram too wide: horizon 299999999999 at 2 char(s) per time unit \
+             needs more than 10000 columns",
+        ),
+        (
+            "corners.g",
+            NEAR_MAX_G,
+            &["--corners", "min,typ,max", "--derate", "10"],
+            "analysis failed: scenario max scales the delay of x+ -> x- past the largest \
+             finite delay",
+        ),
+        (
+            "samples.g",
+            NEAR_MAX_G,
+            &["--samples", "4"],
+            "analysis failed: scenario s",
+        ),
+    ];
+    for (name, text, flags, want) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        let out = tsg()
+            .arg("analyze")
+            .arg(&path)
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(&format!("error: {want}")), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+
+    let requests = [
+        Json::Obj(vec![
+            ("id".to_owned(), Json::Num(1.0)),
+            ("cmd".to_owned(), Json::from("analyze")),
+            ("name".to_owned(), Json::from("wide.g")),
+            ("text".to_owned(), Json::from(WIDE_G)),
+            ("diagram".to_owned(), Json::Bool(true)),
+        ]),
+        Json::Obj(vec![
+            ("id".to_owned(), Json::Num(2.0)),
+            ("cmd".to_owned(), Json::from("analyze")),
+            ("name".to_owned(), Json::from("corners.g")),
+            ("text".to_owned(), Json::from(NEAR_MAX_G)),
+            ("corners".to_owned(), Json::from("min,typ,max")),
+        ]),
+        Json::Obj(vec![
+            ("id".to_owned(), Json::Num(3.0)),
+            ("cmd".to_owned(), Json::from("stats")),
+        ]),
+    ];
+    let script: String = requests.iter().map(|r| format!("{}\n", r.dump())).collect();
+    let responses = serve_session(&script, &[]);
+    assert_eq!(responses.len(), 3, "the server survives both requests");
+    for (response, want) in responses
+        .iter()
+        .zip(["timing diagram too wide", "analysis failed: scenario max"])
+    {
+        assert_eq!(response.get("ok"), Some(&Json::Bool(false)));
+        let error = response.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.starts_with(want), "{error}");
+    }
+    assert_eq!(responses[2].get("ok"), Some(&Json::Bool(true)));
+}
+
 #[test]
 fn serve_rejects_bad_flags() {
     let out = tsg().args(["serve", "--wat"]).output().unwrap();

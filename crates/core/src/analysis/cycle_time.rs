@@ -77,6 +77,16 @@ pub enum AnalysisError {
         /// Periods the overflowing cycle spans.
         periods: u32,
     },
+    /// A delay scenario scales an arc's delay past the largest finite
+    /// `f64` (a nominal delay near `f64::MAX` under a factor above 1).
+    ScenarioDelay {
+        /// Label of the scenario (`max`, `s3`, …).
+        scenario: String,
+        /// Label of the arc's source event.
+        src: String,
+        /// Label of the arc's target event.
+        dst: String,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -106,6 +116,13 @@ impl fmt::Display for AnalysisError {
                     f,
                     "the critical cycle through {event} over {periods} period(s) \
                      has a non-finite total delay (delays too large)"
+                )
+            }
+            AnalysisError::ScenarioDelay { scenario, src, dst } => {
+                write!(
+                    f,
+                    "scenario {scenario} scales the delay of {src} -> {dst} \
+                     past the largest finite delay"
                 )
             }
         }
@@ -163,29 +180,6 @@ pub(crate) fn halt_to_error(halt: Halt) -> AnalysisError {
 /// typical per-core L2, leaving room for the structure tables. Purely a
 /// blocking factor — results are bit-identical at any value.
 const L2_BUDGET_BYTES: usize = 512 * 1024;
-
-/// Overwrites `scratch`'s live-arc delays with scenario `j`'s
-/// reweighting of `nominal` — the in-place form of
-/// [`ScenarioSet::reweighted`], bit-identical to it (same
-/// `delay × factor` products through the same `set_delay`), letting the
-/// scenario runners serve every finish step from one scratch clone
-/// instead of materialising a graph per scenario.
-fn reweight_in_place(
-    scratch: &mut SignalGraph,
-    nominal: &SignalGraph,
-    set: &ScenarioSet,
-    j: usize,
-) {
-    for a in nominal.arc_ids() {
-        if !nominal.is_live_arc(a) {
-            continue;
-        }
-        let scaled = nominal.arc(a).delay().get() * set.factor(j, a);
-        scratch
-            .set_delay(a, scaled)
-            .expect("factors in (0, 2) keep delays finite and non-negative");
-    }
-}
 
 /// Flattens per-worker record chunks, preserving chunk order; on
 /// cancellation the reported progress is the *least* advanced worker's
@@ -596,7 +590,7 @@ impl CycleTimeAnalysis {
         let labels = (0..s).map(|j| set.label(j).to_string()).collect();
         let mut per = Vec::with_capacity(s);
         for (j, records) in scenario_records.into_iter().enumerate() {
-            reweight_in_place(&mut scratch, sg, set, j);
+            set.reweight_onto(&mut scratch, sg, j)?;
             // Rebuild per scenario over the same warm buffers: no
             // allocation after the first.
             structure.rebuild(&scratch);
@@ -694,7 +688,7 @@ impl CycleTimeAnalysis {
         let mut scratch = sg.clone();
         let mut per = Vec::with_capacity(s);
         for (j, records) in scenario_records.into_iter().enumerate() {
-            reweight_in_place(&mut scratch, sg, set, j);
+            set.reweight_onto(&mut scratch, sg, j)?;
             fin_structure.rebuild(&scratch);
             per.push(Self::finish(
                 &scratch,

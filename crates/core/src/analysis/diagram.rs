@@ -31,6 +31,31 @@ impl Default for DiagramOptions {
     }
 }
 
+/// Widest diagram drawn, in columns: far past any terminal, while a
+/// 10¹¹-unit delay would otherwise allocate terabytes of rows.
+pub const MAX_COLUMNS: usize = 10_000;
+
+/// A diagram would need more than [`MAX_COLUMNS`] columns.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DiagramTooWide {
+    /// The time span to draw.
+    pub horizon: f64,
+    /// Characters per time unit.
+    pub chars_per_unit: f64,
+}
+
+impl std::fmt::Display for DiagramTooWide {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "timing diagram too wide: horizon {} at {} char(s) per time unit needs more than {MAX_COLUMNS} columns",
+            self.horizon, self.chars_per_unit
+        )
+    }
+}
+
+impl std::error::Error for DiagramTooWide {}
+
 /// A signal's transition list: `(time, polarity)` sorted by time.
 type Waveform = Vec<(f64, Polarity)>;
 
@@ -61,8 +86,20 @@ fn collect_waveforms(
     map
 }
 
-fn render_waveforms(waveforms: &BTreeMap<String, Waveform>, horizon: f64, cpu: f64) -> String {
-    let width = (horizon * cpu).ceil() as usize + 1;
+fn render_waveforms(
+    waveforms: &BTreeMap<String, Waveform>,
+    horizon: f64,
+    cpu: f64,
+) -> Result<String, DiagramTooWide> {
+    // Checked before allocating, in `f64` so NaN and ∞ are refused too.
+    let columns = (horizon * cpu).ceil() + 1.0;
+    if columns.is_nan() || columns > MAX_COLUMNS as f64 {
+        return Err(DiagramTooWide {
+            horizon,
+            chars_per_unit: cpu,
+        });
+    }
+    let width = columns as usize;
     let name_w = waveforms.keys().map(String::len).max().unwrap_or(1).max(1);
     let mut out = String::new();
 
@@ -123,10 +160,15 @@ fn render_waveforms(waveforms: &BTreeMap<String, Waveform>, horizon: f64, cpu: f
         }
         let _ = writeln!(out, "{signal:name_w$} {row}");
     }
-    out
+    Ok(out)
 }
 
 /// Renders the timing diagram of a full [`TimingSimulation`] (Figure 1c).
+///
+/// # Errors
+///
+/// [`DiagramTooWide`] when the diagram needs more than [`MAX_COLUMNS`]
+/// columns.
 ///
 /// # Examples
 ///
@@ -142,13 +184,17 @@ fn render_waveforms(waveforms: &BTreeMap<String, Waveform>, horizon: f64, cpu: f
 /// b.arc(xp, xm, 3.0);
 /// b.marked_arc(xm, xp, 2.0);
 /// let sg = b.build()?;
-/// let sim = TimingSimulation::run(&sg, 3);
-/// let text = render(&sg, &sim, DiagramOptions::default());
+/// let sim = TimingSimulation::run(&sg, 3, None)?;
+/// let text = render(&sg, &sim, DiagramOptions::default())?;
 /// assert!(text.contains('x'));
 /// # Ok(())
 /// # }
 /// ```
-pub fn render(sg: &SignalGraph, sim: &TimingSimulation, opts: DiagramOptions) -> String {
+pub fn render(
+    sg: &SignalGraph,
+    sim: &TimingSimulation,
+    opts: DiagramOptions,
+) -> Result<String, DiagramTooWide> {
     let horizon = opts.horizon.unwrap_or_else(|| sim.horizon());
     let wf = collect_waveforms(sg, |e, i| sim.time(e, i), sim.periods());
     render_waveforms(&wf, horizon, opts.chars_per_unit)
@@ -157,11 +203,15 @@ pub fn render(sg: &SignalGraph, sim: &TimingSimulation, opts: DiagramOptions) ->
 /// Renders the diagram of an event-initiated simulation (Figure 1d):
 /// everything concurrent with or preceding the initiating event is drawn
 /// as already having happened at time 0.
+///
+/// # Errors
+///
+/// As [`render`].
 pub fn render_initiated(
     sg: &SignalGraph,
     sim: &InitiatedSimulation,
     opts: DiagramOptions,
-) -> String {
+) -> Result<String, DiagramTooWide> {
     let mut horizon: f64 = 0.0;
     for e in sg.events() {
         for i in 0..=sim.periods() {
@@ -192,8 +242,8 @@ mod tests {
     #[test]
     fn waveform_alternates() {
         let sg = oscillator();
-        let sim = TimingSimulation::run(&sg, 3);
-        let text = render(&sg, &sim, DiagramOptions::default());
+        let sim = TimingSimulation::run(&sg, 3, None).unwrap();
+        let text = render(&sg, &sim, DiagramOptions::default()).unwrap();
         let line = text
             .lines()
             .find(|l| l.starts_with('x'))
@@ -207,8 +257,8 @@ mod tests {
     #[test]
     fn ruler_has_ticks() {
         let sg = oscillator();
-        let sim = TimingSimulation::run(&sg, 3);
-        let text = render(&sg, &sim, DiagramOptions::default());
+        let sim = TimingSimulation::run(&sg, 3, None).unwrap();
+        let text = render(&sg, &sim, DiagramOptions::default()).unwrap();
         let ruler = text.lines().nth(1).unwrap();
         assert!(ruler.matches('+').count() >= 2);
     }
@@ -216,7 +266,7 @@ mod tests {
     #[test]
     fn horizon_override_truncates() {
         let sg = oscillator();
-        let sim = TimingSimulation::run(&sg, 3);
+        let sim = TimingSimulation::run(&sg, 3, None).unwrap();
         let text = render(
             &sg,
             &sim,
@@ -224,7 +274,8 @@ mod tests {
                 chars_per_unit: 1.0,
                 horizon: Some(4.0),
             },
-        );
+        )
+        .unwrap();
         let line = text.lines().find(|l| l.starts_with('x')).unwrap();
         assert_eq!(line.len(), "x ".len() + 5);
     }
@@ -235,7 +286,7 @@ mod tests {
         let sg = oscillator();
         let xp = sg.event_by_label("x+").unwrap();
         let sim = InitiatedSimulation::run(&sg, xp, 2).unwrap();
-        let text = render_initiated(&sg, &sim, DiagramOptions::default());
+        let text = render_initiated(&sg, &sim, DiagramOptions::default()).unwrap();
         assert!(text.lines().count() >= 3);
     }
 
@@ -245,9 +296,53 @@ mod tests {
         let x = b.event("tick");
         b.marked_arc(x, x, 1.0);
         let sg = b.build().unwrap();
-        let sim = TimingSimulation::run(&sg, 2);
-        let text = render(&sg, &sim, DiagramOptions::default());
+        let sim = TimingSimulation::run(&sg, 2, None).unwrap();
+        let text = render(&sg, &sim, DiagramOptions::default()).unwrap();
         // Only ruler lines; no waveform rows.
         assert_eq!(text.lines().count(), 2);
+    }
+
+    #[test]
+    fn oversized_diagram_is_refused_before_allocating() {
+        // x+ -> x- at 10^11 time units: three periods at two characters
+        // per unit would need 6·10^11 columns per row.
+        let mut b = SignalGraph::builder();
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        b.arc(xp, xm, 99_999_999_999.0);
+        b.marked_arc(xm, xp, 1.0);
+        let sg = b.build().unwrap();
+        let sim = TimingSimulation::run(&sg, 3, None).unwrap();
+        let err = render(&sg, &sim, DiagramOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            DiagramTooWide {
+                horizon: sim.horizon(),
+                chars_per_unit: 2.0,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "timing diagram too wide: horizon 299999999999 at 2 char(s) per time unit needs \
+             more than 10000 columns"
+        );
+        // The limit itself still draws; one column more does not.
+        let at = |horizon: f64| {
+            render(
+                &sg,
+                &sim,
+                DiagramOptions {
+                    chars_per_unit: 1.0,
+                    horizon: Some(horizon),
+                },
+            )
+        };
+        assert!(at((MAX_COLUMNS - 1) as f64).is_ok());
+        assert!(at(MAX_COLUMNS as f64).is_err());
+        assert!(at(f64::INFINITY).is_err());
+        assert!(at(f64::NAN).is_err());
+        let xp = sg.event_by_label("x+").unwrap();
+        let initiated = InitiatedSimulation::run(&sg, xp, 2).unwrap();
+        assert!(render_initiated(&sg, &initiated, DiagramOptions::default()).is_err());
     }
 }

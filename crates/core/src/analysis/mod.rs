@@ -1,9 +1,9 @@
 //! Timing analysis of Timed Signal Graphs (Sections IV–VII of the paper).
 //!
 //! * [`sim::TimingSimulation`] — the timing simulation `t(·)` over the
-//!   unfolding (Section IV.A),
-//! * [`event_sim::EventSimulation`] — the same `t(·)` computed
-//!   discrete-event-style on the shared `tsg-sim` kernel,
+//!   unfolding (Section IV.A), one period row at a time; `tsg sim` on
+//!   `.g` files, the timing diagrams and the long-run estimator all run
+//!   on it,
 //! * [`initiated::InitiatedSimulation`] — the event-initiated simulation
 //!   `t_g(·)` (Section IV.B),
 //! * [`wide::WideArena`] — all `b` event-initiated simulations of one
@@ -22,7 +22,6 @@ pub mod asymptotic;
 pub mod border;
 pub mod cycle_time;
 pub mod diagram;
-pub mod event_sim;
 pub mod initiated;
 pub mod scenario;
 pub mod session;

@@ -27,7 +27,7 @@ use std::str::FromStr;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::analysis::cycle_time::CycleTimeAnalysis;
+use crate::analysis::cycle_time::{AnalysisError, CycleTimeAnalysis};
 use crate::arc::ArcId;
 use crate::graph::SignalGraph;
 
@@ -160,7 +160,7 @@ enum ScenarioSpec {
 /// )?;
 /// assert_eq!(set.len(), 3);
 /// assert_eq!(set.label(0), "min");
-/// let typ = set.reweighted(&sg, 1); // typ: factors are exactly 1.0
+/// let typ = set.reweighted(&sg, 1)?; // typ: factors are exactly 1.0
 /// let a = sg.arc_ids().next().unwrap();
 /// assert_eq!(typ.arc(a).delay(), sg.arc(a).delay());
 /// # Ok(())
@@ -310,13 +310,17 @@ impl ScenarioSet {
     /// delay source both the kernel δ table and the scalar verification
     /// oracle read, which is what makes them bit-identical.
     ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::ScenarioDelay`], naming the scenario and the
+    /// first arc in `ArcId` order, when a scaled delay overflows to
+    /// infinity (a nominal delay near `f64::MAX`).
+    ///
     /// # Panics
     ///
     /// Panics when `sg` has more arc slots than this set was derived
-    /// over (call [`resized`](Self::resized) after structural edits),
-    /// or if a scaled delay is invalid (impossible for valid specs:
-    /// factors stay within `(0, 2)`).
-    pub fn reweighted(&self, sg: &SignalGraph, j: usize) -> SignalGraph {
+    /// over (call [`resized`](Self::resized) after structural edits).
+    pub fn reweighted(&self, sg: &SignalGraph, j: usize) -> Result<SignalGraph, AnalysisError> {
         assert!(
             sg.arc_count() <= self.arc_slots,
             "scenario set derived over {} arc slots, graph has {}",
@@ -324,15 +328,49 @@ impl ScenarioSet {
             sg.arc_count()
         );
         let mut out = sg.clone();
-        for a in sg.arc_ids() {
-            if !sg.is_live_arc(a) {
+        self.reweight_onto(&mut out, sg, j)?;
+        Ok(out)
+    }
+
+    /// Overwrites `target`'s live-arc delays with scenario `j`'s
+    /// reweighting of `nominal` (`target` has `nominal`'s arcs) — the
+    /// in-place core of [`reweighted`](Self::reweighted), letting the
+    /// scenario runners serve every finish step from one scratch clone
+    /// instead of materialising a graph per scenario.
+    ///
+    /// # Errors
+    ///
+    /// As [`reweighted`](Self::reweighted); `target` is then partially
+    /// rewritten.
+    pub(crate) fn reweight_onto(
+        &self,
+        target: &mut SignalGraph,
+        nominal: &SignalGraph,
+        j: usize,
+    ) -> Result<(), AnalysisError> {
+        for a in nominal.arc_ids() {
+            if !nominal.is_live_arc(a) {
                 continue;
             }
-            let scaled = sg.arc(a).delay().get() * self.factor(j, a);
-            out.set_delay(a, scaled)
-                .expect("factors in (0, 2) keep delays finite and non-negative");
+            let scaled = nominal.arc(a).delay().get() * self.factor(j, a);
+            // Factors are positive and finite, so the only way out of
+            // the delay domain is overflow to infinity.
+            target
+                .set_delay(a, scaled)
+                .map_err(|_| self.overflow_error(nominal, j, a))?;
         }
-        out
+        Ok(())
+    }
+
+    /// The [`AnalysisError::ScenarioDelay`] for scenario `j` scaling
+    /// arc `a` of `sg` past the largest finite delay.
+    pub(crate) fn overflow_error(&self, sg: &SignalGraph, j: usize, a: ArcId) -> AnalysisError {
+        let arc = sg.arc(a);
+        AnalysisError::ScenarioDelay {
+            scenario: self.label(j).to_owned(),
+            src: sg.label(arc.src()).to_string(),
+            dst: sg.label(arc.dst()).to_string(),
+        }
     }
 }
 
@@ -536,7 +574,7 @@ mod tests {
             sg.arc_count(),
         )
         .unwrap();
-        let typ = set.reweighted(&sg, 1);
+        let typ = set.reweighted(&sg, 1).unwrap();
         for a in sg.arc_ids() {
             assert_eq!(
                 typ.arc(a).delay().get().to_bits(),
@@ -544,7 +582,7 @@ mod tests {
                 "typ corner must be bitwise nominal"
             );
         }
-        let max = set.reweighted(&sg, 2);
+        let max = set.reweighted(&sg, 2).unwrap();
         for a in sg.arc_ids().filter(|&a| sg.is_live_arc(a)) {
             assert_eq!(
                 max.arc(a).delay().get().to_bits(),
@@ -563,7 +601,7 @@ mod tests {
         )
         .unwrap();
         let per: Vec<_> = (0..set.len())
-            .map(|j| CycleTimeAnalysis::run(&set.reweighted(&sg, j)).unwrap())
+            .map(|j| CycleTimeAnalysis::run(&set.reweighted(&sg, j).unwrap()).unwrap())
             .collect();
         let labels = (0..set.len()).map(|j| set.label(j).to_string()).collect();
         let sa = ScenarioAnalysis::new(labels, per);
@@ -580,5 +618,62 @@ mod tests {
         for (_, p) in sa.criticality() {
             assert!(p > 0.0 && p <= 1.0);
         }
+    }
+
+    #[test]
+    fn near_max_delays_are_a_scenario_error_not_a_panic() {
+        // 1.7e308 is a valid delay; the max corner's ×1.1 is not.
+        let mut b = SignalGraph::builder();
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        b.arc(xp, xm, 1.7e308);
+        b.marked_arc(xm, xp, 1.0);
+        let sg = b.build().unwrap();
+        let want = AnalysisError::ScenarioDelay {
+            scenario: "max".to_owned(),
+            src: "x+".to_owned(),
+            dst: "x-".to_owned(),
+        };
+        assert_eq!(
+            want.to_string(),
+            "scenario max scales the delay of x+ -> x- past the largest finite delay"
+        );
+        let corners = ScenarioSet::corners(
+            10.0,
+            &[Corner::Min, Corner::Typ, Corner::Max],
+            sg.arc_count(),
+        )
+        .unwrap();
+        assert!(corners.reweighted(&sg, 0).is_ok());
+        assert_eq!(corners.reweighted(&sg, 2).unwrap_err(), want);
+        assert_eq!(
+            CycleTimeAnalysis::run_scenarios(&sg, &corners).unwrap_err(),
+            want
+        );
+        let runner = tsg_sim::BatchRunner::with_threads(2);
+        let parallel = CycleTimeAnalysis::run_scenarios_parallel_on(
+            &sg,
+            &corners,
+            &runner,
+            crate::analysis::KernelBackend::Auto,
+            None,
+        );
+        assert_eq!(parallel.unwrap_err(), want);
+
+        // Seeded samples at ±10%: the first scenario drawing a factor
+        // above MAX / 1.7e308 ≈ 1.057 is named.
+        let samples = ScenarioSet::samples(4, 0, 10.0, sg.arc_count()).unwrap();
+        let first = (0..samples.len())
+            .find(|&j| samples.reweighted(&sg, j).is_err())
+            .expect("some sample inflates the delay");
+        let err = CycleTimeAnalysis::run_scenarios(&sg, &samples).unwrap_err();
+        assert_eq!(
+            err,
+            AnalysisError::ScenarioDelay {
+                scenario: format!("s{first}"),
+                src: "x+".to_owned(),
+                dst: "x-".to_owned(),
+            }
+        );
     }
 }

@@ -214,6 +214,10 @@ pub enum EditError {
         /// Rows a full resume pass computes.
         rows_total: usize,
     },
+    /// An enabled scenario scales an edited delay past `f64::MAX`. A
+    /// delay batch is refused untouched; a structural batch stays
+    /// applied, its scenario state stale until the delays are in range.
+    Scenario(AnalysisError),
 }
 
 impl fmt::Display for EditError {
@@ -242,6 +246,7 @@ impl fmt::Display for EditError {
                     "{kind} after {rows_done} of {rows_total} simulation row(s)"
                 )
             }
+            EditError::Scenario(e) => e.fmt(f),
         }
     }
 }
@@ -549,6 +554,18 @@ impl AnalysisSession {
                     delay: e.delay,
                 });
             }
+            // The scaled edits below must stay finite too (a stale
+            // scenario state resyncs, and reports, in `refresh_scenarios`).
+            let warm = self
+                .scenarios
+                .as_ref()
+                .filter(|s| !s.stale_weights && !s.needs_reseed);
+            if let Some(set) = warm.map(|s| &s.set) {
+                let overflows = |j| !(e.delay * set.factor(j, e.arc)).is_finite();
+                if let Some(j) = (0..set.len()).find(|&j| overflows(j)) {
+                    return Err(EditError::Scenario(set.overflow_error(&self.sg, j, e.arc)));
+                }
+            }
         }
 
         let before = self.analysis.cycle_time();
@@ -579,7 +596,7 @@ impl AnalysisSession {
                         let scaled = e.delay * scen.set.factor(j, e.arc);
                         scen.reweighted[j]
                             .set_delay(e.arc, scaled)
-                            .expect("scaled delay stays finite and non-negative");
+                            .expect("scaled delays validated above");
                         if slot != NO_ENTRY {
                             scen.wide.set_scenario_delay(slot as usize, j, scaled);
                         }
@@ -920,7 +937,9 @@ impl AnalysisSession {
     /// # Errors
     ///
     /// Returns [`AnalysisError::Cancelled`] when `cancel` fires
-    /// mid-sweep; no scenario state is installed then.
+    /// mid-sweep, or [`AnalysisError::ScenarioDelay`] when a scenario
+    /// scales a delay past the largest finite `f64`; no scenario state
+    /// is installed then.
     pub fn enable_scenarios(
         &mut self,
         set: &ScenarioSet,
@@ -934,7 +953,9 @@ impl AnalysisSession {
     /// # Errors
     ///
     /// Returns [`AnalysisError::Cancelled`] when `cancel` fires
-    /// mid-sweep; no scenario state is installed then.
+    /// mid-sweep, or [`AnalysisError::ScenarioDelay`] when a scenario
+    /// scales a delay past the largest finite `f64`; no scenario state
+    /// is installed then.
     pub fn enable_scenarios_with_cancel(
         &mut self,
         set: &ScenarioSet,
@@ -942,7 +963,9 @@ impl AnalysisSession {
     ) -> Result<&ScenarioAnalysis, AnalysisError> {
         let set = set.resized(self.sg.arc_count());
         let s = set.len();
-        let reweighted: Vec<SignalGraph> = (0..s).map(|j| set.reweighted(&self.sg, j)).collect();
+        let reweighted = (0..s)
+            .map(|j| set.reweighted(&self.sg, j))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut wide = WideArena::with_kernel(self.wide.kernel());
         if let Err(halt) = wide.run_scenarios_with(
             &self.sg,
@@ -1015,10 +1038,10 @@ impl AnalysisSession {
         };
         if scen.stale_weights {
             scen.set = scen.set.resized(self.sg.arc_count());
-            let reweighted: Vec<SignalGraph> = (0..scen.set.len())
+            scen.reweighted = (0..scen.set.len())
                 .map(|j| scen.set.reweighted(&self.sg, j))
-                .collect();
-            scen.reweighted = reweighted;
+                .collect::<Result<_, _>>()
+                .map_err(EditError::Scenario)?;
             if !scen.needs_reseed {
                 // Slots remapped but the lane axis survived: re-derive
                 // the δ table in place, the matrices resume below.
@@ -1789,6 +1812,57 @@ mod tests {
         session.disable_scenarios();
         assert_eq!(session.scenario_count(), 0);
         assert!(session.scenario_analysis().is_none());
+    }
+
+    #[test]
+    fn overflowing_scenario_delays_are_edit_errors() {
+        use crate::analysis::scenario::Corner;
+
+        let mut session = AnalysisSession::open(figure2()).unwrap();
+        let set = ScenarioSet::corners(
+            10.0,
+            &[Corner::Min, Corner::Typ, Corner::Max],
+            session.graph().arc_count(),
+        )
+        .unwrap();
+        session.enable_scenarios(&set).unwrap();
+
+        // 1.7e308 is a valid delay, but not under the max corner's ×1.1:
+        // the batch is refused and nothing changes.
+        let arc = session.resolve_arc("a+", "c+").unwrap();
+        let err = session.edit_delay(arc, 1.7e308).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "scenario max scales the delay of a+ -> c+ past the largest finite delay"
+        );
+        assert_eq!(session.graph().arc(arc).delay().get(), 3.0);
+        assert_matches_scratch(&session, "refused delay edit, nominal");
+        assert_scenarios_match_scratch(&session, "refused delay edit");
+
+        // A structural batch stays applied; its scenario refresh fails
+        // until the delay is back in range, then heals.
+        let ap = session.graph().event_by_label("a+").unwrap();
+        let bm = session.graph().event_by_label("b-").unwrap();
+        let err = session
+            .edit(GraphEdit::AddArc {
+                src: ap,
+                dst: bm,
+                delay: 1.7e308,
+                marked: false,
+            })
+            .unwrap_err();
+        assert!(matches!(err, EditError::Scenario(_)), "{err}");
+        let added = session.resolve_arc("a+", "b-").unwrap();
+        session.edit_delay(added, 4.0).unwrap();
+        assert_matches_scratch(&session, "healed, nominal");
+        assert_scenarios_match_scratch(&session, "healed");
+
+        // Enabling scenarios over an out-of-range graph installs nothing.
+        session.disable_scenarios();
+        session.edit_delay(added, 1.7e308).unwrap();
+        let err = session.enable_scenarios(&set).unwrap_err();
+        assert!(matches!(err, AnalysisError::ScenarioDelay { .. }), "{err}");
+        assert_eq!(session.scenario_count(), 0);
     }
 
     #[test]

@@ -637,8 +637,8 @@ mod tests {
         let extracted =
             extract(&library::c_element_oscillator(), ExtractOptions::default()).unwrap();
         let hand = library::c_element_oscillator_tsg();
-        let se = TimingSimulation::run(&extracted, 4);
-        let sh = TimingSimulation::run(&hand, 4);
+        let se = TimingSimulation::run(&extracted, 4, None).unwrap();
+        let sh = TimingSimulation::run(&hand, 4, None).unwrap();
         for label in ["a+", "b+", "c+", "a-", "b-", "c-"] {
             let ee = extracted.event_by_label(label).unwrap();
             let eh = hand.event_by_label(label).unwrap();

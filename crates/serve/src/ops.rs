@@ -11,23 +11,23 @@
 //!   simulations across a thread pool);
 //! * a serve worker drives a persistent [`Workspace`] — one warm
 //!   [`AnalysisArena`] (the lane-major wide matrix of all `b` lockstep
-//!   border simulations plus the scalar finish arena) and pre-sized
-//!   event queues — through
+//!   border simulations plus the scalar finish arena) and a pre-sized
+//!   netlist event queue — through
 //!   [`Workspace::analyze`] / [`Workspace::simulate`], which are
 //!   bit-identical to the cold paths (`CycleTimeAnalysis::run_in` ≡
-//!   `run_parallel`, `EventSimulation::run_in` ≡ `run`; both
-//!   equivalences are asserted in the workspace tests).
+//!   `run_parallel`, asserted in the workspace tests). `.g`
+//!   simulations need no warm state: [`TimingSimulation::run`] sizes
+//!   its period rows per request.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 use tsg_core::analysis::diagram::{self, DiagramOptions};
-use tsg_core::analysis::event_sim::{EventSimError, EventSimScratch, EventSimulation};
 use tsg_core::analysis::session::{
     AnalysisSession, CycleTimeDelta, DelayEdit, EditError, GraphEdit,
 };
-use tsg_core::analysis::sim::TimingSimulation;
+use tsg_core::analysis::sim::{SimError, TimingSimulation};
 use tsg_core::analysis::wide::{AnalysisArena, KernelBackend};
 use tsg_core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, ScenarioAnalysis, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
@@ -44,10 +44,10 @@ pub enum OpError {
     Cancelled {
         /// Why the token fired.
         kind: CancelKind,
-        /// Work units (matrix rows / event arrivals) done at the abort.
+        /// Work units done at the abort: lockstep matrix rows for
+        /// analyses, period rows for `.g` simulations.
         done: u64,
-        /// Units a complete run performs (`done + pending` for event
-        /// sims, where the full count is not known up front).
+        /// Units a complete run performs.
         total: u64,
     },
 }
@@ -545,17 +545,33 @@ pub fn report(sg: &SignalGraph, opts: &AnalyzeOptions) -> Result<String, String>
     let scenarios = match scenario_set_for(opts, sg.arc_count()) {
         Ok(None) => Ok(None),
         Ok(Some(set)) => {
-            CycleTimeAnalysis::run_scenarios_parallel_on(sg, &set, &runner, opts.kernel, None)
-                .map(Some)
-                .map_err(|e| e.to_string())
+            let sweep =
+                CycleTimeAnalysis::run_scenarios_parallel_on(sg, &set, &runner, opts.kernel, None);
+            scenario_outcome(sweep).map_err(|e| e.to_string())?
         }
         Err(e) => Err(e),
     };
-    Ok(render_report(sg, opts, analysis, scenarios))
+    render_report(sg, opts, analysis, scenarios)
+}
+
+/// A scenario sweep's result as [`render_report`] takes it: failures
+/// render inline, except a fired cancel token and an overflowing delay,
+/// which abort the report.
+fn scenario_outcome(
+    sweep: Result<ScenarioAnalysis, AnalysisError>,
+) -> Result<Result<Option<ScenarioAnalysis>, String>, OpError> {
+    match sweep {
+        Ok(sa) => Ok(Ok(Some(sa))),
+        Err(e @ (AnalysisError::Cancelled { .. } | AnalysisError::ScenarioDelay { .. })) => {
+            Err(report_abort(&e).expect("both abort a report"))
+        }
+        Err(e) => Ok(Err(e.to_string())),
+    }
 }
 
 /// The analysis failures that abort a report instead of rendering
-/// inline: a fired cancel token, and a cycle length that overflows.
+/// inline: a fired cancel token, a cycle length that overflows, and an
+/// overflowing scenario delay.
 fn report_abort(err: &AnalysisError) -> Option<OpError> {
     match *err {
         AnalysisError::Cancelled {
@@ -567,7 +583,7 @@ fn report_abort(err: &AnalysisError) -> Option<OpError> {
             done: rows_done as u64,
             total: rows_total as u64,
         }),
-        AnalysisError::NonFiniteCycleLength { .. } => {
+        AnalysisError::NonFiniteCycleLength { .. } | AnalysisError::ScenarioDelay { .. } => {
             Some(OpError::Msg(format!("analysis failed: {err}")))
         }
         _ => None,
@@ -612,32 +628,21 @@ pub fn report_in_with_cancel(
     // everything else renders inline like the nominal block.
     let scenarios = match scenario_set_for(opts, sg.arc_count()) {
         Ok(None) => Ok(None),
-        Ok(Some(set)) => match CycleTimeAnalysis::run_scenarios_in(sg, &set, None, arena, cancel) {
-            Ok(sa) => Ok(Some(sa)),
-            Err(AnalysisError::Cancelled {
-                kind,
-                rows_done,
-                rows_total,
-            }) => {
-                return Err(OpError::Cancelled {
-                    kind,
-                    done: rows_done as u64,
-                    total: rows_total as u64,
-                });
-            }
-            Err(e) => Err(e.to_string()),
-        },
+        Ok(Some(set)) => scenario_outcome(CycleTimeAnalysis::run_scenarios_in(
+            sg, &set, None, arena, cancel,
+        ))?,
         Err(e) => Err(e),
     };
-    Ok(render_report(sg, opts, analysis, scenarios))
+    render_report(sg, opts, analysis, scenarios).map_err(OpError::Msg)
 }
 
+/// Renders a report; fails only when the timing diagram cannot be drawn.
 fn render_report(
     sg: &SignalGraph,
     opts: &AnalyzeOptions,
     analysis: Result<CycleTimeAnalysis, AnalysisError>,
     scenarios: Result<Option<ScenarioAnalysis>, String>,
-) -> String {
+) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -778,14 +783,17 @@ fn render_report(
         }
     }
     if opts.diagram && sg.repetitive_count() > 0 {
-        let sim = TimingSimulation::run(sg, 3);
+        let sim = TimingSimulation::run(sg, 3, None)
+            .map_err(|e| format!("timing diagram failed: {e}"))?;
+        let text =
+            diagram::render(sg, &sim, DiagramOptions::default()).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "timing diagram (3 periods):");
-        out.push_str(&diagram::render(sg, &sim, DiagramOptions::default()));
+        out.push_str(&text);
     }
     if opts.dot {
         out.push_str(&tsg_core::dot::to_dot(sg, "tsg"));
     }
-    out
+    Ok(out)
 }
 
 /// One `tsg sim` input file, one-shot path: fresh state per invocation.
@@ -1113,7 +1121,7 @@ pub fn optimize_session(
 }
 
 /// A serve worker's persistent scratch state: the warm arena and the
-/// event queues every request executes on.
+/// netlist event queue every request executes on.
 ///
 /// After the first request of each shape ("warm-up"), replaying a
 /// request of the same or smaller shape performs no arena or queue
@@ -1122,7 +1130,6 @@ pub fn optimize_session(
 #[derive(Debug, Default)]
 pub struct Workspace {
     arena: AnalysisArena,
-    graph: Option<EventSimScratch>,
     netlist: Option<tsg_circuit::SimQueue>,
     /// Open incremental sessions, keyed `"{conn}/{name}"` — the
     /// dispatcher pins every request naming one session to one worker,
@@ -1155,12 +1162,6 @@ impl Workspace {
     /// cells, scalar time cells, scalar parent cells)`.
     pub fn arena_capacity(&self) -> (usize, usize, usize) {
         self.arena.capacity()
-    }
-
-    /// Capacity of the warm signal-graph simulation queue (`None` until
-    /// a `.g` sim request warmed it).
-    pub fn graph_queue_capacity(&self) -> Option<usize> {
-        self.graph.as_ref().map(EventSimScratch::queue_capacity)
     }
 
     /// Capacity of the warm netlist simulation queue (`None` until a
@@ -1196,7 +1197,7 @@ impl Workspace {
         }
     }
 
-    /// `tsg sim` on the warm queues. Byte-identical to the one-shot
+    /// `tsg sim` (netlists on the warm queue). Byte-identical to the one-shot
     /// [`simulate_file`] on the same source and options.
     ///
     /// Netlist (`.ckt`) simulations are not cancellable: their own
@@ -1244,7 +1245,7 @@ impl Workspace {
                 },
             )
             .map_err(|e| e.to_string())?;
-            self.simulate_graph(&sg, opts, cancel)
+            Self::simulate_graph(&sg, opts, cancel)
         }
     }
 
@@ -1481,25 +1482,25 @@ impl Workspace {
         Ok(out)
     }
 
-    /// Signal-graph event simulation on the warm scratch.
+    /// Signal-graph timing simulation, `cancel` polled once per period.
     fn simulate_graph(
-        &mut self,
         sg: &SignalGraph,
         opts: &SimOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<String, OpError> {
         let periods = opts.periods.unwrap_or(4);
-        let scratch = self.graph.get_or_insert_default();
-        let sim = EventSimulation::run_in_with_cancel(sg, periods, scratch, cancel).map_err(
-            |e| match e {
-                EventSimError::Cancelled(c) => OpError::Cancelled {
-                    kind: c.kind,
-                    done: c.events_done,
-                    total: c.events_done + c.pending as u64,
-                },
-                e => OpError::Msg(format!("simulation failed: {e}")),
+        let sim = TimingSimulation::run(sg, periods, cancel).map_err(|e| match e {
+            SimError::Cancelled {
+                kind,
+                rows_done,
+                rows_total,
+            } => OpError::Cancelled {
+                kind,
+                done: rows_done as u64,
+                total: rows_total as u64,
             },
-        )?;
+            e => OpError::Msg(format!("simulation failed: {e}")),
+        })?;
         let chron = sim.chronological(sg);
         let mut out = String::new();
         let _ = writeln!(

@@ -1,15 +1,16 @@
 //! # tsg-sim — the shared event-simulation kernel
 //!
-//! Every simulator in the workspace — the gate-level transport-delay
-//! netlist simulator in `tsg-circuit`, the kernel-backed Timed Signal
-//! Graph event simulation in `tsg-core`, and the long-run estimator in
-//! `tsg-baselines` — runs on the three primitives in this crate:
+//! The simulators in the workspace build on the three primitives in
+//! this crate:
 //!
 //! * [`EventQueue`] — a monotone pending-event queue with deterministic
 //!   `(time, seq)` tie-breaking and a NaN-rejecting total order. Times
 //!   never go backwards and never go undefined, by construction: invalid
 //!   schedules are rejected at enqueue time, not discovered at pop time.
-//!   Storage is a binary heap.
+//!   Storage is a binary heap. The gate-level transport-delay netlist
+//!   simulator in `tsg-circuit` is the only simulator left that runs on
+//!   it: Timed Signal Graphs are simulated period-synchronously by
+//!   `tsg-core`'s `TimingSimulation`, which needs no queue.
 //! * [`TraceRecorder`] — captures timed signal transitions during (or
 //!   after) a simulation and dumps them as a VCD waveform any standard
 //!   viewer (GTKWave, Surfer) can open.
@@ -19,8 +20,7 @@
 //!
 //! The kernel is deliberately free of Signal-Graph or netlist semantics:
 //! payloads are caller-defined, signals are plain names, scenarios are
-//! plain closures. That is what lets one queue implementation serve every
-//! simulator.
+//! plain closures.
 //!
 //! # Example
 //!
@@ -42,5 +42,5 @@ pub mod trace;
 
 pub use batch::BatchRunner;
 pub use cancel::{CancelKind, CancelToken};
-pub use queue::{Event, EventQueue, QueueCheckpoint, ScheduleError};
+pub use queue::{Event, EventQueue, ScheduleError};
 pub use trace::{TraceId, TraceRecorder};

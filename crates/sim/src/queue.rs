@@ -1,4 +1,4 @@
-//! The monotone pending-event queue at the heart of every simulator.
+//! The monotone pending-event queue of the netlist simulator.
 //!
 //! Two invariants are enforced at *enqueue* time so they can never
 //! surface as mysterious mis-ordering at pop time:
@@ -14,9 +14,9 @@
 //! deterministic across runs, platforms and thread counts.
 //!
 //! Storage is a `std::collections::BinaryHeap`: `O(log n)` push and pop
-//! for any time distribution. The simulators keep at most a few thousand
-//! events pending, where a heap beats bucketed (calendar) storage;
-//! `benches/kernel.rs` tracks its push/pop and hold throughput.
+//! for any time distribution. The netlist simulator keeps at most a few
+//! thousand events pending, where a heap beats bucketed (calendar)
+//! storage; `benches/kernel.rs` tracks its push/pop and hold throughput.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -221,11 +221,6 @@ impl<T> EventQueue<T> {
         Some(Event { time, seq, payload })
     }
 
-    /// The time of the earliest pending event without popping it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Drops all pending events and resets the clock to `0.0`, keeping
     /// the heap's allocation — restarting a simulator over the same
     /// queue costs no reallocation.
@@ -243,103 +238,6 @@ impl<T> EventQueue<T> {
     /// Pending events the queue can hold without reallocating.
     pub fn capacity(&self) -> usize {
         self.heap.capacity()
-    }
-}
-
-/// A point-in-time snapshot of an [`EventQueue`]: its clock, sequence
-/// counter and pending entries.
-///
-/// Entries are held in push order (ascending `seq`), so a restore
-/// replays the original enqueue schedule exactly — into the same queue
-/// or any other.
-#[derive(Clone, Debug)]
-pub struct QueueCheckpoint<T> {
-    now: f64,
-    seq: u64,
-    /// Pending entries, ascending by `seq` (push order).
-    entries: Vec<Event<T>>,
-}
-
-impl<T> QueueCheckpoint<T> {
-    /// The simulation time at which the checkpoint was taken.
-    pub fn time(&self) -> f64 {
-        self.now
-    }
-
-    /// Number of pending events captured.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the checkpoint captured no pending events.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The captured entries, ascending by enqueue sequence number.
-    pub fn entries(&self) -> &[Event<T>] {
-        &self.entries
-    }
-}
-
-impl<T: Clone> EventQueue<T> {
-    /// Snapshots the queue — clock, sequence counter, pending set — into
-    /// a [`QueueCheckpoint`].
-    pub fn checkpoint(&self) -> QueueCheckpoint<T> {
-        let mut entries: Vec<Event<T>> = self
-            .heap
-            .iter()
-            .map(|e| Event {
-                time: e.time,
-                seq: e.seq,
-                payload: e.payload.clone(),
-            })
-            .collect();
-        // Canonical push order: the heap yields entries unordered.
-        entries.sort_by_key(|e| e.seq);
-        QueueCheckpoint {
-            now: self.now,
-            seq: self.seq,
-            entries,
-        }
-    }
-
-    /// Restores the queue to the checkpointed state, keeping the heap's
-    /// allocation. The pop stream after a restore is bit-identical to
-    /// the stream the checkpointed queue would have produced.
-    pub fn restore(&mut self, cp: &QueueCheckpoint<T>) {
-        self.refill(cp, f64::NEG_INFINITY);
-        self.now = cp.now;
-    }
-
-    /// Replay-from-time restore: rewinds (or fast-forwards) the clock to
-    /// `from` and re-enqueues only the checkpointed events scheduled at
-    /// or after `from` — events in the dropped region are the caller's
-    /// to re-schedule (a dirty-region restart re-injects its own).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is NaN or infinite.
-    pub fn restore_from(&mut self, cp: &QueueCheckpoint<T>, from: f64) {
-        assert!(
-            from.is_finite(),
-            "EventQueue::restore_from: time must be finite, got {from}"
-        );
-        self.refill(cp, from);
-        self.now = from;
-    }
-
-    /// Replaces the pending set with `cp`'s entries at or after `from`
-    /// and restores its sequence counter.
-    fn refill(&mut self, cp: &QueueCheckpoint<T>, from: f64) {
-        self.heap.clear();
-        self.heap
-            .extend(cp.entries.iter().filter(|e| e.time >= from).map(|e| Entry {
-                time: e.time,
-                seq: e.seq,
-                payload: e.payload.clone(),
-            }));
-        self.seq = cp.seq;
     }
 }
 
@@ -447,89 +345,5 @@ mod tests {
         assert!(q.is_empty());
         q.reserve(1024);
         assert!(q.capacity() >= 1024);
-    }
-
-    #[test]
-    fn checkpoint_restore_round_trips() {
-        let times = [4.0, 0.5, 2.25, 2.25, 9.0, 0.5, 7.5, 3.0];
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, i);
-        }
-        // Pop a prefix, checkpoint mid-drain, drain, restore, drain again:
-        // the two post-checkpoint streams must be identical.
-        for _ in 0..3 {
-            q.pop();
-        }
-        let cp = q.checkpoint();
-        assert_eq!(cp.len(), 5);
-        let seqs: Vec<u64> = cp.entries().iter().map(|e| e.seq).collect();
-        assert!(seqs.is_sorted(), "entries are in push order: {seqs:?}");
-        let first: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        q.restore(&cp);
-        assert_eq!(q.now(), cp.time());
-        let second: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(first, second);
-        // Restoring into a different queue pops the same stream.
-        let mut other = EventQueue::with_capacity(64);
-        other.schedule(100.0, 99);
-        other.restore(&cp);
-        let third: Vec<_> = std::iter::from_fn(|| other.pop()).collect();
-        assert_eq!(first, third);
-    }
-
-    #[test]
-    fn restored_queue_continues_the_sequence_counter() {
-        let mut q = EventQueue::new();
-        q.schedule(1.0, 'a');
-        q.schedule(1.0, 'b');
-        let cp = q.checkpoint();
-        let mut fresh: EventQueue<char> = EventQueue::new();
-        fresh.restore(&cp);
-        // A post-restore schedule at the tied time sorts after both
-        // checkpointed events: the counter was restored, not reset.
-        fresh.schedule(1.0, 'c');
-        let order: Vec<char> = std::iter::from_fn(|| fresh.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, ['a', 'b', 'c']);
-    }
-
-    #[test]
-    fn restore_from_drops_the_dirty_region_and_rewinds_the_clock() {
-        let mut q = EventQueue::new();
-        for (i, t) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
-            q.schedule(t, i);
-        }
-        let cp = q.checkpoint();
-        // Fast-forward: events before 2.5 are dropped, clock sits at 2.5.
-        q.restore_from(&cp, 2.5);
-        assert_eq!(q.now(), 2.5);
-        assert!(q.try_schedule(2.0, 9).is_err(), "past is closed");
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, [2, 3]);
-        // Rewind below the checkpoint clock: everything is retained and
-        // the earlier clock re-opens scheduling room.
-        q.restore_from(&cp, 0.0);
-        assert_eq!(q.now(), 0.0);
-        assert_eq!(q.len(), 4);
-        q.schedule(0.5, 8);
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, [8, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be finite")]
-    fn restore_from_rejects_nan() {
-        let q: EventQueue<()> = EventQueue::new();
-        let cp = q.checkpoint();
-        EventQueue::new().restore_from(&cp, f64::NAN);
-    }
-
-    #[test]
-    fn empty_checkpoint_is_empty() {
-        let q: EventQueue<u8> = EventQueue::new();
-        let cp = q.checkpoint();
-        assert!(cp.is_empty());
-        assert_eq!(cp.entries().len(), 0);
-        assert_eq!(cp.time(), 0.0);
     }
 }

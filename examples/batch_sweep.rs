@@ -1,4 +1,4 @@
-//! Parallel scenario sweeps on the shared simulation kernel: score a
+//! Parallel scenario sweeps on the kernel's batch runner: score a
 //! whole family of candidate designs — here, rings with different token
 //! budgets and a seed study of random live graphs — by fanning the
 //! independent simulations out across threads with `BatchRunner`, then
@@ -9,7 +9,7 @@
 //! ```
 
 use tsg::baselines;
-use tsg::core::analysis::event_sim::EventSimulation;
+use tsg::core::analysis::sim::TimingSimulation;
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::core::SignalGraph;
 use tsg::gen::{random_live_tsg, ring, RandomTsgConfig};
@@ -54,13 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenarios.len()
     );
 
-    // 3. Waveform of the slowest random scenario, via the kernel recorder.
+    // 3. Waveform of the slowest random scenario, via the trace recorder.
     let (worst, _) = exact
         .iter()
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(b.1))
         .expect("non-empty");
-    let sim = EventSimulation::run(&scenarios[worst], 4)?;
+    let sim = TimingSimulation::run(&scenarios[worst], 4, None)?;
     let mut recorder = TraceRecorder::new("worst_case");
     sim.record_trace(&scenarios[worst], &mut recorder);
     let path = std::env::temp_dir().join("tsg-batch-sweep.vcd");

@@ -40,9 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Timing simulation (Example 3) and the Figure 1c diagram.
-    let sim = TimingSimulation::run(&sg, 3);
+    let sim = TimingSimulation::run(&sg, 3, None)?;
     println!("\ntiming diagram (Figure 1c):");
-    print!("{}", diagram::render(&sg, &sim, DiagramOptions::default()));
+    print!("{}", diagram::render(&sg, &sim, DiagramOptions::default())?);
 
     // 5. The a+-initiated simulation (Figure 1d): δ = 10 immediately.
     let ap = sg.event_by_label("a+").expect("a+ exists");
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\na+-initiated diagram (Figure 1d):");
     print!(
         "{}",
-        diagram::render_initiated(&sg, &initiated, DiagramOptions::default())
+        diagram::render_initiated(&sg, &initiated, DiagramOptions::default())?
     );
     for (i, t, d) in initiated.distance_series() {
         println!("δ_a+0(a+_{i}) = {t}/{i} = {d}");

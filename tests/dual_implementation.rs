@@ -70,7 +70,7 @@ proptest! {
     fn full_simulation_agrees_with_unfolding(seed in 0u64..10_000) {
         let sg = random_live_tsg(seed, cfg());
         let periods = 4;
-        let sim = TimingSimulation::run(&sg, periods);
+        let sim = TimingSimulation::run(&sg, periods, None).unwrap();
         let unfolding = Unfolding::build(&sg, periods);
         let times = unfolding_times(&sg, &unfolding);
         for id in unfolding.instance_ids() {
@@ -120,7 +120,7 @@ proptest! {
     fn precedence_implies_time_order(seed in 0u64..2_000) {
         let sg = random_live_tsg(seed, cfg());
         let periods = 3;
-        let sim = TimingSimulation::run(&sg, periods);
+        let sim = TimingSimulation::run(&sg, periods, None).unwrap();
         let unfolding = Unfolding::build(&sg, periods);
         let ids: Vec<_> = unfolding.instance_ids().collect();
         for &a in ids.iter().take(12) {

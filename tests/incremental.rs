@@ -10,7 +10,6 @@
 //! event simulation resumes bit-identically on a separate scratch.
 
 use proptest::prelude::*;
-use tsg::core::analysis::event_sim::{EventSimScratch, EventSimulation};
 use tsg::core::analysis::session::{AnalysisSession, DelayEdit, EditError, GraphEdit};
 use tsg::core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg::core::{ArcId, EventId, SignalGraph};
@@ -177,7 +176,7 @@ fn assert_scenario_lanes_match_scratch(session: &AnalysisSession, ctx: &str) {
     let sa = session.scenario_analysis().expect("scenarios enabled");
     assert_eq!(sa.len(), set.len(), "{ctx}: scenario lane count");
     for j in 0..set.len() {
-        let scalar = CycleTimeAnalysis::run_scalar(&set.reweighted(session.graph(), j))
+        let scalar = CycleTimeAnalysis::run_scalar(&set.reweighted(session.graph(), j).unwrap())
             .expect("reweighting keeps the graph live");
         assert_analyses_identical(
             &scalar,
@@ -362,41 +361,6 @@ proptest! {
                 assert_scenario_lanes_match_scratch(
                     &session,
                     &format!("family {family} seed {seed} pick {pick} step {step} [{}]", backend.name()),
-                );
-            }
-        }
-    }
-
-    /// The kernel checkpoint underneath: an event simulation paused at
-    /// a random time resumes to the uninterrupted result — on a scratch
-    /// other than the pausing one, and on graphs whose delays a session
-    /// has already edited.
-    #[test]
-    fn paused_event_simulation_resumes_bit_identically(
-        family in 0usize..4,
-        seed in 0u64..10_000,
-        edits in 0usize..6,
-        periods in 1u32..5,
-        pause_quarter in 0u32..160,
-    ) {
-        let pause_at = f64::from(pause_quarter) * 0.25;
-        let mut session = AnalysisSession::open(graph(family, seed)).expect("live");
-        for e in script(session.graph(), seed, edits) {
-            session.edit_delay(e.arc, e.delay).unwrap();
-        }
-        let sg = session.graph();
-        let straight = EventSimulation::run(sg, periods).unwrap();
-        let mut pause_scratch = EventSimScratch::new();
-        let mut resume_scratch = EventSimScratch::new();
-        let paused =
-            EventSimulation::run_until(sg, periods, &mut pause_scratch, pause_at).unwrap();
-        let resumed = paused.resume(sg, &mut resume_scratch).unwrap();
-        for e in sg.events() {
-            for p in 0..periods {
-                prop_assert_eq!(
-                    straight.time(e, p).map(f64::to_bits),
-                    resumed.time(e, p).map(f64::to_bits),
-                    "{}_{}", sg.label(e), p
                 );
             }
         }

@@ -1,24 +1,23 @@
-//! The tsg-sim kernel, end to end: deterministic replay, parallel batch
-//! execution, and cross-validation of the kernel-backed simulators
+//! The simulators end to end: deterministic netlist replay, parallel
+//! batch execution, and cross-validation of the timing simulation
 //! against the paper's exact cycle-time analysis on every generator
 //! family.
 
 use tsg::baselines;
 use tsg::circuit::{library, EventDrivenSim};
-use tsg::core::analysis::event_sim::EventSimulation;
 use tsg::core::analysis::sim::TimingSimulation;
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::core::SignalGraph;
-use tsg::gen::{handshake_pipeline, random_live_tsg, ring, torus, PipelineConfig, RandomTsgConfig};
+use tsg::gen::{random_live_tsg, ring, torus, RandomTsgConfig};
 use tsg::sim::{BatchRunner, EventQueue, TraceRecorder};
 
 /// Steady-state occurrence distance of a border event over the last
-/// `span` periods of a kernel-backed TSG simulation. When `span` is a
+/// `span` periods of a TSG timing simulation. When `span` is a
 /// multiple of the critical cycle's period count ε, this equals τ
 /// exactly once the transient has died out (Proposition 2).
 fn observed_period(sg: &SignalGraph, periods: u32, span: u32) -> f64 {
     let probe = sg.border_events()[0];
-    let sim = EventSimulation::run(sg, periods).unwrap();
+    let sim = TimingSimulation::run(sg, periods, None).unwrap();
     let t_start = sim
         .time(probe, periods - 1 - span)
         .expect("start occurrence");
@@ -41,37 +40,7 @@ fn netlist_replay_is_deterministic() {
     }
 }
 
-/// The kernel TSG simulation reproduces the period-synchronous reference
-/// exactly, occurrence by occurrence, on every generator family.
-#[test]
-fn event_simulation_equals_synchronous_reference() {
-    let graphs: Vec<SignalGraph> = vec![
-        ring(24, 3, 2.0),
-        torus(4, 5, 10.0, 1.0),
-        handshake_pipeline(6, PipelineConfig::default()),
-        tsg::gen::stack66(),
-        random_live_tsg(11, RandomTsgConfig::default()),
-        random_live_tsg(
-            12,
-            RandomTsgConfig {
-                with_prefix: true,
-                ..RandomTsgConfig::default()
-            },
-        ),
-    ];
-    for sg in &graphs {
-        let periods = 6;
-        let sync = TimingSimulation::run(sg, periods);
-        let event = EventSimulation::run(sg, periods).unwrap();
-        for e in sg.events() {
-            for p in 0..periods {
-                assert_eq!(sync.time(e, p), event.time(e, p));
-            }
-        }
-    }
-}
-
-/// Kernel-backed simulation agrees with the exact analysis: on rings and
+/// Timing simulation agrees with the exact analysis: on rings and
 /// tori the steady state is reached and the observed period equals τ to
 /// floating-point accuracy; random live graphs converge within the
 /// asymptotic tolerance of Section IV.C.
@@ -117,7 +86,7 @@ fn batch_results_identical_across_thread_counts() {
     let reference: Vec<Vec<(u32, f64)>> = scenarios
         .iter()
         .map(|sg| {
-            let sim = EventSimulation::run(sg, 8).unwrap();
+            let sim = TimingSimulation::run(sg, 8, None).unwrap();
             sim.chronological(sg)
                 .into_iter()
                 .map(|(e, i, t)| (e.index() as u32 * 100 + i, t))
@@ -126,7 +95,7 @@ fn batch_results_identical_across_thread_counts() {
         .collect();
     for threads in [1, 2, 4, 8] {
         let got = BatchRunner::with_threads(threads).run(&scenarios, |sg| {
-            let sim = EventSimulation::run(sg, 8).unwrap();
+            let sim = TimingSimulation::run(sg, 8, None).unwrap();
             sim.chronological(sg)
                 .into_iter()
                 .map(|(e, i, t)| (e.index() as u32 * 100 + i, t))
@@ -193,7 +162,7 @@ fn queue_rejects_nan_and_regression() {
 #[test]
 fn tsg_trace_uses_signal_wires() {
     let sg = library::c_element_oscillator_tsg();
-    let sim = EventSimulation::run(&sg, 2).unwrap();
+    let sim = TimingSimulation::run(&sg, 2, None).unwrap();
     let mut recorder = TraceRecorder::new("osc");
     sim.record_trace(&sg, &mut recorder);
     // Signals a, b, c, e, f — not one wire per event.

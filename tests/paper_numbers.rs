@@ -13,7 +13,7 @@ use tsg::extract::{explore, extract, ExtractOptions};
 #[test]
 fn example3_full_table() {
     let sg = library::c_element_oscillator_tsg();
-    let sim = TimingSimulation::run(&sg, 2);
+    let sim = TimingSimulation::run(&sg, 2, None).unwrap();
     let expect = [
         ("e-", 0, 0.0),
         ("f-", 0, 3.0),
@@ -37,7 +37,7 @@ fn example3_full_table() {
 #[test]
 fn section2_average_sequence() {
     let sg = library::c_element_oscillator_tsg();
-    let sim = TimingSimulation::run(&sg, 6);
+    let sim = TimingSimulation::run(&sg, 6, None).unwrap();
     let ap = sg.event_by_label("a+").unwrap();
     let seq: Vec<f64> = (0..6)
         .map(|i| sim.average_distance(ap, i).unwrap())

@@ -265,7 +265,7 @@ proptest! {
             let swept = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut arena, None)
                 .expect("rings stay live");
             for j in 0..set.len() {
-                let scalar = CycleTimeAnalysis::run_scalar(&set.reweighted(&sg, j))
+                let scalar = CycleTimeAnalysis::run_scalar(&set.reweighted(&sg, j).unwrap())
                     .expect("reweighting keeps the ring live");
                 assert_analyses_identical(
                     &scalar,
