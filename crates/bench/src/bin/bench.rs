@@ -20,7 +20,10 @@
 //! (`edit_loop`), and the structural-edit loop (`structural_edit`):
 //! mixed split/nudge scripts replayed as from-scratch re-analyses vs
 //! one session resuming through `edit_structure`, and `.g` loading
-//! (`load`: `parse_stg` at 1024 and 4096 events) — and writes the
+//! (`load`: `parse_stg` at 1024 and 4096 events), and the one-shot
+//! two-row window against a session's full lane matrix at the
+//! 1024-event, b = 37 shape (`oneshot_window`: `run_in` time and wide
+//! bytes beside `AnalysisSession::open`) — and writes the
 //! numbers to
 //! `BENCH_kernel.json` (see the README's "Performance" section for how
 //! to read it). CI runs `bench --quick` on every PR, so the perf
@@ -38,13 +41,14 @@ use std::time::Instant;
 
 use tsg_baselines::{longrun_estimate_mc, longrun_estimate_mc_lanes};
 use tsg_bench::{
-    apply_graph_edits, assert_backends_match, assert_scenarios_match_scalar,
-    assert_wide_matches_scalar, available_backends, edit_loop_graph, edit_script, hold, push_pop,
-    ring_with_chords_text, structural_edit_script, wide_scenarios, EDIT_LOOP_WORKLOAD,
+    apply_graph_edits, assert_analyses_identical, assert_backends_match,
+    assert_scenarios_match_scalar, assert_wide_matches_scalar, available_backends, edit_loop_graph,
+    edit_script, hold, push_pop, ring_with_chords_text, structural_edit_script, wide_scenarios,
+    EDIT_LOOP_WORKLOAD,
 };
 use tsg_core::analysis::initiated::SimArena;
 use tsg_core::analysis::session::AnalysisSession;
-use tsg_core::analysis::wide::AnalysisArena;
+use tsg_core::analysis::wide::{AnalysisArena, WideArena};
 use tsg_core::analysis::{Corner, CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::SignalGraph;
 use tsg_sim::{BatchRunner, EventQueue};
@@ -481,6 +485,74 @@ fn measure_analysis(
     (seq_best, rows)
 }
 
+struct WindowRow {
+    events: usize,
+    b: usize,
+    /// Per-call seconds of a one-shot `run_in` on a warm arena, sorted
+    /// ascending.
+    oneshot_samples: Vec<f64>,
+    /// Bytes of the one-shot arena's wide rows (the two-row window).
+    oneshot_wide_bytes: usize,
+    /// Per-call seconds of `AnalysisSession::open`, sorted ascending.
+    session_samples: Vec<f64>,
+    /// Bytes of the full lane matrix a session keeps.
+    full_matrix_bytes: usize,
+}
+
+/// The one-shot window against the full matrix at the `analyze-large`
+/// shape: a 1024-event ring with 8 tokens and 64 chords, drawn until
+/// it has exactly 37 border events. `run_in` keeps two rows of the
+/// lane matrix; a session open computes the same rows but keeps all
+/// `b + 1`, because its edits resume from them. Both are asserted to
+/// give the same analysis before timing.
+fn measure_oneshot_window(reps: usize) -> WindowRow {
+    const EVENTS: usize = 1024;
+    const BORDERS: usize = 37;
+    let config = tsg_gen::RandomTsgConfig {
+        events: EVENTS,
+        tokens: 8,
+        chords: 64,
+        max_delay: 9,
+        with_prefix: false,
+    };
+    let sg = (0u64..)
+        .map(|seed| tsg_gen::random_live_tsg(seed, config))
+        .find(|sg| sg.border_events().len() == BORDERS)
+        .expect("some seed draws b = 37");
+    let border = sg.border_events();
+
+    let mut arena = AnalysisArena::new();
+    let oneshot = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
+    let session = AnalysisSession::open(sg.clone()).expect("live");
+    assert_analyses_identical(session.analysis(), &oneshot, "oneshot_window");
+    let mut full = WideArena::new();
+    full.run(&sg, &border, BORDERS as u32)
+        .expect("borders are repetitive");
+    let cell = std::mem::size_of::<f64>();
+
+    let oneshot_samples = samples_per_call(reps, || {
+        CycleTimeAnalysis::run_in(&sg, None, &mut arena)
+            .expect("live")
+            .records()
+            .len()
+    });
+    let session_samples = samples_per_call(reps, || {
+        AnalysisSession::open(sg.clone())
+            .expect("live")
+            .analysis()
+            .records()
+            .len()
+    });
+    WindowRow {
+        events: EVENTS,
+        b: BORDERS,
+        oneshot_samples,
+        oneshot_wide_bytes: arena.capacity().0 * cell,
+        session_samples,
+        full_matrix_bytes: full.capacity() * cell,
+    }
+}
+
 struct EditLoopRow {
     edits: usize,
     full_seconds: f64,
@@ -637,6 +709,7 @@ fn json_report(
     longrun_rows: &[LongrunRow],
     corner_rows: &[CornerRow],
     load_rows: &[LoadRow],
+    window: &WindowRow,
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -798,6 +871,35 @@ fn json_report(
     }
     let _ = writeln!(out, "    ]");
     let _ = writeln!(out, "  }},");
+    let median = |s: &[f64]| s[s.len() / 2];
+    let _ = writeln!(out, "  \"oneshot_window\": {{");
+    let _ = writeln!(
+        out,
+        "    \"workload\": \"random_live_tsg, {} events, b = {}\",",
+        window.events, window.b
+    );
+    let _ = writeln!(out, "    \"bit_identical\": true,");
+    let _ = writeln!(
+        out,
+        "    \"run_in_median_seconds\": {:.9},",
+        median(&window.oneshot_samples)
+    );
+    let _ = writeln!(
+        out,
+        "    \"run_in_wide_bytes\": {},",
+        window.oneshot_wide_bytes
+    );
+    let _ = writeln!(
+        out,
+        "    \"session_open_median_seconds\": {:.9},",
+        median(&window.session_samples)
+    );
+    let _ = writeln!(
+        out,
+        "    \"session_wide_bytes\": {}",
+        window.full_matrix_bytes
+    );
+    let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"analysis\": {{");
     let _ = writeln!(out, "    \"graphs\": {graphs},");
     let _ = writeln!(out, "    \"sequential_seconds\": {seq_seconds:.9},");
@@ -955,6 +1057,18 @@ fn main() {
         );
     }
 
+    eprintln!("measuring the one-shot window against a session's full matrix...");
+    let window_row = measure_oneshot_window(reps.max(5));
+    eprintln!(
+        "  {} events, b={}: run_in {:.3} ms in {:.2} MB of rows; session open {:.3} ms, {:.2} MB",
+        window_row.events,
+        window_row.b,
+        window_row.oneshot_samples[window_row.oneshot_samples.len() / 2] * 1e3,
+        window_row.oneshot_wide_bytes as f64 / 1e6,
+        window_row.session_samples[window_row.session_samples.len() / 2] * 1e3,
+        window_row.full_matrix_bytes as f64 / 1e6
+    );
+
     let graphs: Vec<SignalGraph> = (0..graph_count as u64)
         .map(|seed| tsg_gen::random_live_tsg(seed, tsg_gen::RandomTsgConfig::default()))
         .collect();
@@ -991,6 +1105,7 @@ fn main() {
         &longrun_rows,
         &corner_rows,
         &load_rows,
+        &window_row,
     );
     if let Err(e) = std::fs::write(&out_path, &report) {
         eprintln!("writing {out_path}: {e}");

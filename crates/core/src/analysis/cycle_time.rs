@@ -34,7 +34,7 @@ use crate::analysis::initiated::SimArena;
 use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
 use crate::analysis::session::{AnalysisSession, CycleTimeDelta, DelayEdit, EditError};
 use crate::analysis::structure::CyclicStructure;
-use crate::analysis::wide::{AnalysisArena, Cancelled, Halt, KernelBackend, WideArena};
+use crate::analysis::wide::{AnalysisArena, Cancelled, Halt, KernelBackend, Rows, WideArena};
 use crate::analysis::CycleTime;
 use crate::arc::ArcId;
 use crate::event::EventId;
@@ -77,6 +77,14 @@ pub enum AnalysisError {
         /// Periods the overflowing cycle spans.
         periods: u32,
     },
+    /// No border event recurs within the simulated periods, so no
+    /// average occurrence distance is defined: a caller-supplied
+    /// `periods` is below the occurrence period of every cycle through
+    /// a border event.
+    TooFewPeriods {
+        /// The periods each border simulation ran.
+        periods: u32,
+    },
     /// A delay scenario scales an arc's delay past the largest finite
     /// `f64` (a nominal delay near `f64::MAX` under a factor above 1).
     ScenarioDelay {
@@ -116,6 +124,13 @@ impl fmt::Display for AnalysisError {
                     f,
                     "the critical cycle through {event} over {periods} period(s) \
                      has a non-finite total delay (delays too large)"
+                )
+            }
+            AnalysisError::TooFewPeriods { periods } => {
+                write!(
+                    f,
+                    "no border event recurs within {periods} period(s): \
+                     simulate more periods"
                 )
             }
             AnalysisError::ScenarioDelay { scenario, src, dst } => {
@@ -268,7 +283,8 @@ impl CycleTimeAnalysis {
     /// # Errors
     ///
     /// Returns [`AnalysisError::NoCyclicBehavior`] when `sg` has no
-    /// repetitive events.
+    /// repetitive events, and [`AnalysisError::TooFewPeriods`] when no
+    /// border event recurs within `periods`.
     pub fn run_with_periods(sg: &SignalGraph, periods: Option<u32>) -> Result<Self, AnalysisError> {
         Self::run_in(sg, periods, &mut AnalysisArena::new())
     }
@@ -287,9 +303,12 @@ impl CycleTimeAnalysis {
         Self::run_in(sg, None, &mut AnalysisArena::with_kernel(kernel))
     }
 
-    /// Allocation-reusing core: runs the algorithm with the lane-major
-    /// wide matrix of all `b` lockstep simulations — and the scalar
-    /// arena of the parent-tracked winner re-run — living in `arena`.
+    /// Allocation-reusing core: runs the algorithm with the `b`
+    /// lockstep simulations — a two-row lane-major window plus each
+    /// lane's origin cell per row, all the records read — and the
+    /// scalar arena of the parent-tracked winner re-run living in
+    /// `arena`. The full matrix is never materialised: nothing resumes
+    /// a one-shot run (sessions, which do, keep it).
     ///
     /// Repeated analyses over one arena — a design-space inner loop, a
     /// worker thread of [`CycleTimeAnalysis::analyze_batch`], a serve
@@ -299,7 +318,8 @@ impl CycleTimeAnalysis {
     /// # Errors
     ///
     /// Returns [`AnalysisError::NoCyclicBehavior`] when `sg` has no
-    /// repetitive events.
+    /// repetitive events, and [`AnalysisError::TooFewPeriods`] when no
+    /// border event recurs within a caller-supplied `periods`.
     pub fn run_in(
         sg: &SignalGraph,
         periods: Option<u32>,
@@ -313,7 +333,7 @@ impl CycleTimeAnalysis {
     /// explicit cancel aborts a long analysis within one row of work and
     /// returns [`AnalysisError::Cancelled`] with the progress made. The
     /// arena stays valid for reuse — the next run overwrites the
-    /// partially written matrix from row 0.
+    /// partially written window and strip from row 0.
     ///
     /// (The O(b·m) parent-tracked winner re-run in the finish step is
     /// not polled: it is one simulation against the main phase's `b`.)
@@ -342,7 +362,7 @@ impl CycleTimeAnalysis {
             structure,
         } = arena;
         structure.rebuild(sg);
-        if let Err(halt) = wide.run_with(sg, structure, &border, b, cancel) {
+        if let Err(halt) = wide.run_with(sg, structure, &border, b, Rows::Window, cancel) {
             return Err(halt_to_error(halt));
         }
         let records = (0..border.len())
@@ -352,7 +372,7 @@ impl CycleTimeAnalysis {
             })
             .collect();
 
-        Self::finish(sg, structure, border, records, finish)
+        Self::finish(sg, structure, border, records, b, finish)
     }
 
     /// The scalar reference engine: the pre-wide one-simulation-at-a-time
@@ -398,7 +418,7 @@ impl CycleTimeAnalysis {
             });
         }
 
-        Self::finish(sg, &structure, border, records, arena)
+        Self::finish(sg, &structure, border, records, b, arena)
     }
 
     /// Runs the algorithm with the `b` border simulations chunked into
@@ -469,7 +489,7 @@ impl CycleTimeAnalysis {
             &chunks,
             || WideArena::with_kernel(kernel),
             |wide, lanes| {
-                wide.run_with(sg, &structure, lanes, b, cancel)?;
+                wide.run_with(sg, &structure, lanes, b, Rows::Window, cancel)?;
                 Ok(lanes
                     .iter()
                     .enumerate()
@@ -482,7 +502,7 @@ impl CycleTimeAnalysis {
         );
         let records = merge_chunk_records(chunk_records, border.len())?;
 
-        Self::finish(sg, &structure, border, records, &mut SimArena::new())
+        Self::finish(sg, &structure, border, records, b, &mut SimArena::new())
     }
 
     /// Runs the algorithm under every delay scenario of `set` in one
@@ -516,7 +536,9 @@ impl CycleTimeAnalysis {
     /// # Errors
     ///
     /// As [`run_scenarios`](Self::run_scenarios), plus
-    /// [`AnalysisError::Cancelled`] when `cancel` fires first.
+    /// [`AnalysisError::Cancelled`] when `cancel` fires first and
+    /// [`AnalysisError::TooFewPeriods`] when no border event recurs
+    /// within a caller-supplied `periods`.
     pub fn run_scenarios_in(
         sg: &SignalGraph,
         set: &ScenarioSet,
@@ -565,6 +587,7 @@ impl CycleTimeAnalysis {
                 sc,
                 |arc, jj| sg.arc(arc).delay().get() * set.factor(j0 + jj, arc),
                 b,
+                Rows::Window,
                 cancel,
             ) {
                 return Err(halt_to_error(halt));
@@ -599,6 +622,7 @@ impl CycleTimeAnalysis {
                 structure,
                 border.clone(),
                 records,
+                b,
                 finish,
             )?);
         }
@@ -647,6 +671,7 @@ impl CycleTimeAnalysis {
                     ids.len(),
                     |arc, jj| sg.arc(arc).delay().get() * set.factor(ids[jj], arc),
                     b,
+                    Rows::Window,
                     cancel,
                 )?;
                 Ok((0..ids.len())
@@ -695,6 +720,7 @@ impl CycleTimeAnalysis {
                 &fin_structure,
                 border.clone(),
                 records,
+                b,
                 &mut finish,
             )?);
         }
@@ -753,13 +779,19 @@ impl CycleTimeAnalysis {
     }
 
     /// Steps 4–5 of the algorithm, shared by every entry point: pick the
-    /// winning record, re-run it with parent tracking in `arena`, and
-    /// backtrack the critical cycle.
+    /// winning record of the `periods`-period simulations, re-run it
+    /// with parent tracking in `arena`, and backtrack the critical
+    /// cycle.
+    ///
+    /// Fails with [`AnalysisError::TooFewPeriods`] when no record holds
+    /// a defined distance: no border event recurs within `periods`
+    /// periods (only a caller-supplied `periods` below `b` can do that).
     pub(crate) fn finish(
         sg: &SignalGraph,
         structure: &CyclicStructure,
         border: Vec<EventId>,
         records: Vec<BorderRecord>,
+        periods: u32,
         arena: &mut SimArena,
     ) -> Result<Self, AnalysisError> {
         // Step 4: the largest average occurrence distance is the cycle time.
@@ -772,8 +804,9 @@ impl CycleTimeAnalysis {
                 }
             }
         }
-        let (length, periods_spanned) =
-            best.expect("every border event lies on a cycle with period <= b");
+        let Some((length, periods_spanned)) = best else {
+            return Err(AnalysisError::TooFewPeriods { periods });
+        };
         if !length.is_finite() {
             return Err(AnalysisError::NonFiniteCycleLength {
                 event: sg.label(border[best_idx]).to_string(),
@@ -1194,6 +1227,49 @@ mod tests {
         let out = CycleTimeAnalysis::analyze_batch(&graphs, &BatchRunner::with_threads(2));
         assert!(out[0].is_ok());
         assert_eq!(out[1].clone().unwrap_err(), AnalysisError::NoCyclicBehavior);
+    }
+
+    #[test]
+    fn too_few_periods_is_an_error_not_a_panic() {
+        // Both arcs of a two-event ring are marked, so an event recurs
+        // only after two periods: one simulated period defines no
+        // distance at all.
+        use crate::analysis::scenario::Corner;
+        let mut b = SignalGraph::builder();
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        b.marked_arc(xp, xm, 3.0);
+        b.marked_arc(xm, xp, 2.0);
+        let sg = b.build().unwrap();
+        let want = AnalysisError::TooFewPeriods { periods: 1 };
+        assert_eq!(
+            CycleTimeAnalysis::run_with_periods(&sg, Some(1)).unwrap_err(),
+            want
+        );
+        assert_eq!(
+            CycleTimeAnalysis::run_in(&sg, Some(1), &mut AnalysisArena::new()).unwrap_err(),
+            want
+        );
+        assert_eq!(
+            CycleTimeAnalysis::run_scalar_in(&sg, Some(1), &mut SimArena::new()).unwrap_err(),
+            want
+        );
+        let set = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Max], sg.arc_count()).unwrap();
+        assert_eq!(
+            CycleTimeAnalysis::run_scenarios_in(
+                &sg,
+                &set,
+                Some(1),
+                &mut AnalysisArena::new(),
+                None
+            )
+            .unwrap_err(),
+            want
+        );
+        assert!(want.to_string().contains("1 period(s)"), "{want}");
+        // Two periods reach the ring's 2-token cycle: τ = 5/2.
+        let a = CycleTimeAnalysis::run_with_periods(&sg, Some(2)).unwrap();
+        assert_eq!(a.cycle_time().as_f64(), 2.5);
     }
 
     #[test]

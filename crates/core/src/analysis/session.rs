@@ -89,7 +89,7 @@ use crate::analysis::cycle_time::{halt_to_error, AnalysisError, BorderRecord, Cy
 use crate::analysis::initiated::SimArena;
 use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
 use crate::analysis::structure::CyclicStructure;
-use crate::analysis::wide::{Halt, KernelBackend, WideArena};
+use crate::analysis::wide::{Halt, KernelBackend, Rows, WideArena};
 use crate::analysis::CycleTime;
 use crate::arc::ArcId;
 use crate::event::EventId;
@@ -393,7 +393,7 @@ impl AnalysisSession {
         }
 
         let mut wide = WideArena::with_kernel(kernel);
-        if let Err(halt) = wide.run_with(&sg, &structure, &border, b, cancel) {
+        if let Err(halt) = wide.run_with(&sg, &structure, &border, b, Rows::All, cancel) {
             // `NotRepetitive` cannot fire (border events are repetitive
             // by construction) and `Degenerate` cannot either (border
             // verified non-empty, b >= 1), but the mapping is total so
@@ -412,6 +412,7 @@ impl AnalysisSession {
             &structure,
             border.clone(),
             records.clone(),
+            b,
             &mut finish_arena,
         )?;
 
@@ -803,10 +804,14 @@ impl AnalysisSession {
             if let Some(scen) = self.scenarios.as_mut() {
                 scen.needs_reseed = true;
             }
-            match self
-                .wide
-                .run_with(&self.sg, &self.structure, &self.border, self.b, cancel)
-            {
+            match self.wide.run_with(
+                &self.sg,
+                &self.structure,
+                &self.border,
+                self.b,
+                Rows::All,
+                cancel,
+            ) {
                 Ok(()) => {}
                 Err(Halt::NotRepetitive(_)) => {
                     unreachable!("border events are repetitive by construction")
@@ -914,6 +919,7 @@ impl AnalysisSession {
             &self.structure,
             self.border.clone(),
             self.records.clone(),
+            self.b,
             &mut self.finish_arena,
         )
         .expect("border set verified non-empty");
@@ -974,6 +980,7 @@ impl AnalysisSession {
             s,
             |arc, j| reweighted[j].arc(arc).delay().get(),
             self.b,
+            Rows::All,
             cancel,
         ) {
             return Err(halt_to_error(halt));
@@ -1069,6 +1076,7 @@ impl AnalysisSession {
                 set.len(),
                 |arc, j| reweighted[j].arc(arc).delay().get(),
                 self.b,
+                Rows::All,
                 cancel,
             ) {
                 Ok(()) => {}
@@ -1191,8 +1199,15 @@ fn finish_scenarios(
             .collect();
         structure.rebuild(rg);
         per.push(
-            CycleTimeAnalysis::finish(rg, structure, border.to_vec(), records, finish)
-                .expect("border set verified non-empty"),
+            CycleTimeAnalysis::finish(
+                rg,
+                structure,
+                border.to_vec(),
+                records,
+                wide.periods(),
+                finish,
+            )
+            .expect("border set verified non-empty"),
         );
     }
     ScenarioAnalysis::new(labels, per)

@@ -25,6 +25,21 @@
 //! traffic drops by a factor of `b` and the arithmetic widens to the
 //! machine's vector width.
 //!
+//! # Rows kept: the full matrix or a two-row window
+//!
+//! Row `p` reads only row `p − 1` (marked arcs) and itself (unmarked
+//! arcs, in topological order), and the cycle-time records read only
+//! each lane's origin cell `t_{gk,0}(g_{k,p})`. So a one-shot analysis
+//! (`Rows::Window`) keeps two row slots — row `p` in slot `p % 2` —
+//! plus a `lanes × (periods + 1)` strip of origin cells, filled after
+//! every row. On a 1024-event graph with `b = 37` that is 0.6 MB of
+//! rows where the full matrix would be 11.5 MB. A session
+//! (`Rows::All`) keeps every row, because resuming an edit from a
+//! dirty row needs all rows below it; so does the public
+//! [`WideArena::run`], whose [`WideArena::time`] exposes every cell.
+//! Both layouts go through one row-pair helper, so each backend has a
+//! single row kernel.
+//!
 //! # Scenario lanes: `lanes = b × s`
 //!
 //! The same amortisation applies across *delay scenarios* — min/typ/max
@@ -312,6 +327,21 @@ pub(crate) enum Halt {
     },
 }
 
+/// Which rows of the lane matrix a run keeps resident — fixed by the
+/// entry point, never a setting.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Rows {
+    /// Every row `0..=periods`: what a resume
+    /// ([`WideArena::rerun_rows_from`]) and the public cell view
+    /// ([`WideArena::time`]) need. Sessions and [`WideArena::run`].
+    All,
+    /// Two row slots, row `p` in slot `p % 2`: the recurrence reads only
+    /// rows `p - 1` (marked arcs) and `p` (unmarked arcs), and the
+    /// records read only the origin strip. One-shot analyses, which
+    /// never resume.
+    Window,
+}
+
 /// Why a [`WideArena::run`] call failed.
 ///
 /// A malformed batch — no lanes, no scenarios, zero periods — is a
@@ -425,9 +455,18 @@ impl AlignedF64Vec {
 /// ```
 #[derive(Clone, Debug)]
 pub struct WideArena {
-    /// Flat lane-major time matrix: `times[(p * n + e) * lanes + k]`,
-    /// on a 64-byte-aligned allocation.
+    /// Flat lane-major time rows: `times[(s * n + e) * lanes + k]` holds
+    /// row `p` in slot `s = p % slots`, on a 64-byte-aligned
+    /// allocation. A full-matrix run keeps every row (`slots =
+    /// p_total`); a one-shot window run keeps only rows `p - 1` and `p`
+    /// (`slots = 2`), all the recurrence reads.
     times: AlignedF64Vec,
+    /// Row slots resident in `times` (see [`Rows`]).
+    slots: usize,
+    /// Each lane's origin cell per row, lane-major:
+    /// `strip[k * p_total + p] = t_{gk,0}(g_{k,p})` — everything the
+    /// distance records read, kept whichever rows `times` holds.
+    strip: Vec<f64>,
     /// Initiating event of each *border* lane; lane `j·b + k` of a
     /// scenario run shares `origins[k]`.
     origins: Vec<EventId>,
@@ -470,6 +509,8 @@ impl WideArena {
     pub fn with_kernel(kernel: KernelBackend) -> Self {
         WideArena {
             times: AlignedF64Vec::new(),
+            slots: 0,
+            strip: Vec::new(),
             origins: Vec::new(),
             scenarios: 1,
             deltas: Vec::new(),
@@ -502,7 +543,7 @@ impl WideArena {
         periods: u32,
     ) -> Result<(), WideRunError> {
         let structure = CyclicStructure::new(sg);
-        match self.run_with(sg, &structure, origins, periods, None) {
+        match self.run_with(sg, &structure, origins, periods, Rows::All, None) {
             Ok(()) => Ok(()),
             Err(Halt::NotRepetitive(e)) => Err(WideRunError::NotRepetitive(e)),
             Err(Halt::Degenerate { lanes, periods }) => {
@@ -513,21 +554,23 @@ impl WideArena {
     }
 
     /// Shared-structure variant — the cycle-time algorithm builds one
-    /// [`CyclicStructure`] and batches every border event over it. A
-    /// [`CancelToken`] is polled once per matrix row; on cancellation
-    /// the matrix is left partially written (see [`Cancelled`]).
+    /// [`CyclicStructure`] and batches every border event over it,
+    /// keeping the rows `rows` says. A [`CancelToken`] is polled once
+    /// per matrix row; on cancellation the matrix is left partially
+    /// written (see [`Cancelled`]).
     pub(crate) fn run_with(
         &mut self,
         sg: &SignalGraph,
         structure: &CyclicStructure,
         origins: &[EventId],
         periods: u32,
+        rows: Rows,
         cancel: Option<&CancelToken>,
     ) -> Result<(), Halt> {
         Self::validate(sg, origins, 1, periods)?;
         self.scenarios = 1;
         self.deltas.clear();
-        self.seed_and_compute(sg, structure, origins, periods, cancel)
+        self.seed_and_compute(sg, structure, origins, periods, rows, cancel)
     }
 
     /// Scenario-lane variant: packs `origins.len() × scenarios` lanes —
@@ -547,6 +590,7 @@ impl WideArena {
         scenarios: usize,
         mut delay_of: F,
         periods: u32,
+        rows: Rows,
         cancel: Option<&CancelToken>,
     ) -> Result<(), Halt> {
         Self::validate(sg, origins, scenarios, periods)?;
@@ -561,7 +605,7 @@ impl WideArena {
                 self.deltas[base..base + b].fill(delay_of(entry.arc, j));
             }
         }
-        self.seed_and_compute(sg, structure, origins, periods, cancel)
+        self.seed_and_compute(sg, structure, origins, periods, rows, cancel)
     }
 
     /// Rebuilds the whole δ table for the *current* batch shape against
@@ -627,6 +671,7 @@ impl WideArena {
         structure: &CyclicStructure,
         origins: &[EventId],
         periods: u32,
+        rows: Rows,
         cancel: Option<&CancelToken>,
     ) -> Result<(), Halt> {
         let n = sg.event_count();
@@ -635,6 +680,10 @@ impl WideArena {
         self.n = n;
         self.p_total = p_total;
         self.periods = periods;
+        self.slots = match rows {
+            Rows::All => p_total,
+            Rows::Window => p_total.min(2),
+        };
         self.origins.clear();
         self.origins.extend_from_slice(origins);
 
@@ -643,14 +692,16 @@ impl WideArena {
         // recurrence overwrites every repetitive event's cell in every
         // row, so only the columns of events *outside* the cyclic
         // structure (prefix/finite events — usually none) need their
-        // NEG_INFINITY reset against stale cells of a previous run.
-        let cells = p_total * n * lanes;
-        self.times.resize(cells, f64::NEG_INFINITY);
+        // NEG_INFINITY reset, in every slot, against stale cells of a
+        // previous run. The strip needs none: every computed row
+        // overwrites its cells.
+        self.times.resize(self.slots * n * lanes, f64::NEG_INFINITY);
+        self.strip.resize(lanes * p_total, f64::NEG_INFINITY);
         let times = self.times.as_mut_slice();
         for e in sg.events() {
             if !sg.is_repetitive(e) {
-                for p in 0..p_total {
-                    let base = (p * n + e.index()) * lanes;
+                for slot in 0..self.slots {
+                    let base = (slot * n + e.index()) * lanes;
                     times[base..base + lanes].fill(f64::NEG_INFINITY);
                 }
             }
@@ -670,13 +721,15 @@ impl WideArena {
     /// dirty region starts later have their intermediate rows recomputed
     /// to bit-identical values (the recurrence is a pure function of the
     /// rows below), so the resulting matrix equals a full re-run over
-    /// the edited structure bit for bit.
+    /// the edited structure bit for bit. Only a full-matrix
+    /// ([`Rows::All`]) arena can resume.
     pub(crate) fn rerun_rows_from(
         &mut self,
         structure: &CyclicStructure,
         start_row: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<(), Cancelled> {
+        debug_assert_eq!(self.slots, self.p_total, "a resume needs the full matrix");
         if start_row >= self.p_total {
             return Ok(()); // the batch's earliest influence is beyond the horizon
         }
@@ -684,81 +737,35 @@ impl WideArena {
     }
 
     /// The lockstep longest-path recurrence over rows
-    /// `start_row..p_total`: the runtime dispatch point of
-    /// [`KernelBackend`].
+    /// `start_row..p_total` (row `start_row - 1`, when any, must hold
+    /// valid values): the runtime dispatch point of [`KernelBackend`].
     ///
-    /// The AVX2 branch re-checks `is_x86_feature_detected!` *in its
-    /// own guard*, so the `unsafe` call it contains can never execute
-    /// without the CPU check that makes it sound (std caches the cpuid
-    /// result, so the re-check is an atomic load). Anything that fails
-    /// the guard — and every non-x86 build — falls through to the
-    /// portable loop, which dispatches to a lane-count-specialised
-    /// instantiation for the common SIMD widths so the per-arc lane
-    /// loops compile with a constant trip count.
+    /// Per row it polls `cancel`, takes the `(prev, current)` row pair
+    /// from [`row_pair`] — the one place that knows whether the arena
+    /// holds the full matrix or the two-slot window — runs one backend's
+    /// row kernel on it, and copies each lane's origin cell into the
+    /// strip.
+    ///
+    /// The AVX2 kernel runs only when `avx2` is set, and `avx2` is set
+    /// only by its own `is_x86_feature_detected!` check, so the `unsafe`
+    /// call can never execute without the CPU check that makes it sound.
+    /// Anything that fails the check — and every non-x86 build — runs
+    /// the portable kernel, instantiated per common SIMD lane count so
+    /// the per-arc lane loops compile with a constant trip count.
     fn compute_rows(
         &mut self,
         structure: &CyclicStructure,
         start_row: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<(), Cancelled> {
+        let (n, p_total, slots) = (self.n, self.p_total, self.slots);
+        let lanes = self.lanes();
         #[cfg(target_arch = "x86_64")]
-        {
-            if self.backend == KernelBackend::Avx2 && std::arch::is_x86_feature_detected!("avx2") {
-                let (n, p_total, scenarios) = (self.n, self.p_total, self.scenarios);
-                let WideArena {
-                    times,
-                    origins,
-                    deltas,
-                    ..
-                } = self;
-                // SAFETY: this branch's own guard just verified AVX2.
-                return unsafe {
-                    rows_avx2(
-                        times.as_mut_slice(),
-                        origins,
-                        scenarios,
-                        deltas,
-                        structure,
-                        n,
-                        p_total,
-                        start_row,
-                        cancel,
-                    )
-                };
-            }
-        }
-        match self.lanes() {
-            4 => self.compute_rows_impl::<4>(structure, start_row, cancel),
-            8 => self.compute_rows_impl::<8>(structure, start_row, cancel),
-            16 => self.compute_rows_impl::<16>(structure, start_row, cancel),
-            32 => self.compute_rows_impl::<32>(structure, start_row, cancel),
-            _ => self.compute_rows_impl::<0>(structure, start_row, cancel),
-        }
-    }
-
-    /// One lane-count instantiation of the recurrence (`L == 0` is the
-    /// dynamic-width fallback); row `start_row - 1` (when any) must hold
-    /// valid values.
-    ///
-    /// Per event the row is split around the destination cell
-    /// (`split_at_mut`), so the `lanes` accumulator IS the destination —
-    /// no scratch buffer, no copy-back pass. Unmarked in-arcs always
-    /// read a *different* event's cell (the unmarked subgraph is
-    /// acyclic, so `src ≠ ev`), which lands in the left or right remnant
-    /// of the split; marked in-arcs read the previous row.
-    fn compute_rows_impl<const L: usize>(
-        &mut self,
-        structure: &CyclicStructure,
-        start_row: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Cancelled> {
-        let n = self.n;
-        let p_total = self.p_total;
-        let b = self.origins.len();
-        let lanes = if L == 0 { b * self.scenarios } else { L };
-        let row_cells = n * lanes;
+        let avx2 =
+            self.backend == KernelBackend::Avx2 && std::arch::is_x86_feature_detected!("avx2");
         let WideArena {
             times,
+            strip,
             origins,
             deltas,
             ..
@@ -775,61 +782,34 @@ impl WideArena {
                     rows_total: p_total,
                 });
             }
-            let (before, current) = times.split_at_mut(p * row_cells);
-            let row = &mut current[..row_cells];
-            let prev: &[f64] = if p > 0 {
-                &before[(p - 1) * row_cells..]
-            } else {
-                &[]
+            let (prev, row) = row_pair(times, p, n * lanes, slots);
+            let kernel = RowKernel {
+                origins,
+                lanes,
+                deltas,
+                structure,
             };
-            for &ev in &structure.order {
-                let base = ev.index() * lanes;
-                let (left, rest) = row.split_at_mut(base);
-                let (dst, right) = rest.split_at_mut(lanes);
-                let slot0 = structure.offsets[ev.index()] as usize;
-                let mut first = true;
-                for (off, ia) in structure.in_arcs(ev).iter().enumerate() {
-                    let sb = ia.src as usize * lanes;
-                    let src = if ia.marked {
-                        if p == 0 {
-                            continue; // no previous row: token enables for free
-                        }
-                        &prev[sb..sb + lanes]
-                    } else if sb < base {
-                        &left[sb..sb + lanes]
-                    } else {
-                        &right[sb - base - lanes..][..lanes]
-                    };
-                    if deltas.is_empty() {
-                        accumulate(dst, src, ia.delay, first);
-                    } else {
-                        let dbase = (slot0 + off) * lanes;
-                        accumulate_v(dst, src, &deltas[dbase..dbase + lanes], first);
-                    }
-                    first = false;
-                }
-                if first {
-                    dst.fill(f64::NEG_INFINITY); // no usable in-arc
-                }
-                if p == 0 {
-                    // Row 0: pin each lane's origin cell to 0, in
-                    // topological order, so later same-row reads see it
-                    // exactly as the scalar kernel's pre-seeded cell.
-                    // Border k owns lanes k, k+b, … — one per scenario.
-                    for (k, &g) in origins.iter().enumerate() {
-                        if g == ev {
-                            for lane in (k..lanes).step_by(b) {
-                                dst[lane] = 0.0; // t_g(g) = 0 by definition
-                            }
-                        }
-                    }
-                }
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                // SAFETY: `avx2` is set only when the CPU reports AVX2.
+                unsafe { row_avx2(&kernel, prev, row) };
+            } else {
+                row_portable_dispatch(&kernel, prev, row);
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            row_portable_dispatch(&kernel, prev, row);
+            // Lane j·b + k's origin is border k's event.
+            for (lane, g) in origins.iter().cycle().take(lanes).enumerate() {
+                strip[lane * p_total + p] = row[g.index() * lanes + lane];
             }
         }
         Ok(())
     }
 
-    /// Allocated capacity of the lane-major time buffer, in cells.
+    /// Allocated capacity of the lane-major time buffer, in cells: at
+    /// least `(periods + 1) · n · lanes` after a full-matrix run, and
+    /// `2 · n · lanes` (rounded up to a cache line) for an arena only
+    /// one-shot analyses ran in.
     ///
     /// A warm-pool worker asserts this stays constant across requests of
     /// the same shape, exactly like [`SimArena::capacity`].
@@ -873,14 +853,17 @@ impl WideArena {
     }
 
     /// `t_{gk,0}(e_p)` of lane `k`, or `None` when `g_{k,0} ⇏ e_p` —
-    /// the lane-indexed twin of [`SimArena::time`].
+    /// the lane-indexed twin of [`SimArena::time`]. Every row of a
+    /// [`WideArena::run`] is available; an arena a one-shot analysis
+    /// ran in holds only its last two rows and answers `None` below.
     pub fn time(&self, k: usize, e: EventId, instance: u32) -> Option<f64> {
         let p = instance as usize;
         let lanes = self.lanes();
-        if p >= self.p_total || k >= lanes {
+        if p >= self.p_total || k >= lanes || p + self.slots < self.p_total {
             return None;
         }
-        let t = self.times.as_slice()[(p * self.n + e.index()) * lanes + k];
+        let slot = p % self.slots;
+        let t = self.times.as_slice()[(slot * self.n + e.index()) * lanes + k];
         (t > f64::NEG_INFINITY).then_some(t)
     }
 
@@ -894,13 +877,130 @@ impl WideArena {
     /// Allocation-reusing form of [`distance_series`](Self::distance_series):
     /// clears `out` and fills it in place, so a warm caller (an
     /// analysis session's per-border record) keeps one buffer per lane
-    /// alive across re-runs.
+    /// alive across re-runs. Reads the origin strip, so it works
+    /// whichever rows the arena kept.
     pub fn distance_series_into(&self, k: usize, out: &mut Vec<(u32, f64, f64)>) {
         out.clear();
-        let g = self.origin(k);
-        out.extend(
-            (1..=self.periods).filter_map(|i| self.time(k, g, i).map(|t| (i, t, t / i as f64))),
-        );
+        let cells = &self.strip[k * self.p_total..][..self.p_total];
+        out.extend((1..=self.periods).filter_map(|i| {
+            let t = cells[i as usize];
+            (t > f64::NEG_INFINITY).then(|| (i, t, t / i as f64))
+        }));
+    }
+}
+
+/// Splits row `p`'s cells (mutable) and row `p - 1`'s (shared; empty
+/// for row 0) out of `times`, where row `p` lives in slot `p % slots`:
+/// `slots = p_total` is the full matrix, `slots = 2` the one-shot
+/// window. The one place either layout is known — the row kernels see
+/// only the pair.
+fn row_pair(times: &mut [f64], p: usize, row_cells: usize, slots: usize) -> (&[f64], &mut [f64]) {
+    let cur = p % slots;
+    if p == 0 {
+        return (&[], &mut times[cur * row_cells..][..row_cells]);
+    }
+    let prev = (p - 1) % slots;
+    if prev < cur {
+        let (before, current) = times.split_at_mut(cur * row_cells);
+        (
+            &before[prev * row_cells..][..row_cells],
+            &mut current[..row_cells],
+        )
+    } else {
+        // Window wrap-around: row p in slot 0, row p - 1 in slot 1.
+        let (before, after) = times.split_at_mut(prev * row_cells);
+        (
+            &after[..row_cells],
+            &mut before[cur * row_cells..][..row_cells],
+        )
+    }
+}
+
+/// What every row kernel reads besides the row pair: the batch shape,
+/// the per-lane δ table (empty in nominal mode) and the structure.
+struct RowKernel<'a> {
+    origins: &'a [EventId],
+    lanes: usize,
+    deltas: &'a [f64],
+    structure: &'a CyclicStructure,
+}
+
+impl RowKernel<'_> {
+    /// Row 0: pins each lane's origin cell to 0 once event `ev`'s
+    /// recurrence is done, in topological order, so later same-row
+    /// reads see it exactly as the scalar kernel's pre-seeded cell.
+    /// Border k owns lanes k, k+b, … — one per scenario (lane j·b + k is
+    /// scenario j, border k).
+    #[inline(always)]
+    fn pin_origins(&self, ev: EventId, dst: &mut [f64]) {
+        let b = self.origins.len();
+        for (k, &g) in self.origins.iter().enumerate() {
+            if g == ev {
+                for lane in (k..self.lanes).step_by(b) {
+                    dst[lane] = 0.0; // t_g(g) = 0 by definition
+                }
+            }
+        }
+    }
+}
+
+/// The portable row kernel at a constant lane count for the common
+/// SIMD widths, the dynamic-width instantiation otherwise.
+fn row_portable_dispatch(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
+    match kernel.lanes {
+        4 => row_portable::<4>(kernel, prev, row),
+        8 => row_portable::<8>(kernel, prev, row),
+        16 => row_portable::<16>(kernel, prev, row),
+        32 => row_portable::<32>(kernel, prev, row),
+        _ => row_portable::<0>(kernel, prev, row),
+    }
+}
+
+/// One row of the recurrence on the portable loop, at lane count `L`
+/// (`L == 0` is the dynamic-width fallback). `prev` is empty for row 0.
+///
+/// Per event the row is split around the destination cell
+/// (`split_at_mut`), so the `lanes` accumulator IS the destination —
+/// no scratch buffer, no copy-back pass. Unmarked in-arcs always read a
+/// *different* event's cell (the unmarked subgraph is acyclic, so
+/// `src ≠ ev`), which lands in the left or right remnant of the split;
+/// marked in-arcs read the previous row.
+fn row_portable<const L: usize>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
+    let lanes = if L == 0 { kernel.lanes } else { L };
+    let (structure, deltas) = (kernel.structure, kernel.deltas);
+    let first_row = prev.is_empty();
+    for &ev in &structure.order {
+        let base = ev.index() * lanes;
+        let (left, rest) = row.split_at_mut(base);
+        let (dst, right) = rest.split_at_mut(lanes);
+        let slot0 = structure.offsets[ev.index()] as usize;
+        let mut first = true;
+        for (off, ia) in structure.in_arcs(ev).iter().enumerate() {
+            let sb = ia.src as usize * lanes;
+            let src = if ia.marked {
+                if first_row {
+                    continue; // no previous row: token enables for free
+                }
+                &prev[sb..sb + lanes]
+            } else if sb < base {
+                &left[sb..sb + lanes]
+            } else {
+                &right[sb - base - lanes..][..lanes]
+            };
+            if deltas.is_empty() {
+                accumulate(dst, src, ia.delay, first);
+            } else {
+                let dbase = (slot0 + off) * lanes;
+                accumulate_v(dst, src, &deltas[dbase..dbase + lanes], first);
+            }
+            first = false;
+        }
+        if first {
+            dst.fill(f64::NEG_INFINITY); // no usable in-arc
+        }
+        if first_row {
+            kernel.pin_origins(ev, dst);
+        }
     }
 }
 
@@ -950,7 +1050,7 @@ fn accumulate_v(dst: &mut [f64], src: &[f64], deltas: &[f64], first: bool) {
 }
 
 /// The per-backend lane arithmetic of the explicit-SIMD row loop: the
-/// two operations [`rows_body`] needs per in-arc.
+/// two operations [`row_body`] needs per in-arc.
 ///
 /// Implementations must keep `dst` on ties in `fold` (the portable
 /// loop's strict `>`), which `max_pd(cand, best)` does for free: x86
@@ -1101,9 +1201,8 @@ impl LaneOps for Avx2Ops {
     }
 }
 
-/// The dynamic-width row recurrence shared by the explicit-SIMD
-/// backends: the exact control flow of
-/// [`WideArena::compute_rows_impl`], with the per-arc lane arithmetic
+/// One row of the recurrence for the explicit-SIMD backends: the exact
+/// control flow of [`row_portable`], with the per-arc lane arithmetic
 /// delegated to `K`. `#[inline(always)]` so each `#[target_feature]`
 /// wrapper compiles the whole body — intrinsics included — with its
 /// feature set enabled.
@@ -1113,90 +1212,50 @@ impl LaneOps for Avx2Ops {
 /// The CPU must support the feature `K`'s intrinsics require.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn rows_body<K: LaneOps>(
-    times: &mut [f64],
-    origins: &[EventId],
-    scenarios: usize,
-    deltas: &[f64],
-    structure: &CyclicStructure,
-    n: usize,
-    p_total: usize,
-    start_row: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<(), Cancelled> {
-    let b = origins.len();
-    let lanes = b * scenarios;
-    let row_cells = n * lanes;
-    for p in start_row..p_total {
-        // One poll per matrix row — see `compute_rows_impl`.
-        if let Some(kind) = cancel.and_then(CancelToken::check) {
-            return Err(Cancelled {
-                kind,
-                rows_done: p,
-                rows_total: p_total,
-            });
+unsafe fn row_body<K: LaneOps>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
+    let (lanes, structure, deltas) = (kernel.lanes, kernel.structure, kernel.deltas);
+    let first_row = prev.is_empty();
+    for &ev in &structure.order {
+        let base = ev.index() * lanes;
+        let slot0 = structure.offsets[ev.index()] as usize;
+        let (left, rest) = row.split_at_mut(base);
+        let (dst, right) = rest.split_at_mut(lanes);
+        let mut first = true;
+        for (off, ia) in structure.in_arcs(ev).iter().enumerate() {
+            let sb = ia.src as usize * lanes;
+            let src = if ia.marked {
+                if first_row {
+                    continue; // no previous row: token enables for free
+                }
+                &prev[sb..sb + lanes]
+            } else if sb < base {
+                &left[sb..sb + lanes]
+            } else {
+                &right[sb - base - lanes..][..lanes]
+            };
+            if deltas.is_empty() {
+                if first {
+                    K::first(dst, src, ia.delay);
+                } else {
+                    K::fold(dst, src, ia.delay);
+                }
+            } else {
+                let dv = &deltas[(slot0 + off) * lanes..][..lanes];
+                if first {
+                    K::first_v(dst, src, dv);
+                } else {
+                    K::fold_v(dst, src, dv);
+                }
+            }
+            first = false;
         }
-        let (before, current) = times.split_at_mut(p * row_cells);
-        let row = &mut current[..row_cells];
-        let prev: &[f64] = if p > 0 {
-            &before[(p - 1) * row_cells..]
-        } else {
-            &[]
-        };
-        for &ev in &structure.order {
-            let base = ev.index() * lanes;
-            let slot0 = structure.offsets[ev.index()] as usize;
-            let (left, rest) = row.split_at_mut(base);
-            let (dst, right) = rest.split_at_mut(lanes);
-            let mut first = true;
-            for (off, ia) in structure.in_arcs(ev).iter().enumerate() {
-                let sb = ia.src as usize * lanes;
-                let src = if ia.marked {
-                    if p == 0 {
-                        continue; // no previous row: token enables for free
-                    }
-                    &prev[sb..sb + lanes]
-                } else if sb < base {
-                    &left[sb..sb + lanes]
-                } else {
-                    &right[sb - base - lanes..][..lanes]
-                };
-                if deltas.is_empty() {
-                    if first {
-                        K::first(dst, src, ia.delay);
-                    } else {
-                        K::fold(dst, src, ia.delay);
-                    }
-                } else {
-                    let dv = &deltas[(slot0 + off) * lanes..][..lanes];
-                    if first {
-                        K::first_v(dst, src, dv);
-                    } else {
-                        K::fold_v(dst, src, dv);
-                    }
-                }
-                first = false;
-            }
-            if first {
-                dst.fill(f64::NEG_INFINITY); // no usable in-arc
-            }
-            if p == 0 {
-                // Row 0: pin each lane's origin cell to 0, in
-                // topological order — see `compute_rows_impl`. Lane
-                // j*b + k is (scenario j, border k), so border k owns
-                // every b-strided lane starting at k.
-                for (k, &g) in origins.iter().enumerate() {
-                    if g == ev {
-                        for lane in (k..lanes).step_by(b) {
-                            dst[lane] = 0.0; // t_g(g) = 0 by definition
-                        }
-                    }
-                }
-            }
+        if first {
+            dst.fill(f64::NEG_INFINITY); // no usable in-arc
+        }
+        if first_row {
+            kernel.pin_origins(ev, dst);
         }
     }
-    Ok(())
 }
 
 /// AVX2 instantiation of the row recurrence.
@@ -1207,26 +1266,14 @@ unsafe fn rows_body<K: LaneOps>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn rows_avx2(
-    times: &mut [f64],
-    origins: &[EventId],
-    scenarios: usize,
-    deltas: &[f64],
-    structure: &CyclicStructure,
-    n: usize,
-    p_total: usize,
-    start_row: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<(), Cancelled> {
-    rows_body::<Avx2Ops>(
-        times, origins, scenarios, deltas, structure, n, p_total, start_row, cancel,
-    )
+unsafe fn row_avx2(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
+    row_body::<Avx2Ops>(kernel, prev, row)
 }
 
-/// The reusable state of one full cycle-time analysis: the wide matrix
-/// all `b` lockstep border simulations share, plus the scalar
-/// [`SimArena`] the parent-tracked winner re-run uses.
+/// The reusable state of one full cycle-time analysis: the two-row
+/// window and origin strip all `b` lockstep border simulations share
+/// (a one-shot analysis never materialises the full lane matrix),
+/// plus the scalar [`SimArena`] the parent-tracked winner re-run uses.
 ///
 /// [`CycleTimeAnalysis::run_in`](crate::analysis::CycleTimeAnalysis::run_in)
 /// reuses one of these per worker/request the way the scalar engine
@@ -1264,7 +1311,9 @@ impl AnalysisArena {
 
     /// Allocated capacities `(wide time cells, scalar time cells,
     /// scalar parent cells)` — the warm-pool zero-allocation assertions
-    /// check all three stay constant across same-shape requests.
+    /// check all three stay constant across same-shape requests. The
+    /// wide cells are the two-row window: at most `2 · n · lanes`,
+    /// rounded up to a cache line, for the largest shape analysed.
     pub fn capacity(&self) -> (usize, usize, usize) {
         let (t, p) = self.finish.capacity();
         (self.wide.capacity(), t, p)
@@ -1377,6 +1426,73 @@ mod tests {
             wide.run(&small, &small.border_events(), 2).unwrap();
             assert_lanes_match_scalar(&small, &wide, &format!("small after big on {backend}"));
         }
+    }
+
+    /// A window run keeps two row slots, yet its records and its last
+    /// two rows equal a full-matrix run's bit for bit, on every backend
+    /// and at every period count (odd and even, so row `periods` lands
+    /// in either slot); rows below the window read as absent. One arena
+    /// reused big → small → big leaves no stale slot or strip cell —
+    /// figure 2's prefix/finite columns included.
+    #[test]
+    fn window_run_equals_the_full_matrix() {
+        let big = {
+            let mut b = SignalGraph::builder();
+            let evs: Vec<_> = (0..12).map(|i| b.event(&format!("e{i}"))).collect();
+            for w in evs.windows(2) {
+                b.arc(w[0], w[1], 1.0 + (w[0].index() % 4) as f64 * 0.25);
+            }
+            b.marked_arc(evs[11], evs[0], 1.0);
+            b.marked_arc(evs[5], evs[6], 0.5);
+            b.build().unwrap()
+        };
+        let small = figure2();
+        for backend in available_backends() {
+            let mut window = WideArena::with_kernel(backend);
+            for (sg, periods) in [
+                (&big, 7u32),
+                (&small, 2),
+                (&small, 1),
+                (&big, 8),
+                (&small, 5),
+            ] {
+                let borders = sg.border_events();
+                let structure = CyclicStructure::new(sg);
+                window
+                    .run_with(sg, &structure, &borders, periods, Rows::Window, None)
+                    .unwrap();
+                let mut full = WideArena::with_kernel(backend);
+                full.run(sg, &borders, periods).unwrap();
+                let ctx = format!("{backend} n={} periods={periods}", sg.event_count());
+                for k in 0..borders.len() {
+                    assert_eq!(window.distance_series(k), full.distance_series(k), "{ctx}");
+                    for e in sg.events() {
+                        for p in 0..=periods {
+                            let want = if p + 2 > periods {
+                                full.time(k, e, p).map(f64::to_bits)
+                            } else {
+                                None
+                            };
+                            assert_eq!(
+                                window.time(k, e, p).map(f64::to_bits),
+                                want,
+                                "{ctx}: lane {k} e={} p={p}",
+                                sg.label(e)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // A fresh arena's window holds exactly two rows.
+        let mut window = WideArena::new();
+        let borders = big.border_events();
+        let structure = CyclicStructure::new(&big);
+        window
+            .run_with(&big, &structure, &borders, 8, Rows::Window, None)
+            .unwrap();
+        let two_rows = 2 * big.event_count() * borders.len();
+        assert!(window.capacity() <= two_rows.next_multiple_of(8));
     }
 
     #[test]
@@ -1504,7 +1620,7 @@ mod tests {
         );
         let structure = CyclicStructure::new(&sg);
         assert_eq!(
-            wide.run_scenarios_with(&sg, &structure, &[ap], 0, |_, _| 1.0, 2, None)
+            wide.run_scenarios_with(&sg, &structure, &[ap], 0, |_, _| 1.0, 2, Rows::All, None)
                 .unwrap_err(),
             Halt::Degenerate {
                 lanes: 0,
@@ -1532,6 +1648,7 @@ mod tests {
                 factors.len(),
                 |arc, j| sg.arc(arc).delay().get() * factors[j],
                 4,
+                Rows::All,
                 None,
             )
             .unwrap();
@@ -1599,6 +1716,7 @@ mod tests {
                 FACTORS.len(),
                 delay_of(None),
                 5,
+                Rows::All,
                 None,
             )
             .unwrap();
@@ -1616,6 +1734,7 @@ mod tests {
                     FACTORS.len(),
                     delay_of(Some((arc.index(), 6.5))),
                     5,
+                    Rows::All,
                     None,
                 )
                 .unwrap();

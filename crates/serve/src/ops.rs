@@ -10,9 +10,9 @@
 //!   fresh state per invocation (and `report` fans the border
 //!   simulations across a thread pool);
 //! * a serve worker drives a persistent [`Workspace`] — one warm
-//!   [`AnalysisArena`] (the lane-major wide matrix of all `b` lockstep
-//!   border simulations plus the scalar finish arena) and a pre-sized
-//!   netlist event queue — through
+//!   [`AnalysisArena`] (the two-row window and origin strip of the `b`
+//!   lockstep border simulations plus the scalar finish arena) and a
+//!   pre-sized netlist event queue — through
 //!   [`Workspace::analyze`] / [`Workspace::simulate`], which are
 //!   bit-identical to the cold paths (`CycleTimeAnalysis::run_in` ≡
 //!   `run_parallel`, asserted in the workspace tests). `.g`
@@ -644,12 +644,17 @@ fn render_report(
     scenarios: Result<Option<ScenarioAnalysis>, String>,
 ) -> Result<String, String> {
     let mut out = String::new();
+    // A successful analysis already holds the border set; only a failed
+    // one needs it recomputed.
+    let borders = match &analysis {
+        Ok(a) => a.border_events().len(),
+        Err(_) => sg.border_events().len(),
+    };
     let _ = writeln!(
         out,
-        "graph: {} events, {} arcs, {} border event(s)",
+        "graph: {} events, {} arcs, {borders} border event(s)",
         sg.event_count(),
         sg.arc_count(),
-        sg.border_events().len()
     );
     match analysis {
         Ok(a) => {
@@ -666,8 +671,13 @@ fn render_report(
             }
             out.push('\n');
             for rec in a.records() {
-                // The label goes through `to_string` so `{:<6}` pads it.
-                let _ = write!(out, "  {:<6} ", sg.label(rec.event).to_string());
+                // The label left-aligned in 6 chars, as `{:<6}` pads a
+                // string, without allocating one per record.
+                out.push_str("  ");
+                let start = out.len();
+                let _ = write!(out, "{}", sg.label(rec.event));
+                let width = out[start..].chars().count();
+                out.extend(std::iter::repeat_n(' ', 6usize.saturating_sub(width) + 1));
                 for (k, (i, t, d)) in rec.distances.iter().enumerate() {
                     let sep = if k == 0 { "" } else { "  " };
                     let _ = write!(out, "{sep}δ({i})={t}/{i}={d:.4}");

@@ -32,7 +32,7 @@
 
 use proptest::prelude::*;
 use tsg::core::analysis::session::AnalysisSession;
-use tsg::core::analysis::wide::AnalysisArena;
+use tsg::core::analysis::wide::{AnalysisArena, WideArena};
 use tsg::core::analysis::{Corner, CycleTimeAnalysis, ScenarioSet};
 use tsg::core::{ArcId, SignalGraph};
 use tsg::gen::{handshake_pipeline, random_live_tsg, ring, torus, PipelineConfig, RandomTsgConfig};
@@ -389,5 +389,202 @@ fn cancelled_run_leaves_arena_bit_identical_on_rerun() {
         }
         let redo = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
         assert_analyses_identical(&full, &redo, &format!("family {family} post-abort arena"));
+    }
+}
+
+/// Figure 2c of the paper with its prefix: the initial event `e-` and
+/// the finite event `f-` sit outside the cyclic structure, so their
+/// columns are never written by the recurrence and must read
+/// `NEG_INFINITY` in every row slot.
+fn figure2_with_prefix() -> SignalGraph {
+    let mut b = SignalGraph::builder();
+    let e = b.initial_event("e-");
+    let f = b.finite_event("f-");
+    let ap = b.event("a+");
+    let bp = b.event("b+");
+    let cp = b.event("c+");
+    let am = b.event("a-");
+    let bm = b.event("b-");
+    let cm = b.event("c-");
+    b.arc(e, f, 3.0);
+    b.disengageable_arc(e, ap, 2.0);
+    b.disengageable_arc(f, bp, 1.0);
+    b.arc(ap, cp, 3.0);
+    b.arc(bp, cp, 2.0);
+    b.arc(cp, am, 2.0);
+    b.arc(cp, bm, 1.0);
+    b.arc(am, cm, 3.0);
+    b.arc(bm, cm, 2.0);
+    b.marked_arc(cm, ap, 2.0);
+    b.marked_arc(cm, bp, 1.0);
+    b.build().unwrap()
+}
+
+/// The graphs of the window-vs-matrix checks: every generator family,
+/// plus graphs with prefix/finite events, in an order that makes one
+/// reused arena shrink and grow again.
+fn window_corpus() -> Vec<(String, SignalGraph)> {
+    let mut out: Vec<(String, SignalGraph)> = Vec::new();
+    for family in 0..4usize {
+        for seed in [3u64, 11, 29] {
+            out.push((format!("family {family} seed {seed}"), graph(family, seed)));
+        }
+    }
+    out.push(("figure 2 with prefix".into(), figure2_with_prefix()));
+    for seed in [1u64, 2, 5] {
+        let config = RandomTsgConfig {
+            with_prefix: true,
+            ..RandomTsgConfig::default()
+        };
+        out.push((
+            format!("random prefix seed {seed}"),
+            random_live_tsg(seed, config),
+        ));
+    }
+    // Big → small → big on the same arena.
+    out.push(("ring 40/9".into(), ring(40, 9, 1.25)));
+    out.push(("ring 3/1".into(), ring(3, 1, 2.0)));
+    out.push(("torus 4x5".into(), torus(4, 5, 2.0, 3.0)));
+    out
+}
+
+/// Records as raw bits: `(border event index, [(i, t bits, δ bits)])`
+/// in border order.
+type RecordBits = Vec<(usize, Vec<(u32, u64, u64)>)>;
+
+/// Every record of `a` as raw bits.
+fn record_bits(a: &CycleTimeAnalysis) -> RecordBits {
+    a.records()
+        .iter()
+        .map(|r| {
+            let bits = r
+                .distances
+                .iter()
+                .map(|&(i, t, d)| (i, t.to_bits(), d.to_bits()))
+                .collect();
+            (r.event.index(), bits)
+        })
+        .collect()
+}
+
+/// The records of the full lane matrix (`WideArena::run`, every row
+/// resident) over `periods` periods, as raw bits.
+fn full_matrix_record_bits(sg: &SignalGraph, periods: u32) -> RecordBits {
+    let border = sg.border_events();
+    let mut wide = WideArena::new();
+    wide.run(sg, &border, periods)
+        .expect("borders are repetitive");
+    border
+        .iter()
+        .enumerate()
+        .map(|(k, g)| {
+            let bits = wide
+                .distance_series(k)
+                .into_iter()
+                .map(|(i, t, d)| (i, t.to_bits(), d.to_bits()))
+                .collect();
+            (g.index(), bits)
+        })
+        .collect()
+}
+
+/// One-shot analyses run in a two-row window; their records must equal
+/// the scalar engine's and the full matrix's bit for bit — at the
+/// default `b` periods (against an `AnalysisSession`, which keeps the
+/// full matrix, and the lane-chunked `run_parallel_on`) and at
+/// overridden periods (against `WideArena::run`). One arena serves the
+/// whole corpus, so a stale slot or strip cell of an earlier, larger
+/// shape would show.
+#[test]
+fn oneshot_window_records_equal_the_full_matrix() {
+    use tsg::core::analysis::initiated::SimArena;
+    for backend in available_backends() {
+        let mut arena = AnalysisArena::with_kernel(backend);
+        let mut scalar_arena = SimArena::new();
+        for (name, sg) in window_corpus() {
+            let ctx = format!("{name} [{}]", backend.name());
+            let b = sg.border_events().len() as u32;
+            let scalar = CycleTimeAnalysis::run_scalar(&sg).expect("live");
+            let oneshot = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
+            assert_analyses_identical(&scalar, &oneshot, &ctx);
+            assert_eq!(record_bits(&oneshot), record_bits(&scalar), "{ctx}");
+            let session = AnalysisSession::open_with_kernel(sg.clone(), backend).expect("live");
+            assert_eq!(
+                record_bits(&oneshot),
+                record_bits(session.analysis()),
+                "{ctx}: session"
+            );
+            assert_eq!(
+                record_bits(&oneshot),
+                full_matrix_record_bits(&sg, b),
+                "{ctx}: full matrix"
+            );
+            for threads in [2usize, 3] {
+                let par = CycleTimeAnalysis::run_parallel_on(
+                    &sg,
+                    &BatchRunner::with_threads(threads),
+                    backend,
+                )
+                .expect("live");
+                assert_analyses_identical(&scalar, &par, &format!("{ctx} x{threads}"));
+                assert_eq!(record_bits(&par), record_bits(&scalar), "{ctx} x{threads}");
+            }
+            for periods in [b + 1, b + 2, 2 * b + 3] {
+                let pctx = format!("{ctx} periods={periods}");
+                let oneshot =
+                    CycleTimeAnalysis::run_in(&sg, Some(periods), &mut arena).expect("live");
+                let scalar =
+                    CycleTimeAnalysis::run_scalar_in(&sg, Some(periods), &mut scalar_arena)
+                        .expect("live");
+                assert_analyses_identical(&scalar, &oneshot, &pctx);
+                assert_eq!(record_bits(&oneshot), record_bits(&scalar), "{pctx}");
+                assert_eq!(
+                    record_bits(&oneshot),
+                    full_matrix_record_bits(&sg, periods),
+                    "{pctx}: full matrix"
+                );
+            }
+        }
+    }
+}
+
+/// A one-shot analysis really runs in the window: on a fresh arena its
+/// wide buffer holds at most two rows (`2 · n · lanes` cells, rounded
+/// up to whole 64-byte lines), so a return to the full `(b + 1)`-row matrix
+/// fails here, not only in the served benchmark. A run cancelled at
+/// any row and re-run on the same arena gives the bits of a fresh run.
+#[test]
+fn oneshot_run_keeps_a_two_row_window() {
+    use tsg::core::analysis::AnalysisError;
+    use tsg::sim::CancelToken;
+    for (name, sg) in window_corpus() {
+        let n = sg.event_count();
+        let b = sg.border_events().len();
+        let mut arena = AnalysisArena::new();
+        let fresh = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
+        // Rounded up to whole 64-byte lines; a `Vec` of lines never
+        // allocates fewer than four.
+        let window = (2 * n * b).next_multiple_of(8).max(32);
+        assert!(
+            arena.capacity().0 <= window,
+            "{name}: {} wide cells for n={n}, b={b}: more than a two-row window ({window})",
+            arena.capacity().0
+        );
+        if b >= 2 {
+            // The full matrix would hold b + 1 >= 3 rows.
+            assert!(arena.capacity().0 < (b + 1) * n * b, "{name}");
+        }
+        for budget in 0..=b as u64 {
+            let token = CancelToken::cancel_after_checks(budget);
+            match CycleTimeAnalysis::run_in_with_cancel(&sg, None, &mut arena, Some(&token)) {
+                Err(AnalysisError::Cancelled { rows_done, .. }) => {
+                    assert_eq!(rows_done, budget as usize, "{name}");
+                }
+                other => panic!("{name}: budget {budget}: expected cancellation, got {other:?}"),
+            }
+            let redo = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
+            assert_analyses_identical(&fresh, &redo, &format!("{name} after cancel at {budget}"));
+            assert_eq!(record_bits(&redo), record_bits(&fresh), "{name}");
+        }
     }
 }
