@@ -4,6 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use tsg_core::analysis::border::{exact_max_occurrence_period, minimum_cut_set};
+use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::CycleTimeAnalysis;
 use tsg_gen::{handshake_pipeline, PipelineConfig};
 
@@ -19,7 +20,7 @@ fn bench_period_bound(c: &mut Criterion) {
         let min_cut = exact_max_occurrence_period(&sg, 1_000_000).unwrap_or(b_periods);
         group.bench_with_input(BenchmarkId::new("b_periods", stages), &sg, |bench, sg| {
             bench.iter(|| {
-                CycleTimeAnalysis::run_with_periods(black_box(sg), Some(b_periods))
+                CycleTimeAnalysis::run_in(black_box(sg), Some(b_periods), &mut AnalysisArena::new())
                     .unwrap()
                     .cycle_time()
                     .as_f64()
@@ -30,10 +31,14 @@ fn bench_period_bound(c: &mut Criterion) {
             &sg,
             |bench, sg| {
                 bench.iter(|| {
-                    CycleTimeAnalysis::run_with_periods(black_box(sg), Some(min_cut))
-                        .unwrap()
-                        .cycle_time()
-                        .as_f64()
+                    CycleTimeAnalysis::run_in(
+                        black_box(sg),
+                        Some(min_cut),
+                        &mut AnalysisArena::new(),
+                    )
+                    .unwrap()
+                    .cycle_time()
+                    .as_f64()
                 })
             },
         );

@@ -196,7 +196,7 @@ fn bench_edit_loop(c: &mut Criterion) {
                 script
                     .iter()
                     .map(|e| {
-                        session.edit_delay(e.arc, e.delay).unwrap();
+                        session.edit_delays(std::slice::from_ref(e), None).unwrap();
                         session.analysis().cycle_time().as_f64()
                     })
                     .sum::<f64>()

@@ -23,8 +23,10 @@
 //! (`load`: `parse_stg` at 1024 and 4096 events), and the one-shot
 //! two-row window against a session's full lane matrix at the
 //! 1024-event, b = 37 shape (`oneshot_window`: `run_in` time and wide
-//! bytes beside `AnalysisSession::open`) — and writes the
-//! numbers to
+//! bytes beside `AnalysisSession::open`), and the lane-chunk crossover
+//! of the one analysis core (`lane_chunks`: `run_in` and a corner sweep
+//! on one against two `AnalysisArena` workers, 256 to 4096 events) —
+//! and writes the numbers to
 //! `BENCH_kernel.json` (see the README's "Performance" section for how
 //! to read it). CI runs `bench --quick` on every PR, so the perf
 //! trajectory of the event queue, the wide analysis kernel and the
@@ -325,7 +327,7 @@ fn measure_corner_sweep(reps: usize) -> Vec<CornerRow> {
             assert_scenarios_match_scalar(sg, &set, workload);
 
             // Re-analysis per scenario means exactly what a caller
-            // without `run_scenarios` would do: materialise the
+            // without `run_scenarios_in` would do: materialise the
             // scenario's reweighted graph, then analyse it — both
             // timed, both on the same warm arena as the sweep arm.
             let per_scenario_seconds = time_per_call(reps, || {
@@ -553,6 +555,92 @@ fn measure_oneshot_window(reps: usize) -> WindowRow {
     }
 }
 
+struct ChunkRow {
+    sweep: &'static str,
+    events: usize,
+    b: usize,
+    /// Per-call seconds at one worker, sorted ascending.
+    one_worker: Vec<f64>,
+    /// Per-call seconds at two workers, sorted ascending.
+    two_workers: Vec<f64>,
+}
+
+impl ChunkRow {
+    /// Median seconds at one and at two workers.
+    fn medians(&self) -> (f64, f64) {
+        let median = |s: &[f64]| s[s.len() / 2];
+        (median(&self.one_worker), median(&self.two_workers))
+    }
+}
+
+/// One timed arm of [`measure_lane_chunks`]: an analysis on the given
+/// arena, reporting a count the optimizer cannot drop.
+type Arm<'a> = dyn Fn(&mut AnalysisArena) -> usize + 'a;
+
+/// The lane-chunk crossover of the one analysis core: `run_in` and the
+/// min/typ/max `run_scenarios_in` sweep on a one-worker and a
+/// two-worker `AnalysisArena`, on seed-7 `random_live_tsg` graphs of
+/// 256 to 4096 events. Two workers split the `b` border lanes (and the
+/// sweep's cache-sized scenario blocks) into two lockstep passes on two
+/// threads. Both arms are asserted bit-identical before timing, and
+/// their samples alternate, so a drift of the shared host hits both.
+fn measure_lane_chunks(reps: usize) -> Vec<ChunkRow> {
+    let mut rows = Vec::new();
+    for events in [256usize, 1024, 2048, 4096] {
+        let config = tsg_gen::RandomTsgConfig {
+            events,
+            tokens: events / 128,
+            chords: events / 16,
+            max_delay: 9,
+            with_prefix: false,
+        };
+        let sg = tsg_gen::random_live_tsg(7, config);
+        let corners = [Corner::Min, Corner::Typ, Corner::Max];
+        let set = ScenarioSet::corners(10.0, &corners, sg.arc_count()).expect("valid spec");
+        let (mut one, mut two) = (AnalysisArena::new(), AnalysisArena::new().with_workers(2));
+        let ctx = format!("lane_chunks n={events}");
+        let want = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut one, None);
+        let got = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut two, None);
+        let (want, got) = (want.expect("live"), got.expect("live"));
+        for j in 0..set.len() {
+            assert_analyses_identical(want.analysis(j), got.analysis(j), &ctx);
+        }
+        let want = CycleTimeAnalysis::run_in(&sg, None, &mut one).expect("live");
+        let got = CycleTimeAnalysis::run_in(&sg, None, &mut two).expect("live");
+        assert_analyses_identical(&want, &got, &ctx);
+
+        let nominal = |arena: &mut AnalysisArena| {
+            let a = CycleTimeAnalysis::run_in(&sg, None, arena);
+            a.expect("live").records().len()
+        };
+        let sweep = |arena: &mut AnalysisArena| {
+            let a = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, arena, None);
+            a.expect("live").len()
+        };
+        let b = want.border_events().len();
+        for (sweep, run) in [
+            ("nominal", &nominal as &Arm),
+            ("corners min,typ,max", &sweep),
+        ] {
+            let (mut one_worker, mut two_workers) = (Vec::new(), Vec::new());
+            for _ in 0..reps.max(1) {
+                one_worker.extend(samples_per_call(1, || run(&mut one)));
+                two_workers.extend(samples_per_call(1, || run(&mut two)));
+            }
+            one_worker.sort_by(f64::total_cmp);
+            two_workers.sort_by(f64::total_cmp);
+            rows.push(ChunkRow {
+                sweep,
+                events,
+                b,
+                one_worker,
+                two_workers,
+            });
+        }
+    }
+    rows
+}
+
 struct EditLoopRow {
     edits: usize,
     full_seconds: f64,
@@ -603,7 +691,9 @@ fn measure_edit_loop(edit_counts: &[usize], reps: usize) -> Vec<EditLoopRow> {
             let taus: Vec<u64> = script
                 .iter()
                 .map(|e| {
-                    let delta = session.edit_delay(e.arc, e.delay).expect("valid edit");
+                    let delta = session
+                        .edit_delays(std::slice::from_ref(e), None)
+                        .expect("valid edit");
                     rows += delta.rows;
                     rows_total += delta.rows_total;
                     session.analysis().cycle_time().as_f64().to_bits()
@@ -670,7 +760,7 @@ fn measure_structural_edit_loop(batch_counts: &[usize], reps: usize) -> Vec<Edit
             let taus: Vec<u64> = script
                 .iter()
                 .map(|batch| {
-                    let delta = session.edit_structure(batch).expect("valid batch");
+                    let delta = session.edit_structure(batch, None).expect("valid batch");
                     rows += delta.rows;
                     rows_total += delta.rows_total;
                     session.analysis().cycle_time().as_f64().to_bits()
@@ -710,6 +800,7 @@ fn json_report(
     corner_rows: &[CornerRow],
     load_rows: &[LoadRow],
     window: &WindowRow,
+    chunk_rows: &[ChunkRow],
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -900,6 +991,38 @@ fn json_report(
         window.full_matrix_bytes
     );
     let _ = writeln!(out, "  }},");
+    let _ = writeln!(out, "  \"lane_chunks\": {{");
+    let _ = writeln!(
+        out,
+        "    \"workload\": \"random_live_tsg seed 7, n events, n/128 tokens, n/16 chords; \
+         run_in and a min/typ/max run_scenarios_in on a 1- and a 2-worker AnalysisArena\","
+    );
+    let _ = writeln!(out, "    \"bit_identical\": true,");
+    let _ = writeln!(out, "    \"rows\": [");
+    for (i, r) in chunk_rows.iter().enumerate() {
+        let comma = if i + 1 < chunk_rows.len() { "," } else { "" };
+        let list = |s: &[f64]| {
+            s.iter()
+                .map(|x| format!("{x:.9}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let (m1, m2) = r.medians();
+        let _ = writeln!(
+            out,
+            "      {{\"sweep\": \"{}\", \"events\": {}, \"b\": {}, \
+             \"one_worker_median_seconds\": {m1:.9}, \"two_workers_median_seconds\": {m2:.9}, \
+             \"speedup\": {:.3}, \"one_worker_samples\": [{}], \"two_workers_samples\": [{}]}}{comma}",
+            r.sweep,
+            r.events,
+            r.b,
+            m1 / m2.max(1e-12),
+            list(&r.one_worker),
+            list(&r.two_workers)
+        );
+    }
+    let _ = writeln!(out, "    ]");
+    let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"analysis\": {{");
     let _ = writeln!(out, "    \"graphs\": {graphs},");
     let _ = writeln!(out, "    \"sequential_seconds\": {seq_seconds:.9},");
@@ -1069,6 +1192,21 @@ fn main() {
         window_row.full_matrix_bytes as f64 / 1e6
     );
 
+    eprintln!("measuring lane chunks: one against two analysis workers...");
+    let chunk_rows = measure_lane_chunks(reps.max(5));
+    for r in &chunk_rows {
+        let (m1, m2) = r.medians();
+        eprintln!(
+            "  {:<20} n={:>4} b={:>3}: 1 worker {:>8.3} ms, 2 workers {:>8.3} ms ({:.2}x)",
+            r.sweep,
+            r.events,
+            r.b,
+            m1 * 1e3,
+            m2 * 1e3,
+            m1 / m2.max(1e-12)
+        );
+    }
+
     let graphs: Vec<SignalGraph> = (0..graph_count as u64)
         .map(|seed| tsg_gen::random_live_tsg(seed, tsg_gen::RandomTsgConfig::default()))
         .collect();
@@ -1106,6 +1244,7 @@ fn main() {
         &corner_rows,
         &load_rows,
         &window_row,
+        &chunk_rows,
     );
     if let Err(e) = std::fs::write(&out_path, &report) {
         eprintln!("writing {out_path}: {e}");

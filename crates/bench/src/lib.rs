@@ -8,7 +8,7 @@
 
 use tsg_core::analysis::initiated::SimArena;
 use tsg_core::analysis::session::{DelayEdit, GraphEdit};
-use tsg_core::analysis::wide::WideArena;
+use tsg_core::analysis::wide::{AnalysisArena, WideArena};
 use tsg_core::analysis::{CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
 use tsg_sim::EventQueue;
@@ -228,7 +228,8 @@ pub fn assert_backends_match(sg: &SignalGraph, ctx: &str) {
     let b = border.len() as u32;
     let mut reference: Option<WideArena> = None;
     for backend in available_backends() {
-        let got = CycleTimeAnalysis::run_with_kernel(sg, backend).expect("live");
+        let got = CycleTimeAnalysis::run_in(sg, None, &mut AnalysisArena::with_kernel(backend))
+            .expect("live");
         assert_analyses_identical(&scalar, &got, &format!("{ctx} [{}]", backend.name()));
 
         let mut lanes = WideArena::with_kernel(backend);
@@ -267,7 +268,8 @@ pub fn assert_backends_match(sg: &SignalGraph, ctx: &str) {
 ///
 /// Panics (with `ctx` and the scenario label) on any divergence.
 pub fn assert_scenarios_match_scalar(sg: &SignalGraph, set: &ScenarioSet, ctx: &str) {
-    let swept = CycleTimeAnalysis::run_scenarios(sg, set).expect("scenarios stay live");
+    let swept = CycleTimeAnalysis::run_scenarios_in(sg, set, None, &mut AnalysisArena::new(), None)
+        .expect("scenarios stay live");
     assert_eq!(swept.len(), set.len(), "{ctx}: scenario count");
     for j in 0..set.len() {
         let scratch =
@@ -410,7 +412,7 @@ mod tests {
         let mut scratch = sg;
         for (i, batch) in script.iter().enumerate() {
             session
-                .edit_structure(batch)
+                .edit_structure(batch, None)
                 .unwrap_or_else(|e| panic!("batch {i} rejected: {e}"));
             apply_graph_edits(&mut scratch, batch);
             let full = CycleTimeAnalysis::run(&scratch).expect("cyclic");

@@ -18,9 +18,11 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use tsg_core::analysis::session::AnalysisSession;
-use tsg_core::analysis::{Corner, KernelBackend, ScenarioSet};
+use tsg_core::analysis::wide::AnalysisArena;
+use tsg_core::analysis::{Corner, KernelBackend};
+use tsg_core::SignalGraph;
 use tsg_serve::json::Json;
-use tsg_serve::ops::{self, AnalyzeOptions, EditSpec, SimOptions};
+use tsg_serve::ops::{self, AnalyzeOptions, EditOp, EditSpec, SimOptions, Source, Workspace};
 use tsg_serve::ServeOptions;
 use tsg_sim::BatchRunner;
 
@@ -64,9 +66,13 @@ tsg-sim event queue) and prints the transition stream; `--vcd PATH`
 additionally dumps a waveform any VCD viewer opens.
 `--queue {heap|calendar}` is accepted and ignored: the kernel has one
 event queue, a binary heap. Several files fan out across a `--threads
-N` pool (default: all cores); the analysis itself also runs its b
-border simulations on that pool, in lockstep lane chunks of the
-SIMD-friendly wide kernel.
+N` pool (default: all cores).
+
+`analyze --threads N` splits the b border simulations — and the
+scenario blocks of a --corners or --samples sweep — into N lane chunks,
+one lockstep pass of the SIMD-friendly wide kernel per worker thread
+(default: all cores). The report is identical at every N; only the time
+moves, and on small graphs one thread is the fastest.
 
 `--kernel` pins the wide-kernel backend (default `auto`: the widest
 the CPU supports — AVX2, else the portable loop; `sse2` is accepted
@@ -167,6 +173,18 @@ fn main() -> ExitCode {
     }
 }
 
+/// The `analyze` / `demo` report on an arena pinned to `opts.kernel`
+/// with `threads` lane-chunk workers (`None` = all cores).
+fn analyze_report(
+    sg: &SignalGraph,
+    opts: &AnalyzeOptions,
+    threads: Option<usize>,
+) -> Result<String, String> {
+    let workers = BatchRunner::sized(threads).threads();
+    let mut arena = AnalysisArena::with_kernel(opts.kernel).with_workers(workers);
+    ops::report_in(sg, opts, &mut arena).map_err(|e| e.to_string())
+}
+
 fn parse_threads(args: &[String], i: usize) -> Result<usize, String> {
     BatchRunner::parse_threads(args.get(i).map(String::as_str))
 }
@@ -197,6 +215,7 @@ fn run(args: &[String]) -> Result<String, String> {
         Some("analyze") => {
             let file = args.get(1).ok_or("analyze needs a FILE argument")?;
             let mut opts = AnalyzeOptions::default();
+            let mut threads: Option<usize> = None;
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
@@ -213,7 +232,7 @@ fn run(args: &[String]) -> Result<String, String> {
                     }
                     "--threads" => {
                         i += 1;
-                        opts.threads = Some(parse_threads(args, i)?);
+                        threads = Some(parse_threads(args, i)?);
                     }
                     "--kernel" => {
                         i += 1;
@@ -261,7 +280,7 @@ fn run(args: &[String]) -> Result<String, String> {
             }
             let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
             let sg = ops::load(file, &text, opts.default_delay)?;
-            ops::report(&sg, &opts)
+            analyze_report(&sg, &opts, threads)
         }
         Some("sim") => {
             let mut files: Vec<String> = Vec::new();
@@ -331,7 +350,10 @@ fn run(args: &[String]) -> Result<String, String> {
             // printed, failed ones inline, and the command still exits
             // nonzero if anything failed.
             let outputs: Vec<Result<String, String>> =
-                BatchRunner::sized(threads).run(&files, |file| ops::simulate_file(file, &opts));
+                BatchRunner::sized(threads).run_with_state(&files, Workspace::new, |ws, file| {
+                    let source = Source::Path(file.clone());
+                    ws.simulate(&source, &opts, None).map_err(|e| e.to_string())
+                });
             let single = files.len() == 1;
             if single {
                 // Single-file errors already name the file where it
@@ -454,7 +476,7 @@ fn run(args: &[String]) -> Result<String, String> {
             let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
             let sg = ops::load(file, &text, default_delay)?;
             let mut session =
-                AnalysisSession::open_with_kernel(sg, kernel).map_err(|e| e.to_string())?;
+                AnalysisSession::open_with_cancel(sg, kernel, None).map_err(|e| e.to_string())?;
             let critical_of = |session: &AnalysisSession| {
                 session
                     .graph()
@@ -496,7 +518,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 out.push_str(&ops::session_summary(&session));
             }
             for spec in &edits {
-                let delta = ops::apply_edits(&mut session, std::slice::from_ref(spec))?;
+                let delta = ops::apply_struct_edits(&mut session, &[EditOp::Delay(spec.clone())])?;
                 if report_json {
                     let edit = format!("{}->{}={}", spec.src, spec.dst, spec.delay);
                     let critical = critical_of(&session);
@@ -527,83 +549,28 @@ fn run(args: &[String]) -> Result<String, String> {
                 }
             }
             let outcome = if optimize {
-                // The robust objective scores over sampled delay
-                // scenarios, so the session needs lanes to score.
-                if objective == ops::Objective::TauP95 && session.scenario_analysis().is_none() {
-                    let set =
-                        ScenarioSet::samples(samples, seed, 10.0, session.graph().arc_count())
-                            .map_err(|e| e.to_string())?;
-                    session.enable_scenarios(&set).map_err(|e| e.to_string())?;
-                }
+                let (outcome, text) =
+                    ops::explore_session(&mut session, moves, seed, objective, samples, None)?;
                 if !report_json {
-                    if let Some(sa) = session.scenario_analysis() {
-                        let _ = writeln!(
-                            out,
-                            "objective: {objective} over {} scenario lane(s)",
-                            sa.len()
-                        );
-                    }
+                    out.push_str(&text);
                 }
-                Some(ops::optimize_session(
-                    &mut session,
-                    moves,
-                    seed,
-                    objective,
-                    None,
-                ))
+                for m in outcome.trajectory.iter().filter(|_| report_json) {
+                    let line = Json::Obj(vec![
+                        ("move".to_owned(), Json::from(m.index as u64)),
+                        ("action".to_owned(), Json::from(m.action.as_str())),
+                        ("tau_before".to_owned(), Json::Num(m.tau_before)),
+                        ("tau_after".to_owned(), Json::Num(m.tau_after)),
+                        ("critical".to_owned(), Json::from(m.critical.as_str())),
+                        ("accepted".to_owned(), Json::Bool(m.accepted)),
+                        ("rows".to_owned(), Json::from(m.rows as u64)),
+                        ("rows_total".to_owned(), Json::from(m.rows_total as u64)),
+                    ]);
+                    let _ = writeln!(out, "{}", line.dump());
+                }
+                Some(outcome)
             } else {
                 None
             };
-            if let Some(outcome) = &outcome {
-                for m in &outcome.trajectory {
-                    if report_json {
-                        let line = Json::Obj(vec![
-                            ("move".to_owned(), Json::from(m.index as u64)),
-                            ("action".to_owned(), Json::from(m.action.as_str())),
-                            ("tau_before".to_owned(), Json::Num(m.tau_before)),
-                            ("tau_after".to_owned(), Json::Num(m.tau_after)),
-                            ("critical".to_owned(), Json::from(m.critical.as_str())),
-                            ("accepted".to_owned(), Json::Bool(m.accepted)),
-                            ("rows".to_owned(), Json::from(m.rows as u64)),
-                            ("rows_total".to_owned(), Json::from(m.rows_total as u64)),
-                        ]);
-                        let _ = writeln!(out, "{}", line.dump());
-                    } else {
-                        let _ = writeln!(
-                            out,
-                            "move {}: {}: tau {} -> {} ({}, {} of {} rows)",
-                            m.index,
-                            m.action,
-                            m.tau_before,
-                            m.tau_after,
-                            if m.accepted { "accepted" } else { "rejected" },
-                            m.rows,
-                            m.rows_total
-                        );
-                    }
-                }
-                if !report_json {
-                    let _ = writeln!(
-                        out,
-                        "optimized: tau {} -> {} after {} accepted of {} proposed move(s)",
-                        outcome.initial,
-                        outcome.final_tau,
-                        outcome.accepted,
-                        outcome.trajectory.len()
-                    );
-                    out.push_str(&ops::session_summary(&session));
-                    if let Some(sa) = session.scenario_analysis() {
-                        let _ = writeln!(
-                            out,
-                            "tau distribution: mean {:.4}  p50 {:.4}  p95 {:.4}  max {:.4}",
-                            sa.tau_mean(),
-                            sa.tau_quantile(0.5),
-                            sa.tau_quantile(0.95),
-                            sa.tau_quantile(1.0)
-                        );
-                    }
-                }
-            }
             // Trust, but verify: the final incremental state must be
             // bit-identical to a from-scratch analysis of the edited
             // graph.
@@ -833,7 +800,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 "stack66" => tsg_gen::stack66(),
                 other => return Err(format!("unknown demo {other:?}")),
             };
-            ops::report(&sg, &opts)
+            analyze_report(&sg, &opts, None)
         }
         Some("--help") | Some("-h") | None => Ok(USAGE.to_owned()),
         Some(other) => Err(format!("unknown command {other:?}")),
@@ -1767,6 +1734,45 @@ mod tests {
         ] {
             let argv: Vec<String> = bad.iter().map(|s| (*s).to_owned()).collect();
             assert!(run(&argv).is_err(), "{bad:?}");
+        }
+    }
+
+    /// `--threads` only moves the time: a 2400-event ring with 12
+    /// tokens has 12 border lanes and, at 3 corners, three scenario
+    /// blocks, so two workers split both the nominal lanes and the
+    /// corner sweep — and the report must match one worker's byte for
+    /// byte.
+    #[test]
+    fn analyze_output_is_thread_count_invariant() {
+        const N: usize = 1200;
+        let mut g = String::from(".graph\n");
+        let mut marking = Vec::new();
+        let mut delays = String::new();
+        for i in 0..2 * N {
+            let label = |k: usize| format!("s{}{}", (k % (2 * N)) / 2, ["+", "-"][k % 2]);
+            let (src, dst) = (label(i), label(i + 1));
+            let _ = writeln!(g, "{src} {dst}");
+            let _ = writeln!(delays, ".delay {src} {dst} {}", 1 + i % 7);
+            if i % (2 * N / 12) == 0 {
+                marking.push(format!("<{src},{dst}>"));
+            }
+        }
+        let text = format!("{g}.marking {{ {} }}\n{delays}.end\n", marking.join(" "));
+        let dir = std::env::temp_dir().join("tsg-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("threads.g");
+        std::fs::write(&path, text).unwrap();
+        let p = path.to_string_lossy().into_owned();
+        for extra in [&["--corners", "min,typ,max"][..], &["--samples", "8"]] {
+            let at = |threads: &str| {
+                let mut args: Vec<String> = vec!["analyze".into(), p.clone()];
+                args.extend(extra.iter().map(|a| a.to_string()));
+                args.extend(["--threads".into(), threads.into()]);
+                run(&args).unwrap()
+            };
+            let one = at("1");
+            assert!(one.contains("12 border event(s)"), "{one}");
+            assert_eq!(at("2"), one, "{extra:?}");
         }
     }
 

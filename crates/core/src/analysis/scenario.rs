@@ -468,6 +468,7 @@ impl ScenarioAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::wide::AnalysisArena;
     use crate::SignalGraph;
 
     fn figure2() -> SignalGraph {
@@ -647,17 +648,19 @@ mod tests {
         assert!(corners.reweighted(&sg, 0).is_ok());
         assert_eq!(corners.reweighted(&sg, 2).unwrap_err(), want);
         assert_eq!(
-            CycleTimeAnalysis::run_scenarios(&sg, &corners).unwrap_err(),
+            CycleTimeAnalysis::run_scenarios_in(
+                &sg,
+                &corners,
+                None,
+                &mut AnalysisArena::new(),
+                None
+            )
+            .unwrap_err(),
             want
         );
-        let runner = tsg_sim::BatchRunner::with_threads(2);
-        let parallel = CycleTimeAnalysis::run_scenarios_parallel_on(
-            &sg,
-            &corners,
-            &runner,
-            crate::analysis::KernelBackend::Auto,
-            None,
-        );
+        let mut two_workers = AnalysisArena::new().with_workers(2);
+        let parallel =
+            CycleTimeAnalysis::run_scenarios_in(&sg, &corners, None, &mut two_workers, None);
         assert_eq!(parallel.unwrap_err(), want);
 
         // Seeded samples at ±10%: the first scenario drawing a factor
@@ -666,7 +669,14 @@ mod tests {
         let first = (0..samples.len())
             .find(|&j| samples.reweighted(&sg, j).is_err())
             .expect("some sample inflates the delay");
-        let err = CycleTimeAnalysis::run_scenarios(&sg, &samples).unwrap_err();
+        let err = CycleTimeAnalysis::run_scenarios_in(
+            &sg,
+            &samples,
+            None,
+            &mut AnalysisArena::new(),
+            None,
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             AnalysisError::ScenarioDelay {

@@ -80,16 +80,23 @@
 //! committed, the matrix remembers its first stale row, and the next
 //! uncancelled call — even an empty batch — heals it.
 //!
+//! A batch of either kind whose re-analysis fails — its winning cycle
+//! length, or a scenario's delays, overflow `f64` — is refused like an
+//! invalid one: the pre-batch graph is restored and every lane is
+//! reseeded from it, bit-identical to the state before the batch.
+//!
 use std::collections::VecDeque;
 use std::fmt;
 
 use tsg_sim::{CancelKind, CancelToken};
 
-use crate::analysis::cycle_time::{halt_to_error, AnalysisError, BorderRecord, CycleTimeAnalysis};
+use crate::analysis::cycle_time::{
+    finish_scenarios, halt_to_error, lane_records, AnalysisError, BorderRecord, CycleTimeAnalysis,
+};
 use crate::analysis::initiated::SimArena;
 use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
 use crate::analysis::structure::CyclicStructure;
-use crate::analysis::wide::{Halt, KernelBackend, Rows, WideArena};
+use crate::analysis::wide::{AnalysisArena, Cancelled, Halt, KernelBackend, Rows, WideArena};
 use crate::analysis::CycleTime;
 use crate::arc::ArcId;
 use crate::event::EventId;
@@ -177,8 +184,9 @@ pub struct CycleTimeDelta {
     pub rows_total: usize,
 }
 
-/// Error of [`AnalysisSession::edit_delays`]; the session state is
-/// unchanged when one is returned.
+/// Error of [`AnalysisSession::edit_delays`] and
+/// [`AnalysisSession::edit_structure`]; the session state is unchanged
+/// when one is returned, except after [`EditError::Cancelled`].
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum EditError {
@@ -202,8 +210,8 @@ pub enum EditError {
     /// behavior to analyse); rolled back, session unchanged.
     NoCyclicBehavior,
     /// The batch's re-analysis was cancelled mid-flight. Unlike the
-    /// validation errors, the edits *are* applied to the graph; the
-    /// cached analysis is stale until the next uncancelled
+    /// other errors, the edits *are* applied to the graph; the cached
+    /// analysis is stale until the next uncancelled
     /// [`edit_delays`](AnalysisSession::edit_delays) call (even with an
     /// empty batch) heals the matrix bit-identically.
     Cancelled {
@@ -214,10 +222,10 @@ pub enum EditError {
         /// Rows a full resume pass computes.
         rows_total: usize,
     },
-    /// An enabled scenario scales an edited delay past `f64::MAX`. A
-    /// delay batch is refused untouched; a structural batch stays
-    /// applied, its scenario state stale until the delays are in range.
-    Scenario(AnalysisError),
+    /// The edited graph cannot be analysed: its winning cycle length
+    /// overflows, or an enabled scenario scales a delay (or a cycle)
+    /// past `f64::MAX`. The batch is refused and the session unchanged.
+    Analysis(AnalysisError),
 }
 
 impl fmt::Display for EditError {
@@ -246,12 +254,28 @@ impl fmt::Display for EditError {
                     "{kind} after {rows_done} of {rows_total} simulation row(s)"
                 )
             }
-            EditError::Scenario(e) => e.fmt(f),
+            EditError::Analysis(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for EditError {}
+
+impl From<crate::validate::ValidationError> for EditError {
+    fn from(v: crate::validate::ValidationError) -> Self {
+        EditError::Invalid(v)
+    }
+}
+
+impl From<Cancelled> for EditError {
+    fn from(c: Cancelled) -> Self {
+        EditError::Cancelled {
+            kind: c.kind,
+            rows_done: c.rows_done,
+            rows_total: c.rows_total,
+        }
+    }
+}
 
 /// An open incremental-analysis session; see the [module docs](self).
 ///
@@ -271,7 +295,7 @@ impl std::error::Error for EditError {}
 ///
 /// let mut session = AnalysisSession::open(sg)?;
 /// assert_eq!(session.analysis().cycle_time().as_f64(), 5.0);
-/// let delta = session.edit_delay(up, 7.0)?;
+/// let delta = session.edit_delays(&[DelayEdit { arc: up, delay: 7.0 }], None)?;
 /// assert_eq!(delta.after.as_f64(), 9.0);
 /// assert_eq!(session.analysis().cycle_time().as_f64(), 9.0);
 /// # Ok(())
@@ -313,19 +337,17 @@ pub struct AnalysisSession {
 }
 
 /// The session's warm scenario-lane state: one `b × s` wide arena whose
-/// lanes mirror the nominal matrices under each scenario's reweighted
-/// delays, kept in lockstep with the nominal arena by the same dirty-row
-/// resumes. The two staleness flags let a cancelled pass heal later:
-/// `stale_weights` marks the reweighted graphs / δ table out of sync
-/// with the session graph (structural batch committed but not yet
-/// resynced), `needs_reseed` marks the whole lane matrix stale (border
-/// set or event axis changed).
+/// lanes mirror the nominal matrices under each scenario's scaled
+/// delays (`nominal × factor`, the products
+/// [`ScenarioSet::reweighted`] stores), kept in lockstep with the
+/// nominal arena by the same dirty-row resumes. The two staleness flags
+/// let a cancelled pass heal later: `stale_weights` marks the set / δ
+/// table out of sync with the session graph (structural batch
+/// committed but not yet resynced), `needs_reseed` marks the whole lane
+/// matrix stale (border set or event axis changed).
 #[derive(Clone, Debug)]
 struct ScenarioState {
     set: ScenarioSet,
-    /// Per-scenario reweighted graphs — the canonical delay source for
-    /// both the δ table and the per-scenario winner re-runs.
-    reweighted: Vec<SignalGraph>,
     /// All `b × s` scenario matrices, lane `j·b + k`.
     wide: WideArena,
     /// Arena the per-scenario winner re-runs use.
@@ -348,28 +370,19 @@ impl AnalysisSession {
     /// Returns [`AnalysisError::NoCyclicBehavior`] when `sg` has no
     /// repetitive events.
     pub fn open(sg: SignalGraph) -> Result<Self, AnalysisError> {
-        Self::open_with_kernel(sg, KernelBackend::Auto)
+        Self::open_with_cancel(sg, KernelBackend::Auto, None)
     }
 
-    /// [`open`](Self::open) on an explicitly chosen [`KernelBackend`]:
-    /// the session's warm wide arena — and hence every dirty-region
-    /// resume — runs on it for the session's whole lifetime. `kernel`
-    /// is resolved leniently (see
-    /// [`WideArena::with_kernel`](crate::analysis::wide::WideArena::with_kernel));
-    /// validate with [`KernelBackend::resolve`] first where an
-    /// unavailable request must be a structured error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::NoCyclicBehavior`] when `sg` has no
-    /// repetitive events.
-    pub fn open_with_kernel(sg: SignalGraph, kernel: KernelBackend) -> Result<Self, AnalysisError> {
-        Self::open_with_cancel(sg, kernel, None)
-    }
-
-    /// [`open_with_kernel`](Self::open_with_kernel) under a cancellation
-    /// token: the opening full analysis polls `cancel` once per matrix
-    /// row and no session is created when it fires.
+    /// [`open`](Self::open) on an explicitly chosen [`KernelBackend`],
+    /// under a cancellation token. The session's warm wide arena — and
+    /// hence every dirty-region resume — runs on `kernel` for the
+    /// session's whole lifetime; `kernel` is resolved leniently (see
+    /// [`WideArena::with_kernel`]), so validate with
+    /// [`KernelBackend::resolve`] first where an unavailable request
+    /// must be a structured error. The opening analysis is the one
+    /// analysis core of [`CycleTimeAnalysis::run_in`], keeping every
+    /// matrix row; it polls `cancel` once per row and no session is
+    /// created when it fires.
     ///
     /// # Errors
     ///
@@ -381,59 +394,33 @@ impl AnalysisSession {
         kernel: KernelBackend,
         cancel: Option<&CancelToken>,
     ) -> Result<Self, AnalysisError> {
-        let border = sg.border_events();
-        if border.is_empty() {
-            return Err(AnalysisError::NoCyclicBehavior);
-        }
-        let b = border.len() as u32;
-        let structure = CyclicStructure::new(&sg);
-        let mut entry_of_arc = vec![NO_ENTRY; sg.arc_count()];
-        for (slot, entry) in structure.entries.iter().enumerate() {
-            entry_of_arc[entry.arc.index()] = slot as u32;
-        }
-
-        let mut wide = WideArena::with_kernel(kernel);
-        if let Err(halt) = wide.run_with(&sg, &structure, &border, b, Rows::All, cancel) {
-            // `NotRepetitive` cannot fire (border events are repetitive
-            // by construction) and `Degenerate` cannot either (border
-            // verified non-empty, b >= 1), but the mapping is total so
-            // either would surface as a structured error, not a panic.
-            return Err(halt_to_error(halt));
-        }
-        let records: Vec<BorderRecord> = (0..border.len())
-            .map(|k| BorderRecord {
-                event: border[k],
-                distances: wide.distance_series(k),
-            })
-            .collect();
-        let mut finish_arena = SimArena::new();
-        let analysis = CycleTimeAnalysis::finish(
-            &sg,
-            &structure,
-            border.clone(),
-            records.clone(),
-            b,
-            &mut finish_arena,
-        )?;
-
-        let n = sg.event_count();
-        Ok(AnalysisSession {
-            sg,
+        let mut arena = AnalysisArena::with_kernel(kernel);
+        let analysis = CycleTimeAnalysis::run_rows(&sg, None, &mut arena, Rows::All, cancel)?;
+        let AnalysisArena {
+            mut wides,
+            finish,
             structure,
-            entry_of_arc,
+        } = arena;
+        let border = analysis.border_events().to_vec();
+        let mut session = AnalysisSession {
+            entry_of_arc: Vec::new(),
             restart: vec![UNREACHED; border.len()],
+            b: border.len() as u32,
+            records: analysis.records().to_vec(),
             border,
-            b,
-            records,
-            wide,
-            finish_arena,
+            wide: wides.swap_remove(0),
+            finish_arena: finish,
+            structure,
             analysis,
             edits: 0,
             dirty_from: None,
-            dist_back: vec![UNREACHED; n],
+            dist_back: vec![UNREACHED; sg.event_count()],
             deque: VecDeque::new(),
             scenarios: None,
-        })
+            sg,
+        };
+        session.map_entries();
+        Ok(session)
     }
 
     /// The session's graph, with all applied edits.
@@ -491,37 +478,17 @@ impl AnalysisSession {
             .ok_or_else(|| EditError::NoArcBetween(src.to_owned(), dst.to_owned()))
     }
 
-    /// Applies one delay edit; see [`edit_delays`](Self::edit_delays).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EditError`] for an unknown arc or invalid delay.
-    pub fn edit_delay(&mut self, arc: ArcId, delay: f64) -> Result<CycleTimeDelta, EditError> {
-        self.edit_delays(&[DelayEdit { arc, delay }])
-    }
-
     /// Applies a batch of delay edits and re-analyses only the dirty
     /// region: each border simulation resumes at the first row the batch
     /// can influence (the module-level `r0` criterion), reusing every
     /// cached row below it; simulations whose `r0` lies beyond the
-    /// horizon are not touched at all.
+    /// horizon are not touched at all. The resume polls `cancel` once
+    /// per recomputed matrix row.
     ///
     /// The updated [`analysis`](Self::analysis) is bit-identical to a
     /// from-scratch [`CycleTimeAnalysis::run`] on the edited graph; the
     /// returned [`CycleTimeDelta`] reports how many simulations resumed
     /// and how many matrix rows were actually recomputed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EditError`] — and leaves the session untouched — when
-    /// any edit names an unknown arc or an invalid delay.
-    pub fn edit_delays(&mut self, edits: &[DelayEdit]) -> Result<CycleTimeDelta, EditError> {
-        self.edit_delays_with_cancel(edits, None)
-    }
-
-    /// [`edit_delays`](Self::edit_delays) under a cancellation token:
-    /// the dirty-region resume polls `cancel` once per recomputed matrix
-    /// row.
     ///
     /// On cancellation the edits **are** applied to the graph but the
     /// cached [`analysis`](Self::analysis) is stale: the session
@@ -535,11 +502,14 @@ impl AnalysisSession {
     ///
     /// # Errors
     ///
-    /// Returns the validation [`EditError`]s — and leaves the session
-    /// untouched — for an unknown arc or invalid delay, or
+    /// Returns [`EditError`] — and leaves the session untouched — when
+    /// any edit names an unknown arc or an invalid delay, when an
+    /// enabled scenario scales an edited delay past `f64::MAX`, or when
+    /// the edited graph's winning cycle length overflows
+    /// ([`EditError::Analysis`]; the batch is rolled back). Returns
     /// [`EditError::Cancelled`] when `cancel` fires mid-resume (edits
     /// applied, analysis stale until healed).
-    pub fn edit_delays_with_cancel(
+    pub fn edit_delays(
         &mut self,
         edits: &[DelayEdit],
         cancel: Option<&CancelToken>,
@@ -564,12 +534,20 @@ impl AnalysisSession {
             if let Some(set) = warm.map(|s| &s.set) {
                 let overflows = |j| !(e.delay * set.factor(j, e.arc)).is_finite();
                 if let Some(j) = (0..set.len()).find(|&j| overflows(j)) {
-                    return Err(EditError::Scenario(set.overflow_error(&self.sg, j, e.arc)));
+                    return Err(EditError::Analysis(set.overflow_error(&self.sg, j, e.arc)));
                 }
             }
         }
 
         let before = self.analysis.cycle_time();
+        // The pre-batch delays, to roll a refused batch back.
+        let undo: Vec<DelayEdit> = edits
+            .iter()
+            .map(|e| DelayEdit {
+                arc: e.arc,
+                delay: self.sg.arc(e.arc).delay().get(),
+            })
+            .collect();
         self.restart.fill(UNREACHED);
         for e in edits {
             if self.sg.arc(e.arc).delay().get().to_bits() == e.delay.to_bits() {
@@ -586,49 +564,27 @@ impl AnalysisSession {
             // Arcs outside the cyclic structure (prefix/disengageable)
             // never feed a border simulation: delay applied, zero dirty.
 
-            // Keep the scenario lanes' delay sources in lockstep: each
-            // reweighted graph takes the scaled edit and the warm δ
-            // table folds it in place, so the scenario matrices resume
-            // from the same min dirty row as the nominal one. (A stale
+            // Keep the scenario lanes' δ table in lockstep: it folds the
+            // scaled edit in place, so the scenario matrices resume from
+            // the same min dirty row as the nominal one. (A stale
             // scenario state resyncs wholesale in `refresh_scenarios`.)
             if let Some(scen) = self.scenarios.as_mut() {
-                if !scen.stale_weights && !scen.needs_reseed {
+                if !scen.stale_weights && !scen.needs_reseed && slot != NO_ENTRY {
                     for j in 0..scen.set.len() {
                         let scaled = e.delay * scen.set.factor(j, e.arc);
-                        scen.reweighted[j]
-                            .set_delay(e.arc, scaled)
-                            .expect("scaled delays validated above");
-                        if slot != NO_ENTRY {
-                            scen.wide.set_scenario_delay(slot as usize, j, scaled);
-                        }
+                        scen.wide.set_scenario_delay(slot as usize, j, scaled);
                     }
                 }
             }
         }
 
-        let (dirty_count, rows) = self.resume_dirty_rows(cancel)?;
-        self.refinish();
-        self.refresh_scenarios(cancel)?;
-        self.edits += 1;
-        Ok(CycleTimeDelta {
-            before,
-            after: self.analysis.cycle_time(),
-            dirty: dirty_count,
-            borders: self.border.len(),
-            rows,
-            rows_total: self.border.len() * (self.b as usize + 1),
+        let dirty = self.resume_dirty_rows(cancel)?;
+        self.conclude(before, dirty, cancel, |sg| {
+            for u in undo.iter().rev() {
+                sg.set_delay(u.arc, u.delay)
+                    .expect("pre-batch delays are valid");
+            }
         })
-    }
-
-    /// Applies one structural edit; see
-    /// [`edit_structure`](Self::edit_structure).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EditError`] when the edit breaks a graph rule; the
-    /// session is rolled back untouched.
-    pub fn edit(&mut self, edit: GraphEdit) -> Result<CycleTimeDelta, EditError> {
-        self.edit_structure(&[edit])
     }
 
     /// Applies a batch of structural and delay edits ([`GraphEdit`]) and
@@ -643,31 +599,25 @@ impl AnalysisSession {
     /// An all-[`Delay`](GraphEdit::Delay) batch takes the
     /// [`edit_delays`](Self::edit_delays) fast path unchanged.
     ///
+    /// `cancel` is polled once per recomputed matrix row. Like a
+    /// cancelled delay batch, a cancelled structural batch **is**
+    /// committed to the graph — including a border-set change, whose
+    /// new lane mapping is installed before the reseed starts — and the
+    /// stale matrix heals on the next uncancelled call.
+    ///
     /// # Errors
     ///
     /// Returns [`EditError`] — rolling the graph back so the session is
     /// untouched — when any edit breaks a per-operation rule
     /// ([`EditError::Invalid`], [`EditError::UnknownArc`],
     /// [`EditError::InvalidDelay`]), when the mutated graph fails
-    /// whole-graph validation, or when it has no border events left
-    /// ([`EditError::NoCyclicBehavior`]).
-    pub fn edit_structure(&mut self, edits: &[GraphEdit]) -> Result<CycleTimeDelta, EditError> {
-        self.edit_structure_with_cancel(edits, None)
-    }
-
-    /// [`edit_structure`](Self::edit_structure) under a cancellation
-    /// token, polled once per recomputed matrix row. Like a cancelled
-    /// delay batch, a cancelled structural batch **is** committed to the
-    /// graph — including a border-set change, whose new lane mapping is
-    /// installed before the reseed starts — and the stale matrix heals
-    /// on the next uncancelled call.
-    ///
-    /// # Errors
-    ///
-    /// The validation errors of [`edit_structure`](Self::edit_structure)
-    /// (batch rolled back), or [`EditError::Cancelled`] (batch applied,
+    /// whole-graph validation, when it has no border events left
+    /// ([`EditError::NoCyclicBehavior`]), or when its re-analysis fails
+    /// ([`EditError::Analysis`]: an overflowing cycle length, or an
+    /// enabled scenario scaling a delay past `f64::MAX`). Returns
+    /// [`EditError::Cancelled`] when `cancel` fires (batch applied,
     /// analysis stale until healed).
-    pub fn edit_structure_with_cancel(
+    pub fn edit_structure(
         &mut self,
         edits: &[GraphEdit],
         cancel: Option<&CancelToken>,
@@ -680,7 +630,7 @@ impl AnalysisSession {
                     _ => unreachable!("all-delay batch"),
                 })
                 .collect();
-            return self.edit_delays_with_cancel(&delays, cancel);
+            return self.edit_delays(&delays, cancel);
         }
 
         let before = self.analysis.cycle_time();
@@ -704,72 +654,28 @@ impl AnalysisSession {
         // rejected edit (or failed whole-graph validation) drops the
         // copy and leaves the session untouched.
         let backup = self.sg.clone();
-        let mut added: Vec<ArcId> = Vec::new();
-        for e in edits {
-            let result = match e {
-                GraphEdit::Delay { arc, delay } => {
-                    if !self.sg.is_live_arc(*arc) {
-                        self.sg = backup;
-                        return Err(EditError::UnknownArc(*arc));
-                    }
-                    match self.sg.set_delay(*arc, *delay) {
-                        Ok(()) => Ok(()),
-                        Err(_) => {
-                            self.sg = backup;
-                            return Err(EditError::InvalidDelay {
-                                arc: *arc,
-                                delay: *delay,
-                            });
-                        }
-                    }
-                }
-                GraphEdit::AddArc {
-                    src,
-                    dst,
-                    delay,
-                    marked,
-                } => self
-                    .sg
-                    .add_arc(*src, *dst, *delay, *marked)
-                    .map(|a| added.push(a)),
-                GraphEdit::RemoveArc { arc } => self.sg.remove_arc(*arc),
-                GraphEdit::AddEvent { label } => self.sg.add_event(label).map(|_| ()),
-                GraphEdit::RemoveEvent { event } => self.sg.remove_event(*event),
-            };
-            if let Err(v) = result {
+        let (added, new_border) = match apply_graph_edits(&mut self.sg, edits) {
+            Ok(applied) => applied,
+            Err(e) => {
                 self.sg = backup;
-                return Err(EditError::Invalid(v));
+                return Err(e);
             }
-        }
-        if let Err(v) = self.sg.validate() {
-            self.sg = backup;
-            return Err(EditError::Invalid(v));
-        }
-        let new_border = self.sg.border_events();
-        if new_border.is_empty() {
-            self.sg = backup;
-            return Err(EditError::NoCyclicBehavior);
-        }
+        };
 
         // Committed. Rebuild the flattened structure in place on the
         // warm scratch, then refresh the arc→entry map for it.
         self.structure.rebuild(&self.sg);
-        self.entry_of_arc.clear();
-        self.entry_of_arc.resize(self.sg.arc_count(), NO_ENTRY);
-        for (slot, entry) in self.structure.entries.iter().enumerate() {
-            self.entry_of_arc[entry.arc.index()] = slot as u32;
-        }
+        self.map_entries();
 
         // The batch re-flattened the in-arc table and may have changed
-        // the arc set, so the scenario reweighted graphs and the δ table
-        // are stale until `refresh_scenarios` resyncs them. Flagged
-        // before the cancellable resume so an abort heals later.
+        // the arc set, so the scenario set and δ table are stale until
+        // `refresh_scenarios` resyncs them. Flagged before the
+        // cancellable resume so an abort heals later.
         if let Some(scen) = self.scenarios.as_mut() {
             scen.stale_weights = true;
         }
 
-        let (dirty_count, rows);
-        if new_border == self.border && self.sg.event_count() == old_event_count {
+        let dirty = if new_border == self.border && self.sg.event_count() == old_event_count {
             // Surviving borders keep their warm lanes. Post-apply pass
             // on the NEW graph: any newly-created path crosses an added
             // arc, so the new-graph token distances bound the additions.
@@ -778,75 +684,117 @@ impl AnalysisSession {
                     self.lower_restart_rows(a);
                 }
             }
-            (dirty_count, rows) = self.resume_dirty_rows(cancel)?;
+            self.resume_dirty_rows(cancel)?
         } else {
             // Border set changed or the event axis grew: retire dead
             // lanes, seed lanes for the new borders, reseed in full.
-            // Lane metadata is installed BEFORE the cancellable run so a
-            // cancelled reseed heals through the standard stale path.
-            self.border = new_border;
-            self.b = self.border.len() as u32;
-            self.restart.clear();
-            self.restart.resize(self.border.len(), UNREACHED);
-            self.records.truncate(self.border.len());
-            for (k, &g) in self.border.iter().enumerate() {
-                match self.records.get_mut(k) {
-                    Some(r) => r.event = g,
-                    None => self.records.push(BorderRecord {
-                        event: g,
-                        distances: Vec::new(),
-                    }),
-                }
-            }
-            let p_total = self.b as usize + 1;
-            // The scenario lane axis is stale too — flag the full
-            // reseed before the cancellable nominal run.
-            if let Some(scen) = self.scenarios.as_mut() {
-                scen.needs_reseed = true;
-            }
-            match self.wide.run_with(
-                &self.sg,
-                &self.structure,
-                &self.border,
-                self.b,
-                Rows::All,
-                cancel,
-            ) {
-                Ok(()) => {}
-                Err(Halt::NotRepetitive(_)) => {
-                    unreachable!("border events are repetitive by construction")
-                }
-                Err(Halt::Degenerate { .. }) => {
-                    unreachable!("border set verified non-empty above and b >= 1")
-                }
-                Err(Halt::Cancelled(c)) => {
-                    self.dirty_from = Some(c.rows_done);
-                    return Err(EditError::Cancelled {
-                        kind: c.kind,
-                        rows_done: c.rows_done,
-                        rows_total: p_total,
-                    });
-                }
-            }
-            self.dirty_from = None;
-            for k in 0..self.border.len() {
-                self.wide
-                    .distance_series_into(k, &mut self.records[k].distances);
-            }
-            (dirty_count, rows) = (self.border.len(), self.border.len() * p_total);
-        }
+            self.reseed(new_border, cancel)?
+        };
+        self.conclude(before, dirty, cancel, |sg| *sg = backup)
+    }
 
-        self.refinish();
-        self.refresh_scenarios(cancel)?;
+    /// The shared tail of an edit batch whose rows are recomputed:
+    /// refreshes the analysis and the scenario lanes, and counts the
+    /// batch. A batch whose re-analysis fails — anything but a cancel
+    /// — is refused: `restore` puts the pre-batch graph back and the
+    /// session rolls back to it.
+    fn conclude(
+        &mut self,
+        before: CycleTime,
+        (dirty, rows): (usize, usize),
+        cancel: Option<&CancelToken>,
+        restore: impl FnOnce(&mut SignalGraph),
+    ) -> Result<CycleTimeDelta, EditError> {
+        if let Err(e) = self.refresh(cancel) {
+            if !matches!(e, EditError::Cancelled { .. }) {
+                restore(&mut self.sg);
+                self.roll_back();
+            }
+            return Err(e);
+        }
         self.edits += 1;
         Ok(CycleTimeDelta {
             before,
             after: self.analysis.cycle_time(),
-            dirty: dirty_count,
+            dirty,
             borders: self.border.len(),
             rows,
             rows_total: self.border.len() * (self.b as usize + 1),
         })
+    }
+
+    /// Refreshes the `ArcId` → in-arc slot map for the current
+    /// structure.
+    fn map_entries(&mut self) {
+        self.entry_of_arc.clear();
+        self.entry_of_arc.resize(self.sg.arc_count(), NO_ENTRY);
+        for (slot, entry) in self.structure.entries.iter().enumerate() {
+            self.entry_of_arc[entry.arc.index()] = slot as u32;
+        }
+    }
+
+    /// Installs `border` as the lane axis — dead lanes retired, new
+    /// borders given lanes — and reseeds every lane in one full warm
+    /// pass. The lane metadata (and the scenario lanes' reseed flag) is
+    /// installed BEFORE the cancellable run, so a cancelled reseed heals
+    /// through the standard stale path. Returns `(dirty_lanes,
+    /// dirty_rows)`: every lane, every row.
+    fn reseed(
+        &mut self,
+        border: Vec<EventId>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(usize, usize), EditError> {
+        self.border = border;
+        self.b = self.border.len() as u32;
+        self.restart.clear();
+        self.restart.resize(self.border.len(), UNREACHED);
+        self.records.truncate(self.border.len());
+        for (k, &g) in self.border.iter().enumerate() {
+            match self.records.get_mut(k) {
+                Some(r) => r.event = g,
+                None => self.records.push(BorderRecord {
+                    event: g,
+                    distances: Vec::new(),
+                }),
+            }
+        }
+        if let Some(scen) = self.scenarios.as_mut() {
+            scen.needs_reseed = true;
+        }
+        let sweep = self.wide.run_with(
+            &self.sg,
+            &self.structure,
+            &self.border,
+            self.b,
+            Rows::All,
+            cancel,
+        );
+        note_pass(sweep, &mut self.dirty_from)?;
+        for k in 0..self.border.len() {
+            self.wide
+                .distance_series_into(k, &mut self.records[k].distances);
+        }
+        let p_total = self.b as usize + 1;
+        Ok((self.border.len(), self.border.len() * p_total))
+    }
+
+    /// Re-derives every warm state from the session graph, as
+    /// [`open`](Self::open) would — how a batch refused after it was
+    /// applied is undone, once the caller restored the pre-batch graph.
+    /// The restored state is bit-identical to the pre-batch one. Only a
+    /// pre-batch state that was itself stale (a cancelled batch never
+    /// healed) can fail to re-analyse; it then stays stale.
+    fn roll_back(&mut self) {
+        self.structure.rebuild(&self.sg);
+        self.map_entries();
+        if let Some(scen) = self.scenarios.as_mut() {
+            scen.stale_weights = true;
+        }
+        let border = self.sg.border_events();
+        let restored = self.reseed(border, None).and_then(|_| self.refresh(None));
+        if restored.is_err() {
+            self.dirty_from = Some(0);
+        }
     }
 
     /// Resumes every lane whose dirty row (this batch's `restart`,
@@ -890,11 +838,7 @@ impl AnalysisSession {
                 // edited structure and are final; everything from there
                 // on stays stale until a later pass heals it.
                 self.dirty_from = Some(c.rows_done);
-                return Err(EditError::Cancelled {
-                    kind: c.kind,
-                    rows_done: c.rows_done,
-                    rows_total: p_total,
-                });
+                return Err(c.into());
             }
             self.dirty_from = None;
             for k in 0..self.border.len() {
@@ -911,9 +855,8 @@ impl AnalysisSession {
     }
 
     /// Re-runs winner selection and critical-cycle backtracking from the
-    /// cached records; the border set was verified non-empty by the
-    /// caller.
-    fn refinish(&mut self) {
+    /// cached records, then brings the scenario lanes up to date.
+    fn refresh(&mut self, cancel: Option<&CancelToken>) -> Result<(), EditError> {
         self.analysis = CycleTimeAnalysis::finish(
             &self.sg,
             &self.structure,
@@ -922,7 +865,8 @@ impl AnalysisSession {
             self.b,
             &mut self.finish_arena,
         )
-        .expect("border set verified non-empty");
+        .map_err(EditError::Analysis)?;
+        self.refresh_scenarios(cancel)
     }
 
     /// Turns on corner/sample-lane analysis: one `b × s` wide pass over
@@ -930,11 +874,12 @@ impl AnalysisSession {
     /// from then on every edit batch keeps the scenario lanes warm —
     /// delay edits fold the scaled delays into the δ table and resume
     /// all scenario lanes from the same min dirty row as the nominal
-    /// matrix; structural edits resync the reweighted graphs (reseeding
-    /// only when the border set or event axis changed). The produced
+    /// matrix; structural edits resync the δ table (reseeding only when
+    /// the border set or event axis changed). The produced
     /// [`ScenarioAnalysis`] is bit-identical to
-    /// [`CycleTimeAnalysis::run_scenarios`] on
-    /// [`graph`](Self::graph) with the same set.
+    /// [`CycleTimeAnalysis::run_scenarios_in`] on [`graph`](Self::graph)
+    /// with the same set: both finish through one per-scenario step.
+    /// `cancel` is polled once per scenario-matrix row.
     ///
     /// Calling it again replaces the scenario set; `set` is re-derived
     /// over the session graph's arc-slot count, so a set built for a
@@ -943,61 +888,42 @@ impl AnalysisSession {
     /// # Errors
     ///
     /// Returns [`AnalysisError::Cancelled`] when `cancel` fires
-    /// mid-sweep, or [`AnalysisError::ScenarioDelay`] when a scenario
-    /// scales a delay past the largest finite `f64`; no scenario state
-    /// is installed then.
+    /// mid-sweep, [`AnalysisError::ScenarioDelay`] when a scenario
+    /// scales a delay past the largest finite `f64`, or
+    /// [`AnalysisError::NonFiniteCycleLength`] when a scenario's cycle
+    /// length overflows; no scenario state is installed then.
     pub fn enable_scenarios(
-        &mut self,
-        set: &ScenarioSet,
-    ) -> Result<&ScenarioAnalysis, AnalysisError> {
-        self.enable_scenarios_with_cancel(set, None)
-    }
-
-    /// [`enable_scenarios`](Self::enable_scenarios) under a cancellation
-    /// token, polled once per scenario-matrix row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::Cancelled`] when `cancel` fires
-    /// mid-sweep, or [`AnalysisError::ScenarioDelay`] when a scenario
-    /// scales a delay past the largest finite `f64`; no scenario state
-    /// is installed then.
-    pub fn enable_scenarios_with_cancel(
         &mut self,
         set: &ScenarioSet,
         cancel: Option<&CancelToken>,
     ) -> Result<&ScenarioAnalysis, AnalysisError> {
         let set = set.resized(self.sg.arc_count());
-        let s = set.len();
-        let reweighted = (0..s)
-            .map(|j| set.reweighted(&self.sg, j))
-            .collect::<Result<Vec<_>, _>>()?;
         let mut wide = WideArena::with_kernel(self.wide.kernel());
-        if let Err(halt) = wide.run_scenarios_with(
-            &self.sg,
+        let sg = &self.sg;
+        wide.run_scenarios_with(
+            sg,
             &self.structure,
             &self.border,
-            s,
-            |arc, j| reweighted[j].arc(arc).delay().get(),
+            set.len(),
+            |arc, j| sg.arc(arc).delay().get() * set.factor(j, arc),
             self.b,
             Rows::All,
             cancel,
-        ) {
-            return Err(halt_to_error(halt));
-        }
-        let mut structure = CyclicStructure::new(&self.sg);
+        )
+        .map_err(halt_to_error)?;
+        let mut structure = CyclicStructure::default();
         let mut finish = SimArena::new();
         let analysis = finish_scenarios(
-            &self.border,
+            sg,
             &set,
-            &reweighted,
-            &wide,
+            &self.border,
+            self.b,
+            scenario_records(&wide, &self.border, set.len()),
             &mut structure,
             &mut finish,
-        );
-        self.scenarios = Some(ScenarioState {
+        )?;
+        let scen = self.scenarios.insert(ScenarioState {
             set,
-            reweighted,
             wide,
             finish,
             structure,
@@ -1006,7 +932,7 @@ impl AnalysisSession {
             stale_weights: false,
             needs_reseed: false,
         });
-        Ok(&self.scenarios.as_ref().expect("just installed").analysis)
+        Ok(&scen.analysis)
     }
 
     /// Drops the warm scenario state; edits go back to nominal-only.
@@ -1016,7 +942,7 @@ impl AnalysisSession {
 
     /// The current scenario analysis, when scenarios are enabled —
     /// always bit-identical to
-    /// [`CycleTimeAnalysis::run_scenarios`] on
+    /// [`CycleTimeAnalysis::run_scenarios_in`] on
     /// [`graph`](Self::graph) with the current set.
     pub fn scenario_analysis(&self) -> Option<&ScenarioAnalysis> {
         self.scenarios.as_ref().map(|s| &s.analysis)
@@ -1035,99 +961,77 @@ impl AnalysisSession {
 
     /// Brings the scenario state back in sync with the session graph
     /// after an edit batch (or heals a cancelled earlier pass): resyncs
-    /// stale reweighted graphs / δ tables, reseeds or resumes the lane
-    /// matrices from the recorded dirty row, and re-runs every
-    /// scenario's winner selection. No-op when scenarios are disabled.
+    /// a stale set and δ table, reseeds or resumes the lane matrices
+    /// from the recorded dirty row, and re-runs every scenario's winner
+    /// selection. No-op when scenarios are disabled. A failed finish
+    /// leaves the lanes marked stale from row 0.
     fn refresh_scenarios(&mut self, cancel: Option<&CancelToken>) -> Result<(), EditError> {
         let p_total = self.b as usize + 1;
         let Some(scen) = self.scenarios.as_mut() else {
             return Ok(());
         };
+        let sg = &self.sg;
         if scen.stale_weights {
-            scen.set = scen.set.resized(self.sg.arc_count());
-            scen.reweighted = (0..scen.set.len())
-                .map(|j| scen.set.reweighted(&self.sg, j))
-                .collect::<Result<_, _>>()
-                .map_err(EditError::Scenario)?;
+            scen.set = scen.set.resized(sg.arc_count());
             if !scen.needs_reseed {
                 // Slots remapped but the lane axis survived: re-derive
                 // the δ table in place, the matrices resume below.
-                let ScenarioState {
-                    reweighted, wide, ..
-                } = scen;
-                wide.rebuild_scenario_deltas(&self.structure, |arc, j| {
-                    reweighted[j].arc(arc).delay().get()
-                });
+                let set = &scen.set;
+                scen.wide
+                    .rebuild_scenario_deltas(&self.structure, |arc, j| {
+                        sg.arc(arc).delay().get() * set.factor(j, arc)
+                    });
             }
             scen.stale_weights = false;
         }
         if scen.needs_reseed {
             scen.needs_reseed = false;
-            let ScenarioState {
-                set,
-                reweighted,
-                wide,
-                ..
-            } = scen;
-            match wide.run_scenarios_with(
-                &self.sg,
+            // Shape and δ table are installed before the rows compute,
+            // so a cancelled reseed heals through the standard resume.
+            let set = &scen.set;
+            let sweep = scen.wide.run_scenarios_with(
+                sg,
                 &self.structure,
                 &self.border,
                 set.len(),
-                |arc, j| reweighted[j].arc(arc).delay().get(),
+                |arc, j| sg.arc(arc).delay().get() * set.factor(j, arc),
                 self.b,
                 Rows::All,
                 cancel,
-            ) {
-                Ok(()) => {}
-                Err(Halt::NotRepetitive(_)) => {
-                    unreachable!("border events are repetitive by construction")
-                }
-                Err(Halt::Degenerate { .. }) => {
-                    unreachable!("border verified non-empty and scenario sets are never empty")
-                }
-                Err(Halt::Cancelled(c)) => {
-                    // Shape and δ table are installed before the rows
-                    // compute, so the standard resume heals from here.
-                    scen.dirty_from = Some(c.rows_done);
-                    return Err(EditError::Cancelled {
-                        kind: c.kind,
-                        rows_done: c.rows_done,
-                        rows_total: p_total,
-                    });
-                }
-            }
-            scen.dirty_from = None;
+            );
+            note_pass(sweep, &mut scen.dirty_from)?;
         } else if let Some(r0) = scen.dirty_from {
             if r0 < p_total {
                 if let Err(c) = scen.wide.rerun_rows_from(&self.structure, r0, cancel) {
                     scen.dirty_from = Some(c.rows_done);
-                    return Err(EditError::Cancelled {
-                        kind: c.kind,
-                        rows_done: c.rows_done,
-                        rows_total: p_total,
-                    });
+                    return Err(c.into());
                 }
             }
             scen.dirty_from = None;
         }
-        // Winner selection re-runs on the reweighted graphs every
-        // batch, mirroring the nominal `refinish`.
-        let ScenarioState {
-            set,
-            reweighted,
-            wide,
-            finish,
-            structure,
-            analysis,
-            ..
-        } = scen;
-        *analysis = finish_scenarios(&self.border, set, reweighted, wide, structure, finish);
+        // Winner selection re-runs every batch, mirroring the nominal
+        // finish.
+        let records = scenario_records(&scen.wide, &self.border, scen.set.len());
+        match finish_scenarios(
+            sg,
+            &scen.set,
+            &self.border,
+            self.b,
+            records,
+            &mut scen.structure,
+            &mut scen.finish,
+        ) {
+            Ok(analysis) => scen.analysis = analysis,
+            Err(e) => {
+                scen.dirty_from = Some(0);
+                return Err(EditError::Analysis(e));
+            }
+        }
         Ok(())
     }
 
     /// Captures the full warm state — graph, structure, records, wide
-    /// arena — for later [`rollback`](Self::rollback). Speculative
+    /// arena — for a later [`restore`](Self::restore). Speculative
     /// explorers snapshot once, try an edit batch, and roll back the
     /// losers; a rollback restores warm-lane state too, so the next
     /// speculation resumes incrementally instead of reopening.
@@ -1135,12 +1039,6 @@ impl AnalysisSession {
         SessionSnapshot {
             state: Box::new(self.clone()),
         }
-    }
-
-    /// Restores the session to `snapshot`, keeping the snapshot usable
-    /// for further rollbacks (one clone per call).
-    pub fn rollback(&mut self, snapshot: &SessionSnapshot) {
-        *self = (*snapshot.state).clone();
     }
 
     /// Restores the session to `snapshot`, consuming it (no clone).
@@ -1165,8 +1063,7 @@ impl AnalysisSession {
 
 /// A point-in-time copy of an [`AnalysisSession`]'s full warm state;
 /// created by [`AnalysisSession::snapshot`], applied by
-/// [`rollback`](AnalysisSession::rollback) /
-/// [`restore`](AnalysisSession::restore). The backbone of speculative
+/// [`restore`](AnalysisSession::restore) (clone it to restore twice). The backbone of speculative
 /// design exploration: try a structural edit, keep it if the objective
 /// improves, roll back if not — without ever reopening the session.
 #[derive(Clone, Debug)]
@@ -1174,43 +1071,68 @@ pub struct SessionSnapshot {
     state: Box<AnalysisSession>,
 }
 
-/// Collects each scenario's records from its `b` lanes (lane `j·b + k`)
-/// and re-runs winner selection + critical-cycle backtracking on the
-/// scenario's reweighted graph — the same finish a from-scratch
-/// [`CycleTimeAnalysis::run_scenarios`] performs, so the session's
-/// scenario analyses stay bit-identical to scratch.
-fn finish_scenarios(
-    border: &[EventId],
-    set: &ScenarioSet,
-    reweighted: &[SignalGraph],
-    wide: &WideArena,
-    structure: &mut CyclicStructure,
-    finish: &mut SimArena,
-) -> ScenarioAnalysis {
-    let bn = border.len();
-    let labels: Vec<String> = (0..set.len()).map(|j| set.label(j).to_string()).collect();
-    let mut per = Vec::with_capacity(set.len());
-    for (j, rg) in reweighted.iter().enumerate() {
-        let records: Vec<BorderRecord> = (0..bn)
-            .map(|k| BorderRecord {
-                event: border[k],
-                distances: wide.distance_series(j * bn + k),
-            })
-            .collect();
-        structure.rebuild(rg);
-        per.push(
-            CycleTimeAnalysis::finish(
-                rg,
-                structure,
-                border.to_vec(),
-                records,
-                wide.periods(),
-                finish,
-            )
-            .expect("border set verified non-empty"),
-        );
+/// Records in `dirty_from` where a full lane-matrix pass left the
+/// matrix stale — nowhere when it completed, from `rows_done` when it
+/// was cancelled, from row 0 after any other halt (`NotRepetitive` and
+/// `Degenerate` cannot fire: border events are repetitive and callers
+/// verify the border set non-empty) — and returns the halt as an error.
+fn note_pass(sweep: Result<(), Halt>, dirty_from: &mut Option<usize>) -> Result<(), EditError> {
+    *dirty_from = match &sweep {
+        Ok(()) => None,
+        Err(Halt::Cancelled(c)) => Some(c.rows_done),
+        Err(_) => Some(0),
+    };
+    sweep.map_err(|halt| match halt {
+        Halt::Cancelled(c) => c.into(),
+        halt => EditError::Analysis(halt_to_error(halt)),
+    })
+}
+
+/// Applies a structural batch to `sg` in order and re-validates the
+/// whole graph; returns the arcs the batch added and the new border
+/// set. On an error `sg` is left partly edited: the caller restores its
+/// backup.
+fn apply_graph_edits(
+    sg: &mut SignalGraph,
+    edits: &[GraphEdit],
+) -> Result<(Vec<ArcId>, Vec<EventId>), EditError> {
+    let mut added = Vec::new();
+    for e in edits {
+        match *e {
+            GraphEdit::Delay { arc, delay } => {
+                if !sg.is_live_arc(arc) {
+                    return Err(EditError::UnknownArc(arc));
+                }
+                sg.set_delay(arc, delay)
+                    .map_err(|_| EditError::InvalidDelay { arc, delay })?;
+            }
+            GraphEdit::AddArc {
+                src,
+                dst,
+                delay,
+                marked,
+            } => added.push(sg.add_arc(src, dst, delay, marked)?),
+            GraphEdit::RemoveArc { arc } => sg.remove_arc(arc)?,
+            GraphEdit::AddEvent { ref label } => _ = sg.add_event(label)?,
+            GraphEdit::RemoveEvent { event } => sg.remove_event(event)?,
+        }
     }
-    ScenarioAnalysis::new(labels, per)
+    sg.validate()?;
+    let border = sg.border_events();
+    if border.is_empty() {
+        return Err(EditError::NoCyclicBehavior);
+    }
+    Ok((added, border))
+}
+
+/// Each scenario's border records, read from its `b` lanes (lane
+/// `j·b + k`) of a scenario-lane arena.
+fn scenario_records<'a>(
+    wide: &'a WideArena,
+    border: &'a [EventId],
+    scenarios: usize,
+) -> impl Iterator<Item = Vec<BorderRecord>> + 'a {
+    (0..scenarios).map(move |j| lane_records(wide, border, j * border.len()))
 }
 
 /// 0-1 BFS over the cyclic structure's arc set, backwards: `dist[e]`
@@ -1325,7 +1247,9 @@ mod tests {
         ];
         for (i, (src, dst, delay)) in script.into_iter().enumerate() {
             let arc = edit(&session, src, dst);
-            let delta = session.edit_delay(arc, delay).unwrap();
+            let delta = session
+                .edit_delays(&[DelayEdit { arc, delay }], None)
+                .unwrap();
             assert_eq!(delta.borders, 2);
             assert_matches_scratch(&session, &format!("edit {i}: {src}->{dst}={delay}"));
         }
@@ -1338,16 +1262,19 @@ mod tests {
         let a1 = session.resolve_arc("a+", "c+").unwrap();
         let a2 = session.resolve_arc("b-", "c-").unwrap();
         let delta = session
-            .edit_delays(&[
-                DelayEdit {
-                    arc: a1,
-                    delay: 6.0,
-                },
-                DelayEdit {
-                    arc: a2,
-                    delay: 4.5,
-                },
-            ])
+            .edit_delays(
+                &[
+                    DelayEdit {
+                        arc: a1,
+                        delay: 6.0,
+                    },
+                    DelayEdit {
+                        arc: a2,
+                        delay: 4.5,
+                    },
+                ],
+                None,
+            )
             .unwrap();
         assert_eq!(delta.before.as_f64(), 10.0);
         assert_matches_scratch(&session, "batch");
@@ -1363,7 +1290,9 @@ mod tests {
         let e = session.graph().event_by_label("e-").unwrap();
         let f = session.graph().event_by_label("f-").unwrap();
         let arc = session.graph().arc_between(e, f).unwrap();
-        let delta = session.edit_delay(arc, 99.0).unwrap();
+        let delta = session
+            .edit_delays(&[DelayEdit { arc, delay: 99.0 }], None)
+            .unwrap();
         assert_eq!(delta.dirty, 0);
         assert_eq!(delta.after.as_f64(), 10.0);
         assert_eq!(session.graph().arc(arc).delay().get(), 99.0);
@@ -1374,7 +1303,9 @@ mod tests {
     fn noop_edit_is_clean() {
         let mut session = AnalysisSession::open(figure2()).unwrap();
         let arc = session.resolve_arc("a+", "c+").unwrap();
-        let delta = session.edit_delay(arc, 3.0).unwrap();
+        let delta = session
+            .edit_delays(&[DelayEdit { arc, delay: 3.0 }], None)
+            .unwrap();
         assert_eq!(delta.dirty, 0);
         assert_eq!(delta.after.as_f64(), 10.0);
     }
@@ -1408,7 +1339,9 @@ mod tests {
         let s = session.graph().event_by_label("s").unwrap();
         let n0 = session.graph().event_by_label("n0").unwrap();
         let arc = session.graph().arc_between(n0, s).unwrap();
-        let delta = session.edit_delay(arc, 5.0).unwrap();
+        let delta = session
+            .edit_delays(&[DelayEdit { arc, delay: 5.0 }], None)
+            .unwrap();
         // r0(n0) = 0, r0(n8) = 1, r0(n4) = 2 → 4 + 3 + 2 = 9 of 12 rows.
         assert_eq!((delta.rows, delta.rows_total), (9, 12));
         assert!(
@@ -1427,22 +1360,35 @@ mod tests {
         let bad_arc = ArcId(10_000);
         assert_eq!(
             session
-                .edit_delays(&[
-                    DelayEdit { arc, delay: 9.0 },
-                    DelayEdit {
-                        arc: bad_arc,
-                        delay: 1.0
-                    },
-                ])
+                .edit_delays(
+                    &[
+                        DelayEdit { arc, delay: 9.0 },
+                        DelayEdit {
+                            arc: bad_arc,
+                            delay: 1.0
+                        },
+                    ],
+                    None
+                )
                 .unwrap_err(),
             EditError::UnknownArc(bad_arc)
         );
         assert!(matches!(
-            session.edit_delay(arc, f64::NAN).unwrap_err(),
+            session
+                .edit_delays(
+                    &[DelayEdit {
+                        arc,
+                        delay: f64::NAN
+                    }],
+                    None
+                )
+                .unwrap_err(),
             EditError::InvalidDelay { .. }
         ));
         assert!(matches!(
-            session.edit_delay(arc, -1.0).unwrap_err(),
+            session
+                .edit_delays(&[DelayEdit { arc, delay: -1.0 }], None)
+                .unwrap_err(),
             EditError::InvalidDelay { .. }
         ));
         // The rejected batch must not have applied its valid prefix.
@@ -1465,16 +1411,6 @@ mod tests {
     }
 
     #[test]
-    fn rerun_in_is_the_session_edit() {
-        let mut session = AnalysisSession::open(figure2()).unwrap();
-        let arc = session.resolve_arc("a+", "c+").unwrap();
-        let delta =
-            CycleTimeAnalysis::rerun_in(&mut session, &[DelayEdit { arc, delay: 12.0 }]).unwrap();
-        assert!(delta.after.as_f64() > delta.before.as_f64());
-        assert_matches_scratch(&session, "rerun_in");
-    }
-
-    #[test]
     fn cancelled_edit_heals_bit_identically_on_the_next_call() {
         let mut session = AnalysisSession::open(figure2()).unwrap();
         let arc = session.resolve_arc("a+", "c+").unwrap();
@@ -1482,7 +1418,7 @@ mod tests {
             let token = CancelToken::cancel_after_checks(budget);
             let delay = 8.0 + budget as f64;
             let err = session
-                .edit_delays_with_cancel(&[DelayEdit { arc, delay }], Some(&token))
+                .edit_delays(&[DelayEdit { arc, delay }], Some(&token))
                 .unwrap_err();
             assert!(
                 matches!(
@@ -1498,7 +1434,7 @@ mod tests {
             // The edit is applied even though the analysis is stale.
             assert_eq!(session.graph().arc(arc).delay().get(), delay);
             // A later uncancelled call — here an empty batch — heals.
-            session.edit_delays(&[]).unwrap();
+            session.edit_delays(&[], None).unwrap();
             assert!(!session.is_stale());
             assert_matches_scratch(&session, &format!("healed after budget {budget}"));
         }
@@ -1557,12 +1493,15 @@ mod tests {
         let ap = session.graph().event_by_label("a+").unwrap();
         let bm = session.graph().event_by_label("b-").unwrap();
         let delta = session
-            .edit(GraphEdit::AddArc {
-                src: ap,
-                dst: bm,
-                delay: 4.0,
-                marked: false,
-            })
+            .edit_structure(
+                &[GraphEdit::AddArc {
+                    src: ap,
+                    dst: bm,
+                    delay: 4.0,
+                    marked: false,
+                }],
+                None,
+            )
             .unwrap();
         // Border [a+, b+] with b = 2: r0(a+) = ε(a+→a+) = 0,
         // r0(b+) = ε(b+→a+) = 1 → (3 - 0) + (3 - 1) = 5 of 6 rows.
@@ -1577,16 +1516,21 @@ mod tests {
         let ap = session.graph().event_by_label("a+").unwrap();
         let bm = session.graph().event_by_label("b-").unwrap();
         session
-            .edit(GraphEdit::AddArc {
-                src: ap,
-                dst: bm,
-                delay: 9.0,
-                marked: false,
-            })
+            .edit_structure(
+                &[GraphEdit::AddArc {
+                    src: ap,
+                    dst: bm,
+                    delay: 9.0,
+                    marked: false,
+                }],
+                None,
+            )
             .unwrap();
         let arc = session.graph().arc_between(ap, bm).unwrap();
         // Removal bounds come from the pre-apply pass on the OLD graph.
-        let delta = session.edit(GraphEdit::RemoveArc { arc }).unwrap();
+        let delta = session
+            .edit_structure(&[GraphEdit::RemoveArc { arc }], None)
+            .unwrap();
         assert_eq!((delta.rows, delta.rows_total), (5, 6));
         assert!(!session.graph().is_live_arc(arc));
         assert_matches_scratch(&session, "remove arc");
@@ -1596,7 +1540,7 @@ mod tests {
     fn pipeline_split_reseeds_the_border_lanes() {
         let mut session = AnalysisSession::open(figure2()).unwrap();
         let batch = split_batch(&session, "a+", "c+", "s+");
-        let delta = session.edit_structure(&batch).unwrap();
+        let delta = session.edit_structure(&batch, None).unwrap();
         // The marked s+ -> c+ arc makes c+ a border event: [a+, b+]
         // becomes [a+, b+, c+], every lane reseeds.
         assert_eq!(session.analysis().border_events().len(), 3);
@@ -1606,7 +1550,9 @@ mod tests {
         assert_matches_scratch(&session, "pipeline split");
         // The session stays incrementally editable on the new shape.
         let arc = session.resolve_arc("s+", "c+").unwrap();
-        session.edit_delay(arc, 4.0).unwrap();
+        session
+            .edit_delays(&[DelayEdit { arc, delay: 4.0 }], None)
+            .unwrap();
         assert_matches_scratch(&session, "delay edit after split");
     }
 
@@ -1619,7 +1565,7 @@ mod tests {
             arc: d_arc,
             delay: 7.5,
         });
-        session.edit_structure(&batch).unwrap();
+        session.edit_structure(&batch, None).unwrap();
         assert_eq!(session.graph().arc(d_arc).delay().get(), 7.5);
         assert_matches_scratch(&session, "mixed batch");
     }
@@ -1629,7 +1575,7 @@ mod tests {
         let mut session = AnalysisSession::open(figure2()).unwrap();
         let arc = session.resolve_arc("a+", "c+").unwrap();
         let delta = session
-            .edit_structure(&[GraphEdit::Delay { arc, delay: 8.0 }])
+            .edit_structure(&[GraphEdit::Delay { arc, delay: 8.0 }], None)
             .unwrap();
         assert!(delta.rows <= delta.rows_total);
         assert_matches_scratch(&session, "delay via edit_structure");
@@ -1643,15 +1589,18 @@ mod tests {
         let arcs_before = session.graph().arc_count();
         // Valid prefix, then an unknown arc: whole batch rolled back.
         let err = session
-            .edit_structure(&[
-                GraphEdit::AddArc {
-                    src: ap,
-                    dst: bm,
-                    delay: 1.0,
-                    marked: false,
-                },
-                GraphEdit::RemoveArc { arc: ArcId(10_000) },
-            ])
+            .edit_structure(
+                &[
+                    GraphEdit::AddArc {
+                        src: ap,
+                        dst: bm,
+                        delay: 1.0,
+                        marked: false,
+                    },
+                    GraphEdit::RemoveArc { arc: ArcId(10_000) },
+                ],
+                None,
+            )
             .unwrap_err();
         assert!(matches!(err, EditError::Invalid(_)), "{err}");
         assert_eq!(session.graph().arc_count(), arcs_before);
@@ -1661,9 +1610,12 @@ mod tests {
         // A batch that passes per-op checks but fails whole-graph
         // validation (a dangling event breaks strong connectivity).
         let err = session
-            .edit_structure(&[GraphEdit::AddEvent {
-                label: "orphan".to_owned(),
-            }])
+            .edit_structure(
+                &[GraphEdit::AddEvent {
+                    label: "orphan".to_owned(),
+                }],
+                None,
+            )
             .unwrap_err();
         assert!(matches!(err, EditError::Invalid(_)), "{err}");
         assert_eq!(session.graph().event_count(), 8);
@@ -1680,7 +1632,7 @@ mod tests {
         let sg = b.build().unwrap();
         let mut session = AnalysisSession::open(sg).unwrap();
         let err = session
-            .edit(GraphEdit::RemoveArc { arc: marked })
+            .edit_structure(&[GraphEdit::RemoveArc { arc: marked }], None)
             .unwrap_err();
         // The batch leaves {x+, x-} with no token anywhere — no border
         // event, nothing to analyse — so it must roll back. (It would
@@ -1700,9 +1652,7 @@ mod tests {
             let mut session = AnalysisSession::open(figure2()).unwrap();
             let batch = split_batch(&session, "a+", "c+", "s+");
             let token = CancelToken::cancel_after_checks(budget);
-            let err = session
-                .edit_structure_with_cancel(&batch, Some(&token))
-                .unwrap_err();
+            let err = session.edit_structure(&batch, Some(&token)).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1718,7 +1668,7 @@ mod tests {
             // analysis is stale...
             assert_eq!(session.graph().event_count(), 9);
             // ...and any later uncancelled call heals bit-identically.
-            session.edit_delays(&[]).unwrap();
+            session.edit_delays(&[], None).unwrap();
             assert!(!session.is_stale());
             assert_matches_scratch(&session, &format!("healed split, budget {budget}"));
         }
@@ -1731,10 +1681,10 @@ mod tests {
         let snap = session.snapshot();
 
         let batch = split_batch(&session, "a+", "c+", "s+");
-        session.edit_structure(&batch).unwrap();
+        session.edit_structure(&batch, None).unwrap();
         assert_eq!(session.graph().event_count(), 9);
 
-        session.rollback(&snap);
+        session.restore(snap.clone());
         assert_eq!(session.graph().event_count(), 8);
         assert_eq!(session.analysis().cycle_time().as_f64(), tau0);
         assert_eq!(session.edits_applied(), 0);
@@ -1742,7 +1692,9 @@ mod tests {
 
         // The rolled-back session stays warm and editable.
         let arc = session.resolve_arc("a+", "c+").unwrap();
-        session.edit_delay(arc, 6.0).unwrap();
+        session
+            .edit_delays(&[DelayEdit { arc, delay: 6.0 }], None)
+            .unwrap();
         assert_matches_scratch(&session, "edit after rollback");
 
         // `restore` consumes the snapshot without cloning.
@@ -1753,7 +1705,14 @@ mod tests {
 
     fn assert_scenarios_match_scratch(session: &AnalysisSession, ctx: &str) {
         let set = session.scenario_set().expect("scenarios enabled");
-        let scratch = CycleTimeAnalysis::run_scenarios(session.graph(), set).unwrap();
+        let scratch = CycleTimeAnalysis::run_scenarios_in(
+            session.graph(),
+            set,
+            None,
+            &mut AnalysisArena::new(),
+            None,
+        )
+        .unwrap();
         let live = session.scenario_analysis().unwrap();
         assert_eq!(live.len(), scratch.len(), "{ctx}: scenario count");
         for j in 0..live.len() {
@@ -1788,14 +1747,16 @@ mod tests {
             session.graph().arc_count(),
         )
         .unwrap();
-        session.enable_scenarios(&set).unwrap();
+        session.enable_scenarios(&set, None).unwrap();
         assert_eq!(session.scenario_count(), 3);
         assert_scenarios_match_scratch(&session, "after enable");
 
         // Delay edits fold the scaled δs in place and resume the
         // scenario lanes from the nominal min dirty row.
         let arc = session.resolve_arc("a+", "c+").unwrap();
-        session.edit_delay(arc, 9.0).unwrap();
+        session
+            .edit_delays(&[DelayEdit { arc, delay: 9.0 }], None)
+            .unwrap();
         assert_matches_scratch(&session, "delay edit, nominal");
         assert_scenarios_match_scratch(&session, "delay edit");
 
@@ -1803,12 +1764,15 @@ mod tests {
         let ap = session.graph().event_by_label("a+").unwrap();
         let bm = session.graph().event_by_label("b-").unwrap();
         session
-            .edit(GraphEdit::AddArc {
-                src: ap,
-                dst: bm,
-                delay: 4.0,
-                marked: false,
-            })
+            .edit_structure(
+                &[GraphEdit::AddArc {
+                    src: ap,
+                    dst: bm,
+                    delay: 4.0,
+                    marked: false,
+                }],
+                None,
+            )
             .unwrap();
         assert_matches_scratch(&session, "structural add, nominal");
         assert_scenarios_match_scratch(&session, "structural add");
@@ -1816,7 +1780,7 @@ mod tests {
         // Reseed path: the batch changes the border set, so the set is
         // re-derived over the grown arc axis and all lanes reseed.
         let batch = split_batch(&session, "b+", "c+", "s+");
-        session.edit_structure(&batch).unwrap();
+        session.edit_structure(&batch, None).unwrap();
         assert_eq!(
             session.scenario_set().unwrap().arc_slots(),
             session.graph().arc_count()
@@ -1840,12 +1804,20 @@ mod tests {
             session.graph().arc_count(),
         )
         .unwrap();
-        session.enable_scenarios(&set).unwrap();
+        session.enable_scenarios(&set, None).unwrap();
 
         // 1.7e308 is a valid delay, but not under the max corner's ×1.1:
         // the batch is refused and nothing changes.
         let arc = session.resolve_arc("a+", "c+").unwrap();
-        let err = session.edit_delay(arc, 1.7e308).unwrap_err();
+        let err = session
+            .edit_delays(
+                &[DelayEdit {
+                    arc,
+                    delay: 1.7e308,
+                }],
+                None,
+            )
+            .unwrap_err();
         assert_eq!(
             err.to_string(),
             "scenario max scales the delay of a+ -> c+ past the largest finite delay"
@@ -1854,28 +1826,47 @@ mod tests {
         assert_matches_scratch(&session, "refused delay edit, nominal");
         assert_scenarios_match_scratch(&session, "refused delay edit");
 
-        // A structural batch stays applied; its scenario refresh fails
-        // until the delay is back in range, then heals.
+        // A structural batch whose scaled delay overflows is refused and
+        // rolled back like any other rejected batch.
         let ap = session.graph().event_by_label("a+").unwrap();
         let bm = session.graph().event_by_label("b-").unwrap();
         let err = session
-            .edit(GraphEdit::AddArc {
-                src: ap,
-                dst: bm,
-                delay: 1.7e308,
-                marked: false,
-            })
+            .edit_structure(
+                &[GraphEdit::AddArc {
+                    src: ap,
+                    dst: bm,
+                    delay: 1.7e308,
+                    marked: false,
+                }],
+                None,
+            )
             .unwrap_err();
-        assert!(matches!(err, EditError::Scenario(_)), "{err}");
-        let added = session.resolve_arc("a+", "b-").unwrap();
-        session.edit_delay(added, 4.0).unwrap();
-        assert_matches_scratch(&session, "healed, nominal");
-        assert_scenarios_match_scratch(&session, "healed");
+        assert_eq!(
+            err,
+            EditError::Analysis(AnalysisError::ScenarioDelay {
+                scenario: "max".to_owned(),
+                src: "a+".to_owned(),
+                dst: "b-".to_owned(),
+            })
+        );
+        assert!(session.resolve_arc("a+", "b-").is_err());
+        assert_eq!(session.edits_applied(), 0);
+        assert!(!session.is_stale());
+        assert_matches_scratch(&session, "refused structural batch, nominal");
+        assert_scenarios_match_scratch(&session, "refused structural batch");
 
         // Enabling scenarios over an out-of-range graph installs nothing.
         session.disable_scenarios();
-        session.edit_delay(added, 1.7e308).unwrap();
-        let err = session.enable_scenarios(&set).unwrap_err();
+        session
+            .edit_delays(
+                &[DelayEdit {
+                    arc,
+                    delay: 1.7e308,
+                }],
+                None,
+            )
+            .unwrap();
+        let err = session.enable_scenarios(&set, None).unwrap_err();
         assert!(matches!(err, AnalysisError::ScenarioDelay { .. }), "{err}");
         assert_eq!(session.scenario_count(), 0);
     }
@@ -1884,11 +1875,13 @@ mod tests {
     fn sampled_scenarios_follow_session_edits() {
         let mut session = AnalysisSession::open(figure2()).unwrap();
         let set = ScenarioSet::samples(5, 42, 20.0, session.graph().arc_count()).unwrap();
-        session.enable_scenarios(&set).unwrap();
+        session.enable_scenarios(&set, None).unwrap();
         assert_scenarios_match_scratch(&session, "sampled enable");
 
         let arc = session.resolve_arc("c-", "b+").unwrap();
-        session.edit_delay(arc, 7.5).unwrap();
+        session
+            .edit_delays(&[DelayEdit { arc, delay: 7.5 }], None)
+            .unwrap();
         assert_scenarios_match_scratch(&session, "sampled delay edit");
     }
 
@@ -1903,7 +1896,7 @@ mod tests {
             session.graph().arc_count(),
         )
         .unwrap();
-        session.enable_scenarios(&set).unwrap();
+        session.enable_scenarios(&set, None).unwrap();
         let arc = session.resolve_arc("a+", "c+").unwrap();
 
         // Sweep the cancel budget across both the nominal resume and
@@ -1912,11 +1905,11 @@ mod tests {
         for budget in 0..8u64 {
             let token = CancelToken::cancel_after_checks(budget);
             let delay = 8.0 + budget as f64;
-            match session.edit_delays_with_cancel(&[DelayEdit { arc, delay }], Some(&token)) {
+            match session.edit_delays(&[DelayEdit { arc, delay }], Some(&token)) {
                 Ok(_) => {}
                 Err(EditError::Cancelled { .. }) => {
                     assert!(session.is_stale());
-                    session.edit_delays(&[]).unwrap();
+                    session.edit_delays(&[], None).unwrap();
                 }
                 Err(e) => panic!("unexpected error: {e}"),
             }
@@ -1929,12 +1922,10 @@ mod tests {
         // A cancelled structural reseed heals the scenario axis too.
         let batch = split_batch(&session, "a+", "c+", "t+");
         let token = CancelToken::cancel_after_checks(2);
-        let err = session
-            .edit_structure_with_cancel(&batch, Some(&token))
-            .unwrap_err();
+        let err = session.edit_structure(&batch, Some(&token)).unwrap_err();
         assert!(matches!(err, EditError::Cancelled { .. }), "{err}");
         assert!(session.is_stale());
-        session.edit_delays(&[]).unwrap();
+        session.edit_delays(&[], None).unwrap();
         assert!(!session.is_stale());
         assert_matches_scratch(&session, "healed split, nominal");
         assert_scenarios_match_scratch(&session, "healed split");
@@ -1951,20 +1942,24 @@ mod tests {
             session.graph().arc_count(),
         )
         .unwrap();
-        session.enable_scenarios(&set).unwrap();
+        session.enable_scenarios(&set, None).unwrap();
         let taus0 = session.scenario_analysis().unwrap().taus();
         let snap = session.snapshot();
 
         let arc = session.resolve_arc("a+", "c+").unwrap();
-        session.edit_delay(arc, 11.0).unwrap();
+        session
+            .edit_delays(&[DelayEdit { arc, delay: 11.0 }], None)
+            .unwrap();
         assert_ne!(session.scenario_analysis().unwrap().taus(), taus0);
 
-        session.rollback(&snap);
+        session.restore(snap.clone());
         assert_eq!(session.scenario_analysis().unwrap().taus(), taus0);
         assert_scenarios_match_scratch(&session, "after rollback");
 
         // The rolled-back scenario lanes stay warm and editable.
-        session.edit_delay(arc, 6.0).unwrap();
+        session
+            .edit_delays(&[DelayEdit { arc, delay: 6.0 }], None)
+            .unwrap();
         assert_scenarios_match_scratch(&session, "edit after rollback");
     }
 
@@ -1979,5 +1974,171 @@ mod tests {
             AnalysisSession::open(sg).unwrap_err(),
             AnalysisError::NoCyclicBehavior
         );
+    }
+
+    /// `x+ -> x-` and the marked `x- -> x+`, with the given delays.
+    fn toggle(up: f64, down: f64) -> SignalGraph {
+        let mut b = SignalGraph::builder();
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        b.arc(xp, xm, up);
+        b.marked_arc(xm, xp, down);
+        b.build().unwrap()
+    }
+
+    fn assert_untouched(session: &AnalysisSession, edits: u64, ctx: &str) {
+        assert_eq!(session.edits_applied(), edits, "{ctx}: edit count");
+        assert!(!session.is_stale(), "{ctx}: stale");
+        assert_matches_scratch(session, ctx);
+    }
+
+    #[test]
+    fn overflowing_cycle_length_refuses_the_batch_untouched() {
+        let mut session = AnalysisSession::open(toggle(3.0, 2.0)).unwrap();
+        let up = session.resolve_arc("x+", "x-").unwrap();
+        let down = session.resolve_arc("x-", "x+").unwrap();
+        session
+            .edit_delays(
+                &[DelayEdit {
+                    arc: up,
+                    delay: 1e308,
+                }],
+                None,
+            )
+            .unwrap();
+        // Each delay is valid; their sum is not a finite cycle length.
+        let err = session
+            .edit_delays(
+                &[DelayEdit {
+                    arc: down,
+                    delay: 1e308,
+                }],
+                None,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EditError::Analysis(AnalysisError::NonFiniteCycleLength { .. })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(session.graph().arc(down).delay().get(), 2.0);
+        assert_untouched(&session, 1, "refused delay batch");
+
+        // The same overflow through a structural batch: replace the
+        // marked arc by an equally marked one carrying 1e308.
+        let (xp, xm) = (
+            session.graph().arc(down).dst(),
+            session.graph().arc(down).src(),
+        );
+        let err = session
+            .edit_structure(
+                &[
+                    GraphEdit::RemoveArc { arc: down },
+                    GraphEdit::AddArc {
+                        src: xm,
+                        dst: xp,
+                        delay: 1e308,
+                        marked: true,
+                    },
+                ],
+                None,
+            )
+            .unwrap_err();
+        assert!(matches!(err, EditError::Analysis(_)), "{err:?}");
+        assert!(session.graph().is_live_arc(down));
+        assert_eq!(session.graph().arc_count(), 2);
+        assert_untouched(&session, 1, "refused structural batch");
+
+        // A batch that also changes the border set (a new marked arc
+        // into a new event) reseeds every lane before its refusal; the
+        // rollback reseeds them back.
+        let y = EventId(session.graph().event_count() as u32);
+        let err = session
+            .edit_structure(
+                &[
+                    GraphEdit::AddEvent {
+                        label: "y+".to_owned(),
+                    },
+                    GraphEdit::AddArc {
+                        src: xm,
+                        dst: y,
+                        delay: 1e308,
+                        marked: true,
+                    },
+                    GraphEdit::AddArc {
+                        src: y,
+                        dst: xp,
+                        delay: 1e308,
+                        marked: false,
+                    },
+                ],
+                None,
+            )
+            .unwrap_err();
+        assert!(matches!(err, EditError::Analysis(_)), "{err:?}");
+        assert_eq!(session.graph().event_count(), 2);
+        assert_eq!(session.analysis().border_events().len(), 1);
+        assert_untouched(&session, 1, "refused border-changing batch");
+
+        // The session keeps working after the refusals.
+        session
+            .edit_delays(
+                &[DelayEdit {
+                    arc: up,
+                    delay: 4.0,
+                }],
+                None,
+            )
+            .unwrap();
+        assert_untouched(&session, 2, "after the refusals");
+    }
+
+    #[test]
+    fn overflowing_scenario_cycle_is_an_error_not_a_panic() {
+        use crate::analysis::scenario::Corner;
+        let corners = |sg: &SignalGraph| {
+            ScenarioSet::corners(10.0, &[Corner::Typ, Corner::Max], sg.arc_count()).unwrap()
+        };
+
+        // Each scaled delay is finite; the max corner's cycle is not.
+        let mut session = AnalysisSession::open(toggle(9e307, 8e307)).unwrap();
+        let set = corners(session.graph());
+        let err = session.enable_scenarios(&set, None).unwrap_err();
+        assert!(
+            matches!(err, AnalysisError::NonFiniteCycleLength { .. }),
+            "{err:?}"
+        );
+        assert_eq!(session.scenario_count(), 0);
+
+        // With the lanes warm, an edit that overflows only the max
+        // corner is refused and rolled back, scenario state included.
+        let mut session = AnalysisSession::open(toggle(1.0, 1.0)).unwrap();
+        session.enable_scenarios(&set, None).unwrap();
+        let up = session.resolve_arc("x+", "x-").unwrap();
+        let down = session.resolve_arc("x-", "x+").unwrap();
+        session
+            .edit_delays(
+                &[DelayEdit {
+                    arc: up,
+                    delay: 9e307,
+                }],
+                None,
+            )
+            .unwrap();
+        let err = session
+            .edit_delays(
+                &[DelayEdit {
+                    arc: down,
+                    delay: 8e307,
+                }],
+                None,
+            )
+            .unwrap_err();
+        assert!(matches!(err, EditError::Analysis(_)), "{err:?}");
+        assert_eq!(session.graph().arc(down).delay().get(), 1.0);
+        assert_untouched(&session, 1, "refused scenario overflow");
+        assert_scenarios_match_scratch(&session, "refused scenario overflow");
     }
 }

@@ -94,8 +94,8 @@
 //! and `NEG_INFINITY + δ` stays `NEG_INFINITY`), so `MAXPD`'s NaN corner
 //! is unreachable. Lane storage lives on a 64-byte-aligned allocation,
 //! so rows start on cache-line boundaries: vector loads never split a
-//! line more often than the lane offset forces, and `run_parallel`'s
-//! per-worker matrices cannot false-share a line with a neighbour.
+//! line more often than the lane offset forces, and a multi-worker
+//! arena's per-worker windows cannot false-share a line with a neighbour.
 //!
 //! # Why the results are bit-identical to the scalar kernel
 //!
@@ -588,23 +588,16 @@ impl WideArena {
         structure: &CyclicStructure,
         origins: &[EventId],
         scenarios: usize,
-        mut delay_of: F,
+        delay_of: F,
         periods: u32,
         rows: Rows,
         cancel: Option<&CancelToken>,
     ) -> Result<(), Halt> {
         Self::validate(sg, origins, scenarios, periods)?;
         self.scenarios = scenarios;
-        let b = origins.len();
-        let lanes = b * scenarios;
-        self.deltas.clear();
-        self.deltas.resize(structure.entries.len() * lanes, 0.0);
-        for (slot, entry) in structure.entries.iter().enumerate() {
-            for j in 0..scenarios {
-                let base = slot * lanes + j * b;
-                self.deltas[base..base + b].fill(delay_of(entry.arc, j));
-            }
-        }
+        self.origins.clear();
+        self.origins.extend_from_slice(origins);
+        self.rebuild_scenario_deltas(structure, delay_of);
         self.seed_and_compute(sg, structure, origins, periods, rows, cancel)
     }
 
@@ -1270,53 +1263,82 @@ unsafe fn row_avx2(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
     row_body::<Avx2Ops>(kernel, prev, row)
 }
 
-/// The reusable state of one full cycle-time analysis: the two-row
-/// window and origin strip all `b` lockstep border simulations share
-/// (a one-shot analysis never materialises the full lane matrix),
-/// plus the scalar [`SimArena`] the parent-tracked winner re-run uses.
+/// The reusable state of one full cycle-time analysis: one wide arena
+/// per worker — each holding the two-row window and origin strip of its
+/// chunk of the `b` lockstep border simulations (a one-shot analysis
+/// never materialises the full lane matrix) — plus the scalar
+/// [`SimArena`] the parent-tracked winner re-run uses.
 ///
 /// [`CycleTimeAnalysis::run_in`](crate::analysis::CycleTimeAnalysis::run_in)
 /// reuses one of these per worker/request the way the scalar engine
 /// reuses a [`SimArena`]: after the first analysis of the largest shape,
 /// repeated analyses never touch the allocator.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct AnalysisArena {
-    pub(crate) wide: WideArena,
+    /// One wide arena per worker (at least one), all on one backend;
+    /// lane chunk `w` of an analysis runs on `wides[w]`.
+    pub(crate) wides: Vec<WideArena>,
     pub(crate) finish: SimArena,
     /// The shared evaluation structure, rebuilt in place per analysed
     /// graph (buffer-reusing; see [`CyclicStructure::rebuild`]).
     pub(crate) structure: CyclicStructure,
 }
 
+impl Default for AnalysisArena {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl AnalysisArena {
-    /// An empty arena pair on the auto-detected kernel backend; the
-    /// first analysis sizes both.
+    /// An empty one-worker arena on the auto-detected kernel backend;
+    /// the first analysis sizes it.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_kernel(KernelBackend::Auto)
     }
 
-    /// An empty arena pair pinned to `kernel` (resolved leniently, like
-    /// [`WideArena::with_kernel`]).
+    /// An empty one-worker arena pinned to `kernel` (resolved leniently,
+    /// like [`WideArena::with_kernel`]).
     pub fn with_kernel(kernel: KernelBackend) -> Self {
         AnalysisArena {
-            wide: WideArena::with_kernel(kernel),
-            ..Self::default()
+            wides: vec![WideArena::with_kernel(kernel)],
+            finish: SimArena::default(),
+            structure: CyclicStructure::default(),
         }
+    }
+
+    /// The arena with `workers` wide arenas on its backend (at least
+    /// one): every analysis then splits its lanes into up to `workers`
+    /// contiguous chunks, one lockstep pass per chunk on its own thread
+    /// (the first on the caller's). One worker — the default — runs
+    /// everything on the calling thread. Results are bit-identical at
+    /// every worker count; the count only moves the time.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        let kernel = self.kernel();
+        self.wides
+            .resize_with(workers.max(1), || WideArena::with_kernel(kernel));
+        self
+    }
+
+    /// The number of workers an analysis splits its lanes over.
+    pub fn workers(&self) -> usize {
+        self.wides.len()
     }
 
     /// The resolved kernel backend the wide phase runs on.
     pub fn kernel(&self) -> KernelBackend {
-        self.wide.kernel()
+        self.wides[0].kernel()
     }
 
     /// Allocated capacities `(wide time cells, scalar time cells,
     /// scalar parent cells)` — the warm-pool zero-allocation assertions
     /// check all three stay constant across same-shape requests. The
-    /// wide cells are the two-row window: at most `2 · n · lanes`,
-    /// rounded up to a cache line, for the largest shape analysed.
+    /// wide cells, summed over the workers, are the two-row windows: at
+    /// most `2 · n · lanes`, rounded up to a cache line per worker, for
+    /// the largest shape analysed.
     pub fn capacity(&self) -> (usize, usize, usize) {
         let (t, p) = self.finish.capacity();
-        (self.wide.capacity(), t, p)
+        (self.wides.iter().map(WideArena::capacity).sum(), t, p)
     }
 }
 
@@ -1631,7 +1653,7 @@ mod tests {
 
     /// Every scenario lane must equal, bit for bit, a nominal wide run
     /// on the correspondingly reweighted graph — the kernel-level
-    /// contract everything above (run_scenarios, sessions, bench
+    /// contract everything above (`run_scenarios_in`, sessions, bench
     /// assertions) builds on.
     #[test]
     fn scenario_lanes_equal_reweighted_reruns() {

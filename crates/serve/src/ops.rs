@@ -3,35 +3,34 @@
 //!
 //! `tsg analyze` / `tsg sim` and the `tsg serve` request router execute
 //! the *same* functions from this module, so a served response is
-//! byte-identical to the one-shot command on the same input. The only
-//! difference is allocation strategy:
+//! byte-identical to the one-shot command on the same input. Each
+//! operation has one entry point: [`report_in`] renders an analysis on
+//! a caller's [`AnalysisArena`], [`apply_struct_edits`] applies a
+//! session edit batch. The only difference between the front-ends is
+//! the arena:
 //!
-//! * the one-shot entry points ([`report`], [`simulate_file`]) build
-//!   fresh state per invocation (and `report` fans the border
-//!   simulations across a thread pool);
-//! * a serve worker drives a persistent [`Workspace`] — one warm
-//!   [`AnalysisArena`] (the two-row window and origin strip of the `b`
-//!   lockstep border simulations plus the scalar finish arena) and a
-//!   pre-sized netlist event queue — through
-//!   [`Workspace::analyze`] / [`Workspace::simulate`], which are
-//!   bit-identical to the cold paths (`CycleTimeAnalysis::run_in` ≡
-//!   `run_parallel`, asserted in the workspace tests). `.g`
-//!   simulations need no warm state: [`TimingSimulation::run`] sizes
-//!   its period rows per request.
+//! * the one-shot CLI builds one from `--kernel` and `--threads`, so the
+//!   `b` border simulations (and the scenario blocks) split into lane
+//!   chunks over that many workers;
+//! * a serve worker drives a persistent one-worker [`Workspace`] — one
+//!   warm [`AnalysisArena`] (the two-row window and origin strip of the
+//!   `b` lockstep border simulations plus the scalar finish arena) and
+//!   a pre-sized netlist event queue — through [`Workspace::analyze`] /
+//!   [`Workspace::simulate`]. Analyses are bit-identical at every
+//!   worker count. `.g` simulations need no warm state:
+//!   [`TimingSimulation::run`] sizes its period rows per request.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 use tsg_core::analysis::diagram::{self, DiagramOptions};
-use tsg_core::analysis::session::{
-    AnalysisSession, CycleTimeDelta, DelayEdit, EditError, GraphEdit,
-};
+use tsg_core::analysis::session::{AnalysisSession, CycleTimeDelta, EditError, GraphEdit};
 use tsg_core::analysis::sim::{SimError, TimingSimulation};
 use tsg_core::analysis::wide::{AnalysisArena, KernelBackend};
 use tsg_core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, ScenarioAnalysis, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
-use tsg_sim::{BatchRunner, CancelKind, CancelToken, TraceRecorder};
+use tsg_sim::{CancelKind, CancelToken, TraceRecorder};
 
 /// Error of a workspace operation: either a plain user-facing message
 /// (rendered exactly as before this type existed) or a structured
@@ -55,6 +54,40 @@ pub enum OpError {
 impl From<String> for OpError {
     fn from(msg: String) -> Self {
         OpError::Msg(msg)
+    }
+}
+
+impl From<AnalysisError> for OpError {
+    fn from(e: AnalysisError) -> Self {
+        match e {
+            AnalysisError::Cancelled {
+                kind,
+                rows_done,
+                rows_total,
+            } => OpError::Cancelled {
+                kind,
+                done: rows_done as u64,
+                total: rows_total as u64,
+            },
+            other => OpError::Msg(other.to_string()),
+        }
+    }
+}
+
+impl From<EditError> for OpError {
+    fn from(e: EditError) -> Self {
+        match e {
+            EditError::Cancelled {
+                kind,
+                rows_done,
+                rows_total,
+            } => OpError::Cancelled {
+                kind,
+                done: rows_done as u64,
+                total: rows_total as u64,
+            },
+            other => OpError::Msg(other.to_string()),
+        }
     }
 }
 
@@ -186,7 +219,8 @@ pub enum EditOp {
 /// graph — labels introduced by earlier `AddEvent` ops in the batch
 /// resolve to their yet-to-exist ids, which [`SignalGraph::add_event`]
 /// assigns densely — and applies them through
-/// [`AnalysisSession::edit_structure`] as one transaction.
+/// [`AnalysisSession::edit_structure`] as one transaction (an all-delay
+/// batch takes the session's delay path there).
 ///
 /// # Errors
 ///
@@ -194,21 +228,11 @@ pub enum EditOp {
 /// [`OpError::Msg`] (the session is unchanged), or
 /// [`OpError::Cancelled`] when `cancel` fires mid-rerun (batch applied,
 /// analysis stale until the next uncancelled edit heals it).
-pub fn apply_struct_edits_with_cancel(
+fn apply_ops(
     session: &mut AnalysisSession,
     ops: &[EditOp],
     cancel: Option<&CancelToken>,
 ) -> Result<CycleTimeDelta, OpError> {
-    if ops.iter().all(|op| matches!(op, EditOp::Delay(_))) {
-        let specs: Vec<EditSpec> = ops
-            .iter()
-            .map(|op| match op {
-                EditOp::Delay(s) => s.clone(),
-                _ => unreachable!("all-delay batch"),
-            })
-            .collect();
-        return apply_edits_with_cancel(session, &specs, cancel);
-    }
     // Events an AddEvent earlier in the batch introduces get the next
     // dense ids, so later ops can address them by label already.
     let mut pending: HashMap<&str, EventId> = HashMap::new();
@@ -263,24 +287,13 @@ pub fn apply_struct_edits_with_cancel(
             }
         }
     }
-    session
-        .edit_structure_with_cancel(&edits, cancel)
-        .map_err(|e| match e {
-            EditError::Cancelled {
-                kind,
-                rows_done,
-                rows_total,
-            } => OpError::Cancelled {
-                kind,
-                done: rows_done as u64,
-                total: rows_total as u64,
-            },
-            other => OpError::Msg(other.to_string()),
-        })
+    Ok(session.edit_structure(&edits, cancel)?)
 }
 
-/// [`apply_struct_edits_with_cancel`] without a token, errors rendered
-/// as plain messages — what `tsg explore` calls.
+/// Applies one label-addressed edit batch to `session` (see
+/// [`EditOp`]), errors rendered as plain messages — what `tsg explore
+/// --edit` calls; `session.edit` requests take the same path with the
+/// request's cancel token.
 ///
 /// # Errors
 ///
@@ -290,7 +303,7 @@ pub fn apply_struct_edits(
     session: &mut AnalysisSession,
     ops: &[EditOp],
 ) -> Result<CycleTimeDelta, String> {
-    apply_struct_edits_with_cancel(session, ops, None).map_err(|e| e.to_string())
+    apply_ops(session, ops, None).map_err(|e| e.to_string())
 }
 
 /// Checks that `session`'s incremental analysis is bit-identical to a
@@ -317,8 +330,14 @@ pub fn verify_session(session: &AnalysisSession) -> Result<(), String> {
     // sweep too — the incremental matrices and δ tables get the same
     // bit-identity guarantee as the nominal analysis.
     if let (Some(set), Some(sa)) = (session.scenario_set(), session.scenario_analysis()) {
-        let scratch =
-            CycleTimeAnalysis::run_scenarios(session.graph(), set).map_err(|e| e.to_string())?;
+        let scratch = CycleTimeAnalysis::run_scenarios_in(
+            session.graph(),
+            set,
+            None,
+            &mut AnalysisArena::new(),
+            None,
+        )
+        .map_err(|e| e.to_string())?;
         for j in 0..sa.len() {
             let (inc, ref_) = (sa.analysis(j), scratch.analysis(j));
             if inc.cycle_time().as_f64().to_bits() != ref_.cycle_time().as_f64().to_bits()
@@ -406,9 +425,6 @@ pub struct AnalyzeOptions {
     pub slack: bool,
     /// Delay assigned to arcs without a `.delay` annotation.
     pub default_delay: f64,
-    /// Thread-pool size for the one-shot [`report`] path (`None` = all
-    /// cores); ignored by the warm per-worker path.
-    pub threads: Option<usize>,
     /// Wide-kernel backend. `Auto` means "whatever the executing
     /// workspace is pinned to" (the widest available one by default);
     /// an explicit backend is honoured or refused with a structured
@@ -436,7 +452,6 @@ impl Default for AnalyzeOptions {
             baselines: false,
             slack: false,
             default_delay: 1.0,
-            threads: None,
             kernel: KernelBackend::Auto,
             corners: Vec::new(),
             derate: 10.0,
@@ -526,63 +541,12 @@ pub fn load(file: &str, text: &str, default_delay: f64) -> Result<SignalGraph, S
     }
 }
 
-/// The `tsg analyze` report, one-shot path: the `b` border-initiated
-/// simulations fan out across a [`BatchRunner`] pool sized by
-/// `opts.threads` — and so do the scenario lanes when `opts` asks for
-/// a corner or sample sweep (scenarios chunked across the workers,
-/// bit-identical at any thread count).
-///
-/// # Errors
-///
-/// Returns an overflowing cycle length as a message; other analysis
-/// failures render inline.
-pub fn report(sg: &SignalGraph, opts: &AnalyzeOptions) -> Result<String, String> {
-    let runner = BatchRunner::sized(opts.threads);
-    let analysis = CycleTimeAnalysis::run_parallel_on(sg, &runner, opts.kernel);
-    if let Some(abort) = analysis.as_ref().err().and_then(report_abort) {
-        return Err(abort.to_string());
-    }
-    let scenarios = match scenario_set_for(opts, sg.arc_count()) {
-        Ok(None) => Ok(None),
-        Ok(Some(set)) => {
-            let sweep =
-                CycleTimeAnalysis::run_scenarios_parallel_on(sg, &set, &runner, opts.kernel, None);
-            scenario_outcome(sweep).map_err(|e| e.to_string())?
-        }
-        Err(e) => Err(e),
-    };
-    render_report(sg, opts, analysis, scenarios)
-}
-
-/// A scenario sweep's result as [`render_report`] takes it: failures
-/// render inline, except a fired cancel token and an overflowing delay,
-/// which abort the report.
-fn scenario_outcome(
-    sweep: Result<ScenarioAnalysis, AnalysisError>,
-) -> Result<Result<Option<ScenarioAnalysis>, String>, OpError> {
-    match sweep {
-        Ok(sa) => Ok(Ok(Some(sa))),
-        Err(e @ (AnalysisError::Cancelled { .. } | AnalysisError::ScenarioDelay { .. })) => {
-            Err(report_abort(&e).expect("both abort a report"))
-        }
-        Err(e) => Ok(Err(e.to_string())),
-    }
-}
-
 /// The analysis failures that abort a report instead of rendering
 /// inline: a fired cancel token, a cycle length that overflows, and an
 /// overflowing scenario delay.
 fn report_abort(err: &AnalysisError) -> Option<OpError> {
-    match *err {
-        AnalysisError::Cancelled {
-            kind,
-            rows_done,
-            rows_total,
-        } => Some(OpError::Cancelled {
-            kind,
-            done: rows_done as u64,
-            total: rows_total as u64,
-        }),
+    match err {
+        AnalysisError::Cancelled { .. } => Some(err.clone().into()),
         AnalysisError::NonFiniteCycleLength { .. } | AnalysisError::ScenarioDelay { .. } => {
             Some(OpError::Msg(format!("analysis failed: {err}")))
         }
@@ -590,30 +554,28 @@ fn report_abort(err: &AnalysisError) -> Option<OpError> {
     }
 }
 
-/// The `tsg analyze` report, warm path: all simulations reuse `arena`.
-/// Byte-identical to [`report`] — `run_in` and `run_parallel` produce
-/// bit-identical analyses.
+/// The `tsg analyze` report on `arena`: the nominal analysis and, when
+/// `opts` asks for a corner or sample sweep, the scenario lanes all run
+/// on it — split over its workers, bit-identical at any worker count.
+/// `opts.kernel` is not consulted here: the arena's backend is the one
+/// that runs (see [`Workspace::analyze`]).
 ///
 /// # Errors
 ///
-/// As [`report`].
+/// Returns an overflowing cycle length or scenario delay as
+/// [`OpError::Msg`]; other analysis failures ("no cyclic behavior")
+/// render inline.
 pub fn report_in(
     sg: &SignalGraph,
     opts: &AnalyzeOptions,
     arena: &mut AnalysisArena,
 ) -> Result<String, OpError> {
-    report_in_with_cancel(sg, opts, arena, None)
+    report_on(sg, opts, arena, None)
 }
 
-/// [`report_in`] with a cooperative cancel token. Analysis failures
-/// other than cancellation and overflow ("no cyclic behavior", kernel
-/// refusals) are still rendered *inline* in the report.
-///
-/// # Errors
-///
-/// Returns [`OpError::Cancelled`] when `cancel` fires mid-analysis, and
-/// [`OpError::Msg`] when the cycle length overflows.
-pub fn report_in_with_cancel(
+/// [`report_in`] under a cooperative cancel token: returns
+/// [`OpError::Cancelled`] when `cancel` fires mid-analysis.
+fn report_on(
     sg: &SignalGraph,
     opts: &AnalyzeOptions,
     arena: &mut AnalysisArena,
@@ -624,13 +586,18 @@ pub fn report_in_with_cancel(
         return Err(abort);
     }
     // The scenario sweep reuses the same warm arena the nominal
-    // analysis just ran on; only a fired token surfaces as an error,
-    // everything else renders inline like the nominal block.
+    // analysis just ran on; only a fired token and an overflowing delay
+    // abort the report, everything else renders inline like the
+    // nominal block (an overflowing scenario cycle included).
     let scenarios = match scenario_set_for(opts, sg.arc_count()) {
+        Ok(Some(set)) => match CycleTimeAnalysis::run_scenarios_in(sg, &set, None, arena, cancel) {
+            Ok(sa) => Ok(Some(sa)),
+            Err(e @ (AnalysisError::Cancelled { .. } | AnalysisError::ScenarioDelay { .. })) => {
+                return Err(report_abort(&e).expect("both abort a report"))
+            }
+            Err(e) => Err(e.to_string()),
+        },
         Ok(None) => Ok(None),
-        Ok(Some(set)) => scenario_outcome(CycleTimeAnalysis::run_scenarios_in(
-            sg, &set, None, arena, cancel,
-        ))?,
         Err(e) => Err(e),
     };
     render_report(sg, opts, analysis, scenarios).map_err(OpError::Msg)
@@ -708,14 +675,7 @@ fn render_report(
                     opts.derate
                 );
             }
-            let _ = writeln!(
-                out,
-                "tau distribution: mean {:.4}  p50 {:.4}  p95 {:.4}  max {:.4}",
-                sa.tau_mean(),
-                sa.tau_quantile(0.5),
-                sa.tau_quantile(0.95),
-                sa.tau_quantile(1.0)
-            );
+            write_tau_distribution(&mut out, &sa);
             if !opts.corners.is_empty() {
                 for j in 0..sa.len() {
                     let _ = writeln!(
@@ -806,17 +766,6 @@ fn render_report(
     Ok(out)
 }
 
-/// One `tsg sim` input file, one-shot path: fresh state per invocation.
-///
-/// # Errors
-///
-/// Returns read/parse/flag-validation failures as user-facing messages.
-pub fn simulate_file(file: &str, opts: &SimOptions) -> Result<String, String> {
-    Workspace::new()
-        .simulate(&Source::Path(file.to_owned()), opts, None)
-        .map_err(|e| e.to_string())
-}
-
 /// Workspace key of connection `conn`'s session `name`.
 fn session_key(conn: u64, name: &str) -> String {
     format!("{conn}/{name}")
@@ -835,65 +784,6 @@ pub fn session_summary(session: &AnalysisSession) -> String {
         session.graph().display_path(analysis.critical_cycle())
     );
     out
-}
-
-/// Resolves label-addressed `edits` against `session`'s graph and
-/// applies them as one batch — shared by the serve handler and `tsg
-/// explore`.
-///
-/// # Errors
-///
-/// Returns unresolvable labels or invalid delays as user-facing
-/// messages; the session is unchanged in that case.
-pub fn apply_edits(
-    session: &mut AnalysisSession,
-    edits: &[EditSpec],
-) -> Result<tsg_core::analysis::session::CycleTimeDelta, String> {
-    apply_edits_with_cancel(session, edits, None).map_err(|e| e.to_string())
-}
-
-/// [`apply_edits`] with a cooperative cancel token. On
-/// [`OpError::Cancelled`] the edits *are* applied but the session's
-/// analysis is stale ([`AnalysisSession::is_stale`]); the next
-/// uncancelled edit call (even with an empty batch) heals it
-/// bit-identically, so the session stays usable.
-///
-/// # Errors
-///
-/// Returns unresolvable labels or invalid delays as [`OpError::Msg`]
-/// (the session is unchanged), or [`OpError::Cancelled`] when `cancel`
-/// fires mid-rerun.
-pub fn apply_edits_with_cancel(
-    session: &mut AnalysisSession,
-    edits: &[EditSpec],
-    cancel: Option<&CancelToken>,
-) -> Result<tsg_core::analysis::session::CycleTimeDelta, OpError> {
-    let resolved: Vec<DelayEdit> = edits
-        .iter()
-        .map(|e| {
-            session
-                .resolve_arc(&e.src, &e.dst)
-                .map(|arc| DelayEdit {
-                    arc,
-                    delay: e.delay,
-                })
-                .map_err(|err| err.to_string())
-        })
-        .collect::<Result<_, _>>()?;
-    session
-        .edit_delays_with_cancel(&resolved, cancel)
-        .map_err(|e| match e {
-            EditError::Cancelled {
-                kind,
-                rows_done,
-                rows_total,
-            } => OpError::Cancelled {
-                kind,
-                done: rows_done as u64,
-                total: rows_total as u64,
-            },
-            other => OpError::Msg(other.to_string()),
-        })
 }
 
 /// One proposed move of [`optimize_session`]'s trajectory — what the
@@ -1062,8 +952,7 @@ fn propose_move(
     }
 }
 
-/// The speculative design-exploration loop behind `tsg explore
-/// --optimize` and `session.explore`: propose `moves` random candidate
+/// The speculative design-exploration loop of [`explore_session`]: propose `moves` random candidate
 /// edits (delay nudges, arc rewires, pipeline-stage insertions), score
 /// each by incremental re-analysis against a snapshot, commit the ones
 /// that strictly lower the `objective` and roll the rest back. The
@@ -1075,7 +964,7 @@ fn propose_move(
 /// `cancel` is polled between moves: a fired token stops proposing and
 /// returns the trajectory so far — the session is never left mid-move,
 /// so no healing is needed.
-pub fn optimize_session(
+fn optimize_session(
     session: &mut AnalysisSession,
     moves: usize,
     seed: u64,
@@ -1100,7 +989,7 @@ pub fn optimize_session(
         // climbs. Scoring a move re-runs the scenario lanes too (the
         // session refreshes them per edit batch), so TauP95 sees the
         // move's effect across the whole delay distribution.
-        let scored = session.edit_structure(&batch).ok();
+        let scored = session.edit_structure(&batch, None).ok();
         let improved = scored.is_some() && objective_value(session, objective) < tau_before;
         let (rows, rows_total) = scored.map_or((0, 0), |d| (d.rows, d.rows_total));
         if improved {
@@ -1128,6 +1017,79 @@ pub fn optimize_session(
         accepted,
         trajectory,
     }
+}
+
+/// The exploration operation behind `tsg explore --optimize` and
+/// `session.explore`: with [`Objective::TauP95`] and no scenario lanes
+/// yet, enables `samples` seeded delay scenarios (kept enabled
+/// afterwards, so the distribution summary reflects the final state);
+/// runs [`optimize_session`]; and renders its text report — the
+/// objective line (when scenario lanes are on), one line per move, the
+/// outcome, the session summary and the τ distribution.
+///
+/// # Errors
+///
+/// Returns a scenario-enablement failure for `tau-p95` as a message.
+pub fn explore_session(
+    session: &mut AnalysisSession,
+    moves: usize,
+    seed: u64,
+    objective: Objective,
+    samples: usize,
+    cancel: Option<&CancelToken>,
+) -> Result<(OptimizeOutcome, String), String> {
+    if objective == Objective::TauP95 && session.scenario_analysis().is_none() {
+        let arcs = session.graph().arc_count();
+        let set =
+            ScenarioSet::samples(samples.max(1), seed, 10.0, arcs).map_err(|e| e.to_string())?;
+        session
+            .enable_scenarios(&set, None)
+            .map_err(|e| e.to_string())?;
+    }
+    let mut out = String::new();
+    if let Some(sa) = session.scenario_analysis() {
+        let lanes = sa.len();
+        let _ = writeln!(out, "objective: {objective} over {lanes} scenario lane(s)");
+    }
+    let outcome = optimize_session(session, moves, seed, objective, cancel);
+    for m in &outcome.trajectory {
+        let _ = writeln!(
+            out,
+            "move {}: {}: tau {} -> {} ({}, {} of {} rows)",
+            m.index,
+            m.action,
+            m.tau_before,
+            m.tau_after,
+            if m.accepted { "accepted" } else { "rejected" },
+            m.rows,
+            m.rows_total
+        );
+    }
+    let _ = writeln!(
+        out,
+        "optimized: tau {} -> {} after {} accepted of {} proposed move(s)",
+        outcome.initial,
+        outcome.final_tau,
+        outcome.accepted,
+        outcome.trajectory.len()
+    );
+    out.push_str(&session_summary(session));
+    if let Some(sa) = session.scenario_analysis() {
+        write_tau_distribution(&mut out, sa);
+    }
+    Ok((outcome, out))
+}
+
+/// The `tau distribution:` line of a scenario analysis.
+fn write_tau_distribution(out: &mut String, sa: &ScenarioAnalysis) {
+    let _ = writeln!(
+        out,
+        "tau distribution: mean {:.4}  p50 {:.4}  p95 {:.4}  max {:.4}",
+        sa.tau_mean(),
+        sa.tau_quantile(0.5),
+        sa.tau_quantile(0.95),
+        sa.tau_quantile(1.0)
+    );
 }
 
 /// A serve worker's persistent scratch state: the warm arena and the
@@ -1181,7 +1143,7 @@ impl Workspace {
     }
 
     /// `tsg analyze` on the warm arena. Byte-identical to the one-shot
-    /// [`report`] on the same source and options.
+    /// [`report_in`] on the same source and options.
     ///
     /// # Errors
     ///
@@ -1196,19 +1158,19 @@ impl Workspace {
         let text = source.read()?;
         let sg = load(source.name(), &text, opts.default_delay)?;
         match opts.kernel {
-            KernelBackend::Auto => report_in_with_cancel(&sg, opts, &mut self.arena, cancel),
+            KernelBackend::Auto => report_on(&sg, opts, &mut self.arena, cancel),
             requested => {
                 // An explicit per-request kernel is honoured or refused,
                 // never silently downgraded; it runs on a fresh arena so
                 // the workspace's pinned backend stays warm.
                 let resolved = requested.resolve().map_err(|e| e.to_string())?;
-                report_in_with_cancel(&sg, opts, &mut AnalysisArena::with_kernel(resolved), cancel)
+                report_on(&sg, opts, &mut AnalysisArena::with_kernel(resolved), cancel)
             }
         }
     }
 
-    /// `tsg sim` (netlists on the warm queue). Byte-identical to the one-shot
-    /// [`simulate_file`] on the same source and options.
+    /// `tsg sim` (netlists on the warm queue) — what the CLI runs per
+    /// input file, on one workspace per `--threads` worker.
     ///
     /// Netlist (`.ckt`) simulations are not cancellable: their own
     /// 2 000 000-step cap already bounds them, so `cancel` only guards
@@ -1286,20 +1248,7 @@ impl Workspace {
         }
         let text = source.read()?;
         let sg = load(source.name(), &text, default_delay)?;
-        let session = AnalysisSession::open_with_cancel(sg, self.arena.kernel(), cancel).map_err(
-            |e| match e {
-                AnalysisError::Cancelled {
-                    kind,
-                    rows_done,
-                    rows_total,
-                } => OpError::Cancelled {
-                    kind,
-                    done: rows_done as u64,
-                    total: rows_total as u64,
-                },
-                other => OpError::Msg(other.to_string()),
-            },
-        )?;
+        let session = AnalysisSession::open_with_cancel(sg, self.arena.kernel(), cancel)?;
         let mut out = format!(
             "opened session {name:?}: {} events, {} arcs, {} border event(s)\n",
             session.graph().event_count(),
@@ -1335,7 +1284,7 @@ impl Workspace {
             .sessions
             .get_mut(&session_key(conn, name))
             .ok_or_else(|| format!("no open session {name:?}"))?;
-        let delta = apply_struct_edits_with_cancel(session, edits, cancel)?;
+        let delta = apply_ops(session, edits, cancel)?;
         let mut out = session_summary(session);
         let _ = writeln!(
             out,
@@ -1345,13 +1294,9 @@ impl Workspace {
         Ok(out)
     }
 
-    /// `session.explore`: runs the speculative optimization loop
-    /// ([`optimize_session`]) on an open session, committing the moves
-    /// that lower the objective, and self-verifies the final state
-    /// against a from-scratch analysis (scenario lanes included). With
-    /// [`Objective::TauP95`], `samples` seeded delay scenarios are
-    /// enabled on the session first (kept enabled afterwards, so the
-    /// response's distribution summary reflects the final state).
+    /// `session.explore`: runs [`explore_session`] on an open session
+    /// and self-verifies the final state against a from-scratch
+    /// analysis (scenario lanes included).
     ///
     /// # Errors
     ///
@@ -1374,52 +1319,7 @@ impl Workspace {
             .sessions
             .get_mut(&session_key(conn, name))
             .ok_or_else(|| format!("no open session {name:?}"))?;
-        let mut out = String::new();
-        if objective == Objective::TauP95 && session.scenario_analysis().is_none() {
-            let set = ScenarioSet::samples(samples.max(1), seed, 10.0, session.graph().arc_count())
-                .map_err(|e| e.to_string())?;
-            session.enable_scenarios(&set).map_err(|e| e.to_string())?;
-        }
-        if let Some(sa) = session.scenario_analysis() {
-            let _ = writeln!(
-                out,
-                "objective: {objective} over {} scenario lane(s)",
-                sa.len()
-            );
-        }
-        let outcome = optimize_session(session, moves, seed, objective, cancel);
-        for m in &outcome.trajectory {
-            let _ = writeln!(
-                out,
-                "move {}: {}: tau {} -> {} ({}, {} of {} rows)",
-                m.index,
-                m.action,
-                m.tau_before,
-                m.tau_after,
-                if m.accepted { "accepted" } else { "rejected" },
-                m.rows,
-                m.rows_total
-            );
-        }
-        let _ = writeln!(
-            out,
-            "optimized: tau {} -> {} after {} accepted of {} proposed move(s)",
-            outcome.initial,
-            outcome.final_tau,
-            outcome.accepted,
-            outcome.trajectory.len()
-        );
-        out.push_str(&session_summary(session));
-        if let Some(sa) = session.scenario_analysis() {
-            let _ = writeln!(
-                out,
-                "tau distribution: mean {:.4}  p50 {:.4}  p95 {:.4}  max {:.4}",
-                sa.tau_mean(),
-                sa.tau_quantile(0.5),
-                sa.tau_quantile(0.95),
-                sa.tau_quantile(1.0)
-            );
-        }
+        let (_, mut out) = explore_session(session, moves, seed, objective, samples, cancel)?;
         verify_session(session)?;
         let _ = writeln!(out, "verified: bit-identical to a from-scratch analysis");
         Ok(out)

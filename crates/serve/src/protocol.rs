@@ -528,9 +528,6 @@ fn analyze_opts(doc: &Json) -> Result<AnalyzeOptions, String> {
             None => 1.0,
             Some(v) => v.as_f64().ok_or("\"default_delay\" must be a number")?,
         },
-        // Intra-request parallelism is pool-level in serve mode; the
-        // warm path never consults this.
-        threads: None,
         kernel: match doc.get("kernel") {
             None => KernelBackend::Auto,
             Some(v) => v

@@ -8,6 +8,7 @@
 use std::io::{Cursor, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use tsg_core::analysis::wide::AnalysisArena;
 use tsg_serve::json::Json;
 use tsg_serve::ops::{self, AnalyzeOptions, SimOptions, Source, Workspace};
 use tsg_serve::{serve, serve_tcp, ServeOptions};
@@ -64,7 +65,9 @@ fn warm_analyze_is_allocation_free_and_byte_identical() {
     };
     let cold = {
         let sg = ops::load("osc.g", tsg_stg::EXAMPLE_OSCILLATOR, 1.0).unwrap();
-        ops::report(&sg, &opts).unwrap()
+        // The CLI's one-shot arena: lane chunks over two workers.
+        let mut arena = AnalysisArena::new().with_workers(2);
+        ops::report_in(&sg, &opts, &mut arena).unwrap()
     };
     let first = ws.analyze(&source, &opts, None).unwrap();
     assert_eq!(first, cold, "warm path must match the one-shot report");
@@ -173,6 +176,64 @@ fn overflowing_delays_answer_structured_errors() {
     );
     assert_eq!(responses[2].get("ok"), Some(&Json::Bool(true)));
     assert_eq!(responses[2].get("failed"), Some(&Json::Num(2.0)));
+}
+
+/// A session edit (or a tau-p95 scenario enablement) whose cycle
+/// length overflows is refused with a structured error, and the session
+/// answers the next edit from its pre-batch state.
+#[test]
+fn overflowing_session_batches_are_refused_and_the_session_survives() {
+    let toggle = |up: &str, down: &str| {
+        format!(
+            ".model t\n.outputs x\n.graph\nx+ x-\nx- x+\n.marking {{ <x-,x+> }}\n\
+             .delay x+ x- {up}\n.delay x- x+ {down}\n.end\n"
+        )
+    };
+    let open = |id: f64, name: &str, text: &str| {
+        req(&[
+            ("id", Json::Num(id)),
+            ("cmd", Json::from("session.open")),
+            ("session", Json::from(name)),
+            ("text", Json::from(text)),
+            ("name", Json::from("t.g")),
+        ])
+    };
+    let edit = |id: u32, src: &str, dst: &str, delay: &str| {
+        format!(
+            r#"{{"id":{id},"cmd":"session.edit","session":"s","edits":[{{"src":"{src}","dst":"{dst}","delay":{delay}}}]}}"#
+        )
+    };
+    let script = [
+        open(0.0, "s", &toggle("3", "2")),
+        edit(1, "x+", "x-", "1e308"),
+        edit(2, "x-", "x+", "1e308"),
+        edit(3, "x+", "x-", "4"),
+        open(4.0, "t", &toggle("9e307", "8e307")),
+        r#"{"id":5,"cmd":"session.explore","session":"t","moves":1,"objective":"tau-p95","samples":16}"#
+            .to_owned(),
+        req(&[("id", Json::Num(6.0)), ("cmd", Json::from("stats"))]),
+    ]
+    .join("\n")
+        + "\n";
+    let responses = session(&script, 1);
+    assert_eq!(responses.len(), 7);
+    for (i, r) in responses.iter().enumerate() {
+        let want_ok = i != 2 && i != 5;
+        assert_eq!(
+            r.get("ok"),
+            Some(&Json::Bool(want_ok)),
+            "request {i}: {r:?}"
+        );
+    }
+    for i in [2, 5] {
+        let error = responses[i].get("error").and_then(Json::as_str).unwrap();
+        assert!(!error.contains("internal error"), "{error}");
+        assert!(error.contains("non-finite total delay"), "{error}");
+    }
+    // The refused batch left x- -> x+ at 2: 4 + 2.
+    let healed = responses[3].get("output").and_then(Json::as_str).unwrap();
+    assert!(healed.contains("cycle time: 6\n"), "{healed}");
+    assert_eq!(responses[6].get("failed"), Some(&Json::Num(2.0)));
 }
 
 #[test]

@@ -160,21 +160,101 @@ impl Transitions {
     }
 }
 
-/// The first declared arc from `src` to `dst`, for a `.marking` /
-/// `.delay` reference whose tokens `s` and `d` are transitions; an
-/// unseen label or an undeclared pair is [`StgError::UnknownArc`].
-fn declared_arc(
-    first_arc: &HashMap<(u32, u32), usize>,
-    (src, dst): (Option<u32>, Option<u32>),
-    s: &str,
-    d: &str,
-) -> Result<usize, StgError> {
-    src.zip(dst)
-        .and_then(|pair| first_arc.get(&pair).copied())
-        .ok_or_else(|| StgError::UnknownArc {
-            src: label_of(s),
-            dst: label_of(d),
-        })
+/// One declared arc.
+struct ArcSpec {
+    src: u32,
+    dst: u32,
+    delay: Option<f64>,
+    marked: bool,
+    /// The next declared arc of the same pair ([`NO_ARC`] at the last).
+    next: u32,
+}
+
+/// End of a pair's chain of parallel arcs.
+const NO_ARC: u32 = u32::MAX;
+
+/// Where the next `.delay` and the next `.marking` entry of a pair of
+/// parallel arcs bind, and the pair's last declared arc.
+struct Cursors {
+    delay: u32,
+    mark: u32,
+    last: u32,
+}
+
+/// The declared arcs, and how `.marking` / `.delay` entries find them.
+#[derive(Default)]
+struct Arcs {
+    specs: Vec<ArcSpec>,
+    /// `(src, dst)` → the pair's first declared arc, and whether the
+    /// pair was declared more than once.
+    first: HashMap<(u32, u32), (u32, bool)>,
+    /// The cursors of each pair declared more than once; pairs without
+    /// parallel arcs — nearly all — have none.
+    parallel: HashMap<(u32, u32), Cursors>,
+}
+
+impl Arcs {
+    /// Declares the next arc `src -> dst`.
+    fn declare(&mut self, src: u32, dst: u32) {
+        let id = self.specs.len() as u32;
+        let first = self.first.entry((src, dst)).or_insert((id, false));
+        if first.0 != id {
+            first.1 = true;
+            let f = first.0;
+            let pair = self.parallel.entry((src, dst)).or_insert(Cursors {
+                delay: f,
+                mark: f,
+                last: f,
+            });
+            self.specs[pair.last as usize].next = id;
+            pair.last = id;
+        }
+        self.specs.push(ArcSpec {
+            src,
+            dst,
+            delay: None,
+            marked: false,
+            next: NO_ARC,
+        });
+    }
+
+    /// The arc a `.delay` (when `delay`) or `.marking` reference to
+    /// `src -> dst` binds to, for tokens `s` and `d` already known to be
+    /// transitions: the k-th entry of a pair binds to the k-th declared
+    /// arc of that pair, and entries beyond the pair's arc count stay on
+    /// its last arc. An unseen label or an undeclared pair is
+    /// [`StgError::UnknownArc`].
+    fn bind(
+        &mut self,
+        delay: bool,
+        (src, dst): (Option<u32>, Option<u32>),
+        s: &str,
+        d: &str,
+    ) -> Result<&mut ArcSpec, StgError> {
+        let key = src.zip(dst);
+        let &(first, parallel) =
+            key.and_then(|key| self.first.get(&key))
+                .ok_or_else(|| StgError::UnknownArc {
+                    src: label_of(s),
+                    dst: label_of(d),
+                })?;
+        let mut arc = first;
+        if parallel {
+            let pair = key.and_then(|key| self.parallel.get_mut(&key));
+            let pair = pair.expect("a pair declared twice has cursors");
+            let at = if delay {
+                &mut pair.delay
+            } else {
+                &mut pair.mark
+            };
+            arc = *at;
+            let next = self.specs[arc as usize].next;
+            if next != NO_ARC {
+                *at = next;
+            }
+        }
+        Ok(&mut self.specs[arc as usize])
+    }
 }
 
 /// Parses `.g` text into a validated [`SignalGraph`].
@@ -182,22 +262,22 @@ fn declared_arc(
 /// Loading is linear in the text size: each transition is interned once,
 /// and `.marking` / `.delay` entries find their arc by hashed lookup.
 ///
+/// Parallel arcs — one pair `src -> dst` declared more than once — keep
+/// their own data: the k-th `.delay` line of a pair and the k-th
+/// `.marking` entry of a pair bind to the k-th declared arc of that
+/// pair, in declaration order. Entries beyond a pair's arc count bind
+/// to its last arc, so a repeated `.delay` of a single arc overrides
+/// the earlier one. [`write_stg`](crate::write_stg) writes every pair
+/// in that order.
+///
 /// # Errors
 ///
 /// Returns [`StgError`] on syntax problems, non-marked-graph features,
 /// dangling marking/delay references, or structural invalidity of the
 /// resulting graph.
 pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgError> {
-    struct ArcSpec {
-        src: u32,
-        dst: u32,
-        delay: Option<f64>,
-        marked: bool,
-    }
-    let mut arcs: Vec<ArcSpec> = Vec::new();
+    let mut arcs = Arcs::default();
     let mut names = Transitions::default();
-    // (src, dst) -> index of the first declared arc between them
-    let mut first_arc: HashMap<(u32, u32), usize> = HashMap::new();
     let mut in_graph = false;
 
     for (idx, raw) in text.lines().enumerate() {
@@ -229,8 +309,7 @@ pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgErro
                             .ok_or_else(|| syntax(lineno, format!("bad marking token {tok:?}")))?;
                         let src = names.lookup(s.trim()).ok_or_else(|| bad_transition(s))?;
                         let dst = names.lookup(d.trim()).ok_or_else(|| bad_transition(d))?;
-                        let arc = declared_arc(&first_arc, (src, dst), s.trim(), d.trim())?;
-                        arcs[arc].marked = true;
+                        arcs.bind(false, (src, dst), s.trim(), d.trim())?.marked = true;
                     }
                 }
                 Some("delay") => {
@@ -251,8 +330,7 @@ pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgErro
                             format!("bad delay {v:?} on {s} -> {d}: must be finite and >= 0"),
                         ));
                     }
-                    let arc = declared_arc(&first_arc, (src, dst), s, d)?;
-                    arcs[arc].delay = Some(value);
+                    arcs.bind(true, (src, dst), s, d)?.delay = Some(value);
                 }
                 // interface declarations carry no structure we need
                 Some("model") | Some("inputs") | Some("outputs") | Some("internal")
@@ -278,22 +356,16 @@ pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgErro
             let dst = names
                 .intern(dst_tok)
                 .ok_or_else(|| not_transition(dst_tok))?;
-            first_arc.entry((src, dst)).or_insert(arcs.len());
-            arcs.push(ArcSpec {
-                src,
-                dst,
-                delay: None,
-                marked: false,
-            });
+            arcs.declare(src, dst);
         }
     }
 
     let labels = names.into_labels();
-    let mut b = SignalGraphBuilder::with_capacity(labels.len(), arcs.len());
+    let mut b = SignalGraphBuilder::with_capacity(labels.len(), arcs.specs.len());
     for label in &labels {
         b.event(label);
     }
-    for arc in &arcs {
+    for arc in &arcs.specs {
         let (s, d) = (EventId(arc.src), EventId(arc.dst));
         let delay = arc.delay.unwrap_or(options.default_delay);
         if arc.marked {
@@ -513,6 +585,31 @@ x- x+
         assert_eq!(arcs.len(), 3);
         assert_eq!((arcs[0].delay().get(), arcs[0].is_marked()), (3.0, true));
         assert_eq!((arcs[1].delay().get(), arcs[1].is_marked()), (1.0, false));
+    }
+
+    #[test]
+    fn kth_delay_and_marking_bind_to_the_kth_parallel_arc() {
+        // Three parallel `x+ -> x-` arcs: the second `.delay` and the
+        // second marking entry reach the second arc; the third arc
+        // keeps the default. A single arc's repeated `.delay` overrides.
+        let text = "\
+.graph
+x+ x- x- x-
+x- x+
+.marking { <x-,x+> <x+,x-> <x+,x-> }
+.delay x+ x- 3
+.delay x+ x- 5
+.delay x- x+ 4
+.delay x- x+ 6
+.end
+";
+        let sg = parse_stg(text, StgOptions::default()).unwrap();
+        let got: Vec<_> = sg
+            .arcs()
+            .iter()
+            .map(|a| (a.delay().get(), a.is_marked()))
+            .collect();
+        assert_eq!(got, [(3.0, true), (5.0, true), (1.0, false), (6.0, true)]);
     }
 
     #[test]

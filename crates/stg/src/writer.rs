@@ -3,7 +3,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use tsg_core::{Polarity, SignalGraph};
+use tsg_core::{ArcId, Polarity, SignalGraph};
 
 /// Error returned by [`write_stg`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -17,6 +17,16 @@ pub enum WriteStgError {
         /// The offending event label.
         label: String,
     },
+    /// Parallel arcs of one pair have a marked arc after an unmarked
+    /// one. The reader binds the k-th `.marking` entry of a pair to the
+    /// pair's k-th declared arc, so the marking would land on the wrong
+    /// arc.
+    MarkedAfterUnmarked {
+        /// Label of the pair's source event.
+        src: String,
+        /// Label of the pair's destination event.
+        dst: String,
+    },
 }
 
 impl fmt::Display for WriteStgError {
@@ -27,6 +37,13 @@ impl fmt::Display for WriteStgError {
             }
             WriteStgError::NotATransition { label } => {
                 write!(f, "event {label:?} is not a signal transition")
+            }
+            WriteStgError::MarkedAfterUnmarked { src, dst } => {
+                write!(
+                    f,
+                    "parallel arcs {src} -> {dst} declare a marked arc after an unmarked one, \
+                     which .g cannot express"
+                )
             }
         }
     }
@@ -52,12 +69,16 @@ fn stg_token(sg: &SignalGraph, e: tsg_core::EventId) -> Result<String, WriteStgE
 }
 
 /// Serialises the graph to `.g` text (with `.delay` annotations), such that
-/// [`parse_stg`](crate::parse_stg) reads back an equivalent graph.
+/// [`parse_stg`](crate::parse_stg) reads back an equivalent graph: each
+/// event's live out-arcs on one `.graph` line, and the `.marking`
+/// entries and `.delay` lines in arc order, so the k-th entry of a pair
+/// of parallel arcs reaches its k-th arc.
 ///
 /// # Errors
 ///
 /// Returns [`WriteStgError`] when the graph has prefix events or bare
-/// (polarity-free) labels.
+/// (polarity-free) labels, or when a pair of parallel arcs has a marked
+/// arc after an unmarked one.
 pub fn write_stg(sg: &SignalGraph, model: &str) -> Result<String, WriteStgError> {
     if sg.prefix_events().next().is_some() {
         return Err(WriteStgError::HasPrefix);
@@ -80,8 +101,16 @@ pub fn write_stg(sg: &SignalGraph, model: &str) -> Result<String, WriteStgError>
         }
         let src = stg_token(sg, e)?;
         let mut line = src.clone();
-        for a in &outs {
-            let _ = write!(line, " {}", stg_token(sg, sg.arc(*a).dst())?);
+        for (i, &a) in outs.iter().enumerate() {
+            let dst = sg.arc(a).dst();
+            let unmarked_before = |&b: &ArcId| sg.arc(b).dst() == dst && !sg.arc(b).is_marked();
+            if sg.arc(a).is_marked() && outs[..i].iter().any(unmarked_before) {
+                return Err(WriteStgError::MarkedAfterUnmarked {
+                    src: sg.label(e).to_string(),
+                    dst: sg.label(dst).to_string(),
+                });
+            }
+            let _ = write!(line, " {}", stg_token(sg, dst)?);
         }
         let _ = writeln!(out, "{line}");
     }
@@ -98,7 +127,7 @@ pub fn write_stg(sg: &SignalGraph, model: &str) -> Result<String, WriteStgError>
         })
         .collect::<Result<_, _>>()?;
     let _ = writeln!(out, ".marking {{ {} }}", marked.join(" "));
-    for a in sg.arc_ids() {
+    for a in sg.arc_ids().filter(|&a| sg.is_live_arc(a)) {
         let arc = sg.arc(a);
         let _ = writeln!(
             out,
@@ -176,5 +205,46 @@ mod tests {
         assert!(text.contains("a+/1"));
         let back = parse_stg(&text, StgOptions::default()).unwrap();
         assert!(back.event_by_label("a#1+").is_some());
+    }
+
+    fn parallel_pair(marked_first: bool) -> SignalGraph {
+        let mut b = SignalGraph::builder();
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        if marked_first {
+            b.marked_arc(xp, xm, 3.0);
+            b.arc(xp, xm, 5.0);
+        } else {
+            b.arc(xp, xm, 3.0);
+            b.marked_arc(xp, xm, 5.0);
+        }
+        b.marked_arc(xm, xp, 2.0);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn parallel_arcs_roundtrip_arc_for_arc() {
+        let sg = parallel_pair(true);
+        let back = parse_stg(&write_stg(&sg, "t").unwrap(), StgOptions::default()).unwrap();
+        let arcs = |g: &SignalGraph| -> Vec<_> {
+            g.arcs()
+                .iter()
+                .map(|a| (a.src(), a.dst(), a.delay().get(), a.is_marked()))
+                .collect()
+        };
+        assert_eq!(arcs(&back), arcs(&sg));
+    }
+
+    #[test]
+    fn marked_parallel_arc_after_an_unmarked_one_is_refused() {
+        let err = write_stg(&parallel_pair(false), "t").unwrap_err();
+        assert_eq!(
+            err,
+            WriteStgError::MarkedAfterUnmarked {
+                src: "x+".to_owned(),
+                dst: "x-".to_owned(),
+            }
+        );
+        assert!(err.to_string().contains("x+ -> x-"), "{err}");
     }
 }

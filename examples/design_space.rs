@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     Knob::Ack => None,
                 })
                 .collect();
-            let delta = session.edit_delays(&edits)?;
+            let delta = session.edit_delays(&edits, None)?;
 
             // Verify against a from-scratch analysis of an equivalently
             // configured pipeline, through the arena-reusing entry point.

@@ -140,7 +140,7 @@ fn mix_key(seed: u64, step: u64) -> u64 {
 /// Applies one mixed batch, tolerating transactional rejection (the
 /// session is unchanged then) and panicking on any other error.
 fn apply_mixed(session: &mut AnalysisSession, batch: &[GraphEdit], ctx: &str) -> bool {
-    match session.edit_structure(batch) {
+    match session.edit_structure(batch, None) {
         Ok(delta) => {
             assert!(delta.rows <= delta.rows_total, "{ctx}");
             assert!(delta.dirty <= delta.borders, "{ctx}");
@@ -226,7 +226,7 @@ proptest! {
         let sg = graph(family, seed);
         let mut session = AnalysisSession::open(sg).expect("generated graphs are live");
         for (step, e) in script(session.graph(), seed, edits).into_iter().enumerate() {
-            let delta = session.edit_delay(e.arc, e.delay).unwrap();
+            let delta = session.edit_delays(std::slice::from_ref(&e), None).unwrap();
             prop_assert!(delta.rows <= delta.rows_total);
             prop_assert!(delta.dirty <= delta.borders);
             assert_session_matches_scratch(
@@ -246,7 +246,7 @@ proptest! {
         let sg = graph(family, seed);
         let mut session = AnalysisSession::open(sg).expect("generated graphs are live");
         let batch = script(session.graph(), seed, edits);
-        session.edit_delays(&batch).unwrap();
+        session.edit_delays(&batch, None).unwrap();
         assert_session_matches_scratch(&session, &format!("family {family} seed {seed} batch"));
     }
 
@@ -302,13 +302,13 @@ proptest! {
         let sg = graph(family, seed);
         let mut session = AnalysisSession::open(sg).expect("generated graphs are live");
         let set = scenario_set(session.graph(), pick);
-        session.enable_scenarios(&set).expect("live");
+        session.enable_scenarios(&set, None).expect("live");
         assert_scenario_lanes_match_scratch(
             &session,
             &format!("family {family} seed {seed} pick {pick} enable"),
         );
         for (step, e) in script(session.graph(), seed, edits).into_iter().enumerate() {
-            session.edit_delay(e.arc, e.delay).unwrap();
+            session.edit_delays(std::slice::from_ref(&e), None).unwrap();
             let ctx = format!("family {family} seed {seed} pick {pick} step {step}");
             assert_session_matches_scratch(&session, &ctx);
             assert_scenario_lanes_match_scratch(&session, &ctx);
@@ -329,7 +329,7 @@ proptest! {
     ) {
         let mut session = AnalysisSession::open(graph(family, seed)).expect("live");
         let set = scenario_set(session.graph(), pick);
-        session.enable_scenarios(&set).expect("live");
+        session.enable_scenarios(&set, None).expect("live");
         let mut fresh = 0u32;
         for step in 0..steps as u64 {
             let ctx = format!("family {family} seed {seed} pick {pick} struct step {step}");
@@ -353,11 +353,11 @@ proptest! {
     ) {
         for backend in available_backends() {
             let sg = graph(family, seed);
-            let mut session = AnalysisSession::open_with_kernel(sg, backend).expect("live");
+            let mut session = AnalysisSession::open_with_cancel(sg, backend, None).expect("live");
             let set = scenario_set(session.graph(), pick);
-            session.enable_scenarios(&set).expect("live");
+            session.enable_scenarios(&set, None).expect("live");
             for (step, e) in script(session.graph(), seed, edits).into_iter().enumerate() {
-                session.edit_delay(e.arc, e.delay).unwrap();
+                session.edit_delays(std::slice::from_ref(&e), None).unwrap();
                 assert_scenario_lanes_match_scratch(
                     &session,
                     &format!("family {family} seed {seed} pick {pick} step {step} [{}]", backend.name()),
@@ -375,7 +375,7 @@ fn long_edit_soak_per_family() {
     for family in 0..4usize {
         let mut session = AnalysisSession::open(graph(family, 7)).expect("live");
         for (step, e) in script(session.graph(), 7, 40).into_iter().enumerate() {
-            session.edit_delay(e.arc, e.delay).unwrap();
+            session.edit_delays(std::slice::from_ref(&e), None).unwrap();
             if step % 5 == 4 {
                 assert_session_matches_scratch(&session, &format!("family {family} step {step}"));
             }
@@ -393,7 +393,7 @@ fn long_scenario_soak_per_family() {
     for family in 0..4usize {
         let mut session = AnalysisSession::open(graph(family, 9)).expect("live");
         let set = ScenarioSet::samples(4, 9, 10.0, session.graph().arc_count()).expect("live");
-        session.enable_scenarios(&set).expect("live");
+        session.enable_scenarios(&set, None).expect("live");
         let mut fresh = 0u32;
         for step in 0..16u64 {
             let ctx = format!("family {family} scenario soak step {step}");
@@ -428,13 +428,13 @@ proptest! {
         let mut session = AnalysisSession::open(sg).expect("generated graphs are live");
         let batch = script(session.graph(), seed, edits);
         let token = CancelToken::cancel_after_checks(budget);
-        match session.edit_delays_with_cancel(&batch, Some(&token)) {
+        match session.edit_delays(&batch, Some(&token)) {
             Ok(_) => prop_assert!(!session.is_stale()),
             Err(EditError::Cancelled { rows_done, rows_total, .. }) => {
                 prop_assert!(session.is_stale());
                 prop_assert!(rows_done <= rows_total);
                 // An empty uncancelled batch heals the stale region.
-                session.edit_delays(&[]).unwrap();
+                session.edit_delays(&[], None).unwrap();
             }
             Err(e) => panic!("unexpected edit error: {e:?}"),
         }
@@ -462,7 +462,7 @@ proptest! {
         let batch = mixed_batch(session.graph(), mix_key(seed, 0) / 5 * 5 + 2, &mut fresh);
         let event_count = session.graph().event_count();
         let token = CancelToken::cancel_after_checks(budget);
-        match session.edit_structure_with_cancel(&batch, Some(&token)) {
+        match session.edit_structure(&batch, Some(&token)) {
             Ok(_) => prop_assert!(!session.is_stale()),
             Err(EditError::Cancelled { rows_done, rows_total, .. }) => {
                 prop_assert!(session.is_stale());
@@ -472,7 +472,7 @@ proptest! {
                     event_count + 1,
                     "the structural batch commits even when the rerun is cancelled"
                 );
-                session.edit_delays(&[]).unwrap();
+                session.edit_delays(&[], None).unwrap();
             }
             Err(e) => panic!("unexpected edit error: {e:?}"),
         }
@@ -494,10 +494,10 @@ fn repeated_aborts_mid_script_heal_bit_identically() {
         let edits = script(session.graph(), 13, 24);
         for (step, chunk) in edits.chunks(3).enumerate() {
             let token = CancelToken::cancel_after_checks((step % 4) as u64);
-            match session.edit_delays_with_cancel(chunk, Some(&token)) {
+            match session.edit_delays(chunk, Some(&token)) {
                 Ok(_) => {}
                 Err(EditError::Cancelled { .. }) => {
-                    session.edit_delays(&[]).unwrap();
+                    session.edit_delays(&[], None).unwrap();
                 }
                 Err(e) => panic!("unexpected edit error: {e:?}"),
             }
@@ -520,10 +520,10 @@ fn long_structural_soak_with_aborts_per_family() {
             let batch = mixed_batch(session.graph(), mix_key(17, step), &mut fresh);
             if step % 4 == 3 {
                 let token = CancelToken::cancel_after_checks(step % 3);
-                match session.edit_structure_with_cancel(&batch, Some(&token)) {
+                match session.edit_structure(&batch, Some(&token)) {
                     Ok(_) | Err(EditError::Invalid(_) | EditError::NoCyclicBehavior) => {}
                     Err(EditError::Cancelled { .. }) => {
-                        session.edit_delays(&[]).unwrap();
+                        session.edit_delays(&[], None).unwrap();
                     }
                     Err(e) => panic!("{ctx}: unexpected edit error: {e:?}"),
                 }

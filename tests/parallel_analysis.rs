@@ -1,7 +1,8 @@
 //! The parallel analysis pipeline against the sequential algorithm.
 //!
-//! `analyze_batch` and `run_parallel` must be *observably absent*: any
-//! thread count, any arena reuse pattern, the same bits out as the
+//! `analyze_batch` and the lane chunks of a multi-worker `run_in` must
+//! be *observably absent*: any thread or worker count, any arena reuse
+//! pattern, the same bits out as the
 //! sequential `CycleTimeAnalysis::run`. These tests sweep the `tsg_gen`
 //! generator families (including the seeded random live graphs) to pin
 //! that down.
@@ -98,13 +99,14 @@ proptest! {
         }
     }
 
-    /// `run_parallel` ≡ `run` on random live graphs at any thread count.
+    /// Lane-chunked `run_in` ≡ `run` on random live graphs at any
+    /// worker count.
     #[test]
-    fn run_parallel_equals_run(seed in 0u64..10_000, threads in 1usize..9) {
+    fn lane_chunked_run_in_equals_run(seed in 0u64..10_000, threads in 1usize..9) {
         let sg = random_live_tsg(seed, RandomTsgConfig::default());
         let seq = CycleTimeAnalysis::run(&sg).unwrap();
         let par =
-            CycleTimeAnalysis::run_parallel(&sg, &BatchRunner::with_threads(threads)).unwrap();
-        assert_bit_identical(&seq, &par, "run_parallel");
+            CycleTimeAnalysis::run_in(&sg, None, &mut AnalysisArena::new().with_workers(threads)).unwrap();
+        assert_bit_identical(&seq, &par, "lane chunks");
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::core::SignalGraph;
-use tsg::stg::{parse_stg, write_stg, StgOptions};
+use tsg::stg::{parse_stg, write_stg, StgOptions, WriteStgError};
 
 /// Builds a polarity-labelled ring of `n` signals (each contributing a
 /// rise and a fall event) with `tokens` marked arcs — expressible in `.g`.
@@ -86,10 +86,10 @@ proptest! {
 }
 
 /// A `random_live_tsg` graph relabelled into `.g`-expressible transitions
-/// (every third one in the indexed `s7+/1` form), with fractional delays
-/// and without parallel arcs: a second arc between the same ordered pair
-/// is dropped, which keeps the graph live and strongly connected.
-fn relabelled_random(seed: u64, events: usize) -> SignalGraph {
+/// (every third one in the indexed `s7+/1` form), with fractional delays.
+/// Without `parallel`, a second arc between the same ordered pair is
+/// dropped, which keeps the graph live and strongly connected.
+fn relabelled_random(seed: u64, events: usize, parallel: bool) -> SignalGraph {
     let config = tsg::gen::RandomTsgConfig {
         events,
         tokens: (events / 28).max(2),
@@ -114,7 +114,7 @@ fn relabelled_random(seed: u64, events: usize) -> SignalGraph {
     let mut seen = std::collections::HashSet::new();
     for a in sg.arc_ids() {
         let arc = sg.arc(a);
-        if !seen.insert((arc.src(), arc.dst())) {
+        if !seen.insert((arc.src(), arc.dst())) && !parallel {
             continue;
         }
         let (s, d) = (ids[arc.src().index()], ids[arc.dst().index()]);
@@ -128,47 +128,81 @@ fn relabelled_random(seed: u64, events: usize) -> SignalGraph {
     b.build().unwrap()
 }
 
-/// `write_stg` then `parse_stg` at 12, 1024 and 4096 events gives back
-/// the graph arc for arc. The reader numbers events in first-seen order
-/// and arcs in declaration order, and the writer declares each event's
-/// out-arcs on one `.graph` line, in event order — so that is the order
-/// expected back: labels, endpoints, delay bits and markings.
+/// `write_stg` then `parse_stg` gives back `sg` arc for arc. The reader
+/// numbers events in first-seen order and arcs in declaration order,
+/// and the writer declares each event's out-arcs on one `.graph` line,
+/// in event order — so that is the order expected back: labels,
+/// endpoints, delay bits and markings.
+fn assert_roundtrips_arc_for_arc(sg: &SignalGraph, text: &str, ctx: &str) {
+    let mut order = Vec::new();
+    let mut position = vec![usize::MAX; sg.event_count()];
+    let mut see = |e: tsg::core::EventId, order: &mut Vec<_>| {
+        if position[e.index()] == usize::MAX {
+            position[e.index()] = order.len();
+            order.push(e);
+        }
+    };
+    let mut arcs = Vec::new();
+    for e in sg.events() {
+        if sg.out_arcs(e).next().is_some() {
+            see(e, &mut order);
+        }
+        for a in sg.out_arcs(e) {
+            see(sg.arc(a).dst(), &mut order);
+            arcs.push(a);
+        }
+    }
+
+    let back = parse_stg(text, StgOptions::default()).unwrap();
+    assert_eq!(back.event_count(), order.len(), "{ctx}");
+    for (i, (got, &want)) in back.events().zip(&order).enumerate() {
+        assert_eq!(back.label(got), sg.label(want), "{ctx}: event {i}");
+    }
+    assert_eq!(back.arc_count(), arcs.len(), "{ctx}");
+    for (got, &want) in back.arcs().iter().zip(&arcs) {
+        let want = sg.arc(want);
+        assert_eq!(got.src().index(), position[want.src().index()], "{ctx}");
+        assert_eq!(got.dst().index(), position[want.dst().index()], "{ctx}");
+        let bits = |a: &tsg::core::Arc| a.delay().get().to_bits();
+        assert_eq!(bits(got), bits(want), "{ctx}");
+        assert_eq!(got.is_marked(), want.is_marked(), "{ctx}");
+    }
+}
+
+/// At 12, 1024 and 4096 events.
 #[test]
 fn large_random_graphs_roundtrip_arc_for_arc() {
     for (seed, events) in [(3, 12), (11, 1024), (29, 4096)] {
-        let sg = relabelled_random(seed, events);
-        let mut order = Vec::new();
-        let mut position = vec![usize::MAX; sg.event_count()];
-        let mut see = |e: tsg::core::EventId, order: &mut Vec<_>| {
-            if position[e.index()] == usize::MAX {
-                position[e.index()] = order.len();
-                order.push(e);
-            }
-        };
-        let mut arcs = Vec::new();
-        for e in sg.events() {
-            if sg.out_arcs(e).next().is_some() {
-                see(e, &mut order);
-            }
-            for a in sg.out_arcs(e) {
-                see(sg.arc(a).dst(), &mut order);
-                arcs.push(a);
-            }
-        }
-
+        let sg = relabelled_random(seed, events, false);
         let text = write_stg(&sg, "random").unwrap();
-        let back = parse_stg(&text, StgOptions::default()).unwrap();
-        assert_eq!(back.event_count(), order.len(), "{events} events");
-        for (i, (got, &want)) in back.events().zip(&order).enumerate() {
-            assert_eq!(back.label(got), sg.label(want), "event {i}");
-        }
-        assert_eq!(back.arc_count(), arcs.len());
-        for (got, &want) in back.arcs().iter().zip(&arcs) {
-            let want = sg.arc(want);
-            assert_eq!(got.src().index(), position[want.src().index()]);
-            assert_eq!(got.dst().index(), position[want.dst().index()]);
-            assert_eq!(got.delay().get().to_bits(), want.delay().get().to_bits());
-            assert_eq!(got.is_marked(), want.is_marked());
+        assert_roundtrips_arc_for_arc(&sg, &text, &format!("{events} events"));
+    }
+}
+
+/// Graphs with parallel arcs keep every arc's delay and marking: the
+/// k-th `.delay` line and `.marking` entry of a pair bind to its k-th
+/// arc. A graph whose pair declares a marked arc after an unmarked one
+/// is refused by the writer instead of written lossily.
+#[test]
+fn random_graphs_with_parallel_arcs_roundtrip_arc_for_arc() {
+    let (mut parallel, mut refused) = (0, 0);
+    for seed in 0..60 {
+        let sg = relabelled_random(seed, [12, 24, 96][seed as usize % 3], true);
+        let mut pairs: Vec<_> = sg.arcs().iter().map(|a| (a.src(), a.dst())).collect();
+        pairs.sort_unstable();
+        let has_parallel = pairs.windows(2).any(|w| w[0] == w[1]);
+        match write_stg(&sg, "random") {
+            Ok(text) => {
+                assert_roundtrips_arc_for_arc(&sg, &text, &format!("seed {seed}"));
+                parallel += usize::from(has_parallel);
+            }
+            Err(WriteStgError::MarkedAfterUnmarked { .. }) => refused += 1,
+            Err(e) => panic!("seed {seed}: {e}"),
         }
     }
+    assert!(
+        parallel >= 10,
+        "{parallel} graphs with parallel arcs round-tripped"
+    );
+    assert!(refused < 60, "every graph refused");
 }

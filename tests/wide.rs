@@ -8,8 +8,8 @@
 //! executes) and the pre-wide scalar engine (kept as
 //! `CycleTimeAnalysis::run_scalar`). The properties sweep every
 //! `tsg_gen` generator family, random edit scripts through
-//! `AnalysisSession`, and every thread count of the lane-chunked
-//! `run_parallel`.
+//! `AnalysisSession`, and every worker count of the lane-chunked
+//! `run_in` (an `AnalysisArena` with several workers).
 //!
 //! PR 6 widens the bar to the explicit-SIMD backends: every backend
 //! the CPU offers (portable always, AVX2 when detected) must
@@ -28,15 +28,14 @@
 //! matrix to `b × s`, and every scenario lane of one lockstep sweep
 //! must hold the exact bits of a from-scratch scalar analysis of the
 //! per-scenario reweighted graph — across every generator family,
-//! every backend, odd `b × s` remainder shapes, and any thread count.
+//! every backend, odd `b × s` remainder shapes, and any worker count.
 
 use proptest::prelude::*;
-use tsg::core::analysis::session::AnalysisSession;
+use tsg::core::analysis::session::{AnalysisSession, DelayEdit};
 use tsg::core::analysis::wide::{AnalysisArena, WideArena};
 use tsg::core::analysis::{Corner, CycleTimeAnalysis, ScenarioSet};
 use tsg::core::{ArcId, SignalGraph};
 use tsg::gen::{handshake_pipeline, random_live_tsg, ring, torus, PipelineConfig, RandomTsgConfig};
-use tsg::sim::BatchRunner;
 use tsg_bench::{
     assert_analyses_identical, assert_backends_match, assert_scenarios_match_scalar,
     assert_wide_matches_scalar, available_backends, structural_edit_script,
@@ -121,7 +120,7 @@ proptest! {
         let sg = graph(family, seed);
         let mut session = AnalysisSession::open(sg).expect("live");
         for (step, (arc, delay)) in script(session.graph(), seed, edits).into_iter().enumerate() {
-            session.edit_delay(arc, delay).unwrap();
+            session.edit_delays(&[DelayEdit { arc, delay }], None).unwrap();
             let scalar = CycleTimeAnalysis::run_scalar(session.graph()).expect("stays live");
             assert_analyses_identical(
                 &scalar,
@@ -169,11 +168,11 @@ proptest! {
     ) {
         for backend in available_backends() {
             let sg = graph(family, seed);
-            let mut session = AnalysisSession::open_with_kernel(sg, backend).expect("live");
+            let mut session = AnalysisSession::open_with_cancel(sg, backend, None).expect("live");
             for (step, (arc, delay)) in
                 script(session.graph(), seed, edits).into_iter().enumerate()
             {
-                session.edit_delay(arc, delay).unwrap();
+                session.edit_delays(&[DelayEdit { arc, delay }], None).unwrap();
                 let scalar = CycleTimeAnalysis::run_scalar(session.graph()).expect("stays live");
                 assert_analyses_identical(
                     &scalar,
@@ -199,9 +198,9 @@ proptest! {
         for backend in available_backends() {
             let sg = graph(family, seed);
             let script = structural_edit_script(&sg, batches);
-            let mut session = AnalysisSession::open_with_kernel(sg, backend).expect("live");
+            let mut session = AnalysisSession::open_with_cancel(sg, backend, None).expect("live");
             for (step, batch) in script.iter().enumerate() {
-                session.edit_structure(batch).unwrap();
+                session.edit_structure(batch, None).unwrap();
                 let scalar = CycleTimeAnalysis::run_scalar(session.graph()).expect("stays live");
                 assert_analyses_identical(
                     &scalar,
@@ -212,18 +211,18 @@ proptest! {
         }
     }
 
-    /// Thread-count invariance of the lane-chunked `run_parallel`: any
+    /// Worker-count invariance of the lane-chunked `run_in`: any
     /// chunking of the lanes produces the bits of the sequential wide
     /// run — and hence of the scalar engine.
     #[test]
-    fn lane_chunked_run_parallel_is_thread_count_invariant(
+    fn lane_chunked_run_in_is_worker_count_invariant(
         family in 0usize..4,
         seed in 0u64..10_000,
         threads in 1usize..9,
     ) {
         let sg = graph(family, seed);
         let scalar = CycleTimeAnalysis::run_scalar(&sg).expect("live");
-        let par = CycleTimeAnalysis::run_parallel(&sg, &BatchRunner::with_threads(threads))
+        let par = CycleTimeAnalysis::run_in(&sg, None, &mut AnalysisArena::new().with_workers(threads))
             .expect("live");
         assert_analyses_identical(&scalar, &par, &format!("family {family} seed {seed} x{threads}"));
     }
@@ -276,9 +275,9 @@ proptest! {
         }
     }
 
-    /// Thread-count invariance of the scenario-chunked parallel sweep:
-    /// any split of the scenario axis across workers produces the bits
-    /// of the sequential sweep — and hence of the scalar engine.
+    /// Worker-count invariance of the scenario sweep: any split of the
+    /// scenario blocks across an arena's workers produces the bits of
+    /// the one-worker sweep — and hence of the scalar engine.
     #[test]
     fn scenario_parallel_sweep_is_thread_count_invariant(
         family in 0usize..4,
@@ -286,18 +285,12 @@ proptest! {
         pick in 0u64..1_000,
         threads in 1usize..9,
     ) {
-        use tsg::core::analysis::KernelBackend;
         let sg = graph(family, seed);
         let set = scenario_set(&sg, pick);
-        let seq = CycleTimeAnalysis::run_scenarios(&sg, &set).expect("live");
-        let par = CycleTimeAnalysis::run_scenarios_parallel_on(
-            &sg,
-            &set,
-            &BatchRunner::with_threads(threads),
-            KernelBackend::Auto,
-            None,
-        )
-        .expect("live");
+        let seq = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut AnalysisArena::new(), None).expect("live");
+        let mut arena = AnalysisArena::new().with_workers(threads);
+        let par = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut arena, None)
+            .expect("live");
         prop_assert_eq!(seq.len(), par.len());
         for j in 0..set.len() {
             assert_analyses_identical(
@@ -317,7 +310,9 @@ fn long_wide_session_soak_per_family() {
     for family in 0..4usize {
         let mut session = AnalysisSession::open(graph(family, 11)).expect("live");
         for (step, (arc, delay)) in script(session.graph(), 11, 32).into_iter().enumerate() {
-            session.edit_delay(arc, delay).unwrap();
+            session
+                .edit_delays(&[DelayEdit { arc, delay }], None)
+                .unwrap();
             let scalar = CycleTimeAnalysis::run_scalar(session.graph()).expect("live");
             assert_analyses_identical(
                 &scalar,
@@ -338,9 +333,9 @@ fn long_structural_soak_per_family_on_every_backend() {
         for backend in available_backends() {
             let sg = graph(family, 11);
             let script = structural_edit_script(&sg, 16);
-            let mut session = AnalysisSession::open_with_kernel(sg, backend).expect("live");
+            let mut session = AnalysisSession::open_with_cancel(sg, backend, None).expect("live");
             for (step, batch) in script.iter().enumerate() {
-                session.edit_structure(batch).unwrap();
+                session.edit_structure(batch, None).unwrap();
                 let scalar = CycleTimeAnalysis::run_scalar(session.graph()).expect("live");
                 assert_analyses_identical(
                     &scalar,
@@ -491,15 +486,16 @@ fn full_matrix_record_bits(sg: &SignalGraph, periods: u32) -> RecordBits {
 /// One-shot analyses run in a two-row window; their records must equal
 /// the scalar engine's and the full matrix's bit for bit — at the
 /// default `b` periods (against an `AnalysisSession`, which keeps the
-/// full matrix, and the lane-chunked `run_parallel_on`) and at
-/// overridden periods (against `WideArena::run`). One arena serves the
-/// whole corpus, so a stale slot or strip cell of an earlier, larger
-/// shape would show.
+/// full matrix) and at overridden periods (against `WideArena::run`),
+/// on one worker and lane-chunked over two and three. One arena per
+/// worker count serves the whole corpus, so a stale slot or strip cell
+/// of an earlier, larger shape would show.
 #[test]
 fn oneshot_window_records_equal_the_full_matrix() {
     use tsg::core::analysis::initiated::SimArena;
     for backend in available_backends() {
         let mut arena = AnalysisArena::with_kernel(backend);
+        let mut chunked = [2, 3].map(|w| AnalysisArena::with_kernel(backend).with_workers(w));
         let mut scalar_arena = SimArena::new();
         for (name, sg) in window_corpus() {
             let ctx = format!("{name} [{}]", backend.name());
@@ -508,7 +504,8 @@ fn oneshot_window_records_equal_the_full_matrix() {
             let oneshot = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
             assert_analyses_identical(&scalar, &oneshot, &ctx);
             assert_eq!(record_bits(&oneshot), record_bits(&scalar), "{ctx}");
-            let session = AnalysisSession::open_with_kernel(sg.clone(), backend).expect("live");
+            let session =
+                AnalysisSession::open_with_cancel(sg.clone(), backend, None).expect("live");
             assert_eq!(
                 record_bits(&oneshot),
                 record_bits(session.analysis()),
@@ -519,13 +516,9 @@ fn oneshot_window_records_equal_the_full_matrix() {
                 full_matrix_record_bits(&sg, b),
                 "{ctx}: full matrix"
             );
-            for threads in [2usize, 3] {
-                let par = CycleTimeAnalysis::run_parallel_on(
-                    &sg,
-                    &BatchRunner::with_threads(threads),
-                    backend,
-                )
-                .expect("live");
+            for chunked in &mut chunked {
+                let threads = chunked.workers();
+                let par = CycleTimeAnalysis::run_in(&sg, None, chunked).expect("live");
                 assert_analyses_identical(&scalar, &par, &format!("{ctx} x{threads}"));
                 assert_eq!(record_bits(&par), record_bits(&scalar), "{ctx} x{threads}");
             }
@@ -543,6 +536,12 @@ fn oneshot_window_records_equal_the_full_matrix() {
                     full_matrix_record_bits(&sg, periods),
                     "{pctx}: full matrix"
                 );
+                for chunked in &mut chunked {
+                    let par = CycleTimeAnalysis::run_in(&sg, Some(periods), chunked).expect("live");
+                    let wctx = format!("{pctx} x{}", chunked.workers());
+                    assert_analyses_identical(&scalar, &par, &wctx);
+                    assert_eq!(record_bits(&par), record_bits(&scalar), "{wctx}");
+                }
             }
         }
     }
@@ -579,6 +578,38 @@ fn oneshot_run_keeps_a_two_row_window() {
             match CycleTimeAnalysis::run_in_with_cancel(&sg, None, &mut arena, Some(&token)) {
                 Err(AnalysisError::Cancelled { rows_done, .. }) => {
                     assert_eq!(rows_done, budget as usize, "{name}");
+                }
+                other => panic!("{name}: budget {budget}: expected cancellation, got {other:?}"),
+            }
+            let redo = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
+            assert_analyses_identical(&fresh, &redo, &format!("{name} after cancel at {budget}"));
+            assert_eq!(record_bits(&redo), record_bits(&fresh), "{name}");
+        }
+    }
+}
+
+/// A two-worker run cancelled at every row and re-run on the same
+/// arena gives the bits of a fresh run. The workers share one token, so
+/// the reported progress — the least advanced worker's — is at most the
+/// check budget.
+#[test]
+fn two_worker_run_cancelled_at_every_row_reruns_bit_identically() {
+    use tsg::core::analysis::AnalysisError;
+    use tsg::sim::CancelToken;
+    for (name, sg) in window_corpus() {
+        let b = sg.border_events().len();
+        let fresh = CycleTimeAnalysis::run(&sg).expect("live");
+        let mut arena = AnalysisArena::new().with_workers(2);
+        for budget in 0..=b as u64 {
+            let token = CancelToken::cancel_after_checks(budget);
+            match CycleTimeAnalysis::run_in_with_cancel(&sg, None, &mut arena, Some(&token)) {
+                Err(AnalysisError::Cancelled {
+                    rows_done,
+                    rows_total,
+                    ..
+                }) => {
+                    assert!(rows_done <= budget as usize, "{name}: budget {budget}");
+                    assert_eq!(rows_total, b + 1, "{name}");
                 }
                 other => panic!("{name}: budget {budget}: expected cancellation, got {other:?}"),
             }
