@@ -204,12 +204,11 @@ pub fn assert_wide_matches_scalar(sg: &SignalGraph, ctx: &str) {
 
 /// The explicit wide-kernel backends this CPU can run, narrowest
 /// first — always starts with [`KernelBackend::Portable`], then AVX2
-/// when the feature is present. `Auto` is excluded: it resolves to one
-/// of these, and the sweeps want each backend pinned.
+/// when the feature is present, so the sweeps can pin each one.
 pub fn available_backends() -> Vec<KernelBackend> {
     [KernelBackend::Portable, KernelBackend::Avx2]
         .into_iter()
-        .filter(|b| b.resolve() == Ok(*b))
+        .filter(|b| b.available())
         .collect()
 }
 

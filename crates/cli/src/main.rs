@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use tsg_core::analysis::session::AnalysisSession;
 use tsg_core::analysis::wide::AnalysisArena;
-use tsg_core::analysis::{Corner, KernelBackend};
+use tsg_core::analysis::Corner;
 use tsg_core::SignalGraph;
 use tsg_serve::json::Json;
 use tsg_serve::ops::{self, AnalyzeOptions, EditOp, EditSpec, SimOptions, Source, Workspace};
@@ -31,14 +31,12 @@ tsg — performance analysis based on timing simulation (DAC'94)
 
 USAGE:
     tsg analyze FILE [--diagram] [--dot] [--baselines] [--slack] [--default-delay X]
-                     [--threads N] [--kernel {auto|portable|avx2}]
-                     [--corners min,typ,max] [--derate PCT]
+                     [--threads N] [--corners min,typ,max] [--derate PCT]
                      [--samples K] [--seed S]
     tsg sim FILE.g... [--periods N] [--vcd PATH] [--default-delay X]
                       [--threads N]
     tsg sim FILE.ckt... [--horizon X] [--vcd PATH] [--threads N]
     tsg explore FILE [--edit SRC->DST=DELAY]... [--default-delay X]
-                     [--kernel {auto|portable|avx2}]
                      [--report {text|json}]
                      [--optimize [--moves N] [--seed S] [--samples K]
                                  [--objective {tau|tau-p95}]]
@@ -47,11 +45,8 @@ USAGE:
               [--io-timeout MS] [--max-request-bytes N]
               [--max-connections N]
               [--listen tcp:HOST:PORT | --listen unix:PATH]
-              [--kernel {auto|portable|avx2}]
     tsg ping {tcp:HOST:PORT|unix:PATH} [--count N] [--deadline-ms MS]
              [--retries N] [--max-backoff-ms MS]
-    tsg bench-serve [--connections N] [--requests N] [--threads N]
-                    [--out PATH] [--quick]
     tsg convert FILE --to {g|dot}
     tsg demo {oscillator|muller5|stack66}
 
@@ -63,21 +58,18 @@ FILE formats (by extension):
 
 `sim` simulates a `.g` graph period by period (a `.ckt` netlist on the
 tsg-sim event queue) and prints the transition stream; `--vcd PATH`
-additionally dumps a waveform any VCD viewer opens.
-`--queue {heap|calendar}` is accepted and ignored: the kernel has one
-event queue, a binary heap. Several files fan out across a `--threads
-N` pool (default: all cores).
+additionally dumps a waveform any VCD viewer opens. A `.g` run keeps
+one time per event and period and is refused past 2^26 of them.
+Several files fan out across a `--threads N` pool (default: all cores;
+every command takes at most 1024 threads).
 
 `analyze --threads N` splits the b border simulations — and the
 scenario blocks of a --corners or --samples sweep — into N lane chunks,
 one lockstep pass of the SIMD-friendly wide kernel per worker thread
-(default: all cores). The report is identical at every N; only the time
-moves, and on small graphs one thread is the fastest.
-
-`--kernel` pins the wide-kernel backend (default `auto`: the widest
-the CPU supports — AVX2, else the portable loop; `sse2` is accepted
-as a name for `portable`). All backends are bit-identical; requesting
-one the CPU lacks is an error, never a silent downgrade.
+(default: one). The report is identical at every N; only the time
+moves, and extra threads only pay off on graphs with many border
+events. The CPU picks the wide-kernel backend (AVX2 where available,
+else the portable loop); all backends are bit-identical.
 
 `analyze --corners min,typ,max` sweeps delay corners as extra scenario
 lanes of the same wide-kernel pass — every arc derated by `--derate`
@@ -146,15 +138,6 @@ fleet of synchronized clients spreads out instead of thundering back
 at a recovering server in lockstep (`--retries N`, default 3) — and
 reports ok/failed counts and latency; `--deadline-ms` attaches a
 deadline to each probe.
-
-`bench-serve` is the serve-tier load generator: it spawns an in-process
-TCP server and `--connections N` concurrent client connections (default
-8), each issuing `--requests N` requests (default 32) drawn from three
-mixes (inline analyze, session open/edit/close, stats+sim), and writes
-throughput plus p50/p95/max latency into `BENCH_serve.json` (`--out
-PATH`) so the serve tier joins the tracked perf trajectory. `--quick`
-shrinks the run for smoke tests; `TSG_CHAOS` faults apply, making it a
-ready-made hostile-load harness.
 ";
 
 fn main() -> ExitCode {
@@ -173,15 +156,14 @@ fn main() -> ExitCode {
     }
 }
 
-/// The `analyze` / `demo` report on an arena pinned to `opts.kernel`
-/// with `threads` lane-chunk workers (`None` = all cores).
+/// The `analyze` / `demo` report on an arena with `workers` lane-chunk
+/// workers.
 fn analyze_report(
     sg: &SignalGraph,
     opts: &AnalyzeOptions,
-    threads: Option<usize>,
+    workers: usize,
 ) -> Result<String, String> {
-    let workers = BatchRunner::sized(threads).threads();
-    let mut arena = AnalysisArena::with_kernel(opts.kernel).with_workers(workers);
+    let mut arena = AnalysisArena::new().with_workers(workers);
     ops::report_in(sg, opts, &mut arena).map_err(|e| e.to_string())
 }
 
@@ -198,24 +180,12 @@ fn parse_ms(args: &[String], i: usize, flag: &str) -> Result<Duration, String> {
         .ok_or(format!("{flag} needs a positive number of milliseconds"))
 }
 
-/// Parses and strictly resolves a `--kernel` argument: an unknown name
-/// or a backend the CPU lacks is a flag error up front, never a silent
-/// downgrade mid-run.
-fn parse_kernel(args: &[String], i: usize) -> Result<KernelBackend, String> {
-    args.get(i)
-        .ok_or("--kernel needs {auto|portable|avx2}".to_owned())?
-        .parse::<KernelBackend>()
-        .map_err(|e| e.to_string())?
-        .resolve()
-        .map_err(|e| e.to_string())
-}
-
 fn run(args: &[String]) -> Result<String, String> {
     match args.first().map(String::as_str) {
         Some("analyze") => {
             let file = args.get(1).ok_or("analyze needs a FILE argument")?;
             let mut opts = AnalyzeOptions::default();
-            let mut threads: Option<usize> = None;
+            let mut threads = 1;
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
@@ -232,11 +202,7 @@ fn run(args: &[String]) -> Result<String, String> {
                     }
                     "--threads" => {
                         i += 1;
-                        threads = Some(parse_threads(args, i)?);
-                    }
-                    "--kernel" => {
-                        i += 1;
-                        opts.kernel = parse_kernel(args, i)?;
+                        threads = parse_threads(args, i)?;
                     }
                     "--corners" => {
                         i += 1;
@@ -330,10 +296,6 @@ fn run(args: &[String]) -> Result<String, String> {
                         i += 1;
                         threads = Some(parse_threads(args, i)?);
                     }
-                    "--queue" => {
-                        i += 1;
-                        ops::check_queue_name(args.get(i).ok_or("--queue needs a backend name")?)?;
-                    }
                     other => return Err(format!("unknown flag {other:?}")),
                 }
                 i += 1;
@@ -396,7 +358,6 @@ fn run(args: &[String]) -> Result<String, String> {
                 .ok_or("explore needs a FILE argument")?;
             let mut edits: Vec<EditSpec> = Vec::new();
             let mut default_delay = 1.0;
-            let mut kernel = KernelBackend::Auto;
             let mut optimize = false;
             let mut moves: usize = 16;
             let mut seed: u64 = 0;
@@ -418,10 +379,6 @@ fn run(args: &[String]) -> Result<String, String> {
                             .get(i)
                             .and_then(|v| v.parse().ok())
                             .ok_or("--default-delay needs a number")?;
-                    }
-                    "--kernel" => {
-                        i += 1;
-                        kernel = parse_kernel(args, i)?;
                     }
                     "--optimize" => optimize = true,
                     "--moves" => {
@@ -475,8 +432,7 @@ fn run(args: &[String]) -> Result<String, String> {
             }
             let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
             let sg = ops::load(file, &text, default_delay)?;
-            let mut session =
-                AnalysisSession::open_with_cancel(sg, kernel, None).map_err(|e| e.to_string())?;
+            let mut session = AnalysisSession::open(sg).map_err(|e| e.to_string())?;
             let critical_of = |session: &AnalysisSession| {
                 session
                     .graph()
@@ -612,10 +568,6 @@ fn run(args: &[String]) -> Result<String, String> {
                         i += 1;
                         opts.threads = Some(parse_threads(args, i)?);
                     }
-                    "--kernel" => {
-                        i += 1;
-                        opts.kernel = parse_kernel(args, i)?;
-                    }
                     "--max-sessions" => {
                         i += 1;
                         opts.max_sessions = Some(
@@ -727,48 +679,6 @@ fn run(args: &[String]) -> Result<String, String> {
             }
             ping(target, count, deadline_ms, retries, max_backoff_ms)
         }
-        Some("bench-serve") => {
-            let mut connections = 8usize;
-            let mut requests = 32usize;
-            let mut threads: Option<usize> = None;
-            let mut out_path = "BENCH_serve.json".to_owned();
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--connections" => {
-                        i += 1;
-                        connections = args
-                            .get(i)
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n: &usize| n >= 1)
-                            .ok_or("--connections needs a positive integer")?;
-                    }
-                    "--requests" => {
-                        i += 1;
-                        requests = args
-                            .get(i)
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n: &usize| n >= 1)
-                            .ok_or("--requests needs a positive integer")?;
-                    }
-                    "--threads" => {
-                        i += 1;
-                        threads = Some(parse_threads(args, i)?);
-                    }
-                    "--out" => {
-                        i += 1;
-                        out_path = args.get(i).cloned().ok_or("--out needs a path")?;
-                    }
-                    "--quick" => {
-                        connections = 4;
-                        requests = 8;
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-                i += 1;
-            }
-            bench_serve(connections, requests, threads, &out_path)
-        }
         Some("convert") => {
             let file = args.get(1).ok_or("convert needs a FILE argument")?;
             let to = match (args.get(2).map(String::as_str), args.get(3)) {
@@ -800,7 +710,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 "stack66" => tsg_gen::stack66(),
                 other => return Err(format!("unknown demo {other:?}")),
             };
-            analyze_report(&sg, &opts, None)
+            analyze_report(&sg, &opts, 1)
         }
         Some("--help") | Some("-h") | None => Ok(USAGE.to_owned()),
         Some(other) => Err(format!("unknown command {other:?}")),
@@ -808,18 +718,10 @@ fn run(args: &[String]) -> Result<String, String> {
 }
 
 /// The serve transports run on the `poll(2)` event loop, which is
-/// Unix-only; elsewhere `tsg serve` and `tsg bench-serve` refuse to run.
-#[cfg(not(unix))]
-const NO_SERVE: &str = "serve needs a Unix platform (its event loop runs on poll(2))";
-
+/// Unix-only; elsewhere `tsg serve` refuses to run.
 #[cfg(not(unix))]
 fn serve(_: &ServeOptions, _: Option<&str>) -> Result<String, String> {
-    Err(NO_SERVE.to_owned())
-}
-
-#[cfg(not(unix))]
-fn bench_serve(_: usize, _: usize, _: Option<usize>, _: &str) -> Result<String, String> {
-    Err(NO_SERVE.to_owned())
+    Err("serve needs a Unix platform (its event loop runs on poll(2))".to_owned())
 }
 
 /// The `tsg serve` front-end: picks the transport, installs the SIGINT
@@ -1014,247 +916,6 @@ fn ping(
     Ok(out)
 }
 
-/// What one bench connection observed: per-request outcomes and
-/// latencies, plus how often it had to redial after the server (or an
-/// injected fault) dropped the connection mid-stream.
-struct BenchOutcome {
-    ok: u64,
-    failed: u64,
-    reconnects: u64,
-    latencies: Vec<Duration>,
-}
-
-/// The `tsg bench-serve` load generator: boots an in-process TCP serve
-/// loop on a loopback port, drives it with `connections` concurrent
-/// client threads issuing `requests` requests each (three workload
-/// mixes assigned round-robin: inline `analyze`, incremental
-/// `session.open`/`edit`/`close`, and `stats`+`sim`), then writes
-/// throughput and latency percentiles into `out_path` as JSON.
-#[cfg(unix)]
-fn bench_serve(
-    connections: usize,
-    requests: usize,
-    threads: Option<usize>,
-    out_path: &str,
-) -> Result<String, String> {
-    use std::sync::atomic::AtomicBool;
-    use std::sync::atomic::Ordering::SeqCst;
-
-    let listener =
-        std::net::TcpListener::bind("127.0.0.1:0").map_err(|e| format!("binding bench: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    let opts = ServeOptions {
-        threads,
-        ..ServeOptions::default()
-    };
-    let workers = BatchRunner::sized(threads).threads();
-    // The tiny oscillator travels inline (a JSON string literal), so
-    // the bench needs no fixture files on disk.
-    let text = Json::from(tsg_stg::EXAMPLE_OSCILLATOR).dump();
-    let shutdown = AtomicBool::new(false);
-
-    let started = Instant::now();
-    let (stats, outcomes) = std::thread::scope(|scope| {
-        let server = scope.spawn(|| tsg_serve::serve_tcp(listener, &opts, Some(&shutdown), None));
-        let clients: Vec<_> = (0..connections)
-            .map(|index| {
-                let text = text.as_str();
-                scope.spawn(move || bench_client(addr, index, requests, text))
-            })
-            .collect();
-        let outcomes: Vec<BenchOutcome> = clients
-            .into_iter()
-            .map(|h| h.join().expect("bench client thread"))
-            .collect();
-        shutdown.store(true, SeqCst);
-        (server.join().expect("bench server thread"), outcomes)
-    });
-    let stats = stats.map_err(|e| format!("bench server: {e}"))?;
-    let wall = started.elapsed();
-
-    let mut latencies: Vec<Duration> = outcomes
-        .iter()
-        .flat_map(|o| o.latencies.iter().copied())
-        .collect();
-    latencies.sort_unstable();
-    let total_ok: u64 = outcomes.iter().map(|o| o.ok).sum();
-    let total_failed: u64 = outcomes.iter().map(|o| o.failed).sum();
-    let reconnects: u64 = outcomes.iter().map(|o| o.reconnects).sum();
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let pct = |p: f64| -> f64 {
-        match latencies.len() {
-            0 => 0.0,
-            n => ms(latencies[((n - 1) as f64 * p).round() as usize]),
-        }
-    };
-    let throughput = latencies.len() as f64 / wall.as_secs_f64().max(1e-9);
-
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::from("serve")),
-        ("connections".into(), Json::from(connections as u64)),
-        (
-            "requests_per_connection".into(),
-            Json::from(requests as u64),
-        ),
-        ("threads".into(), Json::from(workers as u64)),
-        ("total_ok".into(), Json::from(total_ok)),
-        ("total_failed".into(), Json::from(total_failed)),
-        ("reconnects".into(), Json::from(reconnects)),
-        ("wall_s".into(), Json::Num(wall.as_secs_f64())),
-        ("throughput_rps".into(), Json::Num(throughput)),
-        (
-            "latency_ms".into(),
-            Json::Obj(vec![
-                ("p50".into(), Json::Num(pct(0.50))),
-                ("p95".into(), Json::Num(pct(0.95))),
-                ("max".into(), Json::Num(pct(1.0))),
-            ]),
-        ),
-        (
-            "server".into(),
-            Json::Obj(vec![
-                ("served".into(), Json::from(stats.served)),
-                ("failed".into(), Json::from(stats.failed)),
-                (
-                    "rejected_overloaded".into(),
-                    Json::from(stats.rejected_overloaded),
-                ),
-                ("worker_lost".into(), Json::from(stats.worker_lost)),
-                ("worker_respawns".into(), Json::from(stats.worker_respawns)),
-                (
-                    "timed_out_connections".into(),
-                    Json::from(stats.timed_out_connections),
-                ),
-            ]),
-        ),
-    ]);
-    std::fs::write(out_path, doc.dump() + "\n").map_err(|e| format!("writing {out_path}: {e}"))?;
-
-    let mut out = format!(
-        "bench-serve: {connections} connection(s) x {requests} request(s) on {workers} worker thread(s)\n"
-    );
-    let _ = writeln!(
-        out,
-        "{total_ok} ok / {total_failed} failed, {reconnects} reconnect(s), {throughput:.0} req/s"
-    );
-    let _ = writeln!(
-        out,
-        "latency: p50 {:.2} ms / p95 {:.2} ms / max {:.2} ms",
-        pct(0.50),
-        pct(0.95),
-        pct(1.0)
-    );
-    let _ = writeln!(
-        out,
-        "server: {} served, {} failed, {} worker respawn(s)",
-        stats.served, stats.failed, stats.worker_respawns
-    );
-    let _ = writeln!(out, "wrote {out_path}");
-    Ok(out)
-}
-
-/// One bench connection: issues `requests` requests from the mix its
-/// index selects, redialling (a bounded number of times) when the
-/// connection drops mid-stream so injected faults degrade throughput
-/// instead of aborting the run.
-fn bench_client(
-    addr: std::net::SocketAddr,
-    index: usize,
-    requests: usize,
-    text: &str,
-) -> BenchOutcome {
-    use std::io::{BufRead, BufReader, Write};
-    type Wire = (BufReader<std::net::TcpStream>, std::net::TcpStream);
-    let connect = || -> Option<Wire> {
-        for _ in 0..50 {
-            if let Ok(stream) = std::net::TcpStream::connect(addr) {
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-                if let Ok(clone) = stream.try_clone() {
-                    return Some((BufReader::new(clone), stream));
-                }
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        None
-    };
-    let mut out = BenchOutcome {
-        ok: 0,
-        failed: 0,
-        reconnects: 0,
-        latencies: Vec::with_capacity(requests),
-    };
-    let Some((mut reader, mut writer)) = connect() else {
-        out.failed = requests as u64;
-        return out;
-    };
-    for k in 0..requests {
-        let id = (index * requests + k) as u64;
-        let request = match index % 3 {
-            0 => format!("{{\"id\":{id},\"cmd\":\"analyze\",\"name\":\"bench.g\",\"text\":{text}}}\n"),
-            1 => {
-                let session = format!("b{index}");
-                match k % 3 {
-                    0 => format!(
-                        "{{\"id\":{id},\"cmd\":\"session.open\",\"session\":\"{session}\",\"name\":\"bench.g\",\"text\":{text}}}\n"
-                    ),
-                    1 => format!(
-                        "{{\"id\":{id},\"cmd\":\"session.edit\",\"session\":\"{session}\",\"edits\":[{{\"src\":\"a+\",\"dst\":\"c+\",\"delay\":{}}}]}}\n",
-                        4 + k % 5
-                    ),
-                    _ => format!(
-                        "{{\"id\":{id},\"cmd\":\"session.close\",\"session\":\"{session}\"}}\n"
-                    ),
-                }
-            }
-            _ if k % 2 == 0 => format!("{{\"id\":{id},\"cmd\":\"stats\"}}\n"),
-            _ => format!(
-                "{{\"id\":{id},\"cmd\":\"sim\",\"name\":\"bench.g\",\"text\":{text},\"periods\":1}}\n"
-            ),
-        };
-        let start = Instant::now();
-        let mut answered = false;
-        for _attempt in 0..3 {
-            let sent = writer
-                .write_all(request.as_bytes())
-                .and_then(|()| writer.flush());
-            if sent.is_ok() {
-                let mut line = String::new();
-                if matches!(reader.read_line(&mut line), Ok(n) if n > 0) {
-                    let succeeded = Json::parse(line.trim())
-                        .ok()
-                        .and_then(|d| d.get("ok").cloned())
-                        .is_some_and(|v| v == Json::Bool(true));
-                    if succeeded {
-                        out.ok += 1;
-                    } else {
-                        out.failed += 1;
-                    }
-                    out.latencies.push(start.elapsed());
-                    answered = true;
-                    break;
-                }
-            }
-            // The connection dropped (server drain, injected rst, ...):
-            // dial again and retry this request. A session-mix edit can
-            // legitimately fail after a redial — the new connection is a
-            // new session namespace — and counts as failed, not fatal.
-            out.reconnects += 1;
-            match connect() {
-                Some((r, w)) => {
-                    reader = r;
-                    writer = w;
-                }
-                None => break,
-            }
-        }
-        if !answered {
-            out.failed += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1382,6 +1043,8 @@ mod tests {
         .is_err());
     }
 
+    /// The CPU picks the kernel backend, so `--kernel` is an unknown
+    /// flag of `analyze`, `explore` and `serve`.
     #[test]
     fn analyze_kernel_flag_matches_auto_and_validates() {
         let dir = std::env::temp_dir().join("tsg-cli-test");
@@ -1389,47 +1052,27 @@ mod tests {
         let path = dir.join("kernel-osc.g");
         std::fs::write(&path, tsg_stg::EXAMPLE_OSCILLATOR).unwrap();
         let p = path.to_string_lossy().into_owned();
-        let auto = run(&["analyze".into(), p.clone()]).unwrap();
-        let portable = run(&[
-            "analyze".into(),
-            p.clone(),
-            "--kernel".into(),
-            "portable".into(),
-        ])
-        .unwrap();
-        assert_eq!(auto, portable, "backends are bit-identical");
-        let err = run(&[
-            "analyze".into(),
-            p.clone(),
-            "--kernel".into(),
-            "avx512".into(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("unknown kernel backend"), "{err}");
-        let err = run(&["analyze".into(), p.clone(), "--kernel".into()]).unwrap_err();
-        assert!(err.contains("--kernel"), "{err}");
-        // A backend the CPU lacks is refused up front, not downgraded.
-        if KernelBackend::Avx2.resolve().is_err() {
-            let err = run(&[
-                "analyze".into(),
-                p.clone(),
-                "--kernel".into(),
-                "avx2".into(),
-            ])
-            .unwrap_err();
-            assert!(err.contains("not available"), "{err}");
-        }
-        // explore honours the same flag.
+        let once = run(&["analyze".into(), p.clone()]).unwrap();
+        let again = run(&["analyze".into(), p.clone()]).unwrap();
+        assert_eq!(once, again);
         let out = run(&[
             "explore".into(),
-            p,
-            "--kernel".into(),
-            "portable".into(),
+            p.clone(),
             "--edit".into(),
             "a+->c+=3".into(),
         ])
         .unwrap();
         assert!(out.contains("verified: bit-identical"), "{out}");
+        for argv in [
+            vec!["analyze", &p, "--kernel", "portable"],
+            vec!["analyze", &p, "--kernel"],
+            vec!["explore", &p, "--kernel", "portable", "--edit", "a+->c+=3"],
+            vec!["serve", "--kernel", "portable"],
+        ] {
+            let argv: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
+            let err = run(&argv).unwrap_err();
+            assert!(err.starts_with("unknown flag"), "{argv:?}: {err}");
+        }
     }
 
     #[test]
@@ -1446,6 +1089,23 @@ mod tests {
         .unwrap();
         assert!(out.contains("CRITICAL"), "{out}");
         assert!(out.contains("timing-critical"), "{out}");
+    }
+
+    /// There is one event queue, so `tsg sim --queue` is an unknown flag.
+    #[test]
+    fn sim_queue_backend_selection_is_observable_and_identical() {
+        let dir = std::env::temp_dir().join("tsg-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("queue-osc.g");
+        std::fs::write(&path, tsg_stg::EXAMPLE_OSCILLATOR).unwrap();
+        let p = path.to_string_lossy().into_owned();
+        let once = run(&["sim".into(), p.clone()]).unwrap();
+        let again = run(&["sim".into(), p.clone()]).unwrap();
+        assert_eq!(once, again, "sim transcripts are deterministic");
+        for name in ["heap", "calendar", "splay"] {
+            let err = run(&["sim".into(), p.clone(), "--queue".into(), name.into()]).unwrap_err();
+            assert!(err.starts_with("unknown flag"), "{name}: {err}");
+        }
     }
 
     #[test]
@@ -1548,19 +1208,6 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("1 of 2 file(s) failed"), "{err}");
         assert!(err.contains("fan-bad.g"), "{err}");
-    }
-
-    #[test]
-    fn sim_queue_backend_selection_is_observable_and_identical() {
-        let dir = std::env::temp_dir().join("tsg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("queue-osc.g");
-        std::fs::write(&path, tsg_stg::EXAMPLE_OSCILLATOR).unwrap();
-        let p = path.to_string_lossy().into_owned();
-        let heap = run(&["sim".into(), p.clone(), "--queue".into(), "heap".into()]).unwrap();
-        let cal = run(&["sim".into(), p.clone(), "--queue".into(), "calendar".into()]).unwrap();
-        assert_eq!(heap, cal, "backends must produce identical transcripts");
-        assert!(run(&["sim".into(), p, "--queue".into(), "splay".into()]).is_err());
     }
 
     #[test]

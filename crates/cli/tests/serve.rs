@@ -119,10 +119,10 @@ fn mixed_50_request_script_is_in_order_and_byte_identical() {
         ),
         (
             format!(
-                r#""cmd":"sim","path":{},"horizon":400,"queue":"calendar""#,
+                r#""cmd":"sim","path":{},"horizon":400"#,
                 Json::from(osc_ckt.as_str()).dump()
             ),
-            vec!["sim", &osc_ckt, "--horizon", "400", "--queue", "calendar"],
+            vec!["sim", &osc_ckt, "--horizon", "400"],
         ),
         (
             format!(
@@ -363,43 +363,34 @@ fn serve_rejects_bad_flags() {
         .output()
         .unwrap();
     assert!(!out.status.success());
-    let out = tsg()
-        .args(["bench-serve", "--connections", "zero"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
 }
 
-/// `tsg bench-serve --quick` runs a real in-process load test and
-/// leaves the tracked benchmark artifact behind with sane numbers.
+/// A `.g` simulation over billions of periods is refused from its
+/// shape before anything is allocated: the one-shot CLI exits 1 with a
+/// one-line error, and the server answers `ok:false` and keeps serving.
 #[test]
-fn bench_serve_quick_writes_benchmark_json() {
-    let dir = std::env::temp_dir().join("tsg-cli-bench-serve-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let out_path = dir.join("BENCH_serve.json");
-    let _ = std::fs::remove_file(&out_path);
-    let stdout = one_shot(&[
-        "bench-serve",
-        "--quick",
-        "--threads",
-        "2",
-        "--out",
-        out_path.to_str().unwrap(),
-    ]);
-    assert!(stdout.contains("bench-serve: 4 connection(s) x 8 request(s)"));
-    assert!(stdout.contains("latency: p50"));
-    let doc = Json::parse(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
-    assert_eq!(doc.get("bench"), Some(&Json::from("serve")));
-    assert_eq!(doc.get("connections"), Some(&Json::Num(4.0)));
-    let ok = doc.get("total_ok").and_then(Json::as_f64).unwrap();
-    let failed = doc.get("total_failed").and_then(Json::as_f64).unwrap();
-    assert_eq!(ok + failed, 32.0, "every request accounted for");
-    assert_eq!(failed, 0.0, "a clean run fails nothing");
-    assert!(doc.get("throughput_rps").and_then(Json::as_f64).unwrap() > 0.0);
-    let latency = doc.get("latency_ms").expect("latency block");
-    for key in ["p50", "p95", "max"] {
-        assert!(latency.get(key).and_then(Json::as_f64).unwrap() >= 0.0);
-    }
-    let server = doc.get("server").expect("server counters");
-    assert_eq!(server.get("served").and_then(Json::as_f64), Some(32.0));
+fn oversized_sim_is_refused_before_allocating() {
+    let (osc_g, _, _) = fixtures();
+    let osc_g = osc_g.to_string_lossy().into_owned();
+    let out = tsg()
+        .args(["sim", &osc_g, "--periods", "4000000000"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: simulation failed: 6 event(s) over 4000000000 period(s)"),
+        "{stderr}"
+    );
+    let p = Json::from(osc_g.as_str()).dump();
+    let script = format!(
+        "{{\"id\":1,\"cmd\":\"sim\",\"path\":{p},\"periods\":4000000000}}\n\
+         {{\"id\":2,\"cmd\":\"sim\",\"path\":{p},\"periods\":2}}\n"
+    );
+    let responses = serve_session(&script, &["--threads", "1"]);
+    assert_eq!(responses.len(), 2);
+    assert_eq!(responses[0].get("ok"), Some(&Json::Bool(false)));
+    let error = responses[0].get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("time cells"), "{error}");
+    assert_eq!(responses[1].get("ok"), Some(&Json::Bool(true)));
 }

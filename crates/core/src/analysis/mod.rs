@@ -33,7 +33,7 @@ pub mod wide;
 pub use cycle_time::{AnalysisError, BorderRecord, CycleTimeAnalysis};
 pub use scenario::{Corner, ScenarioAnalysis, ScenarioSet, ScenarioSpecError, UnknownCorner};
 pub use session::{AnalysisSession, CycleTimeDelta, DelayEdit, EditError};
-pub use wide::{KernelBackend, KernelUnavailable, UnknownKernel, WideRunError};
+pub use wide::{KernelBackend, WideRunError};
 
 use crate::time::Ratio;
 use std::fmt;

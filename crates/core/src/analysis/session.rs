@@ -96,7 +96,7 @@ use crate::analysis::cycle_time::{
 use crate::analysis::initiated::SimArena;
 use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
 use crate::analysis::structure::CyclicStructure;
-use crate::analysis::wide::{AnalysisArena, Cancelled, Halt, KernelBackend, Rows, WideArena};
+use crate::analysis::wide::{AnalysisArena, Cancelled, Halt, Rows, WideArena};
 use crate::analysis::CycleTime;
 use crate::arc::ArcId;
 use crate::event::EventId;
@@ -370,31 +370,28 @@ impl AnalysisSession {
     /// Returns [`AnalysisError::NoCyclicBehavior`] when `sg` has no
     /// repetitive events.
     pub fn open(sg: SignalGraph) -> Result<Self, AnalysisError> {
-        Self::open_with_cancel(sg, KernelBackend::Auto, None)
+        Self::open_in(sg, AnalysisArena::new(), None)
     }
 
-    /// [`open`](Self::open) on an explicitly chosen [`KernelBackend`],
-    /// under a cancellation token. The session's warm wide arena — and
-    /// hence every dirty-region resume — runs on `kernel` for the
-    /// session's whole lifetime; `kernel` is resolved leniently (see
-    /// [`WideArena::with_kernel`]), so validate with
-    /// [`KernelBackend::resolve`] first where an unavailable request
-    /// must be a structured error. The opening analysis is the one
-    /// analysis core of [`CycleTimeAnalysis::run_in`], keeping every
-    /// matrix row; it polls `cancel` once per row and no session is
-    /// created when it fires.
+    /// [`open`](Self::open) on `arena`, under a cancellation token. The
+    /// session keeps the arena's first worker, so its warm wide arena —
+    /// and hence every dirty-region resume — runs on the arena's kernel
+    /// backend for the session's whole lifetime. The opening analysis
+    /// is the one analysis core of [`CycleTimeAnalysis::run_in`],
+    /// keeping every matrix row; it polls `cancel` once per row and no
+    /// session is created when it fires.
     ///
     /// # Errors
     ///
     /// Returns [`AnalysisError::NoCyclicBehavior`] when `sg` has no
     /// repetitive events, or [`AnalysisError::Cancelled`] when `cancel`
     /// fires mid-analysis.
-    pub fn open_with_cancel(
+    pub fn open_in(
         sg: SignalGraph,
-        kernel: KernelBackend,
+        mut arena: AnalysisArena,
         cancel: Option<&CancelToken>,
     ) -> Result<Self, AnalysisError> {
-        let mut arena = AnalysisArena::with_kernel(kernel);
+        arena.wides.truncate(1);
         let analysis = CycleTimeAnalysis::run_rows(&sg, None, &mut arena, Rows::All, cancel)?;
         let AnalysisArena {
             mut wides,
@@ -449,12 +446,6 @@ impl AnalysisSession {
                 .scenarios
                 .as_ref()
                 .is_some_and(|s| s.dirty_from.is_some() || s.stale_weights || s.needs_reseed)
-    }
-
-    /// The resolved kernel backend the session's warm wide arena (and
-    /// every dirty-region resume) runs on.
-    pub fn kernel(&self) -> KernelBackend {
-        self.wide.kernel()
     }
 
     /// Resolves a label-addressed edit (`src -> dst`) to the first arc
@@ -1443,8 +1434,8 @@ mod tests {
     #[test]
     fn cancelled_open_reports_progress() {
         let token = CancelToken::cancel_after_checks(1);
-        let err = AnalysisSession::open_with_cancel(figure2(), KernelBackend::Auto, Some(&token))
-            .unwrap_err();
+        let err =
+            AnalysisSession::open_in(figure2(), AnalysisArena::new(), Some(&token)).unwrap_err();
         assert_eq!(
             err,
             AnalysisError::Cancelled {

@@ -22,6 +22,11 @@ use crate::arc::ArcId;
 use crate::event::{EventId, Polarity};
 use crate::graph::SignalGraph;
 
+/// The most time cells (events × periods) one [`TimingSimulation`]
+/// keeps: 512 MiB of `f64`. A larger run is refused before anything
+/// is allocated ([`SimError::TooLarge`]).
+pub const MAX_CELLS: usize = 1 << 26;
+
 /// Why a [`TimingSimulation`] run stopped short of its horizon.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
@@ -42,6 +47,13 @@ pub enum SimError {
         /// Instance (period) of that firing.
         instance: u32,
     },
+    /// The run would keep more than [`MAX_CELLS`] time cells.
+    TooLarge {
+        /// Events of the simulated graph.
+        events: usize,
+        /// Requested periods.
+        periods: u32,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -55,6 +67,10 @@ impl std::fmt::Display for SimError {
             SimError::Overflow { event, instance } => write!(
                 f,
                 "firing {event}_{instance}: cannot schedule event at non-finite time inf"
+            ),
+            SimError::TooLarge { events, periods } => write!(
+                f,
+                "{events} event(s) over {periods} period(s) need more than {MAX_CELLS} time cells"
             ),
         }
     }
@@ -103,7 +119,8 @@ impl TimingSimulation {
     ///
     /// # Errors
     ///
-    /// [`SimError::Cancelled`] when `cancel` fires, and
+    /// [`SimError::TooLarge`] when events × periods exceeds
+    /// [`MAX_CELLS`], [`SimError::Cancelled`] when `cancel` fires, and
     /// [`SimError::Overflow`] when an occurrence time overflows to
     /// infinity. The overflow names the earliest firing whose
     /// in-horizon out-arc overflows; among firings at the same time, the
@@ -119,6 +136,10 @@ impl TimingSimulation {
         cancel: Option<&CancelToken>,
     ) -> Result<Self, SimError> {
         assert!(periods >= 1, "simulation needs at least one period");
+        let events = sg.event_count();
+        if events.saturating_mul(periods as usize) > MAX_CELLS {
+            return Err(SimError::TooLarge { events, periods });
+        }
         // Within a period every unmarked arc is a same-period dependency
         // (prefix arcs only exist in period 0); validation makes that
         // subgraph acyclic.
@@ -128,7 +149,7 @@ impl TimingSimulation {
         // Times only grow along arcs from finite roots, so a non-finite
         // cell is always +∞: one flag per run detects every overflow.
         let mut overflow = false;
-        let mut times = vec![vec![f64::NAN; sg.event_count()]; periods as usize];
+        let mut times = vec![vec![f64::NAN; events]; periods as usize];
         for p in 0..periods as usize {
             if let Some(kind) = cancel.and_then(CancelToken::check) {
                 return Err(SimError::Cancelled {
@@ -538,6 +559,25 @@ mod tests {
                     sg.label(e)
                 );
             }
+        }
+    }
+
+    /// An oversized horizon is refused from the shape alone: every
+    /// request here would need gigabytes, and none allocates.
+    #[test]
+    fn oversized_runs_are_refused_before_allocating() {
+        let sg = figure2();
+        let events = sg.event_count();
+        let just_over = (MAX_CELLS / events + 1) as u32;
+        for periods in [just_over, 4_000_000_000, u32::MAX] {
+            let err = TimingSimulation::run(&sg, periods, None).unwrap_err();
+            assert_eq!(err, SimError::TooLarge { events, periods });
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "{events} event(s) over {periods} period(s) need more than 67108864 time cells"
+                )
+            );
         }
     }
 

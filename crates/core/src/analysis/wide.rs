@@ -79,12 +79,13 @@
 //! | `Avx2`     | 4 × f64   | `_mm256_add_pd` / `_mm256_max_pd`    | `_mm256_maskload_pd` / `_mm256_maskstore_pd` |
 //! | `Portable` | compiler  | autovectorized scalar loop           | n/a                      |
 //!
-//! Selection is **runtime** dispatch: `Auto` resolves to the widest
-//! feature `is_x86_feature_detected!` reports (overridable through the
-//! `TSG_KERNEL` environment variable), and the `unsafe` dispatch branch
-//! carries its *own* `is_x86_feature_detected!` guard, so no intrinsic
-//! block can execute without the CPU check that makes it sound. The
-//! portable loop is the guaranteed fallback on every architecture.
+//! Selection is **runtime** dispatch: [`KernelBackend::detect`] picks
+//! the widest feature `is_x86_feature_detected!` reports (overridable
+//! through the `TSG_KERNEL` environment variable), and the `unsafe`
+//! dispatch branch carries its *own* `is_x86_feature_detected!` guard,
+//! so no intrinsic block can execute without the CPU check that makes
+//! it sound. The portable loop is the guaranteed fallback on every
+//! architecture.
 //!
 //! The SIMD paths are bit-identical to the portable loop (and hence to
 //! the scalar oracle): `src + δ` maps to a vector `add`, and the scalar
@@ -127,7 +128,6 @@
 //! [`CycleTimeAnalysis::finish`]: crate::analysis::CycleTimeAnalysis
 
 use std::fmt;
-use std::str::FromStr;
 use std::sync::OnceLock;
 
 use tsg_sim::{CancelKind, CancelToken};
@@ -140,29 +140,25 @@ use crate::graph::SignalGraph;
 
 /// The wide kernel's execution backend.
 ///
-/// `Auto` (the default) resolves at runtime to the widest path the CPU
-/// supports; the explicit variants pin the choice — `Portable` forces
-/// the autovectorized fallback loop, `Avx2` the explicit-SIMD path.
-/// `sse2` parses as `Portable`: SSE2 is the x86-64 baseline the
-/// portable loop already compiles to. Deployments audit or pin the decision through
-/// `tsg analyze --kernel`, `tsg serve --kernel`, the serve `stats` op
-/// and the `TSG_KERNEL` environment variable.
+/// The CPU picks it: [`KernelBackend::detect`] returns the widest path
+/// the machine supports, and every production arena runs on that.
+/// `Portable` is the autovectorized fallback loop, `Avx2` the
+/// explicit-SIMD path. All backends are bit-identical, so the choice
+/// only moves the time. The serve `stats` op reports the detected
+/// backend, and the `TSG_KERNEL` environment variable forces one (the
+/// CI rerun on the fallback loop uses it).
 ///
 /// # Examples
 ///
 /// ```
-/// use tsg_core::analysis::wide::KernelBackend;
+/// use tsg_core::analysis::wide::{AnalysisArena, KernelBackend};
 ///
-/// let pinned: KernelBackend = "portable".parse().unwrap();
-/// assert_eq!(pinned.resolve(), Ok(KernelBackend::Portable));
-/// // `Auto` always resolves to a concrete, available backend.
-/// assert_ne!(KernelBackend::Auto.resolve().unwrap(), KernelBackend::Auto);
+/// let detected = KernelBackend::detect();
+/// assert!(detected.available());
+/// assert_eq!(AnalysisArena::new().kernel(), detected);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
-    /// Resolve to the widest available SIMD path at runtime.
-    #[default]
-    Auto,
     /// The autovectorized portable lane loop — available everywhere.
     Portable,
     /// Explicit 4-wide `_mm256_add_pd`/`_mm256_max_pd` over the lanes.
@@ -170,83 +166,53 @@ pub enum KernelBackend {
 }
 
 impl KernelBackend {
-    /// The lowercase wire/flag name (`auto`, `portable`, `avx2`)
-    /// — what [`FromStr`] parses and the serve `stats` op reports.
+    /// The lowercase name (`portable`, `avx2`) — what `TSG_KERNEL`
+    /// takes and the serve `stats` op reports.
     pub fn name(self) -> &'static str {
         match self {
-            KernelBackend::Auto => "auto",
             KernelBackend::Portable => "portable",
             KernelBackend::Avx2 => "avx2",
         }
     }
 
+    /// The backend `name` names, ignoring ASCII case.
+    fn named(name: &str) -> Option<KernelBackend> {
+        [KernelBackend::Portable, KernelBackend::Avx2]
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(name))
+    }
+
     /// Whether this backend can execute on the current CPU.
-    fn available(self) -> bool {
+    pub fn available(self) -> bool {
         match self {
-            KernelBackend::Auto | KernelBackend::Portable => true,
+            KernelBackend::Portable => true,
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            KernelBackend::Avx2 => false,
         }
     }
 
-    /// The widest backend the CPU's feature flags allow, ignoring any
-    /// environment override.
-    fn widest_available() -> KernelBackend {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return KernelBackend::Avx2;
-            }
-        }
-        KernelBackend::Portable
-    }
-
-    /// The backend `Auto` resolves to on this machine: the `TSG_KERNEL`
-    /// override when it names an available backend, else the widest the
-    /// CPU supports. Never returns `Auto`.
+    /// The backend this machine runs: the `TSG_KERNEL` override when it
+    /// names an available backend, else the widest the CPU supports.
     ///
     /// `TSG_KERNEL` is read once per process and ignored when unset,
-    /// unparsable, `auto`, or naming an unavailable feature — it is a
-    /// deployment/CI forcing knob (e.g. `TSG_KERNEL=portable` runs the
-    /// whole suite on the fallback loop), not a validated user input;
-    /// the `--kernel` flags are the loud, validated path.
+    /// unknown or naming an unavailable feature — a deployment/CI
+    /// forcing knob (`TSG_KERNEL=portable` runs the whole suite on the
+    /// fallback loop), not a validated user input.
     pub fn detect() -> KernelBackend {
-        fn env_override() -> Option<KernelBackend> {
-            static CACHE: OnceLock<Option<KernelBackend>> = OnceLock::new();
-            *CACHE.get_or_init(|| {
-                let forced: KernelBackend = std::env::var("TSG_KERNEL").ok()?.parse().ok()?;
-                (forced != KernelBackend::Auto && forced.available()).then_some(forced)
-            })
-        }
-        env_override().unwrap_or_else(Self::widest_available)
-    }
-
-    /// Resolves to a concrete, executable backend: `Auto` becomes
-    /// [`KernelBackend::detect`], explicit choices are validated against
-    /// the CPU. The result is never `Auto`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelUnavailable`] when an explicitly requested
-    /// feature is missing on this CPU — the structured error the
-    /// `--kernel` flags surface.
-    pub fn resolve(self) -> Result<KernelBackend, KernelUnavailable> {
-        match self {
-            KernelBackend::Auto => Ok(Self::detect()),
-            b if b.available() => Ok(b),
-            b => Err(KernelUnavailable(b)),
-        }
-    }
-
-    /// [`resolve`](Self::resolve) that never fails: an unavailable
-    /// explicit request falls back to the widest available backend.
-    /// Deep engine paths use this so validation stays at the user-facing
-    /// edge (flags validate loudly with [`resolve`](Self::resolve)
-    /// *before* any arena is built).
-    pub fn resolve_lenient(self) -> KernelBackend {
-        self.resolve().unwrap_or_else(|_| Self::widest_available())
+        static DETECTED: OnceLock<KernelBackend> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            std::env::var("TSG_KERNEL")
+                .ok()
+                .and_then(|name| Self::named(&name))
+                .filter(|b| b.available())
+                .unwrap_or(if KernelBackend::Avx2.available() {
+                    KernelBackend::Avx2
+                } else {
+                    KernelBackend::Portable
+                })
+        })
     }
 }
 
@@ -255,52 +221,6 @@ impl fmt::Display for KernelBackend {
         f.write_str(self.name())
     }
 }
-
-impl FromStr for KernelBackend {
-    type Err = UnknownKernel;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(KernelBackend::Auto),
-            "portable" | "sse2" => Ok(KernelBackend::Portable),
-            "avx2" => Ok(KernelBackend::Avx2),
-            _ => Err(UnknownKernel(s.to_string())),
-        }
-    }
-}
-
-/// Parse error of [`KernelBackend`]: the string names no backend.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownKernel(pub String);
-
-impl fmt::Display for UnknownKernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown kernel backend `{}` (expected auto, portable, sse2 or avx2)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for UnknownKernel {}
-
-/// An explicitly requested [`KernelBackend`] whose CPU feature the
-/// running machine does not report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct KernelUnavailable(pub KernelBackend);
-
-impl fmt::Display for KernelUnavailable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "kernel backend `{}` is not available on this CPU",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for KernelUnavailable {}
 
 /// A wide run stopped by its [`CancelToken`] before filling every row.
 ///
@@ -484,7 +404,7 @@ pub struct WideArena {
     p_total: usize,
     /// Periods of the last run.
     periods: u32,
-    /// The resolved execution backend (never `Auto`).
+    /// The execution backend.
     backend: KernelBackend,
 }
 
@@ -495,17 +415,15 @@ impl Default for WideArena {
 }
 
 impl WideArena {
-    /// An empty arena on the auto-detected kernel backend; the first
-    /// [`WideArena::run`] sizes it.
+    /// An empty arena on the detected kernel backend
+    /// ([`KernelBackend::detect`]); the first [`WideArena::run`] sizes
+    /// it.
     pub fn new() -> Self {
-        Self::with_kernel(KernelBackend::Auto)
+        Self::with_kernel(KernelBackend::detect())
     }
 
-    /// An empty arena pinned to `kernel`, resolved leniently: `Auto`
-    /// becomes the detected backend and an unavailable explicit request
-    /// falls back to the widest available one — validate loudly first
-    /// with [`KernelBackend::resolve`] where a structured error is
-    /// wanted.
+    /// An empty arena on `kernel`, for comparing the backends; a
+    /// backend the CPU lacks runs the portable loop instead.
     pub fn with_kernel(kernel: KernelBackend) -> Self {
         WideArena {
             times: AlignedF64Vec::new(),
@@ -517,12 +435,15 @@ impl WideArena {
             n: 0,
             p_total: 0,
             periods: 0,
-            backend: kernel.resolve_lenient(),
+            backend: if kernel.available() {
+                kernel
+            } else {
+                KernelBackend::Portable
+            },
         }
     }
 
-    /// The resolved execution backend of this arena (never
-    /// [`KernelBackend::Auto`]).
+    /// The execution backend of this arena.
     pub fn kernel(&self) -> KernelBackend {
         self.backend
     }
@@ -1291,14 +1212,14 @@ impl Default for AnalysisArena {
 }
 
 impl AnalysisArena {
-    /// An empty one-worker arena on the auto-detected kernel backend;
-    /// the first analysis sizes it.
+    /// An empty one-worker arena on the detected kernel backend; the
+    /// first analysis sizes it.
     pub fn new() -> Self {
-        Self::with_kernel(KernelBackend::Auto)
+        Self::with_kernel(KernelBackend::detect())
     }
 
-    /// An empty one-worker arena pinned to `kernel` (resolved leniently,
-    /// like [`WideArena::with_kernel`]).
+    /// An empty one-worker arena on `kernel`, for comparing the
+    /// backends (see [`WideArena::with_kernel`]).
     pub fn with_kernel(kernel: KernelBackend) -> Self {
         AnalysisArena {
             wides: vec![WideArena::with_kernel(kernel)],
@@ -1325,7 +1246,7 @@ impl AnalysisArena {
         self.wides.len()
     }
 
-    /// The resolved kernel backend the wide phase runs on.
+    /// The kernel backend the wide phase runs on.
     pub fn kernel(&self) -> KernelBackend {
         self.wides[0].kernel()
     }
@@ -1393,12 +1314,12 @@ mod tests {
         }
     }
 
-    /// The backends that resolve on the running machine — always at
-    /// least `Portable`, plus each SIMD path the CPU supports.
+    /// The backends the running machine executes — always at least
+    /// `Portable`, plus each SIMD path the CPU supports.
     fn available_backends() -> Vec<KernelBackend> {
         [KernelBackend::Portable, KernelBackend::Avx2]
             .into_iter()
-            .filter(|b| b.resolve() == Ok(*b))
+            .filter(|b| b.available())
             .collect()
     }
 
@@ -1792,39 +1713,29 @@ mod tests {
 
     #[test]
     fn kernel_backend_parses_and_displays_round_trip() {
-        for b in [
-            KernelBackend::Auto,
-            KernelBackend::Portable,
-            KernelBackend::Avx2,
-        ] {
-            assert_eq!(b.name().parse::<KernelBackend>(), Ok(b));
+        for b in [KernelBackend::Portable, KernelBackend::Avx2] {
+            assert_eq!(KernelBackend::named(b.name()), Some(b));
             assert_eq!(b.to_string(), b.name());
         }
-        assert_eq!("AVX2".parse::<KernelBackend>(), Ok(KernelBackend::Avx2));
-        assert_eq!("sse2".parse::<KernelBackend>(), Ok(KernelBackend::Portable));
-        assert_eq!(
-            "wide".parse::<KernelBackend>(),
-            Err(UnknownKernel("wide".to_string()))
-        );
-        assert_eq!(KernelBackend::default(), KernelBackend::Auto);
+        assert_eq!(KernelBackend::named("AVX2"), Some(KernelBackend::Avx2));
+        // `TSG_KERNEL` takes only the backend names: no aliases.
+        for other in ["auto", "sse2", "wide", ""] {
+            assert_eq!(KernelBackend::named(other), None, "{other}");
+        }
     }
 
     #[test]
     fn resolution_never_yields_auto_and_portable_always_resolves() {
-        let auto = KernelBackend::Auto.resolve().unwrap();
-        assert_ne!(auto, KernelBackend::Auto);
-        assert_eq!(
-            KernelBackend::Portable.resolve(),
-            Ok(KernelBackend::Portable)
-        );
-        // Lenient resolution agrees with strict wherever strict succeeds.
-        assert_eq!(KernelBackend::Auto.resolve_lenient(), auto);
+        // Detection yields a backend this CPU executes, and every arena
+        // built without an explicit backend runs it.
+        assert!(KernelBackend::detect().available());
+        assert!(KernelBackend::Portable.available());
+        assert_eq!(WideArena::new().kernel(), KernelBackend::detect());
+        assert_eq!(AnalysisArena::new().kernel(), KernelBackend::detect());
+        // An explicit backend is kept wherever the CPU runs it.
         for b in available_backends() {
-            assert_eq!(b.resolve_lenient(), b);
+            assert_eq!(WideArena::with_kernel(b).kernel(), b);
         }
-        // An arena never stores `Auto`.
-        assert_ne!(WideArena::new().kernel(), KernelBackend::Auto);
-        assert_ne!(AnalysisArena::new().kernel(), KernelBackend::Auto);
     }
 
     #[test]

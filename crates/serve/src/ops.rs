@@ -9,9 +9,9 @@
 //! session edit batch. The only difference between the front-ends is
 //! the arena:
 //!
-//! * the one-shot CLI builds one from `--kernel` and `--threads`, so the
-//!   `b` border simulations (and the scenario blocks) split into lane
-//!   chunks over that many workers;
+//! * the one-shot CLI builds one with `--threads` workers (default
+//!   one), so the `b` border simulations (and the scenario blocks)
+//!   split into lane chunks over that many workers;
 //! * a serve worker drives a persistent one-worker [`Workspace`] — one
 //!   warm [`AnalysisArena`] (the two-row window and origin strip of the
 //!   `b` lockstep border simulations plus the scalar finish arena) and
@@ -19,6 +19,11 @@
 //!   [`Workspace::simulate`]. Analyses are bit-identical at every
 //!   worker count. `.g` simulations need no warm state:
 //!   [`TimingSimulation::run`] sizes its period rows per request.
+//!
+//! Both arenas run the kernel backend [`KernelBackend::detect`] picks;
+//! no flag or request field selects another.
+//!
+//! [`KernelBackend::detect`]: tsg_core::analysis::KernelBackend::detect
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -27,7 +32,7 @@ use std::fmt::{self, Write as _};
 use tsg_core::analysis::diagram::{self, DiagramOptions};
 use tsg_core::analysis::session::{AnalysisSession, CycleTimeDelta, EditError, GraphEdit};
 use tsg_core::analysis::sim::{SimError, TimingSimulation};
-use tsg_core::analysis::wide::{AnalysisArena, KernelBackend};
+use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, ScenarioAnalysis, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
 use tsg_sim::{CancelKind, CancelToken, TraceRecorder};
@@ -425,11 +430,6 @@ pub struct AnalyzeOptions {
     pub slack: bool,
     /// Delay assigned to arcs without a `.delay` annotation.
     pub default_delay: f64,
-    /// Wide-kernel backend. `Auto` means "whatever the executing
-    /// workspace is pinned to" (the widest available one by default);
-    /// an explicit backend is honoured or refused with a structured
-    /// error, never silently downgraded.
-    pub kernel: KernelBackend,
     /// Delay corners to sweep as scenario lanes alongside the nominal
     /// analysis (`--corners min,typ,max`). Empty = no corner sweep.
     /// Takes precedence over `samples` when both are given.
@@ -452,7 +452,6 @@ impl Default for AnalyzeOptions {
             baselines: false,
             slack: false,
             default_delay: 1.0,
-            kernel: KernelBackend::Auto,
             corners: Vec::new(),
             derate: 10.0,
             samples: 0,
@@ -500,22 +499,6 @@ pub struct SimOptions {
     pub default_delay: Option<f64>,
 }
 
-/// Validates a `sim` queue-backend name (`--queue` / `"queue"`). The
-/// event queue has one storage, a binary heap, so every accepted name
-/// runs on it; the names stay accepted for compatibility.
-///
-/// # Errors
-///
-/// Rejects any name other than `heap`, `binary_heap` or `calendar`.
-pub fn check_queue_name(name: &str) -> Result<(), String> {
-    match name {
-        "heap" | "binary_heap" | "calendar" => Ok(()),
-        other => Err(format!(
-            "unknown queue backend {other:?} (expected `heap` or `calendar`)"
-        )),
-    }
-}
-
 /// Parses `text` as the format `file`'s extension names and returns the
 /// Signal Graph (netlists go through semimodularity checking and the
 /// TRASPEC-style extraction first).
@@ -557,8 +540,6 @@ fn report_abort(err: &AnalysisError) -> Option<OpError> {
 /// The `tsg analyze` report on `arena`: the nominal analysis and, when
 /// `opts` asks for a corner or sample sweep, the scenario lanes all run
 /// on it — split over its workers, bit-identical at any worker count.
-/// `opts.kernel` is not consulted here: the arena's backend is the one
-/// that runs (see [`Workspace::analyze`]).
 ///
 /// # Errors
 ///
@@ -1115,21 +1096,6 @@ impl Workspace {
         Self::default()
     }
 
-    /// An empty workspace pinned to `kernel` (resolved leniently: an
-    /// unavailable backend falls back to the widest available one).
-    /// Every warm analysis and session opened here runs on it.
-    pub fn with_kernel(kernel: KernelBackend) -> Self {
-        Workspace {
-            arena: AnalysisArena::with_kernel(kernel),
-            ..Self::default()
-        }
-    }
-
-    /// The resolved wide-kernel backend this workspace executes on.
-    pub fn kernel(&self) -> KernelBackend {
-        self.arena.kernel()
-    }
-
     /// Capacity of the analysis arena's buffers: `(wide lane-major time
     /// cells, scalar time cells, scalar parent cells)`.
     pub fn arena_capacity(&self) -> (usize, usize, usize) {
@@ -1157,16 +1123,7 @@ impl Workspace {
     ) -> Result<String, OpError> {
         let text = source.read()?;
         let sg = load(source.name(), &text, opts.default_delay)?;
-        match opts.kernel {
-            KernelBackend::Auto => report_on(&sg, opts, &mut self.arena, cancel),
-            requested => {
-                // An explicit per-request kernel is honoured or refused,
-                // never silently downgraded; it runs on a fresh arena so
-                // the workspace's pinned backend stays warm.
-                let resolved = requested.resolve().map_err(|e| e.to_string())?;
-                report_on(&sg, opts, &mut AnalysisArena::with_kernel(resolved), cancel)
-            }
-        }
+        report_on(&sg, opts, &mut self.arena, cancel)
     }
 
     /// `tsg sim` (netlists on the warm queue) — what the CLI runs per
@@ -1248,7 +1205,7 @@ impl Workspace {
         }
         let text = source.read()?;
         let sg = load(source.name(), &text, default_delay)?;
-        let session = AnalysisSession::open_with_cancel(sg, self.arena.kernel(), cancel)?;
+        let session = AnalysisSession::open_in(sg, AnalysisArena::new(), cancel)?;
         let mut out = format!(
             "opened session {name:?}: {} events, {} arcs, {} border event(s)\n",
             session.graph().event_count(),

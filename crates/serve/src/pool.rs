@@ -8,7 +8,9 @@
 //! one per accepted client, stdin/stdout ([`serve`](crate::serve)) runs
 //! one bridged connection. Request failures (unreadable files, parse
 //! errors, even panicking handlers) are isolated to their response
-//! line; the pool keeps serving.
+//! line; the pool keeps serving. Every workspace runs the wide-kernel
+//! backend the CPU picks ([`KernelBackend::detect`]), which the `stats`
+//! op reports.
 //!
 //! Two dispatch lanes feed the workers:
 //!
@@ -88,11 +90,6 @@ pub struct ServeOptions {
     /// structured `ok: false` error instead of growing worker memory,
     /// and the slot frees on `session.close` or disconnect.
     pub max_sessions: Option<u64>,
-    /// Wide-kernel backend every worker workspace is pinned to
-    /// (`Auto` = the widest the CPU supports). Resolved leniently at
-    /// pool spawn; the CLI validates an explicit `--kernel` strictly
-    /// before it gets here.
-    pub kernel: KernelBackend,
     /// Pool-wide cap on queued-but-unclaimed requests (`None` =
     /// unbounded). Past it, new requests are answered `overloaded`
     /// without reaching a worker (`--max-pending`).
@@ -125,7 +122,6 @@ impl Default for ServeOptions {
         ServeOptions {
             threads: None,
             max_sessions: None,
-            kernel: KernelBackend::Auto,
             max_pending: None,
             default_deadline: None,
             drain_deadline: Duration::from_secs(5),
@@ -262,9 +258,6 @@ struct PoolShared {
     open_sessions: AtomicU64,
     /// Cap on `open_sessions` (`None` = unbounded).
     max_sessions: Option<u64>,
-    /// The resolved backend every worker workspace runs on — reported
-    /// by the `stats` op so deployments can audit the dispatch decision.
-    kernel: KernelBackend,
     /// Request jobs queued but not yet claimed by a worker.
     pending: AtomicU64,
     /// Request jobs a worker is executing right now.
@@ -397,7 +390,6 @@ impl Pool {
             next_conn: AtomicU64::new(0),
             open_sessions: AtomicU64::new(0),
             max_sessions: opts.max_sessions,
-            kernel: opts.kernel.resolve_lenient(),
             pending: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             max_pending: opts.max_pending,
@@ -732,7 +724,7 @@ fn supervise(shared: &PoolShared, index: usize) {
 /// One worker: claims jobs — own pinned lane first, then the shared
 /// lane — against its lifelong warm workspace.
 fn worker_loop(shared: &PoolShared, index: usize) {
-    let mut workspace = Workspace::with_kernel(shared.kernel);
+    let mut workspace = Workspace::new();
     loop {
         let job = {
             let mut queues = shared.queues.lock().expect("pool mutex never poisoned");
@@ -864,7 +856,8 @@ fn handle(
     match cmd {
         Command::Stats => {
             // Snapshot first so the stats request does not count itself.
-            let response = protocol::stats_response(&id, &stats_of(shared), shared.kernel.name());
+            let response =
+                protocol::stats_response(&id, &stats_of(shared), KernelBackend::detect().name());
             shared.served.fetch_add(1, Ordering::SeqCst);
             response
         }

@@ -51,17 +51,10 @@
 //! {"id": 5, "ok": true, "served": 4, "failed": 0, "threads": 8, "kernel": "avx2"}
 //! ```
 //!
-//! `analyze`/`batch` requests accept a `"kernel"` field
-//! (`"auto"`/`"portable"`/`"sse2"`/`"avx2"`) pinning the wide-kernel
-//! backend for that request; an unavailable backend is refused with a
-//! structured error, and the `stats` response reports the backend the
-//! pool's warm workspaces run on.
+//! The `stats` response reports the wide-kernel backend the CPU picked
+//! (`"kernel"`); no request field selects another.
 //!
-//! `sim` requests accept a `"queue"` field (`"heap"`, `"binary_heap"` or
-//! `"calendar"`) for compatibility; it is a no-op, as every simulation
-//! runs on the one binary-heap event queue.
-//!
-//! `analyze`/`batch` requests also accept scenario-sweep fields:
+//! `analyze`/`batch` requests accept scenario-sweep fields:
 //! `"corners"` (a `"min,typ,max"` string or array of corner names) with
 //! `"derate"` (percent, default 10), or `"samples"` (seeded Monte-Carlo
 //! scenario count) with `"seed"` — the report then carries a τ
@@ -85,9 +78,8 @@
 use std::time::Duration;
 
 use crate::json::Json;
-use crate::ops::{self, AnalyzeOptions, EditOp, EditSpec, Objective, SimOptions, Source};
+use crate::ops::{AnalyzeOptions, EditOp, EditSpec, Objective, SimOptions, Source};
 use crate::pool::ServeStats;
-use tsg_core::analysis::wide::KernelBackend;
 use tsg_core::analysis::Corner;
 
 /// A parsed request body.
@@ -212,7 +204,6 @@ pub fn parse_request(line: &str) -> Result<Request, (Json, String)> {
             "baselines",
             "slack",
             "default_delay",
-            "kernel",
             "corners",
             "derate",
             "samples",
@@ -228,7 +219,6 @@ pub fn parse_request(line: &str) -> Result<Request, (Json, String)> {
             "periods",
             "horizon",
             "default_delay",
-            "queue",
             "deadline_ms",
         ],
         "batch" => &[
@@ -240,7 +230,6 @@ pub fn parse_request(line: &str) -> Result<Request, (Json, String)> {
             "baselines",
             "slack",
             "default_delay",
-            "kernel",
             "corners",
             "derate",
             "samples",
@@ -528,13 +517,6 @@ fn analyze_opts(doc: &Json) -> Result<AnalyzeOptions, String> {
             None => 1.0,
             Some(v) => v.as_f64().ok_or("\"default_delay\" must be a number")?,
         },
-        kernel: match doc.get("kernel") {
-            None => KernelBackend::Auto,
-            Some(v) => v
-                .as_str()
-                .ok_or("\"kernel\" must be a string".to_owned())
-                .and_then(|s| s.parse::<KernelBackend>().map_err(|e| e.to_string()))?,
-        },
         corners: corners_of(doc)?,
         derate: match doc.get("derate") {
             None => 10.0,
@@ -596,7 +578,7 @@ fn corners_of(doc: &Json) -> Result<Vec<Corner>, String> {
 }
 
 fn sim_opts(doc: &Json) -> Result<SimOptions, String> {
-    let opts = SimOptions {
+    Ok(SimOptions {
         periods: match doc.get("periods") {
             None => None,
             Some(v) => Some(
@@ -619,13 +601,7 @@ fn sim_opts(doc: &Json) -> Result<SimOptions, String> {
             None => None,
             Some(v) => Some(v.as_f64().ok_or("\"default_delay\" must be a number")?),
         },
-    };
-    // Checked after the other fields, so a request with several bad
-    // fields still reports the same first error.
-    if let Some(v) = doc.get("queue") {
-        ops::check_queue_name(v.as_str().ok_or("\"queue\" must be a string")?)?;
-    }
-    Ok(opts)
+    })
 }
 
 /// One frame the streaming [`FrameDecoder`] produced.
@@ -839,7 +815,7 @@ pub fn batch_response(id: &Json, results: &[Result<String, String>]) -> String {
 
 /// A `stats` response: counters cover requests *completed* before this
 /// one executed (the stats request itself is excluded). `kernel` is the
-/// resolved wide-kernel backend the pool's workspaces run on; the
+/// wide-kernel backend the pool's workspaces run on; the
 /// robustness counters let operators see degradation (rejections,
 /// deadline aborts, timed-out clients) instead of guessing.
 pub fn stats_response(id: &Json, stats: &ServeStats, kernel: &str) -> String {
@@ -924,42 +900,36 @@ mod tests {
 
     #[test]
     fn parses_queue_kind_and_rejects_unknown() {
-        // Every accepted name runs the one heap-backed queue.
-        for name in ["heap", "binary_heap", "calendar"] {
+        // There is one event queue, so "queue" is not a sim field: any
+        // value, string or not, is an unknown field.
+        let r = parse_request(r#"{"cmd":"sim","path":"c.ckt"}"#).unwrap();
+        assert!(matches!(r.cmd, Command::Sim { .. }));
+        for name in ["heap", "binary_heap", "calendar", "splay"] {
             let line = format!(r#"{{"cmd":"sim","path":"c.ckt","queue":"{name}"}}"#);
-            let r = parse_request(&line).unwrap();
-            assert!(matches!(r.cmd, Command::Sim { .. }), "{name}");
+            let (_, e) = parse_request(&line).unwrap_err();
+            assert!(e.contains("unknown field \"queue\""), "{name}: {e}");
         }
-        let (_, e) = parse_request(r#"{"cmd":"sim","path":"c.ckt","queue":"splay"}"#).unwrap_err();
-        assert_eq!(
-            e,
-            "unknown queue backend \"splay\" (expected `heap` or `calendar`)"
-        );
         let (_, e) = parse_request(r#"{"cmd":"sim","path":"c.ckt","queue":1}"#).unwrap_err();
-        assert_eq!(e, "\"queue\" must be a string");
+        assert!(e.contains("unknown field \"queue\""), "{e}");
     }
 
     #[test]
     fn parses_kernel_backend_and_rejects_unknown() {
-        let r = parse_request(r#"{"cmd":"analyze","path":"a.g","kernel":"portable"}"#).unwrap();
-        let Command::Analyze { opts, .. } = r.cmd else {
-            panic!("wrong cmd");
-        };
-        assert_eq!(opts.kernel, KernelBackend::Portable);
-        let r = parse_request(r#"{"cmd":"batch","paths":["a.g"],"kernel":"sse2"}"#).unwrap();
-        let Command::Batch { opts, .. } = r.cmd else {
-            panic!("wrong cmd");
-        };
-        assert_eq!(
-            opts.kernel,
-            KernelBackend::Portable,
-            "sse2 is an alias of portable"
-        );
-        let (_, e) =
-            parse_request(r#"{"cmd":"analyze","path":"a.g","kernel":"avx512"}"#).unwrap_err();
-        assert!(e.contains("unknown kernel backend"), "{e}");
-        let (_, e) = parse_request(r#"{"cmd":"sim","path":"a.g","kernel":"avx2"}"#).unwrap_err();
-        assert!(e.contains("unknown field"), "{e}");
+        // The CPU picks the kernel backend, so "kernel" is not a field
+        // of any request.
+        let r = parse_request(r#"{"cmd":"analyze","path":"a.g"}"#).unwrap();
+        assert!(matches!(r.cmd, Command::Analyze { .. }));
+        let r = parse_request(r#"{"cmd":"batch","paths":["a.g"]}"#).unwrap();
+        assert!(matches!(r.cmd, Command::Batch { .. }));
+        for line in [
+            r#"{"cmd":"analyze","path":"a.g","kernel":"portable"}"#,
+            r#"{"cmd":"analyze","path":"a.g","kernel":"avx512"}"#,
+            r#"{"cmd":"batch","paths":["a.g"],"kernel":"sse2"}"#,
+            r#"{"cmd":"sim","path":"a.g","kernel":"avx2"}"#,
+        ] {
+            let (_, e) = parse_request(line).unwrap_err();
+            assert!(e.contains("unknown field \"kernel\""), "{line}: {e}");
+        }
     }
 
     #[test]

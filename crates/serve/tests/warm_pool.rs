@@ -335,24 +335,16 @@ fn kernel_pinned_requests_and_stats_report_backend() {
     .join("\n")
         + "\n";
     let responses = session(&script, 1);
-    assert_eq!(
-        responses[0].get("output"),
-        responses[1].get("output"),
-        "a portable-pinned analysis is byte-identical to the auto one"
-    );
+    assert_eq!(responses[0].get("ok"), Some(&Json::Bool(true)));
+    // The CPU picks the backend: a request cannot pin one.
+    assert_eq!(responses[1].get("ok"), Some(&Json::Bool(false)));
+    let err = responses[1].get("error").and_then(Json::as_str).unwrap();
+    assert!(err.contains("unknown field \"kernel\""), "{err}");
     let kernel = responses[2]
         .get("kernel")
         .and_then(Json::as_str)
         .expect("stats reports the pool's kernel backend");
-    assert!(["portable", "sse2", "avx2"].contains(&kernel), "{kernel}");
-    // An explicitly requested backend the CPU lacks is refused with a
-    // structured error, never silently downgraded.
-    if KernelBackend::Avx2.resolve().is_err() {
-        let responses = session(&(analyze(&[("kernel", Json::from("avx2"))]) + "\n"), 1);
-        assert_eq!(responses[0].get("ok"), Some(&Json::Bool(false)));
-        let err = responses[0].get("error").and_then(Json::as_str).unwrap();
-        assert!(err.contains("not available"), "{err}");
-    }
+    assert_eq!(kernel, KernelBackend::detect().name());
 }
 
 #[test]

@@ -36,6 +36,11 @@ impl Default for BatchRunner {
 }
 
 impl BatchRunner {
+    /// The largest `--threads N` [`parse_threads`](Self::parse_threads)
+    /// accepts. Pools spawn every worker up front, so an unbounded
+    /// count would ask the OS for that many threads at once.
+    pub const MAX_THREADS: usize = 1024;
+
     /// A runner sized to the machine's available parallelism.
     pub fn new() -> Self {
         let threads = std::thread::available_parallelism()
@@ -76,12 +81,19 @@ impl BatchRunner {
     /// # Errors
     ///
     /// Returns a user-facing message when the value is missing, not an
-    /// integer, or zero.
+    /// integer, zero, or above [`MAX_THREADS`](Self::MAX_THREADS).
     pub fn parse_threads(value: Option<&str>) -> Result<usize, String> {
-        value
+        let threads = value
             .and_then(|v| v.parse().ok())
             .filter(|&n: &usize| n >= 1)
-            .ok_or_else(|| "--threads needs a positive integer".to_owned())
+            .ok_or_else(|| "--threads needs a positive integer".to_owned())?;
+        if threads > Self::MAX_THREADS {
+            return Err(format!(
+                "--threads takes at most {} worker threads",
+                Self::MAX_THREADS
+            ));
+        }
+        Ok(threads)
     }
 
     /// The number of worker threads this runner uses.
@@ -233,6 +245,13 @@ mod tests {
         assert!(BatchRunner::parse_threads(Some("four")).is_err());
         assert!(BatchRunner::parse_threads(Some("-2")).is_err());
         assert!(BatchRunner::parse_threads(None).is_err());
+        // Pools spawn every worker up front: the count is capped.
+        let max = BatchRunner::MAX_THREADS;
+        assert_eq!(BatchRunner::parse_threads(Some(&max.to_string())), Ok(max));
+        for too_many in [max + 1, 1_000_000, usize::MAX] {
+            let err = BatchRunner::parse_threads(Some(&too_many.to_string())).unwrap_err();
+            assert_eq!(err, format!("--threads takes at most {max} worker threads"));
+        }
     }
 
     #[test]

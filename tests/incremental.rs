@@ -11,7 +11,8 @@
 
 use proptest::prelude::*;
 use tsg::core::analysis::session::{AnalysisSession, DelayEdit, EditError, GraphEdit};
-use tsg::core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, KernelBackend, ScenarioSet};
+use tsg::core::analysis::wide::AnalysisArena;
+use tsg::core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, ScenarioSet};
 use tsg::core::{ArcId, EventId, SignalGraph};
 use tsg::gen::{handshake_pipeline, random_live_tsg, ring, torus, PipelineConfig, RandomTsgConfig};
 use tsg::sim::CancelToken;
@@ -353,7 +354,7 @@ proptest! {
     ) {
         for backend in available_backends() {
             let sg = graph(family, seed);
-            let mut session = AnalysisSession::open_with_cancel(sg, backend, None).expect("live");
+            let mut session = AnalysisSession::open_in(sg, AnalysisArena::with_kernel(backend), None).expect("live");
             let set = scenario_set(session.graph(), pick);
             session.enable_scenarios(&set, None).expect("live");
             for (step, e) in script(session.graph(), seed, edits).into_iter().enumerate() {
@@ -541,9 +542,9 @@ fn long_structural_soak_with_aborts_per_family() {
 #[test]
 fn cancelled_open_retries_cleanly() {
     for family in 0..4usize {
-        let aborted = AnalysisSession::open_with_cancel(
+        let aborted = AnalysisSession::open_in(
             graph(family, 3),
-            KernelBackend::Auto,
+            AnalysisArena::new(),
             Some(&CancelToken::cancel_after_checks(0)),
         );
         assert!(

@@ -168,7 +168,7 @@ proptest! {
     ) {
         for backend in available_backends() {
             let sg = graph(family, seed);
-            let mut session = AnalysisSession::open_with_cancel(sg, backend, None).expect("live");
+            let mut session = AnalysisSession::open_in(sg, AnalysisArena::with_kernel(backend), None).expect("live");
             for (step, (arc, delay)) in
                 script(session.graph(), seed, edits).into_iter().enumerate()
             {
@@ -198,7 +198,7 @@ proptest! {
         for backend in available_backends() {
             let sg = graph(family, seed);
             let script = structural_edit_script(&sg, batches);
-            let mut session = AnalysisSession::open_with_cancel(sg, backend, None).expect("live");
+            let mut session = AnalysisSession::open_in(sg, AnalysisArena::with_kernel(backend), None).expect("live");
             for (step, batch) in script.iter().enumerate() {
                 session.edit_structure(batch, None).unwrap();
                 let scalar = CycleTimeAnalysis::run_scalar(session.graph()).expect("stays live");
@@ -333,7 +333,9 @@ fn long_structural_soak_per_family_on_every_backend() {
         for backend in available_backends() {
             let sg = graph(family, 11);
             let script = structural_edit_script(&sg, 16);
-            let mut session = AnalysisSession::open_with_cancel(sg, backend, None).expect("live");
+            let mut session =
+                AnalysisSession::open_in(sg, AnalysisArena::with_kernel(backend), None)
+                    .expect("live");
             for (step, batch) in script.iter().enumerate() {
                 session.edit_structure(batch, None).unwrap();
                 let scalar = CycleTimeAnalysis::run_scalar(session.graph()).expect("live");
@@ -505,7 +507,8 @@ fn oneshot_window_records_equal_the_full_matrix() {
             assert_analyses_identical(&scalar, &oneshot, &ctx);
             assert_eq!(record_bits(&oneshot), record_bits(&scalar), "{ctx}");
             let session =
-                AnalysisSession::open_with_cancel(sg.clone(), backend, None).expect("live");
+                AnalysisSession::open_in(sg.clone(), AnalysisArena::with_kernel(backend), None)
+                    .expect("live");
             assert_eq!(
                 record_bits(&oneshot),
                 record_bits(session.analysis()),
