@@ -22,20 +22,16 @@
 //!   matrix cell before any timing.
 //! * `analysis` — `CycleTimeAnalysis::run` vs `analyze_batch` over a
 //!   64-graph `tsg_gen` sweep at 1/2/4/8 threads.
-//! * `edit_loop` — the bottleneck-hunting loop: a delay-edit script
-//!   replayed as from-scratch re-analyses vs one warm
-//!   `AnalysisSession` at 1/8/64 edits.
 //!
 //! The `bench` binary runs the same workloads outside Criterion and
 //! writes machine-readable `BENCH_kernel.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tsg_bench::{
-    assert_backends_match, assert_wide_matches_scalar, available_backends, edit_loop_graph,
-    edit_script, hold, push_pop, wide_scenarios,
+    assert_backends_match, assert_wide_matches_scalar, available_backends, hold, push_pop,
+    wide_scenarios,
 };
 use tsg_core::analysis::initiated::SimArena;
-use tsg_core::analysis::session::AnalysisSession;
 use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::CycleTimeAnalysis;
 use tsg_core::SignalGraph;
@@ -165,50 +161,9 @@ fn bench_analysis(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_edit_loop(c: &mut Criterion) {
-    let base = edit_loop_graph();
-    let mut group = c.benchmark_group("edit_loop");
-    for edits in [1usize, 8, 64] {
-        let script = edit_script(&base, edits);
-        group.bench_with_input(BenchmarkId::new("full_rerun", edits), &edits, |b, _| {
-            b.iter(|| {
-                let mut sg = base.clone();
-                script
-                    .iter()
-                    .map(|e| {
-                        sg.set_delay(e.arc, e.delay).unwrap();
-                        CycleTimeAnalysis::run(black_box(&sg))
-                            .unwrap()
-                            .cycle_time()
-                            .as_f64()
-                    })
-                    .sum::<f64>()
-            })
-        });
-        // The open (one full analysis) is warm-up, excluded from the
-        // measurement exactly as in the bench binary: each iteration
-        // restores pristine state by cloning the opened session (a
-        // memcpy of the warm matrices, no simulation).
-        let pristine = AnalysisSession::open(base.clone()).unwrap();
-        group.bench_with_input(BenchmarkId::new("session_edit", edits), &edits, |b, _| {
-            b.iter(|| {
-                let mut session = pristine.clone();
-                script
-                    .iter()
-                    .map(|e| {
-                        session.edit_delays(std::slice::from_ref(e), None).unwrap();
-                        session.analysis().cycle_time().as_f64()
-                    })
-                    .sum::<f64>()
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = kernel;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_push_pop, bench_hold, bench_wide_vs_scalar, bench_simd_vs_portable, bench_analysis, bench_edit_loop
+    targets = bench_push_pop, bench_hold, bench_wide_vs_scalar, bench_simd_vs_portable, bench_analysis
 }
 criterion_main!(kernel);

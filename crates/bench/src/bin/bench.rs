@@ -16,16 +16,13 @@
 //! extra lanes of one lockstep pass against per-scenario re-analysis
 //! (`corner_sweep`), and
 //! `CycleTimeAnalysis::analyze_batch` against the sequential loop on a
-//! 64-graph `tsg_gen` sweep, the warm-session delay-edit loop
-//! (`edit_loop`), and the structural-edit loop (`structural_edit`):
-//! mixed split/nudge scripts replayed as from-scratch re-analyses vs
-//! one session resuming through `edit_structure`, and `.g` loading
-//! (`load`: `parse_stg` at 1024 and 4096 events), and the one-shot
-//! two-row window against a session's full lane matrix at the
-//! 1024-event, b = 37 shape (`oneshot_window`: `run_in` time and wide
-//! bytes beside `AnalysisSession::open`), and the lane-chunk crossover
-//! of the one analysis core (`lane_chunks`: `run_in` and a corner sweep
-//! on one against two `AnalysisArena` workers, 256 to 4096 events) —
+//! 64-graph `tsg_gen` sweep, `.g` loading (`load`: `parse_stg` at 1024
+//! and 4096 events), the one-shot two-row window at the 1024-event,
+//! b = 37 shape (`oneshot_window`: `run_in` time and wide bytes beside
+//! `AnalysisSession::open`, which runs in the same window), and the
+//! lane-chunk crossover of the one analysis core (`lane_chunks`:
+//! `run_in` and a corner sweep on one against two `AnalysisArena`
+//! workers, 256 to 4096 events) —
 //! and writes the numbers to
 //! `BENCH_kernel.json` (see the README's "Performance" section for how
 //! to read it). CI runs `bench --quick` on every PR, so the perf
@@ -43,14 +40,13 @@ use std::time::Instant;
 
 use tsg_baselines::{longrun_estimate_mc, longrun_estimate_mc_lanes};
 use tsg_bench::{
-    apply_graph_edits, assert_analyses_identical, assert_backends_match,
-    assert_scenarios_match_scalar, assert_wide_matches_scalar, available_backends, edit_loop_graph,
-    edit_script, hold, push_pop, ring_with_chords_text, structural_edit_script, wide_scenarios,
-    EDIT_LOOP_WORKLOAD,
+    assert_analyses_identical, assert_backends_match, assert_scenarios_match_scalar,
+    assert_wide_matches_scalar, available_backends, hold, push_pop, ring_with_chords_text,
+    wide_scenarios,
 };
 use tsg_core::analysis::initiated::SimArena;
 use tsg_core::analysis::session::AnalysisSession;
-use tsg_core::analysis::wide::{AnalysisArena, WideArena};
+use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::{Corner, CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::SignalGraph;
 use tsg_sim::{BatchRunner, EventQueue};
@@ -497,16 +493,15 @@ struct WindowRow {
     oneshot_wide_bytes: usize,
     /// Per-call seconds of `AnalysisSession::open`, sorted ascending.
     session_samples: Vec<f64>,
-    /// Bytes of the full lane matrix a session keeps.
-    full_matrix_bytes: usize,
+    /// Bytes of an open session's wide rows.
+    session_wide_bytes: usize,
 }
 
-/// The one-shot window against the full matrix at the `analyze-large`
-/// shape: a 1024-event ring with 8 tokens and 64 chords, drawn until
-/// it has exactly 37 border events. `run_in` keeps two rows of the
-/// lane matrix; a session open computes the same rows but keeps all
-/// `b + 1`, because its edits resume from them. Both are asserted to
-/// give the same analysis before timing.
+/// The one-shot window at the `analyze-large` shape: a 1024-event ring
+/// with 8 tokens and 64 chords, drawn until it has exactly 37 border
+/// events. `run_in` keeps two rows of the lane matrix, and so does a
+/// session open, which runs the same core. Both are asserted to give
+/// the same analysis before timing.
 fn measure_oneshot_window(reps: usize) -> WindowRow {
     const EVENTS: usize = 1024;
     const BORDERS: usize = 37;
@@ -521,15 +516,11 @@ fn measure_oneshot_window(reps: usize) -> WindowRow {
         .map(|seed| tsg_gen::random_live_tsg(seed, config))
         .find(|sg| sg.border_events().len() == BORDERS)
         .expect("some seed draws b = 37");
-    let border = sg.border_events();
 
     let mut arena = AnalysisArena::new();
     let oneshot = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
     let session = AnalysisSession::open(sg.clone()).expect("live");
     assert_analyses_identical(session.analysis(), &oneshot, "oneshot_window");
-    let mut full = WideArena::new();
-    full.run(&sg, &border, BORDERS as u32)
-        .expect("borders are repetitive");
     let cell = std::mem::size_of::<f64>();
 
     let oneshot_samples = samples_per_call(reps, || {
@@ -551,7 +542,7 @@ fn measure_oneshot_window(reps: usize) -> WindowRow {
         oneshot_samples,
         oneshot_wide_bytes: arena.capacity().0 * cell,
         session_samples,
-        full_matrix_bytes: full.capacity() * cell,
+        session_wide_bytes: session.arena_capacity().0 * cell,
     }
 }
 
@@ -641,150 +632,6 @@ fn measure_lane_chunks(reps: usize) -> Vec<ChunkRow> {
     rows
 }
 
-struct EditLoopRow {
-    edits: usize,
-    full_seconds: f64,
-    session_seconds: f64,
-    speedup: f64,
-    rows: usize,
-    rows_total: usize,
-}
-
-/// The bottleneck-hunting loop of the acceptance criterion: a delay
-/// edit script replayed as from-scratch re-analyses vs one warm
-/// [`AnalysisSession`], asserted bit-identical edit by edit.
-fn measure_edit_loop(edit_counts: &[usize], reps: usize) -> Vec<EditLoopRow> {
-    let base = edit_loop_graph();
-    let mut out = Vec::new();
-    for &edits in edit_counts {
-        let script = edit_script(&base, edits);
-
-        let mut full_best = f64::INFINITY;
-        let mut reference: Vec<u64> = Vec::new();
-        for _ in 0..reps.max(1) {
-            let mut sg = base.clone();
-            let t = Instant::now();
-            let taus: Vec<u64> = script
-                .iter()
-                .map(|e| {
-                    sg.set_delay(e.arc, e.delay).expect("valid edit");
-                    CycleTimeAnalysis::run(&sg)
-                        .expect("ring stays live")
-                        .cycle_time()
-                        .as_f64()
-                        .to_bits()
-                })
-                .collect();
-            full_best = full_best.min(t.elapsed().as_secs_f64());
-            reference = taus;
-        }
-
-        let mut session_best = f64::INFINITY;
-        let (mut rows, mut rows_total) = (0usize, 0usize);
-        for _ in 0..reps.max(1) {
-            // The open (one full analysis) is untimed warm-up: the
-            // scenario under measurement is the edit loop a live
-            // session serves.
-            let mut session = AnalysisSession::open(base.clone()).expect("ring is live");
-            (rows, rows_total) = (0, 0);
-            let t = Instant::now();
-            let taus: Vec<u64> = script
-                .iter()
-                .map(|e| {
-                    let delta = session
-                        .edit_delays(std::slice::from_ref(e), None)
-                        .expect("valid edit");
-                    rows += delta.rows;
-                    rows_total += delta.rows_total;
-                    session.analysis().cycle_time().as_f64().to_bits()
-                })
-                .collect();
-            session_best = session_best.min(t.elapsed().as_secs_f64());
-            assert_eq!(
-                taus, reference,
-                "session edits diverged from from-scratch re-analysis"
-            );
-        }
-
-        out.push(EditLoopRow {
-            edits,
-            full_seconds: full_best,
-            session_seconds: session_best,
-            speedup: full_best / session_best.max(1e-12),
-            rows,
-            rows_total,
-        });
-    }
-    out
-}
-
-/// The design-exploration loop of PR 8: a mixed structural script
-/// (pipeline-stage splits interleaved with delay nudges) replayed as
-/// from-scratch re-analyses of a mutated graph clone vs one warm
-/// [`AnalysisSession`] resuming through
-/// [`edit_structure`](AnalysisSession::edit_structure) — remapping its
-/// lanes onto each batch's new border set instead of reseeding — and
-/// asserted bit-identical batch by batch.
-fn measure_structural_edit_loop(batch_counts: &[usize], reps: usize) -> Vec<EditLoopRow> {
-    let base = edit_loop_graph();
-    let mut out = Vec::new();
-    for &batches in batch_counts {
-        let script = structural_edit_script(&base, batches);
-
-        let mut full_best = f64::INFINITY;
-        let mut reference: Vec<u64> = Vec::new();
-        for _ in 0..reps.max(1) {
-            let mut sg = base.clone();
-            let t = Instant::now();
-            let taus: Vec<u64> = script
-                .iter()
-                .map(|batch| {
-                    apply_graph_edits(&mut sg, batch);
-                    CycleTimeAnalysis::run(&sg)
-                        .expect("script keeps the ring live")
-                        .cycle_time()
-                        .as_f64()
-                        .to_bits()
-                })
-                .collect();
-            full_best = full_best.min(t.elapsed().as_secs_f64());
-            reference = taus;
-        }
-
-        let mut session_best = f64::INFINITY;
-        let (mut rows, mut rows_total) = (0usize, 0usize);
-        for _ in 0..reps.max(1) {
-            let mut session = AnalysisSession::open(base.clone()).expect("ring is live");
-            (rows, rows_total) = (0, 0);
-            let t = Instant::now();
-            let taus: Vec<u64> = script
-                .iter()
-                .map(|batch| {
-                    let delta = session.edit_structure(batch, None).expect("valid batch");
-                    rows += delta.rows;
-                    rows_total += delta.rows_total;
-                    session.analysis().cycle_time().as_f64().to_bits()
-                })
-                .collect();
-            session_best = session_best.min(t.elapsed().as_secs_f64());
-            assert_eq!(
-                taus, reference,
-                "structural session edits diverged from from-scratch re-analysis"
-            );
-        }
-
-        out.push(EditLoopRow {
-            edits: batches,
-            full_seconds: full_best,
-            session_seconds: session_best,
-            speedup: full_best / session_best.max(1e-12),
-            rows,
-            rows_total,
-        });
-    }
-    out
-}
-
 #[allow(clippy::too_many_arguments)]
 fn json_report(
     quick: bool,
@@ -792,8 +639,6 @@ fn json_report(
     graphs: usize,
     seq_seconds: f64,
     batch_rows: &[BatchRow],
-    edit_rows: &[EditLoopRow],
-    struct_rows: &[EditLoopRow],
     wide_rows: &[WideRow],
     simd_rows: &[SimdRow],
     longrun_rows: &[LongrunRow],
@@ -886,36 +731,6 @@ fn json_report(
     }
     let _ = writeln!(out, "    ]");
     let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"edit_loop\": {{");
-    let _ = writeln!(out, "    \"workload\": \"{EDIT_LOOP_WORKLOAD}\",");
-    let _ = writeln!(out, "    \"bit_identical\": true,");
-    let _ = writeln!(out, "    \"sweeps\": [");
-    for (i, r) in edit_rows.iter().enumerate() {
-        let comma = if i + 1 < edit_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"edits\": {}, \"full_seconds\": {:.9}, \"session_seconds\": {:.9}, \
-             \"speedup\": {:.3}, \"rows_resimulated\": {}, \"rows_full\": {}}}{comma}",
-            r.edits, r.full_seconds, r.session_seconds, r.speedup, r.rows, r.rows_total
-        );
-    }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"structural_edit\": {{");
-    let _ = writeln!(out, "    \"workload\": \"{EDIT_LOOP_WORKLOAD}\",");
-    let _ = writeln!(out, "    \"bit_identical\": true,");
-    let _ = writeln!(out, "    \"sweeps\": [");
-    for (i, r) in struct_rows.iter().enumerate() {
-        let comma = if i + 1 < struct_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"batches\": {}, \"full_seconds\": {:.9}, \"session_seconds\": {:.9}, \
-             \"speedup\": {:.3}, \"rows_resimulated\": {}, \"rows_full\": {}}}{comma}",
-            r.edits, r.full_seconds, r.session_seconds, r.speedup, r.rows, r.rows_total
-        );
-    }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"corner_sweep\": {{");
     let _ = writeln!(out, "    \"bit_identical\": true,");
     let _ = writeln!(out, "    \"sweeps\": [");
@@ -988,7 +803,7 @@ fn json_report(
     let _ = writeln!(
         out,
         "    \"session_wide_bytes\": {}",
-        window.full_matrix_bytes
+        window.session_wide_bytes
     );
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"lane_chunks\": {{");
@@ -1140,34 +955,6 @@ fn main() {
         );
     }
 
-    eprintln!("measuring the session edit loop ({EDIT_LOOP_WORKLOAD})...");
-    let edit_rows = measure_edit_loop(&[1, 8, 64], reps);
-    for r in &edit_rows {
-        eprintln!(
-            "  {:>3} edit(s): full {:>8.2} ms, session {:>8.2} ms ({:.2}x, {} of {} rows)",
-            r.edits,
-            r.full_seconds * 1e3,
-            r.session_seconds * 1e3,
-            r.speedup,
-            r.rows,
-            r.rows_total
-        );
-    }
-
-    eprintln!("measuring the structural edit loop ({EDIT_LOOP_WORKLOAD})...");
-    let struct_rows = measure_structural_edit_loop(&[1, 8, 64], reps);
-    for r in &struct_rows {
-        eprintln!(
-            "  {:>3} batch(es): full {:>8.2} ms, session {:>8.2} ms ({:.2}x, {} of {} rows)",
-            r.edits,
-            r.full_seconds * 1e3,
-            r.session_seconds * 1e3,
-            r.speedup,
-            r.rows,
-            r.rows_total
-        );
-    }
-
     eprintln!("measuring .g loading (parse_stg)...");
     let load_rows = measure_load(&[1024, 4096], reps.max(7));
     for r in &load_rows {
@@ -1180,7 +967,7 @@ fn main() {
         );
     }
 
-    eprintln!("measuring the one-shot window against a session's full matrix...");
+    eprintln!("measuring the one-shot window and a session open...");
     let window_row = measure_oneshot_window(reps.max(5));
     eprintln!(
         "  {} events, b={}: run_in {:.3} ms in {:.2} MB of rows; session open {:.3} ms, {:.2} MB",
@@ -1189,7 +976,7 @@ fn main() {
         window_row.oneshot_samples[window_row.oneshot_samples.len() / 2] * 1e3,
         window_row.oneshot_wide_bytes as f64 / 1e6,
         window_row.session_samples[window_row.session_samples.len() / 2] * 1e3,
-        window_row.full_matrix_bytes as f64 / 1e6
+        window_row.session_wide_bytes as f64 / 1e6
     );
 
     eprintln!("measuring lane chunks: one against two analysis workers...");
@@ -1236,8 +1023,6 @@ fn main() {
         graphs.len(),
         seq_seconds,
         &batch_rows,
-        &edit_rows,
-        &struct_rows,
         &wide_rows,
         &simd_rows,
         &longrun_rows,

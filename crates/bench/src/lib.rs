@@ -7,7 +7,7 @@
 //! distribution here changes both, never one.
 
 use tsg_core::analysis::initiated::SimArena;
-use tsg_core::analysis::session::{DelayEdit, GraphEdit};
+use tsg_core::analysis::session::GraphEdit;
 use tsg_core::analysis::wide::{AnalysisArena, WideArena};
 use tsg_core::analysis::{CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
@@ -53,15 +53,6 @@ pub fn hold(mut q: EventQueue<u64>, depth: usize, ops: usize) -> usize {
         q.schedule(ev.time + delay(i), ev.payload);
     }
     depth + 2 * ops
-}
-
-/// Label of the edit-loop workload — a ring whose 16 tokens sit far
-/// apart, so delay edits have real token distance to exploit.
-pub const EDIT_LOOP_WORKLOAD: &str = "ring n=256 tokens=16";
-
-/// The edit-loop graph matching [`EDIT_LOOP_WORKLOAD`].
-pub fn edit_loop_graph() -> SignalGraph {
-    tsg_gen::ring(256, 16, 1.0)
 }
 
 /// `.g` text of a ring with chords for the `load` rows: the
@@ -282,26 +273,10 @@ pub fn assert_scenarios_match_scalar(sg: &SignalGraph, set: &ScenarioSet, ctx: &
     }
 }
 
-/// A deterministic bottleneck-hunting script over `sg`: `count` delay
-/// edits striding through the arcs, each nudging the current delay so
-/// no edit is ever a no-op.
-pub fn edit_script(sg: &SignalGraph, count: usize) -> Vec<DelayEdit> {
-    let m = sg.arc_count();
-    (0..count)
-        .map(|i| {
-            let arc = ArcId(((i * 37) % m) as u32);
-            DelayEdit {
-                arc,
-                delay: sg.arc(arc).delay().get() + 0.25 + (i % 4) as f64 * 0.25,
-            }
-        })
-        .collect()
-}
-
 /// Applies one [`GraphEdit`] batch directly to a graph through the
-/// mutation API — the "from-scratch" arm of the structural-edit bench
-/// (mutate a clone, rerun the full analysis), and the mirror
-/// [`structural_edit_script`] builds its later batches against.
+/// mutation API — the from-scratch side the session tests compare
+/// against, and the mirror [`structural_edit_script`] builds its later
+/// batches against.
 ///
 /// # Panics
 ///
@@ -330,9 +305,9 @@ pub fn apply_graph_edits(sg: &mut SignalGraph, batch: &[GraphEdit]) {
 
 /// A deterministic mixed structural script over `sg`: `count` batches
 /// alternating always-valid pipeline-stage splits (one fresh event
-/// each, the second half marked) with delay nudges — the
-/// `structural_edit` bench workload, valid by construction so the
-/// full-reanalysis and session-resume arms time identical work. Batches
+/// each, the second half marked) with delay nudges, valid by
+/// construction so a session and a from-scratch replay apply identical
+/// edits. Batches
 /// are built against an evolving mirror of the graph, so the ids each
 /// batch names are exactly the ids the session assigns when the batches
 /// apply in order.

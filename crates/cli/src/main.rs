@@ -80,22 +80,22 @@ scenarios in which the arc lies on the critical cycle). `--samples K
 arc's delay drawn uniformly within ±PCT); sample j of K is
 bit-identical regardless of K. Corners win when both are given.
 
-`explore` opens an incremental analysis session on FILE and applies
-each --edit (delay reassignment of the arc SRC->DST) in order,
-re-simulating only the dirty region per edit and reporting the cycle
-time after each step — the paper's bottleneck-hunting loop. With
+`explore` opens an analysis session on FILE and applies each --edit
+(delay reassignment of the arc SRC->DST) in order, re-running the
+analysis per edit and reporting the cycle time after each step — the
+paper's bottleneck-hunting loop. With
 --optimize the session then runs the speculative design-exploration
 loop: --moves N candidate edits (delay nudges, arc rewires,
 pipeline-stage insertions; default 16) are proposed by a --seed-driven
-deterministic generator, each scored by incremental re-analysis
-against a snapshot, committed only when it strictly lowers the
+deterministic generator, each scored by re-analysis against a
+snapshot, committed only when it strictly lowers the
 --objective, and rolled back otherwise, so the accepted trajectory is
 monotone. `--objective tau` (the default) minimises the nominal cycle
 time; `--objective tau-p95` enables `--samples K` (default 16) seeded
 delay scenarios on the session and minimises the 95th-percentile τ
 over them — robust optimization under delay variation.
 `--report json` renders the whole trajectory as one JSON object per
-line (per-edit/per-move tau, critical cycle, rows resumed) for
+line (per-edit/per-move tau, critical cycle, rows simulated) for
 downstream tooling. In every mode the final state is verified
 bit-identical to a from-scratch analysis.
 
@@ -111,8 +111,8 @@ in the OS accept backlog). Unix only. Workers are supervised: one
 dying mid-request answers that request `worker_lost` and respawns with
 a fresh workspace. Responses are byte-identical to the one-shot
 commands; EOF or Ctrl-C shuts down gracefully. Each open
-incremental session pins O(b²·n) warm state to a worker for its whole
-life, so long-lived deployments should cap them: `--max-sessions N`
+session pins its graph, its analysis and a two-row lane window to a
+worker for its whole life, so long-lived deployments should cap them: `--max-sessions N`
 answers any session.open beyond N open sessions with a structured
 error until one closes (default: unbounded).
 
@@ -130,7 +130,8 @@ request line. The `TSG_CHAOS` environment variable arms fault
 injection (see the README's Operations section).
 
 `ping` is the matching load probe: it sends `--count N` stats requests
-(default 1) over one connection, honours `overloaded` retry-after
+(default 1), redials after a cut connection (the cut probe counts as
+failed, the redial sleeps a jittered backoff), honours `overloaded` retry-after
 hints with decorrelated-jitter backoff — each sleep is drawn uniformly
 between the server's `retry_after_ms` hint (the floor) and 3x the
 previous sleep, capped by `--max-backoff-ms MS` (default 5000), so a
@@ -811,10 +812,13 @@ fn backoff_ms(prev: u64, hint: u64, cap: u64, rng: &mut ops::SplitMix64) -> u64 
     floor + rng.below(ceiling - floor + 1)
 }
 
-/// The `tsg ping` load probe: sends `count` stats requests over one
-/// connection, honouring `overloaded` retry-after hints with
-/// decorrelated-jitter backoff under `max_backoff` (see [`backoff_ms`]),
-/// and reports ok/failed counts and latency.
+/// The `tsg ping` load probe: sends `count` stats requests, honouring
+/// `overloaded` retry-after hints with decorrelated-jitter backoff under
+/// `max_backoff` (see [`backoff_ms`]), and reports ok/failed counts and
+/// latency. A connection cut mid-probe fails that probe; the next probe
+/// redials after a jittered backoff sleep (floor 1 ms), so every probe
+/// is counted as ok or failed and a server that recovers is measured
+/// again.
 fn ping(
     target: &str,
     count: u32,
@@ -823,26 +827,31 @@ fn ping(
     max_backoff: u64,
 ) -> Result<String, String> {
     use std::io::{BufRead, BufReader, Write};
-    let (mut reader, mut writer): (Box<dyn BufRead>, Box<dyn Write>) = match target.split_once(':')
-    {
-        Some(("tcp", addr)) => {
-            let stream = std::net::TcpStream::connect(addr)
-                .map_err(|e| format!("connecting tcp {addr}: {e}"))?;
-            let clone = stream.try_clone().map_err(|e| e.to_string())?;
-            (Box::new(BufReader::new(clone)), Box::new(stream))
+    type Conn = (Box<dyn BufRead>, Box<dyn Write>);
+    let dial = || -> Result<Conn, String> {
+        match target.split_once(':') {
+            Some(("tcp", addr)) => {
+                let stream = std::net::TcpStream::connect(addr)
+                    .map_err(|e| format!("connecting tcp {addr}: {e}"))?;
+                let clone = stream.try_clone().map_err(|e| e.to_string())?;
+                Ok((Box::new(BufReader::new(clone)), Box::new(stream)))
+            }
+            #[cfg(unix)]
+            Some(("unix", path)) => {
+                let stream = std::os::unix::net::UnixStream::connect(path)
+                    .map_err(|e| format!("connecting unix {path}: {e}"))?;
+                let clone = stream.try_clone().map_err(|e| e.to_string())?;
+                Ok((Box::new(BufReader::new(clone)), Box::new(stream)))
+            }
+            _ => Err("ping takes tcp:HOST:PORT or unix:PATH".to_owned()),
         }
-        #[cfg(unix)]
-        Some(("unix", path)) => {
-            let stream = std::os::unix::net::UnixStream::connect(path)
-                .map_err(|e| format!("connecting unix {path}: {e}"))?;
-            let clone = stream.try_clone().map_err(|e| e.to_string())?;
-            (Box::new(BufReader::new(clone)), Box::new(stream))
-        }
-        _ => return Err("ping takes tcp:HOST:PORT or unix:PATH".to_owned()),
     };
+    let mut conn = Some(dial()?);
     let mut ok = 0u32;
     let mut failed = 0u32;
     let mut retried = 0u32;
+    let mut redials = 0u32;
+    let mut redial_sleep = 0u64;
     let mut latencies: Vec<Duration> = Vec::with_capacity(count as usize);
     let mut last = String::new();
     // Seeded per process so concurrent probes decorrelate from each
@@ -856,19 +865,37 @@ fn ping(
         let mut attempt = 0u32;
         let mut prev_sleep = 0u64;
         loop {
+            let (reader, writer) = match conn.as_mut() {
+                Some(c) => c,
+                None => {
+                    redial_sleep = backoff_ms(redial_sleep, 1, max_backoff, &mut rng);
+                    std::thread::sleep(Duration::from_millis(redial_sleep));
+                    redials += 1;
+                    match dial() {
+                        Ok(c) => conn.insert(c),
+                        Err(_) => {
+                            failed += 1;
+                            break;
+                        }
+                    }
+                }
+            };
             let start = Instant::now();
-            writer
+            let mut line = String::new();
+            let answered = writer
                 .write_all(request.as_bytes())
                 .and_then(|()| writer.flush())
-                .map_err(|e| format!("sending probe {k}: {e}"))?;
-            let mut line = String::new();
-            let n = reader
-                .read_line(&mut line)
-                .map_err(|e| format!("reading probe {k} response: {e}"))?;
-            if n == 0 {
-                return Err(format!("server closed the connection after {ok} probe(s)"));
+                .and_then(|()| reader.read_line(&mut line))
+                .is_ok_and(|n| n > 0 && line.ends_with('\n'));
+            if !answered {
+                // The connection was cut: this probe failed, the next
+                // one redials.
+                conn = None;
+                failed += 1;
+                break;
             }
             let elapsed = start.elapsed();
+            redial_sleep = 0;
             let doc = Json::parse(line.trim()).ok();
             let code = doc
                 .as_ref()
@@ -906,7 +933,8 @@ fn ping(
     let max = latencies.iter().max().map(ms).unwrap_or(0.0);
     let mean = latencies.iter().map(ms).sum::<f64>() / latencies.len().max(1) as f64;
     let mut out = format!(
-        "pinged {target}: {ok} ok, {failed} failed of {count} probe(s) ({retried} retried)\n"
+        "pinged {target}: {ok} ok, {failed} failed of {count} probe(s) \
+         ({retried} retried, {redials} redial(s))\n"
     );
     let _ = writeln!(
         out,
@@ -949,6 +977,49 @@ mod tests {
             diverged |= pa != pb;
         }
         assert!(diverged);
+    }
+
+    /// A server that answers one probe per connection and then closes
+    /// it: every cut fails one probe and the next probe redials, so the
+    /// client reports every probe and exits cleanly.
+    #[cfg(unix)]
+    #[test]
+    fn ping_redials_a_cut_connection() {
+        use std::io::{BufRead, BufReader, Write};
+        let path =
+            std::env::temp_dir().join(format!("tsg-ping-redial-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        let server = std::thread::spawn(move || {
+            for stream in listener.incoming().take(2) {
+                let mut stream = stream.unwrap();
+                let mut line = String::new();
+                BufReader::new(&stream).read_line(&mut line).unwrap();
+                stream.write_all(b"{\"id\":0,\"ok\":true}\n").unwrap();
+            }
+        });
+        let target = format!("unix:{}", path.display());
+        let args = ["ping", &target, "--count", "4", "--max-backoff-ms", "5"];
+        let out = run(&args.map(String::from)).unwrap();
+        server.join().unwrap();
+        let _ = std::fs::remove_file(&path);
+        let counts: Vec<u32> = out
+            .split(": ")
+            .nth(1)
+            .unwrap()
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|w| w.parse().ok())
+            .take(3)
+            .collect();
+        let [ok, failed, total] = counts[..] else {
+            panic!("{out}");
+        };
+        assert_eq!(total, 4, "{out}");
+        assert_eq!(ok + failed, total, "{out}");
+        // Probes 0 and 2 land on fresh connections, 1 and 3 hit a cut;
+        // only probe 2 needed a redial.
+        assert_eq!((ok, failed), (2, 2), "{out}");
+        assert!(out.contains("1 redial(s)"), "{out}");
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //!    (Proposition 5).
 //!
 //! Step 2 — the hot phase — runs on the lane-batched
-//! [`WideArena`](crate::analysis::wide::WideArena): all `b` simulations
-//! advance in lockstep over **one** pass of the shared
-//! [`CyclicStructure`], so the in-arc table streams through cache once
-//! per row instead of once per simulation, and the per-arc
-//! `max(best, src + δ)` widens to `b` contiguous SIMD-friendly lanes.
+//! [`WideArena`]: all `b` simulations advance in lockstep over **one**
+//! pass of the shared flattened in-arc table, so the table streams
+//! through cache once per row instead of once per simulation, and the
+//! per-arc `max(best, src + δ)` widens to `b` contiguous SIMD-friendly
+//! lanes.
 //! The scalar engine survives as [`CycleTimeAnalysis::run_scalar`] — the
 //! reference oracle every wide result is property-tested (and
 //! bench-asserted) bit-identical against — and as the parent-tracked
@@ -175,7 +175,7 @@ fn ratio_cmp(a: (f64, u32), b: (f64, u32)) -> std::cmp::Ordering {
 /// escape the analysis entry points — every lane is initiated from a
 /// border event, which is repetitive by construction — but the mapping
 /// stays total so a future caller mistake is a structured error, not UB.
-pub(crate) fn halt_to_error(halt: Halt) -> AnalysisError {
+fn halt_to_error(halt: Halt) -> AnalysisError {
     match halt {
         Halt::NotRepetitive(_) => {
             unreachable!("border events are repetitive by construction")
@@ -197,11 +197,7 @@ const L2_BUDGET_BYTES: usize = 512 * 1024;
 
 /// The records of lanes `first..first + origins.len()` of `wide`, lane
 /// `first + k` initiated from `origins[k]`.
-pub(crate) fn lane_records(
-    wide: &WideArena,
-    origins: &[EventId],
-    first: usize,
-) -> Vec<BorderRecord> {
+fn lane_records(wide: &WideArena, origins: &[EventId], first: usize) -> Vec<BorderRecord> {
     origins
         .iter()
         .enumerate()
@@ -260,44 +256,6 @@ fn on_workers<T: Sync, X: Send>(
     least.map_or(Ok(out), |c| Err(halt_to_error(Halt::Cancelled(c))))
 }
 
-/// Steps 4–5 for every scenario of `set` — shared by
-/// [`CycleTimeAnalysis::run_scenarios_in`] and a session's scenario
-/// lanes: scenario `j`'s border records finish on `sg` reweighted by
-/// scenario `j`. One scratch clone serves every scenario in turn with
-/// its delays overwritten in place (the exact `nominal × factor`
-/// products the sweep's lanes folded), and `structure` is rebuilt per
-/// scenario over the same warm buffers.
-///
-/// Fails on the first scenario, in order, that scales a delay past
-/// `f64::MAX` ([`AnalysisError::ScenarioDelay`]) or whose winning cycle
-/// length overflows.
-pub(crate) fn finish_scenarios(
-    sg: &SignalGraph,
-    set: &ScenarioSet,
-    border: &[EventId],
-    periods: u32,
-    records: impl IntoIterator<Item = Vec<BorderRecord>>,
-    structure: &mut CyclicStructure,
-    finish: &mut SimArena,
-) -> Result<ScenarioAnalysis, AnalysisError> {
-    let mut scratch = sg.clone();
-    let labels = (0..set.len()).map(|j| set.label(j).to_string()).collect();
-    let mut per = Vec::with_capacity(set.len());
-    for (j, records) in records.into_iter().enumerate() {
-        set.reweight_onto(&mut scratch, sg, j)?;
-        structure.rebuild(&scratch);
-        per.push(CycleTimeAnalysis::finish(
-            &scratch,
-            structure,
-            border.to_vec(),
-            records,
-            periods,
-            finish,
-        )?);
-    }
-    Ok(ScenarioAnalysis::new(labels, per))
-}
-
 /// Result of the paper's cycle-time algorithm.
 ///
 /// # Examples
@@ -343,8 +301,7 @@ impl CycleTimeAnalysis {
     /// Runs the algorithm with the `b` lockstep simulations — a two-row
     /// lane-major window plus each lane's origin cell per row, all the
     /// records read — and the scalar arena of the parent-tracked winner
-    /// re-run living in `arena`. The full matrix is never materialised:
-    /// nothing resumes a one-shot run (sessions, which do, keep it).
+    /// re-run living in `arena`. The full matrix is never materialised.
     ///
     /// `periods` overrides the default `b` periods per border event.
     /// Correctness requires it to be at least the maximum occurrence
@@ -363,7 +320,8 @@ impl CycleTimeAnalysis {
     /// the result is bit-identical at every worker count. Repeated
     /// analyses over one arena — a design-space inner loop, a worker
     /// thread of [`CycleTimeAnalysis::analyze_batch`], a serve
-    /// workspace — stop churning the allocator: after the first
+    /// workspace, an [`AnalysisSession`](crate::analysis::AnalysisSession)
+    /// — stop churning the allocator: after the first
     /// analysis of the largest shape, the matrices are never
     /// reallocated again.
     ///
@@ -402,20 +360,6 @@ impl CycleTimeAnalysis {
         arena: &mut AnalysisArena,
         cancel: Option<&CancelToken>,
     ) -> Result<Self, AnalysisError> {
-        Self::run_rows(sg, periods, arena, Rows::Window, cancel)
-    }
-
-    /// The one body of steps 1–5, keeping the lane rows `rows` says:
-    /// [`Rows::Window`] for one-shot runs, [`Rows::All`] for a session
-    /// open, whose edits resume from the full matrix left in the
-    /// arena's first worker.
-    pub(crate) fn run_rows(
-        sg: &SignalGraph,
-        periods: Option<u32>,
-        arena: &mut AnalysisArena,
-        rows: Rows,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Self, AnalysisError> {
         let border = sg.border_events();
         if border.is_empty() {
             return Err(AnalysisError::NoCyclicBehavior);
@@ -432,7 +376,7 @@ impl CycleTimeAnalysis {
         structure.rebuild(sg);
         let shared: &CyclicStructure = structure;
         let records = on_workers(wides, &border, |wide, lanes| {
-            wide.run_with(sg, shared, lanes, b, rows, cancel)?;
+            wide.run_with(sg, shared, lanes, b, Rows::Window, cancel)?;
             Ok(lane_records(wide, lanes, 0))
         })?;
 
@@ -570,7 +514,28 @@ impl CycleTimeAnalysis {
             Ok(out)
         })?;
 
-        finish_scenarios(sg, set, &border, b, scenario_records, structure, finish)
+        // Steps 4–5 per scenario: scenario `j`'s records finish on `sg`
+        // reweighted by scenario `j`. One scratch clone serves every
+        // scenario in turn with its delays overwritten in place, and the
+        // structure is rebuilt per scenario over the same warm buffers.
+        // The first scenario, in order, that scales a delay past
+        // `f64::MAX` or whose winning cycle length overflows fails.
+        let mut scratch = sg.clone();
+        let labels = (0..s).map(|j| set.label(j).to_string()).collect();
+        let mut per = Vec::with_capacity(s);
+        for (j, records) in scenario_records.into_iter().enumerate() {
+            set.reweight_onto(&mut scratch, sg, j)?;
+            structure.rebuild(&scratch);
+            per.push(Self::finish(
+                &scratch,
+                structure,
+                border.clone(),
+                records,
+                b,
+                finish,
+            )?);
+        }
+        Ok(ScenarioAnalysis::new(labels, per))
     }
 
     /// Analyzes many graphs in parallel — the many-graph sweep behind

@@ -12,8 +12,9 @@
 //! * [`CycleTimeAnalysis`] — the O(b²m) cycle-time algorithm with
 //!   critical-cycle backtracking (Sections VI–VII), running on the wide
 //!   kernel,
-//! * [`session::AnalysisSession`] — incremental delta re-analysis:
-//!   delay edits re-simulate only the dirty region,
+//! * [`session::AnalysisSession`] — edit-and-re-measure sessions:
+//!   delay and structural edit batches, each answered by one
+//!   re-analysis in the session's arena,
 //! * [`border`] — border and cut sets (Section VI.A),
 //! * [`asymptotic`] — δ-series for Figure 4,
 //! * [`diagram`] — ASCII timing diagrams (Figure 1c/1d).

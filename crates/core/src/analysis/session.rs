@@ -1,113 +1,57 @@
-//! Incremental analysis sessions: delta-driven re-analysis.
+//! Analysis sessions: edit a graph, re-measure its cycle time, repeat.
 //!
 //! The paper's headline workflow is bottleneck hunting — edit a gate
-//! delay, re-measure the cycle time, repeat. Re-running the full
-//! O(b²·m) algorithm per edit throws away almost all of the previous
-//! work: a delay edit leaves the graph's *structure* (topology, marking,
-//! border set) untouched, so of the `b` border-initiated simulations
-//! only the rows an edit can actually influence need recomputing. An
-//! [`AnalysisSession`] owns the graph plus all warm simulation state —
-//! the shared [`CyclicStructure`], the cached [`BorderRecord`]s, and one
-//! warm lane-major [`WideArena`] holding all `b` border matrices — and
-//! answers [`edit_delays`](AnalysisSession::edit_delays) queries by
-//! re-simulating only that dirty region.
+//! delay, re-measure the cycle time, repeat. An [`AnalysisSession`]
+//! owns the graph, its last [`CycleTimeAnalysis`] (plus a
+//! [`ScenarioAnalysis`] when scenario lanes are on) and the
+//! [`AnalysisArena`] it was opened on. Every edit batch is validated,
+//! applied to the graph, and answered by re-running the one analysis
+//! core, [`CycleTimeAnalysis::run_in_with_cancel`] (and
+//! [`CycleTimeAnalysis::run_scenarios_in`] when scenarios are on), in
+//! that arena's two-row lane window. So the session holds O(b·n) lane
+//! cells, not a matrix per border, and its analysis is the one-shot
+//! result on the edited graph by construction.
 //!
-//! # The dirty-region criterion
+//! Nothing resumes from earlier rows: on a strongly connected graph one
+//! delay edit reaches every border simulation within a period or two,
+//! so a resume from the first row an edit can touch recomputes nearly
+//! every row anyway (97% on the served `explore-edits` workload) while
+//! it must keep all `b` matrices, O(b²·n) cells.
 //!
-//! The simulation of border event `g` fills a `(b+1) × n` matrix of
-//! longest-path lengths `t_{g0}(e_p)` over the unfolding restricted to
-//! `b` periods; its record collects the diagonal `t_{g0}(g_i)`. Editing
-//! the delay of arc `a = u → v` can only change a cell `(e, p)` if some
-//! `g_0 → e_p` path passes through `a` — and any such path spends at
-//! least
+//! # Edit batches
 //!
-//! ```text
-//! r0(g, a)  =  ε(g → u) + marked(a)
-//! ```
+//! [`edit_delays`](AnalysisSession::edit_delays) assigns arc delays;
+//! [`edit_structure`](AnalysisSession::edit_structure) also adds and
+//! removes arcs and events ([`GraphEdit`]) through [`SignalGraph`]'s
+//! mutation API, which tombstones ids so every `ArcId`/`EventId` a
+//! caller holds stays valid. A batch is one transaction:
 //!
-//! periods before crossing `a`, where `ε(x → y)` is the minimum number
-//! of marked arcs on any path from `x` to `y` in the cyclic structure
-//! (a 0-1 BFS, O(m) per edited arc). Every row below `r0` is therefore
-//! bit-exact for the edited graph. The session keeps all `b` matrices
-//! warm in one lane-major [`WideArena`] and *resumes* the whole batch at
-//! `min(r0)` over the dirty lanes — one shared lockstep pass recomputes
-//! rows at or beyond that minimum from the cached row below, with the
-//! identical recurrence. Lanes whose own `r0` lies deeper have their
-//! intermediate rows recomputed to bit-identical values (the recurrence
-//! is a pure function of the rows below and the dirtiness criterion
-//! guarantees the edit cannot reach them there), so the per-lane `r0`
-//! contract of the delta query is preserved while each recomputed row
-//! streams the in-arc table once for all lanes. When no lane's `r0`
-//! falls within the horizon the batch is not touched at all.
+//! * an invalid batch — an unknown arc, a bad delay, a broken graph
+//!   rule, no border event left — restores the graph and returns an
+//!   error; the old analysis was never overwritten;
+//! * a batch whose re-analysis fails ([`EditError::Analysis`]: a
+//!   winning cycle length or a scenario delay overflowing `f64`) is
+//!   refused the same way;
+//! * a batch whose re-analysis is cancelled stays applied:
+//!   [`is_stale`](AnalysisSession::is_stale) reports that the analysis
+//!   lags the graph, and the next uncancelled call — even an empty
+//!   batch — re-runs and heals it.
 //!
-//! The final winner-selection and critical-cycle backtracking re-run as
-//! usual (one parent-tracked simulation), so the produced
-//! [`CycleTimeAnalysis`] is **bit-identical** to a from-scratch run on
-//! the edited graph — asserted across generator families and random
-//! edit scripts in `tests/incremental.rs`. The price is memory: a
-//! session holds `b` matrices of `(b+1) × n` floats, O(b²·n) cells,
-//! instead of one.
-//!
-//! # Structural edits and the border-set remap contract
-//!
-//! [`edit_structure`](AnalysisSession::edit_structure) extends the
-//! delta contract to *structural* mutations — add/remove arc and event
-//! ([`GraphEdit`]). A batch is applied through [`SignalGraph`]'s
-//! mutation API (tombstoning ids, so every cached `ArcId`/`EventId`
-//! stays valid), re-validated as a whole, and rolled back untouched if
-//! any rule breaks. For a committed batch the session rebuilds the
-//! [`CyclicStructure`] in place on its warm scratch and then remaps the
-//! lane axis of the wide arena by one rule:
-//!
-//! * **Border set unchanged and no new events** — every surviving
-//!   border keeps its warm lane. The dirty row of each lane is the
-//!   minimum over (a) pre-apply bounds `ε_old(g → src) + marked`
-//!   computed on the *old* graph for removed and re-delayed arcs (any
-//!   influenced cell owes its change to an old-graph path through the
-//!   arc), and (b) post-apply bounds computed on the *new* graph for
-//!   added arcs (any newly-created path crosses the new arc). All lanes
-//!   resume in lockstep from the global minimum, exactly like a delay
-//!   batch; rows below it are provably bit-identical.
-//! * **Border set changed (or the event axis grew)** — the lane ↔
-//!   border mapping is stale: dead lanes are retired, new borders get
-//!   lanes, and one full warm pass reseeds the whole arena
-//!   (allocation-reusing, same buffers). The delta then reports
-//!   `rows == rows_total`.
-//!
-//! Either way the refreshed analysis is bit-identical to a from-scratch
-//! run on the mutated graph. A cancelled structural resume (or reseed)
-//! behaves like a cancelled delay resume: the graph mutation is
-//! committed, the matrix remembers its first stale row, and the next
-//! uncancelled call — even an empty batch — heals it.
-//!
-//! A batch of either kind whose re-analysis fails — its winning cycle
-//! length, or a scenario's delays, overflow `f64` — is refused like an
-//! invalid one: the pre-batch graph is restored and every lane is
-//! reseeded from it, bit-identical to the state before the batch.
-//!
-use std::collections::VecDeque;
+//! [`snapshot`](AnalysisSession::snapshot) and
+//! [`restore`](AnalysisSession::restore) copy a graph and its analyses,
+//! so a speculative explorer can try a batch and take it back.
 use std::fmt;
 
 use tsg_sim::{CancelKind, CancelToken};
 
-use crate::analysis::cycle_time::{
-    finish_scenarios, halt_to_error, lane_records, AnalysisError, BorderRecord, CycleTimeAnalysis,
-};
-use crate::analysis::initiated::SimArena;
+use crate::analysis::cycle_time::{AnalysisError, CycleTimeAnalysis};
 use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
-use crate::analysis::structure::CyclicStructure;
-use crate::analysis::wide::{AnalysisArena, Cancelled, Halt, Rows, WideArena};
+use crate::analysis::wide::AnalysisArena;
 use crate::analysis::CycleTime;
 use crate::arc::ArcId;
 use crate::event::EventId;
 use crate::graph::SignalGraph;
 use crate::time::Delay;
-
-/// Sentinel for "not reachable" in the period-distance buffers.
-const UNREACHED: u32 = u32::MAX;
-
-/// Sentinel for "arc not in the cyclic structure" in the arc→entry map.
-const NO_ENTRY: u32 = u32::MAX;
 
 /// One delay edit: assign `delay` to `arc`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -122,9 +66,8 @@ pub struct DelayEdit {
 /// assignment or a structural mutation of the graph itself.
 #[derive(Clone, Debug, PartialEq)]
 pub enum GraphEdit {
-    /// Assign `delay` to `arc` — the [`DelayEdit`] fast path; an
-    /// all-delay batch delegates to
-    /// [`edit_delays`](AnalysisSession::edit_delays) unchanged.
+    /// Assign `delay` to `arc`; an all-delay batch runs as
+    /// [`edit_delays`](AnalysisSession::edit_delays).
     Delay {
         /// The arc whose delay changes.
         arc: ArcId,
@@ -161,26 +104,26 @@ pub enum GraphEdit {
     },
 }
 
-/// What one delta query changed, and how much work it saved.
+/// What one edit batch changed, and the simulation work its
+/// re-analysis ran.
+///
+/// Every batch re-runs the whole analysis, so `dirty == borders` and
+/// `rows == rows_total`; the four counts stay so that callers that
+/// trace the work per edit keep reading it.
 #[derive(Clone, Copy, Debug)]
 pub struct CycleTimeDelta {
     /// Cycle time before the edit batch.
     pub before: CycleTime,
     /// Cycle time after the edit batch.
     pub after: CycleTime,
-    /// Border simulations that had to resume (their dirty region starts
-    /// within the simulated horizon).
+    /// Border simulations the re-analysis ran.
     pub dirty: usize,
-    /// Total border simulations a from-scratch run would perform.
+    /// Border simulations of the edited graph.
     pub borders: usize,
-    /// Matrix rows inside the per-border dirty regions — the rows whose
-    /// values the edit batch could influence, summed over the dirty
-    /// lanes. (The wide kernel recomputes whole lane-major rows from the
-    /// earliest dirty row in one shared pass; rows below each lane's own
-    /// `r0` come back bit-identical, so this counts the query's logical
-    /// dirtiness, the same metric the scalar engine reported.)
+    /// Lane rows the re-analysis computed, summed over its border
+    /// simulations.
     pub rows: usize,
-    /// Rows a from-scratch run would compute: `borders × (b + 1)`.
+    /// Rows of a full analysis: `borders × (b + 1)`.
     pub rows_total: usize,
 }
 
@@ -213,13 +156,13 @@ pub enum EditError {
     /// other errors, the edits *are* applied to the graph; the cached
     /// analysis is stale until the next uncancelled
     /// [`edit_delays`](AnalysisSession::edit_delays) call (even with an
-    /// empty batch) heals the matrix bit-identically.
+    /// empty batch) re-runs it.
     Cancelled {
         /// Why the run stopped.
         kind: CancelKind,
-        /// Matrix rows that were complete when the run stopped.
+        /// Lane rows that were complete when the run stopped.
         rows_done: usize,
-        /// Rows a full resume pass computes.
+        /// Rows the run computes.
         rows_total: usize,
     },
     /// The edited graph cannot be analysed: its winning cycle length
@@ -267,17 +210,25 @@ impl From<crate::validate::ValidationError> for EditError {
     }
 }
 
-impl From<Cancelled> for EditError {
-    fn from(c: Cancelled) -> Self {
-        EditError::Cancelled {
-            kind: c.kind,
-            rows_done: c.rows_done,
-            rows_total: c.rows_total,
+impl From<AnalysisError> for EditError {
+    fn from(e: AnalysisError) -> Self {
+        match e {
+            AnalysisError::NoCyclicBehavior => EditError::NoCyclicBehavior,
+            AnalysisError::Cancelled {
+                kind,
+                rows_done,
+                rows_total,
+            } => EditError::Cancelled {
+                kind,
+                rows_done,
+                rows_total,
+            },
+            e => EditError::Analysis(e),
         }
     }
 }
 
-/// An open incremental-analysis session; see the [module docs](self).
+/// An open analysis session; see the [module docs](self).
 ///
 /// # Examples
 ///
@@ -304,66 +255,25 @@ impl From<Cancelled> for EditError {
 #[derive(Clone, Debug)]
 pub struct AnalysisSession {
     sg: SignalGraph,
-    structure: CyclicStructure,
-    /// `ArcId` → slot in `structure.entries` (`NO_ENTRY` when the arc is
-    /// outside the cyclic structure and no record can depend on it).
-    entry_of_arc: Vec<u32>,
-    border: Vec<EventId>,
-    /// Periods each border simulation runs (`border.len()`).
-    b: u32,
-    /// The cached per-border distance tables, master copies.
-    records: Vec<BorderRecord>,
-    /// All `b` warm border matrices in one lane-major wide arena — the
-    /// state the dirty-region restarts resume into (O(b²·n) cells).
-    wide: WideArena,
-    /// The arena `finish` re-runs the winner in (with parent tracking).
-    finish_arena: SimArena,
     analysis: CycleTimeAnalysis,
+    scenarios: Option<Scenarios>,
     edits: u64,
-    /// First matrix row a cancelled resume left stale (`None` when the
-    /// session is healed). The next resume starts at or below this row
-    /// and refreshes every record, restoring bit-identity to scratch.
-    dirty_from: Option<usize>,
-    /// Scratch: per-border restart row of the current edit batch
-    /// (`UNREACHED` = untouched).
-    restart: Vec<u32>,
-    /// Scratch: `ε(e → u)` of the backward 0-1 BFS.
-    dist_back: Vec<u32>,
-    /// Scratch: the BFS deque.
-    deque: VecDeque<EventId>,
-    /// Warm corner/sample-lane state, when
-    /// [`enable_scenarios`](Self::enable_scenarios) turned it on.
-    scenarios: Option<ScenarioState>,
+    /// Whether a cancelled batch left the analyses behind the graph.
+    stale: bool,
+    /// The arena every re-analysis runs in.
+    arena: AnalysisArena,
 }
 
-/// The session's warm scenario-lane state: one `b × s` wide arena whose
-/// lanes mirror the nominal matrices under each scenario's scaled
-/// delays (`nominal × factor`, the products
-/// [`ScenarioSet::reweighted`] stores), kept in lockstep with the
-/// nominal arena by the same dirty-row resumes. The two staleness flags
-/// let a cancelled pass heal later: `stale_weights` marks the set / δ
-/// table out of sync with the session graph (structural batch
-/// committed but not yet resynced), `needs_reseed` marks the whole lane
-/// matrix stale (border set or event axis changed).
+/// The scenario lanes' set and their last analysis, when
+/// [`AnalysisSession::enable_scenarios`] turned them on.
 #[derive(Clone, Debug)]
-struct ScenarioState {
+struct Scenarios {
     set: ScenarioSet,
-    /// All `b × s` scenario matrices, lane `j·b + k`.
-    wide: WideArena,
-    /// Arena the per-scenario winner re-runs use.
-    finish: SimArena,
-    /// Scratch structure rebuilt per reweighted graph for the re-runs.
-    structure: CyclicStructure,
     analysis: ScenarioAnalysis,
-    /// First scenario-matrix row a cancelled pass left stale.
-    dirty_from: Option<usize>,
-    stale_weights: bool,
-    needs_reseed: bool,
 }
 
 impl AnalysisSession {
-    /// Opens a session: one full analysis, with every intermediate the
-    /// delta queries need kept warm.
+    /// Opens a session: one full analysis of `sg`.
     ///
     /// # Errors
     ///
@@ -374,12 +284,10 @@ impl AnalysisSession {
     }
 
     /// [`open`](Self::open) on `arena`, under a cancellation token. The
-    /// session keeps the arena's first worker, so its warm wide arena —
-    /// and hence every dirty-region resume — runs on the arena's kernel
-    /// backend for the session's whole lifetime. The opening analysis
-    /// is the one analysis core of [`CycleTimeAnalysis::run_in`],
-    /// keeping every matrix row; it polls `cancel` once per row and no
-    /// session is created when it fires.
+    /// session keeps the arena, so the opening analysis and every
+    /// re-analysis run on its kernel backend and worker count. The
+    /// opening analysis polls `cancel` once per lane row; no session is
+    /// created when it fires.
     ///
     /// # Errors
     ///
@@ -391,33 +299,15 @@ impl AnalysisSession {
         mut arena: AnalysisArena,
         cancel: Option<&CancelToken>,
     ) -> Result<Self, AnalysisError> {
-        arena.wides.truncate(1);
-        let analysis = CycleTimeAnalysis::run_rows(&sg, None, &mut arena, Rows::All, cancel)?;
-        let AnalysisArena {
-            mut wides,
-            finish,
-            structure,
-        } = arena;
-        let border = analysis.border_events().to_vec();
-        let mut session = AnalysisSession {
-            entry_of_arc: Vec::new(),
-            restart: vec![UNREACHED; border.len()],
-            b: border.len() as u32,
-            records: analysis.records().to_vec(),
-            border,
-            wide: wides.swap_remove(0),
-            finish_arena: finish,
-            structure,
-            analysis,
-            edits: 0,
-            dirty_from: None,
-            dist_back: vec![UNREACHED; sg.event_count()],
-            deque: VecDeque::new(),
-            scenarios: None,
+        let analysis = CycleTimeAnalysis::run_in_with_cancel(&sg, None, &mut arena, cancel)?;
+        Ok(AnalysisSession {
             sg,
-        };
-        session.map_entries();
-        Ok(session)
+            analysis,
+            scenarios: None,
+            edits: 0,
+            stale: false,
+            arena,
+        })
     }
 
     /// The session's graph, with all applied edits.
@@ -425,10 +315,18 @@ impl AnalysisSession {
         &self.sg
     }
 
-    /// The current analysis — always bit-identical to
-    /// [`CycleTimeAnalysis::run`] on [`graph`](Self::graph).
+    /// The current analysis — bit-identical to
+    /// [`CycleTimeAnalysis::run`] on [`graph`](Self::graph) unless the
+    /// session [`is_stale`](Self::is_stale).
     pub fn analysis(&self) -> &CycleTimeAnalysis {
         &self.analysis
+    }
+
+    /// Capacity of the session arena's buffers, as
+    /// [`AnalysisArena::capacity`]: the two-row lane window of the
+    /// largest graph analysed so far, not a matrix per border.
+    pub fn arena_capacity(&self) -> (usize, usize, usize) {
+        self.arena.capacity()
     }
 
     /// Number of edit batches applied so far.
@@ -436,16 +334,12 @@ impl AnalysisSession {
         self.edits
     }
 
-    /// Whether a cancelled resume left the cached analysis (nominal or
-    /// scenario) stale; the next uncancelled
+    /// Whether a cancelled batch left the cached analysis (nominal or
+    /// scenario) behind the graph; the next uncancelled
     /// [`edit_delays`](Self::edit_delays) call (even with an empty
     /// batch) heals it.
     pub fn is_stale(&self) -> bool {
-        self.dirty_from.is_some()
-            || self
-                .scenarios
-                .as_ref()
-                .is_some_and(|s| s.dirty_from.is_some() || s.stale_weights || s.needs_reseed)
+        self.stale
     }
 
     /// Resolves a label-addressed edit (`src -> dst`) to the first arc
@@ -469,27 +363,15 @@ impl AnalysisSession {
             .ok_or_else(|| EditError::NoArcBetween(src.to_owned(), dst.to_owned()))
     }
 
-    /// Applies a batch of delay edits and re-analyses only the dirty
-    /// region: each border simulation resumes at the first row the batch
-    /// can influence (the module-level `r0` criterion), reusing every
-    /// cached row below it; simulations whose `r0` lies beyond the
-    /// horizon are not touched at all. The resume polls `cancel` once
-    /// per recomputed matrix row.
-    ///
-    /// The updated [`analysis`](Self::analysis) is bit-identical to a
-    /// from-scratch [`CycleTimeAnalysis::run`] on the edited graph; the
-    /// returned [`CycleTimeDelta`] reports how many simulations resumed
-    /// and how many matrix rows were actually recomputed.
+    /// Applies a batch of delay edits and re-runs the analysis (and the
+    /// scenario lanes, when enabled) on the edited graph, polling
+    /// `cancel` once per lane row. The updated
+    /// [`analysis`](Self::analysis) is bit-identical to a from-scratch
+    /// [`CycleTimeAnalysis::run`] on the edited graph.
     ///
     /// On cancellation the edits **are** applied to the graph but the
-    /// cached [`analysis`](Self::analysis) is stale: the session
-    /// remembers which rows were left unhealed and the next uncancelled
-    /// call — any edit batch, even an empty one — recomputes them
-    /// together with its own dirty region, restoring the
-    /// bit-identical-to-scratch invariant. Rows already recomputed
-    /// before the abort are final (the recurrence is a pure function of
-    /// the rows below), so a healing pass resumes where the cancelled
-    /// one stopped rather than starting over.
+    /// cached [`analysis`](Self::analysis) is stale until the next
+    /// uncancelled call — any edit batch, even an empty one.
     ///
     /// # Errors
     ///
@@ -498,14 +380,22 @@ impl AnalysisSession {
     /// enabled scenario scales an edited delay past `f64::MAX`, or when
     /// the edited graph's winning cycle length overflows
     /// ([`EditError::Analysis`]; the batch is rolled back). Returns
-    /// [`EditError::Cancelled`] when `cancel` fires mid-resume (edits
+    /// [`EditError::Cancelled`] when `cancel` fires mid-run (edits
     /// applied, analysis stale until healed).
     pub fn edit_delays(
         &mut self,
         edits: &[DelayEdit],
         cancel: Option<&CancelToken>,
     ) -> Result<CycleTimeDelta, EditError> {
-        // Validate the whole batch before mutating anything.
+        // Validate the whole batch before mutating anything. A scenario
+        // set older than the graph (a cancelled structural batch added
+        // arcs) has no factors for the new slots; the re-run's sweep
+        // reports an overflow then.
+        let set = self
+            .scenarios
+            .as_ref()
+            .map(|s| &s.set)
+            .filter(|set| set.arc_slots() == self.sg.arc_count());
         for e in edits {
             if !self.sg.is_live_arc(e.arc) {
                 return Err(EditError::UnknownArc(e.arc));
@@ -516,13 +406,7 @@ impl AnalysisSession {
                     delay: e.delay,
                 });
             }
-            // The scaled edits below must stay finite too (a stale
-            // scenario state resyncs, and reports, in `refresh_scenarios`).
-            let warm = self
-                .scenarios
-                .as_ref()
-                .filter(|s| !s.stale_weights && !s.needs_reseed);
-            if let Some(set) = warm.map(|s| &s.set) {
+            if let Some(set) = set {
                 let overflows = |j| !(e.delay * set.factor(j, e.arc)).is_finite();
                 if let Some(j) = (0..set.len()).find(|&j| overflows(j)) {
                     return Err(EditError::Analysis(set.overflow_error(&self.sg, j, e.arc)));
@@ -530,7 +414,6 @@ impl AnalysisSession {
             }
         }
 
-        let before = self.analysis.cycle_time();
         // The pre-batch delays, to roll a refused batch back.
         let undo: Vec<DelayEdit> = edits
             .iter()
@@ -539,38 +422,12 @@ impl AnalysisSession {
                 delay: self.sg.arc(e.arc).delay().get(),
             })
             .collect();
-        self.restart.fill(UNREACHED);
         for e in edits {
-            if self.sg.arc(e.arc).delay().get().to_bits() == e.delay.to_bits() {
-                continue; // no-op edit: influences nothing
-            }
             self.sg
                 .set_delay(e.arc, e.delay)
                 .expect("delay validated above");
-            let slot = self.entry_of_arc[e.arc.index()];
-            if slot != NO_ENTRY {
-                self.structure.entries[slot as usize].delay = e.delay;
-                self.lower_restart_rows(e.arc);
-            }
-            // Arcs outside the cyclic structure (prefix/disengageable)
-            // never feed a border simulation: delay applied, zero dirty.
-
-            // Keep the scenario lanes' δ table in lockstep: it folds the
-            // scaled edit in place, so the scenario matrices resume from
-            // the same min dirty row as the nominal one. (A stale
-            // scenario state resyncs wholesale in `refresh_scenarios`.)
-            if let Some(scen) = self.scenarios.as_mut() {
-                if !scen.stale_weights && !scen.needs_reseed && slot != NO_ENTRY {
-                    for j in 0..scen.set.len() {
-                        let scaled = e.delay * scen.set.factor(j, e.arc);
-                        scen.wide.set_scenario_delay(slot as usize, j, scaled);
-                    }
-                }
-            }
         }
-
-        let dirty = self.resume_dirty_rows(cancel)?;
-        self.conclude(before, dirty, cancel, |sg| {
+        self.reanalyze(cancel, |sg| {
             for u in undo.iter().rev() {
                 sg.set_delay(u.arc, u.delay)
                     .expect("pre-batch delays are valid");
@@ -578,23 +435,17 @@ impl AnalysisSession {
         })
     }
 
-    /// Applies a batch of structural and delay edits ([`GraphEdit`]) and
-    /// re-analyses incrementally, per the module-level border-set remap
-    /// contract: when the batch leaves the border set (and the event
-    /// axis) unchanged, every warm lane resumes from the min dirty row
-    /// like a delay batch; otherwise the lane mapping is rebuilt and one
-    /// full warm pass reseeds the arena. Either way the refreshed
-    /// [`analysis`](Self::analysis) is bit-identical to a from-scratch
-    /// [`CycleTimeAnalysis::run`] on the mutated graph.
+    /// Applies a batch of structural and delay edits ([`GraphEdit`]) in
+    /// order, re-validates the whole graph, and re-runs the analysis
+    /// (and the scenario lanes, when enabled) on it, polling `cancel`
+    /// once per lane row. The refreshed [`analysis`](Self::analysis) is
+    /// bit-identical to a from-scratch [`CycleTimeAnalysis::run`] on the
+    /// mutated graph. An all-[`Delay`](GraphEdit::Delay) batch runs as
+    /// [`edit_delays`](Self::edit_delays).
     ///
-    /// An all-[`Delay`](GraphEdit::Delay) batch takes the
-    /// [`edit_delays`](Self::edit_delays) fast path unchanged.
-    ///
-    /// `cancel` is polled once per recomputed matrix row. Like a
-    /// cancelled delay batch, a cancelled structural batch **is**
-    /// committed to the graph — including a border-set change, whose
-    /// new lane mapping is installed before the reseed starts — and the
-    /// stale matrix heals on the next uncancelled call.
+    /// Like a cancelled delay batch, a cancelled structural batch **is**
+    /// committed to the graph, and the stale analysis heals on the next
+    /// uncancelled call.
     ///
     /// # Errors
     ///
@@ -623,254 +474,65 @@ impl AnalysisSession {
                 .collect();
             return self.edit_delays(&delays, cancel);
         }
-
-        let before = self.analysis.cycle_time();
-        let old_event_count = self.sg.event_count();
-        self.restart.fill(UNREACHED);
-
-        // Pre-apply pass on the OLD graph: a cell influenced by a
-        // removal or re-delay owes its change to an old-graph path
-        // through the arc, so the old-graph token distance bounds it.
-        for e in edits {
-            let arc = match *e {
-                GraphEdit::Delay { arc, .. } | GraphEdit::RemoveArc { arc } => arc,
-                _ => continue,
-            };
-            if self.sg.is_live_arc(arc) && self.entry_of_arc[arc.index()] != NO_ENTRY {
-                self.lower_restart_rows(arc);
-            }
-        }
-
-        // Apply the batch on a transactional copy of the graph; any
-        // rejected edit (or failed whole-graph validation) drops the
-        // copy and leaves the session untouched.
         let backup = self.sg.clone();
-        let (added, new_border) = match apply_graph_edits(&mut self.sg, edits) {
-            Ok(applied) => applied,
-            Err(e) => {
-                self.sg = backup;
-                return Err(e);
-            }
-        };
-
-        // Committed. Rebuild the flattened structure in place on the
-        // warm scratch, then refresh the arc→entry map for it.
-        self.structure.rebuild(&self.sg);
-        self.map_entries();
-
-        // The batch re-flattened the in-arc table and may have changed
-        // the arc set, so the scenario set and δ table are stale until
-        // `refresh_scenarios` resyncs them. Flagged before the
-        // cancellable resume so an abort heals later.
-        if let Some(scen) = self.scenarios.as_mut() {
-            scen.stale_weights = true;
+        if let Err(e) = apply_graph_edits(&mut self.sg, edits) {
+            self.sg = backup;
+            return Err(e);
         }
-
-        let dirty = if new_border == self.border && self.sg.event_count() == old_event_count {
-            // Surviving borders keep their warm lanes. Post-apply pass
-            // on the NEW graph: any newly-created path crosses an added
-            // arc, so the new-graph token distances bound the additions.
-            for &a in &added {
-                if self.entry_of_arc[a.index()] != NO_ENTRY {
-                    self.lower_restart_rows(a);
-                }
-            }
-            self.resume_dirty_rows(cancel)?
-        } else {
-            // Border set changed or the event axis grew: retire dead
-            // lanes, seed lanes for the new borders, reseed in full.
-            self.reseed(new_border, cancel)?
-        };
-        self.conclude(before, dirty, cancel, |sg| *sg = backup)
+        self.reanalyze(cancel, |sg| *sg = backup)
     }
 
-    /// The shared tail of an edit batch whose rows are recomputed:
-    /// refreshes the analysis and the scenario lanes, and counts the
-    /// batch. A batch whose re-analysis fails — anything but a cancel
-    /// — is refused: `restore` puts the pre-batch graph back and the
-    /// session rolls back to it.
-    fn conclude(
+    /// Re-runs the analyses on the edited graph and counts the batch. A
+    /// batch whose re-analysis fails — anything but a cancel — is
+    /// refused: `restore` puts the pre-batch graph back, and the old
+    /// analyses, never overwritten, stay.
+    fn reanalyze(
         &mut self,
-        before: CycleTime,
-        (dirty, rows): (usize, usize),
         cancel: Option<&CancelToken>,
         restore: impl FnOnce(&mut SignalGraph),
     ) -> Result<CycleTimeDelta, EditError> {
-        if let Err(e) = self.refresh(cancel) {
-            if !matches!(e, EditError::Cancelled { .. }) {
+        let before = self.analysis.cycle_time();
+        if let Err(e) = self.run(cancel) {
+            if matches!(e, AnalysisError::Cancelled { .. }) {
+                self.stale = true;
+            } else {
                 restore(&mut self.sg);
-                self.roll_back();
             }
-            return Err(e);
+            return Err(e.into());
         }
         self.edits += 1;
+        let borders = self.analysis.border_events().len();
+        let rows_total = borders * (borders + 1);
         Ok(CycleTimeDelta {
             before,
             after: self.analysis.cycle_time(),
-            dirty,
-            borders: self.border.len(),
-            rows,
-            rows_total: self.border.len() * (self.b as usize + 1),
+            dirty: borders,
+            borders,
+            rows: rows_total,
+            rows_total,
         })
     }
 
-    /// Refreshes the `ArcId` → in-arc slot map for the current
-    /// structure.
-    fn map_entries(&mut self) {
-        self.entry_of_arc.clear();
-        self.entry_of_arc.resize(self.sg.arc_count(), NO_ENTRY);
-        for (slot, entry) in self.structure.entries.iter().enumerate() {
-            self.entry_of_arc[entry.arc.index()] = slot as u32;
+    /// Analyses the session graph — nominal, then every enabled
+    /// scenario — and installs the results only when both succeed.
+    fn run(&mut self, cancel: Option<&CancelToken>) -> Result<(), AnalysisError> {
+        let analysis =
+            CycleTimeAnalysis::run_in_with_cancel(&self.sg, None, &mut self.arena, cancel)?;
+        if let Some(scen) = &self.scenarios {
+            let scen = sweep(&self.sg, &scen.set, &mut self.arena, cancel)?;
+            self.scenarios = Some(scen);
         }
+        self.analysis = analysis;
+        self.stale = false;
+        Ok(())
     }
 
-    /// Installs `border` as the lane axis — dead lanes retired, new
-    /// borders given lanes — and reseeds every lane in one full warm
-    /// pass. The lane metadata (and the scenario lanes' reseed flag) is
-    /// installed BEFORE the cancellable run, so a cancelled reseed heals
-    /// through the standard stale path. Returns `(dirty_lanes,
-    /// dirty_rows)`: every lane, every row.
-    fn reseed(
-        &mut self,
-        border: Vec<EventId>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(usize, usize), EditError> {
-        self.border = border;
-        self.b = self.border.len() as u32;
-        self.restart.clear();
-        self.restart.resize(self.border.len(), UNREACHED);
-        self.records.truncate(self.border.len());
-        for (k, &g) in self.border.iter().enumerate() {
-            match self.records.get_mut(k) {
-                Some(r) => r.event = g,
-                None => self.records.push(BorderRecord {
-                    event: g,
-                    distances: Vec::new(),
-                }),
-            }
-        }
-        if let Some(scen) = self.scenarios.as_mut() {
-            scen.needs_reseed = true;
-        }
-        let sweep = self.wide.run_with(
-            &self.sg,
-            &self.structure,
-            &self.border,
-            self.b,
-            Rows::All,
-            cancel,
-        );
-        note_pass(sweep, &mut self.dirty_from)?;
-        for k in 0..self.border.len() {
-            self.wide
-                .distance_series_into(k, &mut self.records[k].distances);
-        }
-        let p_total = self.b as usize + 1;
-        Ok((self.border.len(), self.border.len() * p_total))
-    }
-
-    /// Re-derives every warm state from the session graph, as
-    /// [`open`](Self::open) would — how a batch refused after it was
-    /// applied is undone, once the caller restored the pre-batch graph.
-    /// The restored state is bit-identical to the pre-batch one. Only a
-    /// pre-batch state that was itself stale (a cancelled batch never
-    /// healed) can fail to re-analyse; it then stays stale.
-    fn roll_back(&mut self) {
-        self.structure.rebuild(&self.sg);
-        self.map_entries();
-        if let Some(scen) = self.scenarios.as_mut() {
-            scen.stale_weights = true;
-        }
-        let border = self.sg.border_events();
-        let restored = self.reseed(border, None).and_then(|_| self.refresh(None));
-        if restored.is_err() {
-            self.dirty_from = Some(0);
-        }
-    }
-
-    /// Resumes every lane whose dirty row (this batch's `restart`,
-    /// folded with a cancelled earlier pass's stale watermark) falls
-    /// within the horizon, in one lockstep pass from the global minimum,
-    /// then refreshes the dirty lanes' records. Returns
-    /// `(dirty_lanes, dirty_rows)`.
-    fn resume_dirty_rows(
-        &mut self,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(usize, usize), EditError> {
-        let p_total = self.b as usize + 1;
-        // Rows a cancelled earlier pass left stale dirty *every* lane
-        // from that row on — fold them into this batch's per-lane r0.
-        let stale = self.dirty_from.unwrap_or(p_total);
-        let (mut dirty_count, mut rows) = (0usize, 0usize);
-        let mut min_r0 = p_total;
-        for k in 0..self.border.len() {
-            let r0 = (self.restart[k] as usize).min(stale);
-            if r0 >= p_total {
-                continue; // influence starts beyond the horizon: clean
-            }
-            min_r0 = min_r0.min(r0);
-            dirty_count += 1;
-            rows += p_total - r0;
-        }
-        if dirty_count > 0 {
-            // The scenario lanes share the dirty bound (the `r0`
-            // criterion is a property of the structure, not the
-            // delays): record it up front so a cancelled nominal
-            // resume still heals the scenario matrices later.
-            if let Some(scen) = self.scenarios.as_mut() {
-                scen.dirty_from = Some(scen.dirty_from.map_or(min_r0, |d| d.min(min_r0)));
-            }
-            // One lockstep pass resumes every lane from the earliest
-            // dirty row; clean lanes' recomputed rows are bit-identical
-            // to their cached values (module docs), so only the dirty
-            // lanes' records can have changed.
-            if let Err(c) = self.wide.rerun_rows_from(&self.structure, min_r0, cancel) {
-                // Rows below `rows_done` were already recomputed for the
-                // edited structure and are final; everything from there
-                // on stays stale until a later pass heals it.
-                self.dirty_from = Some(c.rows_done);
-                return Err(c.into());
-            }
-            self.dirty_from = None;
-            for k in 0..self.border.len() {
-                if (self.restart[k] as usize).min(stale) < p_total {
-                    // Refill the record in place: the per-lane buffer
-                    // outlives the edit loop, so steady-state edits stay
-                    // allocation-free.
-                    self.wide
-                        .distance_series_into(k, &mut self.records[k].distances);
-                }
-            }
-        }
-        Ok((dirty_count, rows))
-    }
-
-    /// Re-runs winner selection and critical-cycle backtracking from the
-    /// cached records, then brings the scenario lanes up to date.
-    fn refresh(&mut self, cancel: Option<&CancelToken>) -> Result<(), EditError> {
-        self.analysis = CycleTimeAnalysis::finish(
-            &self.sg,
-            &self.structure,
-            self.border.clone(),
-            self.records.clone(),
-            self.b,
-            &mut self.finish_arena,
-        )
-        .map_err(EditError::Analysis)?;
-        self.refresh_scenarios(cancel)
-    }
-
-    /// Turns on corner/sample-lane analysis: one `b × s` wide pass over
-    /// the session's graph computes every (border, scenario) matrix, and
-    /// from then on every edit batch keeps the scenario lanes warm —
-    /// delay edits fold the scaled delays into the δ table and resume
-    /// all scenario lanes from the same min dirty row as the nominal
-    /// matrix; structural edits resync the δ table (reseeding only when
-    /// the border set or event axis changed). The produced
-    /// [`ScenarioAnalysis`] is bit-identical to
-    /// [`CycleTimeAnalysis::run_scenarios_in`] on [`graph`](Self::graph)
-    /// with the same set: both finish through one per-scenario step.
-    /// `cancel` is polled once per scenario-matrix row.
+    /// Turns on corner/sample-lane analysis: one
+    /// [`CycleTimeAnalysis::run_scenarios_in`] sweep over the session's
+    /// graph, repeated after every edit batch, so the
+    /// [`scenario_analysis`](Self::scenario_analysis) stays
+    /// bit-identical to a from-scratch sweep with the same set. `cancel`
+    /// is polled once per lane row.
     ///
     /// Calling it again replaces the scenario set; `set` is re-derived
     /// over the session graph's arc-slot count, so a set built for a
@@ -888,59 +550,25 @@ impl AnalysisSession {
         set: &ScenarioSet,
         cancel: Option<&CancelToken>,
     ) -> Result<&ScenarioAnalysis, AnalysisError> {
-        let set = set.resized(self.sg.arc_count());
-        let mut wide = WideArena::with_kernel(self.wide.kernel());
-        let sg = &self.sg;
-        wide.run_scenarios_with(
-            sg,
-            &self.structure,
-            &self.border,
-            set.len(),
-            |arc, j| sg.arc(arc).delay().get() * set.factor(j, arc),
-            self.b,
-            Rows::All,
-            cancel,
-        )
-        .map_err(halt_to_error)?;
-        let mut structure = CyclicStructure::default();
-        let mut finish = SimArena::new();
-        let analysis = finish_scenarios(
-            sg,
-            &set,
-            &self.border,
-            self.b,
-            scenario_records(&wide, &self.border, set.len()),
-            &mut structure,
-            &mut finish,
-        )?;
-        let scen = self.scenarios.insert(ScenarioState {
-            set,
-            wide,
-            finish,
-            structure,
-            analysis,
-            dirty_from: None,
-            stale_weights: false,
-            needs_reseed: false,
-        });
-        Ok(&scen.analysis)
+        let scen = sweep(&self.sg, set, &mut self.arena, cancel)?;
+        Ok(&self.scenarios.insert(scen).analysis)
     }
 
-    /// Drops the warm scenario state; edits go back to nominal-only.
+    /// Drops the scenario state; edits go back to nominal-only.
     pub fn disable_scenarios(&mut self) {
         self.scenarios = None;
     }
 
     /// The current scenario analysis, when scenarios are enabled —
-    /// always bit-identical to
-    /// [`CycleTimeAnalysis::run_scenarios_in`] on
-    /// [`graph`](Self::graph) with the current set.
+    /// bit-identical to [`CycleTimeAnalysis::run_scenarios_in`] on
+    /// [`graph`](Self::graph) with the current set unless the session
+    /// [`is_stale`](Self::is_stale).
     pub fn scenario_analysis(&self) -> Option<&ScenarioAnalysis> {
         self.scenarios.as_ref().map(|s| &s.analysis)
     }
 
-    /// The enabled scenario set (re-derived over the current arc-slot
-    /// count), if any.
+    /// The enabled scenario set (re-derived over the arc-slot count of
+    /// the last analysed graph), if any.
     pub fn scenario_set(&self) -> Option<&ScenarioSet> {
         self.scenarios.as_ref().map(|s| &s.set)
     }
@@ -950,144 +578,62 @@ impl AnalysisSession {
         self.scenarios.as_ref().map_or(0, |s| s.set.len())
     }
 
-    /// Brings the scenario state back in sync with the session graph
-    /// after an edit batch (or heals a cancelled earlier pass): resyncs
-    /// a stale set and δ table, reseeds or resumes the lane matrices
-    /// from the recorded dirty row, and re-runs every scenario's winner
-    /// selection. No-op when scenarios are disabled. A failed finish
-    /// leaves the lanes marked stale from row 0.
-    fn refresh_scenarios(&mut self, cancel: Option<&CancelToken>) -> Result<(), EditError> {
-        let p_total = self.b as usize + 1;
-        let Some(scen) = self.scenarios.as_mut() else {
-            return Ok(());
-        };
-        let sg = &self.sg;
-        if scen.stale_weights {
-            scen.set = scen.set.resized(sg.arc_count());
-            if !scen.needs_reseed {
-                // Slots remapped but the lane axis survived: re-derive
-                // the δ table in place, the matrices resume below.
-                let set = &scen.set;
-                scen.wide
-                    .rebuild_scenario_deltas(&self.structure, |arc, j| {
-                        sg.arc(arc).delay().get() * set.factor(j, arc)
-                    });
-            }
-            scen.stale_weights = false;
-        }
-        if scen.needs_reseed {
-            scen.needs_reseed = false;
-            // Shape and δ table are installed before the rows compute,
-            // so a cancelled reseed heals through the standard resume.
-            let set = &scen.set;
-            let sweep = scen.wide.run_scenarios_with(
-                sg,
-                &self.structure,
-                &self.border,
-                set.len(),
-                |arc, j| sg.arc(arc).delay().get() * set.factor(j, arc),
-                self.b,
-                Rows::All,
-                cancel,
-            );
-            note_pass(sweep, &mut scen.dirty_from)?;
-        } else if let Some(r0) = scen.dirty_from {
-            if r0 < p_total {
-                if let Err(c) = scen.wide.rerun_rows_from(&self.structure, r0, cancel) {
-                    scen.dirty_from = Some(c.rows_done);
-                    return Err(c.into());
-                }
-            }
-            scen.dirty_from = None;
-        }
-        // Winner selection re-runs every batch, mirroring the nominal
-        // finish.
-        let records = scenario_records(&scen.wide, &self.border, scen.set.len());
-        match finish_scenarios(
-            sg,
-            &scen.set,
-            &self.border,
-            self.b,
-            records,
-            &mut scen.structure,
-            &mut scen.finish,
-        ) {
-            Ok(analysis) => scen.analysis = analysis,
-            Err(e) => {
-                scen.dirty_from = Some(0);
-                return Err(EditError::Analysis(e));
-            }
-        }
-        Ok(())
-    }
-
-    /// Captures the full warm state — graph, structure, records, wide
-    /// arena — for a later [`restore`](Self::restore). Speculative
-    /// explorers snapshot once, try an edit batch, and roll back the
-    /// losers; a rollback restores warm-lane state too, so the next
-    /// speculation resumes incrementally instead of reopening.
+    /// Captures the graph and its analyses for a later
+    /// [`restore`](Self::restore). Speculative explorers snapshot once,
+    /// try an edit batch, and roll back the losers.
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
-            state: Box::new(self.clone()),
+            sg: self.sg.clone(),
+            analysis: self.analysis.clone(),
+            scenarios: self.scenarios.clone(),
+            edits: self.edits,
+            stale: self.stale,
         }
     }
 
-    /// Restores the session to `snapshot`, consuming it (no clone).
+    /// Restores the session to `snapshot`, consuming it (no clone). The
+    /// session keeps its arena.
     pub fn restore(&mut self, snapshot: SessionSnapshot) {
-        *self = *snapshot.state;
-    }
-
-    /// Lowers each border's restart row to `ε(g → src(a)) + marked(a)`,
-    /// the first row of `g`'s simulation any path through `a` can touch.
-    fn lower_restart_rows(&mut self, a: ArcId) {
-        let arc = self.sg.arc(a);
-        let marked = arc.is_marked() as u32;
-        token_distances_to(&self.sg, arc.src(), &mut self.dist_back, &mut self.deque);
-        for (k, &g) in self.border.iter().enumerate() {
-            let to_u = self.dist_back[g.index()];
-            if to_u != UNREACHED {
-                self.restart[k] = self.restart[k].min(to_u.saturating_add(marked));
-            }
-        }
+        self.sg = snapshot.sg;
+        self.analysis = snapshot.analysis;
+        self.scenarios = snapshot.scenarios;
+        self.edits = snapshot.edits;
+        self.stale = snapshot.stale;
     }
 }
 
-/// A point-in-time copy of an [`AnalysisSession`]'s full warm state;
+/// A point-in-time copy of an [`AnalysisSession`]'s graph and analyses;
 /// created by [`AnalysisSession::snapshot`], applied by
-/// [`restore`](AnalysisSession::restore) (clone it to restore twice). The backbone of speculative
-/// design exploration: try a structural edit, keep it if the objective
-/// improves, roll back if not — without ever reopening the session.
+/// [`restore`](AnalysisSession::restore) (clone it to restore twice).
+/// The backbone of speculative design exploration: try a structural
+/// edit, keep it if the objective improves, roll back if not — without
+/// ever reopening the session.
 #[derive(Clone, Debug)]
 pub struct SessionSnapshot {
-    state: Box<AnalysisSession>,
+    sg: SignalGraph,
+    analysis: CycleTimeAnalysis,
+    scenarios: Option<Scenarios>,
+    edits: u64,
+    stale: bool,
 }
 
-/// Records in `dirty_from` where a full lane-matrix pass left the
-/// matrix stale — nowhere when it completed, from `rows_done` when it
-/// was cancelled, from row 0 after any other halt (`NotRepetitive` and
-/// `Degenerate` cannot fire: border events are repetitive and callers
-/// verify the border set non-empty) — and returns the halt as an error.
-fn note_pass(sweep: Result<(), Halt>, dirty_from: &mut Option<usize>) -> Result<(), EditError> {
-    *dirty_from = match &sweep {
-        Ok(()) => None,
-        Err(Halt::Cancelled(c)) => Some(c.rows_done),
-        Err(_) => Some(0),
-    };
-    sweep.map_err(|halt| match halt {
-        Halt::Cancelled(c) => c.into(),
-        halt => EditError::Analysis(halt_to_error(halt)),
-    })
+/// The scenario sweep of `set`, re-derived over `sg`'s arc slots, on
+/// `arena`.
+fn sweep(
+    sg: &SignalGraph,
+    set: &ScenarioSet,
+    arena: &mut AnalysisArena,
+    cancel: Option<&CancelToken>,
+) -> Result<Scenarios, AnalysisError> {
+    let set = set.resized(sg.arc_count());
+    let analysis = CycleTimeAnalysis::run_scenarios_in(sg, &set, None, arena, cancel)?;
+    Ok(Scenarios { set, analysis })
 }
 
 /// Applies a structural batch to `sg` in order and re-validates the
-/// whole graph; returns the arcs the batch added and the new border
-/// set. On an error `sg` is left partly edited: the caller restores its
-/// backup.
-fn apply_graph_edits(
-    sg: &mut SignalGraph,
-    edits: &[GraphEdit],
-) -> Result<(Vec<ArcId>, Vec<EventId>), EditError> {
-    let mut added = Vec::new();
+/// whole graph. On an error `sg` is left partly edited: the caller
+/// restores its backup.
+fn apply_graph_edits(sg: &mut SignalGraph, edits: &[GraphEdit]) -> Result<(), EditError> {
     for e in edits {
         match *e {
             GraphEdit::Delay { arc, delay } => {
@@ -1102,67 +648,13 @@ fn apply_graph_edits(
                 dst,
                 delay,
                 marked,
-            } => added.push(sg.add_arc(src, dst, delay, marked)?),
+            } => _ = sg.add_arc(src, dst, delay, marked)?,
             GraphEdit::RemoveArc { arc } => sg.remove_arc(arc)?,
             GraphEdit::AddEvent { ref label } => _ = sg.add_event(label)?,
             GraphEdit::RemoveEvent { event } => sg.remove_event(event)?,
         }
     }
-    sg.validate()?;
-    let border = sg.border_events();
-    if border.is_empty() {
-        return Err(EditError::NoCyclicBehavior);
-    }
-    Ok((added, border))
-}
-
-/// Each scenario's border records, read from its `b` lanes (lane
-/// `j·b + k`) of a scenario-lane arena.
-fn scenario_records<'a>(
-    wide: &'a WideArena,
-    border: &'a [EventId],
-    scenarios: usize,
-) -> impl Iterator<Item = Vec<BorderRecord>> + 'a {
-    (0..scenarios).map(move |j| lane_records(wide, border, j * border.len()))
-}
-
-/// 0-1 BFS over the cyclic structure's arc set, backwards: `dist[e]`
-/// becomes the minimum number of marked arcs on any path from `e` to
-/// `target` (`UNREACHED` when no path exists). Marked arcs weigh 1
-/// (they cross a period border), unmarked arcs 0.
-fn token_distances_to(
-    sg: &SignalGraph,
-    target: EventId,
-    dist: &mut Vec<u32>,
-    deque: &mut VecDeque<EventId>,
-) {
-    dist.clear();
-    dist.resize(sg.event_count(), UNREACHED);
-    dist[target.index()] = 0;
-    deque.clear();
-    deque.push_back(target);
-    while let Some(e) = deque.pop_front() {
-        let d = dist[e.index()];
-        for a in sg.in_arcs(e) {
-            let arc = sg.arc(a);
-            if arc.is_disengageable()
-                || !sg.is_repetitive(arc.src())
-                || !sg.is_repetitive(arc.dst())
-            {
-                continue; // same arc set the simulations run on
-            }
-            let prev = arc.src();
-            let w = arc.is_marked() as u32;
-            if d + w < dist[prev.index()] {
-                dist[prev.index()] = d + w;
-                if w == 0 {
-                    deque.push_front(prev);
-                } else {
-                    deque.push_back(prev);
-                }
-            }
-        }
-    }
+    Ok(sg.validate()?)
 }
 
 #[cfg(test)]
@@ -1272,11 +764,18 @@ mod tests {
         assert_eq!(session.edits_applied(), 1);
     }
 
+    /// Every batch re-runs the whole analysis: all borders, all rows.
+    fn assert_full_rerun(delta: &CycleTimeDelta) {
+        assert_eq!(delta.dirty, delta.borders);
+        assert_eq!(delta.rows, delta.rows_total);
+        assert_eq!(delta.rows_total, delta.borders * (delta.borders + 1));
+    }
+
     #[test]
     fn prefix_arc_edits_are_clean() {
-        // The e- → f- arc feeds no border simulation: the delta reports
-        // zero dirty borders and the analysis is unchanged (and still
-        // agrees with scratch, which ignores prefix delays too).
+        // The e- → f- arc feeds no border simulation: the analysis is
+        // unchanged (and still agrees with scratch, which ignores prefix
+        // delays too).
         let mut session = AnalysisSession::open(figure2()).unwrap();
         let e = session.graph().event_by_label("e-").unwrap();
         let f = session.graph().event_by_label("f-").unwrap();
@@ -1284,7 +783,7 @@ mod tests {
         let delta = session
             .edit_delays(&[DelayEdit { arc, delay: 99.0 }], None)
             .unwrap();
-        assert_eq!(delta.dirty, 0);
+        assert_full_rerun(&delta);
         assert_eq!(delta.after.as_f64(), 10.0);
         assert_eq!(session.graph().arc(arc).delay().get(), 99.0);
         assert_matches_scratch(&session, "prefix edit");
@@ -1297,17 +796,16 @@ mod tests {
         let delta = session
             .edit_delays(&[DelayEdit { arc, delay: 3.0 }], None)
             .unwrap();
-        assert_eq!(delta.dirty, 0);
+        assert_full_rerun(&delta);
         assert_eq!(delta.after.as_f64(), 10.0);
     }
 
     #[test]
     fn dirty_region_restart_reuses_rows_by_token_distance() {
         // A long ring with tokens spread out plus a local side loop: an
-        // edit near n0 can only influence a distant border's simulation
-        // after the tokens between them have been spent, so those
-        // simulations resume deep into their matrices instead of
-        // re-running from row 0.
+        // edit near n0 reaches a distant border's simulation only after
+        // the tokens between them have been spent. The session re-runs
+        // every row anyway and must still match scratch.
         let mut b = SignalGraph::builder();
         let n: Vec<_> = (0..12).map(|i| b.event(&format!("n{i}"))).collect();
         // Three tokens spread around the ring → a 3-event border set,
@@ -1333,14 +831,7 @@ mod tests {
         let delta = session
             .edit_delays(&[DelayEdit { arc, delay: 5.0 }], None)
             .unwrap();
-        // r0(n0) = 0, r0(n8) = 1, r0(n4) = 2 → 4 + 3 + 2 = 9 of 12 rows.
-        assert_eq!((delta.rows, delta.rows_total), (9, 12));
-        assert!(
-            delta.rows < delta.rows_total,
-            "token distance must cut recomputed rows: {} of {}",
-            delta.rows,
-            delta.rows_total
-        );
+        assert_eq!((delta.rows, delta.rows_total), (12, 12));
         assert_matches_scratch(&session, "side loop edit");
     }
 
@@ -1448,8 +939,7 @@ mod tests {
 
     /// Split the `src -> dst` arc into a pipeline stage through a fresh
     /// event: the inserted `label -> dst` arc is marked, so the batch
-    /// adds a token, changes the border set, and grows the event axis —
-    /// the full reseed path.
+    /// adds a token, changes the border set, and grows the event axis.
     fn split_batch(session: &AnalysisSession, src: &str, dst: &str, label: &str) -> Vec<GraphEdit> {
         let arc = session.resolve_arc(src, dst).unwrap();
         let a = session.graph().arc(arc);
@@ -1478,8 +968,8 @@ mod tests {
     #[test]
     fn structural_add_arc_resumes_warm_lanes() {
         // An unmarked cyclic arc that leaves the border set and event
-        // axis unchanged: surviving borders keep their warm lanes and
-        // resume from the post-apply token-distance bound.
+        // axis unchanged. Sessions keep no lane matrix between calls, so
+        // the edit reruns every row and must match a from-scratch run.
         let mut session = AnalysisSession::open(figure2()).unwrap();
         let ap = session.graph().event_by_label("a+").unwrap();
         let bm = session.graph().event_by_label("b-").unwrap();
@@ -1494,10 +984,8 @@ mod tests {
                 None,
             )
             .unwrap();
-        // Border [a+, b+] with b = 2: r0(a+) = ε(a+→a+) = 0,
-        // r0(b+) = ε(b+→a+) = 1 → (3 - 0) + (3 - 1) = 5 of 6 rows.
         assert_eq!((delta.dirty, delta.borders), (2, 2));
-        assert_eq!((delta.rows, delta.rows_total), (5, 6));
+        assert_full_rerun(&delta);
         assert_matches_scratch(&session, "add unmarked arc");
     }
 
@@ -1506,7 +994,7 @@ mod tests {
         let mut session = AnalysisSession::open(figure2()).unwrap();
         let ap = session.graph().event_by_label("a+").unwrap();
         let bm = session.graph().event_by_label("b-").unwrap();
-        session
+        let delta = session
             .edit_structure(
                 &[GraphEdit::AddArc {
                     src: ap,
@@ -1517,12 +1005,13 @@ mod tests {
                 None,
             )
             .unwrap();
+        assert_full_rerun(&delta);
+        assert_matches_scratch(&session, "add unmarked arc");
         let arc = session.graph().arc_between(ap, bm).unwrap();
-        // Removal bounds come from the pre-apply pass on the OLD graph.
         let delta = session
             .edit_structure(&[GraphEdit::RemoveArc { arc }], None)
             .unwrap();
-        assert_eq!((delta.rows, delta.rows_total), (5, 6));
+        assert_full_rerun(&delta);
         assert!(!session.graph().is_live_arc(arc));
         assert_matches_scratch(&session, "remove arc");
     }
@@ -1533,13 +1022,13 @@ mod tests {
         let batch = split_batch(&session, "a+", "c+", "s+");
         let delta = session.edit_structure(&batch, None).unwrap();
         // The marked s+ -> c+ arc makes c+ a border event: [a+, b+]
-        // becomes [a+, b+, c+], every lane reseeds.
+        // becomes [a+, b+, c+].
         assert_eq!(session.analysis().border_events().len(), 3);
         assert_eq!((delta.dirty, delta.borders), (3, 3));
-        assert_eq!(delta.rows, delta.rows_total);
+        assert_full_rerun(&delta);
         assert_eq!(session.graph().event_count(), 9);
         assert_matches_scratch(&session, "pipeline split");
-        // The session stays incrementally editable on the new shape.
+        // The session stays editable on the new shape.
         let arc = session.resolve_arc("s+", "c+").unwrap();
         session
             .edit_delays(&[DelayEdit { arc, delay: 4.0 }], None)
@@ -1681,7 +1170,7 @@ mod tests {
         assert_eq!(session.edits_applied(), 0);
         assert_matches_scratch(&session, "after rollback");
 
-        // The rolled-back session stays warm and editable.
+        // The rolled-back session stays editable.
         let arc = session.resolve_arc("a+", "c+").unwrap();
         session
             .edit_delays(&[DelayEdit { arc, delay: 6.0 }], None)
@@ -1742,8 +1231,7 @@ mod tests {
         assert_eq!(session.scenario_count(), 3);
         assert_scenarios_match_scratch(&session, "after enable");
 
-        // Delay edits fold the scaled δs in place and resume the
-        // scenario lanes from the nominal min dirty row.
+        // A delay edit re-runs the scenario sweep with the scaled δs.
         let arc = session.resolve_arc("a+", "c+").unwrap();
         session
             .edit_delays(&[DelayEdit { arc, delay: 9.0 }], None)
@@ -1751,7 +1239,7 @@ mod tests {
         assert_matches_scratch(&session, "delay edit, nominal");
         assert_scenarios_match_scratch(&session, "delay edit");
 
-        // Warm structural path: border set and event axis survive.
+        // A structural batch that keeps the border set and event axis.
         let ap = session.graph().event_by_label("a+").unwrap();
         let bm = session.graph().event_by_label("b-").unwrap();
         session
@@ -1768,8 +1256,8 @@ mod tests {
         assert_matches_scratch(&session, "structural add, nominal");
         assert_scenarios_match_scratch(&session, "structural add");
 
-        // Reseed path: the batch changes the border set, so the set is
-        // re-derived over the grown arc axis and all lanes reseed.
+        // A batch that changes the border set: the set is re-derived
+        // over the grown arc axis.
         let batch = split_batch(&session, "b+", "c+", "s+");
         session.edit_structure(&batch, None).unwrap();
         assert_eq!(
@@ -1890,8 +1378,8 @@ mod tests {
         session.enable_scenarios(&set, None).unwrap();
         let arc = session.resolve_arc("a+", "c+").unwrap();
 
-        // Sweep the cancel budget across both the nominal resume and
-        // the scenario refresh; every abort must heal bit-identically
+        // Sweep the cancel budget across both the nominal run and the
+        // scenario sweep; every abort must heal bit-identically
         // on the next uncancelled (empty) batch.
         for budget in 0..8u64 {
             let token = CancelToken::cancel_after_checks(budget);
@@ -1910,7 +1398,7 @@ mod tests {
             assert_scenarios_match_scratch(&session, &format!("budget {budget}"));
         }
 
-        // A cancelled structural reseed heals the scenario axis too.
+        // A cancelled structural batch heals the scenario axis too.
         let batch = split_batch(&session, "a+", "c+", "t+");
         let token = CancelToken::cancel_after_checks(2);
         let err = session.edit_structure(&batch, Some(&token)).unwrap_err();
@@ -1947,11 +1435,34 @@ mod tests {
         assert_eq!(session.scenario_analysis().unwrap().taus(), taus0);
         assert_scenarios_match_scratch(&session, "after rollback");
 
-        // The rolled-back scenario lanes stay warm and editable.
+        // The rolled-back scenario lanes stay editable.
         session
             .edit_delays(&[DelayEdit { arc, delay: 6.0 }], None)
             .unwrap();
         assert_scenarios_match_scratch(&session, "edit after rollback");
+    }
+
+    #[test]
+    fn session_arena_holds_a_one_shot_window() {
+        // The session re-runs the one-shot core in its arena: after the
+        // open and after each batch the arena holds exactly what a
+        // one-shot `run_in` of the same graphs holds — a two-row lane
+        // window, not the (b + 1)-row matrix of every border.
+        let mut session = AnalysisSession::open(figure2()).unwrap();
+        let mut oneshot = AnalysisArena::new();
+        let mut assert_window = |session: &AnalysisSession, ctx: &str| {
+            CycleTimeAnalysis::run_in(session.graph(), None, &mut oneshot).unwrap();
+            assert_eq!(session.arena_capacity(), oneshot.capacity(), "{ctx}");
+        };
+        assert_window(&session, "open");
+        let arc = session.resolve_arc("a+", "c+").unwrap();
+        session
+            .edit_delays(&[DelayEdit { arc, delay: 6.0 }], None)
+            .unwrap();
+        assert_window(&session, "delay batch");
+        let batch = split_batch(&session, "a+", "c+", "s+");
+        session.edit_structure(&batch, None).unwrap();
+        assert_window(&session, "structural batch");
     }
 
     #[test]
@@ -2043,8 +1554,7 @@ mod tests {
         assert_untouched(&session, 1, "refused structural batch");
 
         // A batch that also changes the border set (a new marked arc
-        // into a new event) reseeds every lane before its refusal; the
-        // rollback reseeds them back.
+        // into a new event) is refused the same way.
         let y = EventId(session.graph().event_count() as u32);
         let err = session
             .edit_structure(
@@ -2103,8 +1613,8 @@ mod tests {
         );
         assert_eq!(session.scenario_count(), 0);
 
-        // With the lanes warm, an edit that overflows only the max
-        // corner is refused and rolled back, scenario state included.
+        // With scenarios on, an edit that overflows only the max corner
+        // is refused and rolled back, scenario state included.
         let mut session = AnalysisSession::open(toggle(1.0, 1.0)).unwrap();
         session.enable_scenarios(&set, None).unwrap();
         let up = session.resolve_arc("x+", "x-").unwrap();

@@ -6,7 +6,7 @@
 //!
 //! The cycle-time algorithm runs `b` event-initiated simulations that
 //! each replay the *same* longest-path recurrence over the *same*
-//! [`CyclicStructure`] — only the initiating event differs. Run one
+//! flattened in-arc table — only the initiating event differs. Run one
 //! after another (or one per thread), every simulation re-streams the
 //! whole in-arc table through cache to feed a single scalar
 //! `max(best, src + δ)`. A [`WideArena`] instead stores the matrices
@@ -33,20 +33,20 @@
 //! (`Rows::Window`) keeps two row slots — row `p` in slot `p % 2` —
 //! plus a `lanes × (periods + 1)` strip of origin cells, filled after
 //! every row. On a 1024-event graph with `b = 37` that is 0.6 MB of
-//! rows where the full matrix would be 11.5 MB. A session
-//! (`Rows::All`) keeps every row, because resuming an edit from a
-//! dirty row needs all rows below it; so does the public
-//! [`WideArena::run`], whose [`WideArena::time`] exposes every cell.
-//! Both layouts go through one row-pair helper, so each backend has a
-//! single row kernel.
+//! rows where the full matrix would be 11.5 MB. Every analysis —
+//! one-shot runs, scenario sweeps and session edits alike — runs in
+//! the window. Only the public [`WideArena::run`] (`Rows::All`) keeps
+//! every row, because its [`WideArena::time`] exposes every cell and
+//! the backend tests compare whole matrices. Both layouts go through
+//! one row-pair helper, so each backend has a single row kernel.
 //!
 //! # Scenario lanes: `lanes = b × s`
 //!
 //! The same amortisation applies across *delay scenarios* — min/typ/max
 //! corners or sampled per-arc variation assignments: only the δ of each
-//! in-arc changes, never the traversal. [`WideArena::run_scenarios_with`]
-//! generalises the lane dimension to every (border, scenario) pair,
-//! scenario-major:
+//! in-arc changes, never the traversal. The scenario run behind
+//! [`CycleTimeAnalysis::run_scenarios_in`] generalises the lane
+//! dimension to every (border, scenario) pair, scenario-major:
 //!
 //! ```text
 //! times[(p · n + e) · (b · s) + lane]     lane = j · b + k
@@ -126,6 +126,7 @@
 //! `track_parents` — `O(b·m)` against the `O(b²·m)` main phase.
 //!
 //! [`CycleTimeAnalysis::finish`]: crate::analysis::CycleTimeAnalysis
+//! [`CycleTimeAnalysis::run_scenarios_in`]: crate::analysis::CycleTimeAnalysis::run_scenarios_in
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -224,10 +225,8 @@ impl fmt::Display for KernelBackend {
 
 /// A wide run stopped by its [`CancelToken`] before filling every row.
 ///
-/// Rows `0..rows_done` hold exact values for the current delay
-/// assignment; rows at and above `rows_done` are stale or partially
-/// overwritten. The matrix heals on the next uncancelled (re-)run that
-/// restarts at or below `rows_done`.
+/// Rows `0..rows_done` were computed; later rows are stale or partially
+/// overwritten until the next run overwrites every row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Cancelled {
     pub kind: CancelKind,
@@ -251,14 +250,12 @@ pub(crate) enum Halt {
 /// entry point, never a setting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Rows {
-    /// Every row `0..=periods`: what a resume
-    /// ([`WideArena::rerun_rows_from`]) and the public cell view
-    /// ([`WideArena::time`]) need. Sessions and [`WideArena::run`].
+    /// Every row `0..=periods`: what the public cell view
+    /// ([`WideArena::time`]) needs. [`WideArena::run`] only.
     All,
     /// Two row slots, row `p` in slot `p % 2`: the recurrence reads only
     /// rows `p - 1` (marked arcs) and `p` (unmarked arcs), and the
-    /// records read only the origin strip. One-shot analyses, which
-    /// never resume.
+    /// records read only the origin strip. Every analysis.
     Window,
 }
 
@@ -518,16 +515,13 @@ impl WideArena {
         self.scenarios = scenarios;
         self.origins.clear();
         self.origins.extend_from_slice(origins);
-        self.rebuild_scenario_deltas(structure, delay_of);
+        self.build_scenario_deltas(structure, delay_of);
         self.seed_and_compute(sg, structure, origins, periods, rows, cancel)
     }
 
-    /// Rebuilds the whole δ table for the *current* batch shape against
-    /// a (possibly re-flattened) structure — the session's
-    /// structural-edit hook: slots remap when the in-arc table is
-    /// rebuilt, so the table is re-derived while the lane matrix itself
-    /// resumes from the min dirty row.
-    pub(crate) fn rebuild_scenario_deltas<F: FnMut(ArcId, usize) -> f64>(
+    /// Builds the δ table for the current batch shape against
+    /// `structure`'s in-arc slots.
+    fn build_scenario_deltas<F: FnMut(ArcId, usize) -> f64>(
         &mut self,
         structure: &CyclicStructure,
         mut delay_of: F,
@@ -542,17 +536,6 @@ impl WideArena {
                 self.deltas[base..base + b].fill(delay_of(entry.arc, j));
             }
         }
-    }
-
-    /// Updates the stored δ vector of in-arc table slot `slot` for one
-    /// scenario — the session's delay-edit hook, so a resumed scenario
-    /// matrix folds the edited delay without a full δ-table rebuild.
-    pub(crate) fn set_scenario_delay(&mut self, slot: usize, scenario: usize, delay: f64) {
-        debug_assert!(!self.deltas.is_empty(), "arena is not in scenario mode");
-        let b = self.origins.len();
-        let lanes = b * self.scenarios;
-        let base = slot * lanes + scenario * b;
-        self.deltas[base..base + b].fill(delay);
     }
 
     /// The shape/precondition gate of every run entry point: degenerate
@@ -621,38 +604,12 @@ impl WideArena {
             }
         }
 
-        self.compute_rows(structure, 0, cancel)
+        self.compute_rows(structure, cancel)
             .map_err(Halt::Cancelled)
     }
 
-    /// Dirty-region restart: recomputes rows `start_row..` of the *same*
-    /// batch this arena last ran — every lane, in one shared pass —
-    /// assuming rows below `start_row` are still exact for the current
-    /// delay assignment. The caller
-    /// ([`AnalysisSession`](crate::analysis::session::AnalysisSession))
-    /// guarantees no edited arc can influence any lane's cell below its
-    /// per-lane `r0`, and passes the minimum of those: lanes whose own
-    /// dirty region starts later have their intermediate rows recomputed
-    /// to bit-identical values (the recurrence is a pure function of the
-    /// rows below), so the resulting matrix equals a full re-run over
-    /// the edited structure bit for bit. Only a full-matrix
-    /// ([`Rows::All`]) arena can resume.
-    pub(crate) fn rerun_rows_from(
-        &mut self,
-        structure: &CyclicStructure,
-        start_row: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Cancelled> {
-        debug_assert_eq!(self.slots, self.p_total, "a resume needs the full matrix");
-        if start_row >= self.p_total {
-            return Ok(()); // the batch's earliest influence is beyond the horizon
-        }
-        self.compute_rows(structure, start_row, cancel)
-    }
-
-    /// The lockstep longest-path recurrence over rows
-    /// `start_row..p_total` (row `start_row - 1`, when any, must hold
-    /// valid values): the runtime dispatch point of [`KernelBackend`].
+    /// The lockstep longest-path recurrence over rows `0..p_total`: the
+    /// runtime dispatch point of [`KernelBackend`].
     ///
     /// Per row it polls `cancel`, takes the `(prev, current)` row pair
     /// from [`row_pair`] — the one place that knows whether the arena
@@ -669,7 +626,6 @@ impl WideArena {
     fn compute_rows(
         &mut self,
         structure: &CyclicStructure,
-        start_row: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<(), Cancelled> {
         let (n, p_total, slots) = (self.n, self.p_total, self.slots);
@@ -685,7 +641,7 @@ impl WideArena {
             ..
         } = self;
         let times = times.as_mut_slice();
-        for p in start_row..p_total {
+        for p in 0..p_total {
             // One poll per matrix row: a row is `O(m · lanes)` work, so
             // the check cost vanishes while aborts still land within one
             // row of the signal.
@@ -789,10 +745,9 @@ impl WideArena {
     }
 
     /// Allocation-reusing form of [`distance_series`](Self::distance_series):
-    /// clears `out` and fills it in place, so a warm caller (an
-    /// analysis session's per-border record) keeps one buffer per lane
-    /// alive across re-runs. Reads the origin strip, so it works
-    /// whichever rows the arena kept.
+    /// clears `out` and fills it in place, so a caller can keep one
+    /// buffer per lane alive across re-runs. Reads the origin strip, so
+    /// it works whichever rows the arena kept.
     pub fn distance_series_into(&self, k: usize, out: &mut Vec<(u32, f64, f64)>) {
         out.clear();
         let cells = &self.strip[k * self.p_total..][..self.p_total];
@@ -1439,92 +1394,40 @@ mod tests {
     }
 
     #[test]
-    fn rerun_rows_from_matches_full_rerun() {
-        // Edit a delay, resume from each candidate row whose cells the
-        // edit cannot influence, and compare against a from-scratch wide
-        // run of the edited graph.
-        let mut sg = figure2();
-        let borders = sg.border_events();
-        let mut wide = WideArena::new();
-        wide.run(&sg, &borders, 3).unwrap();
-
-        // The c- -> a+ marked arc: ε(a+ -> c-) = 0, marked, so r0 = 1
-        // for the a+ lane (and 1 for b+ via the same reasoning).
-        let cm = sg.event_by_label("c-").unwrap();
-        let ap = sg.event_by_label("a+").unwrap();
-        let arc = sg.arc_between(cm, ap).unwrap();
-        sg.set_delay(arc, 6.5).unwrap();
-        let structure = CyclicStructure::new(&sg);
-        wide.rerun_rows_from(&structure, 1, None).unwrap();
-
-        let mut fresh = WideArena::new();
-        fresh.run(&sg, &borders, 3).unwrap();
-        for k in 0..borders.len() {
-            for e in sg.events() {
-                for p in 0..=3 {
-                    assert_eq!(
-                        wide.time(k, e, p).map(f64::to_bits),
-                        fresh.time(k, e, p).map(f64::to_bits),
-                        "lane {k} e={} p={p}",
-                        sg.label(e)
-                    );
-                }
-            }
-        }
-        assert_lanes_match_scalar(&sg, &wide, "after resume");
-    }
-
-    #[test]
-    fn rerun_beyond_horizon_is_a_noop() {
+    fn cancelled_rerun_heals_bit_identically_on_the_next_pass() {
+        // Abort a full-matrix run at every possible row, then run again
+        // without a token: the half-written matrix must heal to the
+        // exact bits of a fresh arena's run on every backend.
         let sg = figure2();
         let borders = sg.border_events();
-        let mut wide = WideArena::new();
-        wide.run(&sg, &borders, 2).unwrap();
-        let before = wide.times.as_slice().to_vec();
         let structure = CyclicStructure::new(&sg);
-        wide.rerun_rows_from(&structure, 3, None).unwrap();
-        assert_eq!(wide.times.as_slice(), &before[..]);
-    }
-
-    #[test]
-    fn cancelled_rerun_heals_bit_identically_on_the_next_pass() {
-        // Abort a resumed run at every possible row, then finish without
-        // a token: the half-written matrix must heal to the exact bits
-        // of a from-scratch run on every backend.
+        let bits = |wide: &WideArena| {
+            wide.times
+                .as_slice()
+                .iter()
+                .map(|t| t.to_bits())
+                .collect::<Vec<_>>()
+        };
         for backend in available_backends() {
-            let mut sg = figure2();
-            let borders = sg.border_events();
             let mut wide = WideArena::with_kernel(backend);
-            wide.run(&sg, &borders, 5).unwrap();
-            let cm = sg.event_by_label("c-").unwrap();
-            let ap = sg.event_by_label("a+").unwrap();
-            let arc = sg.arc_between(cm, ap).unwrap();
-            sg.set_delay(arc, 6.5).unwrap();
-            let structure = CyclicStructure::new(&sg);
-            for budget in 0..4u64 {
+            for budget in 0..6u64 {
                 let token = CancelToken::cancel_after_checks(budget);
                 let err = wide
-                    .rerun_rows_from(&structure, 1, Some(&token))
+                    .run_with(&sg, &structure, &borders, 5, Rows::All, Some(&token))
                     .unwrap_err();
-                assert_eq!(err.kind, CancelKind::Explicit, "{backend}");
-                assert_eq!(err.rows_done, 1 + budget as usize, "{backend}");
-                assert_eq!(err.rows_total, 6, "{backend}");
+                let Halt::Cancelled(c) = err else {
+                    panic!("{backend}: expected a cancel, got {err:?}");
+                };
+                assert_eq!(c.kind, CancelKind::Explicit, "{backend}");
+                assert_eq!(c.rows_done, budget as usize, "{backend}");
+                assert_eq!(c.rows_total, 6, "{backend}");
             }
-            wide.rerun_rows_from(&structure, 1, None).unwrap();
+            wide.run(&sg, &borders, 5).unwrap();
             let mut fresh = WideArena::with_kernel(backend);
             fresh.run(&sg, &borders, 5).unwrap();
             assert_eq!(
-                wide.times
-                    .as_slice()
-                    .iter()
-                    .map(|t| t.to_bits())
-                    .collect::<Vec<_>>(),
-                fresh
-                    .times
-                    .as_slice()
-                    .iter()
-                    .map(|t| t.to_bits())
-                    .collect::<Vec<_>>(),
+                bits(&wide),
+                bits(&fresh),
                 "{backend}: healed matrix must equal from-scratch"
             );
         }
@@ -1618,78 +1521,6 @@ mod tests {
                                 sg.label(e)
                             );
                         }
-                    }
-                }
-            }
-        }
-    }
-
-    /// A scenario matrix resumes from a dirty row after
-    /// `set_scenario_delay` exactly like a from-scratch scenario run
-    /// with the edited delay.
-    #[test]
-    fn scenario_resume_matches_from_scratch() {
-        let sg = figure2();
-        let borders = sg.border_events();
-        let b = borders.len();
-        let cm = sg.event_by_label("c-").unwrap();
-        let ap = sg.event_by_label("a+").unwrap();
-        let arc = sg.arc_between(cm, ap).unwrap();
-        let structure = CyclicStructure::new(&sg);
-        let slot = structure
-            .in_arcs(ap)
-            .iter()
-            .position(|ia| ia.arc == arc)
-            .map(|off| structure.offsets[ap.index()] as usize + off)
-            .unwrap();
-        const FACTORS: [f64; 3] = [0.9, 1.0, 1.2];
-        let sgr = &sg;
-        let delay_of = |edited: Option<(usize, f64)>| {
-            move |a: ArcId, j: usize| match edited {
-                Some((ea, d)) if ea == a.index() && j == 1 => d,
-                _ => sgr.arc(a).delay().get() * FACTORS[j],
-            }
-        };
-        for backend in available_backends() {
-            let mut wide = WideArena::with_kernel(backend);
-            wide.run_scenarios_with(
-                &sg,
-                &structure,
-                &borders,
-                FACTORS.len(),
-                delay_of(None),
-                5,
-                Rows::All,
-                None,
-            )
-            .unwrap();
-            // Edit scenario 1's delay for the marked c- -> a+ arc and
-            // resume from row 1 (the marked-arc dirty bound).
-            wide.set_scenario_delay(slot, 1, 6.5);
-            wide.rerun_rows_from(&structure, 1, None).unwrap();
-
-            let mut fresh = WideArena::with_kernel(backend);
-            fresh
-                .run_scenarios_with(
-                    &sg,
-                    &structure,
-                    &borders,
-                    FACTORS.len(),
-                    delay_of(Some((arc.index(), 6.5))),
-                    5,
-                    Rows::All,
-                    None,
-                )
-                .unwrap();
-            for lane in 0..b * FACTORS.len() {
-                for e in sg.events() {
-                    for p in 0..=5 {
-                        assert_eq!(
-                            wide.time(lane, e, p).map(f64::to_bits),
-                            fresh.time(lane, e, p).map(f64::to_bits),
-                            "{backend} lane {lane} e={} p={p}",
-                            sg.label(e)
-                        );
                     }
                 }
             }

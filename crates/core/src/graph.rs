@@ -8,6 +8,7 @@ use tsg_graph::{DiGraph, EdgeId, NodeId};
 use crate::arc::{Arc, ArcId};
 use crate::builder::SignalGraphBuilder;
 use crate::event::{EventId, EventKind, EventLabel};
+use crate::validate::ValidationError;
 
 /// A Timed Signal Graph (Sections III.A and III.C of the paper).
 ///
@@ -118,15 +119,15 @@ impl SignalGraph {
             .count()
     }
 
-    /// Number of live (non-removed) events. [`event_count`]
-    /// (Self::event_count) stays the raw id bound, which removal never
+    /// Number of live (non-removed) events. [`event_count`](Self::event_count)
+    /// stays the raw id bound, which removal never
     /// shrinks.
     pub fn live_event_count(&self) -> usize {
         self.events.iter().filter(|e| e.alive).count()
     }
 
-    /// Number of live (non-removed) arcs. [`arc_count`]
-    /// (Self::arc_count) stays the raw id bound, which removal never
+    /// Number of live (non-removed) arcs. [`arc_count`](Self::arc_count)
+    /// stays the raw id bound, which removal never
     /// shrinks.
     pub fn live_arc_count(&self) -> usize {
         self.arcs.iter().filter(|a| a.is_alive()).count()
@@ -242,8 +243,7 @@ impl SignalGraph {
     /// Structural mutations check per-operation rules only; batch-level
     /// invariants (liveness, strong connectivity of the cyclic part)
     /// are re-checked by [`validate`](Self::validate), which
-    /// [`AnalysisSession::edit_structure`]
-    /// (crate::analysis::session::AnalysisSession::edit_structure)
+    /// [`AnalysisSession::edit_structure`](crate::analysis::session::AnalysisSession::edit_structure)
     /// runs after applying a whole edit batch.
     ///
     /// # Errors
@@ -251,8 +251,7 @@ impl SignalGraph {
     /// Returns [`ValidationError::DuplicateLabel`] when a live event
     /// already carries the label (labels of removed events are
     /// reusable).
-    pub fn add_event(&mut self, label: &str) -> Result<EventId, crate::validate::ValidationError> {
-        use crate::validate::ValidationError;
+    pub fn add_event(&mut self, label: &str) -> Result<EventId, ValidationError> {
         let parsed: EventLabel = label
             .parse()
             .unwrap_or_else(|_| EventLabel::bare(label.to_owned()));
@@ -280,8 +279,7 @@ impl SignalGraph {
     /// Returns [`ValidationError::UnknownEvent`] for an out-of-range or
     /// already-removed id, [`ValidationError::EventHasArcs`] when live
     /// arcs still touch `e`.
-    pub fn remove_event(&mut self, e: EventId) -> Result<(), crate::validate::ValidationError> {
-        use crate::validate::ValidationError;
+    pub fn remove_event(&mut self, e: EventId) -> Result<(), ValidationError> {
         if !self.is_live_event(e) {
             return Err(ValidationError::UnknownEvent(e));
         }
@@ -323,8 +321,7 @@ impl SignalGraph {
         dst: EventId,
         delay: f64,
         marked: bool,
-    ) -> Result<ArcId, crate::validate::ValidationError> {
-        use crate::validate::ValidationError;
+    ) -> Result<ArcId, ValidationError> {
         if !self.is_live_event(src) {
             return Err(ValidationError::UnknownEvent(src));
         }
@@ -351,16 +348,15 @@ impl SignalGraph {
 
     /// Removes arc `a`: its id slot becomes a tombstone reading as
     /// unmarked and non-disengageable (no other [`ArcId`] shifts), it
-    /// disappears from [`in_arcs`](Self::in_arcs)/[`out_arcs`]
-    /// (Self::out_arcs)/[`arc_between`](Self::arc_between), and its
+    /// disappears from [`in_arcs`](Self::in_arcs)/[`out_arcs`](Self::out_arcs)/
+    /// [`arc_between`](Self::arc_between), and its
     /// endpoint record survives for diagnostics.
     ///
     /// # Errors
     ///
     /// Returns [`ValidationError::UnknownArc`] for an out-of-range or
     /// already-removed id.
-    pub fn remove_arc(&mut self, a: ArcId) -> Result<(), crate::validate::ValidationError> {
-        use crate::validate::ValidationError;
+    pub fn remove_arc(&mut self, a: ArcId) -> Result<(), ValidationError> {
         if !self.is_live_arc(a) {
             return Err(ValidationError::UnknownArc(a));
         }
@@ -372,13 +368,13 @@ impl SignalGraph {
     /// Re-checks every structural rule the builder enforced, skipping
     /// tombstones — the batch-level gate after a sequence of
     /// [`add_arc`](Self::add_arc)/[`remove_arc`](Self::remove_arc)/
-    /// [`add_event`](Self::add_event)/[`remove_event`]
-    /// (Self::remove_event) mutations.
+    /// [`add_event`](Self::add_event)/[`remove_event`](Self::remove_event)
+    /// mutations.
     ///
     /// # Errors
     ///
     /// Returns the first violated rule; see [`crate::validate`].
-    pub fn validate(&self) -> Result<(), crate::validate::ValidationError> {
+    pub fn validate(&self) -> Result<(), ValidationError> {
         crate::validate::validate(self)
     }
 

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 const MAX_DEPTH: usize = 64;
 
 /// Maximum byte length of a parsed document — the same defence as
-/// [`MAX_DEPTH`], for width instead of depth: a hostile request cannot
+/// `MAX_DEPTH`, for width instead of depth: a hostile request cannot
 /// make the parser build an arbitrarily large tree. The protocol reader
 /// bounds request lines earlier (and configurably); this cap is the
 /// parser's own last line.

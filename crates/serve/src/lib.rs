@@ -22,7 +22,7 @@
 //!   responses, graceful EOF/SIGINT shutdown, and served/failed
 //!   counters surfaced by the `stats` request;
 //! * transports — stdin/stdout ([`serve`]), TCP ([`serve_tcp`]) and Unix
-//!   sockets ([`serve_unix`]), all driven by the one [`reactor`]
+//!   sockets ([`serve_unix`]), all driven by the one `reactor`
 //!   readiness event loop — one thread, `poll(2)`, nonblocking sockets,
 //!   bounded per-connection buffers — so thousands of idle, half-open or
 //!   dribbling clients cost buffers, not threads, and the worker pool

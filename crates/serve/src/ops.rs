@@ -311,7 +311,7 @@ pub fn apply_struct_edits(
     apply_ops(session, ops, None).map_err(|e| e.to_string())
 }
 
-/// Checks that `session`'s incremental analysis is bit-identical to a
+/// Checks that `session`'s analysis is bit-identical to a
 /// from-scratch run on its current graph — the self-verification both
 /// `tsg explore` and `session.explore` end with.
 ///
@@ -332,8 +332,7 @@ pub fn verify_session(session: &AnalysisSession) -> Result<(), String> {
         ));
     }
     // When scenario lanes are enabled, every lane must match a scratch
-    // sweep too — the incremental matrices and δ tables get the same
-    // bit-identity guarantee as the nominal analysis.
+    // sweep too.
     if let (Some(set), Some(sa)) = (session.scenario_set(), session.scenario_analysis()) {
         let scratch = CycleTimeAnalysis::run_scenarios_in(
             session.graph(),
@@ -360,7 +359,7 @@ pub fn verify_session(session: &AnalysisSession) -> Result<(), String> {
     Ok(())
 }
 
-/// What [`optimize_session`]'s accept/reject decisions minimise.
+/// What the [`explore_session`] loop's accept/reject decisions minimise.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Objective {
     /// The nominal cycle time τ.
@@ -767,7 +766,7 @@ pub fn session_summary(session: &AnalysisSession) -> String {
     out
 }
 
-/// One proposed move of [`optimize_session`]'s trajectory — what the
+/// One proposed move of [`explore_session`]'s trajectory — what the
 /// explorer tried, what it did to the objective, and how much
 /// re-simulation scoring it cost.
 #[derive(Clone, Debug)]
@@ -785,14 +784,14 @@ pub struct MoveRecord {
     pub critical: String,
     /// Whether the move improved the objective and was kept.
     pub accepted: bool,
-    /// Matrix rows the scoring re-analysis recomputed (0 when the
-    /// proposal was rejected by validation before any scoring).
+    /// Lane rows the scoring re-analysis computed (0 when the proposal
+    /// was rejected before any scoring finished).
     pub rows: usize,
-    /// Rows a from-scratch scoring run would compute.
+    /// Rows of a full analysis of the edited graph (0 when rejected).
     pub rows_total: usize,
 }
 
-/// Result of [`optimize_session`]: the accepted-move trajectory and the
+/// Result of [`explore_session`]'s loop: the accepted-move trajectory and the
 /// objective's endpoints.
 #[derive(Clone, Debug)]
 pub struct OptimizeOutcome {
@@ -935,7 +934,7 @@ fn propose_move(
 
 /// The speculative design-exploration loop of [`explore_session`]: propose `moves` random candidate
 /// edits (delay nudges, arc rewires, pipeline-stage insertions), score
-/// each by incremental re-analysis against a snapshot, commit the ones
+/// each by re-analysing the session against a snapshot, commit the ones
 /// that strictly lower the `objective` and roll the rest back. The
 /// accepted-objective trajectory is monotone non-increasing by
 /// construction, so `final_tau <= initial` always holds — with
@@ -1004,7 +1003,7 @@ fn optimize_session(
 /// `session.explore`: with [`Objective::TauP95`] and no scenario lanes
 /// yet, enables `samples` seeded delay scenarios (kept enabled
 /// afterwards, so the distribution summary reflects the final state);
-/// runs [`optimize_session`]; and renders its text report — the
+/// runs the speculative move loop; and renders its text report — the
 /// objective line (when scenario lanes are on), one line per move, the
 /// outcome, the session summary and the τ distribution.
 ///
@@ -1183,8 +1182,8 @@ impl Workspace {
         self.sessions.len()
     }
 
-    /// `session.open`: one full analysis, kept warm under
-    /// `"{conn}/{name}"` for the delta queries to come.
+    /// `session.open`: one full analysis, kept with its graph under
+    /// `"{conn}/{name}"` for the edit batches to come.
     ///
     /// # Errors
     ///
@@ -1218,9 +1217,9 @@ impl Workspace {
     }
 
     /// `session.edit`: applies one batch of label-addressed delay and
-    /// structural edits as one transaction, re-simulating only the
-    /// dirty region (or reseeding the warm lanes when the batch changes
-    /// the border set).
+    /// structural edits as one transaction and re-runs the session's
+    /// analysis on the edited graph. The `re-simulated` line counts that
+    /// work: every border simulation and every lane row.
     ///
     /// # Errors
     ///
@@ -1282,7 +1281,7 @@ impl Workspace {
         Ok(out)
     }
 
-    /// `session.close`: discards the session's warm state.
+    /// `session.close`: discards the session.
     ///
     /// # Errors
     ///

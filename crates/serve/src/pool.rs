@@ -3,7 +3,7 @@
 //! A [`Pool`] owns a fixed set of worker threads — each holding one warm
 //! [`Workspace`] (arena + pre-sized queues + open sessions) for its
 //! whole lifetime — and any number of connections can feed it
-//! concurrently through the [`reactor`](crate::reactor) readiness event
+//! concurrently through the `reactor` readiness event
 //! loop: the socket transports ([`serve_tcp`](crate::serve_tcp)) run
 //! one per accepted client, stdin/stdout ([`serve`](crate::serve)) runs
 //! one bridged connection. Request failures (unreadable files, parse
@@ -22,8 +22,8 @@
 //!   whole life executes in request order against one workspace's warm
 //!   state — no cross-worker state handoff, no reordering of edits.
 //!
-//! Accepted lines enter through [`Pool::dispatch_line`]; each finished
-//! job's response goes back over its [`Reply`] to the event loop, which
+//! Accepted lines enter through `Pool::dispatch_line`; each finished
+//! job's response goes back over its `Reply` to the event loop, which
 //! reorders completions into request order per connection.
 //!
 //! # Hardening
@@ -84,8 +84,8 @@ pub struct ServeOptions {
     /// [`BatchRunner::sized`].
     pub threads: Option<usize>,
     /// Pool-wide cap on concurrently open incremental sessions (`None`
-    /// = unbounded). Each open session pins O(b²·n) warm matrix cells to
-    /// a worker for its whole life, so a long-lived service should
+    /// = unbounded). Each open session pins its graph, its analysis and
+    /// a two-row lane window to a worker for its whole life, so a long-lived service should
     /// bound them: a `session.open` beyond the cap is answered with a
     /// structured `ok: false` error instead of growing worker memory,
     /// and the slot frees on `session.close` or disconnect.

@@ -23,13 +23,13 @@
 //! {"id": 10, "cmd": "session.close", "session": "s1"}
 //! ```
 //!
-//! The `session.*` commands drive an incremental
+//! The `session.*` commands drive an
 //! [`AnalysisSession`](tsg_core::analysis::session::AnalysisSession):
-//! `open` runs the full analysis once and keeps it warm, each `edit`
-//! re-simulates only the dirty region, `close` discards the state. All
-//! requests naming one session are *pinned to one worker* (and sessions
-//! are scoped to their connection), so edits execute in request order
-//! against warm state.
+//! `open` runs the full analysis once and keeps the graph, each `edit`
+//! applies a batch and re-runs the analysis, `close` discards the
+//! state. All requests naming one session are *pinned to one worker*
+//! (and sessions are scoped to their connection), so edits execute in
+//! request order against that session's graph.
 //!
 //! An `edits` entry is either the bare `{src, dst, delay}` delay form
 //! or a structural `{"op": ...}` object — `add_arc` (optionally

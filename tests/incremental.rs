@@ -5,9 +5,8 @@
 //! to `CycleTimeAnalysis::run` on the edited graph — same cycle-time
 //! bits, same critical cycle, same border records. These properties
 //! drive random edit scripts over every `tsg_gen` generator family
-//! (rings, tori, handshake pipelines, seeded random live graphs), and
-//! pin the kernel checkpoint machinery underneath: the paused
-//! event simulation resumes bit-identically on a separate scratch.
+//! (rings, tori, handshake pipelines, seeded random live graphs),
+//! structural batches, scenario lanes, cancellations and snapshots.
 
 use proptest::prelude::*;
 use tsg::core::analysis::session::{AnalysisSession, DelayEdit, EditError, GraphEdit};
@@ -288,10 +287,9 @@ proptest! {
         assert_session_matches_scratch(&session, &ctx);
     }
 
-    /// Scenario lanes ride the session's incremental resume (PR 9):
-    /// with a corner or sample set enabled, every delay edit resumes
-    /// *all* `b × s` lanes from the minimum dirty row, and after every
-    /// step each scenario lane must match a from-scratch scalar
+    /// Scenario lanes follow the session's edits: with a corner or
+    /// sample set enabled, every delay edit re-runs all `b × s` lanes,
+    /// and after every step each scenario lane must match a from-scratch scalar
     /// analysis of its reweighted graph — alongside the nominal lanes.
     #[test]
     fn scenario_lanes_survive_random_delay_edits(
@@ -341,9 +339,8 @@ proptest! {
         }
     }
 
-    /// The same resume discipline holds with the kernel pinned to each
-    /// backend this CPU offers: scenario lanes resumed mid-matrix by a
-    /// short edit script stay bit-identical to the scalar engine on
+    /// The same holds with the kernel pinned to each backend this CPU
+    /// offers: scenario lanes re-run by a short edit script stay bit-identical to the scalar engine on
     /// every backend.
     #[test]
     fn scenario_lanes_resume_mid_matrix_on_every_backend(
@@ -370,7 +367,7 @@ proptest! {
 
 /// A long deterministic soak on one graph per family: 40 edits each,
 /// verified bit-identically at every step (catches drift that only
-/// accumulates over many resumed rows).
+/// accumulates over many edits).
 #[test]
 fn long_edit_soak_per_family() {
     for family in 0..4usize {
@@ -447,7 +444,7 @@ proptest! {
     }
 
     /// Cancel-then-heal for *structural* edits: a pipeline split whose
-    /// lane reseed (or dirty-row resume) is aborted leaves the new
+    /// re-analysis is aborted leaves the new
     /// graph committed with a stale analysis, and the next uncancelled
     /// call heals it to the from-scratch bits.
     #[test]

@@ -14,13 +14,13 @@
 //! PR 6 widens the bar to the explicit-SIMD backends: every backend
 //! the CPU offers (portable always, AVX2 when detected) must
 //! produce the same bits as `run_scalar` — including odd lane counts
-//! that force the masked remainder paths, and sessions resumed
+//! that force the masked remainder paths, and session edit scripts
 //! mid-matrix with the kernel pinned per backend.
 //!
 //! PR 8 adds structural edits to the mix: interleaved pipeline-stage
 //! splits and delay nudges applied through
-//! `AnalysisSession::edit_structure` remap the warm lanes onto the
-//! edited border set, and each batch must leave the session
+//! `AnalysisSession::edit_structure` change the border set, and each
+//! batch must leave the session
 //! bit-identical to a from-scratch scalar analysis — on every backend.
 //!
 //! PR 9 adds the scenario axis: a `ScenarioSet` of `s` delay
@@ -108,8 +108,8 @@ proptest! {
         assert_wide_matches_scalar(&sg, &format!("family {family} seed {seed}"));
     }
 
-    /// Random edit scripts through an `AnalysisSession` (whose warm
-    /// state is now the wide matrix): every step bit-identical to a
+    /// Random edit scripts through an `AnalysisSession` (which re-runs
+    /// the wide kernel per edit): every step bit-identical to a
     /// from-scratch scalar analysis of the edited graph.
     #[test]
     fn session_edits_match_the_scalar_engine(
@@ -156,10 +156,7 @@ proptest! {
     }
 
     /// Random edit scripts on a session pinned to each backend: every
-    /// resume recomputes only the rows below the edit, so the matrix
-    /// the SIMD kernel continues from is the portable/scalar one —
-    /// every step must stay bit-identical to a from-scratch scalar
-    /// analysis.
+    /// step must stay bit-identical to a from-scratch scalar analysis.
     #[test]
     fn session_edits_resume_mid_matrix_on_every_backend(
         family in 0usize..4,
@@ -185,9 +182,8 @@ proptest! {
 
     /// Interleaved structural + delay scripts on a session pinned to
     /// each backend: pipeline-stage splits grow the event set (and can
-    /// grow or shuffle the border set, forcing a lane remap of the warm
-    /// wide matrix), delay nudges dirty individual rows — after every
-    /// batch the resumed state must hold the exact bits of a
+    /// grow or shuffle the border set), delay nudges change single
+    /// arcs — after every batch the session must hold the exact bits of a
     /// from-scratch scalar analysis of the edited graph.
     #[test]
     fn structural_scripts_resume_on_every_backend(
@@ -304,7 +300,7 @@ proptest! {
 
 /// A deterministic soak per family: 32 edits on one session, wide vs
 /// scalar verified at every step (catches drift that only accumulates
-/// over many resumed lockstep rows).
+/// over many edits).
 #[test]
 fn long_wide_session_soak_per_family() {
     for family in 0..4usize {
@@ -487,8 +483,8 @@ fn full_matrix_record_bits(sg: &SignalGraph, periods: u32) -> RecordBits {
 
 /// One-shot analyses run in a two-row window; their records must equal
 /// the scalar engine's and the full matrix's bit for bit — at the
-/// default `b` periods (against an `AnalysisSession`, which keeps the
-/// full matrix) and at overridden periods (against `WideArena::run`),
+/// default `b` periods (also against an `AnalysisSession` open) and at
+/// overridden periods (against `WideArena::run`),
 /// on one worker and lane-chunked over two and three. One arena per
 /// worker count serves the whole corpus, so a stale slot or strip cell
 /// of an earlier, larger shape would show.
