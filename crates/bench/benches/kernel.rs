@@ -20,7 +20,7 @@
 //!   to each backend this CPU offers (portable, then AVX2 when
 //!   detected), every backend asserted bit-identical down to each lane
 //!   matrix cell before any timing.
-//! * `analysis` — `CycleTimeAnalysis::run` vs `analyze_batch` over a
+//! * `analysis` — `CycleTimeAnalysis::run` vs `tsg_bench::analyze_batch` over a
 //!   64-graph `tsg_gen` sweep at 1/2/4/8 threads.
 //!
 //! The `bench` binary runs the same workloads outside Criterion and
@@ -150,7 +150,7 @@ fn bench_analysis(c: &mut Criterion) {
             &threads,
             |b, _| {
                 b.iter(|| {
-                    CycleTimeAnalysis::analyze_batch(black_box(&graphs), &runner)
+                    tsg_bench::analyze_batch(black_box(&graphs), &runner)
                         .into_iter()
                         .map(|a| a.unwrap().cycle_time().as_f64())
                         .sum::<f64>()

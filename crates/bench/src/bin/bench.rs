@@ -15,11 +15,14 @@
 //! matrix — min/typ/max corners and seeded sample sets — swept as
 //! extra lanes of one lockstep pass against per-scenario re-analysis
 //! (`corner_sweep`), and
-//! `CycleTimeAnalysis::analyze_batch` against the sequential loop on a
+//! `tsg_bench::analyze_batch` against the sequential loop on a
 //! 64-graph `tsg_gen` sweep, `.g` loading (`load`: `parse_stg` at 1024
 //! and 4096 events), the one-shot two-row window at the 1024-event,
 //! b = 37 shape (`oneshot_window`: `run_in` time and wide bytes beside
-//! `AnalysisSession::open`, which runs in the same window), and the
+//! `AnalysisSession::open`, which runs in the same window), the
+//! `analyze` response's non-kernel bytes at that shape (`render`:
+//! `ops::report_in` minus `run_in`, and `protocol::ok_response` on the
+//! report, with both byte counts), and the
 //! lane-chunk crossover of the one analysis core (`lane_chunks`:
 //! `run_in` and a corner sweep on one against two `AnalysisArena`
 //! workers, 256 to 4096 events) —
@@ -49,6 +52,7 @@ use tsg_core::analysis::session::AnalysisSession;
 use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::{Corner, CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::SignalGraph;
+use tsg_serve::{ops, protocol};
 use tsg_sim::{BatchRunner, EventQueue};
 use tsg_stg::{parse_stg, StgOptions};
 
@@ -461,7 +465,7 @@ fn measure_analysis(
         let mut best = f64::INFINITY;
         for _ in 0..reps.max(1) {
             let t = Instant::now();
-            let got: Vec<(u64, u32)> = CycleTimeAnalysis::analyze_batch(graphs, &runner)
+            let got: Vec<(u64, u32)> = tsg_bench::analyze_batch(graphs, &runner)
                 .into_iter()
                 .map(|a| {
                     let a = a.expect("live");
@@ -497,25 +501,32 @@ struct WindowRow {
     session_wide_bytes: usize,
 }
 
-/// The one-shot window at the `analyze-large` shape: a 1024-event ring
-/// with 8 tokens and 64 chords, drawn until it has exactly 37 border
-/// events. `run_in` keeps two rows of the lane matrix, and so does a
-/// session open, which runs the same core. Both are asserted to give
-/// the same analysis before timing.
-fn measure_oneshot_window(reps: usize) -> WindowRow {
-    const EVENTS: usize = 1024;
-    const BORDERS: usize = 37;
+/// Events and border events of the `analyze-large` shape.
+const LARGE_EVENTS: usize = 1024;
+const LARGE_BORDERS: usize = 37;
+
+/// The `analyze-large` shape: a 1024-event ring with 8 tokens and 64
+/// chords, drawn until it has exactly 37 border events.
+fn analyze_large_graph() -> SignalGraph {
     let config = tsg_gen::RandomTsgConfig {
-        events: EVENTS,
+        events: LARGE_EVENTS,
         tokens: 8,
         chords: 64,
         max_delay: 9,
         with_prefix: false,
     };
-    let sg = (0u64..)
+    (0u64..)
         .map(|seed| tsg_gen::random_live_tsg(seed, config))
-        .find(|sg| sg.border_events().len() == BORDERS)
-        .expect("some seed draws b = 37");
+        .find(|sg| sg.border_events().len() == LARGE_BORDERS)
+        .expect("some seed draws b = 37")
+}
+
+/// The one-shot window at the `analyze-large` shape. `run_in` keeps two
+/// rows of the lane matrix, and so does a session open, which runs the
+/// same core. Both are asserted to give the same analysis before
+/// timing.
+fn measure_oneshot_window(reps: usize) -> WindowRow {
+    let sg = analyze_large_graph();
 
     let mut arena = AnalysisArena::new();
     let oneshot = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
@@ -537,12 +548,70 @@ fn measure_oneshot_window(reps: usize) -> WindowRow {
             .len()
     });
     WindowRow {
-        events: EVENTS,
-        b: BORDERS,
+        events: LARGE_EVENTS,
+        b: LARGE_BORDERS,
         oneshot_samples,
         oneshot_wide_bytes: arena.capacity().0 * cell,
         session_samples,
         session_wide_bytes: session.arena_capacity().0 * cell,
+    }
+}
+
+struct RenderRow {
+    /// Per-pair seconds of `ops::report_in` minus `run_in`, sorted
+    /// ascending.
+    render_samples: Vec<f64>,
+    /// Per-call seconds of `protocol::ok_response` on the report,
+    /// sorted ascending.
+    encode_samples: Vec<f64>,
+    report_bytes: usize,
+    response_bytes: usize,
+}
+
+/// The non-kernel bytes of an `analyze` response at the `analyze-large`
+/// shape: the report `ops::report_in` renders and its JSON encoding by
+/// `protocol::ok_response`. The render has no entry point of its own,
+/// so each render sample is a `report_in` timing minus a `run_in`
+/// timing taken right after it (each the best of three calibrated
+/// samples), which keeps host drift out of the difference.
+fn measure_render(reps: usize) -> RenderRow {
+    let sg = analyze_large_graph();
+    let opts = ops::AnalyzeOptions::default();
+    let mut arena = AnalysisArena::new();
+    let report = ops::report_in(&sg, &opts, &mut arena).expect("renders");
+    let id = tsg_serve::json::Json::Num(7.0);
+    let response = protocol::ok_response(&id, &report);
+    let mut render_samples: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let report = time_per_call(3, || {
+                ops::report_in(&sg, &opts, &mut arena)
+                    .expect("renders")
+                    .len()
+            });
+            let run = time_per_call(3, || {
+                CycleTimeAnalysis::run_in(&sg, None, &mut arena)
+                    .expect("live")
+                    .records()
+                    .len()
+            });
+            report - run
+        })
+        .collect();
+    render_samples.sort_by(f64::total_cmp);
+    let encode_samples = samples_per_call(reps, || protocol::ok_response(&id, &report).len());
+    RenderRow {
+        render_samples,
+        encode_samples,
+        report_bytes: report.len(),
+        response_bytes: response.len(),
+    }
+}
+
+impl RenderRow {
+    /// Median seconds of the render and of the encode.
+    fn medians(&self) -> (f64, f64) {
+        let median = |s: &[f64]| s[s.len() / 2];
+        (median(&self.render_samples), median(&self.encode_samples))
     }
 }
 
@@ -645,6 +714,7 @@ fn json_report(
     corner_rows: &[CornerRow],
     load_rows: &[LoadRow],
     window: &WindowRow,
+    render: &RenderRow,
     chunk_rows: &[ChunkRow],
 ) -> String {
     let mut out = String::new();
@@ -805,6 +875,19 @@ fn json_report(
         "    \"session_wide_bytes\": {}",
         window.session_wide_bytes
     );
+    let _ = writeln!(out, "  }},");
+    let (render_seconds, encode_seconds) = render.medians();
+    let _ = writeln!(out, "  \"render\": {{");
+    let _ = writeln!(
+        out,
+        "    \"workload\": \"random_live_tsg, {LARGE_EVENTS} events, b = {LARGE_BORDERS}; \
+         ops::report_in minus run_in per pair of best-of-3 samples, and protocol::ok_response \
+         on the report\","
+    );
+    let _ = writeln!(out, "    \"report_bytes\": {},", render.report_bytes);
+    let _ = writeln!(out, "    \"response_bytes\": {},", render.response_bytes);
+    let _ = writeln!(out, "    \"render_median_seconds\": {render_seconds:.9},");
+    let _ = writeln!(out, "    \"encode_median_seconds\": {encode_seconds:.9}");
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"lane_chunks\": {{");
     let _ = writeln!(
@@ -979,6 +1062,18 @@ fn main() {
         window_row.session_wide_bytes as f64 / 1e6
     );
 
+    eprintln!("measuring the analyze report's render and JSON encode...");
+    let render_row = measure_render(reps.max(11));
+    let (render_seconds, encode_seconds) = render_row.medians();
+    eprintln!(
+        "  {LARGE_EVENTS} events, b={LARGE_BORDERS}: render {:.1} us ({} report bytes), \
+         encode {:.1} us ({} response bytes)",
+        render_seconds * 1e6,
+        render_row.report_bytes,
+        encode_seconds * 1e6,
+        render_row.response_bytes
+    );
+
     eprintln!("measuring lane chunks: one against two analysis workers...");
     let chunk_rows = measure_lane_chunks(reps.max(5));
     for r in &chunk_rows {
@@ -1029,6 +1124,7 @@ fn main() {
         &corner_rows,
         &load_rows,
         &window_row,
+        &render_row,
         &chunk_rows,
     );
     if let Err(e) = std::fs::write(&out_path, &report) {

@@ -515,7 +515,7 @@ fn batch() -> String {
         .collect();
     let t_seq = t_seq.elapsed();
     let t_par = Instant::now();
-    let par_exact: Vec<f64> = CycleTimeAnalysis::analyze_batch(&graphs, &runner)
+    let par_exact: Vec<f64> = tsg_bench::analyze_batch(&graphs, &runner)
         .into_iter()
         .map(|a| a.expect("cyclic").cycle_time().as_f64())
         .collect();

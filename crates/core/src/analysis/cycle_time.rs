@@ -28,7 +28,7 @@
 
 use std::fmt;
 
-use tsg_sim::{BatchRunner, CancelKind, CancelToken};
+use tsg_sim::{CancelKind, CancelToken};
 
 use crate::analysis::initiated::SimArena;
 use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
@@ -319,7 +319,7 @@ impl CycleTimeAnalysis {
     /// worker. Lanes are independent and chunks keep border order, so
     /// the result is bit-identical at every worker count. Repeated
     /// analyses over one arena — a design-space inner loop, a worker
-    /// thread of [`CycleTimeAnalysis::analyze_batch`], a serve
+    /// thread of a many-graph sweep, a serve
     /// workspace, an [`AnalysisSession`](crate::analysis::AnalysisSession)
     /// — stop churning the allocator: after the first
     /// analysis of the largest shape, the matrices are never
@@ -536,39 +536,6 @@ impl CycleTimeAnalysis {
             )?);
         }
         Ok(ScenarioAnalysis::new(labels, per))
-    }
-
-    /// Analyzes many graphs in parallel — the many-graph sweep behind
-    /// the `repro` batch experiment and the kernel benchmarks.
-    ///
-    /// Graphs fan out across `runner` with a per-worker
-    /// [`AnalysisArena`], so a 1000-graph sweep allocates a
-    /// thread-count's worth of matrices, not a thousand. Results
-    /// preserve input order and each entry is bit-identical to a
-    /// sequential [`CycleTimeAnalysis::run`] on the same graph.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tsg_core::analysis::CycleTimeAnalysis;
-    /// use tsg_sim::BatchRunner;
-    ///
-    /// let graphs: Vec<_> = (2..6).map(|k| {
-    ///     let mut b = tsg_core::SignalGraph::builder();
-    ///     let x = b.event("x");
-    ///     b.marked_arc(x, x, k as f64);
-    ///     b.build().unwrap()
-    /// }).collect();
-    /// let out = CycleTimeAnalysis::analyze_batch(&graphs, &BatchRunner::with_threads(2));
-    /// assert_eq!(out[1].as_ref().unwrap().cycle_time().as_f64(), 3.0);
-    /// ```
-    pub fn analyze_batch(
-        graphs: &[SignalGraph],
-        runner: &BatchRunner,
-    ) -> Vec<Result<Self, AnalysisError>> {
-        runner.run_with_state(graphs, AnalysisArena::new, |arena, sg| {
-            Self::run_in(sg, None, arena)
-        })
     }
 
     /// Steps 4–5 of the algorithm, shared by every entry point: pick the
@@ -986,44 +953,6 @@ mod tests {
             .unwrap();
             assert_same_analysis(&scalar, &wide, &format!("periods={periods}"));
         }
-    }
-
-    #[test]
-    fn analyze_batch_matches_sequential_runs() {
-        use tsg_sim::BatchRunner;
-        let graphs: Vec<SignalGraph> = (1..=6)
-            .map(|k| {
-                let mut b = SignalGraph::builder();
-                let xp = b.event("x+");
-                let xm = b.event("x-");
-                b.arc(xp, xm, k as f64);
-                b.marked_arc(xm, xp, 2.0 * k as f64);
-                b.build().unwrap()
-            })
-            .collect();
-        let batch = CycleTimeAnalysis::analyze_batch(&graphs, &BatchRunner::with_threads(4));
-        assert_eq!(batch.len(), graphs.len());
-        for (i, (sg, got)) in graphs.iter().zip(&batch).enumerate() {
-            let want = CycleTimeAnalysis::run(sg).unwrap();
-            assert_same_analysis(&want, got.as_ref().unwrap(), &format!("graph {i}"));
-        }
-    }
-
-    #[test]
-    fn analyze_batch_propagates_acyclic_errors_in_order() {
-        use tsg_sim::BatchRunner;
-        let cyclic = figure2();
-        let acyclic = {
-            let mut b = SignalGraph::builder();
-            let s = b.initial_event("s");
-            let t = b.finite_event("t");
-            b.arc(s, t, 1.0);
-            b.build().unwrap()
-        };
-        let graphs = vec![cyclic, acyclic];
-        let out = CycleTimeAnalysis::analyze_batch(&graphs, &BatchRunner::with_threads(2));
-        assert!(out[0].is_ok());
-        assert_eq!(out[1].clone().unwrap_err(), AnalysisError::NoCyclicBehavior);
     }
 
     #[test]

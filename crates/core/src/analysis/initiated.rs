@@ -62,8 +62,8 @@ impl std::error::Error for NotRepetitive {}
 ///
 /// [`SimArena::run`] sizes them with `resize` — a no-op after the first
 /// simulation of equal or larger shape — and leaves the results in place,
-/// so the arena doubles as the accessor for the last run. Workers in
-/// `analyze_batch` hold one arena each for a whole sweep.
+/// so the arena doubles as the accessor for the last run. Workers of a
+/// many-graph sweep hold one arena each for the whole sweep.
 ///
 /// # Examples
 ///
@@ -339,7 +339,7 @@ impl SimArena {
 ///
 /// A thin owner of a [`SimArena`] holding exactly one run — the
 /// convenient API when no buffer reuse is needed. Analyses that run many
-/// simulations (the cycle-time algorithm, `analyze_batch` sweeps) drive
+/// simulations (the cycle-time algorithm, many-graph sweeps) drive
 /// an arena directly.
 ///
 /// # Examples

@@ -1,13 +1,13 @@
 //! The Timed Signal Graph: events, arcs, and structural queries.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use tsg_graph::{DiGraph, EdgeId, NodeId};
 
 use crate::arc::{Arc, ArcId};
 use crate::builder::SignalGraphBuilder;
-use crate::event::{EventId, EventKind, EventLabel};
+use crate::decimal;
+use crate::event::{EventId, EventKind, EventLabel, Polarity};
 use crate::validate::ValidationError;
 
 /// A Timed Signal Graph (Sections III.A and III.C of the paper).
@@ -482,17 +482,24 @@ impl SignalGraph {
         for (i, &a) in arcs.iter().enumerate() {
             let arc = self.arc(a);
             if i == 0 {
-                let _ = write!(s, "{}", self.label(arc.src()));
+                push_label(&mut s, self.label(arc.src()));
             }
-            let _ = write!(
-                s,
-                " -{}{}-> {}",
-                arc.delay(),
-                if arc.is_marked() { "*" } else { "" },
-                self.label(arc.dst())
-            );
+            s.push_str(" -");
+            decimal::push_display(&mut s, arc.delay().get());
+            s.push_str(if arc.is_marked() { "*-> " } else { "-> " });
+            push_label(&mut s, self.label(arc.dst()));
         }
         s
+    }
+}
+
+/// Appends `label` as its `Display` would.
+fn push_label(out: &mut String, label: &EventLabel) {
+    out.push_str(label.signal());
+    match label.polarity() {
+        Some(Polarity::Rise) => out.push('+'),
+        Some(Polarity::Fall) => out.push('-'),
+        None => {}
     }
 }
 

@@ -43,6 +43,7 @@
 pub mod analysis;
 pub mod arc;
 pub mod builder;
+pub mod decimal;
 pub mod dot;
 pub mod event;
 pub mod graph;

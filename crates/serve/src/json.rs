@@ -123,7 +123,8 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact serialisation to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -186,23 +187,36 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Writes `s` as a JSON string literal. Every byte that needs an escape
+/// (`"`, `\` and the controls below 0x20) is ASCII, so the clean runs
+/// between them are whole UTF-8 slices, each copied with one
+/// `push_str`.
+pub(crate) fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (at, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..at]);
+        run = at + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -487,6 +501,67 @@ mod tests {
         // Dumping re-escapes the required characters only.
         assert_eq!(v.dump(), "\"a\\\"b\\\\c\\ndA\u{e9}\u{1F600}\"");
         assert_eq!(Json::Str("ctrl\u{1}".into()).dump(), "\"ctrl\\u0001\"");
+    }
+
+    /// The per-`char` escaper `write_string` replaced, kept as the
+    /// oracle of its bytes.
+    fn write_string_per_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn string_escapes_match_the_per_char_writer() {
+        // Every escape class and control byte, multibyte text, and runs
+        // from empty to long between them.
+        let pieces: Vec<String> = (0u8..0x20)
+            .map(|b| char::from(b).to_string())
+            .chain(["\"", "\\", "/", "\u{7f}", "é", "δ(37)", "\u{1F600}", "日本"].map(String::from))
+            .collect();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut cases = vec![String::new(), "plain".to_owned(), "x".repeat(4096)];
+        cases.extend(pieces.iter().cloned());
+        for _ in 0..2000 {
+            let mut s = String::new();
+            for _ in 0..next() % 24 {
+                s.push_str(&pieces[(next() % pieces.len() as u64) as usize]);
+                let run = match next() % 4 {
+                    0 => 0,
+                    1 => 1,
+                    2 => (next() % 16) as usize,
+                    _ => (next() % 2048) as usize,
+                };
+                s.extend(std::iter::repeat_n('a', run));
+            }
+            cases.push(s);
+        }
+        for s in cases {
+            let (mut runs, mut chars) = (String::new(), String::new());
+            write_string(&s, &mut runs);
+            write_string_per_char(&s, &mut chars);
+            assert_eq!(runs, chars, "{s:?}");
+        }
     }
 
     #[test]

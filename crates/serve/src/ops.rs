@@ -34,7 +34,7 @@ use tsg_core::analysis::session::{AnalysisSession, CycleTimeDelta, EditError, Gr
 use tsg_core::analysis::sim::{SimError, TimingSimulation};
 use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, ScenarioAnalysis, ScenarioSet};
-use tsg_core::{ArcId, EventId, SignalGraph};
+use tsg_core::{decimal, ArcId, EventId, SignalGraph};
 use tsg_sim::{CancelKind, CancelToken, TraceRecorder};
 
 /// Error of a workspace operation: either a plain user-facing message
@@ -606,11 +606,9 @@ fn render_report(
     match analysis {
         Ok(a) => {
             let _ = writeln!(out, "cycle time: {}", a.cycle_time());
-            let _ = writeln!(
-                out,
-                "critical cycle: {}",
-                sg.display_path(a.critical_cycle())
-            );
+            out.push_str("critical cycle: ");
+            out.push_str(&sg.display_path(a.critical_cycle()));
+            out.push('\n');
             out.push_str("critical border event(s): ");
             for (k, &e) in a.critical_borders().iter().enumerate() {
                 let sep = if k == 0 { "" } else { ", " };
@@ -625,9 +623,20 @@ fn render_report(
                 let _ = write!(out, "{}", sg.label(rec.event));
                 let width = out[start..].chars().count();
                 out.extend(std::iter::repeat_n(' ', 6usize.saturating_sub(width) + 1));
-                for (k, (i, t, d)) in rec.distances.iter().enumerate() {
-                    let sep = if k == 0 { "" } else { "  " };
-                    let _ = write!(out, "{sep}δ({i})={t}/{i}={d:.4}");
+                // `δ({i})={t}/{i}={d:.4}` per cell, without `core::fmt`
+                // on the common path: b² cells make this the report's
+                // bulk.
+                out.reserve(rec.distances.len() * 28);
+                for (k, &(i, t, d)) in rec.distances.iter().enumerate() {
+                    out.push_str(if k == 0 { "δ(" } else { "  δ(" });
+                    let i = f64::from(i);
+                    decimal::push_display(&mut out, i);
+                    out.push_str(")=");
+                    decimal::push_display(&mut out, t);
+                    out.push('/');
+                    decimal::push_display(&mut out, i);
+                    out.push('=');
+                    decimal::push_fixed4(&mut out, d);
                 }
                 out.push('\n');
             }

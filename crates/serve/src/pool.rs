@@ -938,7 +938,8 @@ fn claim_session_slot(shared: &PoolShared) -> Result<(), String> {
             if open >= cap {
                 return Err(format!(
                     "session limit reached: {open} of {cap} session(s) open \
-                     (each holds O(b²·n) warm state); close one or raise --max-sessions"
+                     (each holds its graph, its last analysis and an O(b·n) two-row window); \
+                     close one or raise --max-sessions"
                 ));
             }
         }

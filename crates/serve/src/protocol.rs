@@ -77,7 +77,7 @@
 
 use std::time::Duration;
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::ops::{AnalyzeOptions, EditOp, EditSpec, Objective, SimOptions, Source};
 use crate::pool::ServeStats;
 use tsg_core::analysis::Corner;
@@ -707,23 +707,34 @@ impl FrameDecoder {
 
 /// A successful `analyze`/`sim` response.
 pub fn ok_response(id: &Json, output: &str) -> String {
-    Json::Obj(vec![
-        ("id".to_owned(), id.clone()),
-        ("ok".to_owned(), Json::Bool(true)),
-        ("output".to_owned(), Json::from(output)),
-    ])
-    .dump()
+    text_response(id, true, "output", output)
 }
 
 /// A per-request failure response (the request slot stays isolated: the
 /// service keeps running).
 pub fn err_response(id: &Json, error: &str) -> String {
-    Json::Obj(vec![
-        ("id".to_owned(), id.clone()),
-        ("ok".to_owned(), Json::Bool(false)),
-        ("error".to_owned(), Json::from(error)),
-    ])
-    .dump()
+    text_response(id, false, "error", error)
+}
+
+/// `{"id":…,"ok":…,"<key>":"<text>"}`, the bytes `Json::Obj(…).dump()`
+/// gives, written straight into one buffer sized for `text` instead of
+/// through a cloned `Json::Str`.
+fn text_response(id: &Json, ok: bool, key: &str, text: &str) -> String {
+    // Escapes lengthen the text a little (a report has one `\n` per
+    // line); 1/16 covers that without a second allocation.
+    let mut out = String::with_capacity(text.len() + text.len() / 16 + 64);
+    out.push_str("{\"id\":");
+    id.write(&mut out);
+    out.push_str(if ok {
+        ",\"ok\":true,"
+    } else {
+        ",\"ok\":false,"
+    });
+    json::write_string(key, &mut out);
+    out.push(':');
+    json::write_string(text, &mut out);
+    out.push('}');
+    out
 }
 
 /// A *structured* failure response: `code` is the machine-readable
@@ -1148,6 +1159,41 @@ mod tests {
         assert!(line.contains(r#""code":"request_too_large""#), "{line}");
         assert!(line.contains(r#""limit_bytes":1024"#), "{line}");
         assert!(line.starts_with(r#"{"id":null,"ok":false"#), "{line}");
+    }
+
+    #[test]
+    fn text_responses_equal_the_json_tree_dump() {
+        let ids = [
+            Json::Null,
+            Json::Num(3.0),
+            Json::Num(-2.5),
+            Json::from("req \"7\"\n"),
+            Json::Arr(vec![Json::Bool(true), Json::Obj(vec![])]),
+        ];
+        let texts = [
+            "",
+            "cycle time: 10\n",
+            "δ(1)=3/1=3.0000\t\u{1}\\\"",
+            "日本\r\n",
+        ];
+        for id in &ids {
+            for text in texts {
+                for (ok, key) in [(true, "output"), (false, "error")] {
+                    let tree = Json::Obj(vec![
+                        ("id".to_owned(), id.clone()),
+                        ("ok".to_owned(), Json::Bool(ok)),
+                        (key.to_owned(), Json::from(text)),
+                    ])
+                    .dump();
+                    let direct = if ok {
+                        ok_response(id, text)
+                    } else {
+                        err_response(id, text)
+                    };
+                    assert_eq!(direct, tree);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1013,11 +1013,12 @@ fn session_cap_rejects_opens_beyond_the_limit() {
         );
     }
     let error = responses[2].get("error").and_then(Json::as_str).unwrap();
-    assert!(
-        error.contains("session limit reached: 2 of 2"),
-        "structured error names the cap: {error}"
+    assert_eq!(
+        error,
+        "session limit reached: 2 of 2 session(s) open (each holds its graph, its last \
+         analysis and an O(b·n) two-row window); close one or raise --max-sessions",
+        "structured error names the cap and what a session holds"
     );
-    assert!(error.contains("--max-sessions"), "{error}");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The parallel analysis pipeline against the sequential algorithm.
 //!
-//! `analyze_batch` and the lane chunks of a multi-worker `run_in` must
+//! `tsg_bench::analyze_batch` and the lane chunks of a multi-worker `run_in` must
 //! be *observably absent*: any thread or worker count, any arena reuse
 //! pattern, the same bits out as the
 //! sequential `CycleTimeAnalysis::run`. These tests sweep the `tsg_gen`
@@ -45,7 +45,7 @@ fn analyze_batch_64_graph_sweep_is_bit_identical() {
         .map(|sg| CycleTimeAnalysis::run(sg).expect("generated graphs are live"))
         .collect();
     for threads in [1usize, 2, 8] {
-        let batch = CycleTimeAnalysis::analyze_batch(&graphs, &BatchRunner::with_threads(threads));
+        let batch = tsg_bench::analyze_batch(&graphs, &BatchRunner::with_threads(threads));
         assert_eq!(batch.len(), graphs.len());
         for (i, (want, got)) in sequential.iter().zip(&batch).enumerate() {
             assert_bit_identical(
@@ -92,7 +92,7 @@ proptest! {
             .map(|i| random_live_tsg(seed.wrapping_add(i), RandomTsgConfig::default()))
             .collect();
         let batch =
-            CycleTimeAnalysis::analyze_batch(&graphs, &BatchRunner::with_threads(threads));
+            tsg_bench::analyze_batch(&graphs, &BatchRunner::with_threads(threads));
         for (i, (sg, got)) in graphs.iter().zip(&batch).enumerate() {
             let want = CycleTimeAnalysis::run(sg).unwrap();
             assert_bit_identical(&want, got.as_ref().unwrap(), &format!("graph {i}"));
