@@ -280,12 +280,12 @@ pub fn assert_backends_match(sg: &SignalGraph, ctx: &str) {
     }
 }
 
-/// The scenario-sweep correctness gate for one graph: runs the whole
-/// scenario matrix in one lockstep wide pass, then asserts every
-/// scenario lane bit-identical — through [`assert_analyses_identical`],
-/// so times, critical cycle and backtracked parents included — to a
+/// The scenario-sweep correctness gate for one graph: runs the sweep
+/// (one wide analysis per scenario), then asserts every scenario's
+/// analysis bit-identical — through [`assert_analyses_identical`], so
+/// times, critical cycle and backtracked parents included — to a
 /// from-scratch *scalar* analysis of the corresponding reweighted
-/// graph, which is the definition of what a scenario lane means.
+/// graph, which is the definition of what a scenario means.
 ///
 /// # Panics
 ///

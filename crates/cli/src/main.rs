@@ -63,18 +63,19 @@ one time per event and period and is refused past 2^26 of them.
 Several files fan out across a `--threads N` pool (default: all cores;
 every command takes at most 1024 threads).
 
-`analyze --threads N` splits the b border simulations — and the
-scenario blocks of a --corners or --samples sweep — into N lane chunks,
-one lockstep pass of the SIMD-friendly wide kernel per worker thread
-(default: one). The report is identical at every N; only the time
-moves, and extra threads only pay off on graphs with many border
-events. The CPU picks the wide-kernel backend (AVX2 where available,
-else the portable loop); all backends are bit-identical.
+`analyze --threads N` splits the b border simulations of each analysis
+— the nominal one and every scenario's of a --corners or --samples
+sweep — into N lane chunks, one lockstep pass of the SIMD-friendly wide
+kernel per worker thread (default: one). The report is identical at
+every N; only the time moves, and extra threads only pay off on graphs
+with many border events. The CPU picks the wide-kernel backend (AVX2
+where available, else the portable loop); all backends are
+bit-identical.
 
-`analyze --corners min,typ,max` sweeps delay corners as extra scenario
-lanes of the same wide-kernel pass — every arc derated by `--derate`
-PCT (default 10) for `min`, inflated for `max` — and reports τ per
-corner, the τ distribution, and per-arc criticality (the fraction of
+`analyze --corners min,typ,max` sweeps delay corners, one analysis of
+the reweighted graph per corner — every arc derated by `--derate` PCT
+(default 10) for `min`, inflated for `max` — and reports τ per corner,
+the τ distribution, and per-arc criticality (the fraction of
 scenarios in which the arc lies on the critical cycle). `--samples K
 --seed S` sweeps K seeded Monte-Carlo delay scenarios instead (each
 arc's delay drawn uniformly within ±PCT); sample j of K is
@@ -1456,10 +1457,9 @@ mod tests {
     }
 
     /// `--threads` only moves the time: a 2400-event ring with 12
-    /// tokens has 12 border lanes and, at 3 corners, three scenario
-    /// blocks, so two workers split both the nominal lanes and the
-    /// corner sweep — and the report must match one worker's byte for
-    /// byte.
+    /// tokens has 12 border lanes, so two workers split the lanes of
+    /// the nominal analysis and of every corner's or sample's — and the
+    /// report must match one worker's byte for byte.
     #[test]
     fn analyze_output_is_thread_count_invariant() {
         const N: usize = 1200;

@@ -49,21 +49,21 @@ pub enum AnalysisError {
     /// The analysis observed its [`CancelToken`] mid-flight — the
     /// request's deadline passed or it was cancelled explicitly — and
     /// stopped cooperatively after `rows_done` of `rows_total` lockstep
-    /// simulation rows.
+    /// simulation rows (counted over every scenario of a sweep).
     Cancelled {
         /// Whether a deadline or an explicit cancel stopped the run.
         kind: CancelKind,
-        /// Fully computed matrix rows at the moment of the abort.
+        /// Fully computed lane rows at the moment of the abort.
         rows_done: usize,
-        /// Rows a complete run would have computed.
+        /// Rows a complete run (or sweep) would have computed.
         rows_total: usize,
     },
     /// The requested simulation batch has nothing to simulate — zero
-    /// lanes (no borders × scenarios) or zero periods. A malformed
-    /// request is a structured error, never a panic, so a served
-    /// request can't abort a worker.
+    /// lanes (no border events) or zero periods. A malformed request is
+    /// a structured error, never a panic, so a served request can't
+    /// abort a worker.
     DegenerateBatch {
-        /// Requested lane count (`borders × scenarios`).
+        /// Requested lane count (one per border event).
         lanes: usize,
         /// Requested simulation periods.
         periods: u32,
@@ -189,21 +189,14 @@ fn halt_to_error(halt: Halt) -> AnalysisError {
     }
 }
 
-/// Per-row working-set budget of a scenario-sweep block (current +
-/// previous matrix row and the δ table, all `lanes` wide): half a
-/// typical per-core L2, leaving room for the structure tables. Purely a
-/// blocking factor — results are bit-identical at any value.
-const L2_BUDGET_BYTES: usize = 512 * 1024;
-
-/// The records of lanes `first..first + origins.len()` of `wide`, lane
-/// `first + k` initiated from `origins[k]`.
-fn lane_records(wide: &WideArena, origins: &[EventId], first: usize) -> Vec<BorderRecord> {
+/// The records of `wide`'s lanes, lane `k` initiated from `origins[k]`.
+fn lane_records(wide: &WideArena, origins: &[EventId]) -> Vec<BorderRecord> {
     origins
         .iter()
         .enumerate()
         .map(|(k, &g)| BorderRecord {
             event: g,
-            distances: wide.distance_series(first + k),
+            distances: wide.distance_series(k),
         })
         .collect()
 }
@@ -377,7 +370,7 @@ impl CycleTimeAnalysis {
         let shared: &CyclicStructure = structure;
         let records = on_workers(wides, &border, |wide, lanes| {
             wide.run_with(sg, shared, lanes, b, Rows::Window, cancel)?;
-            Ok(lane_records(wide, lanes, 0))
+            Ok(lane_records(wide, lanes))
         })?;
 
         Self::finish(sg, structure, border, records, b, finish)
@@ -429,22 +422,21 @@ impl CycleTimeAnalysis {
         Self::finish(sg, &structure, border, records, b, arena)
     }
 
-    /// Runs the algorithm under every delay scenario of `set` in one
-    /// scenario-lane sweep: the wide kernel packs `borders × scenarios`
-    /// lanes, so all scenarios share a lockstep pass over the nominal
-    /// in-arc table with per-lane δ vectors — instead of one full
-    /// re-analysis per scenario. `cancel` is polled once per lockstep
-    /// matrix row.
+    /// Runs the algorithm under every delay scenario of `set`: one
+    /// [`run_in_with_cancel`](Self::run_in_with_cancel) per scenario, in
+    /// order, on one scratch copy of `sg` whose delays are overwritten
+    /// with scenario `j`'s before its analysis. Scenario `j`'s δs are
+    /// the exact `nominal × factor` products [`ScenarioSet::reweighted`]
+    /// stores, so each [`ScenarioAnalysis::analysis`] is the analysis of
+    /// `set.reweighted(sg, j)`, bit for bit.
     ///
-    /// Scenario `j`'s lanes are bit-identical to a from-scratch
-    /// [`run`](Self::run) on [`ScenarioSet::reweighted`]`(sg, j)` (the
-    /// bench suite asserts exactly that before timing anything), and the
-    /// per-scenario finish re-runs the winner on the reweighted graph,
-    /// so each [`ScenarioAnalysis::analysis`] is a full, exact result.
-    ///
-    /// Scenarios are swept in cache-sized blocks, and with more than
-    /// one [`AnalysisArena`] worker the blocks split into contiguous
-    /// runs, one per worker; the result is bit-identical either way.
+    /// With more than one [`AnalysisArena`] worker, each scenario's `b`
+    /// lanes split over the workers as a nominal run's do; the result
+    /// is bit-identical at every worker count. `cancel` is polled once
+    /// per lockstep row, and a cancelled sweep reports its progress
+    /// over the whole sweep: scenario `j` stopped after `r` of its
+    /// `periods + 1` rows reads `j · (periods + 1) + r` of
+    /// `s · (periods + 1)` rows.
     ///
     /// # Errors
     ///
@@ -453,7 +445,8 @@ impl CycleTimeAnalysis {
     /// [`AnalysisError::TooFewPeriods`] when no border event recurs
     /// within a caller-supplied `periods`; and
     /// [`AnalysisError::ScenarioDelay`] when a scenario scales a delay
-    /// past the largest finite `f64`.
+    /// past the largest finite `f64`. The first scenario, in order, that
+    /// fails stops the sweep.
     pub fn run_scenarios_in(
         sg: &SignalGraph,
         set: &ScenarioSet,
@@ -461,80 +454,29 @@ impl CycleTimeAnalysis {
         arena: &mut AnalysisArena,
         cancel: Option<&CancelToken>,
     ) -> Result<ScenarioAnalysis, AnalysisError> {
-        let border = sg.border_events();
-        if border.is_empty() {
+        if sg.border_events().is_empty() {
             return Err(AnalysisError::NoCyclicBehavior);
         }
-        let b = periods.unwrap_or(border.len() as u32).max(1);
         let s = set.len();
-
-        let AnalysisArena {
-            wides,
-            finish,
-            structure,
-        } = arena;
-        structure.rebuild(sg);
-
-        // Scenarios are swept in cache-sized blocks: a block's hot set
-        // per matrix row — the current/previous row pair plus the δ
-        // table, all `lanes` wide — should stay L2-resident, or a large
-        // `b × s` matrix turns the lockstep pass memory-bound and loses
-        // to per-scenario re-analysis. Lanes are independent, so block
-        // boundaries cannot change any lane's cells: the result is
-        // bit-identical at every block size.
-        let bn = border.len();
-        let per_lane_bytes = (2 * sg.event_count() + sg.arc_count()) * std::mem::size_of::<f64>();
-        let block = (L2_BUDGET_BYTES / (per_lane_bytes * bn).max(1)).clamp(1, s);
-        let blocks: Vec<std::ops::Range<usize>> = (0..s)
-            .step_by(block)
-            .map(|j0| j0..(j0 + block).min(s))
-            .collect();
-
-        // Scenario δs are `nominal × factor` — the exact product
-        // `ScenarioSet::reweighted` stores (set_delay keeps the bits),
-        // so kernel lanes and scalar re-runs on the reweighted graph
-        // fold bit-identical δs by construction, without materialising
-        // one graph clone per scenario on the hot path.
-        let shared: &CyclicStructure = structure;
-        let scenario_records = on_workers(wides, &blocks, |wide, blocks| {
-            let mut out = Vec::new();
-            for r in blocks {
-                wide.run_scenarios_with(
-                    sg,
-                    shared,
-                    &border,
-                    r.len(),
-                    |arc, jj| sg.arc(arc).delay().get() * set.factor(r.start + jj, arc),
-                    b,
-                    Rows::Window,
-                    cancel,
-                )?;
-                out.extend((0..r.len()).map(|jj| lane_records(wide, &border, jj * bn)));
-            }
-            Ok(out)
-        })?;
-
-        // Steps 4–5 per scenario: scenario `j`'s records finish on `sg`
-        // reweighted by scenario `j`. One scratch clone serves every
-        // scenario in turn with its delays overwritten in place, and the
-        // structure is rebuilt per scenario over the same warm buffers.
-        // The first scenario, in order, that scales a delay past
-        // `f64::MAX` or whose winning cycle length overflows fails.
         let mut scratch = sg.clone();
-        let labels = (0..s).map(|j| set.label(j).to_string()).collect();
         let mut per = Vec::with_capacity(s);
-        for (j, records) in scenario_records.into_iter().enumerate() {
+        for j in 0..s {
             set.reweight_onto(&mut scratch, sg, j)?;
-            structure.rebuild(&scratch);
-            per.push(Self::finish(
-                &scratch,
-                structure,
-                border.clone(),
-                records,
-                b,
-                finish,
-            )?);
+            let analysis = Self::run_in_with_cancel(&scratch, periods, arena, cancel);
+            per.push(analysis.map_err(|e| match e {
+                AnalysisError::Cancelled {
+                    kind,
+                    rows_done,
+                    rows_total,
+                } => AnalysisError::Cancelled {
+                    kind,
+                    rows_done: j * rows_total + rows_done,
+                    rows_total: s * rows_total,
+                },
+                e => e,
+            })?);
         }
+        let labels = (0..s).map(|j| set.label(j).to_string()).collect();
         Ok(ScenarioAnalysis::new(labels, per))
     }
 
@@ -997,6 +939,37 @@ mod tests {
         // Two periods reach the ring's 2-token cycle: τ = 5/2.
         let a = CycleTimeAnalysis::run_in(&sg, Some(2), &mut AnalysisArena::new()).unwrap();
         assert_eq!(a.cycle_time().as_f64(), 2.5);
+    }
+
+    #[test]
+    fn cancelled_sweep_reports_progress_over_every_scenario() {
+        // Figure 2 has b = 2 border events, so each scenario's analysis
+        // polls its token once per row over 3 rows. A budget of 4 runs
+        // scenario 0 whole and row 0 of scenario 1, then trips.
+        use crate::analysis::scenario::Corner;
+        let sg = figure2();
+        let corners = [Corner::Min, Corner::Typ, Corner::Max];
+        let set = ScenarioSet::corners(10.0, &corners, sg.arc_count()).unwrap();
+        let mut arena = AnalysisArena::new();
+        let token = CancelToken::cancel_after_checks(4);
+        let err = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut arena, Some(&token))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            AnalysisError::Cancelled {
+                kind: CancelKind::Explicit,
+                rows_done: 3 + 1,
+                rows_total: 3 * 3,
+            }
+        );
+        // The arena's next sweep heals to a fresh arena's bits.
+        let redo = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut arena, None).unwrap();
+        let fresh =
+            CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut AnalysisArena::new(), None)
+                .unwrap();
+        for j in 0..set.len() {
+            assert_same_analysis(redo.analysis(j), fresh.analysis(j), set.label(j));
+        }
     }
 
     #[test]

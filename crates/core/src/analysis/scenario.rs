@@ -1,16 +1,16 @@
-//! Delay scenarios: the per-arc delay assignments the scenario-lane
-//! kernel sweeps — min/typ/max *corners* derated by a percentage, or
-//! seeded Monte-Carlo *samples* from a per-arc variation model.
+//! Delay scenarios: the per-arc delay assignments a scenario sweep
+//! analyses — min/typ/max *corners* derated by a percentage, or seeded
+//! Monte-Carlo *samples* from a per-arc variation model.
 //!
 //! A [`ScenarioSet`] is the bridge between a user-facing specification
 //! (`--corners min,typ,max --derate 10`, `--samples 64 --seed 7`) and
-//! the kernel's per-lane δ table: it derives one multiplicative factor
-//! per (scenario, arc slot) and materialises each scenario's
-//! *reweighted graph* — the nominal graph with every live arc's delay
-//! replaced by `nominal × factor`. Both the wide kernel's δ vectors and
-//! the scalar verification oracle read delays from the *same*
-//! reweighted graph, so scenario lanes are bit-identical to scalar
-//! re-runs by construction.
+//! the analyses: it derives one multiplicative factor per (scenario,
+//! arc slot) and materialises each scenario's *reweighted graph* — the
+//! nominal graph with every live arc's delay replaced by
+//! `nominal × factor`. A sweep
+//! ([`CycleTimeAnalysis::run_scenarios_in`]) is one ordinary cycle-time
+//! analysis per reweighted graph, so each scenario's result is
+//! bit-identical to a scalar re-run of that graph by construction.
 //!
 //! # Deterministic sampling
 //!
@@ -19,7 +19,7 @@
 //! `SmallRng` stream seeded `seed + j`, drawing one factor per arc slot
 //! in `ArcId` order. Because streams never share state, sample scenario
 //! `j` of `K` is bit-identical regardless of `K` — growing a sweep adds
-//! lanes without disturbing the ones already measured.
+//! scenarios without disturbing the ones already measured.
 
 use std::fmt;
 use std::str::FromStr;
@@ -306,9 +306,9 @@ impl ScenarioSet {
     }
 
     /// Scenario `j`'s reweighted graph: `sg` with every live arc's
-    /// delay replaced by `nominal × factor(j, arc)` — the canonical
-    /// delay source both the kernel δ table and the scalar verification
-    /// oracle read, which is what makes them bit-identical.
+    /// delay replaced by `nominal × factor(j, arc)` — the graph both the
+    /// sweep and the scalar verification oracle analyse, which is what
+    /// makes them bit-identical.
     ///
     /// # Errors
     ///
@@ -334,9 +334,9 @@ impl ScenarioSet {
 
     /// Overwrites `target`'s live-arc delays with scenario `j`'s
     /// reweighting of `nominal` (`target` has `nominal`'s arcs) — the
-    /// in-place core of [`reweighted`](Self::reweighted), letting the
-    /// scenario runners serve every finish step from one scratch clone
-    /// instead of materialising a graph per scenario.
+    /// in-place core of [`reweighted`](Self::reweighted), letting a
+    /// sweep analyse every scenario on one scratch clone instead of
+    /// materialising a graph per scenario.
     ///
     /// # Errors
     ///

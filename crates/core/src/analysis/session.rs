@@ -7,10 +7,11 @@
 //! [`AnalysisArena`] it was opened on. Every edit batch is validated,
 //! applied to the graph, and answered by re-running the one analysis
 //! core, [`CycleTimeAnalysis::run_in_with_cancel`] (and
-//! [`CycleTimeAnalysis::run_scenarios_in`] when scenarios are on), in
-//! that arena's two-row lane window. So the session holds O(b·n) lane
-//! cells, not a matrix per border, and its analysis is the one-shot
-//! result on the edited graph by construction.
+//! [`CycleTimeAnalysis::run_scenarios_in`], one such analysis per
+//! scenario, when scenarios are on), in that arena's two-row lane
+//! window. So the session holds O(b·n) lane cells, not a matrix per
+//! border, and its analysis is the one-shot result on the edited graph
+//! by construction.
 //!
 //! Nothing resumes from earlier rows: on a strongly connected graph one
 //! delay edit reaches every border simulation within a period or two,
@@ -527,7 +528,7 @@ impl AnalysisSession {
         Ok(())
     }
 
-    /// Turns on corner/sample-lane analysis: one
+    /// Turns on corner/sample analysis: one
     /// [`CycleTimeAnalysis::run_scenarios_in`] sweep over the session's
     /// graph, repeated after every edit batch, so the
     /// [`scenario_analysis`](Self::scenario_analysis) stays
@@ -573,7 +574,7 @@ impl AnalysisSession {
         self.scenarios.as_ref().map(|s| &s.set)
     }
 
-    /// Number of enabled scenario lanes per border (0 when disabled).
+    /// Number of enabled scenarios (0 when disabled).
     pub fn scenario_count(&self) -> usize {
         self.scenarios.as_ref().map_or(0, |s| s.set.len())
     }

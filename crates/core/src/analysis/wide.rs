@@ -1,6 +1,5 @@
 //! Lane-batched event-initiated simulations: all `b` border simulations
-//! of one analysis — across all `s` delay scenarios — in lockstep over a
-//! single structure pass.
+//! of one analysis in lockstep over a single structure pass.
 //!
 //! # Why lanes
 //!
@@ -34,37 +33,11 @@
 //! plus a `lanes × (periods + 1)` strip of origin cells, filled after
 //! every row. On a 1024-event graph with `b = 37` that is 0.6 MB of
 //! rows where the full matrix would be 11.5 MB. Every analysis —
-//! one-shot runs, scenario sweeps and session edits alike — runs in
-//! the window. Only the public [`WideArena::run`] (`Rows::All`) keeps
-//! every row, because its [`WideArena::time`] exposes every cell and
-//! the backend tests compare whole matrices. Both layouts go through
+//! one-shot runs, each scenario of a sweep and session edits alike —
+//! runs in the window. Only the public [`WideArena::run`]
+//! (`Rows::All`) keeps every row, because its [`WideArena::time`]
+//! exposes every cell and the backend tests compare whole matrices. Both layouts go through
 //! one row-pair helper, so each backend has a single row kernel.
-//!
-//! # Scenario lanes: `lanes = b × s`
-//!
-//! The same amortisation applies across *delay scenarios* — min/typ/max
-//! corners or sampled per-arc variation assignments: only the δ of each
-//! in-arc changes, never the traversal. The scenario run behind
-//! [`CycleTimeAnalysis::run_scenarios_in`] generalises the lane
-//! dimension to every (border, scenario) pair, scenario-major:
-//!
-//! ```text
-//! times[(p · n + e) · (b · s) + lane]     lane = j · b + k
-//!                                         (scenario j, border event g_k)
-//!
-//!           ┌── scenario 0 ──┬── scenario 1 ──┬ … ┬── scenario s-1 ──┐
-//! (p, e):   │ k=0 … k=b-1    │ k=0 … k=b-1    │ … │ k=0 … k=b-1      │
-//! ```
-//!
-//! Per-arc delays become per-lane δ *vectors*: one flat table
-//! `deltas[slot · (b·s) + lane]` parallel to the in-arc entries, with
-//! scenario `j`'s delay replicated over its `b` border lanes. The SIMD
-//! kernels load the δ vector with the same width as the time lanes
-//! (`first_v`/`fold_v`), so one lockstep pass sweeps all `b·s`
-//! simulations; with an empty delta table the nominal scalar-δ path is
-//! unchanged. Per lane the result is bit-identical to a scalar run on
-//! the correspondingly reweighted graph: the candidates are the same
-//! f64 products, folded in the same comparison order.
 //!
 //! # Explicit SIMD and runtime dispatch
 //!
@@ -126,7 +99,6 @@
 //! `track_parents` — `O(b·m)` against the `O(b²·m)` main phase.
 //!
 //! [`CycleTimeAnalysis::finish`]: crate::analysis::CycleTimeAnalysis
-//! [`CycleTimeAnalysis::run_scenarios_in`]: crate::analysis::CycleTimeAnalysis::run_scenarios_in
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -135,7 +107,6 @@ use tsg_sim::{CancelKind, CancelToken};
 
 use crate::analysis::initiated::{NotRepetitive, SimArena};
 use crate::analysis::structure::CyclicStructure;
-use crate::arc::ArcId;
 use crate::event::EventId;
 use crate::graph::SignalGraph;
 
@@ -261,16 +232,16 @@ pub(crate) enum Rows {
 
 /// Why a [`WideArena::run`] call failed.
 ///
-/// A malformed batch — no lanes, no scenarios, zero periods — is a
-/// structured error, never a panic, so a served request can never abort
-/// a worker.
+/// A malformed batch — no lanes or zero periods — is a structured
+/// error, never a panic, so a served request can never abort a
+/// worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WideRunError {
     /// An initiating event is not repetitive.
     NotRepetitive(NotRepetitive),
     /// The requested batch shape has nothing to simulate.
     Degenerate {
-        /// Requested lane count (`origins × scenarios`).
+        /// Requested lane count (one per origin).
         lanes: usize,
         /// Requested simulation periods.
         periods: u32,
@@ -384,17 +355,8 @@ pub struct WideArena {
     /// `strip[k * p_total + p] = t_{gk,0}(g_{k,p})` — everything the
     /// distance records read, kept whichever rows `times` holds.
     strip: Vec<f64>,
-    /// Initiating event of each *border* lane; lane `j·b + k` of a
-    /// scenario run shares `origins[k]`.
+    /// Initiating event of each lane.
     origins: Vec<EventId>,
-    /// Delay scenarios of the last run (1 in nominal mode); the total
-    /// lane count is `origins.len() * scenarios`.
-    scenarios: usize,
-    /// Per-lane δ table of a scenario run, parallel to the structure's
-    /// in-arc entries: `deltas[slot * lanes + lane]`, scenario `j`'s
-    /// delay replicated over its `b` border lanes. Empty in nominal
-    /// mode, where the kernels fold the structure's scalar δ instead.
-    deltas: Vec<f64>,
     /// Events per row of the last run.
     n: usize,
     /// Rows of the last run (`periods + 1`).
@@ -427,8 +389,6 @@ impl WideArena {
             slots: 0,
             strip: Vec::new(),
             origins: Vec::new(),
-            scenarios: 1,
-            deltas: Vec::new(),
             n: 0,
             p_total: 0,
             periods: 0,
@@ -485,94 +445,19 @@ impl WideArena {
         rows: Rows,
         cancel: Option<&CancelToken>,
     ) -> Result<(), Halt> {
-        Self::validate(sg, origins, 1, periods)?;
-        self.scenarios = 1;
-        self.deltas.clear();
-        self.seed_and_compute(sg, structure, origins, periods, rows, cancel)
-    }
-
-    /// Scenario-lane variant: packs `origins.len() × scenarios` lanes —
-    /// lane `j·b + k` simulates border `g_k` under delay scenario `j` —
-    /// and sweeps them all in one lockstep pass over the *nominal*
-    /// structure. `delay_of(arc, j)` supplies scenario `j`'s delay for
-    /// `arc`; the values are packed into the per-lane δ table the
-    /// kernels fold instead of the structure's scalar delay. Per lane
-    /// the result is bit-identical to a scalar run on the
-    /// correspondingly reweighted graph.
-    #[allow(clippy::too_many_arguments)] // matrix + dims + per-lane delays + cancel: kernel-entry plumbing
-    pub(crate) fn run_scenarios_with<F: FnMut(ArcId, usize) -> f64>(
-        &mut self,
-        sg: &SignalGraph,
-        structure: &CyclicStructure,
-        origins: &[EventId],
-        scenarios: usize,
-        delay_of: F,
-        periods: u32,
-        rows: Rows,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Halt> {
-        Self::validate(sg, origins, scenarios, periods)?;
-        self.scenarios = scenarios;
-        self.origins.clear();
-        self.origins.extend_from_slice(origins);
-        self.build_scenario_deltas(structure, delay_of);
-        self.seed_and_compute(sg, structure, origins, periods, rows, cancel)
-    }
-
-    /// Builds the δ table for the current batch shape against
-    /// `structure`'s in-arc slots.
-    fn build_scenario_deltas<F: FnMut(ArcId, usize) -> f64>(
-        &mut self,
-        structure: &CyclicStructure,
-        mut delay_of: F,
-    ) {
-        let b = self.origins.len();
-        let lanes = b * self.scenarios;
-        self.deltas.clear();
-        self.deltas.resize(structure.entries.len() * lanes, 0.0);
-        for (slot, entry) in structure.entries.iter().enumerate() {
-            for j in 0..self.scenarios {
-                let base = slot * lanes + j * b;
-                self.deltas[base..base + b].fill(delay_of(entry.arc, j));
-            }
-        }
-    }
-
-    /// The shape/precondition gate of every run entry point: degenerate
-    /// batches and non-repetitive origins are structured [`Halt`]s.
-    fn validate(
-        sg: &SignalGraph,
-        origins: &[EventId],
-        scenarios: usize,
-        periods: u32,
-    ) -> Result<(), Halt> {
-        if periods == 0 || origins.is_empty() || scenarios == 0 {
+        // Degenerate batches and non-repetitive origins are structured
+        // halts, never panics.
+        if periods == 0 || origins.is_empty() {
             return Err(Halt::Degenerate {
-                lanes: origins.len() * scenarios,
+                lanes: origins.len(),
                 periods,
             });
         }
-        for &g in origins {
-            if !sg.is_repetitive(g) {
-                return Err(Halt::NotRepetitive(NotRepetitive(g)));
-            }
+        if let Some(&g) = origins.iter().find(|&&g| !sg.is_repetitive(g)) {
+            return Err(Halt::NotRepetitive(NotRepetitive(g)));
         }
-        Ok(())
-    }
-
-    /// Installs the batch shape, resets stale cells and computes every
-    /// row — the shared tail of the validated run entry points.
-    fn seed_and_compute(
-        &mut self,
-        sg: &SignalGraph,
-        structure: &CyclicStructure,
-        origins: &[EventId],
-        periods: u32,
-        rows: Rows,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Halt> {
         let n = sg.event_count();
-        let lanes = origins.len() * self.scenarios;
+        let lanes = origins.len();
         let p_total = periods as usize + 1;
         self.n = n;
         self.p_total = p_total;
@@ -637,7 +522,6 @@ impl WideArena {
             times,
             strip,
             origins,
-            deltas,
             ..
         } = self;
         let times = times.as_mut_slice();
@@ -653,12 +537,7 @@ impl WideArena {
                 });
             }
             let (prev, row) = row_pair(times, p, n * lanes, slots);
-            let kernel = RowKernel {
-                origins,
-                lanes,
-                deltas,
-                structure,
-            };
+            let kernel = RowKernel { origins, structure };
             #[cfg(target_arch = "x86_64")]
             if avx2 {
                 // SAFETY: `avx2` is set only when the CPU reports AVX2.
@@ -668,8 +547,7 @@ impl WideArena {
             }
             #[cfg(not(target_arch = "x86_64"))]
             row_portable_dispatch(&kernel, prev, row);
-            // Lane j·b + k's origin is border k's event.
-            for (lane, g) in origins.iter().cycle().take(lanes).enumerate() {
+            for (lane, g) in origins.iter().enumerate() {
                 strip[lane * p_total + p] = row[g.index() * lanes + lane];
             }
         }
@@ -687,34 +565,18 @@ impl WideArena {
         self.times.capacity()
     }
 
-    /// Number of lanes of the last run (`borders × scenarios`).
+    /// Number of lanes (initiating events) of the last run.
     pub fn lanes(&self) -> usize {
-        self.origins.len() * self.scenarios
-    }
-
-    /// Number of border lanes (initiating events) of the last run.
-    pub fn borders(&self) -> usize {
         self.origins.len()
     }
 
-    /// Number of delay scenarios of the last run (1 in nominal mode).
-    pub fn scenarios(&self) -> usize {
-        self.scenarios
-    }
-
-    /// The initiating event of lane `k` (`origins[k mod b]` — lanes of
-    /// the same border across scenarios share their origin).
+    /// The initiating event of lane `k`.
     ///
     /// # Panics
     ///
-    /// Panics when the arena has never run.
+    /// Panics when `k` is not a lane of the last run.
     pub fn origin(&self, k: usize) -> EventId {
-        self.origins[k % self.origins.len()]
-    }
-
-    /// The delay-scenario index of lane `k` (`k / b`).
-    pub fn scenario_of(&self, k: usize) -> usize {
-        k / self.origins.len()
+        self.origins[k]
     }
 
     /// Periods of the last run (instances `0..=periods` are available).
@@ -785,12 +647,10 @@ fn row_pair(times: &mut [f64], p: usize, row_cells: usize, slots: usize) -> (&[f
     }
 }
 
-/// What every row kernel reads besides the row pair: the batch shape,
-/// the per-lane δ table (empty in nominal mode) and the structure.
+/// What every row kernel reads besides the row pair: the lanes' origins
+/// (one lane each) and the structure.
 struct RowKernel<'a> {
     origins: &'a [EventId],
-    lanes: usize,
-    deltas: &'a [f64],
     structure: &'a CyclicStructure,
 }
 
@@ -798,16 +658,11 @@ impl RowKernel<'_> {
     /// Row 0: pins each lane's origin cell to 0 once event `ev`'s
     /// recurrence is done, in topological order, so later same-row
     /// reads see it exactly as the scalar kernel's pre-seeded cell.
-    /// Border k owns lanes k, k+b, … — one per scenario (lane j·b + k is
-    /// scenario j, border k).
     #[inline(always)]
     fn pin_origins(&self, ev: EventId, dst: &mut [f64]) {
-        let b = self.origins.len();
-        for (k, &g) in self.origins.iter().enumerate() {
+        for (lane, &g) in self.origins.iter().enumerate() {
             if g == ev {
-                for lane in (k..self.lanes).step_by(b) {
-                    dst[lane] = 0.0; // t_g(g) = 0 by definition
-                }
+                dst[lane] = 0.0; // t_g(g) = 0 by definition
             }
         }
     }
@@ -816,7 +671,7 @@ impl RowKernel<'_> {
 /// The portable row kernel at a constant lane count for the common
 /// SIMD widths, the dynamic-width instantiation otherwise.
 fn row_portable_dispatch(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
-    match kernel.lanes {
+    match kernel.origins.len() {
         4 => row_portable::<4>(kernel, prev, row),
         8 => row_portable::<8>(kernel, prev, row),
         16 => row_portable::<16>(kernel, prev, row),
@@ -835,16 +690,15 @@ fn row_portable_dispatch(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) 
 /// `src ≠ ev`), which lands in the left or right remnant of the split;
 /// marked in-arcs read the previous row.
 fn row_portable<const L: usize>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
-    let lanes = if L == 0 { kernel.lanes } else { L };
-    let (structure, deltas) = (kernel.structure, kernel.deltas);
+    let lanes = if L == 0 { kernel.origins.len() } else { L };
+    let structure = kernel.structure;
     let first_row = prev.is_empty();
     for &ev in &structure.order {
         let base = ev.index() * lanes;
         let (left, rest) = row.split_at_mut(base);
         let (dst, right) = rest.split_at_mut(lanes);
-        let slot0 = structure.offsets[ev.index()] as usize;
         let mut first = true;
-        for (off, ia) in structure.in_arcs(ev).iter().enumerate() {
+        for ia in structure.in_arcs(ev) {
             let sb = ia.src as usize * lanes;
             let src = if ia.marked {
                 if first_row {
@@ -856,12 +710,7 @@ fn row_portable<const L: usize>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut 
             } else {
                 &right[sb - base - lanes..][..lanes]
             };
-            if deltas.is_empty() {
-                accumulate(dst, src, ia.delay, first);
-            } else {
-                let dbase = (slot0 + off) * lanes;
-                accumulate_v(dst, src, &deltas[dbase..dbase + lanes], first);
-            }
+            accumulate(dst, src, ia.delay, first);
             first = false;
         }
         if first {
@@ -898,26 +747,6 @@ fn accumulate(dst: &mut [f64], src: &[f64], delay: f64, first: bool) {
     }
 }
 
-/// The scenario-lane form of [`accumulate`]: the delay is a per-lane δ
-/// vector instead of a broadcast scalar — same branchless shape, so the
-/// autovectorizer emits the same `add`/`max` with a vector load of the
-/// δs in place of the splat.
-#[inline(always)]
-fn accumulate_v(dst: &mut [f64], src: &[f64], deltas: &[f64], first: bool) {
-    if first {
-        for ((d, &s), &dl) in dst.iter_mut().zip(src).zip(deltas) {
-            *d = s + dl;
-        }
-        return;
-    }
-    for ((d, &s), &dl) in dst.iter_mut().zip(src).zip(deltas) {
-        let cand = s + dl;
-        if cand > *d {
-            *d = cand;
-        }
-    }
-}
-
 /// The per-backend lane arithmetic of the explicit-SIMD row loop: the
 /// two operations [`row_body`] needs per in-arc.
 ///
@@ -940,23 +769,6 @@ trait LaneOps {
     ///
     /// As [`LaneOps::first`].
     unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64);
-
-    /// `dst[k] = src[k] + deltas[k]` — [`LaneOps::first`] with a
-    /// per-lane δ vector (the scenario-lane delay table) in place of
-    /// the broadcast scalar.
-    ///
-    /// # Safety
-    ///
-    /// As [`LaneOps::first`].
-    unsafe fn first_v(dst: &mut [f64], src: &[f64], deltas: &[f64]);
-
-    /// `dst[k] = max(dst[k], src[k] + deltas[k])`, keeping `dst` on
-    /// ties — [`LaneOps::fold`] with a per-lane δ vector.
-    ///
-    /// # Safety
-    ///
-    /// As [`LaneOps::first`].
-    unsafe fn fold_v(dst: &mut [f64], src: &[f64], deltas: &[f64]);
 }
 
 /// A 4-lane mask with the first `rem` (1..=3) 64-bit lanes enabled,
@@ -1022,52 +834,6 @@ impl LaneOps for Avx2Ops {
             _mm256_maskstore_pd(dst.as_mut_ptr().add(i), mask, _mm256_max_pd(cand, best));
         }
     }
-
-    #[inline(always)]
-    unsafe fn first_v(dst: &mut [f64], src: &[f64], deltas: &[f64]) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(dst.len(), src.len());
-        debug_assert_eq!(dst.len(), deltas.len());
-        let n = dst.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let s = _mm256_loadu_pd(src.as_ptr().add(i));
-            let d = _mm256_loadu_pd(deltas.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_add_pd(s, d));
-            i += 4;
-        }
-        if i < n {
-            let mask = tail_mask(n - i);
-            let s = _mm256_maskload_pd(src.as_ptr().add(i), mask);
-            let d = _mm256_maskload_pd(deltas.as_ptr().add(i), mask);
-            _mm256_maskstore_pd(dst.as_mut_ptr().add(i), mask, _mm256_add_pd(s, d));
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn fold_v(dst: &mut [f64], src: &[f64], deltas: &[f64]) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(dst.len(), src.len());
-        debug_assert_eq!(dst.len(), deltas.len());
-        let n = dst.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let d = _mm256_loadu_pd(deltas.as_ptr().add(i));
-            let cand = _mm256_add_pd(_mm256_loadu_pd(src.as_ptr().add(i)), d);
-            let best = _mm256_loadu_pd(dst.as_ptr().add(i));
-            // Same tie/NaN argument as `fold`: MAXPD keeps its second
-            // operand on ties.
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_max_pd(cand, best));
-            i += 4;
-        }
-        if i < n {
-            let mask = tail_mask(n - i);
-            let d = _mm256_maskload_pd(deltas.as_ptr().add(i), mask);
-            let cand = _mm256_add_pd(_mm256_maskload_pd(src.as_ptr().add(i), mask), d);
-            let best = _mm256_maskload_pd(dst.as_ptr().add(i), mask);
-            _mm256_maskstore_pd(dst.as_mut_ptr().add(i), mask, _mm256_max_pd(cand, best));
-        }
-    }
 }
 
 /// One row of the recurrence for the explicit-SIMD backends: the exact
@@ -1082,15 +848,14 @@ impl LaneOps for Avx2Ops {
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn row_body<K: LaneOps>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
-    let (lanes, structure, deltas) = (kernel.lanes, kernel.structure, kernel.deltas);
+    let (lanes, structure) = (kernel.origins.len(), kernel.structure);
     let first_row = prev.is_empty();
     for &ev in &structure.order {
         let base = ev.index() * lanes;
-        let slot0 = structure.offsets[ev.index()] as usize;
         let (left, rest) = row.split_at_mut(base);
         let (dst, right) = rest.split_at_mut(lanes);
         let mut first = true;
-        for (off, ia) in structure.in_arcs(ev).iter().enumerate() {
+        for ia in structure.in_arcs(ev) {
             let sb = ia.src as usize * lanes;
             let src = if ia.marked {
                 if first_row {
@@ -1102,19 +867,10 @@ unsafe fn row_body<K: LaneOps>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [
             } else {
                 &right[sb - base - lanes..][..lanes]
             };
-            if deltas.is_empty() {
-                if first {
-                    K::first(dst, src, ia.delay);
-                } else {
-                    K::fold(dst, src, ia.delay);
-                }
+            if first {
+                K::first(dst, src, ia.delay);
             } else {
-                let dv = &deltas[(slot0 + off) * lanes..][..lanes];
-                if first {
-                    K::first_v(dst, src, dv);
-                } else {
-                    K::fold_v(dst, src, dv);
-                }
+                K::fold(dst, src, ia.delay);
             }
             first = false;
         }
@@ -1464,67 +1220,6 @@ mod tests {
                 periods: 0
             }
         );
-        let structure = CyclicStructure::new(&sg);
-        assert_eq!(
-            wide.run_scenarios_with(&sg, &structure, &[ap], 0, |_, _| 1.0, 2, Rows::All, None)
-                .unwrap_err(),
-            Halt::Degenerate {
-                lanes: 0,
-                periods: 2
-            }
-        );
-    }
-
-    /// Every scenario lane must equal, bit for bit, a nominal wide run
-    /// on the correspondingly reweighted graph — the kernel-level
-    /// contract everything above (`run_scenarios_in`, sessions, bench
-    /// assertions) builds on.
-    #[test]
-    fn scenario_lanes_equal_reweighted_reruns() {
-        let sg = figure2();
-        let borders = sg.border_events();
-        let factors = [0.85f64, 1.0, 1.15];
-        let structure = CyclicStructure::new(&sg);
-        for backend in available_backends() {
-            let mut wide = WideArena::with_kernel(backend);
-            wide.run_scenarios_with(
-                &sg,
-                &structure,
-                &borders,
-                factors.len(),
-                |arc, j| sg.arc(arc).delay().get() * factors[j],
-                4,
-                Rows::All,
-                None,
-            )
-            .unwrap();
-            assert_eq!(wide.lanes(), borders.len() * factors.len());
-            for (j, &f) in factors.iter().enumerate() {
-                let mut re = sg.clone();
-                let arcs: Vec<_> = re.arc_ids().collect();
-                for a in arcs {
-                    let d = re.arc(a).delay().get() * f;
-                    re.set_delay(a, d).unwrap();
-                }
-                let mut nominal = WideArena::with_kernel(backend);
-                nominal.run(&re, &borders, 4).unwrap();
-                for k in 0..borders.len() {
-                    let lane = j * borders.len() + k;
-                    assert_eq!(wide.origin(lane), borders[k]);
-                    assert_eq!(wide.scenario_of(lane), j);
-                    for e in sg.events() {
-                        for p in 0..=4 {
-                            assert_eq!(
-                                wide.time(lane, e, p).map(f64::to_bits),
-                                nominal.time(k, e, p).map(f64::to_bits),
-                                "{backend} scenario {j} lane {k} e={} p={p}",
-                                sg.label(e)
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! the arena:
 //!
 //! * the one-shot CLI builds one with `--threads` workers (default
-//!   one), so the `b` border simulations (and the scenario blocks)
-//!   split into lane chunks over that many workers;
+//!   one), so the `b` border simulations of each analysis (the nominal
+//!   one and every scenario's) split into lane chunks over that many
+//!   workers;
 //! * a serve worker drives a persistent one-worker [`Workspace`] — one
 //!   warm [`AnalysisArena`] (the two-row window and origin strip of the
 //!   `b` lockstep border simulations plus the scalar finish arena) and
@@ -537,8 +538,9 @@ fn report_abort(err: &AnalysisError) -> Option<OpError> {
 }
 
 /// The `tsg analyze` report on `arena`: the nominal analysis and, when
-/// `opts` asks for a corner or sample sweep, the scenario lanes all run
-/// on it — split over its workers, bit-identical at any worker count.
+/// `opts` asks for a corner or sample sweep, one analysis per scenario
+/// all run on it — split over its workers, bit-identical at any worker
+/// count.
 ///
 /// # Errors
 ///

@@ -288,9 +288,10 @@ proptest! {
     }
 
     /// Scenario lanes follow the session's edits: with a corner or
-    /// sample set enabled, every delay edit re-runs all `b × s` lanes,
-    /// and after every step each scenario lane must match a from-scratch scalar
-    /// analysis of its reweighted graph — alongside the nominal lanes.
+    /// sample set enabled, every delay edit re-runs every scenario's
+    /// analysis, and after every step each scenario must match a
+    /// from-scratch scalar analysis of its reweighted graph — alongside
+    /// the nominal lanes.
     #[test]
     fn scenario_lanes_survive_random_delay_edits(
         family in 0usize..4,

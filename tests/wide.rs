@@ -24,11 +24,11 @@
 //! bit-identical to a from-scratch scalar analysis — on every backend.
 //!
 //! PR 9 adds the scenario axis: a `ScenarioSet` of `s` delay
-//! reweightings (derated corners or seeded samples) widens the lane
-//! matrix to `b × s`, and every scenario lane of one lockstep sweep
-//! must hold the exact bits of a from-scratch scalar analysis of the
-//! per-scenario reweighted graph — across every generator family,
-//! every backend, odd `b × s` remainder shapes, and any worker count.
+//! reweightings (derated corners or seeded samples). A sweep runs one
+//! wide analysis per scenario on the reweighted graph, and each
+//! scenario's result must hold the exact bits of a from-scratch scalar
+//! analysis of that graph — across every generator family, every
+//! backend, odd lane counts, and any worker count.
 
 use proptest::prelude::*;
 use tsg::core::analysis::session::{AnalysisSession, DelayEdit};
@@ -42,7 +42,7 @@ use tsg_bench::{
 };
 
 /// A scenario set over `sg`'s arcs: corner sets of 1–3 corners for
-/// even `pick`, seeded sample sets of 1–5 lanes otherwise.
+/// even `pick`, seeded sample sets of 1–5 scenarios otherwise.
 fn scenario_set(sg: &SignalGraph, pick: u64) -> ScenarioSet {
     const CORNERS: [Corner; 3] = [Corner::Min, Corner::Typ, Corner::Max];
     let slots = sg.arc_count();
@@ -223,10 +223,10 @@ proptest! {
         assert_analyses_identical(&scalar, &par, &format!("family {family} seed {seed} x{threads}"));
     }
 
-    /// The scenario acceptance criterion: one lockstep sweep over a
-    /// corner or sample set ≡ a scalar re-run per reweighted graph, on
-    /// every generator family (the shared gate from `tsg_bench`, the
-    /// same one the `corner_sweep` bench runs before timing anything).
+    /// The scenario acceptance criterion: a sweep over a corner or
+    /// sample set ≡ a scalar re-run per reweighted graph, on every
+    /// generator family (the shared gate from `tsg_bench`, the same one
+    /// the `corner_sweep` bench runs before timing anything).
     #[test]
     fn scenario_lanes_equal_scalar_across_families(
         family in 0usize..4,
@@ -238,12 +238,12 @@ proptest! {
         assert_scenarios_match_scalar(&sg, &set, &format!("family {family} seed {seed} pick {pick}"));
     }
 
-    /// Odd `b × s` lane products force the masked remainder paths of
-    /// every backend: rings with b ∈ {1, 3, 5, 7} tokens crossed with
-    /// s ∈ {1, 3, 5} scenarios give lane counts like 3, 15, 35 — never
-    /// a multiple of the vector width. Each backend's sweep is pinned
-    /// through its own arena and checked lane-by-lane against the
-    /// scalar engine on the reweighted graph.
+    /// Odd lane counts force the masked remainder paths of every
+    /// backend: rings with b ∈ {1, 3, 5, 7} tokens give 1, 3, 5 or 7
+    /// lanes per scenario — never a multiple of the vector width —
+    /// swept over s ∈ {1, 3, 5} sampled scenarios. Each backend's sweep
+    /// is pinned through its own arena and checked scenario by scenario
+    /// against the scalar engine on the reweighted graph.
     #[test]
     fn odd_scenario_lane_products_on_every_backend(
         bi in 0usize..4,
@@ -265,15 +265,16 @@ proptest! {
                 assert_analyses_identical(
                     &scalar,
                     swept.analysis(j),
-                    &format!("ring n={n} b={b} s={s} seed {seed} [{}] lane {j}", backend.name()),
+                    &format!("ring n={n} b={b} s={s} seed {seed} [{}] scenario {j}", backend.name()),
                 );
             }
         }
     }
 
-    /// Worker-count invariance of the scenario sweep: any split of the
-    /// scenario blocks across an arena's workers produces the bits of
-    /// the one-worker sweep — and hence of the scalar engine.
+    /// Worker-count invariance of the scenario sweep: each scenario's
+    /// analysis splits its lanes over the arena's workers, and any
+    /// split produces the bits of the one-worker sweep — and hence of
+    /// the scalar engine.
     #[test]
     fn scenario_parallel_sweep_is_thread_count_invariant(
         family in 0usize..4,
@@ -292,7 +293,7 @@ proptest! {
             assert_analyses_identical(
                 seq.analysis(j),
                 par.analysis(j),
-                &format!("family {family} seed {seed} pick {pick} x{threads} lane {j}"),
+                &format!("family {family} seed {seed} pick {pick} x{threads} scenario {j}"),
             );
         }
     }
@@ -585,6 +586,20 @@ fn oneshot_run_keeps_a_two_row_window() {
             assert_eq!(record_bits(&redo), record_bits(&fresh), "{name}");
         }
     }
+}
+
+/// A scenario sweep is one analysis per scenario, so it keeps one
+/// analysis' window: after eight samples on a fresh arena, the arena
+/// holds exactly what one nominal `run_in` leaves behind.
+#[test]
+fn scenario_sweep_keeps_one_analysis_window() {
+    let sg = ring(12, 3, 1.5);
+    let set = ScenarioSet::samples(8, 7, 10.0, sg.arc_count()).expect("s >= 1");
+    let mut swept = AnalysisArena::new();
+    CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut swept, None).expect("live");
+    let mut nominal = AnalysisArena::new();
+    CycleTimeAnalysis::run_in(&sg, None, &mut nominal).expect("live");
+    assert_eq!(swept.capacity(), nominal.capacity());
 }
 
 /// A two-worker run cancelled at every row and re-run on the same
