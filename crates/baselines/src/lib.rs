@@ -16,7 +16,8 @@
 //!   oracle (equivalent in power to Burns' linear program \[2\]);
 //! * [`longrun`] — the naive long-run simulation estimate that Figure 4
 //!   warns about (asymptotically correct, never exact for off-critical
-//!   initiations).
+//!   initiations), one slope read off the workspace's one timing
+//!   simulation.
 //!
 //! All functions agree with
 //! [`tsg_core::analysis::CycleTimeAnalysis`] on every valid graph; the
@@ -32,7 +33,4 @@ pub use enumerate::{enumerate_cycle_time, CycleInventory};
 pub use howard::howard_cycle_time;
 pub use karp::karp_cycle_time;
 pub use lawler::lawler_cycle_time;
-pub use longrun::{
-    longrun_estimate, longrun_estimate_batch, longrun_estimate_batch_on, longrun_estimate_mc,
-    longrun_estimate_mc_lanes, LongrunLane,
-};
+pub use longrun::longrun_estimate;

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use tsg_core::analysis::initiated::InitiatedSimulation;
+use tsg_core::analysis::initiated::SimArena;
 use tsg_core::analysis::sim::TimingSimulation;
 use tsg_core::analysis::CycleTimeAnalysis;
 
@@ -49,9 +49,9 @@ fn bench_initiated(c: &mut Criterion) {
     let ap = sg.event_by_label("a+").unwrap();
     c.bench_function("tab8c/initiated_simulation", |b| {
         b.iter(|| {
-            InitiatedSimulation::run(black_box(&sg), ap, 2)
-                .unwrap()
-                .distance_series()
+            let mut sim = SimArena::new();
+            sim.run(black_box(&sg), ap, 2, true).unwrap();
+            sim.distance_series()
         })
     });
 }

@@ -10,8 +10,7 @@
 //! tracked ring/torus/random sweeps (`wide_vs_scalar`), the explicit
 //! SIMD backends against the portable loop on the same sweeps
 //! (`simd_vs_portable`, with the detected CPU feature level recorded),
-//! the lane-batched Monte-Carlo long-run estimator against the
-//! sequential per-seed loop (`longrun_lanes`), delay-scenario sweeps —
+//! delay-scenario sweeps —
 //! min/typ/max corners and seeded sample sets — against as many
 //! nominal analyses (`corner_sweep`), and
 //! `tsg_bench::analyze_batch` against the sequential loop on a
@@ -33,14 +32,12 @@
 //!
 //! Every analysis result is asserted bit-identical between the
 //! sequential and batched pipelines before any number is reported —
-//! per lane-matrix cell for the SIMD backends, per sorted estimate
-//! distribution for the Monte-Carlo lanes: a speedup of a wrong answer
-//! is not a speedup.
+//! per lane-matrix cell for the SIMD backends: a speedup of a wrong
+//! answer is not a speedup.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use tsg_baselines::{longrun_estimate_mc, longrun_estimate_mc_lanes};
 use tsg_bench::{
     assert_analyses_identical, assert_backends_match, assert_scenarios_match_scalar,
     assert_wide_matches_scalar, available_backends, hold, push_pop, ring_with_chords_text,
@@ -354,77 +351,6 @@ fn measure_corner_sweep(reps: usize) -> Vec<CornerRow> {
     rows
 }
 
-struct LongrunRow {
-    workload: String,
-    lanes: usize,
-    periods: u32,
-    sequential_seconds: f64,
-    lanes_seconds: f64,
-    speedup: f64,
-}
-
-/// The lane-batched Monte-Carlo long-run estimator vs the sequential
-/// per-seed loop. Before timing, the batch's estimate distribution is
-/// asserted equal (as sorted bit patterns) to the sequential one — on
-/// this estimator the lanes reproduce the per-seed streams bitwise, so
-/// sorted equality is the weakest gate that still pins every value.
-fn measure_longrun_lanes(reps: usize, periods: u32) -> Vec<LongrunRow> {
-    const JITTER: f64 = 0.1;
-    let workloads: [(String, SignalGraph); 2] = [
-        ("ring n=64 tokens=8".to_owned(), tsg_gen::ring(64, 8, 2.0)),
-        (
-            "random seed=7".to_owned(),
-            tsg_gen::random_live_tsg(7, tsg_gen::RandomTsgConfig::default()),
-        ),
-    ];
-    let mut rows = Vec::new();
-    for (workload, sg) in &workloads {
-        for lanes in [4usize, 8, 32] {
-            let seeds: Vec<u64> = (0..lanes as u64).collect();
-
-            // Distribution-equality gate first.
-            let mut batch: Vec<u64> = longrun_estimate_mc_lanes(sg, periods, JITTER, &seeds)
-                .iter()
-                .map(|l| l.estimate.map_or(u64::MAX, f64::to_bits))
-                .collect();
-            let mut seq: Vec<u64> = seeds
-                .iter()
-                .map(|&s| {
-                    longrun_estimate_mc(sg, periods, JITTER, s).map_or(u64::MAX, f64::to_bits)
-                })
-                .collect();
-            batch.sort_unstable();
-            seq.sort_unstable();
-            assert_eq!(
-                batch, seq,
-                "{workload} K={lanes}: lane batch distribution diverged from sequential seeds"
-            );
-
-            let sequential_seconds = time_per_call(reps, || {
-                seeds
-                    .iter()
-                    .filter(|&&s| longrun_estimate_mc(sg, periods, JITTER, s).is_some())
-                    .count()
-            });
-            let lanes_seconds = time_per_call(reps, || {
-                longrun_estimate_mc_lanes(sg, periods, JITTER, &seeds)
-                    .iter()
-                    .filter(|l| l.estimate.is_some())
-                    .count()
-            });
-            rows.push(LongrunRow {
-                workload: workload.clone(),
-                lanes,
-                periods,
-                sequential_seconds,
-                lanes_seconds,
-                speedup: sequential_seconds / lanes_seconds.max(1e-12),
-            });
-        }
-    }
-    rows
-}
-
 /// The 64-graph sweep of the acceptance criterion: sequential loop vs
 /// `analyze_batch` at several thread counts, asserted bit-identical.
 fn measure_analysis(
@@ -706,7 +632,6 @@ fn json_report(
     batch_rows: &[BatchRow],
     wide_rows: &[WideRow],
     simd_rows: &[SimdRow],
-    longrun_rows: &[LongrunRow],
     corner_rows: &[CornerRow],
     load_rows: &[LoadRow],
     window: &WindowRow,
@@ -779,20 +704,6 @@ fn json_report(
             "      {{\"scenario\": \"{}\", \"b\": {}, \"backend\": \"{}\", \
              \"seconds\": {:.9}, \"speedup_vs_portable\": {:.3}}}{comma}",
             r.scenario, r.b, r.backend, r.seconds, r.speedup
-        );
-    }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"longrun_lanes\": {{");
-    let _ = writeln!(out, "    \"distribution_equal\": true,");
-    let _ = writeln!(out, "    \"sweeps\": [");
-    for (i, r) in longrun_rows.iter().enumerate() {
-        let comma = if i + 1 < longrun_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"workload\": \"{}\", \"lanes\": {}, \"periods\": {}, \
-             \"sequential_seconds\": {:.9}, \"lanes_seconds\": {:.9}, \"speedup\": {:.3}}}{comma}",
-            r.workload, r.lanes, r.periods, r.sequential_seconds, r.lanes_seconds, r.speedup
         );
     }
     let _ = writeln!(out, "    ]");
@@ -1006,20 +917,6 @@ fn main() {
         );
     }
 
-    let mc_periods = if quick { 32 } else { 96 };
-    eprintln!("measuring lane-batched Monte-Carlo long-run estimation...");
-    let longrun_rows = measure_longrun_lanes(reps, mc_periods);
-    for r in &longrun_rows {
-        eprintln!(
-            "  {:<18} K={:>2}: sequential {:>8.3} ms, lanes {:>8.3} ms ({:.2}x)",
-            r.workload,
-            r.lanes,
-            r.sequential_seconds * 1e3,
-            r.lanes_seconds * 1e3,
-            r.speedup
-        );
-    }
-
     eprintln!("measuring the corner/scenario sweep vs as many nominal analyses...");
     let corner_rows = measure_corner_sweep(reps);
     for r in &corner_rows {
@@ -1116,7 +1013,6 @@ fn main() {
         &batch_rows,
         &wide_rows,
         &simd_rows,
-        &longrun_rows,
         &corner_rows,
         &load_rows,
         &window_row,

@@ -17,7 +17,7 @@ use std::time::Instant;
 use tsg_baselines::CycleInventory;
 use tsg_core::analysis::asymptotic::delta_series;
 use tsg_core::analysis::diagram::{self, DiagramOptions};
-use tsg_core::analysis::initiated::InitiatedSimulation;
+use tsg_core::analysis::initiated::SimArena;
 use tsg_core::analysis::sim::TimingSimulation;
 use tsg_core::analysis::CycleTimeAnalysis;
 use tsg_core::SignalGraph;
@@ -148,7 +148,8 @@ fn fig1c() -> String {
 fn fig1d() -> String {
     let sg = oscillator();
     let ap = sg.event_by_label("a+").expect("a+ exists");
-    let sim = InitiatedSimulation::run(&sg, ap, 3).expect("a+ is repetitive");
+    let mut sim = SimArena::new();
+    sim.run(&sg, ap, 3, false).expect("a+ is repetitive");
     let mut out =
         diagram::render_initiated(&sg, &sim, DiagramOptions::default()).expect("Figure 1d fits");
     let distances: Vec<String> = sim
@@ -198,7 +199,8 @@ fn ex3() -> String {
 fn ex4() -> String {
     let sg = oscillator();
     let bp = sg.event_by_label("b+").expect("b+ exists");
-    let sim = InitiatedSimulation::run(&sg, bp, 2).expect("repetitive");
+    let mut sim = SimArena::new();
+    sim.run(&sg, bp, 2, false).expect("repetitive");
     let cols = [
         ("b+", 0),
         ("c+", 0),
@@ -281,9 +283,10 @@ fn tab8c() -> String {
         let _ = write!(header, "{l}{i:<3}");
     }
     let _ = writeln!(out, "{header}");
+    let mut sim = SimArena::new();
     for origin in ["a+", "b+"] {
         let g = sg.event_by_label(origin).expect("border event");
-        let sim = InitiatedSimulation::run(&sg, g, 2).expect("repetitive");
+        sim.run(&sg, g, 2, false).expect("repetitive");
         let _ = write!(out, "t_{origin}0(event)");
         for (l, i) in events {
             let t = sim.time_or_zero(sg.event_by_label(l).expect("event"), i);
@@ -336,7 +339,8 @@ fn tab8d() -> String {
         borders.join(", ")
     );
     let s0 = sg.event_by_label("s0+").expect("s0+ exists");
-    let sim = InitiatedSimulation::run(&sg, s0, 10).expect("repetitive");
+    let mut sim = SimArena::new();
+    sim.run(&sg, s0, 10, false).expect("repetitive");
     let _ = writeln!(
         out,
         "i            1    2    3    4    5    6    7    8    9    10"
@@ -467,7 +471,7 @@ fn batch() -> String {
     let runner = BatchRunner::sized(THREADS.get().copied().flatten());
     let t_par = Instant::now();
     let batched: Vec<Option<f64>> =
-        tsg_baselines::longrun_estimate_batch_on(&runner, &graphs, periods);
+        runner.run(&graphs, |sg| tsg_baselines::longrun_estimate(sg, periods));
     let t_par = t_par.elapsed();
 
     let mut out = String::new();

@@ -142,6 +142,26 @@ reports ok/failed counts and latency; `--deadline-ms` attaches a
 deadline to each probe.
 ";
 
+/// Why a command failed. Only a bad command line reprints [`USAGE`].
+enum Failure {
+    /// An unknown command or flag, or a missing or malformed value.
+    Usage(String),
+    /// A well-formed command whose work failed (a file, an analysis, a
+    /// socket).
+    Run(String),
+}
+
+/// Argument checks spell their message as a literal: `ok_or("…")?`.
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Usage(msg.to_owned())
+    }
+}
+
+fn unknown_flag(flag: &str) -> Failure {
+    Failure::Usage(format!("unknown flag {flag:?}"))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -149,10 +169,14 @@ fn main() -> ExitCode {
             print!("{out}");
             ExitCode::SUCCESS
         }
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Run(msg)) => {
+            eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }
@@ -164,25 +188,32 @@ fn analyze_report(
     sg: &SignalGraph,
     opts: &AnalyzeOptions,
     workers: usize,
-) -> Result<String, String> {
+) -> Result<String, Failure> {
     let mut arena = AnalysisArena::new().with_workers(workers);
-    ops::report_in(sg, opts, &mut arena).map_err(|e| e.to_string())
+    ops::report_in(sg, opts, &mut arena).map_err(|e| Failure::Run(e.to_string()))
 }
 
-fn parse_threads(args: &[String], i: usize) -> Result<usize, String> {
-    BatchRunner::parse_threads(args.get(i).map(String::as_str))
+fn parse_threads(args: &[String], i: usize) -> Result<usize, Failure> {
+    BatchRunner::parse_threads(args.get(i).map(String::as_str)).map_err(Failure::Usage)
 }
 
 /// Parses a millisecond duration argument for `flag`.
-fn parse_ms(args: &[String], i: usize, flag: &str) -> Result<Duration, String> {
+fn parse_ms(args: &[String], i: usize, flag: &str) -> Result<Duration, Failure> {
     args.get(i)
         .and_then(|v| v.parse::<u64>().ok())
         .filter(|&ms| ms >= 1)
         .map(Duration::from_millis)
-        .ok_or(format!("{flag} needs a positive number of milliseconds"))
+        .ok_or_else(|| Failure::Usage(format!("{flag} needs a positive number of milliseconds")))
 }
 
-fn run(args: &[String]) -> Result<String, String> {
+/// Reads and loads the `.g` / `.ckt` FILE of a command.
+fn load_file(file: &str, default_delay: f64) -> Result<SignalGraph, Failure> {
+    let text =
+        std::fs::read_to_string(file).map_err(|e| Failure::Run(format!("reading {file}: {e}")))?;
+    ops::load(file, &text, default_delay).map_err(Failure::Run)
+}
+
+fn run(args: &[String]) -> Result<String, Failure> {
     match args.first().map(String::as_str) {
         Some("analyze") => {
             let file = args.get(1).ok_or("analyze needs a FILE argument")?;
@@ -213,10 +244,11 @@ fn run(args: &[String]) -> Result<String, String> {
                             .ok_or("--corners needs a comma-separated list (min,typ,max)")?;
                         opts.corners = list
                             .split(',')
-                            .map(|c| c.trim().parse::<Corner>().map_err(|e| e.to_string()))
-                            .collect::<Result<Vec<_>, _>>()?;
+                            .map(|c| c.trim().parse::<Corner>())
+                            .collect::<Result<Vec<_>, _>>()
+                            .map_err(|e| Failure::Usage(e.to_string()))?;
                         if opts.corners.is_empty() {
-                            return Err("--corners needs at least one corner name".to_owned());
+                            return Err("--corners needs at least one corner name".into());
                         }
                     }
                     "--derate" => {
@@ -242,12 +274,11 @@ fn run(args: &[String]) -> Result<String, String> {
                             .and_then(|v| v.parse().ok())
                             .ok_or("--seed needs a non-negative integer")?;
                     }
-                    other => return Err(format!("unknown flag {other:?}")),
+                    other => return Err(unknown_flag(other)),
                 }
                 i += 1;
             }
-            let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
-            let sg = ops::load(file, &text, opts.default_delay)?;
+            let sg = load_file(file, opts.default_delay)?;
             analyze_report(&sg, &opts, threads)
         }
         Some("sim") => {
@@ -258,7 +289,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 i += 1;
             }
             if files.is_empty() {
-                return Err("sim needs a FILE argument".to_owned());
+                return Err("sim needs a FILE argument".into());
             }
             let mut threads: Option<usize> = None;
             let mut opts = SimOptions::default();
@@ -298,13 +329,13 @@ fn run(args: &[String]) -> Result<String, String> {
                         i += 1;
                         threads = Some(parse_threads(args, i)?);
                     }
-                    other => return Err(format!("unknown flag {other:?}")),
+                    other => return Err(unknown_flag(other)),
                 }
                 i += 1;
             }
             if files.len() > 1 && opts.vcd.is_some() {
                 return Err(
-                    "--vcd writes one waveform; simulate one FILE at a time with it".to_owned(),
+                    "--vcd writes one waveform; simulate one FILE at a time with it".into(),
                 );
             }
             // Independent files fan out across the kernel's batch pool;
@@ -323,7 +354,8 @@ fn run(args: &[String]) -> Result<String, String> {
                 // Single-file errors already name the file where it
                 // matters (read/parse failures); no prefix, matching the
                 // pre-fan-out behaviour.
-                return outputs.into_iter().next().expect("one file, one result");
+                let output = outputs.into_iter().next().expect("one file, one result");
+                return output.map_err(Failure::Run);
             }
             let mut out = String::new();
             let mut failed: Vec<&String> = Vec::new();
@@ -341,7 +373,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 Ok(out)
             } else {
                 print!("{out}");
-                Err(format!(
+                Err(Failure::Run(format!(
                     "{} of {} file(s) failed: {}",
                     failed.len(),
                     files.len(),
@@ -350,7 +382,7 @@ fn run(args: &[String]) -> Result<String, String> {
                         .map(|f| f.as_str())
                         .collect::<Vec<_>>()
                         .join(", ")
-                ))
+                )))
             }
         }
         Some("explore") => {
@@ -373,7 +405,7 @@ fn run(args: &[String]) -> Result<String, String> {
                     "--edit" => {
                         i += 1;
                         let spec = args.get(i).ok_or("--edit needs SRC->DST=DELAY")?;
-                        edits.push(EditSpec::parse(spec)?);
+                        edits.push(EditSpec::parse(spec).map_err(Failure::Usage)?);
                     }
                     "--default-delay" => {
                         i += 1;
@@ -405,7 +437,8 @@ fn run(args: &[String]) -> Result<String, String> {
                         objective = ops::Objective::parse(
                             args.get(i)
                                 .ok_or("--objective needs a name (tau, tau-p95)")?,
-                        )?;
+                        )
+                        .map_err(Failure::Usage)?;
                         optimizer_flag.get_or_insert("--objective");
                     }
                     "--samples" => {
@@ -422,19 +455,18 @@ fn run(args: &[String]) -> Result<String, String> {
                         report_json = match args.get(i).map(String::as_str) {
                             Some("text") => false,
                             Some("json") => true,
-                            _ => return Err("--report takes text or json".to_owned()),
+                            _ => return Err("--report takes text or json".into()),
                         };
                     }
-                    other => return Err(format!("unknown flag {other:?}")),
+                    other => return Err(unknown_flag(other)),
                 }
                 i += 1;
             }
             if let (Some(flag), false) = (optimizer_flag, optimize) {
-                return Err(format!("{flag} requires --optimize"));
+                return Err(Failure::Usage(format!("{flag} requires --optimize")));
             }
-            let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
-            let sg = ops::load(file, &text, default_delay)?;
-            let mut session = AnalysisSession::open(sg).map_err(|e| e.to_string())?;
+            let sg = load_file(file, default_delay)?;
+            let mut session = AnalysisSession::open(sg).map_err(|e| Failure::Run(e.to_string()))?;
             let critical_of = |session: &AnalysisSession| {
                 session
                     .graph()
@@ -476,7 +508,8 @@ fn run(args: &[String]) -> Result<String, String> {
                 out.push_str(&ops::session_summary(&session));
             }
             for spec in &edits {
-                let delta = ops::apply_struct_edits(&mut session, &[EditOp::Delay(spec.clone())])?;
+                let delta = ops::apply_struct_edits(&mut session, &[EditOp::Delay(spec.clone())])
+                    .map_err(Failure::Run)?;
                 if report_json {
                     let edit = format!("{}->{}={}", spec.src, spec.dst, spec.delay);
                     let critical = critical_of(&session);
@@ -508,7 +541,8 @@ fn run(args: &[String]) -> Result<String, String> {
             }
             let outcome = if optimize {
                 let (outcome, text) =
-                    ops::explore_session(&mut session, moves, seed, objective, samples, None)?;
+                    ops::explore_session(&mut session, moves, seed, objective, samples, None)
+                        .map_err(Failure::Run)?;
                 if !report_json {
                     out.push_str(&text);
                 }
@@ -532,7 +566,7 @@ fn run(args: &[String]) -> Result<String, String> {
             // Trust, but verify: the final incremental state must be
             // bit-identical to a from-scratch analysis of the edited
             // graph.
-            ops::verify_session(&session)?;
+            ops::verify_session(&session).map_err(Failure::Run)?;
             if report_json {
                 let mut fields = vec![
                     ("verified".to_owned(), Json::Bool(true)),
@@ -625,7 +659,7 @@ fn run(args: &[String]) -> Result<String, String> {
                                 .ok_or("--listen needs tcp:HOST:PORT or unix:PATH")?,
                         );
                     }
-                    other => return Err(format!("unknown flag {other:?}")),
+                    other => return Err(unknown_flag(other)),
                 }
                 i += 1;
             }
@@ -675,7 +709,7 @@ fn run(args: &[String]) -> Result<String, String> {
                             .filter(|&ms: &u64| ms >= 1)
                             .ok_or("--max-backoff-ms needs a positive number of milliseconds")?;
                     }
-                    other => return Err(format!("unknown flag {other:?}")),
+                    other => return Err(unknown_flag(other)),
                 }
                 i += 1;
             }
@@ -685,14 +719,15 @@ fn run(args: &[String]) -> Result<String, String> {
             let file = args.get(1).ok_or("convert needs a FILE argument")?;
             let to = match (args.get(2).map(String::as_str), args.get(3)) {
                 (Some("--to"), Some(t)) => t.as_str(),
-                _ => return Err("convert needs `--to {g|dot}`".to_owned()),
+                _ => return Err("convert needs `--to {g|dot}`".into()),
             };
-            let text = std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
-            let sg = ops::load(file, &text, 1.0)?;
+            let sg = load_file(file, 1.0)?;
             match to {
-                "g" => tsg_stg::write_stg(&sg, "converted").map_err(|e| e.to_string()),
+                "g" => {
+                    tsg_stg::write_stg(&sg, "converted").map_err(|e| Failure::Run(e.to_string()))
+                }
                 "dot" => Ok(tsg_core::dot::to_dot(&sg, "converted")),
-                other => Err(format!("unknown target format {other:?}")),
+                other => Err(Failure::Usage(format!("unknown target format {other:?}"))),
             }
         }
         Some("demo") => {
@@ -708,29 +743,31 @@ fn run(args: &[String]) -> Result<String, String> {
                     &tsg_circuit::library::muller_ring(5, 1.0),
                     tsg_extract::ExtractOptions::default(),
                 )
-                .map_err(|e| e.to_string())?,
+                .map_err(|e| Failure::Run(e.to_string()))?,
                 "stack66" => tsg_gen::stack66(),
-                other => return Err(format!("unknown demo {other:?}")),
+                other => return Err(Failure::Usage(format!("unknown demo {other:?}"))),
             };
             analyze_report(&sg, &opts, 1)
         }
         Some("--help") | Some("-h") | None => Ok(USAGE.to_owned()),
-        Some(other) => Err(format!("unknown command {other:?}")),
+        Some(other) => Err(Failure::Usage(format!("unknown command {other:?}"))),
     }
 }
 
 /// The serve transports run on the `poll(2)` event loop, which is
 /// Unix-only; elsewhere `tsg serve` refuses to run.
 #[cfg(not(unix))]
-fn serve(_: &ServeOptions, _: Option<&str>) -> Result<String, String> {
-    Err("serve needs a Unix platform (its event loop runs on poll(2))".to_owned())
+fn serve(_: &ServeOptions, _: Option<&str>) -> Result<String, Failure> {
+    Err(Failure::Run(
+        "serve needs a Unix platform (its event loop runs on poll(2))".to_owned(),
+    ))
 }
 
 /// The `tsg serve` front-end: picks the transport, installs the SIGINT
 /// flag, runs the warm-pool request loop, and reports the session
 /// counters on stderr (stdout stays pure protocol).
 #[cfg(unix)]
-fn serve(opts: &ServeOptions, listen: Option<&str>) -> Result<String, String> {
+fn serve(opts: &ServeOptions, listen: Option<&str>) -> Result<String, Failure> {
     let shutdown = tsg_serve::install_sigint_flag();
     let pool = BatchRunner::sized(opts.threads).threads();
     let stats = match listen {
@@ -746,8 +783,10 @@ fn serve(opts: &ServeOptions, listen: Option<&str>) -> Result<String, String> {
         Some(spec) => match spec.split_once(':') {
             Some(("tcp", addr)) => {
                 let listener = std::net::TcpListener::bind(addr)
-                    .map_err(|e| format!("binding tcp {addr}: {e}"))?;
-                let local = listener.local_addr().map_err(|e| e.to_string())?;
+                    .map_err(|e| Failure::Run(format!("binding tcp {addr}: {e}")))?;
+                let local = listener
+                    .local_addr()
+                    .map_err(|e| Failure::Run(e.to_string()))?;
                 eprintln!("tsg serve: listening on tcp {local} ({pool} worker thread(s))");
                 tsg_serve::serve_tcp(listener, opts, Some(shutdown), None)
             }
@@ -761,16 +800,16 @@ fn serve(opts: &ServeOptions, listen: Option<&str>) -> Result<String, String> {
                     let _ = std::fs::remove_file(path);
                 }
                 let listener = std::os::unix::net::UnixListener::bind(path)
-                    .map_err(|e| format!("binding unix {path}: {e}"))?;
+                    .map_err(|e| Failure::Run(format!("binding unix {path}: {e}")))?;
                 eprintln!("tsg serve: listening on unix {path} ({pool} worker thread(s))");
                 let result = tsg_serve::serve_unix(listener, opts, Some(shutdown), None);
                 let _ = std::fs::remove_file(path);
                 result
             }
-            _ => return Err("--listen takes tcp:HOST:PORT or unix:PATH".to_owned()),
+            _ => return Err("--listen takes tcp:HOST:PORT or unix:PATH".into()),
         },
     }
-    .map_err(|e| format!("serve: {e}"))?;
+    .map_err(|e| Failure::Run(format!("serve: {e}")))?;
     eprintln!(
         "tsg serve: shut down after {} ok / {} failed request(s) on {} worker thread(s)",
         stats.served, stats.failed, stats.threads
@@ -826,25 +865,29 @@ fn ping(
     deadline_ms: Option<u64>,
     retries: u32,
     max_backoff: u64,
-) -> Result<String, String> {
+) -> Result<String, Failure> {
     use std::io::{BufRead, BufReader, Write};
     type Conn = (Box<dyn BufRead>, Box<dyn Write>);
-    let dial = || -> Result<Conn, String> {
+    let dial = || -> Result<Conn, Failure> {
         match target.split_once(':') {
             Some(("tcp", addr)) => {
                 let stream = std::net::TcpStream::connect(addr)
-                    .map_err(|e| format!("connecting tcp {addr}: {e}"))?;
-                let clone = stream.try_clone().map_err(|e| e.to_string())?;
+                    .map_err(|e| Failure::Run(format!("connecting tcp {addr}: {e}")))?;
+                let clone = stream
+                    .try_clone()
+                    .map_err(|e| Failure::Run(e.to_string()))?;
                 Ok((Box::new(BufReader::new(clone)), Box::new(stream)))
             }
             #[cfg(unix)]
             Some(("unix", path)) => {
                 let stream = std::os::unix::net::UnixStream::connect(path)
-                    .map_err(|e| format!("connecting unix {path}: {e}"))?;
-                let clone = stream.try_clone().map_err(|e| e.to_string())?;
+                    .map_err(|e| Failure::Run(format!("connecting unix {path}: {e}")))?;
+                let clone = stream
+                    .try_clone()
+                    .map_err(|e| Failure::Run(e.to_string()))?;
                 Ok((Box::new(BufReader::new(clone)), Box::new(stream)))
             }
-            _ => Err("ping takes tcp:HOST:PORT or unix:PATH".to_owned()),
+            _ => Err("ping takes tcp:HOST:PORT or unix:PATH".into()),
         }
     };
     let mut conn = Some(dial()?);
@@ -948,6 +991,11 @@ fn ping(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`super::run`] with either kind of failure as its message.
+    fn run(args: &[String]) -> Result<String, String> {
+        super::run(args).map_err(|(Failure::Usage(msg) | Failure::Run(msg))| msg)
+    }
 
     #[test]
     fn backoff_stays_between_hint_floor_and_cap() {

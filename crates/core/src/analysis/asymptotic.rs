@@ -7,7 +7,7 @@
 //! classifies events accordingly.
 
 use crate::analysis::cycle_time::{AnalysisError, CycleTimeAnalysis};
-use crate::analysis::initiated::InitiatedSimulation;
+use crate::analysis::initiated::{NotRepetitive, SimArena};
 use crate::event::EventId;
 use crate::graph::SignalGraph;
 
@@ -52,8 +52,9 @@ pub fn delta_series(
     sg: &SignalGraph,
     event: EventId,
     periods: u32,
-) -> Result<Vec<DeltaPoint>, crate::analysis::initiated::NotRepetitive> {
-    let sim = InitiatedSimulation::run(sg, event, periods)?;
+) -> Result<Vec<DeltaPoint>, NotRepetitive> {
+    let mut sim = SimArena::new();
+    sim.run(sg, event, periods, false)?;
     Ok(sim
         .distance_series()
         .into_iter()

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::analysis::initiated::InitiatedSimulation;
+use crate::analysis::initiated::SimArena;
 use crate::analysis::sim::TimingSimulation;
 use crate::event::Polarity;
 use crate::graph::SignalGraph;
@@ -209,7 +209,7 @@ pub fn render(
 /// As [`render`].
 pub fn render_initiated(
     sg: &SignalGraph,
-    sim: &InitiatedSimulation,
+    sim: &SimArena,
     opts: DiagramOptions,
 ) -> Result<String, DiagramTooWide> {
     let mut horizon: f64 = 0.0;
@@ -282,10 +282,10 @@ mod tests {
 
     #[test]
     fn initiated_render_runs() {
-        use crate::analysis::initiated::InitiatedSimulation;
         let sg = oscillator();
         let xp = sg.event_by_label("x+").unwrap();
-        let sim = InitiatedSimulation::run(&sg, xp, 2).unwrap();
+        let mut sim = SimArena::new();
+        sim.run(&sg, xp, 2, false).unwrap();
         let text = render_initiated(&sg, &sim, DiagramOptions::default()).unwrap();
         assert!(text.lines().count() >= 3);
     }
@@ -342,7 +342,8 @@ mod tests {
         assert!(at(f64::INFINITY).is_err());
         assert!(at(f64::NAN).is_err());
         let xp = sg.event_by_label("x+").unwrap();
-        let initiated = InitiatedSimulation::run(&sg, xp, 2).unwrap();
+        let mut initiated = SimArena::new();
+        initiated.run(&sg, xp, 2, false).unwrap();
         assert!(render_initiated(&sg, &initiated, DiagramOptions::default()).is_err());
     }
 }

@@ -39,8 +39,8 @@ use crate::graph::SignalGraph;
 /// Sentinel for "no parent arc" in the flat parent matrix.
 const NO_PARENT: u32 = u32::MAX;
 
-/// Error returned by [`InitiatedSimulation::run`] when the initiating event
-/// is not repetitive.
+/// Error returned by [`SimArena::run`] when the initiating event is not
+/// repetitive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NotRepetitive(pub EventId);
 
@@ -134,6 +134,33 @@ impl SimArena {
     /// # Panics
     ///
     /// Panics if `periods == 0`.
+    ///
+    /// # Examples
+    ///
+    /// Example 4 of the paper (the `b+₀`-initiated simulation of Figure 2c)
+    /// is reproduced in the tests; a minimal use:
+    ///
+    /// ```
+    /// use tsg_core::SignalGraph;
+    /// use tsg_core::analysis::initiated::SimArena;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut b = SignalGraph::builder();
+    /// let xp = b.event("x+");
+    /// let xm = b.event("x-");
+    /// b.arc(xp, xm, 3.0);
+    /// b.marked_arc(xm, xp, 2.0);
+    /// let sg = b.build()?;
+    ///
+    /// let mut sim = SimArena::new();
+    /// sim.run(&sg, xp, 2, false)?;
+    /// assert_eq!(sim.time(xp, 0), Some(0.0));
+    /// assert_eq!(sim.time(xm, 0), Some(3.0));
+    /// assert_eq!(sim.time(xp, 1), Some(5.0));
+    /// assert_eq!(sim.average_distance(1), Some(5.0));
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn run(
         &mut self,
         sg: &SignalGraph,
@@ -179,16 +206,15 @@ impl SimArena {
         }
         self.times[origin.index()] = 0.0;
 
-        self.compute_rows(structure, track_parents, 0);
+        self.compute_rows(structure, track_parents);
         Ok(())
     }
 
-    /// The longest-path recurrence over rows `start_row..p_total`; row
-    /// `start_row - 1` (when any) must hold valid values.
-    fn compute_rows(&mut self, structure: &CyclicStructure, track_parents: bool, start_row: usize) {
+    /// The longest-path recurrence over every row of the last run's shape.
+    fn compute_rows(&mut self, structure: &CyclicStructure, track_parents: bool) {
         let n = self.n;
         let origin = self.origin;
-        for p in start_row..self.p_total {
+        for p in 0..self.p_total {
             let (before, current) = self.times.split_at_mut(p * n);
             let prev: Option<&[f64]> = (p > 0).then(|| &before[(p - 1) * n..]);
             let row = &mut current[..n];
@@ -335,104 +361,17 @@ impl SimArena {
     }
 }
 
-/// Result of an event-initiated timing simulation.
-///
-/// A thin owner of a [`SimArena`] holding exactly one run — the
-/// convenient API when no buffer reuse is needed. Analyses that run many
-/// simulations (the cycle-time algorithm, many-graph sweeps) drive
-/// an arena directly.
-///
-/// # Examples
-///
-/// Example 4 of the paper (the `b+₀`-initiated simulation of Figure 2c) is
-/// reproduced in the tests; a minimal use:
-///
-/// ```
-/// use tsg_core::SignalGraph;
-/// use tsg_core::analysis::initiated::InitiatedSimulation;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = SignalGraph::builder();
-/// let xp = b.event("x+");
-/// let xm = b.event("x-");
-/// b.arc(xp, xm, 3.0);
-/// b.marked_arc(xm, xp, 2.0);
-/// let sg = b.build()?;
-///
-/// let sim = InitiatedSimulation::run(&sg, xp, 2).unwrap();
-/// assert_eq!(sim.time(xp, 0), Some(0.0));
-/// assert_eq!(sim.time(xm, 0), Some(3.0));
-/// assert_eq!(sim.time(xp, 1), Some(5.0));
-/// assert_eq!(sim.average_distance(1), Some(5.0));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct InitiatedSimulation {
-    arena: SimArena,
-}
-
-impl InitiatedSimulation {
-    /// Runs the `origin₀`-initiated simulation over `periods` periods.
-    ///
-    /// Within the returned simulation, instance indices align with the
-    /// global unfolding: `time(e, p)` is `t_{g0}(e_p)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NotRepetitive`] when `origin` is a prefix event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `periods == 0`.
-    pub fn run(sg: &SignalGraph, origin: EventId, periods: u32) -> Result<Self, NotRepetitive> {
-        let mut arena = SimArena::new();
-        arena.run(sg, origin, periods, true)?;
-        Ok(InitiatedSimulation { arena })
-    }
-
-    /// The initiating event `g`.
-    pub fn origin(&self) -> EventId {
-        self.arena.origin()
-    }
-
-    /// Number of periods simulated (instances `0..=periods` are available).
-    pub fn periods(&self) -> u32 {
-        self.arena.periods()
-    }
-
-    /// `t_{g0}(e_p)`, or `None` when `g₀ ⇏ e_p` — see [`SimArena::time`].
-    pub fn time(&self, e: EventId, instance: u32) -> Option<f64> {
-        self.arena.time(e, instance)
-    }
-
-    /// `t_{g0}(e_p)` with the paper's zero convention — see
-    /// [`SimArena::time_or_zero`].
-    pub fn time_or_zero(&self, e: EventId, instance: u32) -> f64 {
-        self.arena.time_or_zero(e, instance)
-    }
-
-    /// `δ_{g0}(g_i)` — see [`SimArena::average_distance`].
-    pub fn average_distance(&self, i: u32) -> Option<f64> {
-        self.arena.average_distance(i)
-    }
-
-    /// All defined `δ_{g0}(g_i)` — see [`SimArena::distance_series`].
-    pub fn distance_series(&self) -> Vec<(u32, f64, f64)> {
-        self.arena.distance_series()
-    }
-
-    /// Backtracks the longest path from `g₀` to `e_p` — see
-    /// [`SimArena::backtrack_in`].
-    pub fn backtrack_in(&self, sg: &SignalGraph, e: EventId, instance: u32) -> Option<Vec<ArcId>> {
-        self.arena.backtrack_in(sg, e, instance)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SignalGraph;
+
+    /// A fresh parent-tracked `g`-initiated simulation.
+    fn simulate(sg: &SignalGraph, g: EventId, periods: u32) -> Result<SimArena, NotRepetitive> {
+        let mut sim = SimArena::new();
+        sim.run(sg, g, periods, true)?;
+        Ok(sim)
+    }
 
     fn figure2() -> SignalGraph {
         let mut b = SignalGraph::builder();
@@ -464,7 +403,7 @@ mod tests {
         //                         =  0   2   4   3   7   9   8   12
         let sg = figure2();
         let bp = sg.event_by_label("b+").unwrap();
-        let sim = InitiatedSimulation::run(&sg, bp, 2).unwrap();
+        let sim = simulate(&sg, bp, 2).unwrap();
         let t = |l: &str, i: u32| sim.time_or_zero(sg.event_by_label(l).unwrap(), i);
         assert_eq!(t("b+", 0), 0.0);
         assert_eq!(t("c+", 0), 2.0);
@@ -487,7 +426,7 @@ mod tests {
         //                        =  0   0   3   5   4   8   10  9  .. 18  20  19
         let sg = figure2();
         let ap = sg.event_by_label("a+").unwrap();
-        let sim = InitiatedSimulation::run(&sg, ap, 2).unwrap();
+        let sim = simulate(&sg, ap, 2).unwrap();
         let t = |l: &str, i: u32| sim.time_or_zero(sg.event_by_label(l).unwrap(), i);
         assert_eq!(t("a+", 0), 0.0);
         assert_eq!(t("b+", 0), 0.0);
@@ -510,7 +449,7 @@ mod tests {
         // Section VIII.C: δ_{b+0}(b+1) = 8, δ_{b+0}(b+2) = 9.
         let sg = figure2();
         let bp = sg.event_by_label("b+").unwrap();
-        let sim = InitiatedSimulation::run(&sg, bp, 2).unwrap();
+        let sim = simulate(&sg, bp, 2).unwrap();
         assert_eq!(sim.average_distance(1), Some(8.0));
         assert_eq!(sim.average_distance(2), Some(9.0));
     }
@@ -520,7 +459,7 @@ mod tests {
         // Section VIII.C: max{8, 9, 9⅓, 9½, 9⅗, ...} → 10, never reaching it.
         let sg = figure2();
         let bp = sg.event_by_label("b+").unwrap();
-        let sim = InitiatedSimulation::run(&sg, bp, 40).unwrap();
+        let sim = simulate(&sg, bp, 40).unwrap();
         let expect = [8.0, 9.0, 9.0 + 1.0 / 3.0, 9.5, 9.6];
         for (i, want) in expect.iter().enumerate() {
             let got = sim.average_distance(i as u32 + 1).unwrap();
@@ -545,7 +484,7 @@ mod tests {
     fn backtrack_recovers_critical_walk() {
         let sg = figure2();
         let ap = sg.event_by_label("a+").unwrap();
-        let sim = InitiatedSimulation::run(&sg, ap, 2).unwrap();
+        let sim = simulate(&sg, ap, 2).unwrap();
         let path = sim.backtrack_in(&sg, ap, 1).unwrap();
         assert_eq!(sg.path_length(&path), 10.0);
         assert_eq!(sg.occurrence_period(&path), 1);
@@ -560,7 +499,7 @@ mod tests {
     fn distance_series_shape() {
         let sg = figure2();
         let ap = sg.event_by_label("a+").unwrap();
-        let sim = InitiatedSimulation::run(&sg, ap, 2).unwrap();
+        let sim = simulate(&sg, ap, 2).unwrap();
         let series = sim.distance_series();
         assert_eq!(series.len(), 2);
         assert_eq!(series[0], (1, 10.0, 10.0));
@@ -571,10 +510,7 @@ mod tests {
     fn prefix_origin_rejected() {
         let sg = figure2();
         let e = sg.event_by_label("e-").unwrap();
-        assert_eq!(
-            InitiatedSimulation::run(&sg, e, 2).unwrap_err(),
-            NotRepetitive(e)
-        );
+        assert_eq!(simulate(&sg, e, 2).unwrap_err(), NotRepetitive(e));
     }
 
     #[test]
@@ -593,7 +529,7 @@ mod tests {
         for (label, periods, track) in runs {
             let g = sg.event_by_label(label).unwrap();
             arena.run(&sg, g, periods, track).unwrap();
-            let fresh = InitiatedSimulation::run(&sg, g, periods).unwrap();
+            let fresh = simulate(&sg, g, periods).unwrap();
             for e in sg.events() {
                 for p in 0..=periods {
                     assert_eq!(
@@ -636,7 +572,7 @@ mod tests {
             .unwrap();
         let bp = small.event_by_label("b+").unwrap();
         arena.run(&small, bp, 2, true).unwrap();
-        let fresh = InitiatedSimulation::run(&small, bp, 2).unwrap();
+        let fresh = simulate(&small, bp, 2).unwrap();
         for e in small.events() {
             for p in 0..=2 {
                 assert_eq!(arena.time(e, p), fresh.time(e, p));

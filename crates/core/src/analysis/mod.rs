@@ -4,8 +4,10 @@
 //!   unfolding (Section IV.A), one period row at a time; `tsg sim` on
 //!   `.g` files, the timing diagrams and the long-run estimator all run
 //!   on it,
-//! * [`initiated::InitiatedSimulation`] — the event-initiated simulation
-//!   `t_g(·)` (Section IV.B),
+//! * [`initiated::SimArena`] — the event-initiated simulation `t_g(·)`
+//!   (Section IV.B) in reusable buffers that hold the last run; the
+//!   Figure 1d diagram, the δ-series and the winner's parent-tracked
+//!   backtrack run on it,
 //! * [`wide::WideArena`] — all `b` event-initiated simulations of one
 //!   analysis in SIMD-friendly lockstep lanes over a single structure
 //!   pass (bit-identical to the scalar kernel),

@@ -14,12 +14,13 @@
 //!
 //! # Deterministic sampling
 //!
-//! Sampled scenarios follow the RNG-stream discipline of
-//! `longrun_estimate_mc_lanes`: scenario `j` owns an independent
-//! `SmallRng` stream seeded `seed + j`, drawing one factor per arc slot
-//! in `ArcId` order. Because streams never share state, sample scenario
-//! `j` of `K` is bit-identical regardless of `K` — growing a sweep adds
-//! scenarios without disturbing the ones already measured.
+//! Scenario `j` owns an independent `SmallRng` stream seeded
+//! `seed + j`, drawing one factor per arc slot in `ArcId` order.
+//! Because streams never share state, sample scenario `j` of `K` is
+//! bit-identical regardless of `K` — growing a sweep adds scenarios
+//! without disturbing the ones already measured. This is the
+//! workspace's one Monte-Carlo path: each sampled delay assignment gets
+//! its exact τ from an ordinary analysis, not a long-run estimate.
 
 use std::fmt;
 use std::str::FromStr;
@@ -208,9 +209,8 @@ impl ScenarioSet {
 
     /// `count` sampled scenarios: scenario `j` draws one factor per arc
     /// slot in `ArcId` order from an independent stream seeded
-    /// `seed + j`, each factor uniform in `[1 − jitter, 1 + jitter)` —
-    /// the `longrun_estimate_mc_lanes` discipline, so scenario `j` is
-    /// bit-identical regardless of `count`.
+    /// `seed + j`, each factor uniform in `[1 − jitter, 1 + jitter)`, so
+    /// scenario `j` is bit-identical regardless of `count`.
     ///
     /// # Errors
     ///
@@ -374,17 +374,12 @@ impl ScenarioSet {
     }
 }
 
-/// A uniform draw in `[0, 1)` from the top 53 bits of the stream —
-/// the exact conversion `longrun_estimate_mc_lanes` uses, duplicated
-/// here so core carries no dependency on the baselines crate.
-fn unit_f64(rng: &mut SmallRng) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Multiplicative delay perturbation in `[1 − jitter, 1 + jitter)`;
+/// Multiplicative delay perturbation in `[1 − jitter, 1 + jitter)`,
+/// from a uniform draw in `[0, 1)` on the top 53 bits of the stream;
 /// exactly `1.0` at `jitter == 0`.
 fn jitter_factor(rng: &mut SmallRng, jitter: f64) -> f64 {
-    1.0 + jitter * (2.0 * unit_f64(rng) - 1.0)
+    let unit = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    1.0 + jitter * (2.0 * unit - 1.0)
 }
 
 /// The result of one scenario sweep: a full [`CycleTimeAnalysis`] per

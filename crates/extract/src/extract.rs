@@ -303,6 +303,9 @@ fn fold(
     let pol = |v: bool| if v { "+" } else { "-" };
     let mut b = SignalGraph::builder();
     let mut event_ids: HashMap<(SignalId, bool), tsg_core::EventId> = HashMap::new();
+    // The same events in creation order (signal order, `+` before `-`):
+    // arcs are added in this order, so arc ids do not depend on hashing.
+    let mut repetitive_events: Vec<((SignalId, bool), tsg_core::EventId)> = Vec::new();
     let mut prefix_ids: HashMap<usize, tsg_core::EventId> = HashMap::new();
 
     // Prefix events first (their record order is causal order).
@@ -339,7 +342,9 @@ fn fold(
                 });
             }
             let label = format!("{}{}", netlist.name(s), pol(v));
-            event_ids.insert((s, v), b.event(&label));
+            let id = b.event(&label);
+            event_ids.insert((s, v), id);
+            repetitive_events.push(((s, v), id));
         }
     }
 
@@ -366,7 +371,7 @@ fn fold(
 
     // Arcs for repetitive events, from the steady pattern of the last
     // instance (verified equal to the one before it).
-    for (&(s, v), &dst) in &event_ids {
+    for &((s, v), dst) in &repetitive_events {
         let insts = &instances[&(s, v)];
         let steady = steady_pattern(netlist, recs, &inst_no, &repetitive, insts, s)?;
         let prev = steady_pattern(
@@ -501,6 +506,24 @@ mod tests {
     use tsg_circuit::library;
     use tsg_core::analysis::CycleTimeAnalysis;
 
+    /// The arcs of `sg` in `ArcId` order, as `src->dst:delay` plus `*`
+    /// (marked) and `x` (disengageable).
+    fn arc_list(sg: &SignalGraph) -> Vec<String> {
+        sg.arc_ids()
+            .map(|a| {
+                let arc = sg.arc(a);
+                format!(
+                    "{}->{}:{}{}{}",
+                    sg.label(arc.src()),
+                    sg.label(arc.dst()),
+                    arc.delay(),
+                    if arc.is_marked() { "*" } else { "" },
+                    if arc.is_disengageable() { "x" } else { "" },
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn figure1_extraction_matches_figure2c() {
         let sg = extract(&library::c_element_oscillator(), ExtractOptions::default()).unwrap();
@@ -515,20 +538,7 @@ mod tests {
         borders.sort();
         assert_eq!(borders, vec!["a+", "b+"]);
         // exact arc inventory
-        let mut arcs: Vec<String> = sg
-            .arc_ids()
-            .map(|a| {
-                let arc = sg.arc(a);
-                format!(
-                    "{}->{}:{}{}{}",
-                    sg.label(arc.src()),
-                    sg.label(arc.dst()),
-                    arc.delay(),
-                    if arc.is_marked() { "*" } else { "" },
-                    if arc.is_disengageable() { "x" } else { "" },
-                )
-            })
-            .collect();
+        let mut arcs = arc_list(&sg);
         arcs.sort();
         assert_eq!(
             arcs,
@@ -546,6 +556,26 @@ mod tests {
                 "f-->b+:1x",
             ]
         );
+    }
+
+    #[test]
+    fn extraction_numbers_arcs_the_same_way_every_time() {
+        // Figure 1a as the `.ckt` module docs spell it. Every extraction
+        // builds fresh hash maps with fresh random seeds, so arc ids that
+        // followed a map's iteration order would differ between runs.
+        let netlist = tsg_circuit::parse::parse_ckt(
+            "input e = 1 flip\n\
+             gate a nor(e:2, c:2) = 0\n\
+             gate b nor(f:1, c:1) = 0\n\
+             gate c c(a:3, b:2) = 0\n\
+             gate f buf(e:3) = 1\n",
+        )
+        .unwrap();
+        let first = arc_list(&extract(&netlist, ExtractOptions::default()).unwrap());
+        for _ in 1..16 {
+            let again = extract(&netlist, ExtractOptions::default()).unwrap();
+            assert_eq!(arc_list(&again), first);
+        }
     }
 
     #[test]
@@ -576,10 +606,11 @@ mod tests {
 
     #[test]
     fn muller_ring5_initiated_times_match_the_paper_table() {
-        use tsg_core::analysis::initiated::InitiatedSimulation;
+        use tsg_core::analysis::initiated::SimArena;
         let sg = extract(&library::muller_ring(5, 1.0), ExtractOptions::default()).unwrap();
         let s0p = sg.event_by_label("s0+").unwrap();
-        let sim = InitiatedSimulation::run(&sg, s0p, 10).unwrap();
+        let mut sim = SimArena::new();
+        sim.run(&sg, s0p, 10, false).unwrap();
         let want = [6.0, 13.0, 20.0, 26.0, 33.0, 40.0, 46.0, 53.0, 60.0, 66.0];
         for (i, &w) in want.iter().enumerate() {
             assert_eq!(

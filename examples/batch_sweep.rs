@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenarios: Vec<SignalGraph> = (0..16)
         .map(|seed| random_live_tsg(seed, RandomTsgConfig::default()))
         .collect();
-    let estimates = baselines::longrun_estimate_batch(&scenarios, 128);
+    let estimates = runner.run(&scenarios, |sg| baselines::longrun_estimate(sg, 128));
     let exact: Vec<f64> = scenarios
         .iter()
         .map(|sg| CycleTimeAnalysis::run(sg).unwrap().cycle_time().as_f64())

@@ -10,7 +10,7 @@
 //! ```
 
 use tsg::circuit::library;
-use tsg::core::analysis::initiated::InitiatedSimulation;
+use tsg::core::analysis::initiated::SimArena;
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::extract::{extract, ExtractOptions};
 
@@ -25,7 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ring of 5: border events {}", borders.join(", "));
 
     let s0 = sg.event_by_label("s0+").expect("s0+ exists");
-    let sim = InitiatedSimulation::run(&sg, s0, 10)?;
+    let mut sim = SimArena::new();
+    sim.run(&sg, s0, 10, false)?;
     println!("i           : 1    2    3    4    5    6    7    8    9    10");
     print!("t_a0(a_i)   :");
     for i in 1..=10 {

@@ -9,7 +9,7 @@
 use tsg::circuit::library;
 use tsg::circuit::EventDrivenSim;
 use tsg::core::analysis::diagram::{self, DiagramOptions};
-use tsg::core::analysis::initiated::InitiatedSimulation;
+use tsg::core::analysis::initiated::SimArena;
 use tsg::core::analysis::sim::TimingSimulation;
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::extract::{explore, extract, ExtractOptions};
@@ -46,7 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. The a+-initiated simulation (Figure 1d): δ = 10 immediately.
     let ap = sg.event_by_label("a+").expect("a+ exists");
-    let initiated = InitiatedSimulation::run(&sg, ap, 3)?;
+    let mut initiated = SimArena::new();
+    initiated.run(&sg, ap, 3, false)?;
     println!("\na+-initiated diagram (Figure 1d):");
     print!(
         "{}",

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use tsg::core::analysis::initiated::InitiatedSimulation;
+use tsg::core::analysis::initiated::SimArena;
 use tsg::core::analysis::sim::TimingSimulation;
 use tsg::core::unfold::{InstId, Unfolding};
 use tsg::core::SignalGraph;
@@ -85,7 +85,7 @@ proptest! {
         }
     }
 
-    /// `InitiatedSimulation` equals the explicit-unfolding single-source
+    /// `SimArena` equals the explicit-unfolding single-source
     /// longest path, including unreachability.
     #[test]
     fn initiated_simulation_agrees_with_unfolding(seed in 0u64..10_000) {
@@ -93,7 +93,8 @@ proptest! {
         let periods = 4;
         let unfolding = Unfolding::build(&sg, periods + 1);
         for &g in sg.border_events().iter().take(3) {
-            let sim = InitiatedSimulation::run(&sg, g, periods).unwrap();
+            let mut sim = SimArena::new();
+            sim.run(&sg, g, periods, false).unwrap();
             let origin = unfolding.instance(g, 0).unwrap();
             let times = unfolding_initiated(&sg, &unfolding, origin);
             for e in sg.repetitive_events() {

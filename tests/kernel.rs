@@ -105,14 +105,15 @@ fn batch_results_identical_across_thread_counts() {
     }
 }
 
-/// Batched long-run estimation through the public baselines API matches
+/// Long-run estimation batched on the kernel's runner matches
 /// the sequential loop exactly and approximates τ — approximates only,
 /// because a finite averaging window is exactly the limitation the paper
 /// holds against long-run estimation.
 #[test]
 fn batched_longrun_agrees_with_exact() {
     let scenarios: Vec<SignalGraph> = (1..=10).map(|k| ring(40, k, 2.0)).collect();
-    let batch = baselines::longrun_estimate_batch(&scenarios, 96);
+    let batch =
+        BatchRunner::with_threads(3).run(&scenarios, |sg| baselines::longrun_estimate(sg, 96));
     let sequential: Vec<Option<f64>> = scenarios
         .iter()
         .map(|sg| baselines::longrun_estimate(sg, 96))

@@ -3,7 +3,7 @@
 
 use tsg::baselines;
 use tsg::circuit::{library, EventDrivenSim};
-use tsg::core::analysis::initiated::InitiatedSimulation;
+use tsg::core::analysis::initiated::SimArena;
 use tsg::core::analysis::sim::TimingSimulation;
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::core::Ratio;
@@ -110,7 +110,8 @@ fn section8d_muller_ring() {
     assert_eq!(borders, vec!["s0+", "s1+", "s2+", "s4-"]);
 
     let s0 = sg.event_by_label("s0+").unwrap();
-    let sim = InitiatedSimulation::run(&sg, s0, 10).unwrap();
+    let mut sim = SimArena::new();
+    sim.run(&sg, s0, 10, false).unwrap();
     let times: Vec<f64> = (1..=10).map(|i| sim.time(s0, i).unwrap()).collect();
     assert_eq!(
         times,

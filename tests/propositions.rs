@@ -6,7 +6,7 @@ use tsg::core::analysis::asymptotic::delta_series;
 use tsg::core::analysis::border::{
     exact_max_occurrence_period, is_cut_set, max_occurrence_period_bound, minimum_cut_set,
 };
-use tsg::core::analysis::initiated::InitiatedSimulation;
+use tsg::core::analysis::initiated::SimArena;
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::gen::{random_live_tsg, RandomTsgConfig};
 
@@ -30,7 +30,8 @@ proptest! {
         let sg = random_live_tsg(seed, small_cfg());
         let g = sg.border_events()[0];
         let periods = 4;
-        let sim = InitiatedSimulation::run(&sg, g, periods).unwrap();
+        let mut sim = SimArena::new();
+        sim.run(&sg, g, periods, true).unwrap();
         for e in sg.repetitive_events() {
             for p in 0..=periods {
                 if let Some(t) = sim.time(e, p) {
@@ -66,7 +67,8 @@ proptest! {
         let sg = random_live_tsg(seed, small_cfg());
         for &g in &sg.border_events() {
             let periods = 6;
-            let sim = InitiatedSimulation::run(&sg, g, periods).unwrap();
+            let mut sim = SimArena::new();
+            sim.run(&sg, g, periods, false).unwrap();
             for k in 2..=periods {
                 let Some(tk) = sim.time(g, k) else { continue };
                 for j in 1..k {
@@ -92,7 +94,8 @@ proptest! {
         let b = sg.border_events().len() as u32;
         let mut attained = false;
         for &g in &sg.border_events() {
-            let sim = InitiatedSimulation::run(&sg, g, b).unwrap();
+            let mut sim = SimArena::new();
+            sim.run(&sg, g, b, false).unwrap();
             for (i, t, _) in sim.distance_series() {
                 // no δ exceeds τ (cross-multiplied)
                 prop_assert!(
@@ -118,7 +121,8 @@ proptest! {
             if analysis.critical_borders().contains(&g) {
                 continue;
             }
-            let sim = InitiatedSimulation::run(&sg, g, 24).unwrap();
+            let mut sim = SimArena::new();
+            sim.run(&sg, g, 24, false).unwrap();
             for (i, t, _) in sim.distance_series() {
                 prop_assert!(
                     (t * tau.periods() as f64) < (tau.length() * i as f64),

@@ -7,6 +7,8 @@
 //! period-synchronous `TimingSimulation` replaced; any change to the
 //! simulated times, their order or their formatting shows up here.
 
+use tsg::core::analysis::diagram::{self, DiagramOptions};
+use tsg::core::analysis::initiated::SimArena;
 use tsg::core::SignalGraph;
 use tsg::serve::ops::{SimOptions, Source, Workspace};
 use tsg::stg::{
@@ -240,5 +242,24 @@ fn oscillator_report_is_pinned_verbatim() {
          \x20 t(b-_1) = 14\n\
          \x20 t(a-_1) = 15\n\
          \x20 t(c-_1) = 18\n"
+    );
+}
+
+/// Figure 1d: the `a+`-initiated diagram of the Figure 2c graph over 3
+/// periods (what `repro --experiment fig1d` prints above its δ line),
+/// spelled out.
+#[test]
+fn figure1d_diagram_is_pinned_verbatim() {
+    let sg = tsg::circuit::library::c_element_oscillator_tsg();
+    let ap = sg.event_by_label("a+").unwrap();
+    let mut sim = SimArena::new();
+    sim.run(&sg, ap, 3, true).unwrap();
+    assert_eq!(
+        diagram::render_initiated(&sg, &sim, DiagramOptions::default()).unwrap(),
+        "t 0         5         10        15        20        25        30        35\n\
+         \x20 +         +         +         +         +         +         +         +     \x20\n\
+         a |~~~~~~~~~|_________|~~~~~~~~~|_________|~~~~~~~~~|_________|~~~~~~~~~|______\n\
+         b ~~~~~~~~|___________________|___________________|___________________|________\n\
+         c ______|~~~~~~~~~|_________|~~~~~~~~~|_________|~~~~~~~~~|_________|~~~~~~~~~|\n"
     );
 }
