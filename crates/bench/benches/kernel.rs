@@ -82,8 +82,8 @@ fn bench_wide_vs_scalar(c: &mut Criterion) {
     let mut wide_arena = AnalysisArena::new();
     for (name, sg) in wide_scenarios() {
         // A speedup of a wrong answer is not a speedup: bit-identity
-        // (full analyses and every lane matrix cell) is asserted once
-        // per scenario before any timing.
+        // (full analyses, every border's record included) is asserted
+        // once per scenario before any timing.
         assert_wide_matches_scalar(&sg, &name);
 
         group.bench_with_input(BenchmarkId::new("scalar", &name), &sg, |bench, sg| {
@@ -114,8 +114,9 @@ fn bench_simd_vs_portable(c: &mut Criterion) {
         .map(|&b| AnalysisArena::with_kernel(b))
         .collect();
     for (name, sg) in wide_scenarios() {
-        // Every backend the CPU offers is asserted bit-identical —
-        // analyses and each lane matrix cell — before any timing.
+        // Every backend the CPU offers is asserted bit-identical to the
+        // scalar kernel — analyses and their records — before any
+        // timing.
         assert_backends_match(&sg, &name);
 
         for (backend, arena) in backends.iter().zip(arenas.iter_mut()) {

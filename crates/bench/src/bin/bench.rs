@@ -31,9 +31,11 @@
 //! batch pipeline is recorded from PR 2 on.
 //!
 //! Every analysis result is asserted bit-identical between the
-//! sequential and batched pipelines before any number is reported —
-//! per lane-matrix cell for the SIMD backends: a speedup of a wrong
-//! answer is not a speedup.
+//! sequential and batched pipelines, and every backend's against the
+//! scalar engine record by record, before any number is reported: a
+//! speedup of a wrong answer is not a speedup. (The kernel's individual
+//! cells are checked against the scalar engine in `tsg-core`'s unit
+//! tests.)
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -189,9 +191,8 @@ struct WideRow {
 /// The tentpole head-to-head: the `b` border simulations run one scalar
 /// arena at a time vs all lanes in one lockstep wide pass, on the
 /// tracked ring/torus/random sweeps. Before timing, every scenario is
-/// asserted bit-identical — full analyses (times, critical cycle,
-/// backtracked parents) *and* every cell of every lane's time matrix
-/// against the scalar kernel.
+/// asserted bit-identical to the scalar kernel — full analyses: times,
+/// critical cycle, backtracked parents and every border's record.
 fn measure_wide_vs_scalar(reps: usize) -> Vec<WideRow> {
     let mut rows = Vec::new();
     let mut scalar_arena = SimArena::new();
@@ -235,8 +236,8 @@ struct SimdRow {
 
 /// The explicit-SIMD head-to-head: the same tracked sweeps as
 /// `wide_vs_scalar`, but with the wide kernel pinned to each backend
-/// this CPU offers. Before timing, every backend is asserted
-/// bit-identical to the portable loop down to each lane matrix cell.
+/// this CPU offers. Before timing, every backend's analysis is asserted
+/// bit-identical to the scalar kernel's, records included.
 fn measure_simd_vs_portable(reps: usize) -> Vec<SimdRow> {
     let backends = available_backends();
     let mut arenas: Vec<AnalysisArena> = backends
@@ -443,8 +444,7 @@ fn analyze_large_graph() -> SignalGraph {
 }
 
 /// The one-shot window at the `analyze-large` shape. `run_in` keeps two
-/// rows of the lane matrix, and so does a session open, which runs the
-/// same core. Both are asserted to give the same analysis before
+/// lane rows, and so does a session open, which runs the same core. Both are asserted to give the same analysis before
 /// timing.
 fn measure_oneshot_window(reps: usize) -> WindowRow {
     let sg = analyze_large_graph();

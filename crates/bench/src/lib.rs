@@ -6,9 +6,8 @@
 //! tracked JSON measure the same workload by construction — tuning the
 //! distribution here changes both, never one.
 
-use tsg_core::analysis::initiated::SimArena;
 use tsg_core::analysis::session::GraphEdit;
-use tsg_core::analysis::wide::{AnalysisArena, WideArena};
+use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::{AnalysisError, CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
 use tsg_sim::{BatchRunner, EventQueue};
@@ -192,10 +191,12 @@ pub fn assert_analyses_identical(expected: &CycleTimeAnalysis, got: &CycleTimeAn
     }
 }
 
-/// The full wide-vs-scalar correctness gate for one graph: runs both
-/// engines, asserts the analyses bit-identical through
-/// [`assert_analyses_identical`], then sweeps every cell of every lane's
-/// time matrix against a per-origin scalar simulation.
+/// The wide-vs-scalar correctness gate for one graph: runs both
+/// engines and asserts the analyses bit-identical through
+/// [`assert_analyses_identical`] — every border's record included, so
+/// every lane's origin cell of every row. (The wide kernel's other
+/// cells are checked against the scalar kernel's in `tsg-core`'s own
+/// tests; an analysis keeps only two rows of them.)
 ///
 /// # Panics
 ///
@@ -204,26 +205,6 @@ pub fn assert_wide_matches_scalar(sg: &SignalGraph, ctx: &str) {
     let scalar = CycleTimeAnalysis::run_scalar(sg).expect("scenario is live");
     let wide = CycleTimeAnalysis::run(sg).expect("live");
     assert_analyses_identical(&scalar, &wide, ctx);
-
-    let border = sg.border_events();
-    let b = border.len() as u32;
-    let mut lanes = WideArena::new();
-    lanes.run(sg, &border, b).expect("borders are repetitive");
-    let mut one = SimArena::new();
-    for (k, &g) in border.iter().enumerate() {
-        one.run(sg, g, b, false).expect("repetitive");
-        for e in sg.events() {
-            for p in 0..=b {
-                assert_eq!(
-                    lanes.time(k, e, p).map(f64::to_bits),
-                    one.time(e, p).map(f64::to_bits),
-                    "{ctx}: lane {k} ({}) diverged at e={} p={p}",
-                    sg.label(g),
-                    sg.label(e)
-                );
-            }
-        }
-    }
 }
 
 /// The explicit wide-kernel backends this CPU can run, narrowest
@@ -236,47 +217,20 @@ pub fn available_backends() -> Vec<KernelBackend> {
         .collect()
 }
 
-/// The simd-vs-portable correctness gate for one graph: runs the
-/// scalar reference engine plus every backend this CPU offers, asserts
-/// all analyses bit-identical through [`assert_analyses_identical`],
-/// then sweeps every cell of every lane's time matrix of each SIMD
-/// backend against the portable loop's cells.
+/// The backend correctness gate for one graph: runs the scalar
+/// reference engine plus an analysis on every backend this CPU offers,
+/// and asserts each backend's analysis bit-identical to the scalar one
+/// through [`assert_analyses_identical`], records included.
 ///
 /// # Panics
 ///
 /// Panics (with `ctx` and the backend name) on any divergence.
 pub fn assert_backends_match(sg: &SignalGraph, ctx: &str) {
     let scalar = CycleTimeAnalysis::run_scalar(sg).expect("scenario is live");
-    let border = sg.border_events();
-    let b = border.len() as u32;
-    let mut reference: Option<WideArena> = None;
     for backend in available_backends() {
         let got = CycleTimeAnalysis::run_in(sg, None, &mut AnalysisArena::with_kernel(backend))
             .expect("live");
         assert_analyses_identical(&scalar, &got, &format!("{ctx} [{}]", backend.name()));
-
-        let mut lanes = WideArena::with_kernel(backend);
-        lanes.run(sg, &border, b).expect("borders are repetitive");
-        match &reference {
-            // Portable comes first in `available_backends`, so the
-            // reference cells are always the portable loop's.
-            None => reference = Some(lanes),
-            Some(portable) => {
-                for k in 0..border.len() {
-                    for e in sg.events() {
-                        for p in 0..=b {
-                            assert_eq!(
-                                lanes.time(k, e, p).map(f64::to_bits),
-                                portable.time(k, e, p).map(f64::to_bits),
-                                "{ctx} [{}]: cell diverged at lane {k} e={} p={p}",
-                                backend.name(),
-                                sg.label(e)
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -16,11 +16,12 @@
 //!    (Proposition 5).
 //!
 //! Step 2 — the hot phase — runs on the lane-batched
-//! [`WideArena`]: all `b` simulations advance in lockstep over **one**
-//! pass of the shared flattened in-arc table, so the table streams
-//! through cache once per row instead of once per simulation, and the
-//! per-arc `max(best, src + δ)` widens to `b` contiguous SIMD-friendly
-//! lanes.
+//! [`wide`](crate::analysis::wide) kernel: all `b` simulations advance
+//! in lockstep over **one** pass of the shared flattened in-arc table,
+//! so the table streams through cache once per row instead of once per
+//! simulation, and the per-arc `max(best, src + δ)` widens to `b`
+//! contiguous SIMD-friendly lanes. The kernel keeps two rows and each
+//! lane's origin cell per row — all step 3 reads.
 //! The scalar engine survives as [`CycleTimeAnalysis::run_scalar`] — the
 //! reference oracle every wide result is property-tested (and
 //! bench-asserted) bit-identical against — and as the parent-tracked
@@ -33,7 +34,7 @@ use tsg_sim::{CancelKind, CancelToken};
 use crate::analysis::initiated::SimArena;
 use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
 use crate::analysis::structure::CyclicStructure;
-use crate::analysis::wide::{AnalysisArena, Cancelled, Halt, Rows, WideArena};
+use crate::analysis::wide::{AnalysisArena, Cancelled, WideArena};
 use crate::analysis::CycleTime;
 use crate::arc::ArcId;
 use crate::event::EventId;
@@ -57,16 +58,6 @@ pub enum AnalysisError {
         rows_done: usize,
         /// Rows a complete run (or sweep) would have computed.
         rows_total: usize,
-    },
-    /// The requested simulation batch has nothing to simulate — zero
-    /// lanes (no border events) or zero periods. A malformed request is
-    /// a structured error, never a panic, so a served request can't
-    /// abort a worker.
-    DegenerateBatch {
-        /// Requested lane count (one per border event).
-        lanes: usize,
-        /// Requested simulation periods.
-        periods: u32,
     },
     /// The winning cycle's total delay is not a finite `f64`: its arc
     /// delays are so large that their sum overflows.
@@ -110,12 +101,6 @@ impl fmt::Display for AnalysisError {
                 write!(
                     f,
                     "{kind} after {rows_done} of {rows_total} simulation row(s)"
-                )
-            }
-            AnalysisError::DegenerateBatch { lanes, periods } => {
-                write!(
-                    f,
-                    "degenerate simulation batch: {lanes} lane(s) over {periods} period(s)"
                 )
             }
             AnalysisError::NonFiniteCycleLength { event, periods } => {
@@ -171,21 +156,13 @@ fn ratio_cmp(a: (f64, u32), b: (f64, u32)) -> std::cmp::Ordering {
     (a.0 * b.1 as f64).total_cmp(&(b.0 * a.1 as f64))
 }
 
-/// Maps a kernel [`Halt`] onto the public error. `NotRepetitive` cannot
-/// escape the analysis entry points — every lane is initiated from a
-/// border event, which is repetitive by construction — but the mapping
-/// stays total so a future caller mistake is a structured error, not UB.
-fn halt_to_error(halt: Halt) -> AnalysisError {
-    match halt {
-        Halt::NotRepetitive(_) => {
-            unreachable!("border events are repetitive by construction")
-        }
-        Halt::Cancelled(c) => AnalysisError::Cancelled {
+impl From<Cancelled> for AnalysisError {
+    fn from(c: Cancelled) -> Self {
+        AnalysisError::Cancelled {
             kind: c.kind,
             rows_done: c.rows_done,
             rows_total: c.rows_total,
-        },
-        Halt::Degenerate { lanes, periods } => AnalysisError::DegenerateBatch { lanes, periods },
+        }
     }
 }
 
@@ -206,22 +183,22 @@ fn lane_records(wide: &WideArena, origins: &[EventId]) -> Vec<BorderRecord> {
 /// on scoped threads — and flattens the results in chunk order. One
 /// worker (or one item) runs inline and spawns nothing. On
 /// cancellation the reported progress is the *least* advanced worker's
-/// row count; any other halt surfaces as-is.
+/// row count.
 fn on_workers<T: Sync, X: Send>(
     wides: &mut [WideArena],
     items: &[T],
-    job: impl Fn(&mut WideArena, &[T]) -> Result<Vec<X>, Halt> + Sync,
+    job: impl Fn(&mut WideArena, &[T]) -> Result<Vec<X>, Cancelled> + Sync,
 ) -> Result<Vec<X>, AnalysisError> {
     let workers = wides.len().min(items.len());
     let (first, rest) = wides
         .split_first_mut()
         .expect("an analysis arena has at least one worker");
     if workers <= 1 {
-        return job(first, items).map_err(halt_to_error);
+        return job(first, items).map_err(AnalysisError::from);
     }
     let mut chunks = items.chunks(items.len().div_ceil(workers));
     let head = chunks.next().expect("items are non-empty");
-    let results: Vec<Result<Vec<X>, Halt>> = std::thread::scope(|scope| {
+    let results: Vec<Result<Vec<X>, Cancelled>> = std::thread::scope(|scope| {
         let job = &job;
         let handles: Vec<_> = rest
             .iter_mut()
@@ -241,12 +218,11 @@ fn on_workers<T: Sync, X: Send>(
     for result in results {
         match result {
             Ok(mut r) => out.append(&mut r),
-            Err(Halt::Cancelled(c)) if least.is_some_and(|l| l.rows_done <= c.rows_done) => {}
-            Err(Halt::Cancelled(c)) => least = Some(c),
-            Err(halt) => return Err(halt_to_error(halt)),
+            Err(c) if least.is_some_and(|l| l.rows_done <= c.rows_done) => {}
+            Err(c) => least = Some(c),
         }
     }
-    least.map_or(Ok(out), |c| Err(halt_to_error(Halt::Cancelled(c))))
+    least.map_or(Ok(out), |c| Err(c.into()))
 }
 
 /// Result of the paper's cycle-time algorithm.
@@ -369,7 +345,7 @@ impl CycleTimeAnalysis {
         structure.rebuild(sg);
         let shared: &CyclicStructure = structure;
         let records = on_workers(wides, &border, |wide, lanes| {
-            wide.run_with(sg, shared, lanes, b, Rows::Window, cancel)?;
+            wide.run_with(sg, shared, lanes, b, cancel)?;
             Ok(lane_records(wide, lanes))
         })?;
 

@@ -18,16 +18,17 @@
 //! of them would allocate (and fault in) its own `Vec<Vec<f64>>`.
 //!
 //! The `SimArena` here is the **scalar reference kernel**: one
-//! simulation, row-major `times[p][e]`, with optional parent tracking
-//! for backtracking. Its production twin is
-//! [`wide::WideArena`](crate::analysis::wide::WideArena), which runs all
-//! `b` simulations of an analysis in lockstep over one structure pass,
-//! storing times **lane-major** (`times[p][e][lane]`) so each in-arc
-//! feeds `b` contiguous lanes with a branchless SIMD-friendly
-//! `max(best, src + δ)`. Both kernels perform per lane the exact same
-//! comparison sequence, so their results are bit-identical by
-//! construction (see the [`wide`](crate::analysis::wide) module docs
-//! for the argument, and `tests/wide.rs` for the property tests); the
+//! simulation, row-major `times[p][e]` over every row, with optional
+//! parent tracking for backtracking. Its production twin is the
+//! [`wide`](crate::analysis::wide) kernel, which runs all `b`
+//! simulations of an analysis in lockstep over one structure pass in a
+//! two-row window, storing times **lane-major** (`times[p % 2][e][lane]`)
+//! so each in-arc feeds `b` contiguous lanes with a branchless
+//! SIMD-friendly `max(best, src + δ)`. Both kernels perform per lane
+//! the exact same comparison sequence, so their results are
+//! bit-identical by construction (see the
+//! [`wide`](crate::analysis::wide) module docs for the argument and its
+//! cell-level tests, and `tests/wide.rs` for the property tests); the
 //! scalar kernel remains the oracle the wide one is verified against,
 //! and the engine for parent-tracked re-runs of the winning border.
 
@@ -308,21 +309,9 @@ impl SimArena {
 
     /// All defined `δ_{g0}(g_i)` for `0 < i <= periods`, as `(i, t, δ)`.
     pub fn distance_series(&self) -> Vec<(u32, f64, f64)> {
-        let mut out = Vec::new();
-        self.distance_series_into(&mut out);
-        out
-    }
-
-    /// Allocation-reusing form of [`distance_series`](Self::distance_series):
-    /// clears `out` and fills it in place, so steady-state callers (the
-    /// serve workspace, a session's per-border records) keep one buffer
-    /// alive across runs instead of allocating a fresh `Vec` per call.
-    pub fn distance_series_into(&self, out: &mut Vec<(u32, f64, f64)>) {
-        out.clear();
-        out.extend(
-            (1..=self.periods)
-                .filter_map(|i| self.time(self.origin, i).map(|t| (i, t, t / i as f64))),
-        );
+        (1..=self.periods)
+            .filter_map(|i| self.time(self.origin, i).map(|t| (i, t, t / i as f64)))
+            .collect()
     }
 
     /// Backtracks the longest path from `g₀` to `e_p` through the arg-max

@@ -8,9 +8,10 @@
 //!   (Section IV.B) in reusable buffers that hold the last run; the
 //!   Figure 1d diagram, the δ-series and the winner's parent-tracked
 //!   backtrack run on it,
-//! * [`wide::WideArena`] — all `b` event-initiated simulations of one
-//!   analysis in SIMD-friendly lockstep lanes over a single structure
-//!   pass (bit-identical to the scalar kernel),
+//! * [`wide`] — all `b` event-initiated simulations of one analysis in
+//!   SIMD-friendly lockstep lanes over a single structure pass, in a
+//!   two-row window held by a [`wide::AnalysisArena`] (bit-identical to
+//!   the scalar kernel),
 //! * [`CycleTimeAnalysis`] — the O(b²m) cycle-time algorithm with
 //!   critical-cycle backtracking (Sections VI–VII), running on the wide
 //!   kernel,
@@ -36,7 +37,7 @@ pub mod wide;
 pub use cycle_time::{AnalysisError, BorderRecord, CycleTimeAnalysis};
 pub use scenario::{Corner, ScenarioAnalysis, ScenarioSet, ScenarioSpecError, UnknownCorner};
 pub use session::{AnalysisSession, CycleTimeDelta, DelayEdit, EditError};
-pub use wide::{KernelBackend, WideRunError};
+pub use wide::KernelBackend;
 
 use crate::time::Ratio;
 use std::fmt;

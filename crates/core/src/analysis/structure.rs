@@ -60,18 +60,11 @@ impl CyclicStructure {
     /// simulations' arg-max comparison sequence) never depends on which
     /// path built the structure.
     pub fn rebuild(&mut self, sg: &SignalGraph) {
-        // Tombstoned arcs must stay out of the mask: they are detached
-        // from the adjacency lists but still enumerated by `edge_ids`,
-        // and a mask-enabled dead edge would inflate the in-degree
-        // counts into a spurious cycle.
         topo::topological_order_masked_into(
             sg.digraph(),
             |e| {
                 let arc = sg.arc(ArcId(e.0));
-                arc.is_alive()
-                    && sg.is_repetitive(arc.src())
-                    && sg.is_repetitive(arc.dst())
-                    && !arc.is_marked()
+                sg.is_repetitive(arc.src()) && sg.is_repetitive(arc.dst()) && !arc.is_marked()
             },
             &mut self.topo_scratch,
             &mut self.node_order,

@@ -8,11 +8,11 @@
 //! flattened in-arc table — only the initiating event differs. Run one
 //! after another (or one per thread), every simulation re-streams the
 //! whole in-arc table through cache to feed a single scalar
-//! `max(best, src + δ)`. A [`WideArena`] instead stores the matrices
+//! `max(best, src + δ)`. The wide kernel instead stores its rows
 //! **lane-major**:
 //!
 //! ```text
-//! times[(p · n + e) · lanes + k]  =  t_{gk,0}(e_p)      (lane k = border event g_k)
+//! times[(s · n + e) · lanes + k]  =  t_{gk,0}(e_p)      (lane k = border event g_k, slot s = p % 2)
 //!
 //!           ┌ lane 0 ┬ lane 1 ┬ … ┬ lane b-1 ┐   ← contiguous f64s per (p, e)
 //! row p:    │  e = 0 cell      │  e = 1 cell │ …
@@ -24,20 +24,19 @@
 //! traffic drops by a factor of `b` and the arithmetic widens to the
 //! machine's vector width.
 //!
-//! # Rows kept: the full matrix or a two-row window
+//! # Two rows kept
 //!
 //! Row `p` reads only row `p − 1` (marked arcs) and itself (unmarked
 //! arcs, in topological order), and the cycle-time records read only
-//! each lane's origin cell `t_{gk,0}(g_{k,p})`. So a one-shot analysis
-//! (`Rows::Window`) keeps two row slots — row `p` in slot `p % 2` —
-//! plus a `lanes × (periods + 1)` strip of origin cells, filled after
-//! every row. On a 1024-event graph with `b = 37` that is 0.6 MB of
-//! rows where the full matrix would be 11.5 MB. Every analysis —
-//! one-shot runs, each scenario of a sweep and session edits alike —
-//! runs in the window. Only the public [`WideArena::run`]
-//! (`Rows::All`) keeps every row, because its [`WideArena::time`]
-//! exposes every cell and the backend tests compare whole matrices. Both layouts go through
-//! one row-pair helper, so each backend has a single row kernel.
+//! each lane's origin cell `t_{gk,0}(g_{k,p})`. So the kernel keeps two
+//! row slots — row `p` in slot `p % 2` — plus a `lanes × (periods + 1)`
+//! strip of origin cells, filled after every row. On a 1024-event graph
+//! with `b = 37` that is 0.6 MB of rows where the full `(b + 1)`-row
+//! matrix would be 11.5 MB. Every analysis — one-shot runs, each
+//! scenario of a sweep and session edits alike — runs in this window,
+//! which lives in an [`AnalysisArena`]; the kernel itself is
+//! crate-private. This module's tests check both resident rows of every
+//! period count, cell by cell, against the scalar kernel's full matrix.
 //!
 //! # Explicit SIMD and runtime dispatch
 //!
@@ -51,6 +50,12 @@
 //! |------------|-----------|--------------------------------------|--------------------------|
 //! | `Avx2`     | 4 × f64   | `_mm256_add_pd` / `_mm256_max_pd`    | `_mm256_maskload_pd` / `_mm256_maskstore_pd` |
 //! | `Portable` | compiler  | autovectorized scalar loop           | n/a                      |
+//!
+//! Both backends run one row function; they differ only in the two
+//! per-arc lane operations (`first`, `fold`). The portable loop is
+//! instantiated at constant lane counts 4, 8, 16 and 32, so its lane
+//! loops compile with a constant trip count; other lane counts run a
+//! dynamic-width instantiation.
 //!
 //! Selection is **runtime** dispatch: [`KernelBackend::detect`] picks
 //! the widest feature `is_x86_feature_detected!` reports (overridable
@@ -82,15 +87,16 @@
 //!   branchless form: delays are finite, so `NEG_INFINITY + δ` is
 //!   `NEG_INFINITY`, and it loses every strict `>` comparison — exactly
 //!   the scalar kernel's explicit skip;
-//! * row 0 is special-cased scalar before the lockstep rows begin:
-//!   marked arcs have no previous row (the scalar kernel skips them) and
-//!   lane `k`'s origin cell is pinned to `t_{gk}(g_k) = 0` after the
-//!   row's recurrence, in topological order, so later same-row reads see
-//!   the pinned value just as the scalar kernel's pre-seeded cell.
+//! * row 0 is special-cased before the lockstep rows begin: marked arcs
+//!   have no previous row (the scalar kernel skips them) and lane `k`'s
+//!   origin cell is pinned to `t_{gk}(g_k) = 0` after the row's
+//!   recurrence, in topological order, so later same-row reads see the
+//!   pinned value just as the scalar kernel's pre-seeded cell.
 //!
 //! Identical candidate values in identical comparison order give
-//! identical IEEE-754 results bit for bit — asserted across generator
-//! families *and backends* in `tests/wide.rs` and re-asserted by the
+//! identical IEEE-754 results bit for bit — asserted cell by cell on
+//! every backend in this module's tests, record by record across
+//! generator families in `tests/wide.rs`, and re-asserted by the
 //! `bench` binary before any speedup is reported.
 //!
 //! The one thing the wide kernel does not track is parents: the
@@ -105,7 +111,7 @@ use std::sync::OnceLock;
 
 use tsg_sim::{CancelKind, CancelToken};
 
-use crate::analysis::initiated::{NotRepetitive, SimArena};
+use crate::analysis::initiated::SimArena;
 use crate::analysis::structure::CyclicStructure;
 use crate::event::EventId;
 use crate::graph::SignalGraph;
@@ -194,73 +200,17 @@ impl fmt::Display for KernelBackend {
     }
 }
 
-/// A wide run stopped by its [`CancelToken`] before filling every row.
+/// A wide run stopped by its [`CancelToken`] before computing every row.
 ///
-/// Rows `0..rows_done` were computed; later rows are stale or partially
-/// overwritten until the next run overwrites every row.
+/// Rows `0..rows_done` were computed; the window and the strip hold
+/// stale or partially overwritten cells until the next run overwrites
+/// them from row 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Cancelled {
     pub kind: CancelKind,
     pub rows_done: usize,
     pub rows_total: usize,
 }
-
-/// Why [`WideArena::run_with`] returned before filling the matrix.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Halt {
-    NotRepetitive(NotRepetitive),
-    Cancelled(Cancelled),
-    /// The batch shape is degenerate: zero lanes or zero periods.
-    Degenerate {
-        lanes: usize,
-        periods: u32,
-    },
-}
-
-/// Which rows of the lane matrix a run keeps resident — fixed by the
-/// entry point, never a setting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Rows {
-    /// Every row `0..=periods`: what the public cell view
-    /// ([`WideArena::time`]) needs. [`WideArena::run`] only.
-    All,
-    /// Two row slots, row `p` in slot `p % 2`: the recurrence reads only
-    /// rows `p - 1` (marked arcs) and `p` (unmarked arcs), and the
-    /// records read only the origin strip. Every analysis.
-    Window,
-}
-
-/// Why a [`WideArena::run`] call failed.
-///
-/// A malformed batch — no lanes or zero periods — is a structured
-/// error, never a panic, so a served request can never abort a
-/// worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WideRunError {
-    /// An initiating event is not repetitive.
-    NotRepetitive(NotRepetitive),
-    /// The requested batch shape has nothing to simulate.
-    Degenerate {
-        /// Requested lane count (one per origin).
-        lanes: usize,
-        /// Requested simulation periods.
-        periods: u32,
-    },
-}
-
-impl fmt::Display for WideRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WideRunError::NotRepetitive(e) => e.fmt(f),
-            WideRunError::Degenerate { lanes, periods } => write!(
-                f,
-                "degenerate simulation batch: {lanes} lane(s) over {periods} period(s)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for WideRunError {}
 
 /// One cache line of lane storage — the alignment carrier of
 /// [`AlignedF64Vec`]. `repr(C, align(64))` with eight f64s makes size
@@ -270,7 +220,7 @@ impl std::error::Error for WideRunError {}
 struct CacheLine([f64; 8]);
 
 /// A growable `f64` buffer on a 64-byte-aligned allocation with
-/// `Vec::resize` fill semantics — the lane matrix's backing store, so
+/// `Vec::resize` fill semantics — the lane window's backing store, so
 /// every row starts on a cache-line boundary and aligned vector loads
 /// of the buffer head are valid.
 #[derive(Clone, Debug, Default)]
@@ -289,17 +239,19 @@ impl AlignedF64Vec {
         self.chunks.capacity() * 8
     }
 
-    fn as_slice(&self) -> &[f64] {
+    fn as_mut_slice(&mut self) -> &mut [f64] {
         // SAFETY: `chunks` stores at least `len.div_ceil(8)` cache lines
         // of initialised f64s; `CacheLine` is `repr(C)` with size equal
         // to its alignment (64), so the lines tile contiguously and the
-        // first `len` f64s are one valid slice.
-        unsafe { std::slice::from_raw_parts(self.chunks.as_ptr().cast::<f64>(), self.len) }
+        // first `len` f64s are one valid slice. `&mut self` gives
+        // exclusivity.
+        unsafe { std::slice::from_raw_parts_mut(self.chunks.as_mut_ptr().cast::<f64>(), self.len) }
     }
 
-    fn as_mut_slice(&mut self) -> &mut [f64] {
-        // SAFETY: as in `as_slice`, plus `&mut self` gives exclusivity.
-        unsafe { std::slice::from_raw_parts_mut(self.chunks.as_mut_ptr().cast::<f64>(), self.len) }
+    #[cfg(test)]
+    fn as_slice(&self) -> &[f64] {
+        // SAFETY: as in `as_mut_slice`, shared.
+        unsafe { std::slice::from_raw_parts(self.chunks.as_ptr().cast::<f64>(), self.len) }
     }
 
     /// `Vec::resize` semantics: growth fills exactly `old_len..new_len`
@@ -317,81 +269,33 @@ impl AlignedF64Vec {
     }
 }
 
-/// Reusable backing store — and result view — of a batch of lockstep
-/// event-initiated simulations, one lane per initiating event.
-///
-/// # Examples
-///
-/// ```
-/// use tsg_core::SignalGraph;
-/// use tsg_core::analysis::wide::WideArena;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = SignalGraph::builder();
-/// let xp = b.event("x+");
-/// let xm = b.event("x-");
-/// b.arc(xp, xm, 3.0);
-/// b.marked_arc(xm, xp, 2.0);
-/// let sg = b.build()?;
-///
-/// let mut wide = WideArena::new();
-/// wide.run(&sg, &[xp, xm], 2)?; // two lanes, one shared traversal
-/// assert_eq!(wide.time(0, xp, 1), Some(5.0));
-/// assert_eq!(wide.time(1, xm, 1), Some(5.0));
-/// # Ok(())
-/// # }
-/// ```
+/// Reusable buffers of one worker's lockstep event-initiated
+/// simulations, one lane per initiating event: the two-row window and
+/// the origin strip.
 #[derive(Clone, Debug)]
-pub struct WideArena {
-    /// Flat lane-major time rows: `times[(s * n + e) * lanes + k]` holds
-    /// row `p` in slot `s = p % slots`, on a 64-byte-aligned
-    /// allocation. A full-matrix run keeps every row (`slots =
-    /// p_total`); a one-shot window run keeps only rows `p - 1` and `p`
-    /// (`slots = 2`), all the recurrence reads.
+pub(crate) struct WideArena {
+    /// Two lane-major rows on a 64-byte-aligned allocation:
+    /// `times[(s * n + e) * lanes + k]` holds row `p` in slot
+    /// `s = p % 2`.
     times: AlignedF64Vec,
-    /// Row slots resident in `times` (see [`Rows`]).
-    slots: usize,
     /// Each lane's origin cell per row, lane-major:
     /// `strip[k * p_total + p] = t_{gk,0}(g_{k,p})` — everything the
-    /// distance records read, kept whichever rows `times` holds.
+    /// distance records read.
     strip: Vec<f64>,
-    /// Initiating event of each lane.
-    origins: Vec<EventId>,
-    /// Events per row of the last run.
-    n: usize,
     /// Rows of the last run (`periods + 1`).
     p_total: usize,
-    /// Periods of the last run.
-    periods: u32,
     /// The execution backend.
     backend: KernelBackend,
 }
 
-impl Default for WideArena {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl WideArena {
-    /// An empty arena on the detected kernel backend
-    /// ([`KernelBackend::detect`]); the first [`WideArena::run`] sizes
-    /// it.
-    pub fn new() -> Self {
-        Self::with_kernel(KernelBackend::detect())
-    }
-
-    /// An empty arena on `kernel`, for comparing the backends; a
-    /// backend the CPU lacks runs the portable loop instead.
-    pub fn with_kernel(kernel: KernelBackend) -> Self {
+    /// An empty arena on `kernel`; a backend the CPU lacks runs the
+    /// portable loop instead. The first run sizes it.
+    pub(crate) fn with_kernel(kernel: KernelBackend) -> Self {
         WideArena {
             times: AlignedF64Vec::new(),
-            slots: 0,
             strip: Vec::new(),
-            origins: Vec::new(),
-            n: 0,
             p_total: 0,
-            periods: 0,
             backend: if kernel.available() {
                 kernel
             } else {
@@ -400,134 +304,59 @@ impl WideArena {
         }
     }
 
-    /// The execution backend of this arena.
-    pub fn kernel(&self) -> KernelBackend {
-        self.backend
-    }
-
     /// Runs one `g₀`-initiated simulation per origin, all lanes in
-    /// lockstep over `periods` periods, reusing this arena's buffers.
+    /// lockstep over `periods` periods on the shared `structure`,
+    /// reusing this arena's buffers. `cancel` is polled once per row; on
+    /// cancellation the window is left partially written.
     ///
-    /// # Errors
+    /// Callers pass border events — non-empty, repetitive — and
+    /// `periods ≥ 1`, which the analysis entry points guarantee.
     ///
-    /// Returns [`WideRunError::NotRepetitive`] for the first
-    /// non-repetitive origin, and [`WideRunError::Degenerate`] when
-    /// `origins` is empty or `periods == 0` — a structured error, never
-    /// a panic, so a malformed serve request can't abort a worker.
-    pub fn run(
-        &mut self,
-        sg: &SignalGraph,
-        origins: &[EventId],
-        periods: u32,
-    ) -> Result<(), WideRunError> {
-        let structure = CyclicStructure::new(sg);
-        match self.run_with(sg, &structure, origins, periods, Rows::All, None) {
-            Ok(()) => Ok(()),
-            Err(Halt::NotRepetitive(e)) => Err(WideRunError::NotRepetitive(e)),
-            Err(Halt::Degenerate { lanes, periods }) => {
-                Err(WideRunError::Degenerate { lanes, periods })
-            }
-            Err(Halt::Cancelled(_)) => unreachable!("no cancel token was supplied"),
-        }
-    }
-
-    /// Shared-structure variant — the cycle-time algorithm builds one
-    /// [`CyclicStructure`] and batches every border event over it,
-    /// keeping the rows `rows` says. A [`CancelToken`] is polled once
-    /// per matrix row; on cancellation the matrix is left partially
-    /// written (see [`Cancelled`]).
+    /// This is the runtime dispatch point of [`KernelBackend`]: the AVX2
+    /// row runs only when `avx2` is set, and `avx2` is set only by its
+    /// own `is_x86_feature_detected!` check, so the `unsafe` call can
+    /// never execute without the CPU check that makes it sound.
+    /// Anything that fails the check — and every non-x86 build — runs
+    /// the portable row.
     pub(crate) fn run_with(
         &mut self,
         sg: &SignalGraph,
         structure: &CyclicStructure,
         origins: &[EventId],
         periods: u32,
-        rows: Rows,
         cancel: Option<&CancelToken>,
-    ) -> Result<(), Halt> {
-        // Degenerate batches and non-repetitive origins are structured
-        // halts, never panics.
-        if periods == 0 || origins.is_empty() {
-            return Err(Halt::Degenerate {
-                lanes: origins.len(),
-                periods,
-            });
-        }
-        if let Some(&g) = origins.iter().find(|&&g| !sg.is_repetitive(g)) {
-            return Err(Halt::NotRepetitive(NotRepetitive(g)));
-        }
-        let n = sg.event_count();
-        let lanes = origins.len();
+    ) -> Result<(), Cancelled> {
+        debug_assert!(periods >= 1 && !origins.is_empty());
+        debug_assert!(origins.iter().all(|&g| sg.is_repetitive(g)));
+        let (n, lanes) = (sg.event_count(), origins.len());
         let p_total = periods as usize + 1;
-        self.n = n;
         self.p_total = p_total;
-        self.periods = periods;
-        self.slots = match rows {
-            Rows::All => p_total,
-            Rows::Window => p_total.min(2),
-        };
-        self.origins.clear();
-        self.origins.extend_from_slice(origins);
 
         // `resize` touches existing capacity only: after the first run
         // of this shape, no allocator traffic. No global fill: the
         // recurrence overwrites every repetitive event's cell in every
         // row, so only the columns of events *outside* the cyclic
         // structure (prefix/finite events — usually none) need their
-        // NEG_INFINITY reset, in every slot, against stale cells of a
+        // NEG_INFINITY reset, in both slots, against stale cells of a
         // previous run. The strip needs none: every computed row
         // overwrites its cells.
-        self.times.resize(self.slots * n * lanes, f64::NEG_INFINITY);
+        self.times.resize(2 * n * lanes, f64::NEG_INFINITY);
         self.strip.resize(lanes * p_total, f64::NEG_INFINITY);
         let times = self.times.as_mut_slice();
-        for e in sg.events() {
-            if !sg.is_repetitive(e) {
-                for slot in 0..self.slots {
-                    let base = (slot * n + e.index()) * lanes;
-                    times[base..base + lanes].fill(f64::NEG_INFINITY);
-                }
+        for e in sg.events().filter(|&e| !sg.is_repetitive(e)) {
+            for slot in 0..2 {
+                let base = (slot * n + e.index()) * lanes;
+                times[base..base + lanes].fill(f64::NEG_INFINITY);
             }
         }
 
-        self.compute_rows(structure, cancel)
-            .map_err(Halt::Cancelled)
-    }
-
-    /// The lockstep longest-path recurrence over rows `0..p_total`: the
-    /// runtime dispatch point of [`KernelBackend`].
-    ///
-    /// Per row it polls `cancel`, takes the `(prev, current)` row pair
-    /// from [`row_pair`] — the one place that knows whether the arena
-    /// holds the full matrix or the two-slot window — runs one backend's
-    /// row kernel on it, and copies each lane's origin cell into the
-    /// strip.
-    ///
-    /// The AVX2 kernel runs only when `avx2` is set, and `avx2` is set
-    /// only by its own `is_x86_feature_detected!` check, so the `unsafe`
-    /// call can never execute without the CPU check that makes it sound.
-    /// Anything that fails the check — and every non-x86 build — runs
-    /// the portable kernel, instantiated per common SIMD lane count so
-    /// the per-arc lane loops compile with a constant trip count.
-    fn compute_rows(
-        &mut self,
-        structure: &CyclicStructure,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Cancelled> {
-        let (n, p_total, slots) = (self.n, self.p_total, self.slots);
-        let lanes = self.lanes();
         #[cfg(target_arch = "x86_64")]
         let avx2 =
             self.backend == KernelBackend::Avx2 && std::arch::is_x86_feature_detected!("avx2");
-        let WideArena {
-            times,
-            strip,
-            origins,
-            ..
-        } = self;
-        let times = times.as_mut_slice();
+        let kernel = RowKernel { origins, structure };
         for p in 0..p_total {
-            // One poll per matrix row: a row is `O(m · lanes)` work, so
-            // the check cost vanishes while aborts still land within one
+            // One poll per row: a row is `O(m · lanes)` work, so the
+            // check cost vanishes while aborts still land within one
             // row of the signal.
             if let Some(kind) = cancel.and_then(CancelToken::check) {
                 return Err(Cancelled {
@@ -536,161 +365,152 @@ impl WideArena {
                     rows_total: p_total,
                 });
             }
-            let (prev, row) = row_pair(times, p, n * lanes, slots);
-            let kernel = RowKernel { origins, structure };
+            let (prev, row) = row_pair(times, p, n * lanes);
             #[cfg(target_arch = "x86_64")]
             if avx2 {
                 // SAFETY: `avx2` is set only when the CPU reports AVX2.
                 unsafe { row_avx2(&kernel, prev, row) };
             } else {
-                row_portable_dispatch(&kernel, prev, row);
+                row_portable(&kernel, prev, row);
             }
             #[cfg(not(target_arch = "x86_64"))]
-            row_portable_dispatch(&kernel, prev, row);
+            row_portable(&kernel, prev, row);
             for (lane, g) in origins.iter().enumerate() {
-                strip[lane * p_total + p] = row[g.index() * lanes + lane];
+                self.strip[lane * p_total + p] = row[g.index() * lanes + lane];
             }
         }
         Ok(())
     }
 
-    /// Allocated capacity of the lane-major time buffer, in cells: at
-    /// least `(periods + 1) · n · lanes` after a full-matrix run, and
-    /// `2 · n · lanes` (rounded up to a cache line) for an arena only
-    /// one-shot analyses ran in.
-    ///
-    /// A warm-pool worker asserts this stays constant across requests of
-    /// the same shape, exactly like [`SimArena::capacity`].
-    pub fn capacity(&self) -> usize {
+    /// Allocated capacity of the window, in cells: `2 · n · lanes`,
+    /// rounded up to a cache line, for the largest shape run so far.
+    fn capacity(&self) -> usize {
         self.times.capacity()
     }
 
-    /// Number of lanes (initiating events) of the last run.
-    pub fn lanes(&self) -> usize {
-        self.origins.len()
-    }
-
-    /// The initiating event of lane `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k` is not a lane of the last run.
-    pub fn origin(&self, k: usize) -> EventId {
-        self.origins[k]
-    }
-
-    /// Periods of the last run (instances `0..=periods` are available).
-    pub fn periods(&self) -> u32 {
-        self.periods
-    }
-
-    /// `t_{gk,0}(e_p)` of lane `k`, or `None` when `g_{k,0} ⇏ e_p` —
-    /// the lane-indexed twin of [`SimArena::time`]. Every row of a
-    /// [`WideArena::run`] is available; an arena a one-shot analysis
-    /// ran in holds only its last two rows and answers `None` below.
-    pub fn time(&self, k: usize, e: EventId, instance: u32) -> Option<f64> {
-        let p = instance as usize;
-        let lanes = self.lanes();
-        if p >= self.p_total || k >= lanes || p + self.slots < self.p_total {
-            return None;
-        }
-        let slot = p % self.slots;
-        let t = self.times.as_slice()[(slot * self.n + e.index()) * lanes + k];
-        (t > f64::NEG_INFINITY).then_some(t)
-    }
-
-    /// All defined `δ_{gk,0}(g_{k,i})` of lane `k`, as `(i, t, δ)`.
-    pub fn distance_series(&self, k: usize) -> Vec<(u32, f64, f64)> {
-        let mut out = Vec::new();
-        self.distance_series_into(k, &mut out);
-        out
-    }
-
-    /// Allocation-reusing form of [`distance_series`](Self::distance_series):
-    /// clears `out` and fills it in place, so a caller can keep one
-    /// buffer per lane alive across re-runs. Reads the origin strip, so
-    /// it works whichever rows the arena kept.
-    pub fn distance_series_into(&self, k: usize, out: &mut Vec<(u32, f64, f64)>) {
-        out.clear();
+    /// All defined `δ_{gk,0}(g_{k,i})` of lane `k` of the last run, as
+    /// `(i, t, δ)`, read from the origin strip.
+    pub(crate) fn distance_series(&self, k: usize) -> Vec<(u32, f64, f64)> {
         let cells = &self.strip[k * self.p_total..][..self.p_total];
-        out.extend((1..=self.periods).filter_map(|i| {
-            let t = cells[i as usize];
-            (t > f64::NEG_INFINITY).then(|| (i, t, t / i as f64))
-        }));
+        (1..self.p_total)
+            .filter_map(|i| {
+                let t = cells[i];
+                (t > f64::NEG_INFINITY).then(|| (i as u32, t, t / i as f64))
+            })
+            .collect()
     }
 }
 
 /// Splits row `p`'s cells (mutable) and row `p - 1`'s (shared; empty
-/// for row 0) out of `times`, where row `p` lives in slot `p % slots`:
-/// `slots = p_total` is the full matrix, `slots = 2` the one-shot
-/// window. The one place either layout is known — the row kernels see
-/// only the pair.
-fn row_pair(times: &mut [f64], p: usize, row_cells: usize, slots: usize) -> (&[f64], &mut [f64]) {
-    let cur = p % slots;
-    if p == 0 {
-        return (&[], &mut times[cur * row_cells..][..row_cells]);
-    }
-    let prev = (p - 1) % slots;
-    if prev < cur {
-        let (before, current) = times.split_at_mut(cur * row_cells);
-        (
-            &before[prev * row_cells..][..row_cells],
-            &mut current[..row_cells],
-        )
-    } else {
-        // Window wrap-around: row p in slot 0, row p - 1 in slot 1.
-        let (before, after) = times.split_at_mut(prev * row_cells);
-        (
-            &after[..row_cells],
-            &mut before[cur * row_cells..][..row_cells],
-        )
+/// for row 0) out of the two-slot window, where row `p` lives in slot
+/// `p % 2`.
+fn row_pair(times: &mut [f64], p: usize, row_cells: usize) -> (&[f64], &mut [f64]) {
+    let (slot0, slot1) = times.split_at_mut(row_cells);
+    match p {
+        0 => (&[], slot0),
+        _ if p.is_multiple_of(2) => (slot1, slot0),
+        _ => (slot0, slot1),
     }
 }
 
-/// What every row kernel reads besides the row pair: the lanes' origins
+/// What the row function reads besides the row pair: the lanes' origins
 /// (one lane each) and the structure.
 struct RowKernel<'a> {
     origins: &'a [EventId],
     structure: &'a CyclicStructure,
 }
 
-impl RowKernel<'_> {
-    /// Row 0: pins each lane's origin cell to 0 once event `ev`'s
-    /// recurrence is done, in topological order, so later same-row
-    /// reads see it exactly as the scalar kernel's pre-seeded cell.
+/// The per-backend lane arithmetic of the row function: the two
+/// operations [`row_body`] needs per in-arc, and the lane count it runs
+/// at.
+///
+/// Implementations must keep `dst` on ties in `fold` (the strict `>` of
+/// the scalar kernel).
+trait LaneOps {
+    /// The lane count of a row over `lanes` lanes: a constant-width
+    /// instantiation returns its constant, so the lane loops compile
+    /// with a constant trip count.
     #[inline(always)]
-    fn pin_origins(&self, ev: EventId, dst: &mut [f64]) {
-        for (lane, &g) in self.origins.iter().enumerate() {
-            if g == ev {
-                dst[lane] = 0.0; // t_g(g) = 0 by definition
+    fn width(lanes: usize) -> usize {
+        lanes
+    }
+
+    /// `dst[k] = src[k] + delay` — the event's first usable in-arc.
+    ///
+    /// Storing directly instead of folding into a freshly filled
+    /// `NEG_INFINITY` accumulator is bit-identical, because
+    /// `max(NEG_INFINITY, cand)` is `cand` whether `cand` is finite or
+    /// `NEG_INFINITY` itself — and it saves one pass over the lanes per
+    /// event.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the implementing backend's feature (the
+    /// dispatch's `is_x86_feature_detected!` guard).
+    unsafe fn first(dst: &mut [f64], src: &[f64], delay: f64);
+
+    /// `dst[k] = max(dst[k], src[k] + delay)`, keeping `dst` on ties.
+    ///
+    /// # Safety
+    ///
+    /// As [`LaneOps::first`].
+    unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64);
+}
+
+/// The portable lane loop at lane count `L` (`L == 0`: the lanes of the
+/// run) — branchless `max(best, src + δ)` over contiguous lanes, which
+/// the autovectorizer turns into SIMD `add`/`max`.
+struct Portable<const L: usize>;
+
+impl<const L: usize> LaneOps for Portable<L> {
+    #[inline(always)]
+    fn width(lanes: usize) -> usize {
+        if L == 0 {
+            lanes
+        } else {
+            L
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn first(dst: &mut [f64], src: &[f64], delay: f64) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = s + delay;
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            let cand = s + delay;
+            if cand > *d {
+                *d = cand;
             }
         }
     }
 }
 
-/// The portable row kernel at a constant lane count for the common
-/// SIMD widths, the dynamic-width instantiation otherwise.
-fn row_portable_dispatch(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
-    match kernel.origins.len() {
-        4 => row_portable::<4>(kernel, prev, row),
-        8 => row_portable::<8>(kernel, prev, row),
-        16 => row_portable::<16>(kernel, prev, row),
-        32 => row_portable::<32>(kernel, prev, row),
-        _ => row_portable::<0>(kernel, prev, row),
-    }
-}
-
-/// One row of the recurrence on the portable loop, at lane count `L`
-/// (`L == 0` is the dynamic-width fallback). `prev` is empty for row 0.
+/// One row of the recurrence: the one row function every backend runs.
+/// `prev` is empty for row 0. `#[inline(always)]` so each backend's
+/// wrapper compiles the whole body — intrinsics included — with its
+/// feature set and lane count.
 ///
 /// Per event the row is split around the destination cell
-/// (`split_at_mut`), so the `lanes` accumulator IS the destination —
-/// no scratch buffer, no copy-back pass. Unmarked in-arcs always read a
+/// (`split_at_mut`), so the lane accumulator IS the destination — no
+/// scratch buffer, no copy-back pass. Unmarked in-arcs always read a
 /// *different* event's cell (the unmarked subgraph is acyclic, so
 /// `src ≠ ev`), which lands in the left or right remnant of the split;
-/// marked in-arcs read the previous row.
-fn row_portable<const L: usize>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
-    let lanes = if L == 0 { kernel.origins.len() } else { L };
+/// marked in-arcs read the previous row. In row 0 each lane's origin
+/// cell is pinned to 0 once its event's recurrence is done, in
+/// topological order, so later same-row reads see it exactly as the
+/// scalar kernel's pre-seeded cell.
+///
+/// # Safety
+///
+/// The CPU must support the feature `K`'s operations require.
+#[inline(always)]
+unsafe fn row_body<K: LaneOps>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
+    let lanes = K::width(kernel.origins.len());
     let structure = kernel.structure;
     let first_row = prev.is_empty();
     for &ev in &structure.order {
@@ -710,65 +530,42 @@ fn row_portable<const L: usize>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut 
             } else {
                 &right[sb - base - lanes..][..lanes]
             };
-            accumulate(dst, src, ia.delay, first);
+            if first {
+                K::first(dst, src, ia.delay);
+            } else {
+                K::fold(dst, src, ia.delay);
+            }
             first = false;
         }
         if first {
             dst.fill(f64::NEG_INFINITY); // no usable in-arc
         }
         if first_row {
-            kernel.pin_origins(ev, dst);
+            for (lane, &g) in kernel.origins.iter().enumerate() {
+                if g == ev {
+                    dst[lane] = 0.0; // t_g(g) = 0 by definition
+                }
+            }
         }
     }
 }
 
-/// The widened recurrence step: `dst[k] = max(dst[k], src[k] + δ)` for
-/// every lane, branchless — the portable loop the autovectorizer turns
-/// into SIMD `add`/`max` over contiguous lanes.
-///
-/// The event's `first` in-arc stores its candidates directly instead of
-/// comparing against a freshly filled `NEG_INFINITY` accumulator — bit-
-/// identical, because `max(NEG_INFINITY, cand)` is `cand` whether `cand`
-/// is finite or `NEG_INFINITY` itself — which saves one full pass over
-/// the lanes per event.
-#[inline(always)]
-fn accumulate(dst: &mut [f64], src: &[f64], delay: f64, first: bool) {
-    if first {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = s + delay;
-        }
-        return;
-    }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        let cand = s + delay;
-        if cand > *d {
-            *d = cand;
-        }
+/// The portable row at a constant lane count for the common SIMD
+/// widths, the dynamic-width instantiation otherwise.
+fn row_portable(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
+    match kernel.origins.len() {
+        4 => row_portable_at::<4>(kernel, prev, row),
+        8 => row_portable_at::<8>(kernel, prev, row),
+        16 => row_portable_at::<16>(kernel, prev, row),
+        32 => row_portable_at::<32>(kernel, prev, row),
+        _ => row_portable_at::<0>(kernel, prev, row),
     }
 }
 
-/// The per-backend lane arithmetic of the explicit-SIMD row loop: the
-/// two operations [`row_body`] needs per in-arc.
-///
-/// Implementations must keep `dst` on ties in `fold` (the portable
-/// loop's strict `>`), which `max_pd(cand, best)` does for free: x86
-/// `MAXPD` returns its second operand on ties.
-#[cfg(target_arch = "x86_64")]
-trait LaneOps {
-    /// `dst[k] = src[k] + delay` — the event's first usable in-arc.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support the implementing backend's feature (the
-    /// dispatch arm's `is_x86_feature_detected!` guard).
-    unsafe fn first(dst: &mut [f64], src: &[f64], delay: f64);
-
-    /// `dst[k] = max(dst[k], src[k] + delay)`, keeping `dst` on ties.
-    ///
-    /// # Safety
-    ///
-    /// As [`LaneOps::first`].
-    unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64);
+/// The portable row at lane count `L` (`L == 0`: dynamic width).
+fn row_portable_at<const L: usize>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
+    // SAFETY: the portable operations use no CPU feature.
+    unsafe { row_body::<Portable<L>>(kernel, prev, row) }
 }
 
 /// A 4-lane mask with the first `rem` (1..=3) 64-bit lanes enabled,
@@ -785,7 +582,13 @@ unsafe fn tail_mask(rem: usize) -> std::arch::x86_64::__m256i {
 /// 4-wide AVX2 lane arithmetic; remainder lanes go through
 /// `maskload`/`maskstore`, which architecturally never touch the
 /// masked-out lanes (no out-of-bounds access, no fault). It stays
-/// because it measured about 1.2–2x the portable loop at b=32.
+/// because it beats the portable loop where the served benchmark
+/// runs: `run_in` on its skeleton shapes (random live rings with
+/// chords, 512 events at b = 20 and 1024 events at b = 37), timed in
+/// ten alternating runs on a shared 2-vCPU x86-64 host, read a median
+/// 1.33x of the portable loop at both (per-run ratios 1.22–1.75 and
+/// 1.22–1.53). Neither lane count has a constant-width portable
+/// instantiation.
 #[cfg(target_arch = "x86_64")]
 struct Avx2Ops;
 
@@ -836,53 +639,6 @@ impl LaneOps for Avx2Ops {
     }
 }
 
-/// One row of the recurrence for the explicit-SIMD backends: the exact
-/// control flow of [`row_portable`], with the per-arc lane arithmetic
-/// delegated to `K`. `#[inline(always)]` so each `#[target_feature]`
-/// wrapper compiles the whole body — intrinsics included — with its
-/// feature set enabled.
-///
-/// # Safety
-///
-/// The CPU must support the feature `K`'s intrinsics require.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn row_body<K: LaneOps>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
-    let (lanes, structure) = (kernel.origins.len(), kernel.structure);
-    let first_row = prev.is_empty();
-    for &ev in &structure.order {
-        let base = ev.index() * lanes;
-        let (left, rest) = row.split_at_mut(base);
-        let (dst, right) = rest.split_at_mut(lanes);
-        let mut first = true;
-        for ia in structure.in_arcs(ev) {
-            let sb = ia.src as usize * lanes;
-            let src = if ia.marked {
-                if first_row {
-                    continue; // no previous row: token enables for free
-                }
-                &prev[sb..sb + lanes]
-            } else if sb < base {
-                &left[sb..sb + lanes]
-            } else {
-                &right[sb - base - lanes..][..lanes]
-            };
-            if first {
-                K::first(dst, src, ia.delay);
-            } else {
-                K::fold(dst, src, ia.delay);
-            }
-            first = false;
-        }
-        if first {
-            dst.fill(f64::NEG_INFINITY); // no usable in-arc
-        }
-        if first_row {
-            kernel.pin_origins(ev, dst);
-        }
-    }
-}
-
 /// AVX2 instantiation of the row recurrence.
 ///
 /// # Safety
@@ -895,10 +651,9 @@ unsafe fn row_avx2(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
     row_body::<Avx2Ops>(kernel, prev, row)
 }
 
-/// The reusable state of one full cycle-time analysis: one wide arena
+/// The reusable state of one full cycle-time analysis: one wide window
 /// per worker — each holding the two-row window and origin strip of its
-/// chunk of the `b` lockstep border simulations (a one-shot analysis
-/// never materialises the full lane matrix) — plus the scalar
+/// chunk of the `b` lockstep border simulations — plus the scalar
 /// [`SimArena`] the parent-tracked winner re-run uses.
 ///
 /// [`CycleTimeAnalysis::run_in`](crate::analysis::CycleTimeAnalysis::run_in)
@@ -930,7 +685,7 @@ impl AnalysisArena {
     }
 
     /// An empty one-worker arena on `kernel`, for comparing the
-    /// backends (see [`WideArena::with_kernel`]).
+    /// backends; a backend the CPU lacks runs the portable loop instead.
     pub fn with_kernel(kernel: KernelBackend) -> Self {
         AnalysisArena {
             wides: vec![WideArena::with_kernel(kernel)],
@@ -959,7 +714,7 @@ impl AnalysisArena {
 
     /// The kernel backend the wide phase runs on.
     pub fn kernel(&self) -> KernelBackend {
-        self.wides[0].kernel()
+        self.wides[0].backend
     }
 
     /// Allocated capacities `(wide time cells, scalar time cells,
@@ -1003,26 +758,54 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Every lane of a wide run must equal the scalar simulation of the
-    /// same origin, cell for cell, bit for bit.
-    fn assert_lanes_match_scalar(sg: &SignalGraph, wide: &WideArena, ctx: &str) {
-        let mut scalar = SimArena::new();
-        for k in 0..wide.lanes() {
-            let g = wide.origin(k);
-            scalar.run(sg, g, wide.periods(), false).unwrap();
-            for e in sg.events() {
-                for p in 0..=wide.periods() {
-                    assert_eq!(
-                        wide.time(k, e, p).map(f64::to_bits),
-                        scalar.time(e, p).map(f64::to_bits),
-                        "{ctx}: lane {k} ({}) e={} p={p}",
-                        sg.label(g),
-                        sg.label(e)
-                    );
-                }
+    /// A ring of `n` events with `tokens` marked arcs spread around it
+    /// and one marked chord into the first of their targets: `tokens`
+    /// border events, one lane each.
+    fn ring(n: usize, tokens: usize) -> SignalGraph {
+        let mut b = SignalGraph::builder();
+        let evs: Vec<_> = (0..n).map(|i| b.event(&format!("r{i}"))).collect();
+        for i in 0..n {
+            let (src, dst) = (evs[i], evs[(i + 1) % n]);
+            let delay = 1.0 + (i % 4) as f64 * 0.25;
+            if (i + 1) % (n / tokens) == 0 && (i + 1) / (n / tokens) <= tokens {
+                b.marked_arc(src, dst, delay);
+            } else {
+                b.arc(src, dst, delay);
             }
-            assert_eq!(wide.distance_series(k), scalar.distance_series(), "{ctx}");
         }
+        b.marked_arc(evs[n / 2], evs[(n / tokens) % n], 0.5);
+        b.build().unwrap()
+    }
+
+    /// Parallel arcs: two unmarked `a → b`, two marked `c → a`, and a
+    /// marked `c → b` beside the unmarked `a → b` pair.
+    fn parallel_arcs() -> SignalGraph {
+        let mut b = SignalGraph::builder();
+        let a = b.event("a");
+        let x = b.event("b");
+        let c = b.event("c");
+        b.arc(a, x, 1.0);
+        b.arc(a, x, 2.5);
+        b.arc(x, c, 1.0);
+        b.marked_arc(c, a, 1.0);
+        b.marked_arc(c, a, 0.5);
+        b.marked_arc(c, x, 4.0);
+        b.build().unwrap()
+    }
+
+    /// The graphs of the cell-level sweeps: a prefix and a finite event
+    /// (figure 2), odd lane counts (rings with 1, 3, 5 and 7 tokens,
+    /// which also leave AVX2 remainder lanes) and parallel arcs, in an
+    /// order that makes one reused arena grow and shrink.
+    fn corpus() -> Vec<(String, SignalGraph)> {
+        let mut out = vec![("figure 2".to_string(), figure2())];
+        for tokens in [7usize, 1, 5, 3] {
+            let sg = ring(14, tokens);
+            assert_eq!(sg.border_events().len(), tokens);
+            out.push((format!("ring 14/{tokens}"), sg));
+        }
+        out.push(("parallel arcs".into(), parallel_arcs()));
+        out
     }
 
     /// The backends the running machine executes — always at least
@@ -1034,6 +817,87 @@ mod tests {
             .collect()
     }
 
+    fn run(wide: &mut WideArena, sg: &SignalGraph, origins: &[EventId], periods: u32) {
+        wide.run_with(sg, &CyclicStructure::new(sg), origins, periods, None)
+            .unwrap();
+    }
+
+    /// Every bit the last run left: the window and the origin strip.
+    fn bits(wide: &WideArena) -> (Vec<u64>, Vec<u64>) {
+        let bits = |s: &[f64]| s.iter().map(|t| t.to_bits()).collect();
+        (bits(wide.times.as_slice()), bits(&wide.strip))
+    }
+
+    /// Both resident rows of a `periods`-period run over `origins` —
+    /// rows `periods - 1` and `periods` — must equal the scalar
+    /// simulation of each lane's origin cell for cell, bit for bit, and
+    /// so must each lane's record.
+    fn assert_window_matches_scalar(
+        wide: &WideArena,
+        sg: &SignalGraph,
+        origins: &[EventId],
+        periods: u32,
+        ctx: &str,
+    ) {
+        let (n, lanes) = (sg.event_count(), origins.len());
+        let window = wide.times.as_slice();
+        let record = |s: Vec<(u32, f64, f64)>| {
+            s.into_iter()
+                .map(|(i, t, d)| (i, t.to_bits(), d.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let mut scalar = SimArena::new();
+        for (k, &g) in origins.iter().enumerate() {
+            scalar.run(sg, g, periods, false).unwrap();
+            for p in periods - 1..=periods {
+                let slot = p as usize % 2;
+                for e in sg.events() {
+                    let t = window[(slot * n + e.index()) * lanes + k];
+                    assert_eq!(
+                        (t > f64::NEG_INFINITY).then_some(t.to_bits()),
+                        scalar.time(e, p).map(f64::to_bits),
+                        "{ctx}: lane {k} ({}) e={} p={p}",
+                        sg.label(g),
+                        sg.label(e)
+                    );
+                }
+            }
+            assert_eq!(
+                record(wide.distance_series(k)),
+                record(scalar.distance_series()),
+                "{ctx}: lane {k} record"
+            );
+        }
+    }
+
+    /// The window against the scalar kernel's full matrix: for every
+    /// period count `p` in `1..=b + 1` (so row `p` lands in either
+    /// slot), both resident rows equal the scalar rows `p - 1` and `p`
+    /// cell by cell, on every backend, with one arena reused across the
+    /// whole corpus so a stale cell of an earlier shape would show.
+    #[test]
+    fn window_run_equals_the_full_matrix() {
+        for backend in available_backends() {
+            let mut wide = WideArena::with_kernel(backend);
+            for (name, sg) in corpus() {
+                let borders = sg.border_events();
+                let b = borders.len() as u32;
+                for periods in 1..=b + 1 {
+                    run(&mut wide, &sg, &borders, periods);
+                    let ctx = format!("{name} on {backend}, periods={periods}");
+                    assert_window_matches_scalar(&wide, &sg, &borders, periods, &ctx);
+                }
+            }
+        }
+        // A fresh arena's window holds exactly two rows.
+        let sg = ring(14, 7);
+        let borders = sg.border_events();
+        let mut wide = WideArena::with_kernel(KernelBackend::detect());
+        run(&mut wide, &sg, &borders, 8);
+        let two_rows = 2 * sg.event_count() * borders.len();
+        assert!(wide.capacity() <= two_rows.next_multiple_of(8));
+    }
+
     #[test]
     fn lockstep_lanes_equal_scalar_simulations() {
         let sg = figure2();
@@ -1042,8 +906,9 @@ mod tests {
         for backend in available_backends() {
             let mut wide = WideArena::with_kernel(backend);
             for periods in [1u32, 2, 3, 7] {
-                wide.run(&sg, &borders, periods).unwrap();
-                assert_lanes_match_scalar(&sg, &wide, &format!("{backend} periods={periods}"));
+                run(&mut wide, &sg, &borders, periods);
+                let ctx = format!("{backend} periods={periods}");
+                assert_window_matches_scalar(&wide, &sg, &borders, periods, &ctx);
             }
         }
     }
@@ -1054,186 +919,60 @@ mod tests {
         let ap = sg.event_by_label("a+").unwrap();
         for backend in available_backends() {
             let mut wide = WideArena::with_kernel(backend);
-            wide.run(&sg, &[ap], 2).unwrap();
-            assert_lanes_match_scalar(&sg, &wide, &format!("single lane on {backend}"));
-            assert_eq!(wide.time(0, ap, 1), Some(10.0));
+            run(&mut wide, &sg, &[ap], 2);
+            assert_window_matches_scalar(
+                &wide,
+                &sg,
+                &[ap],
+                2,
+                &format!("single lane on {backend}"),
+            );
+            assert_eq!(wide.distance_series(0)[0], (1, 10.0, 10.0));
         }
     }
 
     #[test]
     fn arena_reuse_across_shapes_leaves_no_ghosts() {
-        let big = {
-            let mut b = SignalGraph::builder();
-            let evs: Vec<_> = (0..12).map(|i| b.event(&format!("e{i}"))).collect();
-            for w in evs.windows(2) {
-                b.arc(w[0], w[1], 1.0);
-            }
-            b.marked_arc(evs[11], evs[0], 1.0);
-            b.marked_arc(evs[5], evs[6], 0.5);
-            b.build().unwrap()
-        };
+        let big = ring(14, 7);
         let small = figure2();
         for backend in available_backends() {
             let mut wide = WideArena::with_kernel(backend);
-            wide.run(&big, &big.border_events(), 8).unwrap();
-            assert_lanes_match_scalar(&big, &wide, &format!("big on {backend}"));
-            wide.run(&small, &small.border_events(), 2).unwrap();
-            assert_lanes_match_scalar(&small, &wide, &format!("small after big on {backend}"));
-        }
-    }
-
-    /// A window run keeps two row slots, yet its records and its last
-    /// two rows equal a full-matrix run's bit for bit, on every backend
-    /// and at every period count (odd and even, so row `periods` lands
-    /// in either slot); rows below the window read as absent. One arena
-    /// reused big → small → big leaves no stale slot or strip cell —
-    /// figure 2's prefix/finite columns included.
-    #[test]
-    fn window_run_equals_the_full_matrix() {
-        let big = {
-            let mut b = SignalGraph::builder();
-            let evs: Vec<_> = (0..12).map(|i| b.event(&format!("e{i}"))).collect();
-            for w in evs.windows(2) {
-                b.arc(w[0], w[1], 1.0 + (w[0].index() % 4) as f64 * 0.25);
-            }
-            b.marked_arc(evs[11], evs[0], 1.0);
-            b.marked_arc(evs[5], evs[6], 0.5);
-            b.build().unwrap()
-        };
-        let small = figure2();
-        for backend in available_backends() {
-            let mut window = WideArena::with_kernel(backend);
-            for (sg, periods) in [
-                (&big, 7u32),
-                (&small, 2),
-                (&small, 1),
-                (&big, 8),
-                (&small, 5),
-            ] {
+            for (sg, periods) in [(&big, 8u32), (&small, 2), (&big, 5)] {
                 let borders = sg.border_events();
-                let structure = CyclicStructure::new(sg);
-                window
-                    .run_with(sg, &structure, &borders, periods, Rows::Window, None)
-                    .unwrap();
-                let mut full = WideArena::with_kernel(backend);
-                full.run(sg, &borders, periods).unwrap();
-                let ctx = format!("{backend} n={} periods={periods}", sg.event_count());
-                for k in 0..borders.len() {
-                    assert_eq!(window.distance_series(k), full.distance_series(k), "{ctx}");
-                    for e in sg.events() {
-                        for p in 0..=periods {
-                            let want = if p + 2 > periods {
-                                full.time(k, e, p).map(f64::to_bits)
-                            } else {
-                                None
-                            };
-                            assert_eq!(
-                                window.time(k, e, p).map(f64::to_bits),
-                                want,
-                                "{ctx}: lane {k} e={} p={p}",
-                                sg.label(e)
-                            );
-                        }
-                    }
-                }
+                run(&mut wide, sg, &borders, periods);
+                let ctx = format!("{} events on {backend}", sg.event_count());
+                assert_window_matches_scalar(&wide, sg, &borders, periods, &ctx);
             }
         }
-        // A fresh arena's window holds exactly two rows.
-        let mut window = WideArena::new();
-        let borders = big.border_events();
-        let structure = CyclicStructure::new(&big);
-        window
-            .run_with(&big, &structure, &borders, 8, Rows::Window, None)
-            .unwrap();
-        let two_rows = 2 * big.event_count() * borders.len();
-        assert!(window.capacity() <= two_rows.next_multiple_of(8));
     }
 
     #[test]
     fn cancelled_rerun_heals_bit_identically_on_the_next_pass() {
-        // Abort a full-matrix run at every possible row, then run again
-        // without a token: the half-written matrix must heal to the
+        // Abort a run at every possible row, then run again without a
+        // token: the half-written window and strip must heal to the
         // exact bits of a fresh arena's run on every backend.
         let sg = figure2();
         let borders = sg.border_events();
         let structure = CyclicStructure::new(&sg);
-        let bits = |wide: &WideArena| {
-            wide.times
-                .as_slice()
-                .iter()
-                .map(|t| t.to_bits())
-                .collect::<Vec<_>>()
-        };
         for backend in available_backends() {
             let mut wide = WideArena::with_kernel(backend);
             for budget in 0..6u64 {
                 let token = CancelToken::cancel_after_checks(budget);
-                let err = wide
-                    .run_with(&sg, &structure, &borders, 5, Rows::All, Some(&token))
+                let c = wide
+                    .run_with(&sg, &structure, &borders, 5, Some(&token))
                     .unwrap_err();
-                let Halt::Cancelled(c) = err else {
-                    panic!("{backend}: expected a cancel, got {err:?}");
-                };
                 assert_eq!(c.kind, CancelKind::Explicit, "{backend}");
                 assert_eq!(c.rows_done, budget as usize, "{backend}");
                 assert_eq!(c.rows_total, 6, "{backend}");
             }
-            wide.run(&sg, &borders, 5).unwrap();
+            run(&mut wide, &sg, &borders, 5);
             let mut fresh = WideArena::with_kernel(backend);
-            fresh.run(&sg, &borders, 5).unwrap();
+            run(&mut fresh, &sg, &borders, 5);
             assert_eq!(
                 bits(&wide),
                 bits(&fresh),
-                "{backend}: healed matrix must equal from-scratch"
+                "{backend}: healed window must equal from-scratch"
             );
-        }
-    }
-
-    #[test]
-    fn non_repetitive_origin_rejected() {
-        let sg = figure2();
-        let e = sg.event_by_label("e-").unwrap();
-        let ap = sg.event_by_label("a+").unwrap();
-        let mut wide = WideArena::new();
-        assert_eq!(
-            wide.run(&sg, &[ap, e], 2).unwrap_err(),
-            WideRunError::NotRepetitive(NotRepetitive(e))
-        );
-    }
-
-    #[test]
-    fn degenerate_batches_are_structured_errors_not_panics() {
-        let sg = figure2();
-        let ap = sg.event_by_label("a+").unwrap();
-        let mut wide = WideArena::new();
-        assert_eq!(
-            wide.run(&sg, &[], 2).unwrap_err(),
-            WideRunError::Degenerate {
-                lanes: 0,
-                periods: 2
-            }
-        );
-        assert_eq!(
-            wide.run(&sg, &[ap], 0).unwrap_err(),
-            WideRunError::Degenerate {
-                lanes: 1,
-                periods: 0
-            }
-        );
-    }
-
-    #[test]
-    fn distance_series_into_reuses_the_buffer() {
-        let sg = figure2();
-        let borders = sg.border_events();
-        let mut wide = WideArena::new();
-        wide.run(&sg, &borders, 2).unwrap();
-        let mut buf = Vec::with_capacity(8);
-        let cap = buf.capacity();
-        for k in 0..wide.lanes() {
-            wide.distance_series_into(k, &mut buf);
-            assert_eq!(buf, wide.distance_series(k));
-            assert_eq!(buf.capacity(), cap, "no reallocation within capacity");
         }
     }
 
@@ -1256,23 +995,23 @@ mod tests {
         // built without an explicit backend runs it.
         assert!(KernelBackend::detect().available());
         assert!(KernelBackend::Portable.available());
-        assert_eq!(WideArena::new().kernel(), KernelBackend::detect());
         assert_eq!(AnalysisArena::new().kernel(), KernelBackend::detect());
         // An explicit backend is kept wherever the CPU runs it.
         for b in available_backends() {
-            assert_eq!(WideArena::with_kernel(b).kernel(), b);
+            assert_eq!(AnalysisArena::with_kernel(b).kernel(), b);
+            assert_eq!(AnalysisArena::with_kernel(b).with_workers(3).kernel(), b);
         }
     }
 
     #[test]
     fn lane_storage_is_cache_line_aligned() {
         let sg = figure2();
-        let mut wide = WideArena::new();
-        wide.run(&sg, &sg.border_events(), 3).unwrap();
+        let mut wide = WideArena::with_kernel(KernelBackend::detect());
+        run(&mut wide, &sg, &sg.border_events(), 3);
         assert_eq!(
             wide.times.as_slice().as_ptr() as usize % 64,
             0,
-            "lane matrix must start on a cache-line boundary"
+            "lane window must start on a cache-line boundary"
         );
     }
 
@@ -1296,41 +1035,21 @@ mod tests {
 
     /// The explicit-SIMD backends against the portable loop, cell for
     /// cell, at lane counts that exercise full vectors, masked AVX2
-    /// tails (1..=3 remainder lanes) and the portable fallback.
+    /// tails (1..=3 remainder lanes), the portable loop's constant-width
+    /// instantiations and its dynamic-width fallback.
     #[test]
     fn simd_backends_match_portable_at_every_remainder_width() {
-        let sg = {
-            let mut b = SignalGraph::builder();
-            let evs: Vec<_> = (0..9).map(|i| b.event(&format!("n{i}"))).collect();
-            for w in evs.windows(2) {
-                b.arc(w[0], w[1], 1.0 + (w[0].index() % 3) as f64 * 0.5);
-            }
-            b.marked_arc(evs[8], evs[0], 2.0);
-            b.marked_arc(evs[3], evs[4], 0.75);
-            b.build().unwrap()
-        };
+        let sg = ring(40, 8);
         let repetitive: Vec<EventId> = sg.events().filter(|&e| sg.is_repetitive(e)).collect();
-        for lanes in [1usize, 2, 3, 4, 5, 6, 7, 8, 9] {
-            let origins = &repetitive[..lanes.min(repetitive.len())];
+        for lanes in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 32, 33] {
+            let origins = &repetitive[..lanes];
             let mut portable = WideArena::with_kernel(KernelBackend::Portable);
-            portable.run(&sg, origins, 4).unwrap();
+            run(&mut portable, &sg, origins, 4);
+            assert_window_matches_scalar(&portable, &sg, origins, 4, &format!("{lanes} lanes"));
             for backend in available_backends() {
                 let mut simd = WideArena::with_kernel(backend);
-                simd.run(&sg, origins, 4).unwrap();
-                assert_eq!(
-                    simd.times
-                        .as_slice()
-                        .iter()
-                        .map(|t| t.to_bits())
-                        .collect::<Vec<_>>(),
-                    portable
-                        .times
-                        .as_slice()
-                        .iter()
-                        .map(|t| t.to_bits())
-                        .collect::<Vec<_>>(),
-                    "{backend} with {lanes} lanes"
-                );
+                run(&mut simd, &sg, origins, 4);
+                assert_eq!(bits(&simd), bits(&portable), "{backend} with {lanes} lanes");
             }
         }
     }

@@ -205,16 +205,9 @@ fn check_arc_rules(sg: &SignalGraph) -> Result<(), ValidationError> {
 
 fn check_liveness(sg: &SignalGraph) -> Result<(), ValidationError> {
     // The unmarked repetitive subgraph must be acyclic.
-    // The mask must exclude tombstoned arcs: they are detached from the
-    // adjacency lists (so Kahn's algorithm would never relax them) but
-    // still enumerated by `edge_ids`, and a mask-enabled dead edge
-    // would inflate in-degrees into a spurious cycle report.
     let res = topo::topological_order_masked(sg.digraph(), |e| {
         let arc = sg.arc(crate::arc::ArcId(e.0));
-        arc.is_alive()
-            && sg.is_repetitive(arc.src())
-            && sg.is_repetitive(arc.dst())
-            && !arc.is_marked()
+        sg.is_repetitive(arc.src()) && sg.is_repetitive(arc.dst()) && !arc.is_marked()
     });
     match res {
         Ok(_) => Ok(()),
@@ -265,9 +258,7 @@ fn check_connectivity(sg: &SignalGraph) -> Result<(), ValidationError> {
 fn check_prefix_acyclic(sg: &SignalGraph) -> Result<(), ValidationError> {
     let res = topo::topological_order_masked(sg.digraph(), |e| {
         let arc = sg.arc(crate::arc::ArcId(e.0));
-        // Liveness first: a dead arc is detached from adjacency, and a
-        // mask-enabled dead edge would corrupt the in-degree counts.
-        arc.is_alive() && !sg.is_repetitive(arc.src()) && !sg.is_repetitive(arc.dst())
+        !sg.is_repetitive(arc.src()) && !sg.is_repetitive(arc.dst())
     });
     res.map(|_| ()).map_err(|_| ValidationError::CyclicPrefix)
 }

@@ -118,9 +118,10 @@ impl DiGraph {
 
     /// Detaches edge `e` from its endpoints' adjacency lists.
     ///
-    /// The edge's endpoint record stays in place — [`edge_count`]
-    /// (Self::edge_count) is unchanged, [`src`](Self::src)/[`dst`]
-    /// (Self::dst) keep answering, and no other edge's id shifts — but
+    /// The edge's endpoint record stays in place —
+    /// [`edge_count`](Self::edge_count) is unchanged,
+    /// [`src`](Self::src)/[`dst`](Self::dst) keep answering, and no
+    /// other edge's id shifts — but
     /// [`out_edges`](Self::out_edges)/[`in_edges`](Self::in_edges) no
     /// longer report `e`. This tombstoning is what keeps dense edge ids
     /// stable across removals; callers that iterate `edge_ids` must

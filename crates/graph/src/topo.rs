@@ -88,6 +88,10 @@ impl TopoScratch {
 /// and fills it in place, with all working state in `scratch` — no
 /// allocation once both have warmed to the graph's size.
 ///
+/// Only edges still attached to the adjacency lists count: an edge
+/// detached by [`DiGraph::remove_edge`] is never offered to
+/// `edge_enabled`, so callers need not mask tombstones out.
+///
 /// # Errors
 ///
 /// Returns [`CycleDetected`] when the masked subgraph has a directed
@@ -108,10 +112,12 @@ pub fn topological_order_masked_into(
     indeg.resize(n, 0);
     enabled.clear();
     enabled.resize(g.edge_count(), false);
-    for e in g.edge_ids() {
-        if edge_enabled(e) {
-            enabled[e.index()] = true;
-            indeg[g.dst(e).index()] += 1;
+    for v in g.nodes() {
+        for &e in g.out_edges(v) {
+            if edge_enabled(e) {
+                enabled[e.index()] = true;
+                indeg[g.dst(e).index()] += 1;
+            }
         }
     }
     queue.clear();
@@ -188,6 +194,18 @@ mod tests {
         let order = topological_order_masked(&g, |e| e != back).unwrap();
         assert_eq!(order.len(), 2);
         let _ = fwd;
+    }
+
+    #[test]
+    fn masked_order_skips_removed_edges() {
+        let mut g = DiGraph::new();
+        let a = g.add_node();
+        let b = g.add_node();
+        let back = g.add_edge(b, a);
+        g.add_edge(a, b);
+        g.remove_edge(back);
+        // An enabled-everything mask must not count the detached edge.
+        assert_eq!(topological_order(&g).unwrap(), vec![a, b]);
     }
 
     #[test]

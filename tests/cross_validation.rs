@@ -138,3 +138,59 @@ proptest! {
         prop_assert!((est - tau).abs() <= tau * 0.05 + 1e-9, "est {est} vs tau {tau}");
     }
 }
+
+/// Removing an unmarked arc leaves a detached tombstone in the graph's
+/// edge list. The edited graph must answer exactly like the graph built
+/// without the arc: the same simulation times, the same Karp τ and the
+/// same cut-set answers — and none of them may panic.
+#[test]
+fn removed_unmarked_arc_answers_like_the_graph_built_without_it() {
+    use tsg::core::analysis::border::is_cut_set;
+    use tsg::core::analysis::sim::TimingSimulation;
+    use tsg::core::{EventId, SignalGraph};
+
+    let build = |chord: bool| {
+        let mut b = SignalGraph::builder();
+        let ev: Vec<EventId> = ["a+", "b+", "a-", "b-"].map(|l| b.event(l)).to_vec();
+        b.arc(ev[0], ev[1], 2.0);
+        b.arc(ev[1], ev[2], 3.0);
+        b.arc(ev[2], ev[3], 1.0);
+        b.marked_arc(ev[3], ev[0], 2.0);
+        let chord = chord.then(|| b.arc(ev[0], ev[2], 7.0));
+        (b.build().unwrap(), chord)
+    };
+    let (mut edited, chord) = build(true);
+    edited.remove_arc(chord.unwrap()).unwrap();
+    edited.validate().unwrap();
+    let (plain, _) = build(false);
+
+    let (got, want) = (
+        TimingSimulation::run(&edited, 3, None).unwrap(),
+        TimingSimulation::run(&plain, 3, None).unwrap(),
+    );
+    for e in plain.events() {
+        for p in 0..3 {
+            assert_eq!(
+                got.time(e, p).map(f64::to_bits),
+                want.time(e, p).map(f64::to_bits),
+                "{} instance {p}",
+                plain.label(e)
+            );
+        }
+    }
+
+    let (got, want) = (
+        baselines::karp_cycle_time(&edited).unwrap(),
+        baselines::karp_cycle_time(&plain).unwrap(),
+    );
+    assert_eq!(got.as_f64().to_bits(), want.as_f64().to_bits());
+    assert_eq!(got.as_f64(), 8.0);
+
+    let events: Vec<EventId> = plain.events().collect();
+    assert!(!is_cut_set(&plain, &[]));
+    for &e in &events {
+        assert!(is_cut_set(&plain, &[e]), "{}", plain.label(e));
+        assert_eq!(is_cut_set(&edited, &[e]), is_cut_set(&plain, &[e]));
+    }
+    assert_eq!(is_cut_set(&edited, &[]), is_cut_set(&plain, &[]));
+}
