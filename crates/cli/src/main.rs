@@ -14,6 +14,7 @@
 //! served responses are byte-identical to one-shot invocations.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -162,13 +163,26 @@ fn unknown_flag(flag: &str) -> Failure {
     Failure::Usage(format!("unknown flag {flag:?}"))
 }
 
+/// Writes `out` to stdout through one lock. A reader that closed the
+/// pipe early (`tsg demo stack66 | head -1`) ends the output quietly:
+/// only another write error is reported, as a one-line error.
+fn emit(out: &str) -> Result<(), Failure> {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(Failure::Run(format!("writing to stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(out) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
+    match run(&args).and_then(|out| emit(&out)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
@@ -372,7 +386,7 @@ fn run(args: &[String]) -> Result<String, Failure> {
             if failed.is_empty() {
                 Ok(out)
             } else {
-                print!("{out}");
+                emit(&out)?;
                 Err(Failure::Run(format!(
                     "{} of {} file(s) failed: {}",
                     failed.len(),

@@ -1,7 +1,7 @@
 //! Which failures reprint the usage text: a bad command line does, a
 //! failed analysis of a well-formed one does not.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn tsg(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tsg"))
@@ -39,4 +39,20 @@ fn only_usage_errors_print_usage() {
         "{stderr}"
     );
     assert!(stderr.contains("USAGE:"), "{stderr}");
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tsg"))
+        .args(["demo", "stack66"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tsg");
+    // Close the read end before the report is written.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for tsg");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }

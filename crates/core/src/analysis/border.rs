@@ -78,17 +78,15 @@ pub fn minimum_cut_set(sg: &SignalGraph, node_limit: usize) -> Option<Vec<EventI
     for (i, &e) in rep.iter().enumerate() {
         map[e.index()] = i;
     }
-    let mut sub = DiGraph::with_capacity(rep.len(), sg.arc_count());
-    for _ in 0..rep.len() {
-        sub.add_node();
-    }
-    for a in sg.arc_ids() {
-        let arc = sg.arc(a);
-        let (s, d) = (map[arc.src().index()], map[arc.dst().index()]);
-        if s != usize::MAX && d != usize::MAX {
-            sub.add_edge(NodeId(s as u32), NodeId(d as u32));
-        }
-    }
+    let edges = sg
+        .arcs()
+        .iter()
+        .filter(|arc| arc.is_alive())
+        .map(|arc| (map[arc.src().index()], map[arc.dst().index()]))
+        .filter(|&(s, d)| s != usize::MAX && d != usize::MAX)
+        .map(|(s, d)| (NodeId(s as u32), NodeId(d as u32)))
+        .collect();
+    let sub = DiGraph::from_edges(rep.len(), edges);
     // Upper bound: the border set is always a cut set.
     let border = sg.border_events();
     let mut best: Vec<usize> = border.iter().map(|e| map[e.index()]).collect();

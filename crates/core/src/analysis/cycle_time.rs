@@ -33,6 +33,7 @@ use tsg_sim::{CancelKind, CancelToken};
 
 use crate::analysis::initiated::SimArena;
 use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
+use crate::analysis::sim::MAX_CELLS;
 use crate::analysis::structure::CyclicStructure;
 use crate::analysis::wide::{AnalysisArena, Cancelled, WideArena};
 use crate::analysis::CycleTime;
@@ -85,6 +86,19 @@ pub enum AnalysisError {
         /// Label of the arc's target event.
         dst: String,
     },
+    /// The analysis would keep more than [`MAX_CELLS`] time cells (see
+    /// [`analysis_cells`]); it is refused before anything is allocated.
+    TooLarge {
+        /// Events of the analysed graph.
+        events: usize,
+        /// Border lanes (one per border event).
+        lanes: usize,
+        /// Periods each border simulation runs.
+        periods: u32,
+        /// The time cells the analysis needs; `usize::MAX` when the
+        /// count overflows.
+        cells: usize,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -122,6 +136,18 @@ impl fmt::Display for AnalysisError {
                     f,
                     "scenario {scenario} scales the delay of {src} -> {dst} \
                      past the largest finite delay"
+                )
+            }
+            AnalysisError::TooLarge {
+                events,
+                lanes,
+                periods,
+                cells,
+            } => {
+                write!(
+                    f,
+                    "{events} event(s) with {lanes} border lane(s) over {periods} period(s) \
+                     need {cells} time cells, more than {MAX_CELLS}"
                 )
             }
         }
@@ -163,6 +189,41 @@ impl From<Cancelled> for AnalysisError {
             rows_done: c.rows_done,
             rows_total: c.rows_total,
         }
+    }
+}
+
+/// The time cells one analysis keeps, in checked arithmetic: each of
+/// the `workers` lane-chunk workers (at most one per lane) holds a
+/// two-row window of `events × chunk` cells per row plus an origin strip
+/// of `chunk × (periods + 1)` cells, where `chunk` is its share of the
+/// `lanes` border lanes; the winner's parent-tracked re-run holds
+/// `events × (periods + 1)` more. `None` when the count overflows.
+pub fn analysis_cells(events: usize, lanes: usize, periods: u32, workers: usize) -> Option<usize> {
+    let workers = workers.clamp(1, lanes.max(1));
+    let chunk = lanes.div_ceil(workers);
+    let rows = (periods as usize).checked_add(1)?;
+    let per_lane = events.checked_mul(2)?.checked_add(rows)?;
+    let windows = workers.checked_mul(chunk)?.checked_mul(per_lane)?;
+    windows.checked_add(events.checked_mul(rows)?)
+}
+
+/// [`AnalysisError::TooLarge`] unless [`analysis_cells`] fits in
+/// [`MAX_CELLS`].
+fn check_budget(
+    sg: &SignalGraph,
+    lanes: usize,
+    periods: u32,
+    workers: usize,
+) -> Result<(), AnalysisError> {
+    let events = sg.event_count();
+    match analysis_cells(events, lanes, periods, workers) {
+        Some(cells) if cells <= MAX_CELLS => Ok(()),
+        cells => Err(AnalysisError::TooLarge {
+            events,
+            lanes,
+            periods,
+            cells: cells.unwrap_or(usize::MAX),
+        }),
     }
 }
 
@@ -297,8 +358,11 @@ impl CycleTimeAnalysis {
     /// # Errors
     ///
     /// Returns [`AnalysisError::NoCyclicBehavior`] when `sg` has no
-    /// repetitive events, and [`AnalysisError::TooFewPeriods`] when no
-    /// border event recurs within a caller-supplied `periods`.
+    /// repetitive events, [`AnalysisError::TooLarge`] when the windows,
+    /// strips and winner re-run would keep more than
+    /// [`MAX_CELLS`] time cells ([`analysis_cells`], checked before
+    /// anything is allocated), and [`AnalysisError::TooFewPeriods`]
+    /// when no border event recurs within a caller-supplied `periods`.
     pub fn run_in(
         sg: &SignalGraph,
         periods: Option<u32>,
@@ -334,6 +398,7 @@ impl CycleTimeAnalysis {
             return Err(AnalysisError::NoCyclicBehavior);
         }
         let b = periods.unwrap_or(border.len() as u32).max(1);
+        check_budget(sg, border.len(), b, arena.wides.len())?;
 
         // One shared evaluation structure (rebuilt into the arena's warm
         // buffers), one lockstep pass per worker's lane chunk.
@@ -382,6 +447,9 @@ impl CycleTimeAnalysis {
             return Err(AnalysisError::NoCyclicBehavior);
         }
         let b = periods.unwrap_or(border.len() as u32).max(1);
+        // One scalar simulation at a time: a one-lane, one-worker window
+        // bounds its `events × (b + 1)` matrix.
+        check_budget(sg, 1, b, 1)?;
 
         let structure = CyclicStructure::new(sg);
         let mut records = Vec::with_capacity(border.len());

@@ -216,7 +216,7 @@ mod tests {
             let mut b = SignalGraph::builder();
             let ids: Vec<_> = sg
                 .events()
-                .map(|e| b.event_with(sg.label(e).clone(), sg.kind(e)))
+                .map(|e| b.event_with(sg.label(e), sg.kind(e)))
                 .collect();
             for a in sg.arc_ids() {
                 let arc = sg.arc(a);

@@ -7,9 +7,6 @@
 //! topological order, with a CSR table of in-arcs — and every simulation
 //! then runs over plain arrays.
 
-use tsg_graph::topo::{self, TopoScratch};
-use tsg_graph::NodeId;
-
 use crate::arc::ArcId;
 use crate::event::EventId;
 use crate::graph::SignalGraph;
@@ -36,12 +33,9 @@ pub(crate) struct CyclicStructure {
     pub offsets: Vec<u32>,
     /// Flattened in-arcs (repetitive→repetitive, non-disengageable only).
     pub entries: Vec<InArc>,
-    /// Working buffers of [`CyclicStructure::rebuild`], kept so a warm
-    /// analysis arena rebuilds the structure per graph without touching
-    /// the allocator: Kahn's-algorithm scratch, the raw node order, and
-    /// the CSR fill cursor.
-    topo_scratch: TopoScratch,
-    node_order: Vec<NodeId>,
+    /// The CSR fill cursor of [`CyclicStructure::rebuild`], kept so a
+    /// warm analysis arena rebuilds the structure per graph without
+    /// touching the allocator.
     cursor: Vec<u32>,
 }
 
@@ -55,28 +49,21 @@ impl CyclicStructure {
 
     /// Rebuilds the structure for `sg` in place, reusing every buffer —
     /// the allocation-free form warm arenas call once per analysis.
-    /// Construction order is deterministic and identical to
-    /// [`CyclicStructure::new`], so the entry order (and with it the
+    /// The event order is the one [`SignalGraph::validate`] computed
+    /// and kept on the graph (recomputed the same way only for a graph
+    /// edited since). Construction order is deterministic and identical
+    /// to [`CyclicStructure::new`], so the entry order (and with it the
     /// simulations' arg-max comparison sequence) never depends on which
     /// path built the structure.
     pub fn rebuild(&mut self, sg: &SignalGraph) {
-        topo::topological_order_masked_into(
-            sg.digraph(),
-            |e| {
-                let arc = sg.arc(ArcId(e.0));
-                sg.is_repetitive(arc.src()) && sg.is_repetitive(arc.dst()) && !arc.is_marked()
-            },
-            &mut self.topo_scratch,
-            &mut self.node_order,
-        )
-        .expect("validated unmarked subgraph is acyclic");
-        self.order.clear();
-        self.order.extend(
-            self.node_order
-                .iter()
-                .map(|n| EventId(n.0))
-                .filter(|&e| sg.is_repetitive(e)),
-        );
+        match &sg.order {
+            Some(order) => {
+                self.order.clear();
+                self.order.extend_from_slice(order);
+            }
+            None => crate::validate::unmarked_order(sg, &mut self.order)
+                .expect("validated unmarked subgraph is acyclic"),
+        }
 
         let n = sg.event_count();
         self.offsets.clear();

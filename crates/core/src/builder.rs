@@ -1,15 +1,13 @@
 //! Incremental construction of validated [`SignalGraph`]s.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
 use tsg_graph::{DiGraph, NodeId};
 
 use crate::arc::{Arc, ArcId};
-use crate::event::{EventId, EventKind, EventLabel};
+use crate::event::{EventId, EventKind, Label};
 use crate::graph::{EventNode, SignalGraph};
+use crate::label::Labels;
 use crate::time::Delay;
-use crate::validate::{self, ValidationError};
+use crate::validate::ValidationError;
 
 /// Builder for [`SignalGraph`]; created by [`SignalGraph::builder`].
 ///
@@ -44,7 +42,7 @@ use crate::validate::{self, ValidationError};
 pub struct SignalGraphBuilder {
     events: Vec<EventNode>,
     arcs: Vec<Arc>,
-    by_label: HashMap<String, EventId>,
+    labels: Labels,
     errors: Vec<ValidationError>,
 }
 
@@ -54,68 +52,69 @@ impl SignalGraphBuilder {
         Self::default()
     }
 
-    /// An empty builder with room for `events` events and `arcs` arcs,
-    /// for callers that know the graph's size up front (the `.g`
-    /// reader).
-    pub fn with_capacity(events: usize, arcs: usize) -> Self {
+    /// An empty builder with room for `events` events, `arcs` arcs and
+    /// `label_bytes` bytes of label text, for callers that know bounds
+    /// on the graph's size up front (the `.g` reader): within them, no
+    /// event, arc or label added reallocates.
+    pub fn with_capacity(events: usize, arcs: usize, label_bytes: usize) -> Self {
         SignalGraphBuilder {
             events: Vec::with_capacity(events),
             arcs: Vec::with_capacity(arcs),
-            by_label: HashMap::with_capacity(events),
+            labels: Labels::with_capacity(events, label_bytes),
             errors: Vec::new(),
         }
     }
 
-    /// Adds an event under `key`, which must equal `label.to_string()`.
-    fn add_keyed_event(&mut self, key: String, label: EventLabel, kind: EventKind) -> EventId {
-        let id = EventId(self.events.len() as u32);
-        match self.by_label.entry(key) {
-            Entry::Occupied(mut slot) => {
-                slot.insert(id);
-                let key = slot.key().clone();
-                self.errors.push(ValidationError::DuplicateLabel(key));
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(id);
-            }
-        }
-        self.events.push(EventNode {
-            label,
-            kind,
-            alive: true,
-        });
-        id
-    }
-
-    /// Adds an event labelled by the lenient parse of `label`. The
-    /// label's display form is `label` itself in both the transition and
-    /// the bare case, so `label` keys the lookup map as given.
-    fn add_parsed_event(&mut self, label: &str, kind: EventKind) -> EventId {
-        let parsed = label
-            .parse()
-            .unwrap_or_else(|_| EventLabel::bare(label.to_owned()));
-        self.add_keyed_event(label.to_owned(), parsed, kind)
-    }
-
     /// Adds a repetitive event (`∈ A_r`) and returns its id.
     pub fn event(&mut self, label: &str) -> EventId {
-        self.add_parsed_event(label, EventKind::Repetitive)
+        self.event_with(Label::lenient(label), EventKind::Repetitive)
     }
 
     /// Adds an initial event (`∈ I`): occurs once, at time 0, uncaused.
     pub fn initial_event(&mut self, label: &str) -> EventId {
-        self.add_parsed_event(label, EventKind::Initial)
+        self.event_with(Label::lenient(label), EventKind::Initial)
     }
 
     /// Adds a finite event: occurs once, caused by other prefix events
     /// (like `f-` in Figure 1).
     pub fn finite_event(&mut self, label: &str) -> EventId {
-        self.add_parsed_event(label, EventKind::Finite)
+        self.event_with(Label::lenient(label), EventKind::Finite)
     }
 
-    /// Adds an event with an explicit [`EventLabel`] and [`EventKind`].
-    pub fn event_with(&mut self, label: EventLabel, kind: EventKind) -> EventId {
-        self.add_keyed_event(label.to_string(), label, kind)
+    /// Adds an event with an explicit [`Label`] and [`EventKind`]; an
+    /// owned [`EventLabel`](crate::EventLabel) passes
+    /// [`as_label`](crate::EventLabel::as_label). A label already taken
+    /// is recorded as [`ValidationError::DuplicateLabel`] for
+    /// [`build`](Self::build).
+    pub fn event_with(&mut self, label: Label<'_>, kind: EventKind) -> EventId {
+        let (id, taken) = self.labels.push(label);
+        if taken.is_some() {
+            self.errors
+                .push(ValidationError::DuplicateLabel(label.to_string()));
+        }
+        self.events.push(EventNode { kind, alive: true });
+        id
+    }
+
+    /// The repetitive event labelled `label` (read leniently, as
+    /// [`event`](Self::event) does), added on first sight: the `.g`
+    /// reader's one lookup per transition token. An existing event of
+    /// that label is returned whatever its kind.
+    pub fn intern(&mut self, label: &str) -> EventId {
+        let (id, fresh) = self.labels.intern(label);
+        if fresh {
+            self.events.push(EventNode {
+                kind: EventKind::Repetitive,
+                alive: true,
+            });
+        }
+        id
+    }
+
+    /// The event added under `label`, if any (the first one, when a
+    /// label was added twice).
+    pub fn event_by_label(&self, label: &str) -> Option<EventId> {
+        self.labels.find(label)
     }
 
     fn push_arc(
@@ -179,20 +178,19 @@ impl SignalGraphBuilder {
         if let Some(e) = self.errors.into_iter().next() {
             return Err(e);
         }
-        let mut graph = DiGraph::with_capacity(self.events.len(), self.arcs.len());
-        for _ in 0..self.events.len() {
-            graph.add_node();
-        }
-        for arc in &self.arcs {
-            graph.add_edge(NodeId(arc.src().0), NodeId(arc.dst().0));
-        }
-        let sg = SignalGraph {
+        let edges = self
+            .arcs
+            .iter()
+            .map(|arc| (NodeId(arc.src().0), NodeId(arc.dst().0)))
+            .collect();
+        let mut sg = SignalGraph {
+            graph: DiGraph::from_edges(self.events.len(), edges),
             events: self.events,
             arcs: self.arcs,
-            graph,
-            by_label: self.by_label,
+            labels: self.labels,
+            order: None,
         };
-        validate::validate(&sg)?;
+        sg.validate()?;
         Ok(sg)
     }
 }

@@ -128,13 +128,92 @@ impl EventLabel {
     pub fn polarity(&self) -> Option<Polarity> {
         self.polarity
     }
+
+    /// This label as a borrowed [`Label`].
+    pub fn as_label(&self) -> Label<'_> {
+        Label::new(&self.signal, self.polarity)
+    }
 }
 
 impl fmt::Display for EventLabel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_label().fmt(f)
+    }
+}
+
+/// A borrowed event label: a signal name plus an optional polarity, as
+/// [`SignalGraph::label`](crate::SignalGraph::label) returns it.
+///
+/// A graph keeps every label's text in one string arena, so a label is a
+/// view into it rather than an owned [`EventLabel`]. It displays as its
+/// `.g` form (`a+`, `req-`, `go`).
+///
+/// # Examples
+///
+/// ```
+/// use tsg_core::event::{Label, Polarity};
+///
+/// let l = Label::new("req", Some(Polarity::Rise));
+/// assert_eq!(l.signal(), "req");
+/// assert_eq!(l.to_string(), "req+");
+/// assert_eq!(Label::lenient("req+"), l);
+/// assert_eq!(Label::lenient("a b+").polarity(), None);
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct Label<'a> {
+    signal: &'a str,
+    polarity: Option<Polarity>,
+}
+
+impl<'a> Label<'a> {
+    /// The label of `signal` with `polarity`.
+    pub fn new(signal: &'a str, polarity: Option<Polarity>) -> Self {
+        Label { signal, polarity }
+    }
+
+    /// The lenient reading of `text` that the builder applies: `a+` and
+    /// `a-` are transitions of `a`; any other text — a bare name, or one
+    /// that [`EventLabel`]'s parser rejects — is a bare label. Either way
+    /// the label displays as `text`.
+    pub fn lenient(text: &'a str) -> Self {
+        let polarity = match text.as_bytes().last() {
+            Some(b'+') => Some(Polarity::Rise),
+            Some(b'-') => Some(Polarity::Fall),
+            _ => None,
+        };
+        let name = &text[..text.len() - usize::from(polarity.is_some())];
+        if polarity.is_none() || name.is_empty() || name.contains(char::is_whitespace) {
+            return Label::new(text, None);
+        }
+        Label::new(name, polarity)
+    }
+
+    /// The signal name.
+    pub fn signal(&self) -> &'a str {
+        self.signal
+    }
+
+    /// The transition polarity, when the label is a signal transition.
+    pub fn polarity(&self) -> Option<Polarity> {
+        self.polarity
+    }
+}
+
+impl fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.signal)?;
         match self.polarity {
-            Some(p) => write!(f, "{}{}", self.signal, p),
-            None => f.write_str(&self.signal),
+            Some(p) => p.fmt(f),
+            None => Ok(()),
+        }
+    }
+}
+
+impl From<Label<'_>> for EventLabel {
+    fn from(l: Label<'_>) -> Self {
+        EventLabel {
+            signal: l.signal.to_owned(),
+            polarity: l.polarity,
         }
     }
 }
@@ -208,6 +287,19 @@ mod tests {
         for s in ["a+", "a-", "go", "x13+"] {
             let l: EventLabel = s.parse().unwrap();
             assert_eq!(l.to_string(), s);
+        }
+    }
+
+    #[test]
+    fn lenient_labels_match_the_parser() {
+        for s in [
+            "a+", "ack-", "go", "x13+", "", "+", "-", "a b+", "é-", "a+b",
+        ] {
+            let l = Label::lenient(s);
+            assert_eq!(l.to_string(), s);
+            let want = s.parse().unwrap_or_else(|_| EventLabel::bare(s));
+            assert_eq!(EventLabel::from(l), want, "{s:?}");
+            assert_eq!(want.as_label(), l);
         }
     }
 

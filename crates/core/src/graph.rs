@@ -1,13 +1,12 @@
 //! The Timed Signal Graph: events, arcs, and structural queries.
 
-use std::collections::HashMap;
-
 use tsg_graph::{DiGraph, EdgeId, NodeId};
 
 use crate::arc::{Arc, ArcId};
 use crate::builder::SignalGraphBuilder;
 use crate::decimal;
-use crate::event::{EventId, EventKind, EventLabel, Polarity};
+use crate::event::{EventId, EventKind, Label, Polarity};
+use crate::label::Labels;
 use crate::validate::ValidationError;
 
 /// A Timed Signal Graph (Sections III.A and III.C of the paper).
@@ -31,6 +30,15 @@ use crate::validate::ValidationError;
 /// * marked arcs connect repetitive events only,
 /// * initial events have no causes.
 ///
+/// The graph is stored flat. Every label's text lives in one string
+/// arena with one hash index over it; arcs are one array; in- and
+/// out-arcs are the compressed-sparse-row arrays of a [`DiGraph`]. A
+/// graph of any size is a dozen allocations, so cloning and dropping it
+/// cost a few copies and frees. Structural edits
+/// ([`add_arc`](Self::add_arc), [`remove_arc`](Self::remove_arc),
+/// [`add_event`](Self::add_event), [`remove_event`](Self::remove_event))
+/// cost `O(n + m)` each.
+///
 /// # Examples
 ///
 /// Build the two-event oscillator `x+ ⇄ x-` with unit delays:
@@ -53,12 +61,15 @@ pub struct SignalGraph {
     pub(crate) events: Vec<EventNode>,
     pub(crate) arcs: Vec<Arc>,
     pub(crate) graph: DiGraph,
-    pub(crate) by_label: HashMap<String, EventId>,
+    pub(crate) labels: Labels,
+    /// The repetitive events in a topological order of the unmarked
+    /// repetitive subgraph, as the last [`validate`](Self::validate)
+    /// found it; `None` after a structural edit until the next one.
+    pub(crate) order: Option<Vec<EventId>>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct EventNode {
-    pub(crate) label: EventLabel,
     pub(crate) kind: EventKind,
     /// `false` once removed; the slot stays so [`EventId`]s never shift.
     pub(crate) alive: bool,
@@ -150,8 +161,8 @@ impl SignalGraph {
     /// # Panics
     ///
     /// Panics if `e` is not an event of this graph.
-    pub fn label(&self, e: EventId) -> &EventLabel {
-        &self.events[e.index()].label
+    pub fn label(&self, e: EventId) -> Label<'_> {
+        self.labels.get(e.index())
     }
 
     /// The kind of `e`.
@@ -173,7 +184,7 @@ impl SignalGraph {
 
     /// Looks up an event by its display label (e.g. `"a+"`).
     pub fn event_by_label(&self, label: &str) -> Option<EventId> {
-        self.by_label.get(label).copied()
+        self.labels.find(label)
     }
 
     /// Iterator over all event ids in insertion order.
@@ -252,21 +263,16 @@ impl SignalGraph {
     /// already carries the label (labels of removed events are
     /// reusable).
     pub fn add_event(&mut self, label: &str) -> Result<EventId, ValidationError> {
-        let parsed: EventLabel = label
-            .parse()
-            .unwrap_or_else(|_| EventLabel::bare(label.to_owned()));
-        let key = parsed.to_string();
-        if self.by_label.contains_key(&key) {
-            return Err(ValidationError::DuplicateLabel(key));
+        let (id, fresh) = self.labels.intern(label);
+        if !fresh {
+            return Err(ValidationError::DuplicateLabel(label.to_owned()));
         }
-        let id = EventId(self.events.len() as u32);
-        self.by_label.insert(key, id);
         self.events.push(EventNode {
-            label: parsed,
             kind: EventKind::Repetitive,
             alive: true,
         });
         self.graph.add_node();
+        self.order = None;
         Ok(id)
     }
 
@@ -286,12 +292,9 @@ impl SignalGraph {
         if self.in_arcs(e).next().is_some() || self.out_arcs(e).next().is_some() {
             return Err(ValidationError::EventHasArcs(e));
         }
-        let node = &mut self.events[e.index()];
-        node.alive = false;
-        let key = node.label.to_string();
-        if self.by_label.get(&key) == Some(&e) {
-            self.by_label.remove(&key);
-        }
+        self.events[e.index()].alive = false;
+        self.labels.unindex(e);
+        self.order = None;
         Ok(())
     }
 
@@ -343,6 +346,7 @@ impl SignalGraph {
         let id = ArcId(self.arcs.len() as u32);
         self.arcs.push(Arc::new(src, dst, delay, marked, false));
         self.graph.add_edge(NodeId(src.0), NodeId(dst.0));
+        self.order = None;
         Ok(id)
     }
 
@@ -362,6 +366,7 @@ impl SignalGraph {
         }
         self.graph.remove_edge(EdgeId(a.0));
         self.arcs[a.index()].kill();
+        self.order = None;
         Ok(())
     }
 
@@ -369,13 +374,27 @@ impl SignalGraph {
     /// tombstones — the batch-level gate after a sequence of
     /// [`add_arc`](Self::add_arc)/[`remove_arc`](Self::remove_arc)/
     /// [`add_event`](Self::add_event)/[`remove_event`](Self::remove_event)
-    /// mutations.
+    /// mutations. A graph that passes keeps the topological order of
+    /// its unmarked repetitive subgraph that the liveness check computed,
+    /// and every analysis of it reuses that order.
     ///
     /// # Errors
     ///
     /// Returns the first violated rule; see [`crate::validate`].
-    pub fn validate(&self) -> Result<(), ValidationError> {
-        crate::validate::validate(self)
+    pub fn validate(&mut self) -> Result<(), ValidationError> {
+        let mut order = self.order.take().unwrap_or_default();
+        crate::validate::validate(self, &mut order)?;
+        self.order = Some(order);
+        Ok(())
+    }
+
+    /// The repetitive events in a topological order of the unmarked
+    /// repetitive subgraph, as the builder or the last
+    /// [`validate`](Self::validate) computed it; every analysis of the
+    /// graph evaluates events in this order. `None` after a structural
+    /// edit, until the next [`validate`](Self::validate).
+    pub fn topological_order(&self) -> Option<&[EventId]> {
+        self.order.as_deref()
     }
 
     /// The first live arc (in insertion order) leading from `src` to
@@ -452,10 +471,7 @@ impl SignalGraph {
         for (i, &e) in events.iter().enumerate() {
             to_local[e.index()] = i;
         }
-        let mut graph = DiGraph::with_capacity(events.len(), self.arc_count());
-        for _ in 0..events.len() {
-            graph.add_node();
-        }
+        let mut edges = Vec::new();
         let mut arcs = Vec::new();
         for a in self.arc_ids() {
             let arc = self.arc(a);
@@ -464,10 +480,11 @@ impl SignalGraph {
             }
             let (s, d) = (to_local[arc.src().index()], to_local[arc.dst().index()]);
             if s != usize::MAX && d != usize::MAX {
-                graph.add_edge(NodeId(s as u32), NodeId(d as u32));
+                edges.push((NodeId(s as u32), NodeId(d as u32)));
                 arcs.push(a);
             }
         }
+        let graph = DiGraph::from_edges(events.len(), edges);
         RepetitiveView {
             graph,
             events,
@@ -494,7 +511,7 @@ impl SignalGraph {
 }
 
 /// Appends `label` as its `Display` would.
-fn push_label(out: &mut String, label: &EventLabel) {
+fn push_label(out: &mut String, label: Label<'_>) {
     out.push_str(label.signal());
     match label.polarity() {
         Some(Polarity::Rise) => out.push('+'),

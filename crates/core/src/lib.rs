@@ -47,6 +47,7 @@ pub mod decimal;
 pub mod dot;
 pub mod event;
 pub mod graph;
+mod label;
 pub mod marking;
 pub mod spec;
 pub mod time;
@@ -55,7 +56,7 @@ pub mod validate;
 
 pub use arc::{Arc, ArcId};
 pub use builder::SignalGraphBuilder;
-pub use event::{EventId, EventKind, EventLabel, Polarity};
+pub use event::{EventId, EventKind, EventLabel, Label, Polarity};
 pub use graph::{SignalGraph, TimedSignalGraph};
 pub use time::{Delay, Ratio};
 pub use validate::ValidationError;

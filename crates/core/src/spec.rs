@@ -117,7 +117,7 @@ impl SignalGraphSpec {
                 .label
                 .parse()
                 .unwrap_or_else(|_| crate::event::EventLabel::bare(e.label.clone()));
-            ids.push(b.event_with(label, e.kind.into()));
+            ids.push(b.event_with(label.as_label(), e.kind.into()));
         }
         for a in &self.arcs {
             let (Some(&s), Some(&d)) = (ids.get(a.src as usize), ids.get(a.dst as usize)) else {

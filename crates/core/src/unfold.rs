@@ -87,55 +87,45 @@ impl Unfolding {
         assert!(periods >= 1, "unfolding needs at least one period");
         let mut instances = Vec::new();
         let mut lookup = HashMap::new();
-        let mut graph = DiGraph::new();
+        let mut edges = Vec::new();
         let mut origin_arc = Vec::new();
 
-        let add = |event: EventId,
-                   index: u32,
-                   instances: &mut Vec<Instance>,
-                   lookup: &mut HashMap<(EventId, u32), InstId>,
-                   graph: &mut DiGraph| {
+        let mut add = |event: EventId, index: u32| {
             let id = InstId(instances.len() as u32);
             instances.push(Instance { event, index });
             lookup.insert((event, index), id);
-            graph.add_node();
-            id
         };
-
         for e in sg.prefix_events() {
-            add(e, 0, &mut instances, &mut lookup, &mut graph);
+            add(e, 0);
         }
         for p in 0..periods {
             for e in sg.repetitive_events() {
-                add(e, p, &mut instances, &mut lookup, &mut graph);
+                add(e, p);
             }
         }
 
+        let mut link = |u: EventId, p: u32, v: EventId, q: u32, a: ArcId| {
+            let (s, d) = (lookup[&(u, p)], lookup[&(v, q)]);
+            edges.push((NodeId(s.0), NodeId(d.0)));
+            origin_arc.push(a);
+        };
         for a in sg.arc_ids() {
             let arc = sg.arc(a);
             let (u, v) = (arc.src(), arc.dst());
             if arc.is_disengageable() || (!sg.is_repetitive(u) && !sg.is_repetitive(v)) {
                 // one arc, in period 0
-                let s = lookup[&(u, 0)];
-                let d = lookup[&(v, 0)];
-                graph.add_edge(NodeId(s.0), NodeId(d.0));
-                origin_arc.push(a);
+                link(u, 0, v, 0, a);
             } else if arc.is_marked() {
                 for p in 0..periods.saturating_sub(1) {
-                    let s = lookup[&(u, p)];
-                    let d = lookup[&(v, p + 1)];
-                    graph.add_edge(NodeId(s.0), NodeId(d.0));
-                    origin_arc.push(a);
+                    link(u, p, v, p + 1, a);
                 }
             } else {
                 for p in 0..periods {
-                    let s = lookup[&(u, p)];
-                    let d = lookup[&(v, p)];
-                    graph.add_edge(NodeId(s.0), NodeId(d.0));
-                    origin_arc.push(a);
+                    link(u, p, v, p, a);
                 }
             }
         }
+        let graph = DiGraph::from_edges(instances.len(), edges);
 
         Unfolding {
             instances,

@@ -29,8 +29,8 @@
 use std::fmt;
 
 use tsg_graph::topo;
-use tsg_graph::{DiGraph, NodeId};
 
+use crate::arc::ArcId;
 use crate::event::{EventId, EventKind};
 use crate::graph::SignalGraph;
 use crate::time::InvalidDelay;
@@ -146,11 +146,13 @@ impl std::error::Error for ValidationError {
     }
 }
 
-/// Checks all structural rules; called by the builder.
-pub(crate) fn validate(sg: &SignalGraph) -> Result<(), ValidationError> {
+/// Checks all structural rules; called by the builder and
+/// [`SignalGraph::validate`]. Fills `order` with the topological order of
+/// the unmarked repetitive subgraph that the liveness check computes.
+pub(crate) fn validate(sg: &SignalGraph, order: &mut Vec<EventId>) -> Result<(), ValidationError> {
     check_event_rules(sg)?;
     check_arc_rules(sg)?;
-    check_liveness(sg)?;
+    unmarked_order(sg, order).map_err(|events| ValidationError::TokenFreeCycle { events })?;
     check_connectivity(sg)?;
     check_prefix_acyclic(sg)?;
     Ok(())
@@ -203,50 +205,88 @@ fn check_arc_rules(sg: &SignalGraph) -> Result<(), ValidationError> {
     Ok(())
 }
 
-fn check_liveness(sg: &SignalGraph) -> Result<(), ValidationError> {
-    // The unmarked repetitive subgraph must be acyclic.
-    let res = topo::topological_order_masked(sg.digraph(), |e| {
-        let arc = sg.arc(crate::arc::ArcId(e.0));
-        sg.is_repetitive(arc.src()) && sg.is_repetitive(arc.dst()) && !arc.is_marked()
-    });
-    match res {
-        Ok(_) => Ok(()),
-        Err(cyc) => Err(ValidationError::TokenFreeCycle {
-            events: cyc.remaining.into_iter().map(|n| EventId(n.0)).collect(),
-        }),
-    }
-}
-
-fn check_connectivity(sg: &SignalGraph) -> Result<(), ValidationError> {
-    let rep: Vec<EventId> = sg.repetitive_events().collect();
-    if rep.is_empty() {
-        return Ok(()); // purely acyclic (PERT-style) graph is allowed
-    }
-    // Build the induced repetitive subgraph and check strong connectivity.
-    let mut sub = DiGraph::with_capacity(rep.len(), sg.arc_count());
-    let mut map = vec![usize::MAX; sg.event_count()];
-    for (i, &e) in rep.iter().enumerate() {
-        map[e.index()] = i;
-        sub.add_node();
-    }
-    let mut has_self_arc = false;
-    for id in sg.arc_ids() {
-        let arc = sg.arc(id);
-        if !arc.is_alive() {
-            continue;
+/// Kahn's algorithm on the unmarked repetitive subgraph: fills `order`
+/// with its repetitive events in topological order, or returns the
+/// events on or downstream of a token-free cycle, in id order.
+///
+/// The ready events form a stack seeded in id order, and each event's
+/// out-arcs are taken in id order; the order therefore equals the
+/// repetitive events of [`topo::topological_order_masked`] over the
+/// whole graph with the same mask.
+pub(crate) fn unmarked_order(
+    sg: &SignalGraph,
+    order: &mut Vec<EventId>,
+) -> Result<(), Vec<EventId>> {
+    let enabled = |a: ArcId| {
+        let arc = sg.arc(a);
+        !arc.is_marked() && sg.is_repetitive(arc.src()) && sg.is_repetitive(arc.dst())
+    };
+    let n = sg.event_count();
+    let mut indeg = vec![0u32; n];
+    let mut ready = Vec::with_capacity(n);
+    for e in sg.repetitive_events() {
+        indeg[e.index()] = sg.in_arcs(e).filter(|&a| enabled(a)).count() as u32;
+        if indeg[e.index()] == 0 {
+            ready.push(e);
         }
-        let (s, d) = (map[arc.src().index()], map[arc.dst().index()]);
-        if s != usize::MAX && d != usize::MAX {
-            sub.add_edge(NodeId(s as u32), NodeId(d as u32));
-            if s == d {
-                has_self_arc = true;
+    }
+    order.clear();
+    order.reserve(n);
+    while let Some(v) = ready.pop() {
+        order.push(v);
+        for a in sg.out_arcs(v).filter(|&a| enabled(a)) {
+            let w = sg.arc(a).dst();
+            indeg[w.index()] -= 1;
+            if indeg[w.index()] == 0 {
+                ready.push(w);
             }
         }
     }
-    let connected = if rep.len() == 1 {
-        has_self_arc
+    if order.len() == sg.repetitive_count() {
+        Ok(())
     } else {
-        sub.is_strongly_connected()
+        Err(sg
+            .repetitive_events()
+            .filter(|e| indeg[e.index()] > 0)
+            .collect())
+    }
+}
+
+/// The repetitive subgraph must be strongly connected: a forward and a
+/// backward search from one repetitive event reach every other. A lone
+/// repetitive event needs a self-arc.
+fn check_connectivity(sg: &SignalGraph) -> Result<(), ValidationError> {
+    let Some(root) = sg.repetitive_events().next() else {
+        return Ok(()); // purely acyclic (PERT-style) graph is allowed
+    };
+    let total = sg.repetitive_count();
+    let connected = if total == 1 {
+        sg.out_arcs(root).any(|a| sg.arc(a).dst() == root)
+    } else {
+        let mut seen = vec![false; sg.event_count()];
+        let mut stack = Vec::with_capacity(sg.event_count());
+        let mut reaches_all = |forward: bool| {
+            seen.fill(false);
+            seen[root.index()] = true;
+            stack.push(root);
+            let mut reached = 1;
+            while let Some(v) = stack.pop() {
+                let mut visit = |w: EventId| {
+                    if sg.is_repetitive(w) && !seen[w.index()] {
+                        seen[w.index()] = true;
+                        reached += 1;
+                        stack.push(w);
+                    }
+                };
+                if forward {
+                    sg.out_arcs(v).for_each(|a| visit(sg.arc(a).dst()));
+                } else {
+                    sg.in_arcs(v).for_each(|a| visit(sg.arc(a).src()));
+                }
+            }
+            reached == total
+        };
+        reaches_all(true) && reaches_all(false)
     };
     if connected {
         Ok(())
@@ -256,8 +296,11 @@ fn check_connectivity(sg: &SignalGraph) -> Result<(), ValidationError> {
 }
 
 fn check_prefix_acyclic(sg: &SignalGraph) -> Result<(), ValidationError> {
+    if sg.prefix_events().next().is_none() {
+        return Ok(());
+    }
     let res = topo::topological_order_masked(sg.digraph(), |e| {
-        let arc = sg.arc(crate::arc::ArcId(e.0));
+        let arc = sg.arc(ArcId(e.0));
         !sg.is_repetitive(arc.src()) && !sg.is_repetitive(arc.dst())
     });
     res.map(|_| ()).map_err(|_| ValidationError::CyclicPrefix)

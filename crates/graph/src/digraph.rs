@@ -42,16 +42,30 @@ impl fmt::Display for EdgeId {
     }
 }
 
-/// A directed multigraph stored as edge lists plus per-node adjacency.
+/// A directed multigraph stored as an edge list plus compressed sparse
+/// row (CSR) adjacency: the out-edges of every node sit in one array,
+/// node `n`'s slice starting at an offset, and the in-edges likewise.
 ///
 /// Parallel edges and self-loops are permitted (Timed Signal Graphs use
 /// self-loops for single-signal oscillators and parallel arcs for
 /// distinct-delay constraints between the same pair of events).
 ///
+/// Bulk construction goes through [`from_edges`](Self::from_edges), one
+/// counting pass in `O(n + m)`. The incremental
+/// [`add_node`](Self::add_node) is `O(1)`;
+/// [`add_edge`](Self::add_edge) and [`remove_edge`](Self::remove_edge)
+/// shift the flat arrays and cost `O(n + m)` each. Each node's edges are
+/// always listed in ascending id order, which is insertion order.
+/// Cloning and dropping a graph is a handful of flat copies and frees.
+///
 /// # Examples
 ///
 /// ```
-/// use tsg_graph::DiGraph;
+/// use tsg_graph::{DiGraph, NodeId};
+///
+/// let g = DiGraph::from_edges(2, vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))]);
+/// let e = g.out_edges(NodeId(0))[0];
+/// assert_eq!(g.endpoints(e), (NodeId(0), NodeId(1)));
 ///
 /// let mut g = DiGraph::new();
 /// let a = g.add_node();
@@ -61,11 +75,48 @@ impl fmt::Display for EdgeId {
 /// assert_eq!(g.dst(e), b);
 /// assert_eq!(g.out_edges(a), &[e]);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiGraph {
     edges: Vec<(NodeId, NodeId)>,
-    out: Vec<Vec<EdgeId>>,
-    inn: Vec<Vec<EdgeId>>,
+    /// Out-edges of node `v` are `out[out_start[v]..out_start[v + 1]]`.
+    out_start: Vec<u32>,
+    out: Vec<EdgeId>,
+    /// In-edges of node `v` are `inn[in_start[v]..in_start[v + 1]]`.
+    in_start: Vec<u32>,
+    inn: Vec<EdgeId>,
+}
+
+impl Default for DiGraph {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
+}
+
+/// One CSR side: the offsets of `nodes` nodes and the edges grouped by
+/// `key(endpoints)` in ascending edge id.
+fn group(
+    nodes: usize,
+    edges: &[(NodeId, NodeId)],
+    key: impl Fn((NodeId, NodeId)) -> NodeId,
+) -> (Vec<u32>, Vec<EdgeId>) {
+    let mut start = vec![0u32; nodes + 1];
+    for &pair in edges {
+        start[key(pair).index() + 1] += 1;
+    }
+    for v in 0..nodes {
+        start[v + 1] += start[v];
+    }
+    let mut list = vec![EdgeId(0); edges.len()];
+    // `start[v]` serves as node v's fill cursor and ends at the start
+    // of node v + 1; one shift restores the offsets.
+    for (i, &pair) in edges.iter().enumerate() {
+        let slot = &mut start[key(pair).index()];
+        list[*slot as usize] = EdgeId(i as u32);
+        *slot += 1;
+    }
+    start.copy_within(0..nodes, 1);
+    start[0] = 0;
+    (start, list)
 }
 
 impl DiGraph {
@@ -77,42 +128,74 @@ impl DiGraph {
     /// Creates an empty graph with capacity reserved for `nodes` nodes and
     /// `edges` edges.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
+        let mut out_start = Vec::with_capacity(nodes + 1);
+        out_start.push(0);
         Self {
             edges: Vec::with_capacity(edges),
-            out: Vec::with_capacity(nodes),
-            inn: Vec::with_capacity(nodes),
+            in_start: out_start.clone(),
+            out_start,
+            out: Vec::with_capacity(edges),
+            inn: Vec::with_capacity(edges),
         }
     }
 
-    /// Adds a node and returns its id.
+    /// The graph on nodes `0..nodes` whose edge `i` is `edges[i]`, built
+    /// in one counting pass — `O(nodes + edges)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is not below `nodes`, or if there are more
+    /// than `u32::MAX` edges.
+    pub fn from_edges(nodes: usize, edges: Vec<(NodeId, NodeId)>) -> Self {
+        assert!(u32::try_from(edges.len()).is_ok(), "too many edges");
+        assert!(
+            edges
+                .iter()
+                .all(|&(s, d)| s.index() < nodes && d.index() < nodes),
+            "edge endpoint out of bounds"
+        );
+        let (out_start, out) = group(nodes, &edges, |(s, _)| s);
+        let (in_start, inn) = group(nodes, &edges, |(_, d)| d);
+        Self {
+            edges,
+            out_start,
+            out,
+            in_start,
+            inn,
+        }
+    }
+
+    /// Adds a node and returns its id. `O(1)`.
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.out.len() as u32);
-        self.out.push(Vec::new());
-        self.inn.push(Vec::new());
+        let id = NodeId(self.node_count() as u32);
+        self.out_start.push(self.out.len() as u32);
+        self.in_start.push(self.inn.len() as u32);
         id
     }
 
     /// Adds `n` nodes and returns the id of the first one.
     pub fn add_nodes(&mut self, n: usize) -> NodeId {
-        let first = NodeId(self.out.len() as u32);
+        let first = NodeId(self.node_count() as u32);
         for _ in 0..n {
             self.add_node();
         }
         first
     }
 
-    /// Adds a directed edge `src -> dst` and returns its id.
+    /// Adds a directed edge `src -> dst` and returns its id. `O(n + m)`:
+    /// the edge goes last in `src`'s out-slice and `dst`'s in-slice, and
+    /// every later offset shifts by one.
     ///
     /// # Panics
     ///
     /// Panics if `src` or `dst` is not a node of this graph.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> EdgeId {
-        assert!(src.index() < self.out.len(), "src node out of bounds");
-        assert!(dst.index() < self.out.len(), "dst node out of bounds");
+        assert!(src.index() < self.node_count(), "src node out of bounds");
+        assert!(dst.index() < self.node_count(), "dst node out of bounds");
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push((src, dst));
-        self.out[src.index()].push(id);
-        self.inn[dst.index()].push(id);
+        insert(&mut self.out_start, &mut self.out, src, id);
+        insert(&mut self.in_start, &mut self.inn, dst, id);
         id
     }
 
@@ -126,7 +209,7 @@ impl DiGraph {
     /// longer report `e`. This tombstoning is what keeps dense edge ids
     /// stable across removals; callers that iterate `edge_ids` must
     /// track liveness themselves. Removing an already-detached edge is
-    /// a no-op. `O(degree)`.
+    /// a no-op. `O(n + m)`.
     ///
     /// # Panics
     ///
@@ -134,13 +217,13 @@ impl DiGraph {
     pub fn remove_edge(&mut self, e: EdgeId) {
         assert!(e.index() < self.edges.len(), "edge out of bounds");
         let (s, d) = self.edges[e.index()];
-        self.out[s.index()].retain(|&x| x != e);
-        self.inn[d.index()].retain(|&x| x != e);
+        detach(&mut self.out_start, &mut self.out, s, e);
+        detach(&mut self.in_start, &mut self.inn, d, e);
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.out.len()
+        self.out_start.len() - 1
     }
 
     /// Number of edges.
@@ -169,28 +252,28 @@ impl DiGraph {
     /// Edges leaving `n`, in insertion order.
     #[inline]
     pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.out[n.index()]
+        &self.out[self.out_start[n.index()] as usize..self.out_start[n.index() + 1] as usize]
     }
 
     /// Edges entering `n`, in insertion order.
     #[inline]
     pub fn in_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.inn[n.index()]
+        &self.inn[self.in_start[n.index()] as usize..self.in_start[n.index() + 1] as usize]
     }
 
     /// Out-degree of `n`.
     pub fn out_degree(&self, n: NodeId) -> usize {
-        self.out[n.index()].len()
+        self.out_edges(n).len()
     }
 
     /// In-degree of `n`.
     pub fn in_degree(&self, n: NodeId) -> usize {
-        self.inn[n.index()].len()
+        self.in_edges(n).len()
     }
 
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
-        (0..self.out.len() as u32).map(NodeId)
+        (0..self.node_count() as u32).map(NodeId)
     }
 
     /// Iterator over all edge ids.
@@ -204,6 +287,25 @@ impl DiGraph {
     /// no edges is as well.
     pub fn is_strongly_connected(&self) -> bool {
         self.node_count() <= 1 || crate::scc::tarjan_scc(self).len() == 1
+    }
+}
+
+/// Appends `e` to node `v`'s slice of one CSR side.
+fn insert(start: &mut [u32], list: &mut Vec<EdgeId>, v: NodeId, e: EdgeId) {
+    list.insert(start[v.index() + 1] as usize, e);
+    for offset in &mut start[v.index() + 1..] {
+        *offset += 1;
+    }
+}
+
+/// Removes `e` from node `v`'s slice of one CSR side, if it is there.
+fn detach(start: &mut [u32], list: &mut Vec<EdgeId>, v: NodeId, e: EdgeId) {
+    let (lo, hi) = (start[v.index()] as usize, start[v.index() + 1] as usize);
+    if let Some(at) = list[lo..hi].iter().position(|&x| x == e) {
+        list.remove(lo + at);
+        for offset in &mut start[v.index() + 1..] {
+            *offset -= 1;
+        }
     }
 }
 
@@ -247,6 +349,38 @@ mod tests {
         assert_eq!(g.out_degree(a), 3);
         assert_eq!(g.in_degree(a), 1);
         assert_eq!(g.src(e3), g.dst(e3));
+    }
+
+    #[test]
+    fn from_edges_equals_incremental_construction() {
+        let pairs = [(0, 1), (2, 0), (0, 1), (1, 1), (3, 2), (0, 3), (2, 0)];
+        let mut inc = DiGraph::new();
+        inc.add_nodes(5);
+        for &(s, d) in &pairs {
+            inc.add_edge(NodeId(s), NodeId(d));
+        }
+        let edges = pairs.iter().map(|&(s, d)| (NodeId(s), NodeId(d))).collect();
+        let bulk = DiGraph::from_edges(5, edges);
+        assert_eq!(bulk, inc);
+        assert_eq!(
+            bulk.out_edges(NodeId(0)),
+            &[EdgeId(0), EdgeId(2), EdgeId(5)]
+        );
+        assert_eq!(bulk.in_edges(NodeId(0)), &[EdgeId(1), EdgeId(6)]);
+        assert!(bulk.out_edges(NodeId(4)).is_empty());
+        // Removing and re-adding keeps every slice in ascending id order.
+        let mut g = bulk.clone();
+        g.remove_edge(EdgeId(2));
+        let e = g.add_edge(NodeId(0), NodeId(4));
+        assert_eq!(g.out_edges(NodeId(0)), &[EdgeId(0), EdgeId(5), e]);
+        assert_eq!(g.in_edges(NodeId(1)), &[EdgeId(0), EdgeId(3)]);
+        assert_eq!(g.in_edges(NodeId(4)), &[e]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn from_edges_rejects_a_dangling_endpoint() {
+        DiGraph::from_edges(1, vec![(NodeId(0), NodeId(1))]);
     }
 
     #[test]

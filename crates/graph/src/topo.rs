@@ -53,65 +53,20 @@ pub fn topological_order(g: &DiGraph) -> Result<Vec<NodeId>, CycleDetected> {
 /// of a live Signal Graph must be acyclic, and its topological order defines
 /// the within-period evaluation order.
 ///
-/// # Errors
-///
-/// Returns [`CycleDetected`] when the masked subgraph has a directed cycle.
-pub fn topological_order_masked(
-    g: &DiGraph,
-    edge_enabled: impl FnMut(EdgeId) -> bool,
-) -> Result<Vec<NodeId>, CycleDetected> {
-    let mut order = Vec::new();
-    topological_order_masked_into(g, edge_enabled, &mut TopoScratch::new(), &mut order)?;
-    Ok(order)
-}
-
-/// Reusable working buffers of [`topological_order_masked_into`]: a
-/// caller re-running Kahn's algorithm per analysis (the cycle-time
-/// engine rebuilds its evaluation structure for every graph it
-/// analyses) keeps one of these warm instead of allocating the
-/// in-degree/enabled/queue vectors each time.
-#[derive(Clone, Debug, Default)]
-pub struct TopoScratch {
-    indeg: Vec<usize>,
-    enabled: Vec<bool>,
-    queue: Vec<NodeId>,
-}
-
-impl TopoScratch {
-    /// Empty scratch; the first run sizes it.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Buffer-reusing form of [`topological_order_masked`]: clears `order`
-/// and fills it in place, with all working state in `scratch` — no
-/// allocation once both have warmed to the graph's size.
-///
 /// Only edges still attached to the adjacency lists count: an edge
 /// detached by [`DiGraph::remove_edge`] is never offered to
 /// `edge_enabled`, so callers need not mask tombstones out.
 ///
 /// # Errors
 ///
-/// Returns [`CycleDetected`] when the masked subgraph has a directed
-/// cycle (`order` is left holding the partial order).
-pub fn topological_order_masked_into(
+/// Returns [`CycleDetected`] when the masked subgraph has a directed cycle.
+pub fn topological_order_masked(
     g: &DiGraph,
     mut edge_enabled: impl FnMut(EdgeId) -> bool,
-    scratch: &mut TopoScratch,
-    order: &mut Vec<NodeId>,
-) -> Result<(), CycleDetected> {
+) -> Result<Vec<NodeId>, CycleDetected> {
     let n = g.node_count();
-    let TopoScratch {
-        indeg,
-        enabled,
-        queue,
-    } = scratch;
-    indeg.clear();
-    indeg.resize(n, 0);
-    enabled.clear();
-    enabled.resize(g.edge_count(), false);
+    let mut indeg = vec![0usize; n];
+    let mut enabled = vec![false; g.edge_count()];
     for v in g.nodes() {
         for &e in g.out_edges(v) {
             if edge_enabled(e) {
@@ -120,10 +75,8 @@ pub fn topological_order_masked_into(
             }
         }
     }
-    queue.clear();
-    queue.extend(g.nodes().filter(|v| indeg[v.index()] == 0));
-    order.clear();
-    order.reserve(n);
+    let mut queue: Vec<NodeId> = g.nodes().filter(|v| indeg[v.index()] == 0).collect();
+    let mut order = Vec::with_capacity(n);
     while let Some(v) = queue.pop() {
         order.push(v);
         for &e in g.out_edges(v) {
@@ -138,10 +91,10 @@ pub fn topological_order_masked_into(
         }
     }
     if order.len() == n {
-        Ok(())
+        Ok(order)
     } else {
         let mut seen = vec![false; n];
-        for &v in order.iter() {
+        for &v in &order {
             seen[v.index()] = true;
         }
         Err(CycleDetected {

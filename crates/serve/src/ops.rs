@@ -525,14 +525,14 @@ pub fn load(file: &str, text: &str, default_delay: f64) -> Result<SignalGraph, S
 }
 
 /// The analysis failures that abort a report instead of rendering
-/// inline: a fired cancel token, a cycle length that overflows, and an
-/// overflowing scenario delay.
+/// inline: a fired cancel token, a cycle length that overflows, an
+/// overflowing scenario delay, and an analysis over the cell budget.
 fn report_abort(err: &AnalysisError) -> Option<OpError> {
     match err {
         AnalysisError::Cancelled { .. } => Some(err.clone().into()),
-        AnalysisError::NonFiniteCycleLength { .. } | AnalysisError::ScenarioDelay { .. } => {
-            Some(OpError::Msg(format!("analysis failed: {err}")))
-        }
+        AnalysisError::NonFiniteCycleLength { .. }
+        | AnalysisError::ScenarioDelay { .. }
+        | AnalysisError::TooLarge { .. } => Some(OpError::Msg(format!("analysis failed: {err}"))),
         _ => None,
     }
 }

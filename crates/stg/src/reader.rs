@@ -81,89 +81,47 @@ fn syntax(line: usize, message: impl Into<String>) -> StgError {
     }
 }
 
-/// Normalises an STG transition token (`a+`, `req-`, `a+/1`) into `out`
-/// as the event label used by `tsg-core` (`a+`, `req-`, `a#1+`), reusing
-/// `out`'s buffer.
-///
-/// Returns `false` (with `out` unspecified) for tokens that are not
-/// signal transitions.
-fn normalize(token: &str, out: &mut String) -> bool {
-    let (stem, index) = match token.split_once('/') {
-        Some((s, i)) => {
+/// The event label of STG transition token `token` (`a+`, `req-`,
+/// `a+/1`) as `tsg-core` names it (`a+`, `req-`, `a#1+`): the token
+/// itself, or for an indexed token the label written into `buf`. `None`
+/// for tokens that are not signal transitions.
+fn transition<'t>(token: &'t str, buf: &'t mut String) -> Option<&'t str> {
+    let (stem, index) = match token.bytes().position(|b| b == b'/') {
+        Some(at) => {
+            let i = &token[at + 1..];
             if i.parse::<u32>().is_err() {
-                return false;
+                return None;
             }
-            (s, Some(i))
+            (&token[..at], Some(i))
         }
         None => (token, None),
     };
-    let (name, pol) = match (stem.strip_suffix('+'), stem.strip_suffix('-')) {
-        (Some(name), _) => (name, '+'),
-        (None, Some(name)) => (name, '-'),
-        (None, None) => return false,
-    };
+    let name = stem.strip_suffix(['+', '-'])?;
     if name.is_empty() {
-        return false;
+        return None;
     }
-    out.clear();
-    out.push_str(name);
-    if let Some(i) = index {
-        out.push('#');
-        out.push_str(i);
-    }
-    out.push(pol);
-    true
+    let Some(i) = index else {
+        return Some(token);
+    };
+    buf.clear();
+    buf.push_str(name);
+    buf.push('#');
+    buf.push_str(i);
+    buf.push_str(&stem[name.len()..]);
+    Some(buf)
 }
 
-/// The normalised label of a token already known to be a transition;
-/// for error messages only.
+/// The label of a token already known to be a transition; for error
+/// messages only.
 fn label_of(token: &str) -> String {
-    let mut out = String::new();
-    normalize(token, &mut out);
-    out
-}
-
-/// Transition labels interned as dense ids in first-seen order, with one
-/// reused normalisation buffer: looking up a known label allocates
-/// nothing.
-#[derive(Default)]
-struct Transitions {
-    ids: HashMap<String, u32>,
-    buf: String,
-}
-
-impl Transitions {
-    /// The id of `token`'s label: `None` when `token` is not a signal
-    /// transition, `Some(None)` when its label has not been seen.
-    fn lookup(&mut self, token: &str) -> Option<Option<u32>> {
-        normalize(token, &mut self.buf).then(|| self.ids.get(self.buf.as_str()).copied())
-    }
-
-    /// The id of `token`'s label, assigning the next one on first sight;
-    /// `None` when `token` is not a signal transition.
-    fn intern(&mut self, token: &str) -> Option<u32> {
-        let known = self.lookup(token)?;
-        Some(known.unwrap_or_else(|| {
-            let id = self.ids.len() as u32;
-            self.ids.insert(self.buf.clone(), id);
-            id
-        }))
-    }
-
-    /// The labels indexed by id.
-    fn into_labels(self) -> Vec<String> {
-        let mut labels = vec![String::new(); self.ids.len()];
-        for (label, id) in self.ids {
-            labels[id as usize] = label;
-        }
-        labels
-    }
+    let mut buf = String::new();
+    transition(token, &mut buf).unwrap_or("").to_owned()
 }
 
 /// One declared arc.
 struct ArcSpec {
-    src: u32,
-    dst: u32,
+    src: EventId,
+    dst: EventId,
     delay: Option<f64>,
     marked: bool,
     /// The next declared arc of the same pair ([`NO_ARC`] at the last).
@@ -173,8 +131,8 @@ struct ArcSpec {
 /// End of a pair's chain of parallel arcs.
 const NO_ARC: u32 = u32::MAX;
 
-/// Where the next `.delay` and the next `.marking` entry of a pair of
-/// parallel arcs bind, and the pair's last declared arc.
+/// Where the next `.delay` and the next `.marking` entry of a pair
+/// bind, and the pair's last declared arc.
 struct Cursors {
     delay: u32,
     mark: u32,
@@ -182,30 +140,29 @@ struct Cursors {
 }
 
 /// The declared arcs, and how `.marking` / `.delay` entries find them.
-#[derive(Default)]
 struct Arcs {
     specs: Vec<ArcSpec>,
-    /// `(src, dst)` → the pair's first declared arc, and whether the
-    /// pair was declared more than once.
-    first: HashMap<(u32, u32), (u32, bool)>,
-    /// The cursors of each pair declared more than once; pairs without
-    /// parallel arcs — nearly all — have none.
-    parallel: HashMap<(u32, u32), Cursors>,
+    /// `(src, dst)` → the pair's cursors.
+    pairs: HashMap<(EventId, EventId), Cursors>,
 }
 
 impl Arcs {
+    fn with_capacity(arcs: usize) -> Self {
+        Arcs {
+            specs: Vec::with_capacity(arcs),
+            pairs: HashMap::with_capacity(arcs),
+        }
+    }
+
     /// Declares the next arc `src -> dst`.
-    fn declare(&mut self, src: u32, dst: u32) {
+    fn declare(&mut self, src: EventId, dst: EventId) {
         let id = self.specs.len() as u32;
-        let first = self.first.entry((src, dst)).or_insert((id, false));
-        if first.0 != id {
-            first.1 = true;
-            let f = first.0;
-            let pair = self.parallel.entry((src, dst)).or_insert(Cursors {
-                delay: f,
-                mark: f,
-                last: f,
-            });
+        let pair = self.pairs.entry((src, dst)).or_insert(Cursors {
+            delay: id,
+            mark: id,
+            last: id,
+        });
+        if pair.last != id {
             self.specs[pair.last as usize].next = id;
             pair.last = id;
         }
@@ -227,40 +184,127 @@ impl Arcs {
     fn bind(
         &mut self,
         delay: bool,
-        (src, dst): (Option<u32>, Option<u32>),
+        (src, dst): (Option<EventId>, Option<EventId>),
         s: &str,
         d: &str,
     ) -> Result<&mut ArcSpec, StgError> {
-        let key = src.zip(dst);
-        let &(first, parallel) =
-            key.and_then(|key| self.first.get(&key))
-                .ok_or_else(|| StgError::UnknownArc {
-                    src: label_of(s),
-                    dst: label_of(d),
-                })?;
-        let mut arc = first;
-        if parallel {
-            let pair = key.and_then(|key| self.parallel.get_mut(&key));
-            let pair = pair.expect("a pair declared twice has cursors");
-            let at = if delay {
-                &mut pair.delay
-            } else {
-                &mut pair.mark
-            };
-            arc = *at;
-            let next = self.specs[arc as usize].next;
-            if next != NO_ARC {
-                *at = next;
-            }
+        let pair = src
+            .zip(dst)
+            .and_then(|key| self.pairs.get_mut(&key))
+            .ok_or_else(|| StgError::UnknownArc {
+                src: label_of(s),
+                dst: label_of(d),
+            })?;
+        let at = if delay {
+            &mut pair.delay
+        } else {
+            &mut pair.mark
+        };
+        let arc = *at as usize;
+        if self.specs[arc].next != NO_ARC {
+            *at = self.specs[arc].next;
         }
-        Ok(&mut self.specs[arc as usize])
+        Ok(&mut self.specs[arc])
     }
+}
+
+/// The line with its `#` comment cut off and its ends trimmed.
+fn content(raw: &str) -> &str {
+    let end = raw.bytes().position(|b| b == b'#').unwrap_or(raw.len());
+    raw[..end].trim()
+}
+
+/// `char::is_whitespace` of an ASCII byte.
+fn is_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// The whitespace-separated words of a line up to its `#` comment —
+/// `content(raw).split_whitespace()`. In an ASCII text (nearly every
+/// `.g` file) the words are found in one scan of the line's bytes.
+enum Words<'a> {
+    Ascii(&'a str),
+    Unicode(std::str::SplitWhitespace<'a>),
+}
+
+/// The [`Words`] of line `raw` of a text that is all ASCII when `ascii`.
+fn words(raw: &str, ascii: bool) -> Words<'_> {
+    if ascii {
+        Words::Ascii(raw)
+    } else {
+        Words::Unicode(content(raw).split_whitespace())
+    }
+}
+
+impl<'a> Iterator for Words<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        match self {
+            Words::Ascii(rest) => {
+                let bytes = rest.as_bytes();
+                let start = bytes.iter().position(|&b| !is_space(b));
+                let Some(start) = start.filter(|&i| bytes[i] != b'#') else {
+                    *rest = "";
+                    return None;
+                };
+                let end = bytes[start..]
+                    .iter()
+                    .position(|&b| is_space(b) || b == b'#')
+                    .map_or(bytes.len(), |len| start + len);
+                let word = &rest[start..end];
+                *rest = &rest[end..];
+                Some(word)
+            }
+            Words::Unicode(split) => split.next(),
+        }
+    }
+}
+
+/// Bounds on the events, the arcs and the label bytes of a `.g` text,
+/// from one scan of its arc lines up to the first `.marking`, `.delay`
+/// or `.end` directive: each event is first named by an arc-line token,
+/// whose label is as long as the token, and each arc-line token after
+/// the first declares one arc.
+///
+/// The bounds size allocations and nothing else. A text that declares
+/// arcs after those directives, or splits a line at non-ASCII
+/// whitespace, still loads; it may only reallocate on the way.
+fn bounds(text: &str) -> (usize, usize, usize) {
+    let (mut tokens, mut arcs, mut bytes) = (0, 0, 0);
+    for line in text.lines() {
+        if let Some(directive) = line.trim_start().strip_prefix('.') {
+            if ["marking", "delay", "end"]
+                .iter()
+                .any(|d| directive.starts_with(d))
+            {
+                break;
+            }
+            continue;
+        }
+        let mut words = content(line).split_ascii_whitespace();
+        let Some(first) = words.next() else {
+            continue;
+        };
+        bytes += first.len();
+        tokens += 1;
+        for word in words {
+            bytes += word.len();
+            tokens += 1;
+            arcs += 1;
+        }
+    }
+    (tokens, arcs, bytes)
 }
 
 /// Parses `.g` text into a validated [`SignalGraph`].
 ///
-/// Loading is linear in the text size: each transition is interned once,
-/// and `.marking` / `.delay` entries find their arc by hashed lookup.
+/// Loading is linear in the text size. A first scan bounds the number
+/// of events, arcs and label bytes, so the graph's flat arrays are
+/// allocated once, whatever the size of the text. The second pass
+/// borrows every token from the text and interns each transition
+/// through the builder's label index; `.marking` / `.delay` entries find
+/// their arc by hashed lookup of the event pair.
 ///
 /// Parallel arcs — one pair `src -> dst` declared more than once — keep
 /// their own data: the k-th `.delay` line of a pair and the k-th
@@ -276,24 +320,33 @@ impl Arcs {
 /// dangling marking/delay references, or structural invalidity of the
 /// resulting graph.
 pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgError> {
-    let mut arcs = Arcs::default();
-    let mut names = Transitions::default();
+    let (events, arc_bound, label_bytes) = bounds(text);
+    let mut b = SignalGraphBuilder::with_capacity(events, arc_bound, label_bytes);
+    let mut arcs = Arcs::with_capacity(arc_bound);
+    let mut buf = String::new();
     let mut in_graph = false;
+
+    let ascii = text.is_ascii();
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+        let mut toks = words(raw, ascii);
+        let Some(first) = toks.next() else {
             continue;
-        }
+        };
         let bad_transition = |tok: &str| syntax(lineno, format!("bad transition {tok:?}"));
-        if let Some(rest) = line.strip_prefix('.') {
-            let mut words = rest.split_whitespace();
-            match words.next() {
+        if let Some(name) = first.strip_prefix('.') {
+            // `.graph` and `. graph` both name the directive `graph`.
+            let name = if name.is_empty() {
+                toks.next()
+            } else {
+                Some(name)
+            };
+            match name {
                 Some("graph") => in_graph = true,
                 Some("end") => in_graph = false,
                 Some("marking") => {
-                    let body = rest
+                    let body = content(raw)[1..]
                         .strip_prefix("marking")
                         .unwrap_or("")
                         .trim()
@@ -307,19 +360,25 @@ pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgErro
                         let (s, d) = tok
                             .split_once(',')
                             .ok_or_else(|| syntax(lineno, format!("bad marking token {tok:?}")))?;
-                        let src = names.lookup(s.trim()).ok_or_else(|| bad_transition(s))?;
-                        let dst = names.lookup(d.trim()).ok_or_else(|| bad_transition(d))?;
+                        let src =
+                            transition(s.trim(), &mut buf).ok_or_else(|| bad_transition(s))?;
+                        let src = b.event_by_label(src);
+                        let dst =
+                            transition(d.trim(), &mut buf).ok_or_else(|| bad_transition(d))?;
+                        let dst = b.event_by_label(dst);
                         arcs.bind(false, (src, dst), s.trim(), d.trim())?.marked = true;
                     }
                 }
                 Some("delay") => {
                     let (Some(s), Some(d), Some(v), None) =
-                        (words.next(), words.next(), words.next(), words.next())
+                        (toks.next(), toks.next(), toks.next(), toks.next())
                     else {
                         return Err(syntax(lineno, "expected `.delay SRC DST VALUE`"));
                     };
-                    let src = names.lookup(s).ok_or_else(|| bad_transition(s))?;
-                    let dst = names.lookup(d).ok_or_else(|| bad_transition(d))?;
+                    let src = transition(s, &mut buf).ok_or_else(|| bad_transition(s))?;
+                    let src = b.event_by_label(src);
+                    let dst = transition(d, &mut buf).ok_or_else(|| bad_transition(d))?;
+                    let dst = b.event_by_label(dst);
                     let value: f64 = v
                         .parse()
                         .map_err(|_| syntax(lineno, format!("bad delay {v:?}")))?;
@@ -343,35 +402,25 @@ pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgErro
         if !in_graph {
             return Err(syntax(lineno, "arc outside .graph section"));
         }
-        let not_transition = |tok: &str| StgError::NotMarkedGraph {
-            line: lineno,
-            token: tok.to_owned(),
+        let mut intern = |tok: &str| match transition(tok, &mut buf) {
+            Some(label) => Ok(b.intern(label)),
+            None => Err(StgError::NotMarkedGraph {
+                line: lineno,
+                token: tok.to_owned(),
+            }),
         };
-        let mut toks = line.split_whitespace();
-        let src_tok = toks.next().expect("non-empty line has a token");
-        let src = names
-            .intern(src_tok)
-            .ok_or_else(|| not_transition(src_tok))?;
+        let src = intern(first)?;
         for dst_tok in toks {
-            let dst = names
-                .intern(dst_tok)
-                .ok_or_else(|| not_transition(dst_tok))?;
-            arcs.declare(src, dst);
+            arcs.declare(src, intern(dst_tok)?);
         }
     }
 
-    let labels = names.into_labels();
-    let mut b = SignalGraphBuilder::with_capacity(labels.len(), arcs.specs.len());
-    for label in &labels {
-        b.event(label);
-    }
     for arc in &arcs.specs {
-        let (s, d) = (EventId(arc.src), EventId(arc.dst));
         let delay = arc.delay.unwrap_or(options.default_delay);
         if arc.marked {
-            b.marked_arc(s, d, delay);
+            b.marked_arc(arc.src, arc.dst, delay);
         } else {
-            b.arc(s, d, delay);
+            b.arc(arc.src, arc.dst, delay);
         }
     }
     b.build().map_err(StgError::Invalid)

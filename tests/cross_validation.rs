@@ -81,7 +81,7 @@ proptest! {
         let mut b = tsg::core::SignalGraph::builder();
         let ids: Vec<_> = sg
             .events()
-            .map(|e| b.event_with(sg.label(e).clone(), sg.kind(e)))
+            .map(|e| b.event_with(sg.label(e), sg.kind(e)))
             .collect();
         for a in sg.arc_ids() {
             let arc = sg.arc(a);
