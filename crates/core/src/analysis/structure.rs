@@ -56,13 +56,13 @@ impl CyclicStructure {
     /// simulations' arg-max comparison sequence) never depends on which
     /// path built the structure.
     pub fn rebuild(&mut self, sg: &SignalGraph) {
+        self.order.clear();
         match &sg.order {
-            Some(order) => {
-                self.order.clear();
-                self.order.extend_from_slice(order);
-            }
-            None => crate::validate::unmarked_order(sg, &mut self.order)
-                .expect("validated unmarked subgraph is acyclic"),
+            Some(order) => self.order.extend_from_slice(order),
+            None => self.order.extend(
+                crate::validate::unmarked_order(sg)
+                    .expect("validated unmarked subgraph is acyclic"),
+            ),
         }
 
         let n = sg.event_count();

@@ -37,7 +37,10 @@ use crate::validate::ValidationError;
 /// cost a few copies and frees. Structural edits
 /// ([`add_arc`](Self::add_arc), [`remove_arc`](Self::remove_arc),
 /// [`add_event`](Self::add_event), [`remove_event`](Self::remove_event))
-/// cost `O(n + m)` each.
+/// cost `O(1)` amortised: an arc edit drops the adjacency, and the next
+/// adjacency query — at the latest [`validate`](Self::validate) —
+/// rebuilds it in `O(n + m)`. A batch of `k` edits then costs
+/// `O(n + m + k)`.
 ///
 /// # Examples
 ///
@@ -289,7 +292,7 @@ impl SignalGraph {
         if !self.is_live_event(e) {
             return Err(ValidationError::UnknownEvent(e));
         }
-        if self.in_arcs(e).next().is_some() || self.out_arcs(e).next().is_some() {
+        if self.graph.degree(NodeId(e.0)) > 0 {
             return Err(ValidationError::EventHasArcs(e));
         }
         self.events[e.index()].alive = false;
@@ -382,9 +385,7 @@ impl SignalGraph {
     ///
     /// Returns the first violated rule; see [`crate::validate`].
     pub fn validate(&mut self) -> Result<(), ValidationError> {
-        let mut order = self.order.take().unwrap_or_default();
-        crate::validate::validate(self, &mut order)?;
-        self.order = Some(order);
+        self.order = Some(crate::validate::validate(self)?);
         Ok(())
     }
 

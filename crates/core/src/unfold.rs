@@ -111,6 +111,9 @@ impl Unfolding {
         };
         for a in sg.arc_ids() {
             let arc = sg.arc(a);
+            if !arc.is_alive() {
+                continue;
+            }
             let (u, v) = (arc.src(), arc.dst());
             if arc.is_disengageable() || (!sg.is_repetitive(u) && !sg.is_repetitive(v)) {
                 // one arc, in period 0
@@ -342,6 +345,30 @@ mod tests {
         // 2 prefix + 6 repetitive * 2 periods
         assert_eq!(u.instance_count(), 14);
         assert_eq!(u.periods(), 2);
+    }
+
+    #[test]
+    fn removed_arcs_and_events_are_not_instantiated() {
+        let mut sg = figure2();
+        let plain = Unfolding::build(&sg, 2);
+        let ap = sg.event_by_label("a+").unwrap();
+        let bp = sg.event_by_label("b+").unwrap();
+        let cp = sg.event_by_label("c+").unwrap();
+        let d = sg.add_event("d+").unwrap();
+        let ad = sg.add_arc(ap, d, 1.0, false).unwrap();
+        let dc = sg.add_arc(d, cp, 1.0, false).unwrap();
+        let ab = sg.add_arc(ap, bp, 1.0, false).unwrap();
+        sg.validate().unwrap();
+        sg.remove_arc(ad).unwrap();
+        sg.remove_arc(dc).unwrap();
+        sg.remove_arc(ab).unwrap();
+        sg.remove_event(d).unwrap();
+        sg.validate().unwrap();
+        let u = Unfolding::build(&sg, 2);
+        assert_eq!(u.digraph().edge_count(), plain.digraph().edge_count());
+        assert_eq!(u.instance(d, 0), None);
+        let (ap0, bp0) = (u.instance(ap, 0).unwrap(), u.instance(bp, 0).unwrap());
+        assert!(u.concurrent(ap0, bp0));
     }
 
     #[test]

@@ -147,15 +147,15 @@ impl std::error::Error for ValidationError {
 }
 
 /// Checks all structural rules; called by the builder and
-/// [`SignalGraph::validate`]. Fills `order` with the topological order of
-/// the unmarked repetitive subgraph that the liveness check computes.
-pub(crate) fn validate(sg: &SignalGraph, order: &mut Vec<EventId>) -> Result<(), ValidationError> {
+/// [`SignalGraph::validate`]. Returns the topological order of the
+/// unmarked repetitive subgraph that the liveness check computes.
+pub(crate) fn validate(sg: &SignalGraph) -> Result<Vec<EventId>, ValidationError> {
     check_event_rules(sg)?;
     check_arc_rules(sg)?;
-    unmarked_order(sg, order).map_err(|events| ValidationError::TokenFreeCycle { events })?;
+    let order = unmarked_order(sg)?;
     check_connectivity(sg)?;
     check_prefix_acyclic(sg)?;
-    Ok(())
+    Ok(order)
 }
 
 fn check_event_rules(sg: &SignalGraph) -> Result<(), ValidationError> {
@@ -205,50 +205,23 @@ fn check_arc_rules(sg: &SignalGraph) -> Result<(), ValidationError> {
     Ok(())
 }
 
-/// Kahn's algorithm on the unmarked repetitive subgraph: fills `order`
-/// with its repetitive events in topological order, or returns the
-/// events on or downstream of a token-free cycle, in id order.
-///
-/// The ready events form a stack seeded in id order, and each event's
-/// out-arcs are taken in id order; the order therefore equals the
-/// repetitive events of [`topo::topological_order_masked`] over the
-/// whole graph with the same mask.
-pub(crate) fn unmarked_order(
-    sg: &SignalGraph,
-    order: &mut Vec<EventId>,
-) -> Result<(), Vec<EventId>> {
-    let enabled = |a: ArcId| {
-        let arc = sg.arc(a);
-        !arc.is_marked() && sg.is_repetitive(arc.src()) && sg.is_repetitive(arc.dst())
-    };
-    let n = sg.event_count();
-    let mut indeg = vec![0u32; n];
-    let mut ready = Vec::with_capacity(n);
-    for e in sg.repetitive_events() {
-        indeg[e.index()] = sg.in_arcs(e).filter(|&a| enabled(a)).count() as u32;
-        if indeg[e.index()] == 0 {
-            ready.push(e);
-        }
-    }
-    order.clear();
-    order.reserve(n);
-    while let Some(v) = ready.pop() {
-        order.push(v);
-        for a in sg.out_arcs(v).filter(|&a| enabled(a)) {
-            let w = sg.arc(a).dst();
-            indeg[w.index()] -= 1;
-            if indeg[w.index()] == 0 {
-                ready.push(w);
-            }
-        }
-    }
-    if order.len() == sg.repetitive_count() {
-        Ok(())
-    } else {
-        Err(sg
-            .repetitive_events()
-            .filter(|e| indeg[e.index()] > 0)
-            .collect())
+/// The repetitive events in a topological order of the unmarked
+/// repetitive subgraph. The subgraph must be acyclic (liveness): a
+/// token-free cycle is reported with the events on or downstream of it.
+pub(crate) fn unmarked_order(sg: &SignalGraph) -> Result<Vec<EventId>, ValidationError> {
+    let res = topo::topological_order_masked(sg.digraph(), |e| {
+        let arc = sg.arc(ArcId(e.0));
+        sg.is_repetitive(arc.src()) && sg.is_repetitive(arc.dst()) && !arc.is_marked()
+    });
+    match res {
+        Ok(order) => Ok(order
+            .into_iter()
+            .map(|n| EventId(n.0))
+            .filter(|&e| sg.is_repetitive(e))
+            .collect()),
+        Err(cyc) => Err(ValidationError::TokenFreeCycle {
+            events: cyc.remaining.into_iter().map(|n| EventId(n.0)).collect(),
+        }),
     }
 }
 

@@ -1,6 +1,7 @@
 //! A compact directed multigraph with stable integer identifiers.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node in a [`DiGraph`].
 ///
@@ -52,11 +53,14 @@ impl fmt::Display for EdgeId {
 ///
 /// Bulk construction goes through [`from_edges`](Self::from_edges), one
 /// counting pass in `O(n + m)`. The incremental
-/// [`add_node`](Self::add_node) is `O(1)`;
-/// [`add_edge`](Self::add_edge) and [`remove_edge`](Self::remove_edge)
-/// shift the flat arrays and cost `O(n + m)` each. Each node's edges are
-/// always listed in ascending id order, which is insertion order.
-/// Cloning and dropping a graph is a handful of flat copies and frees.
+/// [`add_node`](Self::add_node), [`add_edge`](Self::add_edge) and
+/// [`remove_edge`](Self::remove_edge) are `O(1)` amortised: an edge
+/// edit only appends to or marks the edge list and drops the
+/// adjacency, which the next adjacency query rebuilds in one
+/// `O(n + m)` pass. A batch of `k` edge edits followed by queries
+/// therefore costs `O(n + m + k)`. Each node's edges are always listed
+/// in ascending id order, which is insertion order. Cloning and
+/// dropping a graph is a handful of flat copies and frees.
 ///
 /// # Examples
 ///
@@ -75,9 +79,23 @@ impl fmt::Display for EdgeId {
 /// assert_eq!(g.dst(e), b);
 /// assert_eq!(g.out_edges(a), &[e]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct DiGraph {
     edges: Vec<(NodeId, NodeId)>,
+    /// `removed[e]` once edge `e` is detached; edges at or past its
+    /// end are attached.
+    removed: Vec<bool>,
+    /// Attached edge ends at each node, a self-loop counting twice; one
+    /// entry per node.
+    degree: Vec<u32>,
+    /// Adjacency of the attached edges, rebuilt on the first query
+    /// after an edge edit.
+    adjacency: OnceLock<Adjacency>,
+}
+
+/// The two CSR sides of a [`DiGraph`].
+#[derive(Clone, Debug)]
+struct Adjacency {
     /// Out-edges of node `v` are `out[out_start[v]..out_start[v + 1]]`.
     out_start: Vec<u32>,
     out: Vec<EdgeId>,
@@ -86,38 +104,66 @@ pub struct DiGraph {
     inn: Vec<EdgeId>,
 }
 
-impl Default for DiGraph {
-    fn default() -> Self {
-        Self::with_capacity(0, 0)
+impl Adjacency {
+    /// The adjacency of the attached `edges` on `nodes` nodes.
+    fn build(nodes: usize, edges: &[(NodeId, NodeId)], removed: &[bool]) -> Self {
+        let attached = |i: usize| !removed.get(i).copied().unwrap_or(false);
+        let (out_start, out) = group(nodes, edges, attached, |(s, _)| s);
+        let (in_start, inn) = group(nodes, edges, attached, |(_, d)| d);
+        Self {
+            out_start,
+            out,
+            in_start,
+            inn,
+        }
     }
 }
 
-/// One CSR side: the offsets of `nodes` nodes and the edges grouped by
-/// `key(endpoints)` in ascending edge id.
+/// One CSR side: the offsets of `nodes` nodes and the `attached` edges
+/// grouped by `key(endpoints)` in ascending edge id.
 fn group(
     nodes: usize,
     edges: &[(NodeId, NodeId)],
+    attached: impl Fn(usize) -> bool,
     key: impl Fn((NodeId, NodeId)) -> NodeId,
 ) -> (Vec<u32>, Vec<EdgeId>) {
     let mut start = vec![0u32; nodes + 1];
-    for &pair in edges {
-        start[key(pair).index() + 1] += 1;
+    for (i, &pair) in edges.iter().enumerate() {
+        if attached(i) {
+            start[key(pair).index() + 1] += 1;
+        }
     }
     for v in 0..nodes {
         start[v + 1] += start[v];
     }
-    let mut list = vec![EdgeId(0); edges.len()];
+    let mut list = vec![EdgeId(0); start[nodes] as usize];
     // `start[v]` serves as node v's fill cursor and ends at the start
     // of node v + 1; one shift restores the offsets.
     for (i, &pair) in edges.iter().enumerate() {
-        let slot = &mut start[key(pair).index()];
-        list[*slot as usize] = EdgeId(i as u32);
-        *slot += 1;
+        if attached(i) {
+            let slot = &mut start[key(pair).index()];
+            list[*slot as usize] = EdgeId(i as u32);
+            *slot += 1;
+        }
     }
     start.copy_within(0..nodes, 1);
     start[0] = 0;
     (start, list)
 }
+
+impl PartialEq for DiGraph {
+    /// Graphs are equal when they have the same nodes, the same edge
+    /// list and the same edges detached.
+    fn eq(&self, other: &Self) -> bool {
+        self.node_count() == other.node_count()
+            && self.edges == other.edges
+            && self
+                .edge_ids()
+                .all(|e| self.is_attached(e) == other.is_attached(e))
+    }
+}
+
+impl Eq for DiGraph {}
 
 impl DiGraph {
     /// Creates an empty graph.
@@ -128,14 +174,10 @@ impl DiGraph {
     /// Creates an empty graph with capacity reserved for `nodes` nodes and
     /// `edges` edges.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        let mut out_start = Vec::with_capacity(nodes + 1);
-        out_start.push(0);
         Self {
             edges: Vec::with_capacity(edges),
-            in_start: out_start.clone(),
-            out_start,
-            out: Vec::with_capacity(edges),
-            inn: Vec::with_capacity(edges),
+            degree: Vec::with_capacity(nodes),
+            ..Self::default()
         }
     }
 
@@ -154,22 +196,29 @@ impl DiGraph {
                 .all(|&(s, d)| s.index() < nodes && d.index() < nodes),
             "edge endpoint out of bounds"
         );
-        let (out_start, out) = group(nodes, &edges, |(s, _)| s);
-        let (in_start, inn) = group(nodes, &edges, |(_, d)| d);
+        let adjacency = Adjacency::build(nodes, &edges, &[]);
+        let degree = (0..nodes)
+            .map(|v| {
+                adjacency.out_start[v + 1] - adjacency.out_start[v] + adjacency.in_start[v + 1]
+                    - adjacency.in_start[v]
+            })
+            .collect();
         Self {
             edges,
-            out_start,
-            out,
-            in_start,
-            inn,
+            removed: Vec::new(),
+            degree,
+            adjacency: OnceLock::from(adjacency),
         }
     }
 
-    /// Adds a node and returns its id. `O(1)`.
+    /// Adds a node and returns its id. `O(1)` amortised.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.node_count() as u32);
-        self.out_start.push(self.out.len() as u32);
-        self.in_start.push(self.inn.len() as u32);
+        self.degree.push(0);
+        if let Some(adj) = self.adjacency.get_mut() {
+            adj.out_start.push(adj.out.len() as u32);
+            adj.in_start.push(adj.inn.len() as u32);
+        }
         id
     }
 
@@ -182,9 +231,9 @@ impl DiGraph {
         first
     }
 
-    /// Adds a directed edge `src -> dst` and returns its id. `O(n + m)`:
-    /// the edge goes last in `src`'s out-slice and `dst`'s in-slice, and
-    /// every later offset shifts by one.
+    /// Adds a directed edge `src -> dst` and returns its id. `O(1)`
+    /// amortised; the next adjacency query rebuilds the adjacency, with
+    /// the edge last in `src`'s out-slice and `dst`'s in-slice.
     ///
     /// # Panics
     ///
@@ -194,8 +243,9 @@ impl DiGraph {
         assert!(dst.index() < self.node_count(), "dst node out of bounds");
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push((src, dst));
-        insert(&mut self.out_start, &mut self.out, src, id);
-        insert(&mut self.in_start, &mut self.inn, dst, id);
+        self.degree[src.index()] += 1;
+        self.degree[dst.index()] += 1;
+        self.adjacency.take();
         id
     }
 
@@ -209,21 +259,38 @@ impl DiGraph {
     /// longer report `e`. This tombstoning is what keeps dense edge ids
     /// stable across removals; callers that iterate `edge_ids` must
     /// track liveness themselves. Removing an already-detached edge is
-    /// a no-op. `O(n + m)`.
+    /// a no-op. `O(1)` amortised, like [`add_edge`](Self::add_edge).
     ///
     /// # Panics
     ///
     /// Panics if `e` is not an edge of this graph.
     pub fn remove_edge(&mut self, e: EdgeId) {
         assert!(e.index() < self.edges.len(), "edge out of bounds");
+        if !self.is_attached(e) {
+            return;
+        }
+        self.removed.resize(self.edges.len(), false);
+        self.removed[e.index()] = true;
         let (s, d) = self.edges[e.index()];
-        detach(&mut self.out_start, &mut self.out, s, e);
-        detach(&mut self.in_start, &mut self.inn, d, e);
+        self.degree[s.index()] -= 1;
+        self.degree[d.index()] -= 1;
+        self.adjacency.take();
+    }
+
+    /// `true` unless [`remove_edge`](Self::remove_edge) detached `e`.
+    fn is_attached(&self, e: EdgeId) -> bool {
+        !self.removed.get(e.index()).copied().unwrap_or(false)
+    }
+
+    /// The adjacency, rebuilt first if an edge edit dropped it.
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency
+            .get_or_init(|| Adjacency::build(self.node_count(), &self.edges, &self.removed))
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.out_start.len() - 1
+        self.degree.len()
     }
 
     /// Number of edges.
@@ -252,13 +319,15 @@ impl DiGraph {
     /// Edges leaving `n`, in insertion order.
     #[inline]
     pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.out[self.out_start[n.index()] as usize..self.out_start[n.index() + 1] as usize]
+        let adj = self.adjacency();
+        &adj.out[adj.out_start[n.index()] as usize..adj.out_start[n.index() + 1] as usize]
     }
 
     /// Edges entering `n`, in insertion order.
     #[inline]
     pub fn in_edges(&self, n: NodeId) -> &[EdgeId] {
-        &self.inn[self.in_start[n.index()] as usize..self.in_start[n.index() + 1] as usize]
+        let adj = self.adjacency();
+        &adj.inn[adj.in_start[n.index()] as usize..adj.in_start[n.index() + 1] as usize]
     }
 
     /// Out-degree of `n`.
@@ -269,6 +338,12 @@ impl DiGraph {
     /// In-degree of `n`.
     pub fn in_degree(&self, n: NodeId) -> usize {
         self.in_edges(n).len()
+    }
+
+    /// In-degree plus out-degree of `n` (a self-loop counts twice),
+    /// known without rebuilding the adjacency.
+    pub fn degree(&self, n: NodeId) -> usize {
+        self.degree[n.index()] as usize
     }
 
     /// Iterator over all node ids.
@@ -287,25 +362,6 @@ impl DiGraph {
     /// no edges is as well.
     pub fn is_strongly_connected(&self) -> bool {
         self.node_count() <= 1 || crate::scc::tarjan_scc(self).len() == 1
-    }
-}
-
-/// Appends `e` to node `v`'s slice of one CSR side.
-fn insert(start: &mut [u32], list: &mut Vec<EdgeId>, v: NodeId, e: EdgeId) {
-    list.insert(start[v.index() + 1] as usize, e);
-    for offset in &mut start[v.index() + 1..] {
-        *offset += 1;
-    }
-}
-
-/// Removes `e` from node `v`'s slice of one CSR side, if it is there.
-fn detach(start: &mut [u32], list: &mut Vec<EdgeId>, v: NodeId, e: EdgeId) {
-    let (lo, hi) = (start[v.index()] as usize, start[v.index() + 1] as usize);
-    if let Some(at) = list[lo..hi].iter().position(|&x| x == e) {
-        list.remove(lo + at);
-        for offset in &mut start[v.index() + 1..] {
-            *offset -= 1;
-        }
     }
 }
 
@@ -416,9 +472,12 @@ mod tests {
         // Removing again is a no-op.
         g.remove_edge(e1);
         assert_eq!(g.out_edges(a), &[e2]);
+        assert_eq!((g.degree(a), g.degree(b)), (2, 2));
         // A later edge still gets the next dense id.
         let e4 = g.add_edge(a, a);
         assert_eq!(e4, EdgeId(3));
+        assert_eq!(g.degree(a), 4, "a self-loop counts twice");
+        assert_eq!(g.out_edges(a), &[e2, e4]);
     }
 
     #[test]

@@ -170,11 +170,12 @@ mod tests {
     #[test]
     fn deep_path_no_stack_overflow() {
         // 100_000-node path exercises the iterative DFS.
+        let mut g = DiGraph::new();
         let n = 100_000;
-        let path = (0..n as u32 - 1)
-            .map(|i| (NodeId(i), NodeId(i + 1)))
-            .collect();
-        let g = DiGraph::from_edges(n, path);
+        let first = g.add_nodes(n);
+        for i in 0..n - 1 {
+            g.add_edge(NodeId(first.0 + i as u32), NodeId(first.0 + i as u32 + 1));
+        }
         assert_eq!(tarjan_scc(&g).len(), n);
     }
 

@@ -75,7 +75,8 @@ pub fn topological_order_masked(
             }
         }
     }
-    let mut queue: Vec<NodeId> = g.nodes().filter(|v| indeg[v.index()] == 0).collect();
+    let mut queue = Vec::with_capacity(n);
+    queue.extend(g.nodes().filter(|v| indeg[v.index()] == 0));
     let mut order = Vec::with_capacity(n);
     while let Some(v) = queue.pop() {
         order.push(v);

@@ -214,53 +214,6 @@ fn content(raw: &str) -> &str {
     raw[..end].trim()
 }
 
-/// `char::is_whitespace` of an ASCII byte.
-fn is_space(b: u8) -> bool {
-    b == b' ' || (b'\t'..=b'\r').contains(&b)
-}
-
-/// The whitespace-separated words of a line up to its `#` comment —
-/// `content(raw).split_whitespace()`. In an ASCII text (nearly every
-/// `.g` file) the words are found in one scan of the line's bytes.
-enum Words<'a> {
-    Ascii(&'a str),
-    Unicode(std::str::SplitWhitespace<'a>),
-}
-
-/// The [`Words`] of line `raw` of a text that is all ASCII when `ascii`.
-fn words(raw: &str, ascii: bool) -> Words<'_> {
-    if ascii {
-        Words::Ascii(raw)
-    } else {
-        Words::Unicode(content(raw).split_whitespace())
-    }
-}
-
-impl<'a> Iterator for Words<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        match self {
-            Words::Ascii(rest) => {
-                let bytes = rest.as_bytes();
-                let start = bytes.iter().position(|&b| !is_space(b));
-                let Some(start) = start.filter(|&i| bytes[i] != b'#') else {
-                    *rest = "";
-                    return None;
-                };
-                let end = bytes[start..]
-                    .iter()
-                    .position(|&b| is_space(b) || b == b'#')
-                    .map_or(bytes.len(), |len| start + len);
-                let word = &rest[start..end];
-                *rest = &rest[end..];
-                Some(word)
-            }
-            Words::Unicode(split) => split.next(),
-        }
-    }
-}
-
 /// Bounds on the events, the arcs and the label bytes of a `.g` text,
 /// from one scan of its arc lines up to the first `.marking`, `.delay`
 /// or `.end` directive: each event is first named by an arc-line token,
@@ -268,8 +221,8 @@ impl<'a> Iterator for Words<'a> {
 /// the first declares one arc.
 ///
 /// The bounds size allocations and nothing else. A text that declares
-/// arcs after those directives, or splits a line at non-ASCII
-/// whitespace, still loads; it may only reallocate on the way.
+/// arcs after those directives still loads; it may only reallocate on
+/// the way.
 fn bounds(text: &str) -> (usize, usize, usize) {
     let (mut tokens, mut arcs, mut bytes) = (0, 0, 0);
     for line in text.lines() {
@@ -282,7 +235,7 @@ fn bounds(text: &str) -> (usize, usize, usize) {
             }
             continue;
         }
-        let mut words = content(line).split_ascii_whitespace();
+        let mut words = content(line).split_whitespace();
         let Some(first) = words.next() else {
             continue;
         };
@@ -326,11 +279,9 @@ pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgErro
     let mut buf = String::new();
     let mut in_graph = false;
 
-    let ascii = text.is_ascii();
-
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
-        let mut toks = words(raw, ascii);
+        let mut toks = content(raw).split_whitespace();
         let Some(first) = toks.next() else {
             continue;
         };
