@@ -281,17 +281,18 @@ struct CornerRow {
 
 /// The cost of a scenario sweep over the analyses it is made of: `s`
 /// delay scenarios through `CycleTimeAnalysis::run_scenarios_in` (one
-/// analysis per scenario on a graph copy reweighted in place) against
-/// `s` nominal `run_in` calls on the same warm arena. Both arms analyse
-/// the same shape `s` times, so `overhead` (sweep over nominal runs)
-/// is what the copy and the per-scenario reweighting add, plus any
-/// scenario whose winning record spans more periods than the nominal
-/// one (a longer winner re-run). Before timing, every scenario is
+/// structure rebuild, then one analysis per scenario on the scenario's
+/// delays written into it) against `s` nominal `run_in` calls on the
+/// same warm arena. Both arms analyse the same shape `s` times, so
+/// `overhead` (sweep over nominal runs) is what the per-scenario delay
+/// check and write add, plus any scenario whose winning record spans
+/// more periods than the nominal one (a longer winner re-run). Before
+/// timing, every scenario is
 /// asserted bit-identical to a from-scratch scalar analysis of its
 /// reweighted graph.
 fn measure_corner_sweep(reps: usize) -> Vec<CornerRow> {
     // Two small border counts (b = 4 and 8, where the per-scenario
-    // analysis is cheapest and the reweighting weighs most) and the
+    // analysis is cheapest and the delay writes weigh most) and the
     // b = 32 torus.
     let workloads: [(String, SignalGraph); 3] = [
         ("ring n=1024 b=4".to_owned(), tsg_gen::ring(1024, 4, 1.0)),
@@ -335,7 +336,7 @@ fn measure_corner_sweep(reps: usize) -> Vec<CornerRow> {
                     .sum::<usize>()
             });
             let sweep_seconds = time_per_call(reps, || {
-                CycleTimeAnalysis::run_scenarios_in(sg, &set, None, &mut arena, None)
+                CycleTimeAnalysis::run_scenarios_in(sg, &set, &mut arena, None)
                     .expect("live")
                     .len()
             });
@@ -581,8 +582,8 @@ fn measure_lane_chunks(reps: usize) -> Vec<ChunkRow> {
         let set = ScenarioSet::corners(10.0, &corners, sg.arc_count()).expect("valid spec");
         let (mut one, mut two) = (AnalysisArena::new(), AnalysisArena::new().with_workers(2));
         let ctx = format!("lane_chunks n={events}");
-        let want = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut one, None);
-        let got = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut two, None);
+        let want = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut one, None);
+        let got = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut two, None);
         let (want, got) = (want.expect("live"), got.expect("live"));
         for j in 0..set.len() {
             assert_analyses_identical(want.analysis(j), got.analysis(j), &ctx);
@@ -596,7 +597,7 @@ fn measure_lane_chunks(reps: usize) -> Vec<ChunkRow> {
             a.expect("live").records().len()
         };
         let sweep = |arena: &mut AnalysisArena| {
-            let a = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, arena, None);
+            let a = CycleTimeAnalysis::run_scenarios_in(&sg, &set, arena, None);
             a.expect("live").len()
         };
         let b = want.border_events().len();

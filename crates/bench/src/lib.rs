@@ -245,7 +245,7 @@ pub fn assert_backends_match(sg: &SignalGraph, ctx: &str) {
 ///
 /// Panics (with `ctx` and the scenario label) on any divergence.
 pub fn assert_scenarios_match_scalar(sg: &SignalGraph, set: &ScenarioSet, ctx: &str) {
-    let swept = CycleTimeAnalysis::run_scenarios_in(sg, set, None, &mut AnalysisArena::new(), None)
+    let swept = CycleTimeAnalysis::run_scenarios_in(sg, set, &mut AnalysisArena::new(), None)
         .expect("scenarios stay live");
     assert_eq!(swept.len(), set.len(), "{ctx}: scenario count");
     for j in 0..set.len() {

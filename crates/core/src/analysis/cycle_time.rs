@@ -99,6 +99,15 @@ pub enum AnalysisError {
         /// count overflows.
         cells: usize,
     },
+    /// The slack analysis' `events × events` longest-path table would
+    /// hold more than [`MAX_CELLS`] cells; it is refused before anything
+    /// is allocated.
+    SlackTooLarge {
+        /// Repetitive events of the analysed graph.
+        events: usize,
+        /// The table's cells; `usize::MAX` when the count overflows.
+        cells: usize,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -148,6 +157,13 @@ impl fmt::Display for AnalysisError {
                     f,
                     "{events} event(s) with {lanes} border lane(s) over {periods} period(s) \
                      need {cells} time cells, more than {MAX_CELLS}"
+                )
+            }
+            AnalysisError::SlackTooLarge { events, cells } => {
+                write!(
+                    f,
+                    "slack over {events} repetitive event(s) needs a {cells}-cell \
+                     distance table, more than {MAX_CELLS}"
                 )
             }
         }
@@ -249,13 +265,13 @@ fn on_workers<T: Sync, X: Send>(
     wides: &mut [WideArena],
     items: &[T],
     job: impl Fn(&mut WideArena, &[T]) -> Result<Vec<X>, Cancelled> + Sync,
-) -> Result<Vec<X>, AnalysisError> {
+) -> Result<Vec<X>, Cancelled> {
     let workers = wides.len().min(items.len());
     let (first, rest) = wides
         .split_first_mut()
         .expect("an analysis arena has at least one worker");
     if workers <= 1 {
-        return job(first, items).map_err(AnalysisError::from);
+        return job(first, items);
     }
     let mut chunks = items.chunks(items.len().div_ceil(workers));
     let head = chunks.next().expect("items are non-empty");
@@ -283,7 +299,7 @@ fn on_workers<T: Sync, X: Send>(
             Err(c) => least = Some(c),
         }
     }
-    least.map_or(Ok(out), |c| Err(c.into()))
+    least.map_or(Ok(out), Err)
 }
 
 /// Result of the paper's cycle-time algorithm.
@@ -393,28 +409,62 @@ impl CycleTimeAnalysis {
         arena: &mut AnalysisArena,
         cancel: Option<&CancelToken>,
     ) -> Result<Self, AnalysisError> {
+        let mut analyses = Self::run_assignments(sg, periods, None, arena, cancel)?;
+        Ok(analyses.pop().expect("one delay assignment"))
+    }
+
+    /// One analysis of `sg` per delay assignment — each scenario of
+    /// `set` in order, or `sg`'s own delays when `set` is `None` — on one
+    /// structure: the border set, the cell budget and the structure are
+    /// computed once, and each scenario only writes its delays into the
+    /// structure, on which the lockstep passes and the finish then run.
+    /// A cancelled run counts its rows over every assignment.
+    fn run_assignments(
+        sg: &SignalGraph,
+        periods: Option<u32>,
+        set: Option<&ScenarioSet>,
+        arena: &mut AnalysisArena,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Vec<Self>, AnalysisError> {
         let border = sg.border_events();
         if border.is_empty() {
             return Err(AnalysisError::NoCyclicBehavior);
         }
         let b = periods.unwrap_or(border.len() as u32).max(1);
         check_budget(sg, border.len(), b, arena.wides.len())?;
-
-        // One shared evaluation structure (rebuilt into the arena's warm
-        // buffers), one lockstep pass per worker's lane chunk.
         let AnalysisArena {
             wides,
             finish,
             structure,
         } = arena;
         structure.rebuild(sg);
-        let shared: &CyclicStructure = structure;
-        let records = on_workers(wides, &border, |wide, lanes| {
-            wide.run_with(sg, shared, lanes, b, cancel)?;
-            Ok(lane_records(wide, lanes))
-        })?;
-
-        Self::finish(sg, structure, border, records, b, finish)
+        let s = set.map_or(1, ScenarioSet::len);
+        let mut analyses = Vec::with_capacity(s);
+        for j in 0..s {
+            let delay = |a: ArcId| {
+                let nominal = sg.arc(a).delay().get();
+                set.map_or(nominal, |set| set.delay(j, a, nominal))
+            };
+            if let Some(set) = set {
+                set.check(sg, j)?;
+                for entry in &mut structure.entries {
+                    entry.delay = delay(entry.arc);
+                }
+            }
+            let shared: &CyclicStructure = structure;
+            let records = on_workers(wides, &border, |wide, lanes| {
+                wide.run_with(sg, shared, lanes, b, cancel)?;
+                Ok(lane_records(wide, lanes))
+            })
+            .map_err(|c| Cancelled {
+                rows_done: j * c.rows_total + c.rows_done,
+                rows_total: s * c.rows_total,
+                ..c
+            })?;
+            let analysis = Self::finish(sg, structure, border.clone(), records, b, finish, delay)?;
+            analyses.push(analysis);
+        }
+        Ok(analyses)
     }
 
     /// The scalar reference engine: the pre-wide one-simulation-at-a-time
@@ -463,71 +513,43 @@ impl CycleTimeAnalysis {
             });
         }
 
-        Self::finish(sg, &structure, border, records, b, arena)
+        Self::finish(sg, &structure, border, records, b, arena, |a| {
+            sg.arc(a).delay().get()
+        })
     }
 
-    /// Runs the algorithm under every delay scenario of `set`: one
-    /// [`run_in_with_cancel`](Self::run_in_with_cancel) per scenario, in
-    /// order, on one scratch copy of `sg` whose delays are overwritten
-    /// with scenario `j`'s before its analysis. Scenario `j`'s δs are
-    /// the exact `nominal × factor` products [`ScenarioSet::reweighted`]
-    /// stores, so each [`ScenarioAnalysis::analysis`] is the analysis of
-    /// `set.reweighted(sg, j)`, bit for bit.
-    ///
-    /// With more than one [`AnalysisArena`] worker, each scenario's `b`
-    /// lanes split over the workers as a nominal run's do; the result
-    /// is bit-identical at every worker count. `cancel` is polled once
-    /// per lockstep row, and a cancelled sweep reports its progress
-    /// over the whole sweep: scenario `j` stopped after `r` of its
-    /// `periods + 1` rows reads `j · (periods + 1) + r` of
-    /// `s · (periods + 1)` rows.
+    /// Runs the algorithm under every delay scenario of `set`, in order,
+    /// on one structure: the border set, the cell budget and the
+    /// structure are computed once, and each scenario `j` writes its
+    /// `nominal × factor` delays into the structure before its analysis.
+    /// So [`ScenarioAnalysis::analysis`]`(j)` is the analysis of
+    /// [`ScenarioSet::reweighted`]`(sg, j)`, bit for bit, at every
+    /// worker count, and no graph is copied. A cancelled sweep counts
+    /// its progress over every scenario: scenario `j` stopped after `r`
+    /// of its `b + 1` rows reads `j · (b + 1) + r` of `s · (b + 1)`.
     ///
     /// # Errors
     ///
-    /// [`AnalysisError::NoCyclicBehavior`] for graphs without repetitive
-    /// events; [`AnalysisError::Cancelled`] when `cancel` fires first;
-    /// [`AnalysisError::TooFewPeriods`] when no border event recurs
-    /// within a caller-supplied `periods`; and
-    /// [`AnalysisError::ScenarioDelay`] when a scenario scales a delay
-    /// past the largest finite `f64`. The first scenario, in order, that
-    /// fails stops the sweep.
+    /// As [`run_in_with_cancel`](Self::run_in_with_cancel), plus
+    /// [`AnalysisError::ScenarioDelay`] naming the first live arc, in
+    /// `ArcId` order, whose scaled delay overflows. The first scenario,
+    /// in order, that fails stops the sweep.
     pub fn run_scenarios_in(
         sg: &SignalGraph,
         set: &ScenarioSet,
-        periods: Option<u32>,
         arena: &mut AnalysisArena,
         cancel: Option<&CancelToken>,
     ) -> Result<ScenarioAnalysis, AnalysisError> {
-        if sg.border_events().is_empty() {
-            return Err(AnalysisError::NoCyclicBehavior);
-        }
-        let s = set.len();
-        let mut scratch = sg.clone();
-        let mut per = Vec::with_capacity(s);
-        for j in 0..s {
-            set.reweight_onto(&mut scratch, sg, j)?;
-            let analysis = Self::run_in_with_cancel(&scratch, periods, arena, cancel);
-            per.push(analysis.map_err(|e| match e {
-                AnalysisError::Cancelled {
-                    kind,
-                    rows_done,
-                    rows_total,
-                } => AnalysisError::Cancelled {
-                    kind,
-                    rows_done: j * rows_total + rows_done,
-                    rows_total: s * rows_total,
-                },
-                e => e,
-            })?);
-        }
-        let labels = (0..s).map(|j| set.label(j).to_string()).collect();
-        Ok(ScenarioAnalysis::new(labels, per))
+        let analyses = Self::run_assignments(sg, None, Some(set), arena, cancel)?;
+        let labels = (0..set.len()).map(|j| set.label(j).to_string()).collect();
+        Ok(ScenarioAnalysis::new(labels, analyses))
     }
 
     /// Steps 4–5 of the algorithm, shared by every entry point: pick the
     /// winning record of the `periods`-period simulations, re-run it
     /// with parent tracking in `arena`, and backtrack the critical
-    /// cycle.
+    /// cycle, comparing cycle lengths under `delay`, which must give the
+    /// per-arc delays `structure` holds.
     ///
     /// Fails with [`AnalysisError::TooFewPeriods`] when no record holds
     /// a defined distance: no border event recurs within `periods`
@@ -539,6 +561,7 @@ impl CycleTimeAnalysis {
         records: Vec<BorderRecord>,
         periods: u32,
         arena: &mut SimArena,
+        delay: impl Fn(ArcId) -> f64,
     ) -> Result<Self, AnalysisError> {
         // Step 4: the largest average occurrence distance is the cycle time.
         let (mut best, mut best_idx): (Option<(f64, u32)>, usize) = (None, 0);
@@ -569,7 +592,7 @@ impl CycleTimeAnalysis {
         let walk = arena
             .backtrack_in(sg, border[best_idx], periods_spanned)
             .expect("winning instance is reachable");
-        let critical_cycle = best_simple_cycle(sg, border[best_idx], &walk);
+        let critical_cycle = best_simple_cycle(sg, border[best_idx], &walk, delay);
 
         // Proposition 8: border events strictly below τ are off all
         // critical cycles; those attaining τ are on one.
@@ -631,9 +654,14 @@ pub fn cycle_ratio(sg: &SignalGraph, cycle: &[ArcId]) -> CycleTime {
 }
 
 /// Decomposes the closed walk `start -walk-> start` into simple cycles and
-/// returns the one with the largest effective length (Proposition 5
-/// guarantees it attains the walk's ratio).
-fn best_simple_cycle(sg: &SignalGraph, start: EventId, walk: &[ArcId]) -> Vec<ArcId> {
+/// returns the one with the largest effective length under `delay`
+/// (Proposition 5 guarantees it attains the walk's ratio).
+fn best_simple_cycle(
+    sg: &SignalGraph,
+    start: EventId,
+    walk: &[ArcId],
+    delay: impl Fn(ArcId) -> f64,
+) -> Vec<ArcId> {
     /// Sentinel for "event not on the current open walk" in the flat
     /// position map (a critical walk visits events once per period, so a
     /// dense `Vec` beats a `HashMap` on the kilo-arc walks big rings
@@ -662,13 +690,13 @@ fn best_simple_cycle(sg: &SignalGraph, start: EventId, walk: &[ArcId]) -> Vec<Ar
         }
     }
     debug_assert!(arcs.is_empty(), "walk must decompose exactly into cycles");
+    let ratio = |c: &[ArcId]| {
+        let length = c.iter().map(|&a| delay(a)).sum::<f64>();
+        (length, sg.occurrence_period(c))
+    };
     let best = cycles
         .into_iter()
-        .max_by(|x, y| {
-            let rx = (sg.path_length(x), sg.occurrence_period(x));
-            let ry = (sg.path_length(y), sg.occurrence_period(y));
-            ratio_cmp(rx, ry)
-        })
+        .max_by(|x, y| ratio_cmp(ratio(x), ratio(y)))
         .expect("closed walk contains at least one cycle");
     canonical_rotation(sg, best)
 }
@@ -946,7 +974,6 @@ mod tests {
         // Both arcs of a two-event ring are marked, so an event recurs
         // only after two periods: one simulated period defines no
         // distance at all.
-        use crate::analysis::scenario::Corner;
         let mut b = SignalGraph::builder();
         let xp = b.event("x+");
         let xm = b.event("x-");
@@ -967,18 +994,6 @@ mod tests {
             CycleTimeAnalysis::run_scalar_in(&sg, Some(1), &mut SimArena::new()).unwrap_err(),
             want
         );
-        let set = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Max], sg.arc_count()).unwrap();
-        assert_eq!(
-            CycleTimeAnalysis::run_scenarios_in(
-                &sg,
-                &set,
-                Some(1),
-                &mut AnalysisArena::new(),
-                None
-            )
-            .unwrap_err(),
-            want
-        );
         assert!(want.to_string().contains("1 period(s)"), "{want}");
         // Two periods reach the ring's 2-token cycle: τ = 5/2.
         let a = CycleTimeAnalysis::run_in(&sg, Some(2), &mut AnalysisArena::new()).unwrap();
@@ -996,8 +1011,8 @@ mod tests {
         let set = ScenarioSet::corners(10.0, &corners, sg.arc_count()).unwrap();
         let mut arena = AnalysisArena::new();
         let token = CancelToken::cancel_after_checks(4);
-        let err = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut arena, Some(&token))
-            .unwrap_err();
+        let err =
+            CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut arena, Some(&token)).unwrap_err();
         assert_eq!(
             err,
             AnalysisError::Cancelled {
@@ -1006,14 +1021,45 @@ mod tests {
                 rows_total: 3 * 3,
             }
         );
+        // No scenario delay leaks out of the shared structure: a nominal
+        // run after the cancelled sweep matches a fresh arena's bits.
+        let nominal = CycleTimeAnalysis::run(&sg).unwrap();
+        let after = CycleTimeAnalysis::run_in(&sg, None, &mut arena).unwrap();
+        assert_same_analysis(&after, &nominal, "run_in after a cancelled sweep");
         // The arena's next sweep heals to a fresh arena's bits.
-        let redo = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut arena, None).unwrap();
-        let fresh =
-            CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut AnalysisArena::new(), None)
-                .unwrap();
+        let redo = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut arena, None).unwrap();
+        let fresh = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut AnalysisArena::new(), None)
+            .unwrap();
         for j in 0..set.len() {
             assert_same_analysis(redo.analysis(j), fresh.analysis(j), set.label(j));
         }
+        let after = CycleTimeAnalysis::run_in(&sg, None, &mut arena).unwrap();
+        assert_same_analysis(&after, &nominal, "run_in after a finished sweep");
+
+        // Scenario order decides: a token cancelled before the sweep
+        // stops scenario `min` before the `max` corner's overflow is seen.
+        let mut b = SignalGraph::builder();
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        b.arc(xp, xm, 1.7e308);
+        b.marked_arc(xm, xp, 1.0);
+        let near_max = b.build().unwrap();
+        let set = ScenarioSet::corners(10.0, &corners, near_max.arc_count()).unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let err = CycleTimeAnalysis::run_scenarios_in(&near_max, &set, &mut arena, Some(&token))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AnalysisError::Cancelled {
+                    rows_done: 0,
+                    rows_total: 6,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! A [`ScenarioSet`] is the bridge between a user-facing specification
 //! (`--corners min,typ,max --derate 10`, `--samples 64 --seed 7`) and
 //! the analyses: it derives one multiplicative factor per (scenario,
-//! arc slot) and materialises each scenario's *reweighted graph* — the
-//! nominal graph with every live arc's delay replaced by
-//! `nominal × factor`. A sweep
-//! ([`CycleTimeAnalysis::run_scenarios_in`]) is one ordinary cycle-time
-//! analysis per reweighted graph, so each scenario's result is
-//! bit-identical to a scalar re-run of that graph by construction.
+//! arc slot), and scenario `j`'s delay of an arc is
+//! `nominal × factor(j, arc)`. A sweep
+//! ([`CycleTimeAnalysis::run_scenarios_in`]) builds the graph's flattened
+//! structure once and, per scenario, writes those delays into it and
+//! runs the ordinary cycle-time analysis on it. Each scenario's result
+//! is therefore bit-identical to a scalar analysis of the scenario's
+//! *reweighted graph* ([`ScenarioSet::reweighted`], the nominal graph
+//! with every live arc's delay scaled), which the tests use as the
+//! oracle.
 //!
 //! # Deterministic sampling
 //!
@@ -305,10 +308,36 @@ impl ScenarioSet {
         self.arc_slots
     }
 
+    /// Scenario `j`'s delay of arc `a` at nominal delay `nominal` — the
+    /// one definition sweeps, session edits and
+    /// [`reweighted`](Self::reweighted) share.
+    pub(crate) fn delay(&self, j: usize, a: ArcId, nominal: f64) -> f64 {
+        nominal * self.factor(j, a)
+    }
+
+    /// Checks scenario `j`'s delay of every live arc of `sg`, failing
+    /// with [`AnalysisError::ScenarioDelay`] on the first, in `ArcId`
+    /// order, that overflows (factors are positive and finite, so that
+    /// is the only way out of the delay domain). Panics as
+    /// [`reweighted`](Self::reweighted) does.
+    pub(crate) fn check(&self, sg: &SignalGraph, j: usize) -> Result<(), AnalysisError> {
+        assert!(
+            sg.arc_count() <= self.arc_slots,
+            "scenario set derived over {} arc slots, graph has {}",
+            self.arc_slots,
+            sg.arc_count()
+        );
+        let overflows = |a: ArcId| !self.delay(j, a, sg.arc(a).delay().get()).is_finite();
+        match sg.arc_ids().find(|&a| sg.is_live_arc(a) && overflows(a)) {
+            Some(a) => Err(self.overflow_error(sg, j, a)),
+            None => Ok(()),
+        }
+    }
+
     /// Scenario `j`'s reweighted graph: `sg` with every live arc's
-    /// delay replaced by `nominal × factor(j, arc)` — the graph both the
-    /// sweep and the scalar verification oracle analyse, which is what
-    /// makes them bit-identical.
+    /// delay replaced by `nominal × factor(j, arc)` — the graph the
+    /// scalar verification oracle analyses against a sweep's scenario
+    /// `j`.
     ///
     /// # Errors
     ///
@@ -321,45 +350,13 @@ impl ScenarioSet {
     /// Panics when `sg` has more arc slots than this set was derived
     /// over (call [`resized`](Self::resized) after structural edits).
     pub fn reweighted(&self, sg: &SignalGraph, j: usize) -> Result<SignalGraph, AnalysisError> {
-        assert!(
-            sg.arc_count() <= self.arc_slots,
-            "scenario set derived over {} arc slots, graph has {}",
-            self.arc_slots,
-            sg.arc_count()
-        );
+        self.check(sg, j)?;
         let mut out = sg.clone();
-        self.reweight_onto(&mut out, sg, j)?;
-        Ok(out)
-    }
-
-    /// Overwrites `target`'s live-arc delays with scenario `j`'s
-    /// reweighting of `nominal` (`target` has `nominal`'s arcs) — the
-    /// in-place core of [`reweighted`](Self::reweighted), letting a
-    /// sweep analyse every scenario on one scratch clone instead of
-    /// materialising a graph per scenario.
-    ///
-    /// # Errors
-    ///
-    /// As [`reweighted`](Self::reweighted); `target` is then partially
-    /// rewritten.
-    pub(crate) fn reweight_onto(
-        &self,
-        target: &mut SignalGraph,
-        nominal: &SignalGraph,
-        j: usize,
-    ) -> Result<(), AnalysisError> {
-        for a in nominal.arc_ids() {
-            if !nominal.is_live_arc(a) {
-                continue;
-            }
-            let scaled = nominal.arc(a).delay().get() * self.factor(j, a);
-            // Factors are positive and finite, so the only way out of
-            // the delay domain is overflow to infinity.
-            target
-                .set_delay(a, scaled)
-                .map_err(|_| self.overflow_error(nominal, j, a))?;
+        for a in sg.arc_ids().filter(|&a| sg.is_live_arc(a)) {
+            out.set_delay(a, self.delay(j, a, sg.arc(a).delay().get()))
+                .expect("checked finite");
         }
-        Ok(())
+        Ok(out)
     }
 
     /// The [`AnalysisError::ScenarioDelay`] for scenario `j` scaling
@@ -643,20 +640,35 @@ mod tests {
         assert!(corners.reweighted(&sg, 0).is_ok());
         assert_eq!(corners.reweighted(&sg, 2).unwrap_err(), want);
         assert_eq!(
-            CycleTimeAnalysis::run_scenarios_in(
-                &sg,
-                &corners,
-                None,
-                &mut AnalysisArena::new(),
-                None
-            )
-            .unwrap_err(),
+            CycleTimeAnalysis::run_scenarios_in(&sg, &corners, &mut AnalysisArena::new(), None)
+                .unwrap_err(),
             want
         );
         let mut two_workers = AnalysisArena::new().with_workers(2);
-        let parallel =
-            CycleTimeAnalysis::run_scenarios_in(&sg, &corners, None, &mut two_workers, None);
+        let parallel = CycleTimeAnalysis::run_scenarios_in(&sg, &corners, &mut two_workers, None);
         assert_eq!(parallel.unwrap_err(), want);
+
+        // A disengageable prefix arc lies outside the cyclic structure,
+        // yet overflowing it alone still fails the sweep, naming it.
+        let mut b = SignalGraph::builder();
+        let go = b.initial_event("go");
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        b.disengageable_arc(go, xp, 1.7e308);
+        b.arc(xp, xm, 1.0);
+        b.marked_arc(xm, xp, 1.0);
+        let prefixed = b.build().unwrap();
+        let set =
+            ScenarioSet::corners(10.0, &[Corner::Typ, Corner::Max], prefixed.arc_count()).unwrap();
+        assert_eq!(
+            CycleTimeAnalysis::run_scenarios_in(&prefixed, &set, &mut AnalysisArena::new(), None)
+                .unwrap_err(),
+            AnalysisError::ScenarioDelay {
+                scenario: "max".to_owned(),
+                src: "go".to_owned(),
+                dst: "x+".to_owned(),
+            }
+        );
 
         // Seeded samples at ±10%: the first scenario drawing a factor
         // above MAX / 1.7e308 ≈ 1.057 is named.
@@ -664,14 +676,9 @@ mod tests {
         let first = (0..samples.len())
             .find(|&j| samples.reweighted(&sg, j).is_err())
             .expect("some sample inflates the delay");
-        let err = CycleTimeAnalysis::run_scenarios_in(
-            &sg,
-            &samples,
-            None,
-            &mut AnalysisArena::new(),
-            None,
-        )
-        .unwrap_err();
+        let err =
+            CycleTimeAnalysis::run_scenarios_in(&sg, &samples, &mut AnalysisArena::new(), None)
+                .unwrap_err();
         assert_eq!(
             err,
             AnalysisError::ScenarioDelay {

@@ -408,7 +408,7 @@ impl AnalysisSession {
                 });
             }
             if let Some(set) = set {
-                let overflows = |j| !(e.delay * set.factor(j, e.arc)).is_finite();
+                let overflows = |j| !set.delay(j, e.arc, e.delay).is_finite();
                 if let Some(j) = (0..set.len()).find(|&j| overflows(j)) {
                     return Err(EditError::Analysis(set.overflow_error(&self.sg, j, e.arc)));
                 }
@@ -627,7 +627,7 @@ fn sweep(
     cancel: Option<&CancelToken>,
 ) -> Result<Scenarios, AnalysisError> {
     let set = set.resized(sg.arc_count());
-    let analysis = CycleTimeAnalysis::run_scenarios_in(sg, &set, None, arena, cancel)?;
+    let analysis = CycleTimeAnalysis::run_scenarios_in(sg, &set, arena, cancel)?;
     Ok(Scenarios { set, analysis })
 }
 
@@ -1189,7 +1189,6 @@ mod tests {
         let scratch = CycleTimeAnalysis::run_scenarios_in(
             session.graph(),
             set,
-            None,
             &mut AnalysisArena::new(),
             None,
         )

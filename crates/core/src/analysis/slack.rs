@@ -22,6 +22,7 @@
 //! fine for reporting; the hot path of the crate stays O(b²m)).
 
 use crate::analysis::cycle_time::{AnalysisError, CycleTimeAnalysis};
+use crate::analysis::sim::MAX_CELLS;
 use crate::arc::ArcId;
 use crate::graph::SignalGraph;
 
@@ -38,8 +39,20 @@ impl SlackAnalysis {
     /// # Errors
     ///
     /// Returns [`AnalysisError::NoCyclicBehavior`] for graphs without
-    /// repetitive events.
+    /// repetitive events, and [`AnalysisError::SlackTooLarge`] — before
+    /// anything is analysed or allocated — when the `n × n` longest-path
+    /// table over the `n` repetitive events exceeds [`MAX_CELLS`].
     pub fn run(sg: &SignalGraph) -> Result<Self, AnalysisError> {
+        let events = sg.repetitive_count();
+        match events.checked_mul(events) {
+            Some(cells) if cells <= MAX_CELLS => {}
+            cells => {
+                return Err(AnalysisError::SlackTooLarge {
+                    events,
+                    cells: cells.unwrap_or(usize::MAX),
+                })
+            }
+        }
         let tau = CycleTimeAnalysis::run(sg)?.cycle_time().as_f64();
         let view = sg.repetitive_view();
         let n = view.graph.node_count();

@@ -33,10 +33,6 @@ pub(crate) struct CyclicStructure {
     pub offsets: Vec<u32>,
     /// Flattened in-arcs (repetitive→repetitive, non-disengageable only).
     pub entries: Vec<InArc>,
-    /// The CSR fill cursor of [`CyclicStructure::rebuild`], kept so a
-    /// warm analysis arena rebuilds the structure per graph without
-    /// touching the allocator.
-    cursor: Vec<u32>,
 }
 
 impl CyclicStructure {
@@ -51,10 +47,9 @@ impl CyclicStructure {
     /// the allocation-free form warm arenas call once per analysis.
     /// The event order is the one [`SignalGraph::validate`] computed
     /// and kept on the graph (recomputed the same way only for a graph
-    /// edited since). Construction order is deterministic and identical
-    /// to [`CyclicStructure::new`], so the entry order (and with it the
-    /// simulations' arg-max comparison sequence) never depends on which
-    /// path built the structure.
+    /// edited since). Each event's entries keep the `ArcId` order the
+    /// graph lists its in-arcs in, which fixes the simulations' arg-max
+    /// comparison sequence.
     pub fn rebuild(&mut self, sg: &SignalGraph) {
         self.order.clear();
         match &sg.order {
@@ -65,51 +60,30 @@ impl CyclicStructure {
             ),
         }
 
-        let n = sg.event_count();
+        // One allocation per buffer in a cold arena: growing `entries` by
+        // doubling left a heap layout that slowed the lane passes ~5%.
         self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
-        for a in sg.arc_ids() {
-            let arc = sg.arc(a);
-            if arc.is_alive()
-                && sg.is_repetitive(arc.src())
-                && sg.is_repetitive(arc.dst())
-                && !arc.is_disengageable()
-            {
-                self.offsets[arc.dst().index() + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            self.offsets[i + 1] += self.offsets[i];
-        }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.offsets);
+        self.offsets.reserve(sg.event_count() + 1);
         self.entries.clear();
-        self.entries.resize(
-            *self.offsets.last().expect("offsets non-empty") as usize,
-            InArc {
-                src: 0,
-                delay: 0.0,
-                marked: false,
-                arc: ArcId(0),
-            },
-        );
-        for a in sg.arc_ids() {
-            let arc = sg.arc(a);
-            if arc.is_alive()
-                && sg.is_repetitive(arc.src())
-                && sg.is_repetitive(arc.dst())
-                && !arc.is_disengageable()
-            {
-                let slot = self.cursor[arc.dst().index()];
-                self.entries[slot as usize] = InArc {
-                    src: arc.src().0,
-                    delay: arc.delay().get(),
-                    marked: arc.is_marked(),
-                    arc: a,
-                };
-                self.cursor[arc.dst().index()] += 1;
+        self.entries.reserve(sg.arc_count());
+        for e in sg.events() {
+            self.offsets.push(self.entries.len() as u32);
+            if !sg.is_repetitive(e) {
+                continue;
+            }
+            for a in sg.in_arcs(e) {
+                let arc = sg.arc(a);
+                if sg.is_repetitive(arc.src()) && !arc.is_disengageable() {
+                    self.entries.push(InArc {
+                        src: arc.src().0,
+                        delay: arc.delay().get(),
+                        marked: arc.is_marked(),
+                        arc: a,
+                    });
+                }
             }
         }
+        self.offsets.push(self.entries.len() as u32);
     }
 
     /// In-arcs of event `e`.
@@ -145,6 +119,26 @@ mod tests {
         let ins_y = s.in_arcs(y);
         assert_eq!(ins_y.len(), 1);
         assert!(!ins_y[0].marked);
+    }
+
+    #[test]
+    fn entries_keep_arc_id_order_after_edits() {
+        let mut b = SignalGraph::builder();
+        let x = b.event("x+");
+        let y = b.event("y+");
+        let z = b.event("z+");
+        b.arc(x, z, 1.0);
+        b.arc(y, z, 2.0);
+        b.marked_arc(z, x, 3.0);
+        b.marked_arc(z, y, 4.0);
+        let mut sg = b.build().unwrap();
+        let first = sg.in_arcs(z).next().unwrap();
+        let added = sg.add_arc(x, z, 5.0, false).unwrap();
+        sg.remove_arc(first).unwrap();
+        sg.validate().unwrap();
+        let s = CyclicStructure::new(&sg);
+        let arcs: Vec<(ArcId, f64)> = s.in_arcs(z).iter().map(|ia| (ia.arc, ia.delay)).collect();
+        assert_eq!(arcs, [(ArcId(1), 2.0), (added, 5.0)]);
     }
 
     #[test]

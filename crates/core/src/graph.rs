@@ -409,7 +409,7 @@ impl SignalGraph {
             .find(|&a| self.arcs[a.index()].dst() == dst)
     }
 
-    /// Arcs entering `e`.
+    /// Live arcs entering `e`, in `ArcId` order.
     pub fn in_arcs(&self, e: EventId) -> impl Iterator<Item = ArcId> + '_ {
         self.graph
             .in_edges(NodeId(e.0))

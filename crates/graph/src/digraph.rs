@@ -355,14 +355,6 @@ impl DiGraph {
     pub fn edge_ids(&self) -> impl ExactSizeIterator<Item = EdgeId> + '_ {
         (0..self.edges.len() as u32).map(EdgeId)
     }
-
-    /// Returns `true` when every node can reach every other node.
-    ///
-    /// The empty graph is considered strongly connected; a single node with
-    /// no edges is as well.
-    pub fn is_strongly_connected(&self) -> bool {
-        self.node_count() <= 1 || crate::scc::tarjan_scc(self).len() == 1
-    }
 }
 
 #[cfg(test)]
@@ -374,7 +366,6 @@ mod tests {
         let g = DiGraph::new();
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
-        assert!(g.is_strongly_connected());
     }
 
     #[test]
@@ -496,25 +487,6 @@ mod tests {
         let mut g = DiGraph::new();
         g.add_node();
         g.remove_edge(EdgeId(0));
-    }
-
-    #[test]
-    fn strongly_connected_cycle() {
-        let mut g = DiGraph::new();
-        let n: Vec<_> = (0..4).map(|_| g.add_node()).collect();
-        for i in 0..4 {
-            g.add_edge(n[i], n[(i + 1) % 4]);
-        }
-        assert!(g.is_strongly_connected());
-    }
-
-    #[test]
-    fn not_strongly_connected_path() {
-        let mut g = DiGraph::new();
-        let a = g.add_node();
-        let b = g.add_node();
-        g.add_edge(a, b);
-        assert!(!g.is_strongly_connected());
     }
 
     #[test]

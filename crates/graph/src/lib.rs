@@ -5,9 +5,8 @@
 //! maximum-cycle-ratio solvers in `tsg-baselines` are built on:
 //!
 //! * [`DiGraph`] — a compact directed multigraph with stable integer ids,
-//! * [`scc::tarjan_scc`] — Tarjan's strongly connected components,
 //! * [`topo::topological_order`] — Kahn's algorithm with cycle detection,
-//! * [`reach::descendants`] — DFS descendant sets,
+//! * [`reach::descendants`] / [`reach::ancestors`] — DFS reachability sets,
 //! * [`cycles::simple_cycles`] — Johnson's simple-cycle enumeration,
 //! * [`bellman::positive_cycle`] — Bellman–Ford positive-cycle detection
 //!   (the feasibility oracle used by Lawler's binary search).
@@ -24,15 +23,16 @@
 //! let a = g.add_node();
 //! let b = g.add_node();
 //! g.add_edge(a, b);
+//! assert_eq!(tsg_graph::topo::topological_order(&g).unwrap(), [a, b]);
 //! g.add_edge(b, a);
-//! assert_eq!(tsg_graph::scc::tarjan_scc(&g).len(), 1);
+//! assert!(tsg_graph::topo::topological_order(&g).is_err());
+//! assert!(tsg_graph::reach::descendants(&g, b)[a.index()]);
 //! ```
 
 pub mod bellman;
 pub mod cycles;
 pub mod digraph;
 pub mod reach;
-pub mod scc;
 pub mod topo;
 
 pub use digraph::{DiGraph, EdgeId, NodeId};

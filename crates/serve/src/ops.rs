@@ -338,7 +338,6 @@ pub fn verify_session(session: &AnalysisSession) -> Result<(), String> {
         let scratch = CycleTimeAnalysis::run_scenarios_in(
             session.graph(),
             set,
-            None,
             &mut AnalysisArena::new(),
             None,
         )
@@ -572,7 +571,7 @@ fn report_on(
     // abort the report, everything else renders inline like the
     // nominal block (an overflowing scenario cycle included).
     let scenarios = match scenario_set_for(opts, sg.arc_count()) {
-        Ok(Some(set)) => match CycleTimeAnalysis::run_scenarios_in(sg, &set, None, arena, cancel) {
+        Ok(Some(set)) => match CycleTimeAnalysis::run_scenarios_in(sg, &set, arena, cancel) {
             Ok(sa) => Ok(Some(sa)),
             Err(e @ (AnalysisError::Cancelled { .. } | AnalysisError::ScenarioDelay { .. })) => {
                 return Err(report_abort(&e).expect("both abort a report"))

@@ -58,8 +58,8 @@
 //! `"corners"` (a `"min,typ,max"` string or array of corner names) with
 //! `"derate"` (percent, default 10), or `"samples"` (seeded Monte-Carlo
 //! scenario count) with `"seed"` — the report then carries a τ
-//! distribution summary and per-arc criticality probabilities swept as
-//! extra kernel lanes. `session.explore` accepts `"objective"`
+//! distribution summary and per-arc criticality probabilities, from one
+//! analysis per scenario. `session.explore` accepts `"objective"`
 //! (`"tau"` or `"tau-p95"`) and `"samples"`: `tau-p95` optimizes the
 //! 95th-percentile τ over sampled delay scenarios.
 //!

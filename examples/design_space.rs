@@ -5,8 +5,8 @@
 //! motivates.
 //!
 //! The sweep runs through **one** [`AnalysisSession`]: the pipeline is
-//! built once, every grid point is a batch of delay edits, and only the
-//! border simulations whose cones see an edited arc re-run. Each row is
+//! built once, every grid point is a batch of delay edits, and each
+//! batch re-runs the analysis on the session's warm arena. Each row is
 //! cross-checked against a from-scratch `CycleTimeAnalysis::run_in`
 //! (itself reusing a single `AnalysisArena`, so even the checking loop
 //! is allocation-free after warm-up) — bit-identical, every time.

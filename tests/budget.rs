@@ -4,10 +4,12 @@
 //! events: its two-row lane window alone would be 2 × 40 000 × 20 000
 //! cells (12.8 GB of `f64`). Every entry point that sizes the window
 //! checks its cells against `sim::MAX_CELLS` first and returns a
-//! structured error naming the count.
+//! structured error naming the count. The slack analysis' n × n table
+//! is held to the same constant.
 
 use tsg::core::analysis::cycle_time::analysis_cells;
 use tsg::core::analysis::sim::MAX_CELLS;
+use tsg::core::analysis::slack::SlackAnalysis;
 use tsg::core::analysis::wide::AnalysisArena;
 use tsg::core::analysis::{AnalysisError, CycleTimeAnalysis};
 use tsg::serve::ops::{AnalyzeOptions, Source, Workspace};
@@ -16,19 +18,23 @@ use tsg::stg::{parse_stg, StgOptions};
 const EVENTS: usize = 40_000;
 const TOKENS: usize = 20_000;
 
-/// The ring `e0+ -> e1+ -> … -> e0+` as `.g` text, with a token on
-/// every other arc.
-fn big_ring() -> String {
+/// The ring `e0+ -> e1+ -> … -> e0+` of [`EVENTS`] events as `.g`
+/// text, with a token on every `EVENTS / tokens`-th arc.
+fn ring(tokens: usize) -> String {
     let mut text = String::from(".model ring\n.graph\n");
     for i in 0..EVENTS {
         text.push_str(&format!("e{i}+ e{}+\n", (i + 1) % EVENTS));
     }
     text.push_str(".marking {");
-    for i in (1..EVENTS).step_by(EVENTS / TOKENS) {
+    for i in (1..EVENTS).step_by(EVENTS / tokens) {
         text.push_str(&format!(" <e{i}+,e{}+>", (i + 1) % EVENTS));
     }
     text.push_str(" }\n.end\n");
     text
+}
+
+fn big_ring() -> String {
+    ring(TOKENS)
 }
 
 #[test]
@@ -81,4 +87,49 @@ fn budget_counts_windows_strips_and_the_winner_rerun() {
     assert_eq!(analysis_cells(10, 3, 3, 2), Some(2 * 2 * 24 + 40));
     assert_eq!(analysis_cells(10, 3, 3, 8), analysis_cells(10, 3, 3, 3));
     assert_eq!(analysis_cells(usize::MAX, 2, 1, 1), None);
+}
+
+#[test]
+fn oversized_slack_table_is_an_error_before_allocation() {
+    // One token: the analysis is small, but slack's n × n table would
+    // be 1.6e9 cells (12.8 GB of `f64`).
+    let text = ring(1);
+    let sg = parse_stg(&text, StgOptions::default()).unwrap();
+    assert_eq!(sg.border_events().len(), 1);
+    let cells = EVENTS * EVENTS;
+    assert!(cells > MAX_CELLS);
+    let err = SlackAnalysis::run(&sg).unwrap_err();
+    assert_eq!(
+        err,
+        AnalysisError::SlackTooLarge {
+            events: EVENTS,
+            cells,
+        }
+    );
+    assert!(err.to_string().contains(&cells.to_string()), "{err}");
+
+    // The report says why slack is missing, and the workspace serves on.
+    let source = Source::Inline {
+        name: "ring.g".to_owned(),
+        text,
+    };
+    let opts = AnalyzeOptions {
+        slack: true,
+        ..AnalyzeOptions::default()
+    };
+    let mut workspace = Workspace::new();
+    let report = workspace.analyze(&source, &opts, None).unwrap();
+    assert!(
+        report.contains(&format!("slack: unavailable ({err})")),
+        "{report}"
+    );
+    let small = Source::Inline {
+        name: "osc.g".to_owned(),
+        text: tsg::stg::EXAMPLE_OSCILLATOR.to_owned(),
+    };
+    let report = workspace.analyze(&small, &opts, None).unwrap();
+    assert!(
+        report.contains("cyclic arcs are timing-critical"),
+        "{report}"
+    );
 }

@@ -256,7 +256,7 @@ proptest! {
         let set = ScenarioSet::samples(s, seed, 10.0, sg.arc_count()).expect("s >= 1");
         for backend in available_backends() {
             let mut arena = AnalysisArena::with_kernel(backend);
-            let swept = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut arena, None)
+            let swept = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut arena, None)
                 .expect("rings stay live");
             for j in 0..set.len() {
                 let scalar = CycleTimeAnalysis::run_scalar(&set.reweighted(&sg, j).unwrap())
@@ -283,9 +283,9 @@ proptest! {
     ) {
         let sg = graph(family, seed);
         let set = scenario_set(&sg, pick);
-        let seq = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut AnalysisArena::new(), None).expect("live");
+        let seq = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut AnalysisArena::new(), None).expect("live");
         let mut arena = AnalysisArena::new().with_workers(threads);
-        let par = CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut arena, None)
+        let par = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut arena, None)
             .expect("live");
         prop_assert_eq!(seq.len(), par.len());
         for j in 0..set.len() {
@@ -564,7 +564,7 @@ fn scenario_sweep_keeps_one_analysis_window() {
     let sg = ring(12, 3, 1.5);
     let set = ScenarioSet::samples(8, 7, 10.0, sg.arc_count()).expect("s >= 1");
     let mut swept = AnalysisArena::new();
-    CycleTimeAnalysis::run_scenarios_in(&sg, &set, None, &mut swept, None).expect("live");
+    CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut swept, None).expect("live");
     let mut nominal = AnalysisArena::new();
     CycleTimeAnalysis::run_in(&sg, None, &mut nominal).expect("live");
     assert_eq!(swept.capacity(), nominal.capacity());
