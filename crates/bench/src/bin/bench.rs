@@ -312,12 +312,12 @@ fn measure_corner_sweep(reps: usize) -> Vec<CornerRow> {
                 let corners = [Corner::Min, Corner::Typ, Corner::Max];
                 (
                     "corners",
-                    ScenarioSet::corners(10.0, &corners, sg.arc_count()).expect("valid spec"),
+                    ScenarioSet::corners(10.0, &corners).expect("valid spec"),
                 )
             } else {
                 (
                     "samples",
-                    ScenarioSet::samples(s, 7, 10.0, sg.arc_count()).expect("valid spec"),
+                    ScenarioSet::samples(s, 7, 10.0).expect("valid spec"),
                 )
             };
 
@@ -579,7 +579,7 @@ fn measure_lane_chunks(reps: usize) -> Vec<ChunkRow> {
         };
         let sg = tsg_gen::random_live_tsg(7, config);
         let corners = [Corner::Min, Corner::Typ, Corner::Max];
-        let set = ScenarioSet::corners(10.0, &corners, sg.arc_count()).expect("valid spec");
+        let set = ScenarioSet::corners(10.0, &corners).expect("valid spec");
         let (mut one, mut two) = (AnalysisArena::new(), AnalysisArena::new().with_workers(2));
         let ctx = format!("lane_chunks n={events}");
         let want = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut one, None);

@@ -1651,7 +1651,7 @@ mod tests {
         );
         assert!(out.contains("tau distribution:"), "{out}");
         assert!(out.contains("verified: bit-identical"), "{out}");
-        // The committed objective value (p95 over the scenario lanes)
+        // The committed objective value (p95 over the scenarios)
         // never climbs, exactly like the nominal-tau loop.
         let mut committed: Option<f64> = None;
         for line in out.lines().filter(|l| l.starts_with("move ")) {

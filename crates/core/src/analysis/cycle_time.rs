@@ -32,7 +32,7 @@ use std::fmt;
 use tsg_sim::{CancelKind, CancelToken};
 
 use crate::analysis::initiated::SimArena;
-use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
+use crate::analysis::scenario::{self, ScenarioAnalysis, ScenarioSet};
 use crate::analysis::sim::MAX_CELLS;
 use crate::analysis::structure::CyclicStructure;
 use crate::analysis::wide::{AnalysisArena, Cancelled, WideArena};
@@ -99,6 +99,17 @@ pub enum AnalysisError {
         /// count overflows.
         cells: usize,
     },
+    /// A scenario sweep's results and factor row would hold more than
+    /// [`MAX_CELLS`] cells (a critical cycle, records and border lists
+    /// per scenario, one factor per arc slot); it is refused before its
+    /// first scenario runs.
+    SweepTooLarge {
+        /// Scenarios of the sweep.
+        scenarios: usize,
+        /// The cells the sweep keeps; `usize::MAX` when the count
+        /// overflows.
+        cells: usize,
+    },
     /// The slack analysis' `events × events` longest-path table would
     /// hold more than [`MAX_CELLS`] cells; it is refused before anything
     /// is allocated.
@@ -159,6 +170,11 @@ impl fmt::Display for AnalysisError {
                      need {cells} time cells, more than {MAX_CELLS}"
                 )
             }
+            AnalysisError::SweepTooLarge { scenarios, cells } => write!(
+                f,
+                "a sweep of {scenarios} scenario(s) keeps {cells} result cells, \
+                 more than {MAX_CELLS}"
+            ),
             AnalysisError::SlackTooLarge { events, cells } => {
                 write!(
                     f,
@@ -223,6 +239,18 @@ pub fn analysis_cells(events: usize, lanes: usize, periods: u32, workers: usize)
     windows.checked_add(events.checked_mul(rows)?)
 }
 
+/// `Ok` when `cells` fits in [`MAX_CELLS`], else `refuse(cells)`, with
+/// an overflowed count (`None`) as `usize::MAX`.
+pub(crate) fn within_budget(
+    cells: Option<usize>,
+    refuse: impl FnOnce(usize) -> AnalysisError,
+) -> Result<(), AnalysisError> {
+    match cells {
+        Some(cells) if cells <= MAX_CELLS => Ok(()),
+        cells => Err(refuse(cells.unwrap_or(usize::MAX))),
+    }
+}
+
 /// [`AnalysisError::TooLarge`] unless [`analysis_cells`] fits in
 /// [`MAX_CELLS`].
 fn check_budget(
@@ -232,15 +260,14 @@ fn check_budget(
     workers: usize,
 ) -> Result<(), AnalysisError> {
     let events = sg.event_count();
-    match analysis_cells(events, lanes, periods, workers) {
-        Some(cells) if cells <= MAX_CELLS => Ok(()),
-        cells => Err(AnalysisError::TooLarge {
+    within_budget(analysis_cells(events, lanes, periods, workers), |cells| {
+        AnalysisError::TooLarge {
             events,
             lanes,
             periods,
-            cells: cells.unwrap_or(usize::MAX),
-        }),
-    }
+            cells,
+        }
+    })
 }
 
 /// The records of `wide`'s lanes, lane `k` initiated from `origins[k]`.
@@ -415,8 +442,9 @@ impl CycleTimeAnalysis {
 
     /// One analysis of `sg` per delay assignment — each scenario of
     /// `set` in order, or `sg`'s own delays when `set` is `None` — on one
-    /// structure: the border set, the cell budget and the structure are
-    /// computed once, and each scenario only writes its delays into the
+    /// structure: the border set, the cell budgets and the structure are
+    /// computed once, and each scenario only fills one reused factor row
+    /// over the arc slots and writes the scaled delays into the
     /// structure, on which the lockstep passes and the finish then run.
     /// A cancelled run counts its rows over every assignment.
     fn run_assignments(
@@ -432,6 +460,21 @@ impl CycleTimeAnalysis {
         }
         let b = periods.unwrap_or(border.len() as u32).max(1);
         check_budget(sg, border.len(), b, arena.wides.len())?;
+        if let Some(set) = set {
+            // Each scenario keeps a critical cycle of at most n arcs, b
+            // records of at most `b` (i, t, δ) triples and two border
+            // lists; the sweep adds one factor row over the arc slots.
+            let scenarios = set.len();
+            let cells = (b as usize).checked_mul(3).and_then(|triples| {
+                let per = triples.checked_add(2)?.checked_mul(border.len())?;
+                let per = per.checked_add(sg.event_count())?;
+                per.checked_mul(scenarios)?.checked_add(sg.arc_count())
+            });
+            within_budget(cells, |cells| AnalysisError::SweepTooLarge {
+                scenarios,
+                cells,
+            })?;
+        }
         let AnalysisArena {
             wides,
             finish,
@@ -440,17 +483,20 @@ impl CycleTimeAnalysis {
         structure.rebuild(sg);
         let s = set.map_or(1, ScenarioSet::len);
         let mut analyses = Vec::with_capacity(s);
+        // Scenario `j`'s factor row; the nominal run never fills it.
+        let mut row = Vec::new();
         for j in 0..s {
-            let delay = |a: ArcId| {
-                let nominal = sg.arc(a).delay().get();
-                set.map_or(nominal, |set| set.delay(j, a, nominal))
-            };
             if let Some(set) = set {
-                set.check(sg, j)?;
+                set.fill_row(j, sg.arc_count(), &mut row);
+                set.check(sg, j, &row)?;
                 for entry in &mut structure.entries {
-                    entry.delay = delay(entry.arc);
+                    entry.delay = scenario::delay(&row, entry.arc, sg.arc(entry.arc).delay().get());
                 }
             }
+            let delay = |a: ArcId| {
+                let nominal = sg.arc(a).delay().get();
+                set.map_or(nominal, |_| scenario::delay(&row, a, nominal))
+            };
             let shared: &CyclicStructure = structure;
             let records = on_workers(wides, &border, |wide, lanes| {
                 wide.run_with(sg, shared, lanes, b, cancel)?;
@@ -519,9 +565,10 @@ impl CycleTimeAnalysis {
     }
 
     /// Runs the algorithm under every delay scenario of `set`, in order,
-    /// on one structure: the border set, the cell budget and the
-    /// structure are computed once, and each scenario `j` writes its
-    /// `nominal × factor` delays into the structure before its analysis.
+    /// on one structure: the border set, the cell budgets and the
+    /// structure are computed once, and each scenario `j` derives its
+    /// factor row over `sg`'s arc slots and writes its `nominal × factor`
+    /// delays into the structure before its analysis.
     /// So [`ScenarioAnalysis::analysis`]`(j)` is the analysis of
     /// [`ScenarioSet::reweighted`]`(sg, j)`, bit for bit, at every
     /// worker count, and no graph is copied. A cancelled sweep counts
@@ -531,9 +578,11 @@ impl CycleTimeAnalysis {
     /// # Errors
     ///
     /// As [`run_in_with_cancel`](Self::run_in_with_cancel), plus
-    /// [`AnalysisError::ScenarioDelay`] naming the first live arc, in
-    /// `ArcId` order, whose scaled delay overflows. The first scenario,
-    /// in order, that fails stops the sweep.
+    /// [`AnalysisError::SweepTooLarge`] when the sweep's results would
+    /// keep more than [`MAX_CELLS`] cells (checked before the first
+    /// scenario runs), and [`AnalysisError::ScenarioDelay`] naming the
+    /// first live arc, in `ArcId` order, whose scaled delay overflows.
+    /// The first scenario, in order, that fails stops the sweep.
     pub fn run_scenarios_in(
         sg: &SignalGraph,
         set: &ScenarioSet,
@@ -1008,7 +1057,7 @@ mod tests {
         use crate::analysis::scenario::Corner;
         let sg = figure2();
         let corners = [Corner::Min, Corner::Typ, Corner::Max];
-        let set = ScenarioSet::corners(10.0, &corners, sg.arc_count()).unwrap();
+        let set = ScenarioSet::corners(10.0, &corners).unwrap();
         let mut arena = AnalysisArena::new();
         let token = CancelToken::cancel_after_checks(4);
         let err =
@@ -1044,7 +1093,7 @@ mod tests {
         b.arc(xp, xm, 1.7e308);
         b.marked_arc(xm, xp, 1.0);
         let near_max = b.build().unwrap();
-        let set = ScenarioSet::corners(10.0, &corners, near_max.arc_count()).unwrap();
+        let set = ScenarioSet::corners(10.0, &corners).unwrap();
         let token = CancelToken::new();
         token.cancel();
         let err = CycleTimeAnalysis::run_scenarios_in(&near_max, &set, &mut arena, Some(&token))

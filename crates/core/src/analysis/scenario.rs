@@ -2,14 +2,16 @@
 //! analyses — min/typ/max *corners* derated by a percentage, or seeded
 //! Monte-Carlo *samples* from a per-arc variation model.
 //!
-//! A [`ScenarioSet`] is the bridge between a user-facing specification
+//! A [`ScenarioSet`] is a user-facing specification
 //! (`--corners min,typ,max --derate 10`, `--samples 64 --seed 7`) and
-//! the analyses: it derives one multiplicative factor per (scenario,
-//! arc slot), and scenario `j`'s delay of an arc is
-//! `nominal × factor(j, arc)`. A sweep
+//! nothing more: scenario `j`'s multiplicative factors are derived as
+//! one row over the graph's arc slots when a consumer needs them, and
+//! its delay of an arc is `nominal × factor`. A sweep
 //! ([`CycleTimeAnalysis::run_scenarios_in`]) builds the graph's flattened
-//! structure once and, per scenario, writes those delays into it and
-//! runs the ordinary cycle-time analysis on it. Each scenario's result
+//! structure once and, per scenario, fills one reused factor row, writes
+//! the scaled delays into the structure and runs the ordinary
+//! cycle-time analysis on it, so it keeps O(m) delay state however many
+//! scenarios it runs. Each scenario's result
 //! is therefore bit-identical to a scalar analysis of the scenario's
 //! *reweighted graph* ([`ScenarioSet::reweighted`], the nominal graph
 //! with every live arc's delay scaled), which the tests use as the
@@ -21,7 +23,8 @@
 //! `seed + j`, drawing one factor per arc slot in `ArcId` order.
 //! Because streams never share state, sample scenario `j` of `K` is
 //! bit-identical regardless of `K` — growing a sweep adds scenarios
-//! without disturbing the ones already measured. This is the
+//! without disturbing the ones already measured — and adding arcs only
+//! appends draws, so existing arcs keep their factors. This is the
 //! workspace's one Monte-Carlo path: each sampled delay assignment gets
 //! its exact τ from an ordinary analysis, not a long-run estimate.
 
@@ -124,24 +127,18 @@ impl fmt::Display for ScenarioSpecError {
 
 impl std::error::Error for ScenarioSpecError {}
 
-/// How a [`ScenarioSet`]'s factors are derived — retained so structural
-/// edits can re-derive the set for a changed arc-slot count
-/// ([`ScenarioSet::resized`]) without losing determinism.
+/// A scenario specification: the corners and their derate, or the
+/// samples' seed and jitter (their count is the number of labels).
 #[derive(Clone, Debug, PartialEq)]
 enum ScenarioSpec {
-    Corners {
-        derate: f64,
-        which: Vec<Corner>,
-    },
-    Samples {
-        count: usize,
-        seed: u64,
-        jitter: f64,
-    },
+    Corners { derate: f64, which: Vec<Corner> },
+    Samples { seed: u64, jitter: f64 },
 }
 
-/// A fixed set of delay scenarios over one graph's arc-slot space:
-/// per-scenario labels and per-(scenario, arc) multiplicative factors.
+/// A fixed set of delay scenarios: its specification and per-scenario
+/// labels. Scenario `j`'s factors are derived over whatever arc slots a
+/// graph has at the moment they are needed, so one set serves every
+/// generation of an edited graph.
 ///
 /// # Examples
 ///
@@ -157,11 +154,7 @@ enum ScenarioSpec {
 /// b.marked_arc(xm, xp, 2.0);
 /// let sg = b.build()?;
 ///
-/// let set = ScenarioSet::corners(
-///     10.0,
-///     &[Corner::Min, Corner::Typ, Corner::Max],
-///     sg.arc_count(),
-/// )?;
+/// let set = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Typ, Corner::Max])?;
 /// assert_eq!(set.len(), 3);
 /// assert_eq!(set.label(0), "min");
 /// let typ = set.reweighted(&sg, 1)?; // typ: factors are exactly 1.0
@@ -174,11 +167,6 @@ enum ScenarioSpec {
 pub struct ScenarioSet {
     spec: ScenarioSpec,
     labels: Vec<String>,
-    /// `factors[j * arc_slots + a]`: scenario `j`'s factor for arc slot
-    /// `a` (slots indexed by `ArcId::index`, tombstones included so the
-    /// sampled streams stay aligned across structural edits).
-    factors: Vec<f64>,
-    arc_slots: usize,
 }
 
 impl ScenarioSet {
@@ -190,24 +178,20 @@ impl ScenarioSet {
     /// [`ScenarioSpecError::Empty`] when `which` is empty;
     /// [`ScenarioSpecError::InvalidDerate`] when `derate` is outside
     /// `[0, 100)`.
-    pub fn corners(
-        derate: f64,
-        which: &[Corner],
-        arc_slots: usize,
-    ) -> Result<Self, ScenarioSpecError> {
+    pub fn corners(derate: f64, which: &[Corner]) -> Result<Self, ScenarioSpecError> {
         if which.is_empty() {
             return Err(ScenarioSpecError::Empty);
         }
         if !(0.0..100.0).contains(&derate) {
             return Err(ScenarioSpecError::InvalidDerate(derate));
         }
-        Ok(Self::derive(
-            ScenarioSpec::Corners {
+        Ok(ScenarioSet {
+            labels: which.iter().map(|c| c.name().to_string()).collect(),
+            spec: ScenarioSpec::Corners {
                 derate,
                 which: which.to_vec(),
             },
-            arc_slots,
-        ))
+        })
     }
 
     /// `count` sampled scenarios: scenario `j` draws one factor per arc
@@ -220,71 +204,20 @@ impl ScenarioSet {
     /// [`ScenarioSpecError::Empty`] when `count == 0`;
     /// [`ScenarioSpecError::InvalidDerate`] when `jitter_pct` is outside
     /// `[0, 100)`.
-    pub fn samples(
-        count: usize,
-        seed: u64,
-        jitter_pct: f64,
-        arc_slots: usize,
-    ) -> Result<Self, ScenarioSpecError> {
+    pub fn samples(count: usize, seed: u64, jitter_pct: f64) -> Result<Self, ScenarioSpecError> {
         if count == 0 {
             return Err(ScenarioSpecError::Empty);
         }
         if !(0.0..100.0).contains(&jitter_pct) {
             return Err(ScenarioSpecError::InvalidDerate(jitter_pct));
         }
-        Ok(Self::derive(
-            ScenarioSpec::Samples {
-                count,
+        Ok(ScenarioSet {
+            labels: (0..count).map(|j| format!("s{j}")).collect(),
+            spec: ScenarioSpec::Samples {
                 seed,
                 jitter: jitter_pct / 100.0,
             },
-            arc_slots,
-        ))
-    }
-
-    fn derive(spec: ScenarioSpec, arc_slots: usize) -> Self {
-        let (labels, factors) = match &spec {
-            ScenarioSpec::Corners { derate, which } => {
-                let labels = which.iter().map(|c| c.name().to_string()).collect();
-                let mut factors = Vec::with_capacity(which.len() * arc_slots);
-                for c in which {
-                    let f = c.factor(*derate);
-                    factors.extend(std::iter::repeat_n(f, arc_slots));
-                }
-                (labels, factors)
-            }
-            ScenarioSpec::Samples {
-                count,
-                seed,
-                jitter,
-            } => {
-                let labels = (0..*count).map(|j| format!("s{j}")).collect();
-                let mut factors = Vec::with_capacity(count * arc_slots);
-                for j in 0..*count {
-                    // Independent stream per scenario — adding scenarios
-                    // never perturbs earlier ones.
-                    let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(j as u64));
-                    factors.extend((0..arc_slots).map(|_| jitter_factor(&mut rng, *jitter)));
-                }
-                (labels, factors)
-            }
-        };
-        ScenarioSet {
-            spec,
-            labels,
-            factors,
-            arc_slots,
-        }
-    }
-
-    /// The same specification re-derived over a different arc-slot
-    /// count — the structural-edit hook: after arcs are added the new
-    /// slots get deterministic factors and existing corner factors are
-    /// unchanged. (Sampled factors for existing slots are re-drawn from
-    /// the same per-scenario streams, so the set stays a pure function
-    /// of `(spec, arc_slots)`.)
-    pub fn resized(&self, arc_slots: usize) -> Self {
-        Self::derive(self.spec.clone(), arc_slots)
+        })
     }
 
     /// Number of scenarios `s`.
@@ -298,36 +231,39 @@ impl ScenarioSet {
         &self.labels[j]
     }
 
-    /// Scenario `j`'s multiplicative factor for arc slot `a`.
-    pub fn factor(&self, j: usize, a: ArcId) -> f64 {
-        self.factors[j * self.arc_slots + a.index()]
+    /// Writes scenario `j`'s factors for arc slots `0..slots` into
+    /// `row` (slots indexed by `ArcId::index`, tombstones included): a
+    /// corner's constant, or the draws of the scenario's own stream in
+    /// `ArcId` order. The row over `m` slots is a prefix of the row over
+    /// any `m' > m`, so adding arcs never changes the factors of the arcs
+    /// already there.
+    pub(crate) fn fill_row(&self, j: usize, slots: usize, row: &mut Vec<f64>) {
+        row.clear();
+        match self.spec {
+            ScenarioSpec::Corners { derate, ref which } => {
+                row.resize(slots, which[j].factor(derate));
+            }
+            ScenarioSpec::Samples { seed, jitter } => {
+                // Independent stream per scenario: adding scenarios
+                // never perturbs earlier ones.
+                let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(j as u64));
+                row.extend((0..slots).map(|_| jitter_factor(&mut rng, jitter)));
+            }
+        }
     }
 
-    /// The arc-slot count the factors were derived over.
-    pub fn arc_slots(&self) -> usize {
-        self.arc_slots
-    }
-
-    /// Scenario `j`'s delay of arc `a` at nominal delay `nominal` — the
-    /// one definition sweeps, session edits and
-    /// [`reweighted`](Self::reweighted) share.
-    pub(crate) fn delay(&self, j: usize, a: ArcId, nominal: f64) -> f64 {
-        nominal * self.factor(j, a)
-    }
-
-    /// Checks scenario `j`'s delay of every live arc of `sg`, failing
-    /// with [`AnalysisError::ScenarioDelay`] on the first, in `ArcId`
-    /// order, that overflows (factors are positive and finite, so that
-    /// is the only way out of the delay domain). Panics as
-    /// [`reweighted`](Self::reweighted) does.
-    pub(crate) fn check(&self, sg: &SignalGraph, j: usize) -> Result<(), AnalysisError> {
-        assert!(
-            sg.arc_count() <= self.arc_slots,
-            "scenario set derived over {} arc slots, graph has {}",
-            self.arc_slots,
-            sg.arc_count()
-        );
-        let overflows = |a: ArcId| !self.delay(j, a, sg.arc(a).delay().get()).is_finite();
+    /// Checks scenario `j`'s delay, under its factor `row`, of every
+    /// live arc of `sg`, failing with [`AnalysisError::ScenarioDelay`]
+    /// on the first, in `ArcId` order, that overflows (factors are
+    /// positive and finite, so that is the only way out of the delay
+    /// domain).
+    pub(crate) fn check(
+        &self,
+        sg: &SignalGraph,
+        j: usize,
+        row: &[f64],
+    ) -> Result<(), AnalysisError> {
+        let overflows = |a: ArcId| !delay(row, a, sg.arc(a).delay().get()).is_finite();
         match sg.arc_ids().find(|&a| sg.is_live_arc(a) && overflows(a)) {
             Some(a) => Err(self.overflow_error(sg, j, a)),
             None => Ok(()),
@@ -335,25 +271,22 @@ impl ScenarioSet {
     }
 
     /// Scenario `j`'s reweighted graph: `sg` with every live arc's
-    /// delay replaced by `nominal × factor(j, arc)` — the graph the
-    /// scalar verification oracle analyses against a sweep's scenario
-    /// `j`.
+    /// delay replaced by `nominal × factor` under scenario `j`'s factor
+    /// row — the graph the scalar verification oracle analyses against
+    /// a sweep's scenario `j`.
     ///
     /// # Errors
     ///
     /// [`AnalysisError::ScenarioDelay`], naming the scenario and the
     /// first arc in `ArcId` order, when a scaled delay overflows to
     /// infinity (a nominal delay near `f64::MAX`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sg` has more arc slots than this set was derived
-    /// over (call [`resized`](Self::resized) after structural edits).
     pub fn reweighted(&self, sg: &SignalGraph, j: usize) -> Result<SignalGraph, AnalysisError> {
-        self.check(sg, j)?;
+        let mut row = Vec::new();
+        self.fill_row(j, sg.arc_count(), &mut row);
+        self.check(sg, j, &row)?;
         let mut out = sg.clone();
         for a in sg.arc_ids().filter(|&a| sg.is_live_arc(a)) {
-            out.set_delay(a, self.delay(j, a, sg.arc(a).delay().get()))
+            out.set_delay(a, delay(&row, a, sg.arc(a).delay().get()))
                 .expect("checked finite");
         }
         Ok(out)
@@ -369,6 +302,13 @@ impl ScenarioSet {
             dst: sg.label(arc.dst()).to_string(),
         }
     }
+}
+
+/// The scenario delay of arc `a` at nominal delay `nominal` under the
+/// factor row `row` — the one definition sweeps, session edits and
+/// [`ScenarioSet::reweighted`] share.
+pub(crate) fn delay(row: &[f64], a: ArcId, nominal: f64) -> f64 {
+    nominal * row[a.index()]
 }
 
 /// Multiplicative delay perturbation in `[1 − jitter, 1 + jitter)`,
@@ -439,22 +379,32 @@ impl ScenarioAnalysis {
     /// critical cycle, the fraction of scenarios whose critical cycle
     /// contains it — sorted most-critical first (ties by arc index).
     pub fn criticality(&self) -> Vec<(ArcId, f64)> {
-        let mut counts: Vec<(ArcId, usize)> = Vec::new();
-        for a in &self.per {
-            for &arc in a.critical_cycle() {
-                match counts.iter_mut().find(|(x, _)| *x == arc) {
-                    Some((_, c)) => *c += 1,
-                    None => counts.push((arc, 1)),
-                }
-            }
-        }
-        counts.sort_by_key(|&(arc, c)| (std::cmp::Reverse(c), arc.index()));
-        let s = self.len() as f64;
-        counts
-            .into_iter()
-            .map(|(arc, c)| (arc, c as f64 / s))
-            .collect()
+        criticality_of(self.per.iter().map(|a| a.critical_cycle()), self.len())
     }
+}
+
+/// The criticality of the arcs on `cycles`, one per scenario of `s`:
+/// each arc's occurrences are counted in one dense per-arc-slot array,
+/// so the cost is linear in the cycles' total length plus the largest
+/// arc index.
+fn criticality_of<'a>(cycles: impl Iterator<Item = &'a [ArcId]>, s: usize) -> Vec<(ArcId, f64)> {
+    let mut counts: Vec<usize> = Vec::new();
+    for cycle in cycles {
+        for &arc in cycle {
+            if arc.index() >= counts.len() {
+                counts.resize(arc.index() + 1, 0);
+            }
+            counts[arc.index()] += 1;
+        }
+    }
+    let mut hits: Vec<(ArcId, usize)> = (0..counts.len())
+        .filter(|&a| counts[a] > 0)
+        .map(|a| (ArcId(a as u32), counts[a]))
+        .collect();
+    hits.sort_by_key(|&(arc, c)| (std::cmp::Reverse(c), arc.index()));
+    hits.into_iter()
+        .map(|(arc, c)| (arc, c as f64 / s as f64))
+        .collect()
 }
 
 #[cfg(test)]
@@ -489,16 +439,17 @@ mod tests {
 
     #[test]
     fn corner_factors_and_labels() {
-        let set = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Typ, Corner::Max], 4).unwrap();
+        let set = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Typ, Corner::Max]).unwrap();
         assert_eq!(set.len(), 3);
         assert_eq!(
             (0..3).map(|j| set.label(j)).collect::<Vec<_>>(),
             ["min", "typ", "max"]
         );
-        let a0 = ArcId(0);
-        assert_eq!(set.factor(0, a0), 0.9);
-        assert_eq!(set.factor(1, a0), 1.0);
-        assert_eq!(set.factor(2, a0), 1.1);
+        let mut row = Vec::new();
+        for (j, f) in [0.9, 1.0, 1.1].into_iter().enumerate() {
+            set.fill_row(j, 4, &mut row);
+            assert_eq!(row, [f; 4]);
+        }
     }
 
     #[test]
@@ -513,15 +464,15 @@ mod tests {
             Err(UnknownCorner("fast".to_string()))
         );
         assert_eq!(
-            ScenarioSet::corners(10.0, &[], 4).unwrap_err(),
+            ScenarioSet::corners(10.0, &[]).unwrap_err(),
             ScenarioSpecError::Empty
         );
         assert_eq!(
-            ScenarioSet::corners(100.0, &[Corner::Min], 4).unwrap_err(),
+            ScenarioSet::corners(100.0, &[Corner::Min]).unwrap_err(),
             ScenarioSpecError::InvalidDerate(100.0)
         );
         assert_eq!(
-            ScenarioSet::samples(0, 1, 10.0, 4).unwrap_err(),
+            ScenarioSet::samples(0, 1, 10.0).unwrap_err(),
             ScenarioSpecError::Empty
         );
     }
@@ -532,41 +483,66 @@ mod tests {
     #[test]
     fn sample_scenarios_are_independent_of_count() {
         let slots = 7;
-        let small = ScenarioSet::samples(3, 42, 15.0, slots).unwrap();
-        let large = ScenarioSet::samples(64, 42, 15.0, slots).unwrap();
+        let small = ScenarioSet::samples(3, 42, 15.0).unwrap();
+        let large = ScenarioSet::samples(64, 42, 15.0).unwrap();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         for j in 0..small.len() {
-            for a in 0..slots {
-                let arc = ArcId(a as u32);
+            small.fill_row(j, slots, &mut a);
+            large.fill_row(j, slots, &mut b);
+            let bits = |row: &[f64]| row.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "scenario {j}");
+        }
+    }
+
+    /// A row over `m` slots is a prefix of the row over `m' > m`, and a
+    /// set built before its graph gained arcs sweeps the grown graph
+    /// exactly as the scalar engine analyses each reweighted graph.
+    #[test]
+    fn factor_rows_grow_by_appending() {
+        let samples = ScenarioSet::samples(4, 7, 20.0).unwrap();
+        let corners = ScenarioSet::corners(5.0, &[Corner::Min, Corner::Max]).unwrap();
+        let (mut short, mut long) = (Vec::new(), Vec::new());
+        for set in [&samples, &corners] {
+            for j in 0..set.len() {
+                set.fill_row(j, 5, &mut short);
+                set.fill_row(j, 9, &mut long);
+                assert_eq!(long.len(), 9);
+                assert_eq!(short, long[..5], "scenario {j}");
+            }
+        }
+        corners.fill_row(1, 6, &mut long);
+        assert_eq!(long[5], 1.05);
+
+        let mut sg = figure2();
+        let before = sg.arc_count();
+        let ap = sg.event_by_label("a+").unwrap();
+        let bm = sg.event_by_label("b-").unwrap();
+        let cm = sg.event_by_label("c-").unwrap();
+        sg.add_arc(ap, bm, 4.0, false).unwrap();
+        sg.add_arc(cm, ap, 6.0, true).unwrap();
+        sg.validate().unwrap();
+        assert_eq!(sg.arc_count(), before + 2);
+        for set in [&samples, &corners] {
+            let sweep =
+                CycleTimeAnalysis::run_scenarios_in(&sg, set, &mut AnalysisArena::new(), None)
+                    .unwrap();
+            for j in 0..set.len() {
+                let want = CycleTimeAnalysis::run_scalar(&set.reweighted(&sg, j).unwrap()).unwrap();
+                let got = sweep.analysis(j);
                 assert_eq!(
-                    small.factor(j, arc).to_bits(),
-                    large.factor(j, arc).to_bits(),
-                    "scenario {j} slot {a}"
+                    got.cycle_time().as_f64().to_bits(),
+                    want.cycle_time().as_f64().to_bits(),
+                    "scenario {j}"
                 );
+                assert_eq!(got.critical_cycle(), want.critical_cycle(), "scenario {j}");
             }
         }
     }
 
     #[test]
-    fn resized_is_deterministic_and_spec_preserving() {
-        let set = ScenarioSet::samples(4, 7, 20.0, 5).unwrap();
-        let grown = set.resized(9);
-        assert_eq!(grown.len(), 4);
-        assert_eq!(grown.arc_slots(), 9);
-        // Re-deriving at the same size reproduces the set exactly.
-        assert_eq!(grown.resized(5), set);
-        let corners = ScenarioSet::corners(5.0, &[Corner::Max], 3).unwrap();
-        assert_eq!(corners.resized(6).factor(0, ArcId(5)), 1.05);
-    }
-
-    #[test]
     fn reweighted_scales_only_live_arcs() {
         let sg = figure2();
-        let set = ScenarioSet::corners(
-            10.0,
-            &[Corner::Min, Corner::Typ, Corner::Max],
-            sg.arc_count(),
-        )
-        .unwrap();
+        let set = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Typ, Corner::Max]).unwrap();
         let typ = set.reweighted(&sg, 1).unwrap();
         for a in sg.arc_ids() {
             assert_eq!(
@@ -587,12 +563,7 @@ mod tests {
     #[test]
     fn quantiles_use_nearest_rank() {
         let sg = figure2();
-        let set = ScenarioSet::corners(
-            10.0,
-            &[Corner::Min, Corner::Typ, Corner::Max],
-            sg.arc_count(),
-        )
-        .unwrap();
+        let set = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Typ, Corner::Max]).unwrap();
         let per: Vec<_> = (0..set.len())
             .map(|j| CycleTimeAnalysis::run(&set.reweighted(&sg, j).unwrap()).unwrap())
             .collect();
@@ -631,12 +602,7 @@ mod tests {
             want.to_string(),
             "scenario max scales the delay of x+ -> x- past the largest finite delay"
         );
-        let corners = ScenarioSet::corners(
-            10.0,
-            &[Corner::Min, Corner::Typ, Corner::Max],
-            sg.arc_count(),
-        )
-        .unwrap();
+        let corners = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Typ, Corner::Max]).unwrap();
         assert!(corners.reweighted(&sg, 0).is_ok());
         assert_eq!(corners.reweighted(&sg, 2).unwrap_err(), want);
         assert_eq!(
@@ -658,8 +624,7 @@ mod tests {
         b.arc(xp, xm, 1.0);
         b.marked_arc(xm, xp, 1.0);
         let prefixed = b.build().unwrap();
-        let set =
-            ScenarioSet::corners(10.0, &[Corner::Typ, Corner::Max], prefixed.arc_count()).unwrap();
+        let set = ScenarioSet::corners(10.0, &[Corner::Typ, Corner::Max]).unwrap();
         assert_eq!(
             CycleTimeAnalysis::run_scenarios_in(&prefixed, &set, &mut AnalysisArena::new(), None)
                 .unwrap_err(),
@@ -672,7 +637,7 @@ mod tests {
 
         // Seeded samples at ±10%: the first scenario drawing a factor
         // above MAX / 1.7e308 ≈ 1.057 is named.
-        let samples = ScenarioSet::samples(4, 0, 10.0, sg.arc_count()).unwrap();
+        let samples = ScenarioSet::samples(4, 0, 10.0).unwrap();
         let first = (0..samples.len())
             .find(|&j| samples.reweighted(&sg, j).is_err())
             .expect("some sample inflates the delay");
@@ -687,5 +652,48 @@ mod tests {
                 dst: "x-".to_owned(),
             }
         );
+    }
+
+    /// The quadratic criticality count the dense one replaced: a linear
+    /// search of the counts so far per critical arc.
+    fn criticality_by_search(cycles: &[Vec<ArcId>], s: usize) -> Vec<(ArcId, f64)> {
+        let mut counts: Vec<(ArcId, usize)> = Vec::new();
+        for cycle in cycles {
+            for &arc in cycle {
+                match counts.iter_mut().find(|(x, _)| *x == arc) {
+                    Some((_, c)) => *c += 1,
+                    None => counts.push((arc, 1)),
+                }
+            }
+        }
+        counts.sort_by_key(|&(arc, c)| (std::cmp::Reverse(c), arc.index()));
+        counts
+            .into_iter()
+            .map(|(arc, c)| (arc, c as f64 / s as f64))
+            .collect()
+    }
+
+    #[test]
+    fn dense_criticality_equals_the_linear_search() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for case in 0..200u64 {
+            // Few arc ids force ties and repeats; some cycles are empty.
+            let ids = 1 + rng.next_u64() % 12;
+            let s = 1 + (rng.next_u64() % 8) as usize;
+            let cycles: Vec<Vec<ArcId>> = (0..s)
+                .map(|_| {
+                    let len = rng.next_u64() % 6;
+                    (0..len)
+                        .map(|_| ArcId((rng.next_u64() % ids) as u32))
+                        .collect()
+                })
+                .collect();
+            let got = criticality_of(cycles.iter().map(Vec::as_slice), s);
+            let want = criticality_by_search(&cycles, s);
+            let bits =
+                |v: &[(ArcId, f64)]| v.iter().map(|&(a, p)| (a, p.to_bits())).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "case {case}: {cycles:?}");
+        }
+        assert!(criticality_of(std::iter::once::<&[ArcId]>(&[]), 1).is_empty());
     }
 }

@@ -3,7 +3,7 @@
 //! The paper's headline workflow is bottleneck hunting — edit a gate
 //! delay, re-measure the cycle time, repeat. An [`AnalysisSession`]
 //! owns the graph, its last [`CycleTimeAnalysis`] (plus a
-//! [`ScenarioAnalysis`] when scenario lanes are on) and the
+//! [`ScenarioAnalysis`] when scenarios are on) and the
 //! [`AnalysisArena`] it was opened on. Every edit batch is validated,
 //! applied to the graph, and answered by re-running the one analysis
 //! core, [`CycleTimeAnalysis::run_in_with_cancel`] (and
@@ -46,7 +46,7 @@ use std::fmt;
 use tsg_sim::{CancelKind, CancelToken};
 
 use crate::analysis::cycle_time::{AnalysisError, CycleTimeAnalysis};
-use crate::analysis::scenario::{ScenarioAnalysis, ScenarioSet};
+use crate::analysis::scenario::{self, ScenarioAnalysis, ScenarioSet};
 use crate::analysis::wide::AnalysisArena;
 use crate::analysis::CycleTime;
 use crate::arc::ArcId;
@@ -265,8 +265,8 @@ pub struct AnalysisSession {
     arena: AnalysisArena,
 }
 
-/// The scenario lanes' set and their last analysis, when
-/// [`AnalysisSession::enable_scenarios`] turned them on.
+/// The scenario set, as given, and its last sweep, when
+/// [`AnalysisSession::enable_scenarios`] turned scenarios on.
 #[derive(Clone, Debug)]
 struct Scenarios {
     set: ScenarioSet,
@@ -365,7 +365,7 @@ impl AnalysisSession {
     }
 
     /// Applies a batch of delay edits and re-runs the analysis (and the
-    /// scenario lanes, when enabled) on the edited graph, polling
+    /// scenario sweep, when enabled) on the edited graph, polling
     /// `cancel` once per lane row. The updated
     /// [`analysis`](Self::analysis) is bit-identical to a from-scratch
     /// [`CycleTimeAnalysis::run`] on the edited graph.
@@ -388,16 +388,12 @@ impl AnalysisSession {
         edits: &[DelayEdit],
         cancel: Option<&CancelToken>,
     ) -> Result<CycleTimeDelta, EditError> {
-        // Validate the whole batch before mutating anything. A scenario
-        // set older than the graph (a cancelled structural batch added
-        // arcs) has no factors for the new slots; the re-run's sweep
-        // reports an overflow then.
-        let set = self
-            .scenarios
-            .as_ref()
-            .map(|s| &s.set)
-            .filter(|set| set.arc_slots() == self.sg.arc_count());
-        for e in edits {
+        // Validate the whole batch before mutating anything: the first
+        // bad edit in batch order wins, an overflow at the first
+        // scenario that has it.
+        let set = self.scenarios.as_ref().map(|s| &s.set);
+        let overflow = set.and_then(|set| first_overflow(&self.sg, set, edits));
+        for (k, e) in edits.iter().enumerate() {
             if !self.sg.is_live_arc(e.arc) {
                 return Err(EditError::UnknownArc(e.arc));
             }
@@ -407,9 +403,8 @@ impl AnalysisSession {
                     delay: e.delay,
                 });
             }
-            if let Some(set) = set {
-                let overflows = |j| !set.delay(j, e.arc, e.delay).is_finite();
-                if let Some(j) = (0..set.len()).find(|&j| overflows(j)) {
+            if let (Some(set), Some((first, j))) = (set, overflow) {
+                if first == k {
                     return Err(EditError::Analysis(set.overflow_error(&self.sg, j, e.arc)));
                 }
             }
@@ -438,7 +433,7 @@ impl AnalysisSession {
 
     /// Applies a batch of structural and delay edits ([`GraphEdit`]) in
     /// order, re-validates the whole graph, and re-runs the analysis
-    /// (and the scenario lanes, when enabled) on it, polling `cancel`
+    /// (and the scenario sweep, when enabled) on it, polling `cancel`
     /// once per lane row. The refreshed [`analysis`](Self::analysis) is
     /// bit-identical to a from-scratch [`CycleTimeAnalysis::run`] on the
     /// mutated graph. An all-[`Delay`](GraphEdit::Delay) batch runs as
@@ -519,9 +514,9 @@ impl AnalysisSession {
     fn run(&mut self, cancel: Option<&CancelToken>) -> Result<(), AnalysisError> {
         let analysis =
             CycleTimeAnalysis::run_in_with_cancel(&self.sg, None, &mut self.arena, cancel)?;
-        if let Some(scen) = &self.scenarios {
-            let scen = sweep(&self.sg, &scen.set, &mut self.arena, cancel)?;
-            self.scenarios = Some(scen);
+        if let Some(scen) = &mut self.scenarios {
+            scen.analysis =
+                CycleTimeAnalysis::run_scenarios_in(&self.sg, &scen.set, &mut self.arena, cancel)?;
         }
         self.analysis = analysis;
         self.stale = false;
@@ -535,14 +530,16 @@ impl AnalysisSession {
     /// bit-identical to a from-scratch sweep with the same set. `cancel`
     /// is polled once per lane row.
     ///
-    /// Calling it again replaces the scenario set; `set` is re-derived
-    /// over the session graph's arc-slot count, so a set built for a
-    /// different graph generation is fine.
+    /// Calling it again replaces the scenario set. A set is only its
+    /// specification, so every sweep derives its factors over the
+    /// session graph's arc slots as they are then.
     ///
     /// # Errors
     ///
     /// Returns [`AnalysisError::Cancelled`] when `cancel` fires
-    /// mid-sweep, [`AnalysisError::ScenarioDelay`] when a scenario
+    /// mid-sweep, [`AnalysisError::SweepTooLarge`] when the sweep's
+    /// results are over the cell budget,
+    /// [`AnalysisError::ScenarioDelay`] when a scenario
     /// scales a delay past the largest finite `f64`, or
     /// [`AnalysisError::NonFiniteCycleLength`] when a scenario's cycle
     /// length overflows; no scenario state is installed then.
@@ -551,8 +548,9 @@ impl AnalysisSession {
         set: &ScenarioSet,
         cancel: Option<&CancelToken>,
     ) -> Result<&ScenarioAnalysis, AnalysisError> {
-        let scen = sweep(&self.sg, set, &mut self.arena, cancel)?;
-        Ok(&self.scenarios.insert(scen).analysis)
+        let analysis = CycleTimeAnalysis::run_scenarios_in(&self.sg, set, &mut self.arena, cancel)?;
+        let set = set.clone();
+        Ok(&self.scenarios.insert(Scenarios { set, analysis }).analysis)
     }
 
     /// Drops the scenario state; edits go back to nominal-only.
@@ -568,8 +566,8 @@ impl AnalysisSession {
         self.scenarios.as_ref().map(|s| &s.analysis)
     }
 
-    /// The enabled scenario set (re-derived over the arc-slot count of
-    /// the last analysed graph), if any.
+    /// The enabled scenario set, as given to
+    /// [`enable_scenarios`](Self::enable_scenarios), if any.
     pub fn scenario_set(&self) -> Option<&ScenarioSet> {
         self.scenarios.as_ref().map(|s| &s.set)
     }
@@ -618,17 +616,27 @@ pub struct SessionSnapshot {
     stale: bool,
 }
 
-/// The scenario sweep of `set`, re-derived over `sg`'s arc slots, on
-/// `arena`.
-fn sweep(
+/// The first valid edit of `edits`, in batch order, whose new delay
+/// some scenario of `set` scales past the largest finite delay, with
+/// the first such scenario: `(edit index, scenario)`. Each scenario's
+/// factor row is derived once.
+fn first_overflow(
     sg: &SignalGraph,
     set: &ScenarioSet,
-    arena: &mut AnalysisArena,
-    cancel: Option<&CancelToken>,
-) -> Result<Scenarios, AnalysisError> {
-    let set = set.resized(sg.arc_count());
-    let analysis = CycleTimeAnalysis::run_scenarios_in(sg, &set, arena, cancel)?;
-    Ok(Scenarios { set, analysis })
+    edits: &[DelayEdit],
+) -> Option<(usize, usize)> {
+    let mut row = Vec::new();
+    let overflows = |row: &[f64], e: &DelayEdit| {
+        sg.is_live_arc(e.arc)
+            && Delay::new(e.delay).is_ok()
+            && !scenario::delay(row, e.arc, e.delay).is_finite()
+    };
+    (0..set.len())
+        .filter_map(|j| {
+            set.fill_row(j, sg.arc_count(), &mut row);
+            Some((edits.iter().position(|e| overflows(&row, e))?, j))
+        })
+        .min()
 }
 
 /// Applies a structural batch to `sg` in order and re-validates the
@@ -1221,12 +1229,7 @@ mod tests {
         use crate::analysis::scenario::Corner;
 
         let mut session = AnalysisSession::open(figure2()).unwrap();
-        let set = ScenarioSet::corners(
-            10.0,
-            &[Corner::Min, Corner::Typ, Corner::Max],
-            session.graph().arc_count(),
-        )
-        .unwrap();
+        let set = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Typ, Corner::Max]).unwrap();
         session.enable_scenarios(&set, None).unwrap();
         assert_eq!(session.scenario_count(), 3);
         assert_scenarios_match_scratch(&session, "after enable");
@@ -1256,14 +1259,28 @@ mod tests {
         assert_matches_scratch(&session, "structural add, nominal");
         assert_scenarios_match_scratch(&session, "structural add");
 
-        // A batch that changes the border set: the set is re-derived
-        // over the grown arc axis.
+        // A batch that changes the border set and grows the arc axis:
+        // the set, built before the new arcs, is kept as given and its
+        // sweep matches the scalar engine on each grown, reweighted
+        // graph.
         let batch = split_batch(&session, "b+", "c+", "s+");
         session.edit_structure(&batch, None).unwrap();
-        assert_eq!(
-            session.scenario_set().unwrap().arc_slots(),
-            session.graph().arc_count()
-        );
+        assert_eq!(session.scenario_set(), Some(&set));
+        let sa = session.scenario_analysis().unwrap();
+        for j in 0..set.len() {
+            let reweighted = set.reweighted(session.graph(), j).unwrap();
+            let want = CycleTimeAnalysis::run_scalar(&reweighted).unwrap();
+            assert_eq!(
+                sa.analysis(j).cycle_time().as_f64().to_bits(),
+                want.cycle_time().as_f64().to_bits(),
+                "split: scenario {j} cycle time"
+            );
+            assert_eq!(
+                sa.analysis(j).critical_cycle(),
+                want.critical_cycle(),
+                "split: scenario {j}"
+            );
+        }
         assert_matches_scratch(&session, "split, nominal");
         assert_scenarios_match_scratch(&session, "split reseed");
 
@@ -1277,12 +1294,7 @@ mod tests {
         use crate::analysis::scenario::Corner;
 
         let mut session = AnalysisSession::open(figure2()).unwrap();
-        let set = ScenarioSet::corners(
-            10.0,
-            &[Corner::Min, Corner::Typ, Corner::Max],
-            session.graph().arc_count(),
-        )
-        .unwrap();
+        let set = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Typ, Corner::Max]).unwrap();
         session.enable_scenarios(&set, None).unwrap();
 
         // 1.7e308 is a valid delay, but not under the max corner's ×1.1:
@@ -1350,10 +1362,81 @@ mod tests {
         assert_eq!(session.scenario_count(), 0);
     }
 
+    /// A refused delay batch names the first bad edit in batch order;
+    /// an edit that overflows names the first scenario that overflows
+    /// it. The oracle checks edit by edit, scenario by scenario.
+    #[test]
+    fn delay_batch_errors_follow_batch_order() {
+        use rand::rngs::SmallRng;
+        use rand::{RngCore, SeedableRng};
+
+        let mut session = AnalysisSession::open(figure2()).unwrap();
+        let set = ScenarioSet::samples(6, 3, 10.0).unwrap();
+        session.enable_scenarios(&set, None).unwrap();
+        let sg = session.graph().clone();
+        let rows: Vec<Vec<f64>> = (0..set.len())
+            .map(|j| {
+                let mut row = Vec::new();
+                set.fill_row(j, sg.arc_count(), &mut row);
+                row
+            })
+            .collect();
+        let oracle = |batch: &[DelayEdit]| {
+            for e in batch {
+                if !sg.is_live_arc(e.arc) {
+                    return Some(EditError::UnknownArc(e.arc));
+                }
+                if Delay::new(e.delay).is_err() {
+                    let (arc, delay) = (e.arc, e.delay);
+                    return Some(EditError::InvalidDelay { arc, delay });
+                }
+                let overflows = |j: &usize| !(e.delay * rows[*j][e.arc.index()]).is_finite();
+                if let Some(j) = (0..set.len()).find(overflows) {
+                    return Some(EditError::Analysis(set.overflow_error(&sg, j, e.arc)));
+                }
+            }
+            None
+        };
+        let arcs: Vec<ArcId> = sg.arc_ids().filter(|&a| sg.is_live_arc(a)).collect();
+        // Under ±10% each large delay overflows under a different subset
+        // of the scenarios.
+        let delays = [1.0, 1.65e308, 1.7e308, 1.75e308, -1.0, f64::INFINITY];
+        let snap = session.snapshot();
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut refused = 0;
+        for case in 0..300 {
+            let len = 1 + rng.next_u64() % 4;
+            let batch: Vec<DelayEdit> = (0..len)
+                .map(|_| DelayEdit {
+                    arc: *arcs
+                        .get(rng.next_u64() as usize % (arcs.len() + 1))
+                        .unwrap_or(&ArcId(999)),
+                    delay: delays[rng.next_u64() as usize % delays.len()],
+                })
+                .collect();
+            let got = session.edit_delays(&batch, None);
+            match oracle(&batch) {
+                Some(want) => {
+                    assert_eq!(got.unwrap_err(), want, "case {case}: {batch:?}");
+                    refused += 1;
+                }
+                None => assert!(
+                    !matches!(
+                        got,
+                        Err(EditError::Analysis(AnalysisError::ScenarioDelay { .. }))
+                    ),
+                    "case {case}: {got:?}"
+                ),
+            }
+            session.restore(snap.clone());
+        }
+        assert!(refused > 100, "{refused}");
+    }
+
     #[test]
     fn sampled_scenarios_follow_session_edits() {
         let mut session = AnalysisSession::open(figure2()).unwrap();
-        let set = ScenarioSet::samples(5, 42, 20.0, session.graph().arc_count()).unwrap();
+        let set = ScenarioSet::samples(5, 42, 20.0).unwrap();
         session.enable_scenarios(&set, None).unwrap();
         assert_scenarios_match_scratch(&session, "sampled enable");
 
@@ -1369,12 +1452,7 @@ mod tests {
         use crate::analysis::scenario::Corner;
 
         let mut session = AnalysisSession::open(figure2()).unwrap();
-        let set = ScenarioSet::corners(
-            15.0,
-            &[Corner::Min, Corner::Typ, Corner::Max],
-            session.graph().arc_count(),
-        )
-        .unwrap();
+        let set = ScenarioSet::corners(15.0, &[Corner::Min, Corner::Typ, Corner::Max]).unwrap();
         session.enable_scenarios(&set, None).unwrap();
         let arc = session.resolve_arc("a+", "c+").unwrap();
 
@@ -1415,12 +1493,7 @@ mod tests {
         use crate::analysis::scenario::Corner;
 
         let mut session = AnalysisSession::open(figure2()).unwrap();
-        let set = ScenarioSet::corners(
-            10.0,
-            &[Corner::Min, Corner::Max],
-            session.graph().arc_count(),
-        )
-        .unwrap();
+        let set = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Max]).unwrap();
         session.enable_scenarios(&set, None).unwrap();
         let taus0 = session.scenario_analysis().unwrap().taus();
         let snap = session.snapshot();
@@ -1599,13 +1672,10 @@ mod tests {
     #[test]
     fn overflowing_scenario_cycle_is_an_error_not_a_panic() {
         use crate::analysis::scenario::Corner;
-        let corners = |sg: &SignalGraph| {
-            ScenarioSet::corners(10.0, &[Corner::Typ, Corner::Max], sg.arc_count()).unwrap()
-        };
+        let set = ScenarioSet::corners(10.0, &[Corner::Typ, Corner::Max]).unwrap();
 
         // Each scaled delay is finite; the max corner's cycle is not.
         let mut session = AnalysisSession::open(toggle(9e307, 8e307)).unwrap();
-        let set = corners(session.graph());
         let err = session.enable_scenarios(&set, None).unwrap_err();
         assert!(
             matches!(err, AnalysisError::NonFiniteCycleLength { .. }),

@@ -21,8 +21,7 @@
 //! Bellman–Ford pass per node suffices (O(n·m) per source, O(n²m) total —
 //! fine for reporting; the hot path of the crate stays O(b²m)).
 
-use crate::analysis::cycle_time::{AnalysisError, CycleTimeAnalysis};
-use crate::analysis::sim::MAX_CELLS;
+use crate::analysis::cycle_time::{within_budget, AnalysisError, CycleTimeAnalysis};
 use crate::arc::ArcId;
 use crate::graph::SignalGraph;
 
@@ -41,18 +40,13 @@ impl SlackAnalysis {
     /// Returns [`AnalysisError::NoCyclicBehavior`] for graphs without
     /// repetitive events, and [`AnalysisError::SlackTooLarge`] — before
     /// anything is analysed or allocated — when the `n × n` longest-path
-    /// table over the `n` repetitive events exceeds [`MAX_CELLS`].
+    /// table over the `n` repetitive events exceeds
+    /// [`MAX_CELLS`](crate::analysis::sim::MAX_CELLS).
     pub fn run(sg: &SignalGraph) -> Result<Self, AnalysisError> {
         let events = sg.repetitive_count();
-        match events.checked_mul(events) {
-            Some(cells) if cells <= MAX_CELLS => {}
-            cells => {
-                return Err(AnalysisError::SlackTooLarge {
-                    events,
-                    cells: cells.unwrap_or(usize::MAX),
-                })
-            }
-        }
+        within_budget(events.checked_mul(events), |cells| {
+            AnalysisError::SlackTooLarge { events, cells }
+        })?;
         let tau = CycleTimeAnalysis::run(sg)?.cycle_time().as_f64();
         let view = sg.repetitive_view();
         let n = view.graph.node_count();

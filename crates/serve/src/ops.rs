@@ -332,8 +332,8 @@ pub fn verify_session(session: &AnalysisSession) -> Result<(), String> {
             scratch.cycle_time()
         ));
     }
-    // When scenario lanes are enabled, every lane must match a scratch
-    // sweep too.
+    // When scenarios are enabled, every scenario's analysis must match
+    // a scratch sweep too.
     if let (Some(set), Some(sa)) = (session.scenario_set(), session.scenario_analysis()) {
         let scratch = CycleTimeAnalysis::run_scenarios_in(
             session.graph(),
@@ -429,8 +429,8 @@ pub struct AnalyzeOptions {
     pub slack: bool,
     /// Delay assigned to arcs without a `.delay` annotation.
     pub default_delay: f64,
-    /// Delay corners to sweep as scenario lanes alongside the nominal
-    /// analysis (`--corners min,typ,max`). Empty = no corner sweep.
+    /// Delay corners to sweep, one analysis per corner, alongside the
+    /// nominal analysis (`--corners min,typ,max`). Empty = no corner sweep.
     /// Takes precedence over `samples` when both are given.
     pub corners: Vec<Corner>,
     /// Derate percentage of the min/max corners — and the jitter
@@ -459,24 +459,20 @@ impl Default for AnalyzeOptions {
     }
 }
 
-/// The scenario set an `analyze` invocation's flags ask for, over
-/// `arc_slots` arc slots: corners win over samples, neither means
-/// `None` (nominal-only analysis).
+/// The scenario set an `analyze` invocation's flags ask for: corners
+/// win over samples, neither means `None` (nominal-only analysis).
 ///
 /// # Errors
 ///
 /// Returns invalid specifications (derate outside `[0, 100)`) as
 /// user-facing messages.
-pub fn scenario_set_for(
-    opts: &AnalyzeOptions,
-    arc_slots: usize,
-) -> Result<Option<ScenarioSet>, String> {
+pub fn scenario_set_for(opts: &AnalyzeOptions) -> Result<Option<ScenarioSet>, String> {
     if !opts.corners.is_empty() {
-        ScenarioSet::corners(opts.derate, &opts.corners, arc_slots)
+        ScenarioSet::corners(opts.derate, &opts.corners)
             .map(Some)
             .map_err(|e| e.to_string())
     } else if opts.samples > 0 {
-        ScenarioSet::samples(opts.samples, opts.seed, opts.derate, arc_slots)
+        ScenarioSet::samples(opts.samples, opts.seed, opts.derate)
             .map(Some)
             .map_err(|e| e.to_string())
     } else {
@@ -569,8 +565,9 @@ fn report_on(
     // The scenario sweep reuses the same warm arena the nominal
     // analysis just ran on; only a fired token and an overflowing delay
     // abort the report, everything else renders inline like the
-    // nominal block (an overflowing scenario cycle included).
-    let scenarios = match scenario_set_for(opts, sg.arc_count()) {
+    // nominal block (an overflowing scenario cycle and a sweep over the
+    // cell budget included).
+    let scenarios = match scenario_set_for(opts) {
         Ok(Some(set)) => match CycleTimeAnalysis::run_scenarios_in(sg, &set, arena, cancel) {
             Ok(sa) => Ok(Some(sa)),
             Err(e @ (AnalysisError::Cancelled { .. } | AnalysisError::ScenarioDelay { .. })) => {
@@ -949,7 +946,7 @@ fn propose_move(
 /// accepted-objective trajectory is monotone non-increasing by
 /// construction, so `final_tau <= initial` always holds — with
 /// [`Objective::TauP95`] the scored value is the 95th-percentile τ over
-/// the session's enabled scenario lanes (nominal τ if none are).
+/// the session's enabled scenarios (nominal τ if none are).
 ///
 /// `cancel` is polled between moves: a fired token stops proposing and
 /// returns the trajectory so far — the session is never left mid-move,
@@ -976,8 +973,8 @@ fn optimize_session(
         // A rejected batch rolls itself back; a scored one that does
         // not improve is rolled back to the snapshot. Only strict
         // improvements survive, so the committed objective never
-        // climbs. Scoring a move re-runs the scenario lanes too (the
-        // session refreshes them per edit batch), so TauP95 sees the
+        // climbs. Scoring a move re-runs the scenario sweep too (the
+        // session repeats it per edit batch), so TauP95 sees the
         // move's effect across the whole delay distribution.
         let scored = session.edit_structure(&batch, None).ok();
         let improved = scored.is_some() && objective_value(session, objective) < tau_before;
@@ -1010,11 +1007,11 @@ fn optimize_session(
 }
 
 /// The exploration operation behind `tsg explore --optimize` and
-/// `session.explore`: with [`Objective::TauP95`] and no scenario lanes
-/// yet, enables `samples` seeded delay scenarios (kept enabled
-/// afterwards, so the distribution summary reflects the final state);
-/// runs the speculative move loop; and renders its text report — the
-/// objective line (when scenario lanes are on), one line per move, the
+/// `session.explore`: with [`Objective::TauP95`] and no scenarios yet,
+/// enables `samples` seeded delay scenarios (kept enabled afterwards,
+/// so the distribution summary reflects the final state); runs the
+/// speculative move loop; and renders its text report — the objective
+/// line (when scenarios are on), one line per move, the
 /// outcome, the session summary and the τ distribution.
 ///
 /// # Errors
@@ -1029,9 +1026,7 @@ pub fn explore_session(
     cancel: Option<&CancelToken>,
 ) -> Result<(OptimizeOutcome, String), String> {
     if objective == Objective::TauP95 && session.scenario_analysis().is_none() {
-        let arcs = session.graph().arc_count();
-        let set =
-            ScenarioSet::samples(samples.max(1), seed, 10.0, arcs).map_err(|e| e.to_string())?;
+        let set = ScenarioSet::samples(samples.max(1), seed, 10.0).map_err(|e| e.to_string())?;
         session
             .enable_scenarios(&set, None)
             .map_err(|e| e.to_string())?;
@@ -1262,7 +1257,7 @@ impl Workspace {
 
     /// `session.explore`: runs [`explore_session`] on an open session
     /// and self-verifies the final state against a from-scratch
-    /// analysis (scenario lanes included).
+    /// analysis (every enabled scenario included).
     ///
     /// # Errors
     ///

@@ -167,7 +167,7 @@ pub struct ServeStats {
     /// Requests that carried a scenario sweep (corners, samples, or a
     /// `tau-p95` explore objective).
     pub scenario_requests: u64,
-    /// Scenario lanes those requests asked for, summed.
+    /// Scenarios those requests asked for (one analysis each), summed.
     pub scenario_lanes: u64,
 }
 
@@ -299,12 +299,12 @@ struct PoolShared {
     worker_sessions: Vec<AtomicU64>,
     /// Requests that carried a scenario sweep.
     scenario_requests: AtomicU64,
-    /// Scenario lanes those requests asked for, summed.
+    /// Scenarios those requests asked for (one analysis each), summed.
     scenario_lanes: AtomicU64,
 }
 
 impl PoolShared {
-    /// Charges one scenario-sweeping request of `lanes` lanes into the
+    /// Charges one scenario-sweeping request of `lanes` scenarios into the
     /// scenario counters (no-op for nominal-only requests).
     fn note_scenarios(&self, lanes: usize) {
         if lanes > 0 {
@@ -315,8 +315,8 @@ impl PoolShared {
     }
 }
 
-/// Scenario lanes an `analyze`/`batch` request's options ask for per
-/// input (0 = nominal-only).
+/// Scenarios an `analyze`/`batch` request's options ask for per input
+/// (0 = nominal-only).
 fn scenario_lanes_of(opts: &AnalyzeOptions) -> usize {
     if opts.corners.is_empty() {
         opts.samples

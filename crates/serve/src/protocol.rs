@@ -137,7 +137,7 @@ pub enum Command {
         seed: u64,
         /// What accepted moves must strictly lower.
         objective: Objective,
-        /// Sampled scenario lanes a `tau-p95` objective scores over.
+        /// Sampled scenarios a `tau-p95` objective scores over.
         samples: usize,
     },
     /// Close a session, discarding its warm state.

@@ -5,7 +5,8 @@
 //! cells (12.8 GB of `f64`). Every entry point that sizes the window
 //! checks its cells against `sim::MAX_CELLS` first and returns a
 //! structured error naming the count. The slack analysis' n × n table
-//! is held to the same constant.
+//! and the results a scenario sweep keeps are held to the same
+//! constant.
 
 use tsg::core::analysis::cycle_time::analysis_cells;
 use tsg::core::analysis::sim::MAX_CELLS;
@@ -132,4 +133,66 @@ fn oversized_slack_table_is_an_error_before_allocation() {
         report.contains("cyclic arcs are timing-critical"),
         "{report}"
     );
+}
+
+/// The cells a sweep of `scenarios` scenarios over the one-token ring
+/// keeps: per scenario a critical cycle of at most `EVENTS` arcs, one
+/// record of one `(i, t, δ)` triple and two one-event border lists,
+/// plus one factor row over the `EVENTS` arcs.
+fn one_token_sweep_cells(scenarios: usize) -> usize {
+    scenarios * (EVENTS + 3 + 2) + EVENTS
+}
+
+/// A sweep whose results alone are over the budget is refused before
+/// its first scenario runs; the report says why the scenarios are
+/// missing, and the workspace serves on.
+fn assert_sweep_refused(opts: AnalyzeOptions, scenarios: usize) {
+    let text = ring(1);
+    let sg = parse_stg(&text, StgOptions::default()).unwrap();
+    let cells = one_token_sweep_cells(scenarios);
+    assert!(cells > MAX_CELLS);
+    let set = tsg::serve::ops::scenario_set_for(&opts).unwrap().unwrap();
+    assert_eq!(set.len(), scenarios);
+    let err = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut AnalysisArena::new(), None)
+        .unwrap_err();
+    assert_eq!(err, AnalysisError::SweepTooLarge { scenarios, cells });
+    assert!(err.to_string().contains(&cells.to_string()), "{err}");
+
+    let source = Source::Inline {
+        name: "ring.g".to_owned(),
+        text,
+    };
+    let mut workspace = Workspace::new();
+    let report = workspace.analyze(&source, &opts, None).unwrap();
+    assert!(report.contains("cycle time: 40000"), "{report}");
+    assert!(
+        report.contains(&format!("scenarios: unavailable ({err})")),
+        "{report}"
+    );
+    let small = Source::Inline {
+        name: "osc.g".to_owned(),
+        text: tsg::stg::EXAMPLE_OSCILLATOR.to_owned(),
+    };
+    let report = workspace.analyze(&small, &opts, None).unwrap();
+    assert!(report.contains("arc criticality:"), "{report}");
+}
+
+#[test]
+fn oversized_sample_sweep_is_refused_before_it_runs() {
+    let opts = AnalyzeOptions {
+        samples: 4096,
+        ..AnalyzeOptions::default()
+    };
+    assert_sweep_refused(opts, 4096);
+}
+
+#[test]
+fn oversized_corner_sweep_is_refused_before_it_runs() {
+    use tsg::core::analysis::scenario::Corner;
+    let corners = [Corner::Min, Corner::Typ, Corner::Max];
+    let opts = AnalyzeOptions {
+        corners: (0..20_000).map(|k| corners[k % 3]).collect(),
+        ..AnalyzeOptions::default()
+    };
+    assert_sweep_refused(opts, 20_000);
 }

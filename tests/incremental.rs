@@ -151,19 +151,18 @@ fn apply_mixed(session: &mut AnalysisSession, batch: &[GraphEdit], ctx: &str) ->
     }
 }
 
-/// A scenario set over `sg`'s arcs: corner sets of 1–3 corners for
-/// even `pick`, seeded sample sets of 1–5 lanes otherwise (the same
-/// mix the wide-kernel properties sweep).
-fn scenario_set(sg: &SignalGraph, pick: u64) -> ScenarioSet {
+/// A scenario set: corner sets of 1–3 corners for even `pick`, seeded
+/// sample sets of 1–5 scenarios otherwise (the same mix the wide-kernel
+/// properties sweep).
+fn scenario_set(pick: u64) -> ScenarioSet {
     const CORNERS: [Corner; 3] = [Corner::Min, Corner::Typ, Corner::Max];
-    let slots = sg.arc_count();
     if pick.is_multiple_of(2) {
         let count = 1 + (pick / 2 % 3) as usize;
         let derate = [5.0, 10.0, 25.0][(pick / 7 % 3) as usize];
-        ScenarioSet::corners(derate, &CORNERS[..count], slots).expect("non-empty corner list")
+        ScenarioSet::corners(derate, &CORNERS[..count]).expect("non-empty corner list")
     } else {
         let count = 1 + (pick / 2 % 5) as usize;
-        ScenarioSet::samples(count, pick, 10.0, slots).expect("non-zero sample count")
+        ScenarioSet::samples(count, pick, 10.0).expect("non-zero sample count")
     }
 }
 
@@ -301,7 +300,7 @@ proptest! {
     ) {
         let sg = graph(family, seed);
         let mut session = AnalysisSession::open(sg).expect("generated graphs are live");
-        let set = scenario_set(session.graph(), pick);
+        let set = scenario_set(pick);
         session.enable_scenarios(&set, None).expect("live");
         assert_scenario_lanes_match_scratch(
             &session,
@@ -315,11 +314,11 @@ proptest! {
         }
     }
 
-    /// Scenario lanes across *structural* edit scripts: splices that
-    /// grow the arc table force the session to re-derive the factor
-    /// matrix over the new slots and reseed every scenario lane; after
-    /// every batch (applied or rejected whole) each lane must still
-    /// match the scalar engine on its reweighted graph.
+    /// Scenarios across *structural* edit scripts: splices that grow
+    /// the arc table make every sweep derive its factor rows over the
+    /// new slots; after every batch (applied or rejected whole) each
+    /// scenario must still match the scalar engine on its reweighted
+    /// graph.
     #[test]
     fn scenario_lanes_survive_mixed_structural_scripts(
         family in 0usize..4,
@@ -328,7 +327,7 @@ proptest! {
         pick in 0u64..1_000,
     ) {
         let mut session = AnalysisSession::open(graph(family, seed)).expect("live");
-        let set = scenario_set(session.graph(), pick);
+        let set = scenario_set(pick);
         session.enable_scenarios(&set, None).expect("live");
         let mut fresh = 0u32;
         for step in 0..steps as u64 {
@@ -353,7 +352,7 @@ proptest! {
         for backend in available_backends() {
             let sg = graph(family, seed);
             let mut session = AnalysisSession::open_in(sg, AnalysisArena::with_kernel(backend), None).expect("live");
-            let set = scenario_set(session.graph(), pick);
+            let set = scenario_set(pick);
             session.enable_scenarios(&set, None).expect("live");
             for (step, e) in script(session.graph(), seed, edits).into_iter().enumerate() {
                 session.edit_delays(std::slice::from_ref(&e), None).unwrap();
@@ -385,13 +384,13 @@ fn long_edit_soak_per_family() {
 
 /// A deterministic scenario soak per family: 16 mixed structural moves
 /// on one session with a 4-sample set enabled throughout, nominal and
-/// scenario lanes bit-verified after every batch (catches factor-matrix
-/// drift that only shows after repeated reseeds and lane remaps).
+/// scenarios bit-verified after every batch (catches factor drift that
+/// only shows after repeated arc-table growth).
 #[test]
 fn long_scenario_soak_per_family() {
     for family in 0..4usize {
         let mut session = AnalysisSession::open(graph(family, 9)).expect("live");
-        let set = ScenarioSet::samples(4, 9, 10.0, session.graph().arc_count()).expect("live");
+        let set = ScenarioSet::samples(4, 9, 10.0).expect("live");
         session.enable_scenarios(&set, None).expect("live");
         let mut fresh = 0u32;
         for step in 0..16u64 {

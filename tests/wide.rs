@@ -41,18 +41,17 @@ use tsg_bench::{
     assert_wide_matches_scalar, available_backends, structural_edit_script,
 };
 
-/// A scenario set over `sg`'s arcs: corner sets of 1–3 corners for
-/// even `pick`, seeded sample sets of 1–5 scenarios otherwise.
-fn scenario_set(sg: &SignalGraph, pick: u64) -> ScenarioSet {
+/// A scenario set: corner sets of 1–3 corners for even `pick`, seeded
+/// sample sets of 1–5 scenarios otherwise.
+fn scenario_set(pick: u64) -> ScenarioSet {
     const CORNERS: [Corner; 3] = [Corner::Min, Corner::Typ, Corner::Max];
-    let slots = sg.arc_count();
     if pick.is_multiple_of(2) {
         let count = 1 + (pick / 2 % 3) as usize;
         let derate = [5.0, 10.0, 25.0][(pick / 7 % 3) as usize];
-        ScenarioSet::corners(derate, &CORNERS[..count], slots).expect("non-empty corner list")
+        ScenarioSet::corners(derate, &CORNERS[..count]).expect("non-empty corner list")
     } else {
         let count = 1 + (pick / 2 % 5) as usize;
-        ScenarioSet::samples(count, pick, 10.0, slots).expect("non-zero sample count")
+        ScenarioSet::samples(count, pick, 10.0).expect("non-zero sample count")
     }
 }
 
@@ -233,7 +232,7 @@ proptest! {
         pick in 0u64..1_000,
     ) {
         let sg = graph(family, seed);
-        let set = scenario_set(&sg, pick);
+        let set = scenario_set(pick);
         assert_scenarios_match_scalar(&sg, &set, &format!("family {family} seed {seed} pick {pick}"));
     }
 
@@ -253,7 +252,7 @@ proptest! {
         let n = b + 1 + (seed % 40) as usize;
         let sg = ring(n, b, 1.5);
         let s = [1usize, 3, 5][si];
-        let set = ScenarioSet::samples(s, seed, 10.0, sg.arc_count()).expect("s >= 1");
+        let set = ScenarioSet::samples(s, seed, 10.0).expect("s >= 1");
         for backend in available_backends() {
             let mut arena = AnalysisArena::with_kernel(backend);
             let swept = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut arena, None)
@@ -282,7 +281,7 @@ proptest! {
         threads in 1usize..9,
     ) {
         let sg = graph(family, seed);
-        let set = scenario_set(&sg, pick);
+        let set = scenario_set(pick);
         let seq = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut AnalysisArena::new(), None).expect("live");
         let mut arena = AnalysisArena::new().with_workers(threads);
         let par = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut arena, None)
@@ -562,7 +561,7 @@ fn oneshot_run_keeps_a_two_row_window() {
 #[test]
 fn scenario_sweep_keeps_one_analysis_window() {
     let sg = ring(12, 3, 1.5);
-    let set = ScenarioSet::samples(8, 7, 10.0, sg.arc_count()).expect("s >= 1");
+    let set = ScenarioSet::samples(8, 7, 10.0).expect("s >= 1");
     let mut swept = AnalysisArena::new();
     CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut swept, None).expect("live");
     let mut nominal = AnalysisArena::new();
