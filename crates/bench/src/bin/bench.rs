@@ -20,11 +20,7 @@
 //! `AnalysisSession::open`, which runs in the same window), the
 //! `analyze` response's non-kernel bytes at that shape (`render`:
 //! `ops::report_in` minus `run_in`, and `protocol::ok_response` on the
-//! report, with both byte counts), and the
-//! lane-chunk crossover of the one analysis core (`lane_chunks`:
-//! `run_in` and a corner sweep on one against two `AnalysisArena`
-//! workers, 256 to 4096 events) —
-//! and writes the numbers to
+//! report, with both byte counts) — and writes the numbers to
 //! `BENCH_kernel.json` (see the README's "Performance" section for how
 //! to read it). CI runs `bench --quick` on every PR, so the perf
 //! trajectory of the event queue, the wide analysis kernel and the
@@ -537,93 +533,6 @@ impl RenderRow {
     }
 }
 
-struct ChunkRow {
-    sweep: &'static str,
-    events: usize,
-    b: usize,
-    /// Per-call seconds at one worker, sorted ascending.
-    one_worker: Vec<f64>,
-    /// Per-call seconds at two workers, sorted ascending.
-    two_workers: Vec<f64>,
-}
-
-impl ChunkRow {
-    /// Median seconds at one and at two workers.
-    fn medians(&self) -> (f64, f64) {
-        let median = |s: &[f64]| s[s.len() / 2];
-        (median(&self.one_worker), median(&self.two_workers))
-    }
-}
-
-/// One timed arm of [`measure_lane_chunks`]: an analysis on the given
-/// arena, reporting a count the optimizer cannot drop.
-type Arm<'a> = dyn Fn(&mut AnalysisArena) -> usize + 'a;
-
-/// The lane-chunk crossover of the one analysis core: `run_in` and the
-/// min/typ/max `run_scenarios_in` sweep on a one-worker and a
-/// two-worker `AnalysisArena`, on seed-7 `random_live_tsg` graphs of
-/// 256 to 4096 events. Two workers split the `b` border lanes of each
-/// analysis (each scenario's, in the sweep) into two lockstep passes
-/// on two threads. Both arms are asserted bit-identical before timing,
-/// and their samples alternate, so a drift of the shared host hits
-/// both.
-fn measure_lane_chunks(reps: usize) -> Vec<ChunkRow> {
-    let mut rows = Vec::new();
-    for events in [256usize, 1024, 2048, 4096] {
-        let config = tsg_gen::RandomTsgConfig {
-            events,
-            tokens: events / 128,
-            chords: events / 16,
-            max_delay: 9,
-            with_prefix: false,
-        };
-        let sg = tsg_gen::random_live_tsg(7, config);
-        let corners = [Corner::Min, Corner::Typ, Corner::Max];
-        let set = ScenarioSet::corners(10.0, &corners).expect("valid spec");
-        let (mut one, mut two) = (AnalysisArena::new(), AnalysisArena::new().with_workers(2));
-        let ctx = format!("lane_chunks n={events}");
-        let want = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut one, None);
-        let got = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut two, None);
-        let (want, got) = (want.expect("live"), got.expect("live"));
-        for j in 0..set.len() {
-            assert_analyses_identical(want.analysis(j), got.analysis(j), &ctx);
-        }
-        let want = CycleTimeAnalysis::run_in(&sg, None, &mut one).expect("live");
-        let got = CycleTimeAnalysis::run_in(&sg, None, &mut two).expect("live");
-        assert_analyses_identical(&want, &got, &ctx);
-
-        let nominal = |arena: &mut AnalysisArena| {
-            let a = CycleTimeAnalysis::run_in(&sg, None, arena);
-            a.expect("live").records().len()
-        };
-        let sweep = |arena: &mut AnalysisArena| {
-            let a = CycleTimeAnalysis::run_scenarios_in(&sg, &set, arena, None);
-            a.expect("live").len()
-        };
-        let b = want.border_events().len();
-        for (sweep, run) in [
-            ("nominal", &nominal as &Arm),
-            ("corners min,typ,max", &sweep),
-        ] {
-            let (mut one_worker, mut two_workers) = (Vec::new(), Vec::new());
-            for _ in 0..reps.max(1) {
-                one_worker.extend(samples_per_call(1, || run(&mut one)));
-                two_workers.extend(samples_per_call(1, || run(&mut two)));
-            }
-            one_worker.sort_by(f64::total_cmp);
-            two_workers.sort_by(f64::total_cmp);
-            rows.push(ChunkRow {
-                sweep,
-                events,
-                b,
-                one_worker,
-                two_workers,
-            });
-        }
-    }
-    rows
-}
-
 #[allow(clippy::too_many_arguments)]
 fn json_report(
     quick: bool,
@@ -637,7 +546,6 @@ fn json_report(
     load_rows: &[LoadRow],
     window: &WindowRow,
     render: &RenderRow,
-    chunk_rows: &[ChunkRow],
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -797,38 +705,6 @@ fn json_report(
     let _ = writeln!(out, "    \"render_median_seconds\": {render_seconds:.9},");
     let _ = writeln!(out, "    \"encode_median_seconds\": {encode_seconds:.9}");
     let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"lane_chunks\": {{");
-    let _ = writeln!(
-        out,
-        "    \"workload\": \"random_live_tsg seed 7, n events, n/128 tokens, n/16 chords; \
-         run_in and a min/typ/max run_scenarios_in on a 1- and a 2-worker AnalysisArena\","
-    );
-    let _ = writeln!(out, "    \"bit_identical\": true,");
-    let _ = writeln!(out, "    \"rows\": [");
-    for (i, r) in chunk_rows.iter().enumerate() {
-        let comma = if i + 1 < chunk_rows.len() { "," } else { "" };
-        let list = |s: &[f64]| {
-            s.iter()
-                .map(|x| format!("{x:.9}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let (m1, m2) = r.medians();
-        let _ = writeln!(
-            out,
-            "      {{\"sweep\": \"{}\", \"events\": {}, \"b\": {}, \
-             \"one_worker_median_seconds\": {m1:.9}, \"two_workers_median_seconds\": {m2:.9}, \
-             \"speedup\": {:.3}, \"one_worker_samples\": [{}], \"two_workers_samples\": [{}]}}{comma}",
-            r.sweep,
-            r.events,
-            r.b,
-            m1 / m2.max(1e-12),
-            list(&r.one_worker),
-            list(&r.two_workers)
-        );
-    }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"analysis\": {{");
     let _ = writeln!(out, "    \"graphs\": {graphs},");
     let _ = writeln!(out, "    \"sequential_seconds\": {seq_seconds:.9},");
@@ -968,21 +844,6 @@ fn main() {
         render_row.response_bytes
     );
 
-    eprintln!("measuring lane chunks: one against two analysis workers...");
-    let chunk_rows = measure_lane_chunks(reps.max(5));
-    for r in &chunk_rows {
-        let (m1, m2) = r.medians();
-        eprintln!(
-            "  {:<20} n={:>4} b={:>3}: 1 worker {:>8.3} ms, 2 workers {:>8.3} ms ({:.2}x)",
-            r.sweep,
-            r.events,
-            r.b,
-            m1 * 1e3,
-            m2 * 1e3,
-            m1 / m2.max(1e-12)
-        );
-    }
-
     let graphs: Vec<SignalGraph> = (0..graph_count as u64)
         .map(|seed| tsg_gen::random_live_tsg(seed, tsg_gen::RandomTsgConfig::default()))
         .collect();
@@ -1018,7 +879,6 @@ fn main() {
         &load_rows,
         &window_row,
         &render_row,
-        &chunk_rows,
     );
     if let Err(e) = std::fs::write(&out_path, &report) {
         eprintln!("writing {out_path}: {e}");

@@ -32,8 +32,7 @@ tsg — performance analysis based on timing simulation (DAC'94)
 
 USAGE:
     tsg analyze FILE [--diagram] [--dot] [--baselines] [--slack] [--default-delay X]
-                     [--threads N] [--corners min,typ,max] [--derate PCT]
-                     [--samples K] [--seed S]
+                     [--corners min,typ,max] [--derate PCT] [--samples K] [--seed S]
     tsg sim FILE.g... [--periods N] [--vcd PATH] [--default-delay X]
                       [--threads N]
     tsg sim FILE.ckt... [--horizon X] [--vcd PATH] [--threads N]
@@ -64,14 +63,11 @@ one time per event and period and is refused past 2^26 of them.
 Several files fan out across a `--threads N` pool (default: all cores;
 every command takes at most 1024 threads).
 
-`analyze --threads N` splits the b border simulations of each analysis
-— the nominal one and every scenario's of a --corners or --samples
-sweep — into N lane chunks, one lockstep pass of the SIMD-friendly wide
-kernel per worker thread (default: one). The report is identical at
-every N; only the time moves, and extra threads only pay off on graphs
-with many border events. The CPU picks the wide-kernel backend (AVX2
-where available, else the portable loop); all backends are
-bit-identical.
+`analyze` runs the b border simulations of each analysis — the
+nominal one and every scenario's of a --corners or --samples sweep — in
+one lockstep pass of the SIMD-friendly wide kernel on one thread. The
+CPU picks the wide-kernel backend (AVX2 where available, else the
+portable loop); all backends are bit-identical.
 
 `analyze --corners min,typ,max` sweeps delay corners, one analysis of
 the reweighted graph per corner — every arc derated by `--derate` PCT
@@ -196,15 +192,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// The `analyze` / `demo` report on an arena with `workers` lane-chunk
-/// workers.
-fn analyze_report(
-    sg: &SignalGraph,
-    opts: &AnalyzeOptions,
-    workers: usize,
-) -> Result<String, Failure> {
-    let mut arena = AnalysisArena::new().with_workers(workers);
-    ops::report_in(sg, opts, &mut arena).map_err(|e| Failure::Run(e.to_string()))
+/// The `analyze` / `demo` report on a fresh arena.
+fn analyze_report(sg: &SignalGraph, opts: &AnalyzeOptions) -> Result<String, Failure> {
+    ops::report_in(sg, opts, &mut AnalysisArena::new()).map_err(|e| Failure::Run(e.to_string()))
 }
 
 fn parse_threads(args: &[String], i: usize) -> Result<usize, Failure> {
@@ -232,7 +222,6 @@ fn run(args: &[String]) -> Result<String, Failure> {
         Some("analyze") => {
             let file = args.get(1).ok_or("analyze needs a FILE argument")?;
             let mut opts = AnalyzeOptions::default();
-            let mut threads = 1;
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
@@ -246,10 +235,6 @@ fn run(args: &[String]) -> Result<String, Failure> {
                             .get(i)
                             .and_then(|v| v.parse().ok())
                             .ok_or("--default-delay needs a number")?;
-                    }
-                    "--threads" => {
-                        i += 1;
-                        threads = parse_threads(args, i)?;
                     }
                     "--corners" => {
                         i += 1;
@@ -293,7 +278,7 @@ fn run(args: &[String]) -> Result<String, Failure> {
                 i += 1;
             }
             let sg = load_file(file, opts.default_delay)?;
-            analyze_report(&sg, &opts, threads)
+            analyze_report(&sg, &opts)
         }
         Some("sim") => {
             let mut files: Vec<String> = Vec::new();
@@ -761,7 +746,7 @@ fn run(args: &[String]) -> Result<String, Failure> {
                 "stack66" => tsg_gen::stack66(),
                 other => return Err(Failure::Usage(format!("unknown demo {other:?}"))),
             };
-            analyze_report(&sg, &opts, 1)
+            analyze_report(&sg, &opts)
         }
         Some("--help") | Some("-h") | None => Ok(USAGE.to_owned()),
         Some(other) => Err(Failure::Usage(format!("unknown command {other:?}"))),
@@ -1381,6 +1366,8 @@ mod tests {
         );
     }
 
+    /// An analysis runs on one thread, so `tsg analyze --threads` is an
+    /// unknown flag.
     #[test]
     fn analyze_threads_flag_matches_sequential() {
         let dir = std::env::temp_dir().join("tsg-cli-test");
@@ -1388,11 +1375,8 @@ mod tests {
         let path = dir.join("threads-osc.g");
         std::fs::write(&path, tsg_stg::EXAMPLE_OSCILLATOR).unwrap();
         let p = path.to_string_lossy().into_owned();
-        let seq = run(&["analyze".into(), p.clone(), "--threads".into(), "1".into()]).unwrap();
-        let par = run(&["analyze".into(), p.clone(), "--threads".into(), "4".into()]).unwrap();
-        assert_eq!(seq, par);
-        assert!(seq.contains("cycle time: 10"), "{seq}");
-        assert!(run(&["analyze".into(), p, "--threads".into(), "0".into()]).is_err());
+        let err = run(&["analyze".into(), p, "--threads".into(), "2".into()]).unwrap_err();
+        assert_eq!(err, "unknown flag \"--threads\"");
     }
 
     #[test]
@@ -1518,44 +1502,6 @@ mod tests {
         }
     }
 
-    /// `--threads` only moves the time: a 2400-event ring with 12
-    /// tokens has 12 border lanes, so two workers split the lanes of
-    /// the nominal analysis and of every corner's or sample's — and the
-    /// report must match one worker's byte for byte.
-    #[test]
-    fn analyze_output_is_thread_count_invariant() {
-        const N: usize = 1200;
-        let mut g = String::from(".graph\n");
-        let mut marking = Vec::new();
-        let mut delays = String::new();
-        for i in 0..2 * N {
-            let label = |k: usize| format!("s{}{}", (k % (2 * N)) / 2, ["+", "-"][k % 2]);
-            let (src, dst) = (label(i), label(i + 1));
-            let _ = writeln!(g, "{src} {dst}");
-            let _ = writeln!(delays, ".delay {src} {dst} {}", 1 + i % 7);
-            if i % (2 * N / 12) == 0 {
-                marking.push(format!("<{src},{dst}>"));
-            }
-        }
-        let text = format!("{g}.marking {{ {} }}\n{delays}.end\n", marking.join(" "));
-        let dir = std::env::temp_dir().join("tsg-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("threads.g");
-        std::fs::write(&path, text).unwrap();
-        let p = path.to_string_lossy().into_owned();
-        for extra in [&["--corners", "min,typ,max"][..], &["--samples", "8"]] {
-            let at = |threads: &str| {
-                let mut args: Vec<String> = vec!["analyze".into(), p.clone()];
-                args.extend(extra.iter().map(|a| a.to_string()));
-                args.extend(["--threads".into(), threads.into()]);
-                run(&args).unwrap()
-            };
-            let one = at("1");
-            assert!(one.contains("12 border event(s)"), "{one}");
-            assert_eq!(at("2"), one, "{extra:?}");
-        }
-    }
-
     #[test]
     fn analyze_corners_and_samples_report_scenarios() {
         let dir = std::env::temp_dir().join("tsg-cli-test");
@@ -1646,7 +1592,7 @@ mod tests {
         .collect();
         let out = run(&argv).unwrap();
         assert!(
-            out.contains("objective: tau-p95 over 8 scenario lane(s)"),
+            out.contains("objective: tau-p95 over 8 scenario(s)"),
             "{out}"
         );
         assert!(out.contains("tau distribution:"), "{out}");

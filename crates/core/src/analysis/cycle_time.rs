@@ -51,7 +51,8 @@ pub enum AnalysisError {
     /// The analysis observed its [`CancelToken`] mid-flight — the
     /// request's deadline passed or it was cancelled explicitly — and
     /// stopped cooperatively after `rows_done` of `rows_total` lockstep
-    /// simulation rows (counted over every scenario of a sweep).
+    /// simulation rows (counted over every scenario of a sweep; a slack
+    /// analysis past its nested analysis counts Bellman–Ford sources).
     Cancelled {
         /// Whether a deadline or an explicit cancel stopped the run.
         kind: CancelKind,
@@ -224,18 +225,15 @@ impl From<Cancelled> for AnalysisError {
     }
 }
 
-/// The time cells one analysis keeps, in checked arithmetic: each of
-/// the `workers` lane-chunk workers (at most one per lane) holds a
-/// two-row window of `events × chunk` cells per row plus an origin strip
-/// of `chunk × (periods + 1)` cells, where `chunk` is its share of the
-/// `lanes` border lanes; the winner's parent-tracked re-run holds
-/// `events × (periods + 1)` more. `None` when the count overflows.
-pub fn analysis_cells(events: usize, lanes: usize, periods: u32, workers: usize) -> Option<usize> {
-    let workers = workers.clamp(1, lanes.max(1));
-    let chunk = lanes.div_ceil(workers);
+/// The time cells one analysis keeps, in checked arithmetic: a two-row
+/// window of `events × lanes` cells per row plus an origin strip of
+/// `lanes × (periods + 1)` cells for the `lanes` border lanes, and
+/// `events × (periods + 1)` more for the winner's parent-tracked
+/// re-run. `None` when the count overflows.
+pub fn analysis_cells(events: usize, lanes: usize, periods: u32) -> Option<usize> {
     let rows = (periods as usize).checked_add(1)?;
     let per_lane = events.checked_mul(2)?.checked_add(rows)?;
-    let windows = workers.checked_mul(chunk)?.checked_mul(per_lane)?;
+    let windows = lanes.checked_mul(per_lane)?;
     windows.checked_add(events.checked_mul(rows)?)
 }
 
@@ -253,14 +251,9 @@ pub(crate) fn within_budget(
 
 /// [`AnalysisError::TooLarge`] unless [`analysis_cells`] fits in
 /// [`MAX_CELLS`].
-fn check_budget(
-    sg: &SignalGraph,
-    lanes: usize,
-    periods: u32,
-    workers: usize,
-) -> Result<(), AnalysisError> {
+fn check_budget(sg: &SignalGraph, lanes: usize, periods: u32) -> Result<(), AnalysisError> {
     let events = sg.event_count();
-    within_budget(analysis_cells(events, lanes, periods, workers), |cells| {
+    within_budget(analysis_cells(events, lanes, periods), |cells| {
         AnalysisError::TooLarge {
             events,
             lanes,
@@ -280,53 +273,6 @@ fn lane_records(wide: &WideArena, origins: &[EventId]) -> Vec<BorderRecord> {
             distances: wide.distance_series(k),
         })
         .collect()
-}
-
-/// Runs `job` over consecutive chunks of `items`, one chunk per worker
-/// arena in `wides` — the first chunk on the calling thread, the others
-/// on scoped threads — and flattens the results in chunk order. One
-/// worker (or one item) runs inline and spawns nothing. On
-/// cancellation the reported progress is the *least* advanced worker's
-/// row count.
-fn on_workers<T: Sync, X: Send>(
-    wides: &mut [WideArena],
-    items: &[T],
-    job: impl Fn(&mut WideArena, &[T]) -> Result<Vec<X>, Cancelled> + Sync,
-) -> Result<Vec<X>, Cancelled> {
-    let workers = wides.len().min(items.len());
-    let (first, rest) = wides
-        .split_first_mut()
-        .expect("an analysis arena has at least one worker");
-    if workers <= 1 {
-        return job(first, items);
-    }
-    let mut chunks = items.chunks(items.len().div_ceil(workers));
-    let head = chunks.next().expect("items are non-empty");
-    let results: Vec<Result<Vec<X>, Cancelled>> = std::thread::scope(|scope| {
-        let job = &job;
-        let handles: Vec<_> = rest
-            .iter_mut()
-            .zip(chunks)
-            .map(|(wide, chunk)| scope.spawn(move || job(wide, chunk)))
-            .collect();
-        let mut results = vec![job(first, head)];
-        results.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
-        );
-        results
-    });
-    let mut out = Vec::new();
-    let mut least: Option<Cancelled> = None;
-    for result in results {
-        match result {
-            Ok(mut r) => out.append(&mut r),
-            Err(c) if least.is_some_and(|l| l.rows_done <= c.rows_done) => {}
-            Err(c) => least = Some(c),
-        }
-    }
-    least.map_or(Ok(out), Err)
 }
 
 /// Result of the paper's cycle-time algorithm.
@@ -386,17 +332,13 @@ impl CycleTimeAnalysis {
     /// minimum cut set size, which is not sound in general; see
     /// [`border`](crate::analysis::border).)
     ///
-    /// The arena fixes the kernel backend and the worker count (see
-    /// [`AnalysisArena::with_workers`]): with more than one worker the
-    /// `b` lanes split into contiguous chunks, one lockstep pass per
-    /// worker. Lanes are independent and chunks keep border order, so
-    /// the result is bit-identical at every worker count. Repeated
-    /// analyses over one arena — a design-space inner loop, a worker
-    /// thread of a many-graph sweep, a serve
-    /// workspace, an [`AnalysisSession`](crate::analysis::AnalysisSession)
-    /// — stop churning the allocator: after the first
-    /// analysis of the largest shape, the matrices are never
-    /// reallocated again.
+    /// The arena fixes the kernel backend; all `b` lanes advance in one
+    /// lockstep pass on the calling thread. Repeated analyses over one
+    /// arena — a design-space inner loop, a worker thread of a
+    /// many-graph sweep, a serve workspace, an
+    /// [`AnalysisSession`](crate::analysis::AnalysisSession) — stop
+    /// churning the allocator: after the first analysis of the largest
+    /// shape, the window and strips are never reallocated again.
     ///
     /// # Errors
     ///
@@ -415,13 +357,11 @@ impl CycleTimeAnalysis {
     }
 
     /// [`run_in`](Self::run_in) with cooperative cancellation: `cancel`
-    /// is polled once per lockstep matrix row (by every worker, over its
-    /// own lane chunk), so a deadline or an explicit cancel aborts a
-    /// long analysis within one row of work and returns
-    /// [`AnalysisError::Cancelled`] with the progress made — the least
-    /// advanced worker's row count. The arena stays valid for reuse —
-    /// the next run overwrites the partially written windows and strips
-    /// from row 0.
+    /// is polled once per lockstep row, so a deadline or an explicit
+    /// cancel aborts a long analysis within one row of work and returns
+    /// [`AnalysisError::Cancelled`] with the rows done. The arena stays
+    /// valid for reuse — the next run overwrites the partially written
+    /// window and strip from row 0.
     ///
     /// (The O(b·m) parent-tracked winner re-run in the finish step is
     /// not polled: it is one simulation against the main phase's `b`.)
@@ -459,7 +399,7 @@ impl CycleTimeAnalysis {
             return Err(AnalysisError::NoCyclicBehavior);
         }
         let b = periods.unwrap_or(border.len() as u32).max(1);
-        check_budget(sg, border.len(), b, arena.wides.len())?;
+        check_budget(sg, border.len(), b)?;
         if let Some(set) = set {
             // Each scenario keeps a critical cycle of at most n arcs, b
             // records of at most `b` (i, t, δ) triples and two border
@@ -476,7 +416,7 @@ impl CycleTimeAnalysis {
             })?;
         }
         let AnalysisArena {
-            wides,
+            wide,
             finish,
             structure,
         } = arena;
@@ -497,16 +437,13 @@ impl CycleTimeAnalysis {
                 let nominal = sg.arc(a).delay().get();
                 set.map_or(nominal, |_| scenario::delay(&row, a, nominal))
             };
-            let shared: &CyclicStructure = structure;
-            let records = on_workers(wides, &border, |wide, lanes| {
-                wide.run_with(sg, shared, lanes, b, cancel)?;
-                Ok(lane_records(wide, lanes))
-            })
-            .map_err(|c| Cancelled {
-                rows_done: j * c.rows_total + c.rows_done,
-                rows_total: s * c.rows_total,
-                ..c
-            })?;
+            wide.run_with(sg, structure, &border, b, cancel)
+                .map_err(|c| Cancelled {
+                    rows_done: j * c.rows_total + c.rows_done,
+                    rows_total: s * c.rows_total,
+                    ..c
+                })?;
+            let records = lane_records(wide, &border);
             let analysis = Self::finish(sg, structure, border.clone(), records, b, finish, delay)?;
             analyses.push(analysis);
         }
@@ -543,9 +480,9 @@ impl CycleTimeAnalysis {
             return Err(AnalysisError::NoCyclicBehavior);
         }
         let b = periods.unwrap_or(border.len() as u32).max(1);
-        // One scalar simulation at a time: a one-lane, one-worker window
-        // bounds its `events × (b + 1)` matrix.
-        check_budget(sg, 1, b, 1)?;
+        // One scalar simulation at a time: a one-lane window bounds its
+        // `events × (b + 1)` matrix.
+        check_budget(sg, 1, b)?;
 
         let structure = CyclicStructure::new(sg);
         let mut records = Vec::with_capacity(border.len());
@@ -570,8 +507,8 @@ impl CycleTimeAnalysis {
     /// factor row over `sg`'s arc slots and writes its `nominal × factor`
     /// delays into the structure before its analysis.
     /// So [`ScenarioAnalysis::analysis`]`(j)` is the analysis of
-    /// [`ScenarioSet::reweighted`]`(sg, j)`, bit for bit, at every
-    /// worker count, and no graph is copied. A cancelled sweep counts
+    /// [`ScenarioSet::reweighted`]`(sg, j)`, bit for bit, and no graph
+    /// is copied. A cancelled sweep counts
     /// its progress over every scenario: scenario `j` stopped after `r`
     /// of its `b + 1` rows reads `j · (b + 1) + r` of `s · (b + 1)`.
     ///
@@ -971,21 +908,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_chunks_are_bit_identical_to_one_worker() {
-        let sg = figure2();
-        let seq = CycleTimeAnalysis::run(&sg).unwrap();
-        for threads in [1, 2, 8] {
-            let par = CycleTimeAnalysis::run_in(
-                &sg,
-                None,
-                &mut AnalysisArena::new().with_workers(threads),
-            )
-            .unwrap();
-            assert_same_analysis(&seq, &par, &format!("threads={threads}"));
-        }
-    }
-
-    #[test]
     fn run_in_reuses_arena_across_analyses() {
         use crate::analysis::wide::AnalysisArena;
         let sg = figure2();
@@ -1030,11 +952,6 @@ mod tests {
         b.marked_arc(xm, xp, 2.0);
         let sg = b.build().unwrap();
         let want = AnalysisError::TooFewPeriods { periods: 1 };
-        assert_eq!(
-            CycleTimeAnalysis::run_in(&sg, Some(1), &mut AnalysisArena::new().with_workers(2))
-                .unwrap_err(),
-            want
-        );
         assert_eq!(
             CycleTimeAnalysis::run_in(&sg, Some(1), &mut AnalysisArena::new()).unwrap_err(),
             want
@@ -1126,7 +1043,5 @@ mod tests {
             "{err:?}"
         );
         assert!(err.to_string().contains("non-finite total delay"), "{err}");
-        let par = CycleTimeAnalysis::run_in(&sg, None, &mut AnalysisArena::new().with_workers(2));
-        assert_eq!(par.unwrap_err(), err);
     }
 }

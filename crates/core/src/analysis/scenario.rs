@@ -610,9 +610,6 @@ mod tests {
                 .unwrap_err(),
             want
         );
-        let mut two_workers = AnalysisArena::new().with_workers(2);
-        let parallel = CycleTimeAnalysis::run_scenarios_in(&sg, &corners, &mut two_workers, None);
-        assert_eq!(parallel.unwrap_err(), want);
 
         // A disengageable prefix arc lies outside the cyclic structure,
         // yet overflowing it alone still fails the sweep, naming it.

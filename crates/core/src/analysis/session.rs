@@ -286,7 +286,7 @@ impl AnalysisSession {
 
     /// [`open`](Self::open) on `arena`, under a cancellation token. The
     /// session keeps the arena, so the opening analysis and every
-    /// re-analysis run on its kernel backend and worker count. The
+    /// re-analysis run on its kernel backend. The
     /// opening analysis polls `cancel` once per lane row; no session is
     /// created when it fires.
     ///

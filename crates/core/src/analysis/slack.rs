@@ -21,7 +21,10 @@
 //! Bellman–Ford pass per node suffices (O(n·m) per source, O(n²m) total —
 //! fine for reporting; the hot path of the crate stays O(b²m)).
 
+use tsg_sim::CancelToken;
+
 use crate::analysis::cycle_time::{within_budget, AnalysisError, CycleTimeAnalysis};
+use crate::analysis::wide::AnalysisArena;
 use crate::arc::ArcId;
 use crate::graph::SignalGraph;
 
@@ -33,21 +36,29 @@ pub struct SlackAnalysis {
 }
 
 impl SlackAnalysis {
-    /// Computes per-arc slacks for a validated graph.
+    /// Computes per-arc slacks for a validated graph. `cancel` is
+    /// handed to the nested cycle-time analysis and then polled once
+    /// per Bellman–Ford source.
     ///
     /// # Errors
     ///
     /// Returns [`AnalysisError::NoCyclicBehavior`] for graphs without
-    /// repetitive events, and [`AnalysisError::SlackTooLarge`] — before
+    /// repetitive events, [`AnalysisError::SlackTooLarge`] — before
     /// anything is analysed or allocated — when the `n × n` longest-path
     /// table over the `n` repetitive events exceeds
-    /// [`MAX_CELLS`](crate::analysis::sim::MAX_CELLS).
-    pub fn run(sg: &SignalGraph) -> Result<Self, AnalysisError> {
+    /// [`MAX_CELLS`](crate::analysis::sim::MAX_CELLS), and
+    /// [`AnalysisError::Cancelled`] when `cancel` fires: in the nested
+    /// analysis with its rows, or between sources with the sources done
+    /// of `n`.
+    pub fn run(sg: &SignalGraph, cancel: Option<&CancelToken>) -> Result<Self, AnalysisError> {
         let events = sg.repetitive_count();
         within_budget(events.checked_mul(events), |cells| {
             AnalysisError::SlackTooLarge { events, cells }
         })?;
-        let tau = CycleTimeAnalysis::run(sg)?.cycle_time().as_f64();
+        let tau =
+            CycleTimeAnalysis::run_in_with_cancel(sg, None, &mut AnalysisArena::new(), cancel)?
+                .cycle_time()
+                .as_f64();
         let view = sg.repetitive_view();
         let n = view.graph.node_count();
         let m = view.arcs.len();
@@ -64,6 +75,13 @@ impl SlackAnalysis {
         // unreachable, 0 for s == t through the empty path).
         let mut maxdist = vec![vec![f64::NEG_INFINITY; n]; n];
         for s in 0..n {
+            if let Some(kind) = cancel.and_then(CancelToken::check) {
+                return Err(AnalysisError::Cancelled {
+                    kind,
+                    rows_done: s,
+                    rows_total: n,
+                });
+            }
             let dist = &mut maxdist[s];
             dist[s] = 0.0;
             // Bellman-Ford: n rounds of full relaxation.
@@ -169,7 +187,7 @@ mod tests {
     #[test]
     fn critical_cycle_arcs_have_zero_slack() {
         let sg = figure2();
-        let sa = SlackAnalysis::run(&sg).unwrap();
+        let sa = SlackAnalysis::run(&sg, None).unwrap();
         assert_eq!(sa.cycle_time(), 10.0);
         for (s, d) in [("a+", "c+"), ("c+", "a-"), ("a-", "c-"), ("c-", "a+")] {
             let a = arc_between(&sg, s, d);
@@ -183,7 +201,7 @@ mod tests {
         // The b-side cycle C4 has length 6 against τ=10: its private arcs
         // carry slack. b+->c+ lies on C2 (length 8) => slack 2.
         let sg = figure2();
-        let sa = SlackAnalysis::run(&sg).unwrap();
+        let sa = SlackAnalysis::run(&sg, None).unwrap();
         let b_cp = arc_between(&sg, "b+", "c+");
         assert_eq!(sa.slack(b_cp), Some(2.0));
         let cp_bm = arc_between(&sg, "c+", "b-");
@@ -196,7 +214,7 @@ mod tests {
     #[test]
     fn prefix_arcs_have_no_slack_value() {
         let sg = figure2();
-        let sa = SlackAnalysis::run(&sg).unwrap();
+        let sa = SlackAnalysis::run(&sg, None).unwrap();
         let e_f = arc_between(&sg, "e-", "f-");
         assert_eq!(sa.slack(e_f), None);
         let e_ap = arc_between(&sg, "e-", "a+");
@@ -206,16 +224,42 @@ mod tests {
     #[test]
     fn critical_arcs_list() {
         let sg = figure2();
-        let sa = SlackAnalysis::run(&sg).unwrap();
+        let sa = SlackAnalysis::run(&sg, None).unwrap();
         let critical = sa.critical_arcs(1e-9);
         assert_eq!(critical.len(), 4);
+    }
+
+    #[test]
+    fn cancel_stops_the_nested_analysis_or_the_sources() {
+        // Figure 2's nested analysis polls once per row over 3 rows;
+        // then each of the 6 repetitive events is a Bellman–Ford source.
+        use tsg_sim::CancelKind;
+        let sg = figure2();
+        let cancelled = |checks| {
+            let token = CancelToken::cancel_after_checks(checks);
+            SlackAnalysis::run(&sg, Some(&token)).unwrap_err()
+        };
+        let stopped = |rows_done, rows_total| AnalysisError::Cancelled {
+            kind: CancelKind::Explicit,
+            rows_done,
+            rows_total,
+        };
+        assert_eq!(cancelled(1), stopped(1, 3));
+        assert_eq!(cancelled(3), stopped(0, 6));
+        assert_eq!(cancelled(3 + 4), stopped(4, 6));
+        let token = CancelToken::cancel_after_checks(3 + 6);
+        let whole = SlackAnalysis::run(&sg, Some(&token)).unwrap();
+        let plain = SlackAnalysis::run(&sg, None).unwrap();
+        for a in sg.arc_ids() {
+            assert_eq!(whole.slack(a), plain.slack(a));
+        }
     }
 
     #[test]
     fn slack_predicts_perturbation_effect() {
         // Increasing an arc's delay by its slack keeps τ; any more raises it.
         let sg = figure2();
-        let sa = SlackAnalysis::run(&sg).unwrap();
+        let sa = SlackAnalysis::run(&sg, None).unwrap();
         let probe = arc_between(&sg, "b+", "c+");
         let slack = sa.slack(probe).unwrap();
 

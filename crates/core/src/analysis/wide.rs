@@ -73,8 +73,7 @@
 //! and `NEG_INFINITY + δ` stays `NEG_INFINITY`), so `MAXPD`'s NaN corner
 //! is unreachable. Lane storage lives on a 64-byte-aligned allocation,
 //! so rows start on cache-line boundaries: vector loads never split a
-//! line more often than the lane offset forces, and a multi-worker
-//! arena's per-worker windows cannot false-share a line with a neighbour.
+//! line more often than the lane offset forces.
 //!
 //! # Why the results are bit-identical to the scalar kernel
 //!
@@ -269,7 +268,7 @@ impl AlignedF64Vec {
     }
 }
 
-/// Reusable buffers of one worker's lockstep event-initiated
+/// Reusable buffers of one analysis' lockstep event-initiated
 /// simulations, one lane per initiating event: the two-row window and
 /// the origin strip.
 #[derive(Clone, Debug)]
@@ -651,23 +650,21 @@ unsafe fn row_avx2(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
     row_body::<Avx2Ops>(kernel, prev, row)
 }
 
-/// The reusable state of one full cycle-time analysis: one wide window
-/// per worker — each holding the two-row window and origin strip of its
-/// chunk of the `b` lockstep border simulations — plus the scalar
-/// [`SimArena`] the parent-tracked winner re-run uses.
+/// The reusable state of one full cycle-time analysis: the wide arena
+/// holding the two-row window and origin strip of the `b` lockstep
+/// border simulations, the scalar [`SimArena`] the parent-tracked
+/// winner re-run uses, and the evaluation structure both read.
 ///
 /// [`CycleTimeAnalysis::run_in`](crate::analysis::CycleTimeAnalysis::run_in)
-/// reuses one of these per worker/request the way the scalar engine
-/// reuses a [`SimArena`]: after the first analysis of the largest shape,
-/// repeated analyses never touch the allocator.
+/// reuses one of these per request or worker thread the way the scalar
+/// engine reuses a [`SimArena`]: after the first analysis of the
+/// largest shape, repeated analyses never touch the allocator.
 #[derive(Clone, Debug)]
 pub struct AnalysisArena {
-    /// One wide arena per worker (at least one), all on one backend;
-    /// lane chunk `w` of an analysis runs on `wides[w]`.
-    pub(crate) wides: Vec<WideArena>,
+    pub(crate) wide: WideArena,
     pub(crate) finish: SimArena,
-    /// The shared evaluation structure, rebuilt in place per analysed
-    /// graph (buffer-reusing; see [`CyclicStructure::rebuild`]).
+    /// The evaluation structure, rebuilt in place per analysed graph
+    /// (buffer-reusing; see [`CyclicStructure::rebuild`]).
     pub(crate) structure: CyclicStructure,
 }
 
@@ -678,54 +675,35 @@ impl Default for AnalysisArena {
 }
 
 impl AnalysisArena {
-    /// An empty one-worker arena on the detected kernel backend; the
-    /// first analysis sizes it.
+    /// An empty arena on the detected kernel backend; the first
+    /// analysis sizes it.
     pub fn new() -> Self {
         Self::with_kernel(KernelBackend::detect())
     }
 
-    /// An empty one-worker arena on `kernel`, for comparing the
-    /// backends; a backend the CPU lacks runs the portable loop instead.
+    /// An empty arena on `kernel`, for comparing the backends; a
+    /// backend the CPU lacks runs the portable loop instead.
     pub fn with_kernel(kernel: KernelBackend) -> Self {
         AnalysisArena {
-            wides: vec![WideArena::with_kernel(kernel)],
+            wide: WideArena::with_kernel(kernel),
             finish: SimArena::default(),
             structure: CyclicStructure::default(),
         }
     }
 
-    /// The arena with `workers` wide arenas on its backend (at least
-    /// one): every analysis then splits its lanes into up to `workers`
-    /// contiguous chunks, one lockstep pass per chunk on its own thread
-    /// (the first on the caller's). One worker — the default — runs
-    /// everything on the calling thread. Results are bit-identical at
-    /// every worker count; the count only moves the time.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        let kernel = self.kernel();
-        self.wides
-            .resize_with(workers.max(1), || WideArena::with_kernel(kernel));
-        self
-    }
-
-    /// The number of workers an analysis splits its lanes over.
-    pub fn workers(&self) -> usize {
-        self.wides.len()
-    }
-
     /// The kernel backend the wide phase runs on.
     pub fn kernel(&self) -> KernelBackend {
-        self.wides[0].backend
+        self.wide.backend
     }
 
     /// Allocated capacities `(wide time cells, scalar time cells,
     /// scalar parent cells)` — the warm-pool zero-allocation assertions
     /// check all three stay constant across same-shape requests. The
-    /// wide cells, summed over the workers, are the two-row windows: at
-    /// most `2 · n · lanes`, rounded up to a cache line per worker, for
-    /// the largest shape analysed.
+    /// wide cells are the two-row window: at most `2 · n · lanes`,
+    /// rounded up to a cache line, for the largest shape analysed.
     pub fn capacity(&self) -> (usize, usize, usize) {
         let (t, p) = self.finish.capacity();
-        (self.wides.iter().map(WideArena::capacity).sum(), t, p)
+        (self.wide.capacity(), t, p)
     }
 }
 
@@ -999,7 +977,6 @@ mod tests {
         // An explicit backend is kept wherever the CPU runs it.
         for b in available_backends() {
             assert_eq!(AnalysisArena::with_kernel(b).kernel(), b);
-            assert_eq!(AnalysisArena::with_kernel(b).with_workers(3).kernel(), b);
         }
     }
 

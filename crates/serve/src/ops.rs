@@ -7,19 +7,18 @@
 //! operation has one entry point: [`report_in`] renders an analysis on
 //! a caller's [`AnalysisArena`], [`apply_struct_edits`] applies a
 //! session edit batch. The only difference between the front-ends is
-//! the arena:
+//! the arena's life:
 //!
-//! * the one-shot CLI builds one with `--threads` workers (default
-//!   one), so the `b` border simulations of each analysis (the nominal
-//!   one and every scenario's) split into lane chunks over that many
-//!   workers;
-//! * a serve worker drives a persistent one-worker [`Workspace`] — one
-//!   warm [`AnalysisArena`] (the two-row window and origin strip of the
-//!   `b` lockstep border simulations plus the scalar finish arena) and
-//!   a pre-sized netlist event queue — through [`Workspace::analyze`] /
-//!   [`Workspace::simulate`]. Analyses are bit-identical at every
-//!   worker count. `.g` simulations need no warm state:
+//! * the one-shot CLI builds one [`AnalysisArena`] per command;
+//! * a serve worker drives a persistent [`Workspace`] — one warm
+//!   [`AnalysisArena`] (the two-row window and origin strip of the `b`
+//!   lockstep border simulations plus the scalar finish arena) and a
+//!   pre-sized netlist event queue — through [`Workspace::analyze`] /
+//!   [`Workspace::simulate`]. `.g` simulations need no warm state:
 //!   [`TimingSimulation::run`] sizes its period rows per request.
+//!
+//! Either way an analysis runs its `b` lanes in one lockstep pass on
+//! the calling thread; serve scales across requests, not within one.
 //!
 //! Both arenas run the kernel backend [`KernelBackend::detect`] picks;
 //! no flag or request field selects another.
@@ -33,6 +32,7 @@ use std::fmt::{self, Write as _};
 use tsg_core::analysis::diagram::{self, DiagramOptions};
 use tsg_core::analysis::session::{AnalysisSession, CycleTimeDelta, EditError, GraphEdit};
 use tsg_core::analysis::sim::{SimError, TimingSimulation};
+use tsg_core::analysis::slack::SlackAnalysis;
 use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, ScenarioAnalysis, ScenarioSet};
 use tsg_core::{decimal, ArcId, EventId, SignalGraph};
@@ -439,7 +439,7 @@ pub struct AnalyzeOptions {
     /// Number of seeded Monte-Carlo delay scenarios to sweep
     /// (`--samples`; `0` = off).
     pub samples: usize,
-    /// Seed of the sampled scenarios' per-lane RNG streams (`--seed`).
+    /// Seed of the sampled scenarios' per-scenario RNG streams (`--seed`).
     pub seed: u64,
 }
 
@@ -533,9 +533,8 @@ fn report_abort(err: &AnalysisError) -> Option<OpError> {
 }
 
 /// The `tsg analyze` report on `arena`: the nominal analysis and, when
-/// `opts` asks for a corner or sample sweep, one analysis per scenario
-/// all run on it — split over its workers, bit-identical at any worker
-/// count.
+/// `opts` asks for a corner or sample sweep, one analysis per scenario,
+/// all run on it.
 ///
 /// # Errors
 ///
@@ -551,7 +550,8 @@ pub fn report_in(
 }
 
 /// [`report_in`] under a cooperative cancel token: returns
-/// [`OpError::Cancelled`] when `cancel` fires mid-analysis.
+/// [`OpError::Cancelled`] when `cancel` fires mid-analysis, mid-sweep
+/// or mid-slack.
 fn report_on(
     sg: &SignalGraph,
     opts: &AnalyzeOptions,
@@ -578,7 +578,12 @@ fn report_on(
         Ok(None) => Ok(None),
         Err(e) => Err(e),
     };
-    render_report(sg, opts, analysis, scenarios).map_err(OpError::Msg)
+    // Slack renders its other failures inline too.
+    let slack = match opts.slack.then(|| SlackAnalysis::run(sg, cancel)) {
+        Some(Err(e @ AnalysisError::Cancelled { .. })) => return Err(e.into()),
+        slack => slack,
+    };
+    render_report(sg, opts, analysis, scenarios, slack).map_err(OpError::Msg)
 }
 
 /// Renders a report; fails only when the timing diagram cannot be drawn.
@@ -587,6 +592,7 @@ fn render_report(
     opts: &AnalyzeOptions,
     analysis: Result<CycleTimeAnalysis, AnalysisError>,
     scenarios: Result<Option<ScenarioAnalysis>, String>,
+    slack: Option<Result<SlackAnalysis, AnalysisError>>,
 ) -> Result<String, String> {
     let mut out = String::new();
     // A successful analysis already holds the border set; only a failed
@@ -707,8 +713,8 @@ fn render_report(
             let _ = writeln!(out, "  long-run sim  : {t}");
         }
     }
-    if opts.slack {
-        match tsg_core::analysis::slack::SlackAnalysis::run(sg) {
+    if let Some(slack) = slack {
+        match slack {
             Ok(sa) => {
                 let critical = sa.critical_arcs(1e-9);
                 let _ = writeln!(
@@ -1033,8 +1039,8 @@ pub fn explore_session(
     }
     let mut out = String::new();
     if let Some(sa) = session.scenario_analysis() {
-        let lanes = sa.len();
-        let _ = writeln!(out, "objective: {objective} over {lanes} scenario lane(s)");
+        let scenarios = sa.len();
+        let _ = writeln!(out, "objective: {objective} over {scenarios} scenario(s)");
     }
     let outcome = optimize_session(session, moves, seed, objective, cancel);
     for m in &outcome.trajectory {

@@ -65,9 +65,8 @@ fn warm_analyze_is_allocation_free_and_byte_identical() {
     };
     let cold = {
         let sg = ops::load("osc.g", tsg_stg::EXAMPLE_OSCILLATOR, 1.0).unwrap();
-        // The CLI's one-shot arena: lane chunks over two workers.
-        let mut arena = AnalysisArena::new().with_workers(2);
-        ops::report_in(&sg, &opts, &mut arena).unwrap()
+        // The CLI's one-shot arena.
+        ops::report_in(&sg, &opts, &mut AnalysisArena::new()).unwrap()
     };
     let first = ws.analyze(&source, &opts, None).unwrap();
     assert_eq!(first, cold, "warm path must match the one-shot report");

@@ -140,7 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // cycle time degrades? Zero-slack arcs are the bottlenecks.
     let cfg = PipelineConfig::default();
     let sg = handshake_pipeline(4, cfg);
-    let slack = SlackAnalysis::run(&sg)?;
+    let slack = SlackAnalysis::run(&sg, None)?;
     println!("\nslack analysis (τ = {}):", slack.cycle_time());
     let critical = slack.critical_arcs(1e-9);
     println!(

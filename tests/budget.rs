@@ -44,7 +44,7 @@ fn oversized_window_is_an_error_before_allocation() {
     let sg = parse_stg(&text, StgOptions::default()).unwrap();
     assert_eq!(sg.border_events().len(), TOKENS);
 
-    let cells = analysis_cells(EVENTS, TOKENS, TOKENS as u32, 1).unwrap();
+    let cells = analysis_cells(EVENTS, TOKENS, TOKENS as u32).unwrap();
     assert!(cells > MAX_CELLS);
     let err = CycleTimeAnalysis::run_in(&sg, None, &mut AnalysisArena::new()).unwrap_err();
     assert_eq!(
@@ -58,15 +58,10 @@ fn oversized_window_is_an_error_before_allocation() {
     );
     assert!(err.to_string().contains(&cells.to_string()), "{err}");
 
-    // More workers split the lanes, not the budget.
-    let mut arena = AnalysisArena::new().with_workers(4);
-    assert!(matches!(
-        CycleTimeAnalysis::run_in(&sg, None, &mut arena),
-        Err(AnalysisError::TooLarge { .. })
-    ));
     // A caller-supplied period count that overflows the count is
     // refused the same way.
-    let err = CycleTimeAnalysis::run_in(&sg, Some(u32::MAX), &mut arena).unwrap_err();
+    let err =
+        CycleTimeAnalysis::run_in(&sg, Some(u32::MAX), &mut AnalysisArena::new()).unwrap_err();
     assert!(matches!(err, AnalysisError::TooLarge { .. }), "{err}");
 
     let source = Source::Inline {
@@ -82,12 +77,9 @@ fn oversized_window_is_an_error_before_allocation() {
 
 #[test]
 fn budget_counts_windows_strips_and_the_winner_rerun() {
-    // One worker, 3 lanes, 10 events, 3 periods: 3 × (2·10 + 4) + 10 · 4.
-    assert_eq!(analysis_cells(10, 3, 3, 1), Some(3 * 24 + 40));
-    // Two workers take chunks of 2 lanes; more workers than lanes idle.
-    assert_eq!(analysis_cells(10, 3, 3, 2), Some(2 * 2 * 24 + 40));
-    assert_eq!(analysis_cells(10, 3, 3, 8), analysis_cells(10, 3, 3, 3));
-    assert_eq!(analysis_cells(usize::MAX, 2, 1, 1), None);
+    // 3 lanes, 10 events, 3 periods: 3 × (2·10 + 4) + 10 · 4.
+    assert_eq!(analysis_cells(10, 3, 3), Some(3 * 24 + 40));
+    assert_eq!(analysis_cells(usize::MAX, 2, 1), None);
 }
 
 #[test]
@@ -99,7 +91,7 @@ fn oversized_slack_table_is_an_error_before_allocation() {
     assert_eq!(sg.border_events().len(), 1);
     let cells = EVENTS * EVENTS;
     assert!(cells > MAX_CELLS);
-    let err = SlackAnalysis::run(&sg).unwrap_err();
+    let err = SlackAnalysis::run(&sg, None).unwrap_err();
     assert_eq!(
         err,
         AnalysisError::SlackTooLarge {

@@ -13,7 +13,7 @@ fn torus_slack_isolates_the_slow_rings() {
     // Rows cost 10 per hop, columns 1: every row arc is critical, column
     // arcs have lots of slack.
     let sg = torus(3, 4, 10.0, 1.0);
-    let sa = SlackAnalysis::run(&sg).unwrap();
+    let sa = SlackAnalysis::run(&sg, None).unwrap();
     assert_eq!(sa.cycle_time(), 40.0);
     let mut critical = 0;
     let mut loose = 0;
@@ -38,14 +38,14 @@ fn torus_slack_isolates_the_slow_rings() {
 #[test]
 fn balanced_torus_is_fully_critical() {
     let sg = torus(4, 4, 2.0, 2.0);
-    let sa = SlackAnalysis::run(&sg).unwrap();
+    let sa = SlackAnalysis::run(&sg, None).unwrap();
     assert!(sg.arc_ids().all(|a| sa.is_critical(a, 1e-9)));
 }
 
 #[test]
 fn stack66_has_nontrivial_slack_profile() {
     let sg = tsg::gen::stack66();
-    let sa = SlackAnalysis::run(&sg).unwrap();
+    let sa = SlackAnalysis::run(&sg, None).unwrap();
     let critical = sa.critical_arcs(1e-9);
     assert!(!critical.is_empty());
     assert!(critical.len() < sg.arc_count());
@@ -77,7 +77,7 @@ proptest! {
     #[test]
     fn slack_is_safe_margin(seed in 0u64..300) {
         let sg = random_live_tsg(seed, RandomTsgConfig::default());
-        let sa = SlackAnalysis::run(&sg).unwrap();
+        let sa = SlackAnalysis::run(&sg, None).unwrap();
         let tau = sa.cycle_time();
         // pick the first arc with strictly positive slack, if any
         let probe = sg.arc_ids().find(|&a| matches!(sa.slack(a), Some(s) if s > 0.5));
@@ -97,7 +97,7 @@ proptest! {
     fn critical_arcs_match_enumeration(seed in 0u64..300) {
         let cfg = RandomTsgConfig { events: 8, tokens: 2, chords: 6, max_delay: 7, with_prefix: false };
         let sg = random_live_tsg(seed, cfg);
-        let sa = SlackAnalysis::run(&sg).unwrap();
+        let sa = SlackAnalysis::run(&sg, None).unwrap();
         let inventory = tsg::baselines::CycleInventory::build(&sg, 100_000).unwrap();
         let tau = sa.cycle_time();
         let mut on_critical = vec![false; sg.arc_count()];

@@ -7,9 +7,8 @@
 //! `CycleTimeAnalysis::run` executes) and the scalar engine (kept as
 //! `CycleTimeAnalysis::run_scalar`). The wide kernel's individual cells
 //! are checked against the scalar kernel's in `tsg-core`'s own tests. The properties sweep every
-//! `tsg_gen` generator family, random edit scripts through
-//! `AnalysisSession`, and every worker count of the lane-chunked
-//! `run_in` (an `AnalysisArena` with several workers).
+//! `tsg_gen` generator family and random edit scripts through
+//! `AnalysisSession`.
 //!
 //! PR 6 widens the bar to the explicit-SIMD backends: every backend
 //! the CPU offers (portable always, AVX2 when detected) must
@@ -28,7 +27,7 @@
 //! wide analysis per scenario on the reweighted graph, and each
 //! scenario's result must hold the exact bits of a from-scratch scalar
 //! analysis of that graph — across every generator family, every
-//! backend, odd lane counts, and any worker count.
+//! backend and odd lane counts.
 
 use proptest::prelude::*;
 use tsg::core::analysis::session::{AnalysisSession, DelayEdit};
@@ -205,22 +204,6 @@ proptest! {
         }
     }
 
-    /// Worker-count invariance of the lane-chunked `run_in`: any
-    /// chunking of the lanes produces the bits of the sequential wide
-    /// run — and hence of the scalar engine.
-    #[test]
-    fn lane_chunked_run_in_is_worker_count_invariant(
-        family in 0usize..4,
-        seed in 0u64..10_000,
-        threads in 1usize..9,
-    ) {
-        let sg = graph(family, seed);
-        let scalar = CycleTimeAnalysis::run_scalar(&sg).expect("live");
-        let par = CycleTimeAnalysis::run_in(&sg, None, &mut AnalysisArena::new().with_workers(threads))
-            .expect("live");
-        assert_analyses_identical(&scalar, &par, &format!("family {family} seed {seed} x{threads}"));
-    }
-
     /// The scenario acceptance criterion: a sweep over a corner or
     /// sample set ≡ a scalar re-run per reweighted graph, on every
     /// generator family (the shared gate from `tsg_bench`, the same one
@@ -266,33 +249,6 @@ proptest! {
                     &format!("ring n={n} b={b} s={s} seed {seed} [{}] scenario {j}", backend.name()),
                 );
             }
-        }
-    }
-
-    /// Worker-count invariance of the scenario sweep: each scenario's
-    /// analysis splits its lanes over the arena's workers, and any
-    /// split produces the bits of the one-worker sweep — and hence of
-    /// the scalar engine.
-    #[test]
-    fn scenario_parallel_sweep_is_thread_count_invariant(
-        family in 0usize..4,
-        seed in 0u64..10_000,
-        pick in 0u64..1_000,
-        threads in 1usize..9,
-    ) {
-        let sg = graph(family, seed);
-        let set = scenario_set(pick);
-        let seq = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut AnalysisArena::new(), None).expect("live");
-        let mut arena = AnalysisArena::new().with_workers(threads);
-        let par = CycleTimeAnalysis::run_scenarios_in(&sg, &set, &mut arena, None)
-            .expect("live");
-        prop_assert_eq!(seq.len(), par.len());
-        for j in 0..set.len() {
-            assert_analyses_identical(
-                seq.analysis(j),
-                par.analysis(j),
-                &format!("family {family} seed {seed} pick {pick} x{threads} scenario {j}"),
-            );
         }
     }
 }
@@ -462,16 +418,14 @@ fn record_bits(a: &CycleTimeAnalysis) -> RecordBits {
 /// One-shot analyses run in a two-row window; their records must equal
 /// bit for bit those of the scalar engine, which keeps the full
 /// `(periods + 1)`-row matrix — at the default `b` periods (also
-/// against an `AnalysisSession` open) and at overridden periods, on one
-/// worker and lane-chunked over two and three. One arena per worker
-/// count serves the whole corpus, so a stale slot or strip cell of an
+/// against an `AnalysisSession` open) and at overridden periods. One
+/// arena serves the whole corpus, so a stale slot or strip cell of an
 /// earlier, larger shape would show.
 #[test]
 fn oneshot_window_records_equal_the_full_matrix() {
     use tsg::core::analysis::initiated::SimArena;
     for backend in available_backends() {
         let mut arena = AnalysisArena::with_kernel(backend);
-        let mut chunked = [2, 3].map(|w| AnalysisArena::with_kernel(backend).with_workers(w));
         let mut scalar_arena = SimArena::new();
         for (name, sg) in window_corpus() {
             let ctx = format!("{name} [{}]", backend.name());
@@ -488,12 +442,6 @@ fn oneshot_window_records_equal_the_full_matrix() {
                 record_bits(session.analysis()),
                 "{ctx}: session"
             );
-            for chunked in &mut chunked {
-                let threads = chunked.workers();
-                let par = CycleTimeAnalysis::run_in(&sg, None, chunked).expect("live");
-                assert_analyses_identical(&scalar, &par, &format!("{ctx} x{threads}"));
-                assert_eq!(record_bits(&par), record_bits(&scalar), "{ctx} x{threads}");
-            }
             for periods in [b + 1, b + 2, 2 * b + 3] {
                 let pctx = format!("{ctx} periods={periods}");
                 let oneshot =
@@ -503,12 +451,6 @@ fn oneshot_window_records_equal_the_full_matrix() {
                         .expect("live");
                 assert_analyses_identical(&scalar, &oneshot, &pctx);
                 assert_eq!(record_bits(&oneshot), record_bits(&scalar), "{pctx}");
-                for chunked in &mut chunked {
-                    let par = CycleTimeAnalysis::run_in(&sg, Some(periods), chunked).expect("live");
-                    let wctx = format!("{pctx} x{}", chunked.workers());
-                    assert_analyses_identical(&scalar, &par, &wctx);
-                    assert_eq!(record_bits(&par), record_bits(&scalar), "{wctx}");
-                }
             }
         }
     }
@@ -567,36 +509,4 @@ fn scenario_sweep_keeps_one_analysis_window() {
     let mut nominal = AnalysisArena::new();
     CycleTimeAnalysis::run_in(&sg, None, &mut nominal).expect("live");
     assert_eq!(swept.capacity(), nominal.capacity());
-}
-
-/// A two-worker run cancelled at every row and re-run on the same
-/// arena gives the bits of a fresh run. The workers share one token, so
-/// the reported progress — the least advanced worker's — is at most the
-/// check budget.
-#[test]
-fn two_worker_run_cancelled_at_every_row_reruns_bit_identically() {
-    use tsg::core::analysis::AnalysisError;
-    use tsg::sim::CancelToken;
-    for (name, sg) in window_corpus() {
-        let b = sg.border_events().len();
-        let fresh = CycleTimeAnalysis::run(&sg).expect("live");
-        let mut arena = AnalysisArena::new().with_workers(2);
-        for budget in 0..=b as u64 {
-            let token = CancelToken::cancel_after_checks(budget);
-            match CycleTimeAnalysis::run_in_with_cancel(&sg, None, &mut arena, Some(&token)) {
-                Err(AnalysisError::Cancelled {
-                    rows_done,
-                    rows_total,
-                    ..
-                }) => {
-                    assert!(rows_done <= budget as usize, "{name}: budget {budget}");
-                    assert_eq!(rows_total, b + 1, "{name}");
-                }
-                other => panic!("{name}: budget {budget}: expected cancellation, got {other:?}"),
-            }
-            let redo = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
-            assert_analyses_identical(&fresh, &redo, &format!("{name} after cancel at {budget}"));
-            assert_eq!(record_bits(&redo), record_bits(&fresh), "{name}");
-        }
-    }
 }
