@@ -1,37 +1,33 @@
 //! `bench` — the kernel performance tracker.
 //!
 //! ```text
-//! bench [--quick] [--threads N] [--out PATH]
+//! bench [--quick] [--out PATH]
 //! ```
 //!
-//! Runs the kernel's hot paths outside Criterion — event-queue
-//! throughput (bulk push/pop and the steady-state hold model), the
-//! lane-batched wide kernel against the scalar reference engine on the
-//! tracked ring/torus/random sweeps (`wide_vs_scalar`), the explicit
-//! SIMD backends against the portable loop on the same sweeps
+//! Times the kernel's hot paths — event-queue throughput (bulk
+//! push/pop and the steady-state hold model), the lane-batched wide
+//! kernel against the scalar reference engine on the tracked
+//! ring/torus/random sweeps (`wide_vs_scalar`), the explicit SIMD
+//! backends against the portable loop on the same sweeps
 //! (`simd_vs_portable`, with the detected CPU feature level recorded),
-//! delay-scenario sweeps —
-//! min/typ/max corners and seeded sample sets — against as many
-//! nominal analyses (`corner_sweep`), and
-//! `tsg_bench::analyze_batch` against the sequential loop on a
-//! 64-graph `tsg_gen` sweep, `.g` loading (`load`: `parse_stg` at 1024
-//! and 4096 events), the one-shot two-row window at the 1024-event,
-//! b = 37 shape (`oneshot_window`: `run_in` time and wide bytes beside
-//! `AnalysisSession::open`, which runs in the same window), the
-//! `analyze` response's non-kernel bytes at that shape (`render`:
-//! `ops::report_in` minus `run_in`, and `protocol::ok_response` on the
-//! report, with both byte counts) — and writes the numbers to
-//! `BENCH_kernel.json` (see the README's "Performance" section for how
-//! to read it). CI runs `bench --quick` on every PR, so the perf
-//! trajectory of the event queue, the wide analysis kernel and the
-//! batch pipeline is recorded from PR 2 on.
+//! delay-scenario sweeps — min/typ/max corners and seeded sample sets —
+//! against as many nominal analyses (`corner_sweep`), `.g` loading
+//! (`load`: `parse_stg` at 1024 and 4096 events), the one-shot two-row
+//! window at the 1024-event, b = 37 shape (`oneshot_window`: `run_in`
+//! time and wide bytes beside `AnalysisSession::open`, which runs in
+//! the same window), and the `analyze` response's non-kernel bytes at
+//! that shape (`render`: `ops::report_in` minus `run_in`, and
+//! `protocol::ok_response` on the report, with both byte counts) — and
+//! writes the numbers to `BENCH_kernel.json` (see the README's
+//! "Performance" section for how to read it). CI runs `bench --quick`
+//! on every change. Any other argument is a usage error, reported
+//! before anything is measured or written.
 //!
-//! Every analysis result is asserted bit-identical between the
-//! sequential and batched pipelines, and every backend's against the
-//! scalar engine record by record, before any number is reported: a
-//! speedup of a wrong answer is not a speedup. (The kernel's individual
-//! cells are checked against the scalar engine in `tsg-core`'s unit
-//! tests.)
+//! Every backend's analysis is asserted bit-identical to the scalar
+//! engine record by record, and every scenario's to a scalar analysis
+//! of its reweighted graph, before any number is reported: a speedup
+//! of a wrong answer is not a speedup. (The kernel's individual cells
+//! are checked against the scalar engine in `tsg-core`'s unit tests.)
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -47,7 +43,7 @@ use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::{Corner, CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::SignalGraph;
 use tsg_serve::{ops, protocol};
-use tsg_sim::{BatchRunner, EventQueue};
+use tsg_sim::EventQueue;
 use tsg_stg::{parse_stg, StgOptions};
 
 /// Best-of-`reps` wall time for `f`, which reports how many queue
@@ -168,12 +164,6 @@ fn measure_load(sizes: &[usize], reps: usize) -> Vec<LoadRow> {
             }
         })
         .collect()
-}
-
-struct BatchRow {
-    threads: usize,
-    seconds: f64,
-    speedup: f64,
 }
 
 struct WideRow {
@@ -349,63 +339,6 @@ fn measure_corner_sweep(reps: usize) -> Vec<CornerRow> {
     rows
 }
 
-/// The 64-graph sweep of the acceptance criterion: sequential loop vs
-/// `analyze_batch` at several thread counts, asserted bit-identical.
-fn measure_analysis(
-    graphs: &[SignalGraph],
-    thread_counts: &[usize],
-    reps: usize,
-) -> (f64, Vec<BatchRow>) {
-    let reference: Vec<(u64, u32)> = graphs
-        .iter()
-        .map(|sg| {
-            let a = CycleTimeAnalysis::run(sg).expect("generated graphs are live");
-            (a.cycle_time().as_f64().to_bits(), a.cycle_time().periods())
-        })
-        .collect();
-
-    let mut seq_best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        let got: Vec<(u64, u32)> = graphs
-            .iter()
-            .map(|sg| {
-                let a = CycleTimeAnalysis::run(sg).expect("live");
-                (a.cycle_time().as_f64().to_bits(), a.cycle_time().periods())
-            })
-            .collect();
-        seq_best = seq_best.min(t.elapsed().as_secs_f64());
-        assert_eq!(got, reference);
-    }
-
-    let mut rows = Vec::new();
-    for &threads in thread_counts {
-        let runner = BatchRunner::with_threads(threads);
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let t = Instant::now();
-            let got: Vec<(u64, u32)> = tsg_bench::analyze_batch(graphs, &runner)
-                .into_iter()
-                .map(|a| {
-                    let a = a.expect("live");
-                    (a.cycle_time().as_f64().to_bits(), a.cycle_time().periods())
-                })
-                .collect();
-            best = best.min(t.elapsed().as_secs_f64());
-            assert_eq!(
-                got, reference,
-                "analyze_batch diverged at {threads} threads"
-            );
-        }
-        rows.push(BatchRow {
-            threads,
-            seconds: best,
-            speedup: seq_best / best.max(1e-12),
-        });
-    }
-    (seq_best, rows)
-}
-
 struct WindowRow {
     events: usize,
     b: usize,
@@ -537,9 +470,6 @@ impl RenderRow {
 fn json_report(
     quick: bool,
     queue_rows: &[QueueRow],
-    graphs: usize,
-    seq_seconds: f64,
-    batch_rows: &[BatchRow],
     wide_rows: &[WideRow],
     simd_rows: &[SimdRow],
     corner_rows: &[CornerRow],
@@ -704,54 +634,43 @@ fn json_report(
     let _ = writeln!(out, "    \"response_bytes\": {},", render.response_bytes);
     let _ = writeln!(out, "    \"render_median_seconds\": {render_seconds:.9},");
     let _ = writeln!(out, "    \"encode_median_seconds\": {encode_seconds:.9}");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"analysis\": {{");
-    let _ = writeln!(out, "    \"graphs\": {graphs},");
-    let _ = writeln!(out, "    \"sequential_seconds\": {seq_seconds:.9},");
-    let _ = writeln!(out, "    \"bit_identical\": true,");
-    let _ = writeln!(out, "    \"analyze_batch\": [");
-    for (i, r) in batch_rows.iter().enumerate() {
-        let comma = if i + 1 < batch_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"threads\": {}, \"seconds\": {:.9}, \"speedup\": {:.3}}}{comma}",
-            r.threads, r.seconds, r.speedup
-        );
-    }
-    let _ = writeln!(out, "    ]");
     let _ = writeln!(out, "  }}");
     let _ = writeln!(out, "}}");
     out
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
+const USAGE: &str = "usage: bench [--quick] [--out PATH]";
+
+/// Accepts `--quick` and `--out PATH` and returns them; anything else
+/// is an error naming the first argument that does not fit.
+fn parse_args(args: &[String]) -> Result<(bool, String), String> {
+    let mut quick = false;
     let mut out_path = "BENCH_kernel.json".to_owned();
-    if let Some(pos) = args.iter().position(|a| a == "--out") {
-        match args.get(pos + 1) {
-            Some(p) if !p.starts_with("--") => out_path = p.clone(),
-            _ => {
-                eprintln!("--out needs a PATH");
-                std::process::exit(1);
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out" => match args.next() {
+                Some(p) if !p.starts_with("--") => out_path = p.clone(),
+                _ => return Err("--out needs a PATH".to_owned()),
+            },
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    let threads_arg = match args.iter().position(|a| a == "--threads") {
-        Some(pos) => match BatchRunner::parse_threads(args.get(pos + 1).map(String::as_str)) {
-            Ok(n) => Some(n),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        },
-        None => None,
-    };
+    Ok((quick, out_path))
+}
 
-    let (depths, reps, graph_count): (&[usize], usize, usize) = if quick {
-        (&[256, 4096], 2, 16)
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (quick, out_path) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e} ({USAGE})");
+        std::process::exit(1);
+    });
+
+    let (depths, reps): (&[usize], usize) = if quick {
+        (&[256, 4096], 2)
     } else {
-        (&[64, 1024, 16384, 131072], 5, 64)
+        (&[64, 1024, 16384, 131072], 5)
     };
 
     eprintln!("measuring the event queue ({} depths)...", depths.len());
@@ -844,35 +763,9 @@ fn main() {
         render_row.response_bytes
     );
 
-    let graphs: Vec<SignalGraph> = (0..graph_count as u64)
-        .map(|seed| tsg_gen::random_live_tsg(seed, tsg_gen::RandomTsgConfig::default()))
-        .collect();
-    let thread_counts: Vec<usize> = match threads_arg {
-        None => vec![1, 2, 4, 8],
-        Some(1) => vec![1], // the 1-thread baseline row, once
-        Some(n) => vec![1, n],
-    };
-    eprintln!(
-        "measuring analyze vs analyze_batch on {} graphs...",
-        graphs.len()
-    );
-    let (seq_seconds, batch_rows) = measure_analysis(&graphs, &thread_counts, reps);
-    eprintln!("  sequential: {:.1} ms", seq_seconds * 1e3);
-    for r in &batch_rows {
-        eprintln!(
-            "  analyze_batch x{}: {:.1} ms ({:.2}x)",
-            r.threads,
-            r.seconds * 1e3,
-            r.speedup
-        );
-    }
-
     let report = json_report(
         quick,
         &queue_rows,
-        graphs.len(),
-        seq_seconds,
-        &batch_rows,
         &wide_rows,
         &simd_rows,
         &corner_rows,

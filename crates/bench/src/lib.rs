@@ -1,16 +1,16 @@
-//! Shared kernel-benchmark workloads.
+//! Shared kernel-benchmark workloads and correctness gates.
 //!
-//! Both `benches/kernel.rs` (the Criterion suite) and the `bench`
-//! binary (which writes `BENCH_kernel.json`) drive the event queue
-//! through these exact loops, so the interactive numbers and the
-//! tracked JSON measure the same workload by construction — tuning the
-//! distribution here changes both, never one.
+//! The `bench` binary (which writes `BENCH_kernel.json`) times these
+//! workloads, and the workspace tests (`tests/wide.rs`,
+//! `tests/incremental.rs`, …) run the same graphs and edit scripts
+//! through the same bit-identity gates, so a tracked speedup and the
+//! property it relies on always cover the same inputs.
 
 use tsg_core::analysis::session::GraphEdit;
 use tsg_core::analysis::wide::AnalysisArena;
-use tsg_core::analysis::{AnalysisError, CycleTimeAnalysis, KernelBackend, ScenarioSet};
+use tsg_core::analysis::{CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
-use tsg_sim::{BatchRunner, EventQueue};
+use tsg_sim::EventQueue;
 
 /// Upper bound of [`delay`]'s distribution.
 pub const DELAY_BOUND: f64 = 8.25;
@@ -90,10 +90,9 @@ pub fn ring_with_chords_text(events: usize) -> String {
 /// The tracked workloads of the `wide-vs-scalar` scenario: rings and
 /// tori at border counts b ∈ {4, 8, 32} (a ring's border count is its
 /// token count; an `h × w` torus has `h + w - 1` border events) plus
-/// seeded random live graphs. The Criterion suite, the `bench` binary
-/// and `tests/wide.rs` all iterate this exact list, so the tracked
-/// speedups and the bit-identity property tests cover the same graphs
-/// by construction.
+/// seeded random live graphs. The `bench` binary and `tests/wide.rs`
+/// both iterate this exact list, so the tracked speedups and the
+/// bit-identity property tests cover the same graphs by construction.
 pub fn wide_scenarios() -> Vec<(String, SignalGraph)> {
     let mut out: Vec<(String, SignalGraph)> = Vec::new();
     for b in [4usize, 8, 32] {
@@ -115,46 +114,13 @@ pub fn wide_scenarios() -> Vec<(String, SignalGraph)> {
     out
 }
 
-/// Analyzes many graphs in parallel — the many-graph sweep behind the
-/// `repro` batch experiment and the `analysis` group of the kernel
-/// benchmarks.
-///
-/// Graphs fan out across `runner` with a per-worker
-/// [`AnalysisArena`], so a 1000-graph sweep allocates a thread-count's
-/// worth of windows, not a thousand. Results preserve input order and
-/// each entry is bit-identical to a sequential
-/// [`CycleTimeAnalysis::run`] on the same graph.
-///
-/// # Examples
-///
-/// ```
-/// use tsg_sim::BatchRunner;
-///
-/// let graphs: Vec<_> = (2..6).map(|k| {
-///     let mut b = tsg_core::SignalGraph::builder();
-///     let x = b.event("x");
-///     b.marked_arc(x, x, k as f64);
-///     b.build().unwrap()
-/// }).collect();
-/// let out = tsg_bench::analyze_batch(&graphs, &BatchRunner::with_threads(2));
-/// assert_eq!(out[1].as_ref().unwrap().cycle_time().as_f64(), 3.0);
-/// ```
-pub fn analyze_batch(
-    graphs: &[SignalGraph],
-    runner: &BatchRunner,
-) -> Vec<Result<CycleTimeAnalysis, AnalysisError>> {
-    runner.run_with_state(graphs, AnalysisArena::new, |arena, sg| {
-        CycleTimeAnalysis::run_in(sg, None, arena)
-    })
-}
-
 /// Asserts two analyses carry the same bits everywhere they report:
 /// cycle time, periods, critical cycle (i.e. the backtracked parents
 /// along the winning walk), critical borders, border order, and every
 /// per-border distance table. The one bit-identity gate shared by the
-/// Criterion suite, the `bench` binary and `tests/wide.rs` — a speedup
-/// of a wrong answer is not a speedup, and three drifting copies of
-/// this check would each gate a different subset of the result.
+/// `bench` binary and the workspace tests — a speedup of a wrong
+/// answer is not a speedup, and drifting copies of this check would
+/// each gate a different subset of the result.
 ///
 /// # Panics
 ///
@@ -381,68 +347,6 @@ mod tests {
         }
         // Splits added one fresh event per even-indexed batch.
         assert_eq!(scratch.event_count(), 16 + 5);
-    }
-
-    /// The oscillator of the paper's Figure 2: a prefix (`e-`, `f-`)
-    /// feeding a cyclic part with τ = 10.
-    fn figure2() -> SignalGraph {
-        let mut b = SignalGraph::builder();
-        let e = b.initial_event("e-");
-        let f = b.finite_event("f-");
-        let ap = b.event("a+");
-        let bp = b.event("b+");
-        let cp = b.event("c+");
-        let am = b.event("a-");
-        let bm = b.event("b-");
-        let cm = b.event("c-");
-        b.arc(e, f, 3.0);
-        b.disengageable_arc(e, ap, 2.0);
-        b.disengageable_arc(f, bp, 1.0);
-        b.arc(ap, cp, 3.0);
-        b.arc(bp, cp, 2.0);
-        b.arc(cp, am, 2.0);
-        b.arc(cp, bm, 1.0);
-        b.arc(am, cm, 3.0);
-        b.arc(bm, cm, 2.0);
-        b.marked_arc(cm, ap, 2.0);
-        b.marked_arc(cm, bp, 1.0);
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn analyze_batch_matches_sequential_runs() {
-        let graphs: Vec<SignalGraph> = (1..=6)
-            .map(|k| {
-                let mut b = SignalGraph::builder();
-                let xp = b.event("x+");
-                let xm = b.event("x-");
-                b.arc(xp, xm, k as f64);
-                b.marked_arc(xm, xp, 2.0 * k as f64);
-                b.build().unwrap()
-            })
-            .collect();
-        let batch = analyze_batch(&graphs, &BatchRunner::with_threads(4));
-        assert_eq!(batch.len(), graphs.len());
-        for (i, (sg, got)) in graphs.iter().zip(&batch).enumerate() {
-            let want = CycleTimeAnalysis::run(sg).unwrap();
-            assert_analyses_identical(&want, got.as_ref().unwrap(), &format!("graph {i}"));
-        }
-    }
-
-    #[test]
-    fn analyze_batch_propagates_acyclic_errors_in_order() {
-        let cyclic = figure2();
-        let acyclic = {
-            let mut b = SignalGraph::builder();
-            let s = b.initial_event("s");
-            let t = b.finite_event("t");
-            b.arc(s, t, 1.0);
-            b.build().unwrap()
-        };
-        let graphs = vec![cyclic, acyclic];
-        let out = analyze_batch(&graphs, &BatchRunner::with_threads(2));
-        assert!(out[0].is_ok());
-        assert_eq!(out[1].clone().unwrap_err(), AnalysisError::NoCyclicBehavior);
     }
 
     #[test]

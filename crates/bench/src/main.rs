@@ -3,13 +3,14 @@
 //! ```text
 //! repro                 # run all experiments
 //! repro --experiment ex3
-//! repro --threads 4     # pool size for the batch experiment
 //! repro --list
 //! ```
 //!
-//! Experiment ids follow DESIGN.md: `fig1b fig1c fig1d ex3 ex4 ex56 tab8c
-//! tab8d fig4 perf8b complexity`, plus the post-paper `batch` sweep that
-//! exercises the tsg-sim kernel's parallel scenario execution.
+//! Experiment ids follow the paper: `fig1b fig1c fig1d ex3 ex4 ex56
+//! tab8c tab8d fig4` print the same bytes on every run; `perf8b`
+//! (Section VIII.B's 66-event stack) and `complexity` (Section VII's
+//! O(b²m) scaling) print timings. Any other argument is a usage error,
+//! reported before an experiment runs.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -22,41 +23,51 @@ use tsg_core::analysis::sim::TimingSimulation;
 use tsg_core::analysis::CycleTimeAnalysis;
 use tsg_core::SignalGraph;
 
-/// Pool size for the batch experiment, set once from `--threads N`.
-/// `None` defers to [`tsg_sim::BatchRunner::sized`]'s default (all
-/// cores) — the same resolution rule every other tool uses.
-static THREADS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+const USAGE: &str = "usage: repro [--list | --experiment ID]";
+
+/// What the command line asks for.
+enum Command {
+    All,
+    List,
+    Experiment(String),
+}
+
+/// Accepts nothing, `--list` or `--experiment ID`; anything else is an
+/// error naming the first argument that does not fit.
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    let unexpected = match args {
+        [] => return Ok(Command::All),
+        [a] if a == "--list" => return Ok(Command::List),
+        [a, id] if a == "--experiment" => return Ok(Command::Experiment(id.clone())),
+        [a] if a == "--experiment" => return Err("--experiment needs an ID".to_owned()),
+        [a, rest @ ..] if a == "--list" => &rest[0],
+        [a, _, rest @ ..] if a == "--experiment" => &rest[0],
+        [a, ..] => a,
+    };
+    Err(format!("unknown argument {unexpected:?}"))
+}
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = args.iter().position(|a| a == "--threads") {
-        match tsg_sim::BatchRunner::parse_threads(args.get(pos + 1).map(String::as_str)) {
-            Ok(n) => THREADS.set(Some(n)).expect("set once"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-        args.drain(pos..(pos + 2).min(args.len()));
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let command = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e} ({USAGE})");
+        std::process::exit(1);
+    });
     let all = experiments();
-    match args.first().map(String::as_str) {
-        Some("--list") => {
+    match command {
+        Command::List => {
             for (id, _) in &all {
                 println!("{id}");
             }
         }
-        Some("--experiment") => {
-            let want = args.get(1).map(String::as_str).unwrap_or("");
-            match all.iter().find(|(id, _)| *id == want) {
-                Some((id, f)) => print!("{}", banner(id, f())),
-                None => {
-                    eprintln!("unknown experiment {want:?}; try --list");
-                    std::process::exit(1);
-                }
+        Command::Experiment(want) => match all.iter().find(|(id, _)| *id == want) {
+            Some((id, f)) => print!("{}", banner(id, f())),
+            None => {
+                eprintln!("unknown experiment {want:?}; try --list");
+                std::process::exit(1);
             }
-        }
-        _ => {
+        },
+        Command::All => {
             for (id, f) in &all {
                 print!("{}", banner(id, f()));
             }
@@ -83,7 +94,6 @@ fn experiments() -> Vec<Experiment> {
         ("fig4", fig4),
         ("perf8b", perf8b),
         ("complexity", complexity),
-        ("batch", batch),
     ]
 }
 
@@ -424,119 +434,6 @@ fn perf8b() -> String {
         out,
         "analysis time: {:.3} ms/run over {runs} runs (paper: 74 ms on a DEC 5000)",
         per_run * 1e3
-    );
-    out
-}
-
-/// Parallel scenario sweep on the tsg-sim kernel: the long-run estimator
-/// over a mixed batch of generated workloads, sequential vs. batched,
-/// cross-checked against the exact analysis.
-fn batch() -> String {
-    use tsg_sim::BatchRunner;
-
-    let mut scenarios: Vec<(String, SignalGraph)> = Vec::new();
-    for n in [64usize, 256] {
-        scenarios.push((format!("ring n={n} b=2"), tsg_gen::ring(n, 2, 1.0)));
-    }
-    for side in [4usize, 6] {
-        scenarios.push((
-            format!("torus {side}x{side}"),
-            tsg_gen::torus(side, side, 2.0, 3.0),
-        ));
-    }
-    for stages in [4usize, 8] {
-        scenarios.push((
-            format!("pipeline stages={stages}"),
-            tsg_gen::handshake_pipeline(stages, tsg_gen::PipelineConfig::default()),
-        ));
-    }
-    for seed in 0..6u64 {
-        scenarios.push((
-            format!("random seed={seed}"),
-            tsg_gen::random_live_tsg(seed, tsg_gen::RandomTsgConfig::default()),
-        ));
-    }
-    let graphs: Vec<SignalGraph> = scenarios.iter().map(|(_, sg)| sg.clone()).collect();
-    let periods = 192;
-
-    let t_seq = Instant::now();
-    let sequential: Vec<Option<f64>> = graphs
-        .iter()
-        .map(|sg| tsg_baselines::longrun_estimate(sg, periods))
-        .collect();
-    let t_seq = t_seq.elapsed();
-
-    // One explicit runner — sized by `--threads N` or the machine — so
-    // the reported thread count is the one that actually executed it.
-    let runner = BatchRunner::sized(THREADS.get().copied().flatten());
-    let t_par = Instant::now();
-    let batched: Vec<Option<f64>> =
-        runner.run(&graphs, |sg| tsg_baselines::longrun_estimate(sg, periods));
-    let t_par = t_par.elapsed();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} scenarios × {periods} periods on {} thread(s)",
-        graphs.len(),
-        runner.threads()
-    );
-    let _ = writeln!(
-        out,
-        "{:<24} {:>12} {:>12} {:>8}",
-        "scenario", "longrun", "exact τ", "agree"
-    );
-    for (i, (name, sg)) in scenarios.iter().enumerate() {
-        let est = batched[i].expect("all scenarios are live");
-        let exact = CycleTimeAnalysis::run(sg)
-            .expect("cyclic")
-            .cycle_time()
-            .as_f64();
-        let agree = (est - exact).abs() <= exact * 0.05 + 1e-9;
-        let _ = writeln!(out, "{name:<24} {est:>12.4} {exact:>12.4} {agree:>8}");
-    }
-    assert_eq!(batched, sequential, "batch must equal the sequential loop");
-    let _ = writeln!(
-        out,
-        "sequential {:.1} ms, batched {:.1} ms ({:.2}x)",
-        t_seq.as_secs_f64() * 1e3,
-        t_par.as_secs_f64() * 1e3,
-        t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9)
-    );
-
-    // The same sweep through the exact analysis: `analyze_batch` fans
-    // whole cycle-time analyses (each itself b border simulations) over
-    // per-worker arenas, bit-identical to the sequential loop.
-    let t_seq = Instant::now();
-    let seq_exact: Vec<f64> = graphs
-        .iter()
-        .map(|sg| {
-            CycleTimeAnalysis::run(sg)
-                .expect("cyclic")
-                .cycle_time()
-                .as_f64()
-        })
-        .collect();
-    let t_seq = t_seq.elapsed();
-    let t_par = Instant::now();
-    let par_exact: Vec<f64> = tsg_bench::analyze_batch(&graphs, &runner)
-        .into_iter()
-        .map(|a| a.expect("cyclic").cycle_time().as_f64())
-        .collect();
-    let t_par = t_par.elapsed();
-    assert!(
-        seq_exact
-            .iter()
-            .zip(&par_exact)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "analyze_batch must be bit-identical to sequential analyses"
-    );
-    let _ = writeln!(
-        out,
-        "analyze_batch: sequential {:.1} ms, batched {:.1} ms ({:.2}x) — bit-identical",
-        t_seq.as_secs_f64() * 1e3,
-        t_par.as_secs_f64() * 1e3,
-        t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9)
     );
     out
 }

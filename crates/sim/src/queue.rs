@@ -16,7 +16,8 @@
 //! Storage is a `std::collections::BinaryHeap`: `O(log n)` push and pop
 //! for any time distribution. The netlist simulator keeps at most a few
 //! thousand events pending, where a heap beats bucketed (calendar)
-//! storage; `benches/kernel.rs` tracks its push/pop and hold throughput.
+//! storage; the `bench` binary tracks its push/pop and hold throughput
+//! (`BENCH_kernel.json`'s `queue` rows).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -98,7 +98,7 @@ proptest! {
 
     /// The acceptance criterion: `run` (wide) ≡ `run_scalar` on every
     /// generator family, records included (the shared gate from
-    /// `tsg_bench`, the same one the bench targets run before timing
+    /// `tsg_bench`, the same one the `bench` binary runs before timing
     /// anything).
     #[test]
     fn wide_equals_scalar_across_families(family in 0usize..4, seed in 0u64..10_000) {
