@@ -323,7 +323,7 @@ fn tab8c() -> String {
         out,
         "note: the paper's VIII.C text prints the critical cycle as a+->c+->b-->c-->a+ \
          (length 8), contradicting its own Example 5/6 where C1 (length 10) is critical; \
-         we report C1. See EXPERIMENTS.md."
+         we report C1 (pinned by tsg-core's `oscillator_critical_cycle` test)."
     );
     out
 }

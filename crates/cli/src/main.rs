@@ -34,8 +34,7 @@ USAGE:
     tsg analyze FILE [--diagram] [--dot] [--baselines] [--slack] [--default-delay X]
                      [--corners min,typ,max] [--derate PCT] [--samples K] [--seed S]
     tsg sim FILE.g... [--periods N] [--vcd PATH] [--default-delay X]
-                      [--threads N]
-    tsg sim FILE.ckt... [--horizon X] [--vcd PATH] [--threads N]
+    tsg sim FILE.ckt... [--horizon X] [--vcd PATH]
     tsg explore FILE [--edit SRC->DST=DELAY]... [--default-delay X]
                      [--report {text|json}]
                      [--optimize [--moves N] [--seed S] [--samples K]
@@ -60,14 +59,15 @@ FILE formats (by extension):
 tsg-sim event queue) and prints the transition stream; `--vcd PATH`
 additionally dumps a waveform any VCD viewer opens. A `.g` run keeps
 one time per event and period and is refused past 2^26 of them.
-Several files fan out across a `--threads N` pool (default: all cores;
-every command takes at most 1024 threads).
+Several files run one after another, in input order.
 
 `analyze` runs the b border simulations of each analysis — the
 nominal one and every scenario's of a --corners or --samples sweep — in
 one lockstep pass of the SIMD-friendly wide kernel on one thread. The
 CPU picks the wide-kernel backend (AVX2 where available, else the
-portable loop); all backends are bit-identical.
+portable loop); all backends are bit-identical. `--baselines` checks τ
+against the two exact, polynomial comparators: Howard's policy
+iteration and Karp's algorithm.
 
 `analyze --corners min,typ,max` sweeps delay corners, one analysis of
 the reweighted graph per corner — every arc derated by `--derate` PCT
@@ -98,9 +98,11 @@ downstream tooling. In every mode the final state is verified
 bit-identical to a from-scratch analysis.
 
 `serve` runs the long-running analysis service: newline-delimited JSON
-requests (analyze/sim/batch/stats/session.open/session.edit/
+requests (analyze/sim/stats/session.open/session.edit/session.explore/
 session.close) on stdin — or a TCP/Unix socket with --listen — answered
-in request order by a persistent warm worker pool. One readiness event
+in request order by a persistent warm worker pool (`--threads N`,
+default: all cores, at most 1024). A request carries its specification
+as inline `text`; the server reads no files. One readiness event
 loop serves every transport: stdin/stdout is bridged into it as a
 single connection, and socket clients are multiplexed onto the one
 shared pool (thousands of idle or slow clients cost buffers, not
@@ -197,10 +199,6 @@ fn analyze_report(sg: &SignalGraph, opts: &AnalyzeOptions) -> Result<String, Fai
     ops::report_in(sg, opts, &mut AnalysisArena::new()).map_err(|e| Failure::Run(e.to_string()))
 }
 
-fn parse_threads(args: &[String], i: usize) -> Result<usize, Failure> {
-    BatchRunner::parse_threads(args.get(i).map(String::as_str)).map_err(Failure::Usage)
-}
-
 /// Parses a millisecond duration argument for `flag`.
 fn parse_ms(args: &[String], i: usize, flag: &str) -> Result<Duration, Failure> {
     args.get(i)
@@ -210,10 +208,14 @@ fn parse_ms(args: &[String], i: usize, flag: &str) -> Result<Duration, Failure> 
         .ok_or_else(|| Failure::Usage(format!("{flag} needs a positive number of milliseconds")))
 }
 
+/// Reads the FILE argument of a command; the error names the file.
+fn read_file(file: &str) -> Result<String, String> {
+    std::fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))
+}
+
 /// Reads and loads the `.g` / `.ckt` FILE of a command.
 fn load_file(file: &str, default_delay: f64) -> Result<SignalGraph, Failure> {
-    let text =
-        std::fs::read_to_string(file).map_err(|e| Failure::Run(format!("reading {file}: {e}")))?;
+    let text = read_file(file).map_err(Failure::Run)?;
     ops::load(file, &text, default_delay).map_err(Failure::Run)
 }
 
@@ -290,7 +292,6 @@ fn run(args: &[String]) -> Result<String, Failure> {
             if files.is_empty() {
                 return Err("sim needs a FILE argument".into());
             }
-            let mut threads: Option<usize> = None;
             let mut opts = SimOptions::default();
             while i < args.len() {
                 match args[i].as_str() {
@@ -324,10 +325,6 @@ fn run(args: &[String]) -> Result<String, Failure> {
                                 .ok_or("--default-delay needs a number")?,
                         );
                     }
-                    "--threads" => {
-                        i += 1;
-                        threads = Some(parse_threads(args, i)?);
-                    }
                     other => return Err(unknown_flag(other)),
                 }
                 i += 1;
@@ -337,22 +334,25 @@ fn run(args: &[String]) -> Result<String, Failure> {
                     "--vcd writes one waveform; simulate one FILE at a time with it".into(),
                 );
             }
-            // Independent files fan out across the kernel's batch pool;
-            // results come back in input order, so the printout is
-            // identical to a sequential loop. Per-file failures don't
-            // discard the other files' transcripts: every section is
-            // printed, failed ones inline, and the command still exits
-            // nonzero if anything failed.
-            let outputs: Vec<Result<String, String>> =
-                BatchRunner::sized(threads).run_with_state(&files, Workspace::new, |ws, file| {
-                    let source = Source::Path(file.clone());
+            // Files run in input order on one workspace. Per-file
+            // failures don't discard the other files' transcripts: every
+            // section is printed, failed ones inline, and the command
+            // still exits nonzero if anything failed.
+            let mut ws = Workspace::new();
+            let outputs: Vec<Result<String, String>> = files
+                .iter()
+                .map(|file| {
+                    let source = Source::Inline {
+                        name: file.clone(),
+                        text: read_file(file)?,
+                    };
                     ws.simulate(&source, &opts, None).map_err(|e| e.to_string())
-                });
+                })
+                .collect();
             let single = files.len() == 1;
             if single {
                 // Single-file errors already name the file where it
-                // matters (read/parse failures); no prefix, matching the
-                // pre-fan-out behaviour.
+                // matters (read/parse failures); no prefix.
                 let output = outputs.into_iter().next().expect("one file, one result");
                 return output.map_err(Failure::Run);
             }
@@ -601,7 +601,10 @@ fn run(args: &[String]) -> Result<String, Failure> {
                 match args[i].as_str() {
                     "--threads" => {
                         i += 1;
-                        opts.threads = Some(parse_threads(args, i)?);
+                        opts.threads = Some(
+                            BatchRunner::parse_threads(args.get(i).map(String::as_str))
+                                .map_err(Failure::Usage)?,
+                        );
                     }
                     "--max-sessions" => {
                         i += 1;
@@ -1128,7 +1131,12 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("cycle time: 10"), "{out}");
-        assert!(out.contains("enumeration   : 10"));
+        // Only the two exact, polynomial comparators run.
+        assert!(
+            out.ends_with("baselines:\n  howard        : 10\n  karp          : 10\n"),
+            "{out}"
+        );
+        assert!(!out.contains("lawler"), "{out}");
     }
 
     #[test]
@@ -1298,14 +1306,24 @@ mod tests {
             "sim".into(),
             osc.to_string_lossy().into_owned(),
             ring.to_string_lossy().into_owned(),
-            "--threads".into(),
-            "2".into(),
         ])
         .unwrap();
         let osc_pos = out.find("fan-osc.g").unwrap();
         let ring_pos = out.find("fan-ring.g").unwrap();
         assert!(osc_pos < ring_pos, "input order preserved: {out}");
         assert_eq!(out.matches("==").count(), 4, "one banner per file: {out}");
+        // The files run in order on one thread: `--threads` is an unknown
+        // flag, a usage error.
+        let argv = [
+            "sim".into(),
+            osc.to_string_lossy().into_owned(),
+            "--threads".into(),
+            "2".into(),
+        ];
+        assert!(matches!(
+            super::run(&argv),
+            Err(Failure::Usage(msg)) if msg == "unknown flag \"--threads\""
+        ));
         // --vcd with several files would clobber one waveform.
         assert!(run(&[
             "sim".into(),

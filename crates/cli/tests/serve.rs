@@ -3,7 +3,9 @@
 //! The acceptance bar: a mixed multi-request script piped into
 //! `tsg serve` comes back with one response line per request, in request
 //! order, and each `output` field is byte-identical to the equivalent
-//! one-shot `tsg analyze` / `tsg sim` invocation.
+//! one-shot `tsg analyze` / `tsg sim` invocation. The CLI reads its
+//! FILE; the served request carries the same file's text inline under
+//! the same name, since the server reads no files.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -58,6 +60,17 @@ fn serve_session(script: &str, extra: &[&str]) -> Vec<Json> {
         .collect()
 }
 
+/// The `"text"` and `"name"` fields of a request carrying `path`'s
+/// contents inline, named like the file so error messages match too.
+fn inline(path: &str) -> String {
+    let text = std::fs::read_to_string(path).expect("fixture is readable");
+    format!(
+        r#""text":{},"name":{}"#,
+        Json::from(text.as_str()).dump(),
+        Json::from(path).dump()
+    )
+}
+
 /// Writes the test fixtures once per test process, returning their
 /// paths. Tests run concurrently, so rewriting the files per call would
 /// truncate them under a `tsg` child that is still reading them.
@@ -97,38 +110,26 @@ fn mixed_50_request_script_is_in_order_and_byte_identical() {
     // protocol, not from timing.
     let shapes: Vec<(String, Vec<&str>)> = vec![
         (
-            format!(
-                r#""cmd":"analyze","path":{}"#,
-                Json::from(osc_g.as_str()).dump()
-            ),
+            format!(r#""cmd":"analyze",{}"#, inline(&osc_g)),
             vec!["analyze", &osc_g],
         ),
         (
             format!(
-                r#""cmd":"analyze","path":{},"baselines":true,"slack":true"#,
-                Json::from(osc_g.as_str()).dump()
+                r#""cmd":"analyze",{},"baselines":true,"slack":true"#,
+                inline(&osc_g)
             ),
             vec!["analyze", &osc_g, "--baselines", "--slack"],
         ),
         (
-            format!(
-                r#""cmd":"sim","path":{},"periods":2"#,
-                Json::from(osc_g.as_str()).dump()
-            ),
+            format!(r#""cmd":"sim",{},"periods":2"#, inline(&osc_g)),
             vec!["sim", &osc_g, "--periods", "2"],
         ),
         (
-            format!(
-                r#""cmd":"sim","path":{},"horizon":400"#,
-                Json::from(osc_ckt.as_str()).dump()
-            ),
+            format!(r#""cmd":"sim",{},"horizon":400"#, inline(&osc_ckt)),
             vec!["sim", &osc_ckt, "--horizon", "400"],
         ),
         (
-            format!(
-                r#""cmd":"sim","path":{}"#,
-                Json::from(ring_g.as_str()).dump()
-            ),
+            format!(r#""cmd":"sim",{}"#, inline(&ring_g)),
             vec!["sim", &ring_g],
         ),
     ];
@@ -143,7 +144,7 @@ fn mixed_50_request_script_is_in_order_and_byte_identical() {
         let (body, _) = &shapes[id % shapes.len()];
         script.push_str(&format!("{{\"id\":{id},{body}}}\n"));
     }
-    // Rider requests: a failing one and a stats probe, still in order.
+    // Rider requests: a refused one and a stats probe, still in order.
     script.push_str("{\"id\":50,\"cmd\":\"analyze\",\"path\":\"/nonexistent/x.g\"}\n");
     script.push_str("{\"id\":51,\"cmd\":\"stats\"}\n");
 
@@ -167,11 +168,10 @@ fn mixed_50_request_script_is_in_order_and_byte_identical() {
         );
     }
     assert_eq!(responses[50].get("ok"), Some(&Json::Bool(false)));
-    assert!(responses[50]
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap()
-        .contains("reading /nonexistent/x.g"));
+    assert_eq!(
+        responses[50].get("error").and_then(Json::as_str),
+        Some(r#"unknown field "path" for cmd "analyze""#)
+    );
     // With 4 workers the stats snapshot is a lower bound only; exact
     // counters are covered by the single-worker test below.
     assert_eq!(responses[51].get("ok"), Some(&Json::Bool(true)));
@@ -182,11 +182,11 @@ fn mixed_50_request_script_is_in_order_and_byte_identical() {
 fn single_worker_stats_count_exactly() {
     let (osc_g, _, _) = fixtures();
     let osc_g = osc_g.to_string_lossy().into_owned();
-    let p = Json::from(osc_g.as_str()).dump();
+    let src = inline(&osc_g);
     let script = format!(
-        "{{\"id\":1,\"cmd\":\"analyze\",\"path\":{p}}}\n\
+        "{{\"id\":1,\"cmd\":\"analyze\",{src}}}\n\
          {{\"id\":2,\"cmd\":\"analyze\",\"path\":\"/nonexistent/y.g\"}}\n\
-         {{\"id\":3,\"cmd\":\"sim\",\"path\":{p},\"periods\":1}}\n\
+         {{\"id\":3,\"cmd\":\"sim\",{src},\"periods\":1}}\n\
          {{\"id\":4,\"cmd\":\"stats\"}}\n"
     );
     let responses = serve_session(&script, &["--threads", "1"]);
@@ -200,12 +200,12 @@ fn single_worker_stats_count_exactly() {
 fn session_script_through_the_binary_matches_explore() {
     let (osc_g, _, _) = fixtures();
     let osc_g = osc_g.to_string_lossy().into_owned();
-    let p = Json::from(osc_g.as_str()).dump();
     let script = format!(
-        "{{\"id\":1,\"cmd\":\"session.open\",\"session\":\"s\",\"path\":{p}}}\n\
+        "{{\"id\":1,\"cmd\":\"session.open\",\"session\":\"s\",{}}}\n\
          {{\"id\":2,\"cmd\":\"session.edit\",\"session\":\"s\",\"edits\":\
          [{{\"src\":\"a+\",\"dst\":\"c+\",\"delay\":8}}]}}\n\
-         {{\"id\":3,\"cmd\":\"session.close\",\"session\":\"s\"}}\n"
+         {{\"id\":3,\"cmd\":\"session.close\",\"session\":\"s\"}}\n",
+        inline(&osc_g)
     );
     let responses = serve_session(&script, &["--threads", "2"]);
     assert_eq!(responses.len(), 3);
@@ -255,7 +255,8 @@ fn overflowing_netlist_sim_fails_cleanly() {
     let request = Json::Obj(vec![
         ("id".to_owned(), Json::Num(1.0)),
         ("cmd".to_owned(), Json::from("sim")),
-        ("path".to_owned(), Json::from(path.as_str())),
+        ("text".to_owned(), Json::from(OVERFLOW_CKT)),
+        ("name".to_owned(), Json::from("x.ckt")),
         ("horizon".to_owned(), Json::Num(1.7e308)),
     ]);
     let responses = serve_session(&format!("{}\n", request.dump()), &[]);
@@ -382,10 +383,10 @@ fn oversized_sim_is_refused_before_allocating() {
         stderr.starts_with("error: simulation failed: 6 event(s) over 4000000000 period(s)"),
         "{stderr}"
     );
-    let p = Json::from(osc_g.as_str()).dump();
+    let src = inline(&osc_g);
     let script = format!(
-        "{{\"id\":1,\"cmd\":\"sim\",\"path\":{p},\"periods\":4000000000}}\n\
-         {{\"id\":2,\"cmd\":\"sim\",\"path\":{p},\"periods\":2}}\n"
+        "{{\"id\":1,\"cmd\":\"sim\",{src},\"periods\":4000000000}}\n\
+         {{\"id\":2,\"cmd\":\"sim\",{src},\"periods\":2}}\n"
     );
     let responses = serve_session(&script, &["--threads", "1"]);
     assert_eq!(responses.len(), 2);
@@ -393,4 +394,28 @@ fn oversized_sim_is_refused_before_allocating() {
     let error = responses[0].get("error").and_then(Json::as_str).unwrap();
     assert!(error.contains("time cells"), "{error}");
     assert_eq!(responses[1].get("ok"), Some(&Json::Bool(true)));
+}
+
+/// A request that names a file is refused while parsing, before the
+/// server could open it, and the worker serves the next request. The
+/// file is real and readable, so a server that still read paths would
+/// answer `ok:true` here.
+#[test]
+fn served_paths_are_refused_before_any_read() {
+    let (osc_g, _, _) = fixtures();
+    let osc_g = osc_g.to_string_lossy().into_owned();
+    let script = format!(
+        "{{\"id\":1,\"cmd\":\"analyze\",\"path\":{}}}\n\
+         {{\"id\":2,\"cmd\":\"analyze\",{}}}\n",
+        Json::from(osc_g.as_str()).dump(),
+        inline(&osc_g)
+    );
+    let responses = serve_session(&script, &["--threads", "1"]);
+    assert_eq!(responses.len(), 2);
+    assert_eq!(responses[0].get("ok"), Some(&Json::Bool(false)));
+    let error = responses[0].get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("\"path\""), "{error}");
+    assert_eq!(responses[1].get("ok"), Some(&Json::Bool(true)));
+    let output = responses[1].get("output").and_then(Json::as_str).unwrap();
+    assert!(output.contains("cycle time: 10"), "{output}");
 }

@@ -178,9 +178,9 @@ fn branch(g: &DiGraph, removed: &mut [bool], current: &mut Vec<usize>, best: &mu
 /// a *minimum cut set*, which is not sound in general: a 4-event ring with
 /// two tokens has a (unique) simple cycle with `ε = 2`, yet any single
 /// event of the ring is a cut set. The algorithm itself simulates `b`
-/// periods (Section VII), which the border-set bound justifies; see
-/// `EXPERIMENTS.md` and the regression test
-/// `prop6_erratum_min_cut_is_not_a_period_bound`.
+/// periods (Section VII), which the border-set bound justifies; the
+/// regression test `prop6_erratum_min_cut_is_not_a_period_bound` pins
+/// the counterexample.
 pub fn max_occurrence_period_bound(sg: &SignalGraph) -> usize {
     sg.border_events().len().max(1)
 }

@@ -758,7 +758,8 @@ mod tests {
     #[test]
     fn oscillator_critical_cycle() {
         // Example 5/6: C1 = a+ -> c+ -> a- -> c- is the length-10 critical
-        // cycle (the paper's VIII.C misprints C2 here; see EXPERIMENTS.md).
+        // cycle (the paper's VIII.C misprints C2 here; `repro --experiment
+        // tab8c` prints a note citing this test).
         let sg = figure2();
         let a = CycleTimeAnalysis::run(&sg).unwrap();
         assert_eq!(

@@ -7,8 +7,8 @@
 //! turns the workspace from a one-shot batch tool into that engine:
 //!
 //! * [`protocol`] — newline-delimited JSON requests (`analyze`, `sim`,
-//!   `batch`, `stats`, `session.open`/`edit`/`close`) with ids echoed
-//!   into in-order responses;
+//!   `stats`, `session.open`/`edit`/`explore`/`close`), each carrying its
+//!   specification inline, with ids echoed into in-order responses;
 //! * [`ops`] — the analysis operations themselves, shared with the
 //!   one-shot CLI so a served response is byte-identical to the
 //!   equivalent `tsg analyze` / `tsg sim` invocation, plus the warm

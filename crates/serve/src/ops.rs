@@ -25,7 +25,6 @@
 //!
 //! [`KernelBackend::detect`]: tsg_core::analysis::KernelBackend::detect
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
@@ -110,43 +109,18 @@ impl fmt::Display for OpError {
 
 impl std::error::Error for OpError {}
 
-/// Where a request's specification text comes from.
+/// A request's specification: text the caller already holds. The
+/// server reads no files; the CLI reads its FILE arguments itself.
 #[derive(Clone, Debug)]
 pub enum Source {
-    /// A file on the server's filesystem.
-    Path(String),
-    /// Text shipped inline with the request; `name` supplies the
-    /// extension that selects the parser (`.g` vs `.ckt`).
+    /// The text and the name whose extension selects the parser (`.g`
+    /// vs `.ckt`).
     Inline {
         /// Name used for format detection and error messages.
         name: String,
         /// The specification text itself.
         text: String,
     },
-}
-
-impl Source {
-    /// The name used for format detection and error messages.
-    pub fn name(&self) -> &str {
-        match self {
-            Source::Path(p) => p,
-            Source::Inline { name, .. } => name,
-        }
-    }
-
-    /// The specification text.
-    ///
-    /// # Errors
-    ///
-    /// Returns a read error message for an unreadable path.
-    pub fn read(&self) -> Result<Cow<'_, str>, String> {
-        match self {
-            Source::Path(file) => std::fs::read_to_string(file)
-                .map(Cow::Owned)
-                .map_err(|e| format!("reading {file}: {e}")),
-            Source::Inline { text, .. } => Ok(Cow::Borrowed(text)),
-        }
-    }
 }
 
 /// One label-addressed delay edit of a `session.edit` request or a
@@ -423,7 +397,8 @@ pub struct AnalyzeOptions {
     pub diagram: bool,
     /// Append the graph in DOT form.
     pub dot: bool,
-    /// Run the related-work baseline algorithms.
+    /// Cross-check τ with the two exact, polynomial baselines (Howard's
+    /// policy iteration and Karp's algorithm).
     pub baselines: bool,
     /// Run the per-arc slack analysis.
     pub slack: bool,
@@ -702,15 +677,6 @@ fn render_report(
         }
         if let Some(t) = tsg_baselines::karp_cycle_time(sg) {
             let _ = writeln!(out, "  karp          : {}", t.as_f64());
-        }
-        if let Some(t) = tsg_baselines::lawler_cycle_time(sg, 60) {
-            let _ = writeln!(out, "  lawler        : {}", t.as_f64());
-        }
-        if let Ok(Some(t)) = tsg_baselines::enumerate_cycle_time(sg, 100_000) {
-            let _ = writeln!(out, "  enumeration   : {}", t.as_f64());
-        }
-        if let Some(t) = tsg_baselines::longrun_estimate(sg, 64) {
-            let _ = writeln!(out, "  long-run sim  : {t}");
         }
     }
     if let Some(slack) = slack {
@@ -1123,7 +1089,7 @@ impl Workspace {
     ///
     /// # Errors
     ///
-    /// Returns read/parse failures as [`OpError::Msg`], or
+    /// Returns parse failures as [`OpError::Msg`], or
     /// [`OpError::Cancelled`] when `cancel` fires mid-analysis.
     pub fn analyze(
         &mut self,
@@ -1131,13 +1097,13 @@ impl Workspace {
         opts: &AnalyzeOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<String, OpError> {
-        let text = source.read()?;
-        let sg = load(source.name(), &text, opts.default_delay)?;
+        let Source::Inline { name, text } = source;
+        let sg = load(name, text, opts.default_delay)?;
         report_on(&sg, opts, &mut self.arena, cancel)
     }
 
     /// `tsg sim` (netlists on the warm queue) — what the CLI runs per
-    /// input file, on one workspace per `--threads` worker.
+    /// input file, in order on one workspace.
     ///
     /// Netlist (`.ckt`) simulations are not cancellable: their own
     /// 2 000 000-step cap already bounds them, so `cancel` only guards
@@ -1145,7 +1111,7 @@ impl Workspace {
     ///
     /// # Errors
     ///
-    /// Returns read/parse/flag-validation failures as [`OpError::Msg`],
+    /// Returns parse/flag-validation failures as [`OpError::Msg`],
     /// or [`OpError::Cancelled`] when `cancel` fires mid-simulation.
     pub fn simulate(
         &mut self,
@@ -1153,8 +1119,8 @@ impl Workspace {
         opts: &SimOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<String, OpError> {
-        let text = source.read()?;
-        if source.name().ends_with(".ckt") {
+        let Source::Inline { name, text } = source;
+        if name.ends_with(".ckt") {
             if opts.periods.is_some() {
                 return Err(OpError::Msg(
                     "--periods applies to .g signal graphs; netlist simulations take --horizon"
@@ -1168,7 +1134,7 @@ impl Workspace {
                         .to_owned(),
                 ));
             }
-            let nl = tsg_circuit::parse::parse_ckt(&text).map_err(|e| e.to_string())?;
+            let nl = tsg_circuit::parse::parse_ckt(text).map_err(|e| e.to_string())?;
             self.simulate_netlist(&nl, opts).map_err(OpError::Msg)
         } else {
             if opts.horizon.is_some() {
@@ -1178,7 +1144,7 @@ impl Workspace {
                 ));
             }
             let sg = tsg_stg::parse_stg(
-                &text,
+                text,
                 tsg_stg::StgOptions {
                     default_delay: opts.default_delay.unwrap_or(1.0),
                 },
@@ -1198,7 +1164,7 @@ impl Workspace {
     ///
     /// # Errors
     ///
-    /// Returns read/parse/analysis failures — or a name collision — as
+    /// Returns parse/analysis failures — or a name collision — as
     /// [`OpError::Msg`], or [`OpError::Cancelled`] when `cancel` fires
     /// during the opening analysis (no session is kept in that case).
     pub fn session_open(
@@ -1213,8 +1179,8 @@ impl Workspace {
         if self.sessions.contains_key(&key) {
             return Err(OpError::Msg(format!("session {name:?} is already open")));
         }
-        let text = source.read()?;
-        let sg = load(source.name(), &text, default_delay)?;
+        let Source::Inline { name: file, text } = source;
+        let sg = load(file, text, default_delay)?;
         let session = AnalysisSession::open_in(sg, AnalysisArena::new(), cancel)?;
         let mut out = format!(
             "opened session {name:?}: {} events, {} arcs, {} border event(s)\n",

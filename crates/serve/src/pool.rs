@@ -71,7 +71,7 @@ use tsg_sim::{BatchRunner, CancelKind, CancelToken};
 
 use crate::chaos::{Chaos, ChaosConfig};
 use crate::json::Json;
-use crate::ops::{AnalyzeOptions, Objective, OpError, Source, Workspace};
+use crate::ops::{AnalyzeOptions, Objective, OpError, Workspace};
 use crate::protocol::{self, Command, Request};
 
 /// How often the drain watchdog re-checks for quiescence.
@@ -315,8 +315,7 @@ impl PoolShared {
     }
 }
 
-/// Scenarios an `analyze`/`batch` request's options ask for per input
-/// (0 = nominal-only).
+/// Scenarios an `analyze` request's options ask for (0 = nominal-only).
 fn scenario_lanes_of(opts: &AnalyzeOptions) -> usize {
     if opts.corners.is_empty() {
         opts.samples
@@ -867,21 +866,6 @@ fn handle(
         }
         Command::Sim { source, opts } => {
             respond(isolate(|| workspace.simulate(&source, &opts, cancel)))
-        }
-        Command::Batch { paths, opts } => {
-            shared.note_scenarios(scenario_lanes_of(&opts));
-            let results: Vec<Result<String, String>> = paths
-                .iter()
-                .map(|path| {
-                    isolate(|| workspace.analyze(&Source::Path(path.clone()), &opts, cancel))
-                        .map_err(|e| e.to_string())
-                })
-                .collect();
-            // A batch is one request: it always yields an ok response
-            // with per-item results inline (a fired token fails the
-            // remaining items fast — they poll the same token).
-            shared.served.fetch_add(1, Ordering::SeqCst);
-            protocol::batch_response(&id, &results)
         }
         Command::SessionOpen {
             session,

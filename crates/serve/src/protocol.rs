@@ -5,23 +5,28 @@
 //! optional `id` echoed verbatim into the response:
 //!
 //! ```json
-//! {"id": 1, "cmd": "analyze", "path": "spec.g", "baselines": true}
-//! {"id": 2, "cmd": "sim", "path": "spec.g", "periods": 2}
-//! {"id": 3, "cmd": "sim", "text": ".model m\n...", "name": "inline.g"}
-//! {"id": 4, "cmd": "batch", "paths": ["a.g", "b.g"]}
-//! {"id": 5, "cmd": "stats"}
-//! {"id": 6, "cmd": "session.open", "session": "s1", "path": "spec.g"}
-//! {"id": 7, "cmd": "session.edit", "session": "s1",
+//! {"id": 1, "cmd": "analyze", "text": ".model m\n...", "baselines": true}
+//! {"id": 2, "cmd": "sim", "text": ".model m\n...", "periods": 2}
+//! {"id": 3, "cmd": "sim", "text": "gate a inv(b:1) = 1\n...", "name": "ring.ckt"}
+//! {"id": 4, "cmd": "stats"}
+//! {"id": 5, "cmd": "session.open", "session": "s1", "text": ".model m\n..."}
+//! {"id": 6, "cmd": "session.edit", "session": "s1",
 //!  "edits": [{"src": "a+", "dst": "c+", "delay": 5}]}
-//! {"id": 8, "cmd": "session.edit", "session": "s1",
+//! {"id": 7, "cmd": "session.edit", "session": "s1",
 //!  "edits": [{"op": "add_event", "label": "s+"},
 //!            {"op": "add_arc", "src": "a+", "dst": "s+", "delay": 1},
 //!            {"op": "add_arc", "src": "s+", "dst": "c+", "delay": 1,
 //!             "marked": true},
 //!            {"op": "remove_arc", "src": "a+", "dst": "c+"}]}
-//! {"id": 9, "cmd": "session.explore", "session": "s1", "moves": 16}
-//! {"id": 10, "cmd": "session.close", "session": "s1"}
+//! {"id": 8, "cmd": "session.explore", "session": "s1", "moves": 16}
+//! {"id": 9, "cmd": "session.close", "session": "s1"}
 //! ```
+//!
+//! A request carries its specification as inline `"text"`; `"name"`
+//! (default `inline.g`) picks the parser by extension (`.g` or `.ckt`)
+//! and names the source in error messages. The server opens no file on
+//! a request's behalf, so `--max-request-bytes` and `deadline_ms` bound
+//! everything a request can make it read.
 //!
 //! The `session.*` commands drive an
 //! [`AnalysisSession`](tsg_core::analysis::session::AnalysisSession):
@@ -46,15 +51,14 @@
 //!
 //! ```json
 //! {"id": 1, "ok": true, "output": "graph: ...\n"}
-//! {"id": 2, "ok": false, "error": "reading spec.g: ..."}
-//! {"id": 4, "ok": true, "results": [{"ok": true, "output": "..."}]}
-//! {"id": 5, "ok": true, "served": 4, "failed": 0, "threads": 8, "kernel": "avx2"}
+//! {"id": 2, "ok": false, "error": "line 1: arc outside .graph section"}
+//! {"id": 4, "ok": true, "served": 4, "failed": 0, "threads": 8, "kernel": "avx2"}
 //! ```
 //!
 //! The `stats` response reports the wide-kernel backend the CPU picked
 //! (`"kernel"`); no request field selects another.
 //!
-//! `analyze`/`batch` requests accept scenario-sweep fields:
+//! `analyze` requests accept scenario-sweep fields:
 //! `"corners"` (a `"min,typ,max"` string or array of corner names) with
 //! `"derate"` (percent, default 10), or `"samples"` (seeded Monte-Carlo
 //! scenario count) with `"seed"` — the report then carries a τ
@@ -98,14 +102,6 @@ pub enum Command {
         source: Source,
         /// Simulation options (subset of the CLI's `sim` flags).
         opts: SimOptions,
-    },
-    /// Analysis sweep over many paths, one response with per-item
-    /// results.
-    Batch {
-        /// The files to analyze, in order.
-        paths: Vec<String>,
-        /// Report options shared by every item.
-        opts: AnalyzeOptions,
     },
     /// Service counters snapshot.
     Stats,
@@ -196,7 +192,6 @@ pub fn parse_request(line: &str) -> Result<Request, (Json, String)> {
         "analyze" => &[
             "id",
             "cmd",
-            "path",
             "text",
             "name",
             "diagram",
@@ -213,7 +208,6 @@ pub fn parse_request(line: &str) -> Result<Request, (Json, String)> {
         "sim" => &[
             "id",
             "cmd",
-            "path",
             "text",
             "name",
             "periods",
@@ -221,27 +215,11 @@ pub fn parse_request(line: &str) -> Result<Request, (Json, String)> {
             "default_delay",
             "deadline_ms",
         ],
-        "batch" => &[
-            "id",
-            "cmd",
-            "paths",
-            "diagram",
-            "dot",
-            "baselines",
-            "slack",
-            "default_delay",
-            "corners",
-            "derate",
-            "samples",
-            "seed",
-            "deadline_ms",
-        ],
         "stats" => &["id", "cmd", "deadline_ms"],
         "session.open" => &[
             "id",
             "cmd",
             "session",
-            "path",
             "text",
             "name",
             "default_delay",
@@ -281,27 +259,6 @@ pub fn parse_request(line: &str) -> Result<Request, (Json, String)> {
             source: source_of(&doc).map_err(&fail)?,
             opts: sim_opts(&doc).map_err(&fail)?,
         },
-        "batch" => {
-            let paths = doc
-                .get("paths")
-                .ok_or("batch needs a \"paths\" array".to_owned())
-                .and_then(|v| {
-                    v.as_array()
-                        .ok_or("\"paths\" must be an array of strings".to_owned())
-                })
-                .map_err(&fail)?
-                .iter()
-                .map(|p| {
-                    p.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| fail("\"paths\" must be an array of strings".to_owned()))
-                })
-                .collect::<Result<Vec<String>, _>>()?;
-            Command::Batch {
-                paths,
-                opts: analyze_opts(&doc).map_err(&fail)?,
-            }
-        }
         "stats" => Command::Stats,
         "session.open" => Command::SessionOpen {
             session: session_of(&doc).map_err(&fail)?,
@@ -477,27 +434,16 @@ fn edit_op_of(item: &Json) -> Result<EditOp, String> {
     }
 }
 
-/// Extracts the `path` / `text`(+`name`) source fields.
+/// Extracts the `text` source and its `name` (default `inline.g`).
 fn source_of(doc: &Json) -> Result<Source, String> {
-    match (doc.get("path"), doc.get("text")) {
-        (Some(_), Some(_)) => Err("give either \"path\" or \"text\", not both".to_owned()),
-        (Some(p), None) => {
-            if doc.get("name").is_some() {
-                return Err("\"name\" only applies to inline \"text\" sources".to_owned());
-            }
-            Ok(Source::Path(
-                p.as_str().ok_or("\"path\" must be a string")?.to_owned(),
-            ))
-        }
-        (None, Some(t)) => Ok(Source::Inline {
-            name: match doc.get("name") {
-                Some(n) => n.as_str().ok_or("\"name\" must be a string")?.to_owned(),
-                None => "inline.g".to_owned(),
-            },
-            text: t.as_str().ok_or("\"text\" must be a string")?.to_owned(),
-        }),
-        (None, None) => Err("request needs a \"path\" or \"text\" source".to_owned()),
-    }
+    let text = doc.get("text").ok_or("request needs a \"text\" source")?;
+    Ok(Source::Inline {
+        name: match doc.get("name") {
+            Some(n) => n.as_str().ok_or("\"name\" must be a string")?.to_owned(),
+            None => "inline.g".to_owned(),
+        },
+        text: text.as_str().ok_or("\"text\" must be a string")?.to_owned(),
+    })
 }
 
 fn bool_field(doc: &Json, key: &str) -> Result<bool, String> {
@@ -801,29 +747,6 @@ pub fn too_large_response(limit: usize) -> String {
     )
 }
 
-/// A `batch` response: per-item results in input order.
-pub fn batch_response(id: &Json, results: &[Result<String, String>]) -> String {
-    let items: Vec<Json> = results
-        .iter()
-        .map(|r| match r {
-            Ok(output) => Json::Obj(vec![
-                ("ok".to_owned(), Json::Bool(true)),
-                ("output".to_owned(), Json::from(output.as_str())),
-            ]),
-            Err(e) => Json::Obj(vec![
-                ("ok".to_owned(), Json::Bool(false)),
-                ("error".to_owned(), Json::from(e.as_str())),
-            ]),
-        })
-        .collect();
-    Json::Obj(vec![
-        ("id".to_owned(), id.clone()),
-        ("ok".to_owned(), Json::Bool(true)),
-        ("results".to_owned(), Json::Arr(items)),
-    ])
-    .dump()
-}
-
 /// A `stats` response: counters cover requests *completed* before this
 /// one executed (the stats request itself is excluded). `kernel` is the
 /// wide-kernel backend the pool's workspaces run on; the
@@ -885,12 +808,13 @@ mod tests {
 
     #[test]
     fn parses_analyze_with_options() {
-        let r = parse_request(r#"{"id":7,"cmd":"analyze","path":"a.g","baselines":true}"#).unwrap();
+        let r = parse_request(r#"{"id":7,"cmd":"analyze","text":"x","baselines":true}"#).unwrap();
         assert_eq!(r.id, Json::Num(7.0));
         let Command::Analyze { source, opts } = r.cmd else {
             panic!("wrong cmd");
         };
-        assert_eq!(source.name(), "a.g");
+        let Source::Inline { name, text } = source;
+        assert_eq!((name.as_str(), text.as_str()), ("inline.g", "x"));
         assert!(opts.baselines);
         assert!(!opts.slack);
         assert_eq!(opts.default_delay, 1.0);
@@ -904,8 +828,8 @@ mod tests {
         let Command::Sim { source, opts } = r.cmd else {
             panic!("wrong cmd");
         };
-        assert_eq!(source.name(), "m.g");
-        assert_eq!(source.read().unwrap(), ".model m");
+        let Source::Inline { name, text } = source;
+        assert_eq!((name.as_str(), text.as_str()), ("m.g", ".model m"));
         assert_eq!(opts.periods, Some(3));
     }
 
@@ -913,14 +837,15 @@ mod tests {
     fn parses_queue_kind_and_rejects_unknown() {
         // There is one event queue, so "queue" is not a sim field: any
         // value, string or not, is an unknown field.
-        let r = parse_request(r#"{"cmd":"sim","path":"c.ckt"}"#).unwrap();
+        let r = parse_request(r#"{"cmd":"sim","text":"","name":"c.ckt"}"#).unwrap();
         assert!(matches!(r.cmd, Command::Sim { .. }));
         for name in ["heap", "binary_heap", "calendar", "splay"] {
-            let line = format!(r#"{{"cmd":"sim","path":"c.ckt","queue":"{name}"}}"#);
+            let line = format!(r#"{{"cmd":"sim","text":"","name":"c.ckt","queue":"{name}"}}"#);
             let (_, e) = parse_request(&line).unwrap_err();
             assert!(e.contains("unknown field \"queue\""), "{name}: {e}");
         }
-        let (_, e) = parse_request(r#"{"cmd":"sim","path":"c.ckt","queue":1}"#).unwrap_err();
+        let (_, e) =
+            parse_request(r#"{"cmd":"sim","text":"","name":"c.ckt","queue":1}"#).unwrap_err();
         assert!(e.contains("unknown field \"queue\""), "{e}");
     }
 
@@ -928,15 +853,13 @@ mod tests {
     fn parses_kernel_backend_and_rejects_unknown() {
         // The CPU picks the kernel backend, so "kernel" is not a field
         // of any request.
-        let r = parse_request(r#"{"cmd":"analyze","path":"a.g"}"#).unwrap();
+        let r = parse_request(r#"{"cmd":"analyze","text":""}"#).unwrap();
         assert!(matches!(r.cmd, Command::Analyze { .. }));
-        let r = parse_request(r#"{"cmd":"batch","paths":["a.g"]}"#).unwrap();
-        assert!(matches!(r.cmd, Command::Batch { .. }));
         for line in [
-            r#"{"cmd":"analyze","path":"a.g","kernel":"portable"}"#,
-            r#"{"cmd":"analyze","path":"a.g","kernel":"avx512"}"#,
-            r#"{"cmd":"batch","paths":["a.g"],"kernel":"sse2"}"#,
-            r#"{"cmd":"sim","path":"a.g","kernel":"avx2"}"#,
+            r#"{"cmd":"analyze","text":"","kernel":"portable"}"#,
+            r#"{"cmd":"analyze","text":"","kernel":"avx512"}"#,
+            r#"{"cmd":"session.open","session":"s","text":"","kernel":"sse2"}"#,
+            r#"{"cmd":"sim","text":"","kernel":"avx2"}"#,
         ] {
             let (_, e) = parse_request(line).unwrap_err();
             assert!(e.contains("unknown field \"kernel\""), "{line}: {e}");
@@ -945,12 +868,39 @@ mod tests {
 
     #[test]
     fn rejects_unknown_fields_and_vcd() {
-        let (id, e) =
-            parse_request(r#"{"id":"x","cmd":"analyze","path":"a.g","wat":1}"#).unwrap_err();
+        let (id, e) = parse_request(r#"{"id":"x","cmd":"analyze","text":"","wat":1}"#).unwrap_err();
         assert_eq!(id, Json::Str("x".into()));
         assert!(e.contains("unknown field \"wat\""), "{e}");
-        let (_, e) = parse_request(r#"{"cmd":"sim","path":"a.g","vcd":"w.vcd"}"#).unwrap_err();
+        let (_, e) = parse_request(r#"{"cmd":"sim","text":"","vcd":"w.vcd"}"#).unwrap_err();
         assert!(e.contains("one-shot CLI"), "{e}");
+    }
+
+    /// A request carries its own text: naming a file is an unknown
+    /// field of every command, and the path-list `batch` is no command,
+    /// both refused while parsing, before anything could be opened.
+    #[test]
+    fn refuses_paths_and_batch_at_parse_time() {
+        for (line, want) in [
+            (
+                r#"{"id":1,"cmd":"analyze","path":"/dev/zero"}"#,
+                r#"unknown field "path" for cmd "analyze""#,
+            ),
+            (
+                r#"{"id":1,"cmd":"sim","path":"a.g","text":""}"#,
+                r#"unknown field "path" for cmd "sim""#,
+            ),
+            (
+                r#"{"id":1,"cmd":"session.open","session":"s","path":"a.g"}"#,
+                r#"unknown field "path" for cmd "session.open""#,
+            ),
+            (
+                r#"{"id":1,"cmd":"batch","paths":["/dev/zero"]}"#,
+                r#"unknown cmd "batch""#,
+            ),
+        ] {
+            let (id, e) = parse_request(line).unwrap_err();
+            assert_eq!((id, e.as_str()), (Json::Num(1.0), want), "{line}");
+        }
     }
 
     #[test]
@@ -960,24 +910,23 @@ mod tests {
             ("[1,2]", "must be a JSON object"),
             (r#"{"id":1}"#, "needs a \"cmd\""),
             (r#"{"cmd":"frob"}"#, "unknown cmd"),
-            (r#"{"cmd":"analyze"}"#, "\"path\" or \"text\""),
-            (r#"{"cmd":"analyze","path":"a.g","text":"x"}"#, "not both"),
-            (r#"{"cmd":"analyze","path":"a.g","name":"x"}"#, "inline"),
+            (r#"{"cmd":"analyze"}"#, "needs a \"text\" source"),
             (
-                r#"{"cmd":"sim","path":"a.g","periods":0}"#,
+                r#"{"cmd":"analyze","name":"a.g"}"#,
+                "needs a \"text\" source",
+            ),
+            (r#"{"cmd":"analyze","text":7}"#, "\"text\" must be a string"),
+            (
+                r#"{"cmd":"analyze","text":"","name":7}"#,
+                "\"name\" must be a string",
+            ),
+            (r#"{"cmd":"sim","text":"","periods":0}"#, "positive integer"),
+            (
+                r#"{"cmd":"sim","text":"","periods":1.5}"#,
                 "positive integer",
             ),
-            (
-                r#"{"cmd":"sim","path":"a.g","periods":1.5}"#,
-                "positive integer",
-            ),
-            (
-                r#"{"cmd":"sim","path":"a.g","horizon":-2}"#,
-                "positive number",
-            ),
-            (r#"{"cmd":"batch"}"#, "\"paths\""),
-            (r#"{"cmd":"batch","paths":[1]}"#, "array of strings"),
-            (r#"{"cmd":"stats","path":"a.g"}"#, "unknown field"),
+            (r#"{"cmd":"sim","text":"","horizon":-2}"#, "positive number"),
+            (r#"{"cmd":"stats","text":""}"#, "unknown field"),
         ] {
             let (_, e) = parse_request(line).unwrap_err();
             assert!(e.contains(needle), "{line}: {e}");
@@ -1090,19 +1039,17 @@ mod tests {
 
     #[test]
     fn parses_scenario_fields_and_rejects_bad_ones() {
-        let r =
-            parse_request(r#"{"cmd":"analyze","path":"a.g","corners":"min,typ,max","derate":5}"#)
-                .unwrap();
+        let r = parse_request(r#"{"cmd":"analyze","text":"","corners":"min,typ,max","derate":5}"#)
+            .unwrap();
         let Command::Analyze { opts, .. } = r.cmd else {
             panic!("wrong cmd");
         };
         assert_eq!(opts.corners, [Corner::Min, Corner::Typ, Corner::Max]);
         assert_eq!(opts.derate, 5.0);
-        let r = parse_request(
-            r#"{"cmd":"batch","paths":["a.g"],"corners":["max"],"samples":3,"seed":9}"#,
-        )
-        .unwrap();
-        let Command::Batch { opts, .. } = r.cmd else {
+        let r =
+            parse_request(r#"{"cmd":"analyze","text":"","corners":["max"],"samples":3,"seed":9}"#)
+                .unwrap();
+        let Command::Analyze { opts, .. } = r.cmd else {
             panic!("wrong cmd");
         };
         assert_eq!(opts.corners, [Corner::Max]);
@@ -1117,11 +1064,11 @@ mod tests {
             (r#""samples":1.5"#, "\"samples\""),
             (r#""seed":-3"#, "\"seed\""),
         ] {
-            let line = format!(r#"{{"cmd":"analyze","path":"a.g",{bad}}}"#);
+            let line = format!(r#"{{"cmd":"analyze","text":"",{bad}}}"#);
             let (_, e) = parse_request(&line).unwrap_err();
             assert!(e.contains(needle), "{line}: {e}");
         }
-        let (_, e) = parse_request(r#"{"cmd":"sim","path":"a.g","corners":"min"}"#).unwrap_err();
+        let (_, e) = parse_request(r#"{"cmd":"sim","text":"","corners":"min"}"#).unwrap_err();
         assert!(e.contains("unknown field"), "{e}");
     }
 
@@ -1129,9 +1076,9 @@ mod tests {
     fn parses_and_validates_deadlines() {
         let r = parse_request(r#"{"cmd":"stats"}"#).unwrap();
         assert_eq!(r.deadline, None);
-        let r = parse_request(r#"{"cmd":"analyze","path":"a.g","deadline_ms":250}"#).unwrap();
+        let r = parse_request(r#"{"cmd":"analyze","text":"","deadline_ms":250}"#).unwrap();
         assert_eq!(r.deadline, Some(Duration::from_millis(250)));
-        let r = parse_request(r#"{"cmd":"sim","path":"a.g","deadline_ms":0.5}"#).unwrap();
+        let r = parse_request(r#"{"cmd":"sim","text":"","deadline_ms":0.5}"#).unwrap();
         assert_eq!(r.deadline, Some(Duration::from_micros(500)));
         for bad in ["0", "-5", "1e400", "\"fast\"", "null"] {
             let line = format!(r#"{{"cmd":"stats","deadline_ms":{bad}}}"#);
@@ -1231,10 +1178,6 @@ mod tests {
                 r#""worker_lost":1,"worker_respawns":1,"active_connections":7,"#,
                 r#""scenario_requests":2,"scenario_lanes":6}"#
             )
-        );
-        assert_eq!(
-            batch_response(&Json::Num(1.0), &[Ok("a\n".into()), Err("e".into())]),
-            r#"{"id":1,"ok":true,"results":[{"ok":true,"output":"a\n"},{"ok":false,"error":"e"}]}"#
         );
         let line = worker_lost_response(&Json::Num(9.0));
         assert!(

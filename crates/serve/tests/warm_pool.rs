@@ -371,44 +371,6 @@ fn parallel_pool_preserves_order_and_output() {
 }
 
 #[test]
-fn batch_sweeps_report_per_item_results_inline() {
-    let dir = std::env::temp_dir().join("tsg-serve-batch-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let good = dir.join("osc.g");
-    std::fs::write(&good, tsg_stg::EXAMPLE_OSCILLATOR).unwrap();
-    let missing = dir.join("nope.g");
-    let script = req(&[
-        ("id", Json::Num(1.0)),
-        ("cmd", Json::from("batch")),
-        (
-            "paths",
-            Json::Arr(vec![
-                Json::from(good.to_string_lossy().as_ref()),
-                Json::from(missing.to_string_lossy().as_ref()),
-            ]),
-        ),
-    ]) + "\n";
-    let responses = session(&script, 2);
-    assert_eq!(responses.len(), 1);
-    let results = responses[0].get("results").unwrap().as_array().unwrap();
-    assert_eq!(results.len(), 2);
-    assert_eq!(results[0].get("ok"), Some(&Json::Bool(true)));
-    assert!(results[0]
-        .get("output")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .contains("cycle time: 10"));
-    assert_eq!(results[1].get("ok"), Some(&Json::Bool(false)));
-    assert!(results[1]
-        .get("error")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .contains("reading"));
-}
-
-#[test]
 fn shutdown_flag_stops_accepting_but_flushes_accepted_work() {
     // A pre-raised flag: the session exits before reading anything.
     let flag = AtomicBool::new(true);

@@ -113,36 +113,12 @@ impl BatchRunner {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.run_with_state(scenarios, || (), |(), s| f(s))
-    }
-
-    /// Like [`BatchRunner::run`], with a per-worker scratch state.
-    ///
-    /// `init` runs once on each worker thread; the resulting state is
-    /// handed mutably to every scenario that worker claims. This is how
-    /// allocation-reusing sweeps work: the state is an arena (e.g.
-    /// `tsg-core`'s `SimArena`), warmed by the first scenario and reused
-    /// by every later one, so a thousand-scenario sweep performs a
-    /// thread-count's worth of allocations instead of a thousand.
-    ///
-    /// The state must not influence results (it is scratch space):
-    /// scenarios are claimed dynamically, so which worker — and hence
-    /// which state instance — processes a scenario is scheduling-
-    /// dependent.
-    pub fn run_with_state<S, T, R, I, F>(&self, scenarios: &[T], init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, &T) -> R + Sync,
-    {
         if scenarios.is_empty() {
             return Vec::new();
         }
         let workers = self.threads.min(scenarios.len());
         if workers == 1 {
-            let mut state = init();
-            return scenarios.iter().map(|s| f(&mut state, s)).collect();
+            return scenarios.iter().map(f).collect();
         }
 
         let cursor = AtomicUsize::new(0);
@@ -154,18 +130,14 @@ impl BatchRunner {
             for _ in 0..workers {
                 let tx = tx.clone();
                 let cursor = &cursor;
-                let init = &init;
                 let f = &f;
-                scope.spawn(move || {
-                    let mut state = init();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(scenario) = scenarios.get(i) else {
-                            break;
-                        };
-                        if tx.send((i, f(&mut state, scenario))).is_err() {
-                            break;
-                        }
+                scope.spawn(move || loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(scenario) = scenarios.get(i) else {
+                        break;
+                    };
+                    if tx.send((i, f(scenario))).is_err() {
+                        break;
                     }
                 });
             }
@@ -252,46 +224,6 @@ mod tests {
             let err = BatchRunner::parse_threads(Some(&too_many.to_string())).unwrap_err();
             assert_eq!(err, format!("--threads takes at most {max} worker threads"));
         }
-    }
-
-    #[test]
-    fn per_worker_state_is_reused_not_shared() {
-        // Each worker counts the scenarios it processed in its own state;
-        // states never mix, and together they cover the batch exactly.
-        let items: Vec<usize> = (0..64).collect();
-        for threads in [1, 4] {
-            let out = BatchRunner::with_threads(threads).run_with_state(
-                &items,
-                || 0usize,
-                |seen, &x| {
-                    *seen += 1;
-                    (x, *seen)
-                },
-            );
-            assert_eq!(out.len(), 64);
-            // Results stay in input order regardless of which state
-            // processed them.
-            assert!(out.iter().enumerate().all(|(i, &(x, _))| x == i));
-            // Every worker's per-state counter covered the whole batch.
-            let total_seen = out.iter().map(|&(_, seen)| seen).max().unwrap();
-            assert!(total_seen >= 64 / threads.max(1));
-        }
-    }
-
-    #[test]
-    fn state_init_runs_per_worker() {
-        use std::sync::atomic::AtomicUsize;
-        let inits = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..16).collect();
-        BatchRunner::with_threads(4).run_with_state(
-            &items,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-            },
-            |(), &x| x,
-        );
-        let n = inits.load(Ordering::Relaxed);
-        assert!((1..=4).contains(&n), "init ran {n} times");
     }
 
     #[test]
