@@ -9,9 +9,10 @@
 //! This is the algorithmic family of the minimum cost-to-time ratio
 //! literature the paper cites (Lawler \[11\], Hartmann–Orlin \[8\]).
 
-use tsg_core::analysis::CycleTime;
+use tsg_core::analysis::{AnalysisError, CycleTime};
 use tsg_core::{ArcId, SignalGraph};
 use tsg_graph::NodeId;
+use tsg_sim::CancelToken;
 
 /// Computes the cycle time of `sg` by Howard's policy iteration.
 ///
@@ -25,10 +26,24 @@ use tsg_graph::NodeId;
 /// assert!((tau.as_f64() - 15.0).abs() < 1e-9);
 /// ```
 pub fn howard_cycle_time(sg: &SignalGraph) -> Option<CycleTime> {
+    howard_cycle_time_with_cancel(sg, None).expect("no cancel token, no cancellation")
+}
+
+/// [`howard_cycle_time`] under a cooperative cancel token, polled once
+/// per policy round (each O(m); at most n² + 16 rounds).
+///
+/// # Errors
+///
+/// Returns [`AnalysisError::Cancelled`] when `cancel` fires, counting
+/// policy rounds as its rows.
+pub fn howard_cycle_time_with_cancel(
+    sg: &SignalGraph,
+    cancel: Option<&CancelToken>,
+) -> Result<Option<CycleTime>, AnalysisError> {
     let view = sg.repetitive_view();
     let n = view.graph.node_count();
     if n == 0 {
-        return None;
+        return Ok(None);
     }
     let delay: Vec<f64> = view.arcs.iter().map(|&a| sg.arc(a).delay().get()).collect();
     let tokens: Vec<f64> = view
@@ -46,7 +61,15 @@ pub fn howard_cycle_time(sg: &SignalGraph) -> Option<CycleTime> {
     let mut value = vec![0.0f64; n];
     const EPS: f64 = 1e-12;
 
-    for _round in 0..(n * n + 16) {
+    let rounds = n * n + 16;
+    for round in 0..rounds {
+        if let Some(kind) = cancel.and_then(CancelToken::check) {
+            return Err(AnalysisError::Cancelled {
+                kind,
+                rows_done: round,
+                rows_total: rounds,
+            });
+        }
         evaluate_policy(
             &view.graph,
             &policy,
@@ -81,7 +104,7 @@ pub fn howard_cycle_time(sg: &SignalGraph) -> Option<CycleTime> {
     let arcs: Vec<ArcId> = cycle.iter().map(|&e| view.arcs[e]).collect();
     let len = sg.path_length(&arcs);
     let eps = sg.occurrence_period(&arcs);
-    Some(CycleTime::new(len, eps.max(1)))
+    Ok(Some(CycleTime::new(len, eps.max(1))))
 }
 
 /// Evaluates the current policy: per node, the ratio of the policy cycle it
@@ -252,6 +275,26 @@ mod tests {
         b.arc(s, t, 1.0);
         let sg = b.build().unwrap();
         assert!(howard_cycle_time(&sg).is_none());
+    }
+
+    #[test]
+    fn fired_token_cancels_before_the_first_round() {
+        let sg = tsg_gen::ring(9, 3, 1.5);
+        let token = CancelToken::new();
+        token.cancel();
+        assert_eq!(
+            howard_cycle_time_with_cancel(&sg, Some(&token)),
+            Err(AnalysisError::Cancelled {
+                kind: tsg_sim::CancelKind::Explicit,
+                rows_done: 0,
+                rows_total: 9 * 9 + 16,
+            })
+        );
+        let idle = CancelToken::new();
+        assert_eq!(
+            howard_cycle_time_with_cancel(&sg, Some(&idle)),
+            Ok(howard_cycle_time(&sg))
+        );
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! border event — the same O(b·m) flavour of work the paper's simulations
 //! do, which is exactly why this is the natural classical comparator.
 
-use tsg_core::analysis::CycleTime;
+use tsg_core::analysis::{AnalysisError, CycleTime};
 use tsg_core::{ArcId, EventId, SignalGraph};
 use tsg_graph::topo;
+use tsg_sim::CancelToken;
 
 /// Computes the cycle time of `sg` via the border reduction and Karp's
 /// maximum mean cycle.
@@ -34,11 +35,39 @@ use tsg_graph::topo;
 /// assert!((tau.as_f64() - 15.0).abs() < 1e-9);
 /// ```
 pub fn karp_cycle_time(sg: &SignalGraph) -> Option<CycleTime> {
+    karp_cycle_time_with_cancel(sg, None).expect("no cancel token, no cancellation")
+}
+
+/// [`karp_cycle_time`] under a cooperative cancel token, polled once per
+/// border pass (each O(m)) and once per row of Karp's table (each
+/// O(b²)).
+///
+/// Karp needs no cell budget of its own: its weight matrix and table
+/// hold 2b² + b cells, below the `analysis_cells(n, b, b)` ≥ 4b² + 2b
+/// that the nominal analysis is refused at (`AnalysisError::TooLarge`)
+/// before any report runs the baselines, for any n ≥ b.
+///
+/// # Errors
+///
+/// Returns [`AnalysisError::Cancelled`] when `cancel` fires, counting
+/// the `b` border passes and then the `b` table rows as its rows.
+pub fn karp_cycle_time_with_cancel(
+    sg: &SignalGraph,
+    cancel: Option<&CancelToken>,
+) -> Result<Option<CycleTime>, AnalysisError> {
     let border = sg.border_events();
     if border.is_empty() {
-        return None;
+        return Ok(None);
     }
     let b = border.len();
+    let poll = |rows_done: usize| match cancel.and_then(CancelToken::check) {
+        Some(kind) => Err(AnalysisError::Cancelled {
+            kind,
+            rows_done,
+            rows_total: 2 * b,
+        }),
+        None => Ok(()),
+    };
     let mut border_index = vec![usize::MAX; sg.event_count()];
     for (i, &e) in border.iter().enumerate() {
         border_index[e.index()] = i;
@@ -60,6 +89,7 @@ pub fn karp_cycle_time(sg: &SignalGraph) -> Option<CycleTime> {
     let mut weight = vec![vec![f64::NEG_INFINITY; b]; b];
     let mut dist = vec![f64::NEG_INFINITY; sg.event_count()];
     for (gi, &g) in border.iter().enumerate() {
+        poll(gi)?;
         dist.iter_mut().for_each(|d| *d = f64::NEG_INFINITY);
         dist[g.index()] = 0.0;
         for &v in &order {
@@ -100,6 +130,7 @@ pub fn karp_cycle_time(sg: &SignalGraph) -> Option<CycleTime> {
     let mut d = vec![vec![f64::NEG_INFINITY; b]; rows];
     d[0].iter_mut().for_each(|x| *x = 0.0);
     for k in 1..rows {
+        poll(b + k - 1)?;
         for h in 0..b {
             for g in 0..b {
                 let w = weight[g][h];
@@ -131,7 +162,7 @@ pub fn karp_cycle_time(sg: &SignalGraph) -> Option<CycleTime> {
 
     // Karp yields the value; express it over one period (the reduced mean
     // is already per-token).
-    best.map(|tau| CycleTime::new(tau, 1))
+    Ok(best.map(|tau| CycleTime::new(tau, 1)))
 }
 
 #[cfg(test)]
@@ -170,6 +201,36 @@ mod tests {
         let want = CycleTimeAnalysis::run(&sg).unwrap().cycle_time().as_f64();
         let got = karp_cycle_time(&sg).unwrap().as_f64();
         assert!((got - want).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fired_token_cancels_before_the_first_pass() {
+        let sg = tsg_gen::ring(9, 3, 1.5);
+        let token = CancelToken::new();
+        token.cancel();
+        assert_eq!(
+            karp_cycle_time_with_cancel(&sg, Some(&token)),
+            Err(AnalysisError::Cancelled {
+                kind: tsg_sim::CancelKind::Explicit,
+                rows_done: 0,
+                rows_total: 2 * 3,
+            })
+        );
+        // A token that fires mid-run stops in the table rows.
+        let late = CancelToken::cancel_after_checks(3 + 1);
+        assert_eq!(
+            karp_cycle_time_with_cancel(&sg, Some(&late)),
+            Err(AnalysisError::Cancelled {
+                kind: tsg_sim::CancelKind::Explicit,
+                rows_done: 3 + 1,
+                rows_total: 2 * 3,
+            })
+        );
+        let idle = CancelToken::new();
+        assert_eq!(
+            karp_cycle_time_with_cancel(&sg, Some(&idle)),
+            Ok(karp_cycle_time(&sg))
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod lawler;
 pub mod longrun;
 
 pub use enumerate::{enumerate_cycle_time, CycleInventory};
-pub use howard::howard_cycle_time;
-pub use karp::karp_cycle_time;
+pub use howard::{howard_cycle_time, howard_cycle_time_with_cancel};
+pub use karp::{karp_cycle_time, karp_cycle_time_with_cancel};
 pub use lawler::lawler_cycle_time;
 pub use longrun::longrun_estimate;

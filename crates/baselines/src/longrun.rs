@@ -9,10 +9,9 @@
 //!
 //! The simulation itself is the period-synchronous
 //! [`TimingSimulation`], the one `t(·)` recurrence behind `tsg sim` and
-//! the timing diagrams. Scenario sweeps fan the estimate out across
-//! threads with `BatchRunner::run(&graphs, |sg| longrun_estimate(sg, periods))`;
-//! delay uncertainty is the exact scenario sweep's business
-//! (`ScenarioSet::samples` gives every sampled assignment its exact `τ`).
+//! the timing diagrams. Delay uncertainty is the exact scenario sweep's
+//! business (`ScenarioSet::samples` gives every sampled assignment its
+//! exact `τ`).
 
 use tsg_core::analysis::sim::TimingSimulation;
 use tsg_core::SignalGraph;
@@ -47,7 +46,6 @@ pub fn longrun_estimate(sg: &SignalGraph, periods: u32) -> Option<f64> {
 mod tests {
     use super::*;
     use tsg_core::analysis::CycleTimeAnalysis;
-    use tsg_sim::BatchRunner;
 
     #[test]
     fn converges_on_rings() {
@@ -82,23 +80,5 @@ mod tests {
     fn degenerate_inputs() {
         let sg = tsg_gen::ring(4, 1, 1.0);
         assert!(longrun_estimate(&sg, 1).is_none());
-    }
-
-    #[test]
-    fn batch_matches_sequential() {
-        // A scenario sweep on the kernel's batch pool gives the same
-        // answers, in input order, at any thread count.
-        let scenarios: Vec<SignalGraph> = (0..9)
-            .map(|seed| tsg_gen::random_live_tsg(seed, tsg_gen::RandomTsgConfig::default()))
-            .collect();
-        let sequential: Vec<Option<f64>> = scenarios
-            .iter()
-            .map(|sg| longrun_estimate(sg, 64))
-            .collect();
-        for threads in [1, 3] {
-            let batch =
-                BatchRunner::with_threads(threads).run(&scenarios, |sg| longrun_estimate(sg, 64));
-            assert_eq!(batch, sequential);
-        }
     }
 }

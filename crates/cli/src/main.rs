@@ -25,7 +25,6 @@ use tsg_core::SignalGraph;
 use tsg_serve::json::Json;
 use tsg_serve::ops::{self, AnalyzeOptions, EditOp, EditSpec, SimOptions, Source, Workspace};
 use tsg_serve::ServeOptions;
-use tsg_sim::BatchRunner;
 
 const USAGE: &str = "\
 tsg — performance analysis based on timing simulation (DAC'94)
@@ -148,6 +147,15 @@ enum Failure {
     /// A well-formed command whose work failed (a file, an analysis, a
     /// socket).
     Run(String),
+    /// A command that failed after producing output worth keeping (the
+    /// transcript of several `sim` files, some of which failed): `main`
+    /// prints the transcript, then the message.
+    Partial {
+        /// The stdout transcript.
+        out: String,
+        /// The one-line error.
+        msg: String,
+    },
 }
 
 /// Argument checks spell their message as a literal: `ok_or("…")?`.
@@ -179,7 +187,12 @@ fn emit(out: &str) -> Result<(), Failure> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args).and_then(|out| emit(&out)) {
+    let written = match run(&args) {
+        Ok(out) => emit(&out),
+        Err(Failure::Partial { out, msg }) => emit(&out).and(Err(Failure::Run(msg))),
+        Err(failure) => Err(failure),
+    };
+    match written {
         Ok(()) => ExitCode::SUCCESS,
         Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
@@ -187,7 +200,7 @@ fn main() -> ExitCode {
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
-        Err(Failure::Run(msg)) => {
+        Err(Failure::Run(msg) | Failure::Partial { msg, .. }) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
@@ -371,8 +384,7 @@ fn run(args: &[String]) -> Result<String, Failure> {
             if failed.is_empty() {
                 Ok(out)
             } else {
-                emit(&out)?;
-                Err(Failure::Run(format!(
+                let msg = format!(
                     "{} of {} file(s) failed: {}",
                     failed.len(),
                     files.len(),
@@ -381,7 +393,8 @@ fn run(args: &[String]) -> Result<String, Failure> {
                         .map(|f| f.as_str())
                         .collect::<Vec<_>>()
                         .join(", ")
-                )))
+                );
+                Err(Failure::Partial { out, msg })
             }
         }
         Some("explore") => {
@@ -602,7 +615,7 @@ fn run(args: &[String]) -> Result<String, Failure> {
                     "--threads" => {
                         i += 1;
                         opts.threads = Some(
-                            BatchRunner::parse_threads(args.get(i).map(String::as_str))
+                            ServeOptions::parse_threads(args.get(i).map(String::as_str))
                                 .map_err(Failure::Usage)?,
                         );
                     }
@@ -771,7 +784,7 @@ fn serve(_: &ServeOptions, _: Option<&str>) -> Result<String, Failure> {
 #[cfg(unix)]
 fn serve(opts: &ServeOptions, listen: Option<&str>) -> Result<String, Failure> {
     let shutdown = tsg_serve::install_sigint_flag();
-    let pool = BatchRunner::sized(opts.threads).threads();
+    let pool = opts.worker_threads();
     let stats = match listen {
         None => {
             eprintln!("tsg serve: reading requests from stdin ({pool} worker thread(s))");
@@ -994,9 +1007,10 @@ fn ping(
 mod tests {
     use super::*;
 
-    /// [`super::run`] with either kind of failure as its message.
+    /// [`super::run`] with any failure as its message.
     fn run(args: &[String]) -> Result<String, String> {
-        super::run(args).map_err(|(Failure::Usage(msg) | Failure::Run(msg))| msg)
+        super::run(args)
+            .map_err(|(Failure::Usage(msg) | Failure::Run(msg) | Failure::Partial { msg, .. })| msg)
     }
 
     #[test]
@@ -1337,14 +1351,25 @@ mod tests {
         // of discarding the batch.
         let bad = dir.join("fan-bad.g");
         std::fs::write(&bad, "this is not an stg file").unwrap();
-        let err = run(&[
+        let argv = [
             "sim".into(),
             osc.to_string_lossy().into_owned(),
             bad.to_string_lossy().into_owned(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("1 of 2 file(s) failed"), "{err}");
-        assert!(err.contains("fan-bad.g"), "{err}");
+        ];
+        let Err(Failure::Partial { out, msg }) = super::run(&argv) else {
+            panic!("a failing file among several keeps the transcript");
+        };
+        assert!(msg.contains("1 of 2 file(s) failed"), "{msg}");
+        assert!(msg.contains("fan-bad.g"), "{msg}");
+        // The transcript keeps the good file's section and reports the
+        // bad one inline, in input order.
+        let osc_banner = format!("== {} ==\n", osc.display());
+        let bad_section = format!(
+            "== {} ==\nerror: line 1: arc outside .graph section\n",
+            bad.display()
+        );
+        assert!(out.starts_with(&osc_banner), "{out}");
+        assert!(out.ends_with(&bad_section), "{out}");
     }
 
     #[test]

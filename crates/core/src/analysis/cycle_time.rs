@@ -325,12 +325,12 @@ impl CycleTimeAnalysis {
     /// `periods` overrides the default `b` periods per border event.
     /// Correctness requires it to be at least the maximum occurrence
     /// period `ε_max` of a simple cycle. `b` is always sufficient; a
-    /// tight value can be computed with
-    /// [`border::exact_max_occurrence_period`](crate::analysis::border::exact_max_occurrence_period)
-    /// — the oscillator of Section VIII.C needs a single period, as the
-    /// paper remarks. (The paper's Proposition 6 bounds `ε_max` by the
-    /// minimum cut set size, which is not sound in general; see
-    /// [`border`](crate::analysis::border).)
+    /// tight value can be computed with the exact ε_max oracle,
+    /// `tsg_oracles::border::exact_max_occurrence_period` in the dev-only
+    /// `tsg-oracles` crate — the oscillator of Section VIII.C needs a
+    /// single period, as the paper remarks. (The paper's Proposition 6
+    /// bounds `ε_max` by the minimum cut set size, which is not sound in
+    /// general; see `tsg_oracles::border::max_occurrence_period_bound`.)
     ///
     /// The arena fixes the kernel backend; all `b` lanes advance in one
     /// lockstep pass on the calling thread. Repeated analyses over one

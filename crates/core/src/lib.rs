@@ -6,15 +6,17 @@
 //!
 //! * the **Signal Graph** model (Section III): events, arcs with initial
 //!   marking and disengageability, delays — see [`SignalGraph`];
-//! * the **token game** execution semantics — see [`marking`];
-//! * the **unfolding** into an acyclic occurrence net with periods,
-//!   precedence (`⇒`) and concurrency (`‖`) relations — see [`unfold`];
+//! * the **token game** execution semantics and the **unfolding** into an
+//!   acyclic occurrence net with periods, precedence (`⇒`) and
+//!   concurrency (`‖`) relations live in the dev-only `tsg-oracles` crate,
+//!   as test oracles the analyses here are checked against;
 //! * **timing simulation** `t(·)` and **event-initiated timing simulation**
 //!   `t_g(·)` (Section IV) — see [`analysis::sim`] and
 //!   [`analysis::initiated`];
 //! * the **O(b²m) cycle-time algorithm** with critical-cycle backtracking
 //!   (Sections VI–VII) — see [`analysis::CycleTimeAnalysis`];
-//! * border/cut sets (Section VI.A) — see [`analysis::border`];
+//! * border sets (Section VI.A) — see [`analysis::border`] (the cut-set
+//!   search is a test oracle in `tsg-oracles`);
 //! * ASCII timing diagrams (Figure 1c/1d) — see [`analysis::diagram`];
 //! * Graphviz export — see [`dot`].
 //!
@@ -48,10 +50,7 @@ pub mod dot;
 pub mod event;
 pub mod graph;
 mod label;
-pub mod marking;
-pub mod spec;
 pub mod time;
-pub mod unfold;
 pub mod validate;
 
 pub use arc::{Arc, ArcId};

@@ -6,7 +6,6 @@
 //!
 //! * [`DiGraph`] — a compact directed multigraph with stable integer ids,
 //! * [`topo::topological_order`] — Kahn's algorithm with cycle detection,
-//! * [`reach::descendants`] / [`reach::ancestors`] — DFS reachability sets,
 //! * [`cycles::simple_cycles`] — Johnson's simple-cycle enumeration,
 //! * [`bellman::positive_cycle`] — Bellman–Ford positive-cycle detection
 //!   (the feasibility oracle used by Lawler's binary search).
@@ -26,13 +25,11 @@
 //! assert_eq!(tsg_graph::topo::topological_order(&g).unwrap(), [a, b]);
 //! g.add_edge(b, a);
 //! assert!(tsg_graph::topo::topological_order(&g).is_err());
-//! assert!(tsg_graph::reach::descendants(&g, b)[a.index()]);
 //! ```
 
 pub mod bellman;
 pub mod cycles;
 pub mod digraph;
-pub mod reach;
 pub mod topo;
 
 pub use digraph::{DiGraph, EdgeId, NodeId};

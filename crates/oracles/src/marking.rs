@@ -8,35 +8,10 @@
 
 use std::fmt;
 
-use crate::arc::ArcId;
-use crate::event::EventId;
-use crate::graph::SignalGraph;
+use tsg_core::{ArcId, EventId, SignalGraph};
 
 /// A marking of a [`SignalGraph`]: token counts per arc plus the one-shot
 /// state of disengageable arcs and prefix events.
-///
-/// # Examples
-///
-/// ```
-/// use tsg_core::SignalGraph;
-/// use tsg_core::marking::Marking;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = SignalGraph::builder();
-/// let xp = b.event("x+");
-/// let xm = b.event("x-");
-/// b.arc(xp, xm, 1.0);
-/// b.marked_arc(xm, xp, 1.0);
-/// let sg = b.build()?;
-///
-/// let mut m = Marking::initial(&sg);
-/// assert!(m.is_enabled(&sg, xp));
-/// assert!(!m.is_enabled(&sg, xm));
-/// m.fire(&sg, xp)?;
-/// assert!(m.is_enabled(&sg, xm));
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Marking {
     tokens: Vec<u32>,
@@ -192,7 +167,22 @@ impl Marking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SignalGraph;
+
+    #[test]
+    fn firing_passes_the_token_along() {
+        let mut b = SignalGraph::builder();
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        b.arc(xp, xm, 1.0);
+        b.marked_arc(xm, xp, 1.0);
+        let sg = b.build().unwrap();
+
+        let mut m = Marking::initial(&sg);
+        assert!(m.is_enabled(&sg, xp));
+        assert!(!m.is_enabled(&sg, xm));
+        m.fire(&sg, xp).unwrap();
+        assert!(m.is_enabled(&sg, xm));
+    }
 
     fn figure2() -> SignalGraph {
         let mut b = SignalGraph::builder();

@@ -1,24 +1,10 @@
-//! Reachability queries: descendant sets by depth-first search.
+//! Reachability queries on the unfolding: descendant and ancestor sets
+//! by depth-first search.
 
-use crate::{DiGraph, NodeId};
+use tsg_graph::{DiGraph, NodeId};
 
 /// Returns the set of nodes reachable from `source` (including `source`
 /// itself) as a boolean membership vector indexed by node id.
-///
-/// # Examples
-///
-/// ```
-/// use tsg_graph::DiGraph;
-/// use tsg_graph::reach::descendants;
-///
-/// let mut g = DiGraph::new();
-/// let a = g.add_node();
-/// let b = g.add_node();
-/// let c = g.add_node();
-/// g.add_edge(a, b);
-/// let reach = descendants(&g, a);
-/// assert!(reach[a.index()] && reach[b.index()] && !reach[c.index()]);
-/// ```
 pub fn descendants(g: &DiGraph, source: NodeId) -> Vec<bool> {
     let mut seen = vec![false; g.node_count()];
     let mut stack = vec![source];
@@ -56,6 +42,17 @@ pub fn ancestors(g: &DiGraph, target: NodeId) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn descendants_skip_unconnected_nodes() {
+        let mut g = DiGraph::new();
+        let a = g.add_node();
+        let b = g.add_node();
+        let c = g.add_node();
+        g.add_edge(a, b);
+        let reach = descendants(&g, a);
+        assert!(reach[a.index()] && reach[b.index()] && !reach[c.index()]);
+    }
 
     #[test]
     fn descendants_follow_direction() {

@@ -17,11 +17,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use tsg_graph::{reach, DiGraph, NodeId};
+use tsg_core::{ArcId, EventId, Polarity, SignalGraph};
+use tsg_graph::{DiGraph, NodeId};
 
-use crate::arc::ArcId;
-use crate::event::{EventId, Polarity};
-use crate::graph::SignalGraph;
+use crate::reach;
 
 /// Identifier of an instantiation inside an [`Unfolding`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -45,29 +44,6 @@ pub struct Instance {
 }
 
 /// A finite unfolding covering a fixed number of periods.
-///
-/// # Examples
-///
-/// ```
-/// use tsg_core::SignalGraph;
-/// use tsg_core::unfold::Unfolding;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = SignalGraph::builder();
-/// let xp = b.event("x+");
-/// let xm = b.event("x-");
-/// b.arc(xp, xm, 1.0);
-/// b.marked_arc(xm, xp, 1.0);
-/// let sg = b.build()?;
-///
-/// let u = Unfolding::build(&sg, 3);
-/// let xp0 = u.instance(xp, 0).unwrap();
-/// let xm2 = u.instance(xm, 2).unwrap();
-/// assert!(u.precedes(xp0, xm2));
-/// assert!(!u.concurrent(xp0, xm2));
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Clone, Debug)]
 pub struct Unfolding {
     instances: Vec<Instance>,
@@ -178,7 +154,10 @@ impl Unfolding {
     /// Concurrency `a ‖ b`: neither precedes the other, and the
     /// instantiations are distinct.
     pub fn concurrent(&self, a: InstId, b: InstId) -> bool {
-        a != b && !self.precedes(a, b) && !self.precedes(b, a)
+        let node = NodeId(a.0);
+        a != b
+            && !reach::descendants(&self.graph, node)[b.index()]
+            && !reach::ancestors(&self.graph, node)[b.index()]
     }
 
     /// Iterator over all instantiation ids.
@@ -312,7 +291,22 @@ pub fn check_signal_consistency(sg: &SignalGraph) -> Result<(), SignalConsistenc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SignalGraph;
+
+    #[test]
+    fn two_event_loop_orders_its_periods() {
+        let mut b = SignalGraph::builder();
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        b.arc(xp, xm, 1.0);
+        b.marked_arc(xm, xp, 1.0);
+        let sg = b.build().unwrap();
+
+        let u = Unfolding::build(&sg, 3);
+        let xp0 = u.instance(xp, 0).unwrap();
+        let xm2 = u.instance(xm, 2).unwrap();
+        assert!(u.precedes(xp0, xm2));
+        assert!(!u.concurrent(xp0, xm2));
+    }
 
     fn figure2() -> SignalGraph {
         let mut b = SignalGraph::builder();

@@ -33,7 +33,9 @@ use tsg_core::analysis::session::{AnalysisSession, CycleTimeDelta, EditError, Gr
 use tsg_core::analysis::sim::{SimError, TimingSimulation};
 use tsg_core::analysis::slack::SlackAnalysis;
 use tsg_core::analysis::wide::AnalysisArena;
-use tsg_core::analysis::{AnalysisError, Corner, CycleTimeAnalysis, ScenarioAnalysis, ScenarioSet};
+use tsg_core::analysis::{
+    AnalysisError, Corner, CycleTime, CycleTimeAnalysis, ScenarioAnalysis, ScenarioSet,
+};
 use tsg_core::{decimal, ArcId, EventId, SignalGraph};
 use tsg_sim::{CancelKind, CancelToken, TraceRecorder};
 
@@ -525,8 +527,8 @@ pub fn report_in(
 }
 
 /// [`report_in`] under a cooperative cancel token: returns
-/// [`OpError::Cancelled`] when `cancel` fires mid-analysis, mid-sweep
-/// or mid-slack.
+/// [`OpError::Cancelled`] when `cancel` fires mid-analysis, mid-sweep,
+/// mid-baseline or mid-slack.
 fn report_on(
     sg: &SignalGraph,
     opts: &AnalyzeOptions,
@@ -553,12 +555,20 @@ fn report_on(
         Ok(None) => Ok(None),
         Err(e) => Err(e),
     };
+    let baselines = if opts.baselines {
+        Some([
+            tsg_baselines::howard_cycle_time_with_cancel(sg, cancel)?,
+            tsg_baselines::karp_cycle_time_with_cancel(sg, cancel)?,
+        ])
+    } else {
+        None
+    };
     // Slack renders its other failures inline too.
     let slack = match opts.slack.then(|| SlackAnalysis::run(sg, cancel)) {
         Some(Err(e @ AnalysisError::Cancelled { .. })) => return Err(e.into()),
         slack => slack,
     };
-    render_report(sg, opts, analysis, scenarios, slack).map_err(OpError::Msg)
+    render_report(sg, opts, analysis, scenarios, baselines, slack).map_err(OpError::Msg)
 }
 
 /// Renders a report; fails only when the timing diagram cannot be drawn.
@@ -567,6 +577,7 @@ fn render_report(
     opts: &AnalyzeOptions,
     analysis: Result<CycleTimeAnalysis, AnalysisError>,
     scenarios: Result<Option<ScenarioAnalysis>, String>,
+    baselines: Option<[Option<CycleTime>; 2]>,
     slack: Option<Result<SlackAnalysis, AnalysisError>>,
 ) -> Result<String, String> {
     let mut out = String::new();
@@ -670,12 +681,12 @@ fn render_report(
             let _ = writeln!(out, "scenarios: unavailable ({e})");
         }
     }
-    if opts.baselines {
+    if let Some([howard, karp]) = baselines {
         let _ = writeln!(out, "baselines:");
-        if let Some(t) = tsg_baselines::howard_cycle_time(sg) {
+        if let Some(t) = howard {
             let _ = writeln!(out, "  howard        : {}", t.as_f64());
         }
-        if let Some(t) = tsg_baselines::karp_cycle_time(sg) {
+        if let Some(t) = karp {
             let _ = writeln!(out, "  karp          : {}", t.as_f64());
         }
     }

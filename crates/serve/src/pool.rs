@@ -60,6 +60,7 @@
 use std::collections::VecDeque;
 #[cfg(unix)]
 use std::io::{self, BufRead, Write};
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -67,7 +68,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tsg_core::analysis::wide::KernelBackend;
-use tsg_sim::{BatchRunner, CancelKind, CancelToken};
+use tsg_sim::{CancelKind, CancelToken};
 
 use crate::chaos::{Chaos, ChaosConfig};
 use crate::json::Json;
@@ -80,8 +81,8 @@ const DRAIN_POLL: Duration = Duration::from_millis(25);
 /// Configuration of a serve session.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOptions {
-    /// Worker threads (`None` = all cores), resolved through
-    /// [`BatchRunner::sized`].
+    /// Worker threads (`None` = all cores), resolved by
+    /// [`ServeOptions::worker_threads`].
     pub threads: Option<usize>,
     /// Pool-wide cap on concurrently open incremental sessions (`None`
     /// = unbounded). Each open session pins its graph, its analysis and
@@ -130,6 +131,51 @@ impl Default for ServeOptions {
             max_connections: None,
             chaos: ChaosConfig::default(),
         }
+    }
+}
+
+impl ServeOptions {
+    /// The largest `--threads N` [`parse_threads`](Self::parse_threads)
+    /// accepts. The pool spawns every worker up front, so an unbounded
+    /// count would ask the OS for that many threads at once.
+    pub const MAX_THREADS: usize = 1024;
+
+    /// The pool-sizing rule: an explicit `threads` (a `--threads N`
+    /// flag) wins, otherwise the machine's available parallelism.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is `Some(0)`.
+    pub fn worker_threads(&self) -> usize {
+        match self.threads {
+            Some(n) => {
+                assert!(n >= 1, "a serve pool needs at least one worker thread");
+                n
+            }
+            None => std::thread::available_parallelism()
+                .map(NonZeroUsize::get)
+                .unwrap_or(1),
+        }
+    }
+
+    /// Parses the value of a `--threads N` flag.
+    ///
+    /// # Errors
+    ///
+    /// Returns a user-facing message when the value is missing, not an
+    /// integer, zero, or above [`MAX_THREADS`](Self::MAX_THREADS).
+    pub fn parse_threads(value: Option<&str>) -> Result<usize, String> {
+        let threads = value
+            .and_then(|v| v.parse().ok())
+            .filter(|&n: &usize| n >= 1)
+            .ok_or_else(|| "--threads needs a positive integer".to_owned())?;
+        if threads > Self::MAX_THREADS {
+            return Err(format!(
+                "--threads takes at most {} worker threads",
+                Self::MAX_THREADS
+            ));
+        }
+        Ok(threads)
     }
 }
 
@@ -371,11 +417,11 @@ pub struct Pool {
 
 impl Pool {
     /// Spawns a pool per `opts`: `opts.threads` workers (`None` = all
-    /// cores, via [`BatchRunner::sized`]), each owning one warm
+    /// cores, via [`ServeOptions::worker_threads`]), each owning one warm
     /// [`Workspace`], with open incremental sessions capped pool-wide by
     /// `opts.max_sessions`.
     pub fn new(opts: &ServeOptions) -> Self {
-        let threads = BatchRunner::sized(opts.threads).threads();
+        let threads = opts.worker_threads();
         let shared = Arc::new(PoolShared {
             queues: Mutex::new(JobQueues {
                 shared: VecDeque::new(),
@@ -954,6 +1000,47 @@ where
             Err(OpError::Msg(format!(
                 "internal error: request handler panicked: {msg}"
             )))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn with_threads(threads: Option<usize>) -> ServeOptions {
+        ServeOptions {
+            threads,
+            ..ServeOptions::default()
+        }
+    }
+
+    #[test]
+    fn sized_resolves_explicit_and_default() {
+        assert_eq!(with_threads(Some(3)).worker_threads(), 3);
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(with_threads(None).worker_threads(), cores);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one worker thread")]
+    fn zero_threads_rejected() {
+        let _ = with_threads(Some(0)).worker_threads();
+    }
+
+    #[test]
+    fn parse_threads_accepts_positive_integers_only() {
+        assert_eq!(ServeOptions::parse_threads(Some("4")), Ok(4));
+        assert!(ServeOptions::parse_threads(Some("0")).is_err());
+        assert!(ServeOptions::parse_threads(Some("four")).is_err());
+        assert!(ServeOptions::parse_threads(Some("-2")).is_err());
+        assert!(ServeOptions::parse_threads(None).is_err());
+        // The pool spawns every worker up front: the count is capped.
+        let max = ServeOptions::MAX_THREADS;
+        assert_eq!(ServeOptions::parse_threads(Some(&max.to_string())), Ok(max));
+        for too_many in [max + 1, 1_000_000, usize::MAX] {
+            let err = ServeOptions::parse_threads(Some(&too_many.to_string())).unwrap_err();
+            assert_eq!(err, format!("--threads takes at most {max} worker threads"));
         }
     }
 }

@@ -85,6 +85,37 @@ fn warm_analyze_is_allocation_free_and_byte_identical() {
     }
 }
 
+/// `"baselines": true` runs Howard and Karp under the request's token:
+/// a budget that just covers the nominal analysis leaves none for the
+/// baselines, which then answer the cancellation instead of a report.
+#[test]
+fn baselines_poll_the_request_token() {
+    let mut ws = Workspace::new();
+    let source = inline_g();
+    let plain = AnalyzeOptions::default();
+    let with_baselines = AnalyzeOptions {
+        baselines: true,
+        ..AnalyzeOptions::default()
+    };
+    let token = |checks| tsg_sim::CancelToken::cancel_after_checks(checks);
+    let nominal = (0..64)
+        .find(|&checks| ws.analyze(&source, &plain, Some(&token(checks))).is_ok())
+        .expect("the oscillator's analysis polls a handful of times");
+    assert!(matches!(
+        ws.analyze(&source, &with_baselines, Some(&token(nominal))),
+        Err(ops::OpError::Cancelled { .. })
+    ));
+    let full = ws.analyze(&source, &with_baselines, None).unwrap();
+    assert!(
+        full.contains("  howard        : 10\n  karp          : 10\n"),
+        "{full}"
+    );
+    assert_eq!(
+        ws.analyze(&source, &with_baselines, Some(&token(1_000))),
+        Ok(full)
+    );
+}
+
 #[test]
 fn warm_sim_queues_stay_put() {
     let mut ws = Workspace::new();

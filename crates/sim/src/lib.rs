@@ -14,13 +14,11 @@
 //! * [`TraceRecorder`] — captures timed signal transitions during (or
 //!   after) a simulation and dumps them as a VCD waveform any standard
 //!   viewer (GTKWave, Surfer) can open.
-//! * [`BatchRunner`] — fans many independent scenarios (different seeds,
-//!   netlists or delay assignments) out across OS threads with
-//!   [`std::thread::scope`], preserving input order in the results.
+//! * [`CancelToken`] — the cooperative cancellation signal (explicit
+//!   cancel, group flag, deadline) that long-running loops poll.
 //!
 //! The kernel is deliberately free of Signal-Graph or netlist semantics:
-//! payloads are caller-defined, signals are plain names, scenarios are
-//! plain closures.
+//! payloads are caller-defined and signals are plain names.
 //!
 //! # Example
 //!
@@ -35,12 +33,10 @@
 //! assert_eq!(order, ["a", "b", "c"]);
 //! ```
 
-pub mod batch;
 pub mod cancel;
 pub mod queue;
 pub mod trace;
 
-pub use batch::BatchRunner;
 pub use cancel::{CancelKind, CancelToken};
 pub use queue::{Event, EventQueue, ScheduleError};
 pub use trace::{TraceId, TraceRecorder};

@@ -1,8 +1,7 @@
-//! Parallel scenario sweeps on the kernel's batch runner: score a
-//! whole family of candidate designs — here, rings with different token
-//! budgets and a seed study of random live graphs — by fanning the
-//! independent simulations out across threads with `BatchRunner`, then
-//! dump the most interesting scenario as a VCD waveform.
+//! Scenario sweeps: score a whole family of candidate designs — here,
+//! rings with different token budgets and a seed study of random live
+//! graphs — with one independent analysis per scenario, then dump the
+//! most interesting scenario as a VCD waveform.
 //!
 //! ```sh
 //! cargo run --example batch_sweep
@@ -13,33 +12,28 @@ use tsg::core::analysis::sim::TimingSimulation;
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::core::SignalGraph;
 use tsg::gen::{random_live_tsg, ring, RandomTsgConfig};
-use tsg::sim::{BatchRunner, TraceRecorder};
+use tsg::sim::TraceRecorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A design sweep: how does a 48-event ring's throughput respond to
-    //    its token budget? Each scenario is independent — perfect batch
-    //    material.
-    let rings: Vec<(usize, SignalGraph)> = (1..=12).map(|k| (k, ring(48, k, 2.0))).collect();
-    let runner = BatchRunner::new();
-    println!(
-        "token sweep of ring(48, k, 2.0) on {} thread(s):",
-        runner.threads()
-    );
-    let taus = runner.run(&rings, |(_, sg)| {
-        CycleTimeAnalysis::run(sg)
+    //    its token budget?
+    println!("token sweep of ring(48, k, 2.0):");
+    for k in 1..=12 {
+        let tau = CycleTimeAnalysis::run(&ring(48, k, 2.0))
             .expect("rings are live")
             .cycle_time()
-            .as_f64()
-    });
-    for ((k, _), tau) in rings.iter().zip(&taus) {
+            .as_f64();
         println!("  k={k:<3} τ = {tau}");
     }
 
-    // 2. A seed study: long-run estimates over random live graphs, batched.
+    // 2. A seed study: long-run estimates over random live graphs.
     let scenarios: Vec<SignalGraph> = (0..16)
         .map(|seed| random_live_tsg(seed, RandomTsgConfig::default()))
         .collect();
-    let estimates = runner.run(&scenarios, |sg| baselines::longrun_estimate(sg, 128));
+    let estimates: Vec<Option<f64>> = scenarios
+        .iter()
+        .map(|sg| baselines::longrun_estimate(sg, 128))
+        .collect();
     let exact: Vec<f64> = scenarios
         .iter()
         .map(|sg| CycleTimeAnalysis::run(sg).unwrap().cycle_time().as_f64())

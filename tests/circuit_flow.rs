@@ -42,11 +42,8 @@ fn extraction_output_is_well_formed() {
     for n in 3..9 {
         let nl = library::muller_ring(n, 1.0);
         let sg = extract(&nl, ExtractOptions::default()).unwrap();
-        assert!(tsg::core::analysis::border::is_cut_set(
-            &sg,
-            &sg.border_events()
-        ));
-        assert!(tsg::core::unfold::check_signal_consistency(&sg).is_ok());
+        assert!(tsg_oracles::border::is_cut_set(&sg, &sg.border_events()));
+        assert!(tsg_oracles::unfold::check_signal_consistency(&sg).is_ok());
     }
 }
 

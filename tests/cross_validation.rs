@@ -8,9 +8,9 @@ use proptest::prelude::*;
 use tsg::baselines;
 use tsg::core::analysis::cycle_time::cycle_ratio;
 use tsg::core::analysis::CycleTimeAnalysis;
-use tsg::core::marking::Marking;
 use tsg::gen::{random_live_tsg, RandomTsgConfig};
 use tsg::graph::cycles::is_simple_cycle;
+use tsg_oracles::marking::Marking;
 
 fn config_strategy() -> impl Strategy<Value = RandomTsgConfig> {
     (2usize..16, 1usize..6, 0usize..24, 0u32..8, any::<bool>()).prop_map(
@@ -145,9 +145,9 @@ proptest! {
 /// same cut-set answers — and none of them may panic.
 #[test]
 fn removed_unmarked_arc_answers_like_the_graph_built_without_it() {
-    use tsg::core::analysis::border::is_cut_set;
     use tsg::core::analysis::sim::TimingSimulation;
     use tsg::core::{EventId, SignalGraph};
+    use tsg_oracles::border::is_cut_set;
 
     let build = |chord: bool| {
         let mut b = SignalGraph::builder();

@@ -8,11 +8,11 @@ use proptest::prelude::*;
 
 use tsg::core::analysis::initiated::SimArena;
 use tsg::core::analysis::sim::TimingSimulation;
-use tsg::core::unfold::{InstId, Unfolding};
 use tsg::core::SignalGraph;
 use tsg::gen::{random_live_tsg, RandomTsgConfig};
 use tsg::graph::topo::topological_order;
 use tsg::graph::NodeId;
+use tsg_oracles::unfold::{InstId, Unfolding};
 
 /// Longest-path times over the explicit unfolding, sources at 0.
 fn unfolding_times(sg: &SignalGraph, u: &Unfolding) -> Vec<f64> {

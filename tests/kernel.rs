@@ -1,7 +1,6 @@
-//! The simulators end to end: deterministic netlist replay, parallel
-//! batch execution, and cross-validation of the timing simulation
-//! against the paper's exact cycle-time analysis on every generator
-//! family.
+//! The simulators end to end: deterministic netlist replay and
+//! cross-validation of the timing simulation against the paper's exact
+//! cycle-time analysis on every generator family.
 
 use tsg::baselines;
 use tsg::circuit::{library, EventDrivenSim};
@@ -9,7 +8,7 @@ use tsg::core::analysis::sim::TimingSimulation;
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::core::SignalGraph;
 use tsg::gen::{random_live_tsg, ring, torus, RandomTsgConfig};
-use tsg::sim::{BatchRunner, EventQueue, TraceRecorder};
+use tsg::sim::{EventQueue, TraceRecorder};
 
 /// Steady-state occurrence distance of a border event over the last
 /// `span` periods of a TSG timing simulation. When `span` is a
@@ -74,52 +73,17 @@ fn kernel_simulation_cross_validates_analysis() {
     }
 }
 
-/// The batch runner executes ≥ 8 generated scenarios and returns the
-/// same results at every thread count — simulation outcomes must never
-/// depend on scheduling.
-#[test]
-fn batch_results_identical_across_thread_counts() {
-    let scenarios: Vec<SignalGraph> = (0..12u64)
-        .map(|seed| random_live_tsg(seed, RandomTsgConfig::default()))
-        .collect();
-    assert!(scenarios.len() >= 8);
-    let reference: Vec<Vec<(u32, f64)>> = scenarios
-        .iter()
-        .map(|sg| {
-            let sim = TimingSimulation::run(sg, 8, None).unwrap();
-            sim.chronological(sg)
-                .into_iter()
-                .map(|(e, i, t)| (e.index() as u32 * 100 + i, t))
-                .collect()
-        })
-        .collect();
-    for threads in [1, 2, 4, 8] {
-        let got = BatchRunner::with_threads(threads).run(&scenarios, |sg| {
-            let sim = TimingSimulation::run(sg, 8, None).unwrap();
-            sim.chronological(sg)
-                .into_iter()
-                .map(|(e, i, t)| (e.index() as u32 * 100 + i, t))
-                .collect::<Vec<_>>()
-        });
-        assert_eq!(got, reference, "threads = {threads}");
-    }
-}
-
-/// Long-run estimation batched on the kernel's runner matches
-/// the sequential loop exactly and approximates τ — approximates only,
-/// because a finite averaging window is exactly the limitation the paper
-/// holds against long-run estimation.
+/// Long-run estimation over a batch of scenarios approximates τ —
+/// approximates only, because a finite averaging window is exactly the
+/// limitation the paper holds against long-run estimation.
 #[test]
 fn batched_longrun_agrees_with_exact() {
     let scenarios: Vec<SignalGraph> = (1..=10).map(|k| ring(40, k, 2.0)).collect();
-    let batch =
-        BatchRunner::with_threads(3).run(&scenarios, |sg| baselines::longrun_estimate(sg, 96));
     let sequential: Vec<Option<f64>> = scenarios
         .iter()
         .map(|sg| baselines::longrun_estimate(sg, 96))
         .collect();
-    assert_eq!(batch, sequential);
-    for (sg, est) in scenarios.iter().zip(&batch) {
+    for (sg, est) in scenarios.iter().zip(&sequential) {
         let tau = CycleTimeAnalysis::run(sg).unwrap().cycle_time().as_f64();
         assert!(
             (est.unwrap() - tau).abs() <= tau * 0.02,

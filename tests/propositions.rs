@@ -3,12 +3,12 @@
 use proptest::prelude::*;
 
 use tsg::core::analysis::asymptotic::delta_series;
-use tsg::core::analysis::border::{
-    exact_max_occurrence_period, is_cut_set, max_occurrence_period_bound, minimum_cut_set,
-};
 use tsg::core::analysis::initiated::SimArena;
 use tsg::core::analysis::CycleTimeAnalysis;
 use tsg::gen::{random_live_tsg, RandomTsgConfig};
+use tsg_oracles::border::{
+    exact_max_occurrence_period, is_cut_set, max_occurrence_period_bound, minimum_cut_set,
+};
 
 fn small_cfg() -> RandomTsgConfig {
     RandomTsgConfig {
