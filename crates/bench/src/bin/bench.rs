@@ -12,7 +12,8 @@
 //! (`simd_vs_portable`, with the detected CPU feature level recorded),
 //! delay-scenario sweeps — min/typ/max corners and seeded sample sets —
 //! against as many nominal analyses (`corner_sweep`), `.g` loading
-//! (`load`: `parse_stg` at 1024 and 4096 events), the one-shot two-row
+//! (`load`: `parse_stg` at 1024 and 4096 events, beside the same texts
+//! without their `.delay` lines and `validate` alone), the one-shot two-row
 //! window at the 1024-event, b = 37 shape (`oneshot_window`: `run_in`
 //! time and wide bytes beside `AnalysisSession::open`, which runs in
 //! the same window), and the `analyze` response's non-kernel bytes at
@@ -133,6 +134,10 @@ struct LoadRow {
     bytes: usize,
     /// Per-call seconds, sorted ascending.
     samples: Vec<f64>,
+    /// The same, on the text without its `.delay` lines.
+    no_delay: Vec<f64>,
+    /// `SignalGraph::validate` on a clone of the loaded graph.
+    validate: Vec<f64>,
 }
 
 impl LoadRow {
@@ -143,7 +148,10 @@ impl LoadRow {
 
 /// `.g` loading: `parse_stg` on ring-with-chords texts of growing size,
 /// `reps` repeated samples each. Linear loading keeps the per-byte cost
-/// flat, so 4x the events should take ~4x the time.
+/// flat, so 4x the events should take ~4x the time. Two more timings
+/// split the load from the outside: the same text without its `.delay`
+/// lines (what those lines cost is the difference), and the structural
+/// validation that ends every load, on a clone of the loaded graph.
 fn measure_load(sizes: &[usize], reps: usize) -> Vec<LoadRow> {
     sizes
         .iter()
@@ -151,16 +159,30 @@ fn measure_load(sizes: &[usize], reps: usize) -> Vec<LoadRow> {
             let text = ring_with_chords_text(events);
             let sg = parse_stg(&text, StgOptions::default()).expect("written text parses");
             assert_eq!(sg.event_count(), events);
-            let samples = samples_per_call(reps, || {
-                parse_stg(&text, StgOptions::default())
-                    .expect("written text parses")
-                    .arc_count()
+            let load = |text: &str| {
+                samples_per_call(reps, || {
+                    parse_stg(text, StgOptions::default())
+                        .expect("written text parses")
+                        .arc_count()
+                })
+            };
+            let no_delay: String = text
+                .lines()
+                .filter(|line| !line.starts_with(".delay"))
+                .flat_map(|line| [line, "\n"])
+                .collect();
+            let mut clone = sg.clone();
+            let validate = samples_per_call(reps, || {
+                clone.validate().expect("a loaded graph is valid");
+                clone.arc_count()
             });
             LoadRow {
                 events,
                 arcs: sg.arc_count(),
                 bytes: text.len(),
-                samples,
+                samples: load(&text),
+                no_delay: load(&no_delay),
+                validate,
             }
         })
         .collect()
@@ -561,6 +583,7 @@ fn json_report(
     }
     let _ = writeln!(out, "    ]");
     let _ = writeln!(out, "  }},");
+    let median = |s: &[f64]| s[s.len() / 2];
     let _ = writeln!(out, "  \"load\": {{");
     let _ = writeln!(out, "    \"workload\": \"parse_stg, ring with chords\",");
     if let [first, .., last] = load_rows {
@@ -580,6 +603,7 @@ fn json_report(
             out,
             "      {{\"events\": {}, \"arcs\": {}, \"bytes\": {}, \"median_seconds\": {:.9}, \
              \"min_seconds\": {:.9}, \"max_seconds\": {:.9}, \"ns_per_byte\": {:.2}, \
+             \"no_delay_median_seconds\": {:.9}, \"validate_median_seconds\": {:.9}, \
              \"samples\": [{}]}}{comma}",
             r.events,
             r.arcs,
@@ -588,12 +612,13 @@ fn json_report(
             r.samples[0],
             r.samples[r.samples.len() - 1],
             r.median() * 1e9 / r.bytes as f64,
+            median(&r.no_delay),
+            median(&r.validate),
             samples.join(", ")
         );
     }
     let _ = writeln!(out, "    ]");
     let _ = writeln!(out, "  }},");
-    let median = |s: &[f64]| s[s.len() / 2];
     let _ = writeln!(out, "  \"oneshot_window\": {{");
     let _ = writeln!(
         out,
@@ -731,11 +756,14 @@ fn main() {
     let load_rows = measure_load(&[1024, 4096], reps.max(7));
     for r in &load_rows {
         eprintln!(
-            "  {:>5} events, {:>7} bytes: median {:>8.3} ms ({:.1} ns/byte)",
+            "  {:>5} events, {:>7} bytes: median {:>8.3} ms ({:.1} ns/byte); \
+             without .delay lines {:.3} ms, validate {:.3} ms",
             r.events,
             r.bytes,
             r.median() * 1e3,
-            r.median() * 1e9 / r.bytes as f64
+            r.median() * 1e9 / r.bytes as f64,
+            r.no_delay[r.no_delay.len() / 2] * 1e3,
+            r.validate[r.validate.len() / 2] * 1e3
         );
     }
 

@@ -139,6 +139,36 @@ impl<S: BuildHasher> Labels<S> {
     /// id and the indexed event of that text when there was one (a
     /// duplicate).
     pub(crate) fn push(&mut self, label: Label<'_>) -> (EventId, Option<EventId>) {
+        let id = self.append(label);
+        let display = self.display(id.0);
+        let hash = self.hash(display);
+        match self.probe(display, hash) {
+            Ok(i) => (id, Some(EventId(self.slots[i].id))),
+            Err(i) => {
+                self.occupy(i, id, hash);
+                (id, None)
+            }
+        }
+    }
+
+    /// The indexed event labelled `text`, pushing
+    /// [`Label::lenient`]`(text)` as a new event when there is none.
+    /// Returns the id and whether it is new. The text is hashed once
+    /// either way: a lenient label displays as its text.
+    pub(crate) fn intern(&mut self, text: &str) -> (EventId, bool) {
+        let hash = self.hash(text);
+        match self.probe(text, hash) {
+            Ok(i) => (EventId(self.slots[i].id), false),
+            Err(i) => {
+                let id = self.append(Label::lenient(text));
+                self.occupy(i, id, hash);
+                (id, true)
+            }
+        }
+    }
+
+    /// Appends `label`'s text and span as the next event's, unindexed.
+    fn append(&mut self, label: Label<'_>) -> EventId {
         let id = self.spans.len() as u32;
         let start = self.text.len();
         self.text.push_str(label.signal());
@@ -152,27 +182,16 @@ impl<S: BuildHasher> Labels<S> {
             signal_len: label.signal().len() as u32,
             polarity: label.polarity(),
         });
-        let hash = self.hash(&self.text[start..]);
-        match self.probe(&self.text[start..], hash) {
-            Ok(i) => (EventId(id), Some(EventId(self.slots[i].id))),
-            Err(i) => {
-                self.slots[i] = Slot { id, hash };
-                self.indexed += 1;
-                if self.indexed > self.slots.len() / 4 * 3 {
-                    self.grow();
-                }
-                (EventId(id), None)
-            }
-        }
+        EventId(id)
     }
 
-    /// The indexed event labelled `text`, pushing
-    /// [`Label::lenient`]`(text)` as a new event when there is none.
-    /// Returns the id and whether it is new.
-    pub(crate) fn intern(&mut self, text: &str) -> (EventId, bool) {
-        match self.find(text) {
-            Some(id) => (id, false),
-            None => (self.push(Label::lenient(text)).0, true),
+    /// Indexes event `id`, whose label hashes to `hash`, in the empty
+    /// slot `i` that [`probe`](Self::probe) returned.
+    fn occupy(&mut self, i: usize, id: EventId, hash: u32) {
+        self.slots[i] = Slot { id: id.0, hash };
+        self.indexed += 1;
+        if self.indexed > self.slots.len() / 4 * 3 {
+            self.grow();
         }
     }
 

@@ -55,7 +55,9 @@ pub fn topological_order(g: &DiGraph) -> Result<Vec<NodeId>, CycleDetected> {
 ///
 /// Only edges still attached to the adjacency lists count: an edge
 /// detached by [`DiGraph::remove_edge`] is never offered to
-/// `edge_enabled`, so callers need not mask tombstones out.
+/// `edge_enabled`, so callers need not mask tombstones out. Each edge
+/// is offered up to twice (once to count in-degrees, once to release
+/// its head), so the mask must answer the same both times.
 ///
 /// # Errors
 ///
@@ -66,11 +68,9 @@ pub fn topological_order_masked(
 ) -> Result<Vec<NodeId>, CycleDetected> {
     let n = g.node_count();
     let mut indeg = vec![0usize; n];
-    let mut enabled = vec![false; g.edge_count()];
     for v in g.nodes() {
         for &e in g.out_edges(v) {
             if edge_enabled(e) {
-                enabled[e.index()] = true;
                 indeg[g.dst(e).index()] += 1;
             }
         }
@@ -81,7 +81,7 @@ pub fn topological_order_masked(
     while let Some(v) = queue.pop() {
         order.push(v);
         for &e in g.out_edges(v) {
-            if !enabled[e.index()] {
+            if !edge_enabled(e) {
                 continue;
             }
             let w = g.dst(e);

@@ -12,7 +12,9 @@
 //!   acyclic occurrence graph, with precedence (`⇒`), concurrency (`‖`)
 //!   and the signal-consistency check of Section VIII.A;
 //! * [`border`] — cut sets and the occurrence-period bounds of
-//!   Section VI.A, including the erratum to Proposition 6.
+//!   Section VI.A, including the erratum to Proposition 6;
+//! * [`stg_reference`] — the `.g` reader as it was before its
+//!   single-scan rewrite, which `tsg_stg::parse_stg` must agree with.
 //!
 //! Only the root `tsg` package depends on this crate, and only as a
 //! dev-dependency.
@@ -20,4 +22,5 @@
 pub mod border;
 pub mod marking;
 mod reach;
+pub mod stg_reference;
 pub mod unfold;

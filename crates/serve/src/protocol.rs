@@ -603,10 +603,11 @@ impl FrameDecoder {
     }
 
     /// Consumes one read's worth of bytes, appending every frame they
-    /// complete to `out` in arrival order.
+    /// complete to `out` in arrival order. A line that arrives whole in
+    /// one read is decoded straight from `bytes`, copied once.
     pub fn feed_into(&mut self, mut bytes: &[u8], out: &mut Vec<Frame>) {
         while !bytes.is_empty() {
-            let Some(nl) = bytes.iter().position(|&b| b == b'\n') else {
+            let Some(nl) = find_newline(bytes) else {
                 // No newline: buffer (or keep skipping) and wait.
                 if !self.skipping {
                     if self.buf.len() + bytes.len() > self.cap {
@@ -626,6 +627,8 @@ impl FrameDecoder {
             } else if self.buf.len() + head.len() > self.cap {
                 self.buf.clear();
                 out.push(Frame::Oversized);
+            } else if self.buf.is_empty() {
+                out.push(Frame::Line(String::from_utf8_lossy(head).into_owned()));
             } else {
                 self.buf.extend_from_slice(head);
                 out.push(Frame::Line(String::from_utf8_lossy(&self.buf).into_owned()));
@@ -649,6 +652,31 @@ impl FrameDecoder {
         self.buf.clear();
         Some(Frame::Line(line))
     }
+}
+
+/// The index of the first `\n` in `bytes`, searched a machine word at a
+/// time: a word holds a newline exactly when the word XOR repeated
+/// `\n` bytes has a zero byte, which `(x - 0x01…) & !x & 0x80…` tests.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const WORD: usize = std::mem::size_of::<usize>();
+    const ONES: usize = usize::MAX / 0xff;
+    const NEWLINES: usize = ONES * b'\n' as usize;
+    const HIGHS: usize = ONES * 0x80;
+    let mut chunks = bytes.chunks_exact(WORD);
+    for (i, chunk) in chunks.by_ref().enumerate() {
+        let word = usize::from_ne_bytes(chunk.try_into().expect("a whole word")) ^ NEWLINES;
+        if word.wrapping_sub(ONES) & !word & HIGHS != 0 {
+            return chunk
+                .iter()
+                .position(|&b| b == b'\n')
+                .map(|at| i * WORD + at);
+        }
+    }
+    let tail = chunks.remainder();
+    let tail_start = bytes.len() - tail.len();
+    tail.iter()
+        .position(|&b| b == b'\n')
+        .map(|at| tail_start + at)
 }
 
 /// A successful `analyze`/`sim` response.
@@ -1197,6 +1225,29 @@ mod tests {
             out.push(tail);
         }
         out
+    }
+
+    #[test]
+    fn find_newline_agrees_with_a_byte_scan() {
+        // Every length up to three words, with the newline (or none) at
+        // every position, among bytes that differ from `\n` by one bit
+        // or in the high bit.
+        for len in 0..3 * std::mem::size_of::<usize>() {
+            for nl in 0..=len {
+                let mut bytes: Vec<u8> = (0..len)
+                    .map(|i| [b'\x0b', b'\x8a', b'\x08', 0, 0xff][i % 5])
+                    .collect();
+                if nl < len {
+                    bytes[nl] = b'\n';
+                    // A second newline after the first is not reported.
+                    if nl + 2 < len {
+                        bytes[nl + 2] = b'\n';
+                    }
+                }
+                let want = bytes.iter().position(|&b| b == b'\n');
+                assert_eq!(find_newline(&bytes), want, "{bytes:?}");
+            }
+        }
     }
 
     #[test]

@@ -118,60 +118,171 @@ fn label_of(token: &str) -> String {
     transition(token, &mut buf).unwrap_or("").to_owned()
 }
 
-/// One declared arc.
+/// One declared arc. The first declared arc of each pair `src -> dst`
+/// also holds the pair's cursors: where its next `.delay` and next
+/// `.marking` entry bind, and its last declared arc.
 struct ArcSpec {
     src: EventId,
     dst: EventId,
     delay: Option<f64>,
     marked: bool,
-    /// The next declared arc of the same pair ([`NO_ARC`] at the last).
+    /// The next declared arc of the same pair ([`NONE`] at the last).
     next: u32,
-}
-
-/// End of a pair's chain of parallel arcs.
-const NO_ARC: u32 = u32::MAX;
-
-/// Where the next `.delay` and the next `.marking` entry of a pair
-/// bind, and the pair's last declared arc.
-struct Cursors {
-    delay: u32,
-    mark: u32,
+    /// Where the pair's next `.delay` line binds.
+    delay_at: u32,
+    /// Where the pair's next `.marking` entry binds.
+    mark_at: u32,
+    /// The pair's last declared arc.
     last: u32,
 }
 
-/// The declared arcs, and how `.marking` / `.delay` entries find them.
-struct Arcs {
-    specs: Vec<ArcSpec>,
-    /// `(src, dst)` → the pair's cursors.
-    pairs: HashMap<(EventId, EventId), Cursors>,
+/// No arc, or no event.
+const NONE: u32 = u32::MAX;
+
+/// An event as the reader met it: the token that first named it, and
+/// the first arc it was declared the source of.
+#[derive(Clone, Copy)]
+struct Named<'t> {
+    token: &'t str,
+    first_arc: u32,
 }
 
-impl Arcs {
-    fn with_capacity(arcs: usize) -> Self {
-        Arcs {
+/// The graph being read: the builder, the declared arcs, and how
+/// tokens and `.marking` / `.delay` entries find their events and arcs.
+///
+/// Two tokens name the same event exactly when they are equal: a
+/// token holds no `#`, so its label spells it back. A token equal to
+/// the last resolved event's first token therefore resolves without a
+/// label lookup, and so does an entry's destination when it is the
+/// destination of its source's first declared pair. That pair is found
+/// without hashing it; only a source's second and later pairs go
+/// through the hashed pair index. Every lookup is O(1) whatever a
+/// source's out-degree.
+struct Graph<'t> {
+    b: SignalGraphBuilder,
+    specs: Vec<ArcSpec>,
+    /// By event id.
+    events: Vec<Named<'t>>,
+    /// `(src, dst)` → the pair's first arc, for each pair that is not
+    /// its source's first.
+    pairs: HashMap<(EventId, EventId), u32>,
+    /// The last event a token resolved to ([`NONE`] before the first).
+    last: u32,
+    /// Room for an indexed token's label.
+    buf: String,
+}
+
+impl<'t> Graph<'t> {
+    fn new((events, arcs, label_bytes): (usize, usize, usize)) -> Self {
+        Graph {
+            b: SignalGraphBuilder::with_capacity(events, arcs, label_bytes),
             specs: Vec::with_capacity(arcs),
-            pairs: HashMap::with_capacity(arcs),
+            events: Vec::with_capacity(events),
+            pairs: HashMap::new(),
+            last: NONE,
+            buf: String::new(),
+        }
+    }
+
+    /// Event `e` when `token` is the token that first named it.
+    fn named(&self, e: u32, token: &str) -> Option<EventId> {
+        let named = self.events.get(e as usize)?;
+        (named.token == token).then_some(EventId(e))
+    }
+
+    /// The event of arc-line token `token`, added on first sight.
+    fn intern(&mut self, token: &'t str, line: usize) -> Result<EventId, StgError> {
+        if let Some(e) = self.named(self.last, token) {
+            return Ok(e);
+        }
+        let Some(label) = transition(token, &mut self.buf) else {
+            return Err(StgError::NotMarkedGraph {
+                line,
+                token: token.to_owned(),
+            });
+        };
+        let e = self.b.intern(label);
+        if e.index() == self.events.len() {
+            self.events.push(Named {
+                token,
+                first_arc: NONE,
+            });
+        }
+        self.last = e.0;
+        Ok(e)
+    }
+
+    /// The event a `.marking` / `.delay` token names, if any; `hint` is
+    /// an event it is likely to name. The token is `written` with its
+    /// surrounding whitespace trimmed.
+    fn find(&mut self, written: &str, hint: u32, line: usize) -> Result<Option<EventId>, StgError> {
+        let token = written.trim();
+        if let Some(e) = self
+            .named(hint, token)
+            .or_else(|| self.named(self.last, token))
+        {
+            self.last = e.0;
+            return Ok(Some(e));
+        }
+        let Some(label) = transition(token, &mut self.buf) else {
+            return Err(syntax(line, format!("bad transition {written:?}")));
+        };
+        let found = self.b.event_by_label(label);
+        if let Some(e) = found {
+            self.last = e.0;
+        }
+        Ok(found)
+    }
+
+    /// The destination of `src`'s first declared pair ([`NONE`] if
+    /// none): the likely destination of an entry naming `src`.
+    fn first_dst(&self, src: Option<EventId>) -> u32 {
+        src.and_then(|s| self.specs.get(self.events[s.index()].first_arc as usize))
+            .map_or(NONE, |arc| arc.dst.0)
+    }
+
+    /// The first declared arc of the pair `src -> dst`.
+    fn pair(&self, src: EventId, dst: EventId) -> Option<u32> {
+        let first = self.events[src.index()].first_arc;
+        let arc = self.specs.get(first as usize)?;
+        if arc.dst == dst {
+            Some(first)
+        } else {
+            self.pairs.get(&(src, dst)).copied()
         }
     }
 
     /// Declares the next arc `src -> dst`.
     fn declare(&mut self, src: EventId, dst: EventId) {
         let id = self.specs.len() as u32;
-        let pair = self.pairs.entry((src, dst)).or_insert(Cursors {
-            delay: id,
-            mark: id,
-            last: id,
-        });
-        if pair.last != id {
-            self.specs[pair.last as usize].next = id;
-            pair.last = id;
+        let head = match self.pair(src, dst) {
+            Some(head) => head,
+            None => {
+                let first = &mut self.events[src.index()].first_arc;
+                if *first == NONE {
+                    *first = id;
+                } else {
+                    if self.pairs.capacity() == 0 {
+                        self.pairs.reserve(self.specs.capacity());
+                    }
+                    self.pairs.insert((src, dst), id);
+                }
+                id
+            }
+        };
+        if head != id {
+            let last = std::mem::replace(&mut self.specs[head as usize].last, id);
+            self.specs[last as usize].next = id;
         }
         self.specs.push(ArcSpec {
             src,
             dst,
             delay: None,
             marked: false,
-            next: NO_ARC,
+            next: NONE,
+            delay_at: id,
+            mark_at: id,
+            last: id,
         });
     }
 
@@ -188,24 +299,63 @@ impl Arcs {
         s: &str,
         d: &str,
     ) -> Result<&mut ArcSpec, StgError> {
-        let pair = src
+        let head = src
             .zip(dst)
-            .and_then(|key| self.pairs.get_mut(&key))
+            .and_then(|(src, dst)| self.pair(src, dst))
             .ok_or_else(|| StgError::UnknownArc {
                 src: label_of(s),
                 dst: label_of(d),
             })?;
-        let at = if delay {
-            &mut pair.delay
-        } else {
-            &mut pair.mark
-        };
-        let arc = *at as usize;
-        if self.specs[arc].next != NO_ARC {
-            *at = self.specs[arc].next;
+        let pair = &self.specs[head as usize];
+        let at = if delay { pair.delay_at } else { pair.mark_at };
+        let next = self.specs[at as usize].next;
+        if next != NONE {
+            let pair = &mut self.specs[head as usize];
+            if delay {
+                pair.delay_at = next;
+            } else {
+                pair.mark_at = next;
+            }
         }
-        Ok(&mut self.specs[arc])
+        Ok(&mut self.specs[at as usize])
     }
+
+    /// Resolves a `.marking` / `.delay` entry `s -> d` to its endpoints;
+    /// the tokens are trimmed, and an error shows them as written.
+    fn entry(
+        &mut self,
+        s: &str,
+        d: &str,
+        line: usize,
+    ) -> Result<(Option<EventId>, Option<EventId>), StgError> {
+        let src = self.find(s, NONE, line)?;
+        let hint = self.first_dst(src);
+        Ok((src, self.find(d, hint, line)?))
+    }
+
+    /// Adds the declared arcs to the builder and builds the graph.
+    fn build(mut self, default_delay: f64) -> Result<SignalGraph, StgError> {
+        for arc in &self.specs {
+            let delay = arc.delay.unwrap_or(default_delay);
+            if arc.marked {
+                self.b.marked_arc(arc.src, arc.dst, delay);
+            } else {
+                self.b.arc(arc.src, arc.dst, delay);
+            }
+        }
+        self.b.build().map_err(StgError::Invalid)
+    }
+}
+
+/// The value of `.delay` word `v`, as `str::parse::<f64>` reads it. One
+/// to 15 decimal digits are an integer below 2⁵³, which converts to
+/// `f64` exactly, so they skip the general float parser.
+fn delay_value(v: &str) -> Option<f64> {
+    if (1..=15).contains(&v.len()) && v.bytes().all(|b| b.is_ascii_digit()) {
+        let int = v.bytes().fold(0u64, |n, b| n * 10 + u64::from(b - b'0'));
+        return Some(int as f64);
+    }
+    v.parse().ok()
 }
 
 /// The line with its `#` comment cut off and its ends trimmed.
@@ -214,37 +364,160 @@ fn content(raw: &str) -> &str {
     raw[..end].trim()
 }
 
+/// A byte that belongs to a word.
+const WORD: u8 = 0;
+/// ASCII whitespace other than `\n`: the rest of what
+/// `char::is_whitespace` accepts below 0x80 (`\t`, `\u{b}`, `\u{c}`,
+/// `\r`, space). `u8::is_ascii_whitespace` misses `\u{b}`.
+const SPACE: u8 = 1;
+/// `\n` or `#`: the words of the line end here.
+const END: u8 = 2;
+/// A byte of a multibyte character, which may be whitespace.
+const WIDE: u8 = 3;
+
+/// The class of each byte value.
+const CLASS: [u8; 256] = {
+    let mut class = [WORD; 256];
+    let mut b = 0x80;
+    while b < 256 {
+        class[b] = WIDE;
+        b += 1;
+    }
+    let mut b = b'\t';
+    while b <= b'\r' {
+        class[b as usize] = SPACE;
+        b += 1;
+    }
+    class[b' ' as usize] = SPACE;
+    class[b'\n' as usize] = END;
+    class[b'#' as usize] = END;
+    class
+};
+
+/// A cursor over the lines of a `.g` text and the words of each line:
+/// the words `split_whitespace` finds in the line cut at its first `#`,
+/// found one byte class at a time. A multibyte character is decoded
+/// only to ask whether it is whitespace.
+struct Cursor<'t> {
+    text: &'t str,
+    /// Where the next word search starts; always a character boundary.
+    at: usize,
+    /// Start of the current line.
+    line_start: usize,
+    /// 1-based number of the current line.
+    line: usize,
+}
+
+impl<'t> Cursor<'t> {
+    fn new(text: &'t str) -> Self {
+        Cursor {
+            text,
+            at: 0,
+            line_start: 0,
+            line: 1,
+        }
+    }
+
+    /// Whether the character at `at` (a boundary before a byte of class
+    /// [`WIDE`]) is whitespace, and its length.
+    #[cold]
+    fn wide(&self, at: usize) -> (bool, usize) {
+        let c = self.text[at..].chars().next().unwrap_or_default();
+        (c.is_whitespace(), c.len_utf8())
+    }
+
+    /// The next word of the current line; `None` once its words are
+    /// used up.
+    #[inline]
+    fn word(&mut self) -> Option<&'t str> {
+        let bytes = self.text.as_bytes();
+        let mut at = self.at;
+        let start = loop {
+            let class = bytes.get(at).map_or(END, |&b| CLASS[b as usize]);
+            match class {
+                SPACE => at += 1,
+                WORD => break at,
+                WIDE => match self.wide(at) {
+                    (true, len) => at += len,
+                    (false, _) => break at,
+                },
+                _ => {
+                    self.at = at;
+                    return None;
+                }
+            }
+        };
+        loop {
+            while bytes.get(at).is_some_and(|&b| CLASS[b as usize] == WORD) {
+                at += 1;
+            }
+            if bytes.get(at).is_some_and(|&b| CLASS[b as usize] == WIDE) {
+                if let (false, len) = self.wide(at) {
+                    at += len;
+                    continue;
+                }
+            }
+            break;
+        }
+        self.at = at;
+        Some(&self.text[start..at])
+    }
+
+    /// The current line without its newline, for the one directive
+    /// that reads its line as text (`.marking`).
+    fn raw_line(&self) -> &'t str {
+        let rest = &self.text[self.line_start..];
+        rest.find('\n').map_or(rest, |end| &rest[..end])
+    }
+
+    /// Moves to the start of the next line, skipping what is left of
+    /// this one unread; `false` at the end of the text.
+    fn next_line(&mut self) -> bool {
+        if self.text.as_bytes().get(self.at) != Some(&b'\n') {
+            let Some(end) = self.text[self.at..].find('\n') else {
+                return false;
+            };
+            self.at += end;
+        }
+        self.at += 1;
+        self.line_start = self.at;
+        self.line += 1;
+        true
+    }
+}
+
 /// Bounds on the events, the arcs and the label bytes of a `.g` text,
 /// from one scan of its arc lines up to the first `.marking`, `.delay`
 /// or `.end` directive: each event is first named by an arc-line token,
 /// whose label is as long as the token, and each arc-line token after
-/// the first declares one arc.
+/// the first declares one arc. Other directive lines are skipped
+/// unread.
 ///
 /// The bounds size allocations and nothing else. A text that declares
 /// arcs after those directives still loads; it may only reallocate on
 /// the way.
 fn bounds(text: &str) -> (usize, usize, usize) {
+    const STOP: [&str; 3] = ["marking", "delay", "end"];
     let (mut tokens, mut arcs, mut bytes) = (0, 0, 0);
-    for line in text.lines() {
-        if let Some(directive) = line.trim_start().strip_prefix('.') {
-            if ["marking", "delay", "end"]
-                .iter()
-                .any(|d| directive.starts_with(d))
-            {
-                break;
+    let mut words = Cursor::new(text);
+    loop {
+        if let Some(first) = words.word() {
+            match first.strip_prefix('.') {
+                Some(directive) if STOP.iter().any(|d| directive.starts_with(d)) => break,
+                Some(_) => {}
+                None => {
+                    bytes += first.len();
+                    tokens += 1;
+                    while let Some(word) = words.word() {
+                        bytes += word.len();
+                        tokens += 1;
+                        arcs += 1;
+                    }
+                }
             }
-            continue;
         }
-        let mut words = content(line).split_whitespace();
-        let Some(first) = words.next() else {
-            continue;
-        };
-        bytes += first.len();
-        tokens += 1;
-        for word in words {
-            bytes += word.len();
-            tokens += 1;
-            arcs += 1;
+        if !words.next_line() {
+            break;
         }
     }
     (tokens, arcs, bytes)
@@ -252,12 +525,20 @@ fn bounds(text: &str) -> (usize, usize, usize) {
 
 /// Parses `.g` text into a validated [`SignalGraph`].
 ///
-/// Loading is linear in the text size. A first scan bounds the number
-/// of events, arcs and label bytes, so the graph's flat arrays are
-/// allocated once, whatever the size of the text. The second pass
-/// borrows every token from the text and interns each transition
-/// through the builder's label index; `.marking` / `.delay` entries find
-/// their arc by hashed lookup of the event pair.
+/// Loading is linear in the text size: the arc lines are read twice and
+/// every other line once. A first scan of the arc lines bounds the
+/// number of events, arcs and label bytes, so the graph's flat arrays
+/// are allocated once, whatever the size of the text. The second scan
+/// walks the text one line at a time with a byte-class table: it splits
+/// words exactly as `split_whitespace` does on the line cut at its
+/// first `#`, skips ignored directives (`.model`, `.outputs`, …) to
+/// their newline unread, borrows every token from the text and interns
+/// each new transition through the builder's keyed label index. A
+/// token equal to the one resolved before it, or to the destination of
+/// its source's first pair, is resolved by comparing bytes, and a
+/// `.marking` / `.delay` entry finds its arc through its source's first
+/// pair or, for a source's later pairs, a keyed pair index: O(1) per
+/// entry whatever a source's out-degree.
 ///
 /// Parallel arcs — one pair `src -> dst` declared more than once — keep
 /// their own data: the k-th `.delay` line of a pair and the k-th
@@ -273,108 +554,84 @@ fn bounds(text: &str) -> (usize, usize, usize) {
 /// dangling marking/delay references, or structural invalidity of the
 /// resulting graph.
 pub fn parse_stg(text: &str, options: StgOptions) -> Result<SignalGraph, StgError> {
-    let (events, arc_bound, label_bytes) = bounds(text);
-    let mut b = SignalGraphBuilder::with_capacity(events, arc_bound, label_bytes);
-    let mut arcs = Arcs::with_capacity(arc_bound);
-    let mut buf = String::new();
+    let mut g = Graph::new(bounds(text));
     let mut in_graph = false;
+    let mut words = Cursor::new(text);
 
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let mut toks = content(raw).split_whitespace();
-        let Some(first) = toks.next() else {
-            continue;
-        };
-        let bad_transition = |tok: &str| syntax(lineno, format!("bad transition {tok:?}"));
-        if let Some(name) = first.strip_prefix('.') {
-            // `.graph` and `. graph` both name the directive `graph`.
-            let name = if name.is_empty() {
-                toks.next()
-            } else {
-                Some(name)
-            };
-            match name {
-                Some("graph") => in_graph = true,
-                Some("end") => in_graph = false,
-                Some("marking") => {
-                    let body = content(raw)[1..]
-                        .strip_prefix("marking")
-                        .unwrap_or("")
-                        .trim()
-                        .trim_start_matches('{')
-                        .trim_end_matches('}');
-                    for tok in body.split('<') {
-                        let tok = tok.trim().trim_end_matches('>').trim();
-                        if tok.is_empty() {
-                            continue;
+    loop {
+        if let Some(first) = words.word() {
+            let lineno = words.line;
+            if let Some(name) = first.strip_prefix('.') {
+                // `.graph` and `. graph` both name the directive `graph`.
+                let name = if name.is_empty() {
+                    words.word()
+                } else {
+                    Some(name)
+                };
+                match name {
+                    Some("graph") => in_graph = true,
+                    Some("end") => in_graph = false,
+                    Some("marking") => {
+                        let body = content(words.raw_line())[1..]
+                            .strip_prefix("marking")
+                            .unwrap_or("")
+                            .trim()
+                            .trim_start_matches('{')
+                            .trim_end_matches('}');
+                        for tok in body.split('<') {
+                            let tok = tok.trim().trim_end_matches('>').trim();
+                            if tok.is_empty() {
+                                continue;
+                            }
+                            let (s, d) = tok.split_once(',').ok_or_else(|| {
+                                syntax(lineno, format!("bad marking token {tok:?}"))
+                            })?;
+                            let ends = g.entry(s, d, lineno)?;
+                            g.bind(false, ends, s.trim(), d.trim())?.marked = true;
                         }
-                        let (s, d) = tok
-                            .split_once(',')
-                            .ok_or_else(|| syntax(lineno, format!("bad marking token {tok:?}")))?;
-                        let src =
-                            transition(s.trim(), &mut buf).ok_or_else(|| bad_transition(s))?;
-                        let src = b.event_by_label(src);
-                        let dst =
-                            transition(d.trim(), &mut buf).ok_or_else(|| bad_transition(d))?;
-                        let dst = b.event_by_label(dst);
-                        arcs.bind(false, (src, dst), s.trim(), d.trim())?.marked = true;
                     }
-                }
-                Some("delay") => {
-                    let (Some(s), Some(d), Some(v), None) =
-                        (toks.next(), toks.next(), toks.next(), toks.next())
-                    else {
-                        return Err(syntax(lineno, "expected `.delay SRC DST VALUE`"));
-                    };
-                    let src = transition(s, &mut buf).ok_or_else(|| bad_transition(s))?;
-                    let src = b.event_by_label(src);
-                    let dst = transition(d, &mut buf).ok_or_else(|| bad_transition(d))?;
-                    let dst = b.event_by_label(dst);
-                    let value: f64 = v
-                        .parse()
-                        .map_err(|_| syntax(lineno, format!("bad delay {v:?}")))?;
-                    if Delay::new(value).is_err() {
-                        let (s, d) = (label_of(s), label_of(d));
-                        return Err(syntax(
-                            lineno,
-                            format!("bad delay {v:?} on {s} -> {d}: must be finite and >= 0"),
-                        ));
+                    Some("delay") => {
+                        let (Some(s), Some(d), Some(v), None) =
+                            (words.word(), words.word(), words.word(), words.word())
+                        else {
+                            return Err(syntax(lineno, "expected `.delay SRC DST VALUE`"));
+                        };
+                        let ends = g.entry(s, d, lineno)?;
+                        let value = delay_value(v)
+                            .ok_or_else(|| syntax(lineno, format!("bad delay {v:?}")))?;
+                        if Delay::new(value).is_err() {
+                            let (s, d) = (label_of(s), label_of(d));
+                            return Err(syntax(
+                                lineno,
+                                format!("bad delay {v:?} on {s} -> {d}: must be finite and >= 0"),
+                            ));
+                        }
+                        g.bind(true, ends, s, d)?.delay = Some(value);
                     }
-                    arcs.bind(true, (src, dst), s, d)?.delay = Some(value);
+                    // interface declarations carry no structure we need
+                    Some("model") | Some("inputs") | Some("outputs") | Some("internal")
+                    | Some("dummy") | Some("name") => {}
+                    Some(other) => {
+                        return Err(syntax(lineno, format!("unknown directive .{other}")))
+                    }
+                    None => return Err(syntax(lineno, "empty directive")),
                 }
-                // interface declarations carry no structure we need
-                Some("model") | Some("inputs") | Some("outputs") | Some("internal")
-                | Some("dummy") | Some("name") => {}
-                Some(other) => return Err(syntax(lineno, format!("unknown directive .{other}"))),
-                None => return Err(syntax(lineno, "empty directive")),
+            } else {
+                if !in_graph {
+                    return Err(syntax(lineno, "arc outside .graph section"));
+                }
+                let src = g.intern(first, lineno)?;
+                while let Some(dst) = words.word() {
+                    let dst = g.intern(dst, lineno)?;
+                    g.declare(src, dst);
+                }
             }
-            continue;
         }
-        if !in_graph {
-            return Err(syntax(lineno, "arc outside .graph section"));
-        }
-        let mut intern = |tok: &str| match transition(tok, &mut buf) {
-            Some(label) => Ok(b.intern(label)),
-            None => Err(StgError::NotMarkedGraph {
-                line: lineno,
-                token: tok.to_owned(),
-            }),
-        };
-        let src = intern(first)?;
-        for dst_tok in toks {
-            arcs.declare(src, intern(dst_tok)?);
+        if !words.next_line() {
+            break;
         }
     }
-
-    for arc in &arcs.specs {
-        let delay = arc.delay.unwrap_or(options.default_delay);
-        if arc.marked {
-            b.marked_arc(arc.src, arc.dst, delay);
-        } else {
-            b.arc(arc.src, arc.dst, delay);
-        }
-    }
-    b.build().map_err(StgError::Invalid)
+    g.build(options.default_delay)
 }
 
 #[cfg(test)]
@@ -629,6 +886,48 @@ x- x+
         let text = ".graph\né+ é-\né- é+\n.marking { <é-,é+> }\n.end\n";
         let sg = parse_stg(text, StgOptions::default()).unwrap();
         assert!(sg.event_by_label("é+").is_some());
+    }
+
+    #[test]
+    fn byte_classes_agree_with_char_whitespace() {
+        for b in 0..=255u8 {
+            let want = match b {
+                b'\n' | b'#' => END,
+                0x80.. => WIDE,
+                _ if char::from(b).is_whitespace() => SPACE,
+                _ => WORD,
+            };
+            assert_eq!(CLASS[usize::from(b)], want, "byte {b:#x}");
+        }
+    }
+
+    #[test]
+    fn delay_values_read_as_str_parse_reads_them() {
+        let words = [
+            "0",
+            "7",
+            "007",
+            "10",
+            "999999999999999",
+            "9999999999999999",
+            "123456789012345",
+            "1.5",
+            "1e3",
+            "+3",
+            "-0",
+            "inf",
+            "NaN",
+            "",
+            "3x",
+            "٣",
+        ];
+        for v in words {
+            assert_eq!(
+                delay_value(v).map(f64::to_bits),
+                v.parse::<f64>().ok().map(f64::to_bits),
+                "{v:?}"
+            );
+        }
     }
 
     #[test]
