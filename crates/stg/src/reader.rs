@@ -154,17 +154,14 @@ struct Named<'t> {
 /// token holds no `#`, so its label spells it back. A token equal to
 /// the last resolved event's first token therefore resolves without a
 /// label lookup, and so does an entry's destination when it is the
-/// destination of its source's first declared pair. That pair is found
-/// without hashing it; only a source's second and later pairs go
-/// through the hashed pair index. Every lookup is O(1) whatever a
-/// source's out-degree.
+/// destination of its source's first declared arc. Pairs are found
+/// through a keyed pair index, O(1) whatever a source's out-degree.
 struct Graph<'t> {
     b: SignalGraphBuilder,
     specs: Vec<ArcSpec>,
     /// By event id.
     events: Vec<Named<'t>>,
-    /// `(src, dst)` → the pair's first arc, for each pair that is not
-    /// its source's first.
+    /// `(src, dst)` → the pair's first arc.
     pairs: HashMap<(EventId, EventId), u32>,
     /// The last event a token resolved to ([`NONE`] before the first).
     last: u32,
@@ -178,7 +175,7 @@ impl<'t> Graph<'t> {
             b: SignalGraphBuilder::with_capacity(events, arcs, label_bytes),
             specs: Vec::with_capacity(arcs),
             events: Vec::with_capacity(events),
-            pairs: HashMap::new(),
+            pairs: HashMap::with_capacity(arcs),
             last: NONE,
             buf: String::new(),
         }
@@ -234,42 +231,21 @@ impl<'t> Graph<'t> {
         Ok(found)
     }
 
-    /// The destination of `src`'s first declared pair ([`NONE`] if
+    /// The destination of `src`'s first declared arc ([`NONE`] if
     /// none): the likely destination of an entry naming `src`.
     fn first_dst(&self, src: Option<EventId>) -> u32 {
         src.and_then(|s| self.specs.get(self.events[s.index()].first_arc as usize))
             .map_or(NONE, |arc| arc.dst.0)
     }
 
-    /// The first declared arc of the pair `src -> dst`.
-    fn pair(&self, src: EventId, dst: EventId) -> Option<u32> {
-        let first = self.events[src.index()].first_arc;
-        let arc = self.specs.get(first as usize)?;
-        if arc.dst == dst {
-            Some(first)
-        } else {
-            self.pairs.get(&(src, dst)).copied()
-        }
-    }
-
     /// Declares the next arc `src -> dst`.
     fn declare(&mut self, src: EventId, dst: EventId) {
         let id = self.specs.len() as u32;
-        let head = match self.pair(src, dst) {
-            Some(head) => head,
-            None => {
-                let first = &mut self.events[src.index()].first_arc;
-                if *first == NONE {
-                    *first = id;
-                } else {
-                    if self.pairs.capacity() == 0 {
-                        self.pairs.reserve(self.specs.capacity());
-                    }
-                    self.pairs.insert((src, dst), id);
-                }
-                id
-            }
-        };
+        let head = *self.pairs.entry((src, dst)).or_insert(id);
+        let first = &mut self.events[src.index()].first_arc;
+        if *first == NONE {
+            *first = id;
+        }
         if head != id {
             let last = std::mem::replace(&mut self.specs[head as usize].last, id);
             self.specs[last as usize].next = id;
@@ -301,7 +277,7 @@ impl<'t> Graph<'t> {
     ) -> Result<&mut ArcSpec, StgError> {
         let head = src
             .zip(dst)
-            .and_then(|(src, dst)| self.pair(src, dst))
+            .and_then(|key| self.pairs.get(&key).copied())
             .ok_or_else(|| StgError::UnknownArc {
                 src: label_of(s),
                 dst: label_of(d),
@@ -535,10 +511,9 @@ fn bounds(text: &str) -> (usize, usize, usize) {
 /// their newline unread, borrows every token from the text and interns
 /// each new transition through the builder's keyed label index. A
 /// token equal to the one resolved before it, or to the destination of
-/// its source's first pair, is resolved by comparing bytes, and a
-/// `.marking` / `.delay` entry finds its arc through its source's first
-/// pair or, for a source's later pairs, a keyed pair index: O(1) per
-/// entry whatever a source's out-degree.
+/// its source's first declared arc, is resolved by comparing bytes, and
+/// a `.marking` / `.delay` entry finds its arc through a keyed pair
+/// index: O(1) per entry whatever a source's out-degree.
 ///
 /// Parallel arcs — one pair `src -> dst` declared more than once — keep
 /// their own data: the k-th `.delay` line of a pair and the k-th
