@@ -43,9 +43,10 @@ pub fn karp_cycle_time(sg: &SignalGraph) -> Option<CycleTime> {
 /// O(b²)).
 ///
 /// Karp needs no cell budget of its own: its weight matrix and table
-/// hold 2b² + b cells, below the `analysis_cells(n, b, b)` ≥ 4b² + 2b
-/// that the nominal analysis is refused at (`AnalysisError::TooLarge`)
-/// before any report runs the baselines, for any n ≥ b.
+/// hold 2b² + b cells, below the `analysis_cells(n, b, b)` =
+/// 2n·w + (b + n)(b + 1) ≥ 4b² + 2b (lane stride w ≥ b) that the
+/// nominal analysis is refused at (`AnalysisError::TooLarge`) before
+/// any report runs the baselines, for any n ≥ b.
 ///
 /// # Errors
 ///

@@ -11,6 +11,7 @@ use tsg_core::analysis::wide::AnalysisArena;
 use tsg_core::analysis::{CycleTimeAnalysis, KernelBackend, ScenarioSet};
 use tsg_core::{ArcId, EventId, SignalGraph};
 use tsg_sim::EventQueue;
+use tsg_stg::{parse_stg, StgOptions};
 
 /// Upper bound of [`delay`]'s distribution.
 pub const DELAY_BOUND: f64 = 8.25;
@@ -89,14 +90,25 @@ pub fn ring_with_chords_text(events: usize) -> String {
 
 /// The tracked workloads of the `wide-vs-scalar` scenario: rings and
 /// tori at border counts b ∈ {4, 8, 32} (a ring's border count is its
-/// token count; an `h × w` torus has `h + w - 1` border events) plus
-/// seeded random live graphs. The `bench` binary and `tests/wide.rs`
-/// both iterate this exact list, so the tracked speedups and the
-/// bit-identity property tests cover the same graphs by construction.
+/// token count; an `h × w` torus has `h + w - 1` border events), the
+/// ring-with-chords skeletons of [`ring_with_chords_text`] at 1024
+/// events (b = 37) and 512 (b = 17), whose lane counts leave padding
+/// lanes, plus seeded random live graphs. The `bench` binary and
+/// `tests/wide.rs` both iterate this exact list, so the tracked
+/// speedups and the bit-identity property tests cover the same graphs
+/// by construction.
 pub fn wide_scenarios() -> Vec<(String, SignalGraph)> {
     let mut out: Vec<(String, SignalGraph)> = Vec::new();
     for b in [4usize, 8, 32] {
         out.push((format!("ring n=1024 b={b}"), tsg_gen::ring(1024, b, 1.0)));
+    }
+    for events in [1024usize, 512] {
+        let sg = parse_stg(&ring_with_chords_text(events), StgOptions::default())
+            .expect("written text parses");
+        out.push((
+            format!("chords n={events} b={}", sg.border_events().len()),
+            sg,
+        ));
     }
     for (h, w) in [(2usize, 3usize), (4, 5), (16, 17)] {
         out.push((
@@ -175,9 +187,10 @@ pub fn assert_wide_matches_scalar(sg: &SignalGraph, ctx: &str) {
 
 /// The explicit wide-kernel backends this CPU can run, narrowest
 /// first — always starts with [`KernelBackend::Portable`], then AVX2
-/// when the feature is present, so the sweeps can pin each one.
+/// and AVX-512 when the features are present, so the sweeps can pin
+/// each one.
 pub fn available_backends() -> Vec<KernelBackend> {
-    [KernelBackend::Portable, KernelBackend::Avx2]
+    KernelBackend::ALL
         .into_iter()
         .filter(|b| b.available())
         .collect()

@@ -41,7 +41,7 @@ USAGE:
     tsg serve [--threads N] [--max-sessions N] [--max-pending N]
               [--default-deadline MS] [--drain-deadline MS]
               [--io-timeout MS] [--max-request-bytes N]
-              [--max-connections N]
+              [--max-connections N] [--chaos SPEC]
               [--listen tcp:HOST:PORT | --listen unix:PATH]
     tsg ping {tcp:HOST:PORT|unix:PATH} [--count N] [--deadline-ms MS]
              [--retries N] [--max-backoff-ms MS]
@@ -63,10 +63,11 @@ Several files run one after another, in input order.
 `analyze` runs the b border simulations of each analysis — the
 nominal one and every scenario's of a --corners or --samples sweep — in
 one lockstep pass of the SIMD-friendly wide kernel on one thread. The
-CPU picks the wide-kernel backend (AVX2 where available, else the
-portable loop); all backends are bit-identical. `--baselines` checks τ
-against the two exact, polynomial comparators: Howard's policy
-iteration and Karp's algorithm.
+CPU picks the wide-kernel backend (AVX-512 where available, else AVX2,
+else the portable loop; the `TSG_KERNEL` environment variable forces
+one of `portable|avx2|avx512`); all backends are bit-identical.
+`--baselines` checks τ against the two exact, polynomial comparators:
+Howard's policy iteration and Karp's algorithm.
 
 `analyze --corners min,typ,max` sweeps delay corners, one analysis of
 the reweighted graph per corner — every arc derated by `--derate` PCT
@@ -125,8 +126,9 @@ Ctrl-C, in-flight work gets that long before being cancelled.
 `--io-timeout MS` closes any connection, stdin/stdout included, that
 makes no progress for MS milliseconds, so stalled clients cannot hold
 it forever; `--max-request-bytes N` (default 1048576) bounds one
-request line. The `TSG_CHAOS` environment variable arms fault
-injection (see the README's Operations section).
+request line. `--chaos SPEC` arms fault injection for testing
+(`panic=N,delay=N:MS,garble=N,...`; see the README's Operations
+section); nothing in the environment does.
 
 `ping` is the matching load probe: it sends `--count N` stats requests
 (default 1), redials after a cut connection (the cut probe counts as
@@ -665,6 +667,11 @@ fn run(args: &[String]) -> Result<String, Failure> {
                                 .filter(|&n: &usize| n >= 1)
                                 .ok_or("--max-connections needs a positive integer")?,
                         );
+                    }
+                    "--chaos" => {
+                        i += 1;
+                        let spec = args.get(i).ok_or("--chaos needs a fault spec")?;
+                        opts.chaos = opts.chaos.with_spec(spec);
                     }
                     "--listen" => {
                         i += 1;

@@ -196,6 +196,57 @@ fn single_worker_stats_count_exactly() {
     assert_eq!(responses[3].get("threads"), Some(&Json::Num(1.0)));
 }
 
+/// Fault injection is armed by `--chaos` only: a `TSG_CHAOS` left in
+/// the environment of a plain `tsg serve` injects nothing, and the same
+/// spec passed as `--chaos` panics every request.
+#[test]
+fn chaos_is_armed_by_the_flag_not_the_environment() {
+    let script: String = (1..=6)
+        .map(|i| format!("{{\"id\":{i},\"cmd\":\"stats\"}}\n"))
+        .collect();
+    let run = |env: Option<&str>, extra: &[&str]| {
+        let mut cmd = tsg();
+        cmd.arg("serve")
+            .args(["--threads", "1"])
+            .args(extra)
+            .env_remove("TSG_CHAOS");
+        if let Some(spec) = env {
+            cmd.env("TSG_CHAOS", spec);
+        }
+        let mut child = cmd
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn tsg serve");
+        child
+            .stdin
+            .take()
+            .expect("piped stdin")
+            .write_all(script.as_bytes())
+            .expect("write script");
+        let out = child.wait_with_output().expect("serve exits on EOF");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("UTF-8")
+    };
+    let plain = run(Some("panic=1"), &[]);
+    assert_eq!(plain.lines().count(), 6, "{plain}");
+    for line in plain.lines() {
+        let response = Json::parse(line).expect("response lines are JSON");
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{line}");
+    }
+    let armed = run(None, &["--chaos", "panic=1"]);
+    assert_eq!(armed.lines().count(), 6, "{armed}");
+    assert!(
+        armed.lines().all(|l| l.contains("injected worker panic")),
+        "{armed}"
+    );
+}
+
 #[test]
 fn session_script_through_the_binary_matches_explore() {
     let (osc_g, _, _) = fixtures();
@@ -364,6 +415,9 @@ fn serve_rejects_bad_flags() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    let out = tsg().args(["serve", "--chaos"]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--chaos"));
 }
 
 /// A `.g` simulation over billions of periods is refused from its

@@ -226,15 +226,20 @@ impl From<Cancelled> for AnalysisError {
 }
 
 /// The time cells one analysis keeps, in checked arithmetic: a two-row
-/// window of `events × lanes` cells per row plus an origin strip of
-/// `lanes × (periods + 1)` cells for the `lanes` border lanes, and
-/// `events × (periods + 1)` more for the winner's parent-tracked
-/// re-run. `None` when the count overflows.
+/// window of `events × w` cells per row, where the lane stride
+/// `w = lanes.next_multiple_of(4)` pads the `lanes` border lanes to
+/// whole 4-lane blocks, plus an origin strip of `lanes × (periods + 1)`
+/// cells, and `events × (periods + 1)` more for the winner's
+/// parent-tracked re-run. `None` when the count overflows.
 pub fn analysis_cells(events: usize, lanes: usize, periods: u32) -> Option<usize> {
     let rows = (periods as usize).checked_add(1)?;
-    let per_lane = events.checked_mul(2)?.checked_add(rows)?;
-    let windows = lanes.checked_mul(per_lane)?;
-    windows.checked_add(events.checked_mul(rows)?)
+    let window = events
+        .checked_mul(2)?
+        .checked_mul(lanes.checked_next_multiple_of(4)?)?;
+    let strip = lanes.checked_mul(rows)?;
+    window
+        .checked_add(strip)?
+        .checked_add(events.checked_mul(rows)?)
 }
 
 /// `Ok` when `cells` fits in [`MAX_CELLS`], else `refuse(cells)`, with

@@ -12,10 +12,10 @@
 //! **lane-major**:
 //!
 //! ```text
-//! times[(s · n + e) · lanes + k]  =  t_{gk,0}(e_p)      (lane k = border event g_k, slot s = p % 2)
+//! times[(s · n + e) · w + k]  =  t_{gk,0}(e_p)      (lane k = border event g_k, slot s = p % 2)
 //!
-//!           ┌ lane 0 ┬ lane 1 ┬ … ┬ lane b-1 ┐   ← contiguous f64s per (p, e)
-//! row p:    │  e = 0 cell      │  e = 1 cell │ …
+//!           ┌ lane 0 ┬ lane 1 ┬ … ┬ lane b-1 ┬ padding ┐   ← w contiguous f64s per (p, e)
+//! row p:    │  e = 0 cell                              │  e = 1 cell │ …
 //! ```
 //!
 //! so one traversal of the in-arc table feeds `b` contiguous lanes: per
@@ -24,15 +24,27 @@
 //! traffic drops by a factor of `b` and the arithmetic widens to the
 //! machine's vector width.
 //!
+//! # The lane stride
+//!
+//! A cell is `w = b.next_multiple_of(4)` lanes wide, so every lane
+//! operation works on whole 4-lane blocks and no backend has a
+//! remainder to mask. The `w − b` padding lanes run the recurrence like
+//! any lane whose origin is never pinned: they start `NEG_INFINITY` and
+//! stay so, and neither the strip nor the records read them. Whole
+//! blocks matter beyond the saved mask: each event reads the cell its
+//! ring predecessor has just written, and a masked store does not
+//! forward to the load that follows it, so a masked tail stalls every
+//! event of the row.
+//!
 //! # Two rows kept
 //!
 //! Row `p` reads only row `p − 1` (marked arcs) and itself (unmarked
 //! arcs, in topological order), and the cycle-time records read only
 //! each lane's origin cell `t_{gk,0}(g_{k,p})`. So the kernel keeps two
-//! row slots — row `p` in slot `p % 2` — plus a `lanes × (periods + 1)`
+//! row slots — row `p` in slot `p % 2` — plus a `b × (periods + 1)`
 //! strip of origin cells, filled after every row. On a 1024-event graph
-//! with `b = 37` that is 0.6 MB of rows where the full `(b + 1)`-row
-//! matrix would be 11.5 MB. Every analysis — one-shot runs, each
+//! with `b = 37` (`w = 40`) that is 0.66 MB of rows where the full
+//! `(b + 1)`-row matrix would be 11.5 MB. Every analysis — one-shot runs, each
 //! scenario of a sweep and session edits alike — runs in this window,
 //! which lives in an [`AnalysisArena`]; the kernel itself is
 //! crate-private. This module's tests check both resident rows of every
@@ -41,25 +53,23 @@
 //! # Explicit SIMD and runtime dispatch
 //!
 //! The portable lane loop is autovectorizer-friendly, but the x86-64
-//! baseline only guarantees 128-bit SSE2 — a portable build leaves half
-//! of an AVX2 machine's vector width on the table. [`KernelBackend`]
-//! closes that gap with an explicit `core::arch::x86_64` path over the
-//! contiguous lane dimension:
+//! baseline only guarantees 128-bit SSE2 — a portable build leaves most
+//! of an AVX2 or AVX-512 machine's vector width on the table.
+//! [`KernelBackend`] closes that gap with explicit `core::arch::x86_64`
+//! paths over the contiguous lane dimension:
 //!
-//! | backend    | lane step | instructions                         | remainder lanes          |
-//! |------------|-----------|--------------------------------------|--------------------------|
-//! | `Avx2`     | 4 × f64   | `_mm256_add_pd` / `_mm256_max_pd`    | `_mm256_maskload_pd` / `_mm256_maskstore_pd` |
-//! | `Portable` | compiler  | autovectorized scalar loop           | n/a                      |
+//! | backend    | per 4-lane block                                   | CPU check |
+//! |------------|----------------------------------------------------|-----------|
+//! | `Avx512`   | one `zmm` per pair (`_mm512_add_pd` / `_mm512_max_pd`), one `ymm` for an odd last block | `avx512f` |
+//! | `Avx2`     | one `ymm` (`_mm256_add_pd` / `_mm256_max_pd`)      | `avx2`    |
+//! | `Portable` | one `[f64; 4]` loop, autovectorized                | none      |
 //!
-//! Both backends run one row function; they differ only in the two
-//! per-arc lane operations (`first`, `fold`). The portable loop is
-//! instantiated at constant lane counts 4, 8, 16 and 32, so its lane
-//! loops compile with a constant trip count; other lane counts run a
-//! dynamic-width instantiation.
+//! Every backend runs one row function; they differ only in the two
+//! per-arc lane operations (`first`, `fold`).
 //!
 //! Selection is **runtime** dispatch: [`KernelBackend::detect`] picks
 //! the widest feature `is_x86_feature_detected!` reports (overridable
-//! through the `TSG_KERNEL` environment variable), and the `unsafe`
+//! through the `TSG_KERNEL` environment variable), and each `unsafe`
 //! dispatch branch carries its *own* `is_x86_feature_detected!` guard,
 //! so no intrinsic block can execute without the CPU check that makes
 //! it sound. The portable loop is the guaranteed fallback on every
@@ -68,8 +78,8 @@
 //! The SIMD paths are bit-identical to the portable loop (and hence to
 //! the scalar oracle): `src + δ` maps to a vector `add`, and the scalar
 //! `if cand > best { best = cand }` maps to `max_pd(cand, best)` — x86
-//! `MAXPD` returns its *second* operand on ties, so ties keep `best`
-//! exactly like the strict `>`. No lane is ever NaN (delays are finite
+//! `MAXPD` returns its *second* operand on ties, at every vector width,
+//! so ties keep `best` exactly like the strict `>`. No lane is ever NaN (delays are finite
 //! and `NEG_INFINITY + δ` stays `NEG_INFINITY`), so `MAXPD`'s NaN corner
 //! is unreachable. Lane storage lives on a 64-byte-aligned allocation,
 //! so rows start on cache-line boundaries: vector loads never split a
@@ -119,9 +129,9 @@ use crate::graph::SignalGraph;
 ///
 /// The CPU picks it: [`KernelBackend::detect`] returns the widest path
 /// the machine supports, and every production arena runs on that.
-/// `Portable` is the autovectorized fallback loop, `Avx2` the
-/// explicit-SIMD path. All backends are bit-identical, so the choice
-/// only moves the time. The serve `stats` op reports the detected
+/// `Portable` is the autovectorized fallback loop, `Avx2` and `Avx512`
+/// the explicit-SIMD paths. All backends are bit-identical, so the
+/// choice only moves the time. The serve `stats` op reports the detected
 /// backend, and the `TSG_KERNEL` environment variable forces one (the
 /// CI rerun on the fallback loop uses it).
 ///
@@ -140,21 +150,32 @@ pub enum KernelBackend {
     Portable,
     /// Explicit 4-wide `_mm256_add_pd`/`_mm256_max_pd` over the lanes.
     Avx2,
+    /// Explicit 8-wide `_mm512_add_pd`/`_mm512_max_pd` over pairs of
+    /// 4-lane blocks, one 4-wide block for an odd trailing one.
+    Avx512,
 }
 
 impl KernelBackend {
-    /// The lowercase name (`portable`, `avx2`) — what `TSG_KERNEL`
-    /// takes and the serve `stats` op reports.
+    /// Every backend, narrowest first.
+    pub const ALL: [KernelBackend; 3] = [
+        KernelBackend::Portable,
+        KernelBackend::Avx2,
+        KernelBackend::Avx512,
+    ];
+
+    /// The lowercase name (`portable`, `avx2`, `avx512`) — what
+    /// `TSG_KERNEL` takes and the serve `stats` op reports.
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Portable => "portable",
             KernelBackend::Avx2 => "avx2",
+            KernelBackend::Avx512 => "avx512",
         }
     }
 
     /// The backend `name` names, ignoring ASCII case.
     fn named(name: &str) -> Option<KernelBackend> {
-        [KernelBackend::Portable, KernelBackend::Avx2]
+        Self::ALL
             .into_iter()
             .find(|b| b.name().eq_ignore_ascii_case(name))
     }
@@ -165,8 +186,10 @@ impl KernelBackend {
             KernelBackend::Portable => true,
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            KernelBackend::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
             #[cfg(not(target_arch = "x86_64"))]
-            KernelBackend::Avx2 => false,
+            KernelBackend::Avx2 | KernelBackend::Avx512 => false,
         }
     }
 
@@ -184,10 +207,11 @@ impl KernelBackend {
                 .ok()
                 .and_then(|name| Self::named(&name))
                 .filter(|b| b.available())
-                .unwrap_or(if KernelBackend::Avx2.available() {
-                    KernelBackend::Avx2
-                } else {
-                    KernelBackend::Portable
+                .unwrap_or_else(|| {
+                    Self::ALL
+                        .into_iter()
+                        .rfind(|b| b.available())
+                        .unwrap_or(KernelBackend::Portable)
                 })
         })
     }
@@ -257,10 +281,16 @@ impl AlignedF64Vec {
     /// with `value` (cells below `old_len` keep their contents), shrink
     /// just drops length — so callers' stale-cell reasoning carries over
     /// from the plain `Vec` unchanged.
+    ///
+    /// Growth reserves exactly the lines `new_len` needs, so the
+    /// capacity is the largest length asked for, rounded up to a line —
+    /// never more than the cell budget counted for it.
     fn resize(&mut self, new_len: usize, value: f64) {
         let old = self.len;
+        let lines = new_len.div_ceil(8);
         self.chunks
-            .resize(new_len.div_ceil(8), CacheLine([value; 8]));
+            .reserve_exact(lines.saturating_sub(self.chunks.len()));
+        self.chunks.resize(lines, CacheLine([value; 8]));
         self.len = new_len;
         if new_len > old {
             self.as_mut_slice()[old..].fill(value);
@@ -274,8 +304,8 @@ impl AlignedF64Vec {
 #[derive(Clone, Debug)]
 pub(crate) struct WideArena {
     /// Two lane-major rows on a 64-byte-aligned allocation:
-    /// `times[(s * n + e) * lanes + k]` holds row `p` in slot
-    /// `s = p % 2`.
+    /// `times[(s * n + e) * w + k]` holds row `p` in slot `s = p % 2`,
+    /// with the lane stride `w` of [`lane_stride`].
     times: AlignedF64Vec,
     /// Each lane's origin cell per row, lane-major:
     /// `strip[k * p_total + p] = t_{gk,0}(g_{k,p})` — everything the
@@ -311,12 +341,12 @@ impl WideArena {
     /// Callers pass border events — non-empty, repetitive — and
     /// `periods ≥ 1`, which the analysis entry points guarantee.
     ///
-    /// This is the runtime dispatch point of [`KernelBackend`]: the AVX2
-    /// row runs only when `avx2` is set, and `avx2` is set only by its
-    /// own `is_x86_feature_detected!` check, so the `unsafe` call can
-    /// never execute without the CPU check that makes it sound.
-    /// Anything that fails the check — and every non-x86 build — runs
-    /// the portable row.
+    /// This is the runtime dispatch point of [`KernelBackend`]: the
+    /// AVX-512 row runs only when `avx512` is set and the AVX2 row only
+    /// when `avx2` is, and each is set only by its own
+    /// `is_x86_feature_detected!` check, so no `unsafe` call can execute
+    /// without the CPU check that makes it sound. Anything that fails
+    /// its check — and every non-x86 build — runs the portable row.
     pub(crate) fn run_with(
         &mut self,
         sg: &SignalGraph,
@@ -328,31 +358,38 @@ impl WideArena {
         debug_assert!(periods >= 1 && !origins.is_empty());
         debug_assert!(origins.iter().all(|&g| sg.is_repetitive(g)));
         let (n, lanes) = (sg.event_count(), origins.len());
+        let w = lane_stride(lanes);
         let p_total = periods as usize + 1;
         self.p_total = p_total;
 
         // `resize` touches existing capacity only: after the first run
         // of this shape, no allocator traffic. No global fill: the
         // recurrence overwrites every repetitive event's cell in every
-        // row, so only the columns of events *outside* the cyclic
-        // structure (prefix/finite events — usually none) need their
-        // NEG_INFINITY reset, in both slots, against stale cells of a
-        // previous run. The strip needs none: every computed row
-        // overwrites its cells.
-        self.times.resize(2 * n * lanes, f64::NEG_INFINITY);
+        // row, padding lanes included, so only the cells of events
+        // *outside* the cyclic structure (prefix/finite events — usually
+        // none) need their NEG_INFINITY reset, in both slots, against
+        // stale cells of a previous run. The strip needs none: every
+        // computed row overwrites its cells.
+        self.times.resize(2 * n * w, f64::NEG_INFINITY);
         self.strip.resize(lanes * p_total, f64::NEG_INFINITY);
         let times = self.times.as_mut_slice();
         for e in sg.events().filter(|&e| !sg.is_repetitive(e)) {
             for slot in 0..2 {
-                let base = (slot * n + e.index()) * lanes;
-                times[base..base + lanes].fill(f64::NEG_INFINITY);
+                let base = (slot * n + e.index()) * w;
+                times[base..base + w].fill(f64::NEG_INFINITY);
             }
         }
 
         #[cfg(target_arch = "x86_64")]
-        let avx2 =
-            self.backend == KernelBackend::Avx2 && std::arch::is_x86_feature_detected!("avx2");
-        let kernel = RowKernel { origins, structure };
+        let (avx512, avx2) = (
+            self.backend == KernelBackend::Avx512 && std::arch::is_x86_feature_detected!("avx512f"),
+            self.backend == KernelBackend::Avx2 && std::arch::is_x86_feature_detected!("avx2"),
+        );
+        let kernel = RowKernel {
+            origins,
+            structure,
+            stride: w,
+        };
         for p in 0..p_total {
             // One poll per row: a row is `O(m · lanes)` work, so the
             // check cost vanishes while aborts still land within one
@@ -364,9 +401,13 @@ impl WideArena {
                     rows_total: p_total,
                 });
             }
-            let (prev, row) = row_pair(times, p, n * lanes);
+            let (prev, row) = row_pair(times, p, n * w);
             #[cfg(target_arch = "x86_64")]
-            if avx2 {
+            if avx512 {
+                // SAFETY: `avx512` is set only when the CPU reports
+                // AVX-512F.
+                unsafe { row_avx512(&kernel, prev, row) };
+            } else if avx2 {
                 // SAFETY: `avx2` is set only when the CPU reports AVX2.
                 unsafe { row_avx2(&kernel, prev, row) };
             } else {
@@ -375,14 +416,14 @@ impl WideArena {
             #[cfg(not(target_arch = "x86_64"))]
             row_portable(&kernel, prev, row);
             for (lane, g) in origins.iter().enumerate() {
-                self.strip[lane * p_total + p] = row[g.index() * lanes + lane];
+                self.strip[lane * p_total + p] = row[g.index() * w + lane];
             }
         }
         Ok(())
     }
 
-    /// Allocated capacity of the window, in cells: `2 · n · lanes`,
-    /// rounded up to a cache line, for the largest shape run so far.
+    /// Allocated capacity of the window, in cells: `2 · n · w`, rounded
+    /// up to a cache line, for the largest shape run so far.
     fn capacity(&self) -> usize {
         self.times.capacity()
     }
@@ -400,6 +441,13 @@ impl WideArena {
     }
 }
 
+/// The lane stride of a cell over `lanes` lanes: whole 4-lane blocks.
+/// The `w - lanes` padding lanes run the recurrence like any unpinned
+/// lane, so they stay `NEG_INFINITY`, and nothing reads them.
+pub(crate) fn lane_stride(lanes: usize) -> usize {
+    lanes.next_multiple_of(4)
+}
+
 /// Splits row `p`'s cells (mutable) and row `p - 1`'s (shared; empty
 /// for row 0) out of the two-slot window, where row `p` lives in slot
 /// `p % 2`.
@@ -413,27 +461,20 @@ fn row_pair(times: &mut [f64], p: usize, row_cells: usize) -> (&[f64], &mut [f64
 }
 
 /// What the row function reads besides the row pair: the lanes' origins
-/// (one lane each) and the structure.
+/// (one lane each), the structure and the lane stride of a cell.
 struct RowKernel<'a> {
     origins: &'a [EventId],
     structure: &'a CyclicStructure,
+    stride: usize,
 }
 
 /// The per-backend lane arithmetic of the row function: the two
-/// operations [`row_body`] needs per in-arc, and the lane count it runs
-/// at.
+/// operations [`row_body`] needs per in-arc.
 ///
-/// Implementations must keep `dst` on ties in `fold` (the strict `>` of
-/// the scalar kernel).
+/// Both take cells of the run's lane stride, a whole number of 4-lane
+/// blocks, so no implementation has a remainder to mask. They must keep
+/// `dst` on ties in `fold` (the strict `>` of the scalar kernel).
 trait LaneOps {
-    /// The lane count of a row over `lanes` lanes: a constant-width
-    /// instantiation returns its constant, so the lane loops compile
-    /// with a constant trip count.
-    #[inline(always)]
-    fn width(lanes: usize) -> usize {
-        lanes
-    }
-
     /// `dst[k] = src[k] + delay` — the event's first usable in-arc.
     ///
     /// Storing directly instead of folding into a freshly filled
@@ -456,23 +497,18 @@ trait LaneOps {
     unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64);
 }
 
-/// The portable lane loop at lane count `L` (`L == 0`: the lanes of the
-/// run) — branchless `max(best, src + δ)` over contiguous lanes, which
-/// the autovectorizer turns into SIMD `add`/`max`.
-struct Portable<const L: usize>;
+/// The portable lane loop: `max(best, src + δ)` over whole `[f64; 4]`
+/// blocks. The cells are taken as blocks and flattened back, so the
+/// compiler knows the length is a multiple of 4 and the autovectorizer
+/// emits one block per iteration with no remainder loop; the select
+/// form (not a conditional store) is what lets it use vector `max`.
+struct Portable;
 
-impl<const L: usize> LaneOps for Portable<L> {
-    #[inline(always)]
-    fn width(lanes: usize) -> usize {
-        if L == 0 {
-            lanes
-        } else {
-            L
-        }
-    }
-
+impl LaneOps for Portable {
     #[inline(always)]
     unsafe fn first(dst: &mut [f64], src: &[f64], delay: f64) {
+        let dst = dst.as_chunks_mut::<4>().0.as_flattened_mut();
+        let src = src.as_chunks::<4>().0.as_flattened();
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = s + delay;
         }
@@ -480,11 +516,11 @@ impl<const L: usize> LaneOps for Portable<L> {
 
     #[inline(always)]
     unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64) {
+        let dst = dst.as_chunks_mut::<4>().0.as_flattened_mut();
+        let src = src.as_chunks::<4>().0.as_flattened();
         for (d, &s) in dst.iter_mut().zip(src) {
             let cand = s + delay;
-            if cand > *d {
-                *d = cand;
-            }
+            *d = if cand > *d { cand } else { *d };
         }
     }
 }
@@ -492,7 +528,7 @@ impl<const L: usize> LaneOps for Portable<L> {
 /// One row of the recurrence: the one row function every backend runs.
 /// `prev` is empty for row 0. `#[inline(always)]` so each backend's
 /// wrapper compiles the whole body — intrinsics included — with its
-/// feature set and lane count.
+/// feature set.
 ///
 /// Per event the row is split around the destination cell
 /// (`split_at_mut`), so the lane accumulator IS the destination — no
@@ -502,32 +538,33 @@ impl<const L: usize> LaneOps for Portable<L> {
 /// marked in-arcs read the previous row. In row 0 each lane's origin
 /// cell is pinned to 0 once its event's recurrence is done, in
 /// topological order, so later same-row reads see it exactly as the
-/// scalar kernel's pre-seeded cell.
+/// scalar kernel's pre-seeded cell. The padding lanes are never pinned,
+/// so they stay `NEG_INFINITY` in every row.
 ///
 /// # Safety
 ///
 /// The CPU must support the feature `K`'s operations require.
 #[inline(always)]
 unsafe fn row_body<K: LaneOps>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
-    let lanes = K::width(kernel.origins.len());
+    let w = kernel.stride;
     let structure = kernel.structure;
     let first_row = prev.is_empty();
     for &ev in &structure.order {
-        let base = ev.index() * lanes;
+        let base = ev.index() * w;
         let (left, rest) = row.split_at_mut(base);
-        let (dst, right) = rest.split_at_mut(lanes);
+        let (dst, right) = rest.split_at_mut(w);
         let mut first = true;
         for ia in structure.in_arcs(ev) {
-            let sb = ia.src as usize * lanes;
+            let sb = ia.src as usize * w;
             let src = if ia.marked {
                 if first_row {
                     continue; // no previous row: token enables for free
                 }
-                &prev[sb..sb + lanes]
+                &prev[sb..sb + w]
             } else if sb < base {
-                &left[sb..sb + lanes]
+                &left[sb..sb + w]
             } else {
-                &right[sb - base - lanes..][..lanes]
+                &right[sb - base - w..][..w]
             };
             if first {
                 K::first(dst, src, ia.delay);
@@ -549,45 +586,19 @@ unsafe fn row_body<K: LaneOps>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [
     }
 }
 
-/// The portable row at a constant lane count for the common SIMD
-/// widths, the dynamic-width instantiation otherwise.
+/// The portable row.
 fn row_portable(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
-    match kernel.origins.len() {
-        4 => row_portable_at::<4>(kernel, prev, row),
-        8 => row_portable_at::<8>(kernel, prev, row),
-        16 => row_portable_at::<16>(kernel, prev, row),
-        32 => row_portable_at::<32>(kernel, prev, row),
-        _ => row_portable_at::<0>(kernel, prev, row),
-    }
-}
-
-/// The portable row at lane count `L` (`L == 0`: dynamic width).
-fn row_portable_at<const L: usize>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
     // SAFETY: the portable operations use no CPU feature.
-    unsafe { row_body::<Portable<L>>(kernel, prev, row) }
+    unsafe { row_body::<Portable>(kernel, prev, row) }
 }
 
-/// A 4-lane mask with the first `rem` (1..=3) 64-bit lanes enabled,
-/// built by sliding a load window over a constant sign pattern.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn tail_mask(rem: usize) -> std::arch::x86_64::__m256i {
-    use std::arch::x86_64::_mm256_loadu_si256;
-    debug_assert!((1..=3).contains(&rem));
-    const PATTERN: [i64; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
-    _mm256_loadu_si256(PATTERN.as_ptr().add(4 - rem).cast())
-}
-
-/// 4-wide AVX2 lane arithmetic; remainder lanes go through
-/// `maskload`/`maskstore`, which architecturally never touch the
-/// masked-out lanes (no out-of-bounds access, no fault). It stays
-/// because it beats the portable loop where the served benchmark
-/// runs: `run_in` on its skeleton shapes (random live rings with
-/// chords, 512 events at b = 20 and 1024 events at b = 37), timed in
-/// ten alternating runs on a shared 2-vCPU x86-64 host, read a median
-/// 1.33x of the portable loop at both (per-run ratios 1.22–1.75 and
-/// 1.22–1.53). Neither lane count has a constant-width portable
-/// instantiation.
+/// AVX2 lane arithmetic: one `ymm` per 4-lane block. It stays because
+/// it beats the portable loop where the served benchmark runs: `run_in`
+/// on its skeleton shapes (random live rings with chords, 1024 events
+/// at b = 37 and 512 events at b = 20), timed in eight interleaved runs
+/// on a shared 2-vCPU x86-64 host, read a median 1.45x of the portable
+/// loop at b = 37 (per-run 1.44–1.52) and 1.29x at b = 20 (1.20–1.37).
+/// It is also what an AVX2 host without AVX-512F runs.
 #[cfg(target_arch = "x86_64")]
 struct Avx2Ops;
 
@@ -596,30 +607,23 @@ impl LaneOps for Avx2Ops {
     #[inline(always)]
     unsafe fn first(dst: &mut [f64], src: &[f64], delay: f64) {
         use std::arch::x86_64::*;
-        debug_assert_eq!(dst.len(), src.len());
-        let n = dst.len();
+        debug_assert!(dst.len() == src.len() && dst.len().is_multiple_of(4));
         let d = _mm256_set1_pd(delay);
         let mut i = 0usize;
-        while i + 4 <= n {
+        while i < dst.len() {
             let s = _mm256_loadu_pd(src.as_ptr().add(i));
             _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_add_pd(s, d));
             i += 4;
-        }
-        if i < n {
-            let mask = tail_mask(n - i);
-            let s = _mm256_maskload_pd(src.as_ptr().add(i), mask);
-            _mm256_maskstore_pd(dst.as_mut_ptr().add(i), mask, _mm256_add_pd(s, d));
         }
     }
 
     #[inline(always)]
     unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64) {
         use std::arch::x86_64::*;
-        debug_assert_eq!(dst.len(), src.len());
-        let n = dst.len();
+        debug_assert!(dst.len() == src.len() && dst.len().is_multiple_of(4));
         let d = _mm256_set1_pd(delay);
         let mut i = 0usize;
-        while i + 4 <= n {
+        while i < dst.len() {
             let cand = _mm256_add_pd(_mm256_loadu_pd(src.as_ptr().add(i)), d);
             let best = _mm256_loadu_pd(dst.as_ptr().add(i));
             // MAXPD returns its second operand on ties: `(cand, best)`
@@ -628,12 +632,6 @@ impl LaneOps for Avx2Ops {
             // reach here (finite delays; NEG_INFINITY + δ = NEG_INFINITY).
             _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_max_pd(cand, best));
             i += 4;
-        }
-        if i < n {
-            let mask = tail_mask(n - i);
-            let cand = _mm256_add_pd(_mm256_maskload_pd(src.as_ptr().add(i), mask), d);
-            let best = _mm256_maskload_pd(dst.as_ptr().add(i), mask);
-            _mm256_maskstore_pd(dst.as_mut_ptr().add(i), mask, _mm256_max_pd(cand, best));
         }
     }
 }
@@ -644,10 +642,72 @@ impl LaneOps for Avx2Ops {
 ///
 /// The CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
 #[target_feature(enable = "avx2")]
 unsafe fn row_avx2(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
     row_body::<Avx2Ops>(kernel, prev, row)
+}
+
+/// AVX-512 lane arithmetic: one `zmm` per pair of 4-lane blocks, and
+/// one `ymm` for an odd trailing block. `VMAXPD` keeps its second
+/// operand on ties at every width, as in [`Avx2Ops`]. In the runs
+/// quoted there it read a median 1.61x of the portable loop at b = 37
+/// (1.58–1.69) and 1.41x at b = 20 (1.29–1.45), 1.11x and 1.08x of
+/// AVX2.
+#[cfg(target_arch = "x86_64")]
+struct Avx512Ops;
+
+#[cfg(target_arch = "x86_64")]
+impl LaneOps for Avx512Ops {
+    #[inline(always)]
+    unsafe fn first(dst: &mut [f64], src: &[f64], delay: f64) {
+        use std::arch::x86_64::*;
+        debug_assert!(dst.len() == src.len() && dst.len().is_multiple_of(4));
+        let n = dst.len();
+        let d = _mm512_set1_pd(delay);
+        let mut i = 0usize;
+        while i + 8 <= n {
+            let s = _mm512_loadu_pd(src.as_ptr().add(i));
+            _mm512_storeu_pd(dst.as_mut_ptr().add(i), _mm512_add_pd(s, d));
+            i += 8;
+        }
+        if i < n {
+            let d = _mm256_set1_pd(delay);
+            let s = _mm256_loadu_pd(src.as_ptr().add(i));
+            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_add_pd(s, d));
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64) {
+        use std::arch::x86_64::*;
+        debug_assert!(dst.len() == src.len() && dst.len().is_multiple_of(4));
+        let n = dst.len();
+        let d = _mm512_set1_pd(delay);
+        let mut i = 0usize;
+        while i + 8 <= n {
+            let cand = _mm512_add_pd(_mm512_loadu_pd(src.as_ptr().add(i)), d);
+            let best = _mm512_loadu_pd(dst.as_ptr().add(i));
+            _mm512_storeu_pd(dst.as_mut_ptr().add(i), _mm512_max_pd(cand, best));
+            i += 8;
+        }
+        if i < n {
+            let d = _mm256_set1_pd(delay);
+            let cand = _mm256_add_pd(_mm256_loadu_pd(src.as_ptr().add(i)), d);
+            let best = _mm256_loadu_pd(dst.as_ptr().add(i));
+            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_max_pd(cand, best));
+        }
+    }
+}
+
+/// AVX-512 instantiation of the row recurrence.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F (`is_x86_feature_detected!("avx512f")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn row_avx512(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
+    row_body::<Avx512Ops>(kernel, prev, row)
 }
 
 /// The reusable state of one full cycle-time analysis: the wide arena
@@ -699,8 +759,9 @@ impl AnalysisArena {
     /// Allocated capacities `(wide time cells, scalar time cells,
     /// scalar parent cells)` — the warm-pool zero-allocation assertions
     /// check all three stay constant across same-shape requests. The
-    /// wide cells are the two-row window: at most `2 · n · lanes`,
-    /// rounded up to a cache line, for the largest shape analysed.
+    /// wide cells are the two-row window: `2 · n · w` for the lane
+    /// stride `w = lanes.next_multiple_of(4)`, rounded up to a cache
+    /// line, for the largest shape analysed.
     pub fn capacity(&self) -> (usize, usize, usize) {
         let (t, p) = self.finish.capacity();
         (self.wide.capacity(), t, p)
@@ -773,8 +834,8 @@ mod tests {
 
     /// The graphs of the cell-level sweeps: a prefix and a finite event
     /// (figure 2), odd lane counts (rings with 1, 3, 5 and 7 tokens,
-    /// which also leave AVX2 remainder lanes) and parallel arcs, in an
-    /// order that makes one reused arena grow and shrink.
+    /// which also leave padding lanes) and parallel arcs, in an order
+    /// that makes one reused arena grow and shrink.
     fn corpus() -> Vec<(String, SignalGraph)> {
         let mut out = vec![("figure 2".to_string(), figure2())];
         for tokens in [7usize, 1, 5, 3] {
@@ -789,7 +850,7 @@ mod tests {
     /// The backends the running machine executes — always at least
     /// `Portable`, plus each SIMD path the CPU supports.
     fn available_backends() -> Vec<KernelBackend> {
-        [KernelBackend::Portable, KernelBackend::Avx2]
+        KernelBackend::ALL
             .into_iter()
             .filter(|b| b.available())
             .collect()
@@ -800,7 +861,8 @@ mod tests {
             .unwrap();
     }
 
-    /// Every bit the last run left: the window and the origin strip.
+    /// Every bit the last run left: the window, padding lanes included,
+    /// and the origin strip.
     fn bits(wide: &WideArena) -> (Vec<u64>, Vec<u64>) {
         let bits = |s: &[f64]| s.iter().map(|t| t.to_bits()).collect();
         (bits(wide.times.as_slice()), bits(&wide.strip))
@@ -809,7 +871,8 @@ mod tests {
     /// Both resident rows of a `periods`-period run over `origins` —
     /// rows `periods - 1` and `periods` — must equal the scalar
     /// simulation of each lane's origin cell for cell, bit for bit, and
-    /// so must each lane's record.
+    /// so must each lane's record. Every padding lane of both rows must
+    /// be `NEG_INFINITY`.
     fn assert_window_matches_scalar(
         wide: &WideArena,
         sg: &SignalGraph,
@@ -818,7 +881,16 @@ mod tests {
         ctx: &str,
     ) {
         let (n, lanes) = (sg.event_count(), origins.len());
+        let w = lane_stride(lanes);
         let window = wide.times.as_slice();
+        assert_eq!(window.len(), 2 * n * w, "{ctx}: window length");
+        for (cell, lanes_of) in window.chunks_exact(w).enumerate() {
+            assert!(
+                lanes_of[lanes..].iter().all(|&t| t == f64::NEG_INFINITY),
+                "{ctx}: padding of cell {cell} is {:?}",
+                &lanes_of[lanes..]
+            );
+        }
         let record = |s: Vec<(u32, f64, f64)>| {
             s.into_iter()
                 .map(|(i, t, d)| (i, t.to_bits(), d.to_bits()))
@@ -830,7 +902,7 @@ mod tests {
             for p in periods - 1..=periods {
                 let slot = p as usize % 2;
                 for e in sg.events() {
-                    let t = window[(slot * n + e.index()) * lanes + k];
+                    let t = window[(slot * n + e.index()) * w + k];
                     assert_eq!(
                         (t > f64::NEG_INFINITY).then_some(t.to_bits()),
                         scalar.time(e, p).map(f64::to_bits),
@@ -867,13 +939,14 @@ mod tests {
                 }
             }
         }
-        // A fresh arena's window holds exactly two rows.
+        // A fresh arena's window holds exactly two rows of whole 4-lane
+        // blocks.
         let sg = ring(14, 7);
         let borders = sg.border_events();
         let mut wide = WideArena::with_kernel(KernelBackend::detect());
         run(&mut wide, &sg, &borders, 8);
-        let two_rows = 2 * sg.event_count() * borders.len();
-        assert!(wide.capacity() <= two_rows.next_multiple_of(8));
+        let two_rows = 2 * sg.event_count() * lane_stride(borders.len());
+        assert_eq!(wide.capacity(), two_rows.next_multiple_of(8));
     }
 
     #[test]
@@ -956,11 +1029,12 @@ mod tests {
 
     #[test]
     fn kernel_backend_parses_and_displays_round_trip() {
-        for b in [KernelBackend::Portable, KernelBackend::Avx2] {
+        for b in KernelBackend::ALL {
             assert_eq!(KernelBackend::named(b.name()), Some(b));
             assert_eq!(b.to_string(), b.name());
         }
         assert_eq!(KernelBackend::named("AVX2"), Some(KernelBackend::Avx2));
+        assert_eq!(KernelBackend::named("AVX512"), Some(KernelBackend::Avx512));
         // `TSG_KERNEL` takes only the backend names: no aliases.
         for other in ["auto", "sse2", "wide", ""] {
             assert_eq!(KernelBackend::named(other), None, "{other}");
@@ -974,9 +1048,13 @@ mod tests {
         assert!(KernelBackend::detect().available());
         assert!(KernelBackend::Portable.available());
         assert_eq!(AnalysisArena::new().kernel(), KernelBackend::detect());
-        // An explicit backend is kept wherever the CPU runs it.
+        // An explicit backend is kept wherever the CPU runs it, and
+        // detection picks the widest one unless `TSG_KERNEL` forces one.
         for b in available_backends() {
             assert_eq!(AnalysisArena::with_kernel(b).kernel(), b);
+        }
+        if std::env::var_os("TSG_KERNEL").is_none() {
+            assert_eq!(Some(&KernelBackend::detect()), available_backends().last());
         }
     }
 
@@ -1010,15 +1088,15 @@ mod tests {
         assert!(aligned.capacity() >= 40);
     }
 
-    /// The explicit-SIMD backends against the portable loop, cell for
-    /// cell, at lane counts that exercise full vectors, masked AVX2
-    /// tails (1..=3 remainder lanes), the portable loop's constant-width
-    /// instantiations and its dynamic-width fallback.
+    /// Every backend against the portable loop and the scalar kernel,
+    /// cell for cell, at every lane count from 1 to 41: every padding
+    /// width (0..=3 lanes) of one to eleven 4-lane blocks, so AVX-512
+    /// runs both with and without an odd trailing block.
     #[test]
     fn simd_backends_match_portable_at_every_remainder_width() {
-        let sg = ring(40, 8);
+        let sg = ring(48, 8);
         let repetitive: Vec<EventId> = sg.events().filter(|&e| sg.is_repetitive(e)).collect();
-        for lanes in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 32, 33] {
+        for lanes in 1..=41 {
             let origins = &repetitive[..lanes];
             let mut portable = WideArena::with_kernel(KernelBackend::Portable);
             run(&mut portable, &sg, origins, 4);
@@ -1026,8 +1104,31 @@ mod tests {
             for backend in available_backends() {
                 let mut simd = WideArena::with_kernel(backend);
                 run(&mut simd, &sg, origins, 4);
-                assert_eq!(bits(&simd), bits(&portable), "{backend} with {lanes} lanes");
+                let ctx = format!("{backend} with {lanes} lanes");
+                assert_window_matches_scalar(&simd, &sg, origins, 4, &ctx);
+                assert_eq!(bits(&simd), bits(&portable), "{ctx}");
             }
+        }
+    }
+
+    /// A narrow run after a wide one on the same arena: the 5-lane run
+    /// reuses cells the 37-lane run filled at another stride, and must
+    /// leave exactly the bits of a fresh arena's run, padding included.
+    #[test]
+    fn narrow_run_after_a_wide_one_leaves_no_ghosts() {
+        let sg = ring(48, 8);
+        let repetitive: Vec<EventId> = sg.events().filter(|&e| sg.is_repetitive(e)).collect();
+        for backend in available_backends() {
+            let mut wide = WideArena::with_kernel(backend);
+            run(&mut wide, &sg, &repetitive[..37], 6);
+            assert_window_matches_scalar(&wide, &sg, &repetitive[..37], 6, "37 lanes");
+            let narrow = &repetitive[11..16];
+            run(&mut wide, &sg, narrow, 3);
+            let ctx = format!("5 lanes after 37 on {backend}");
+            assert_window_matches_scalar(&wide, &sg, narrow, 3, &ctx);
+            let mut fresh = WideArena::with_kernel(backend);
+            run(&mut fresh, &sg, narrow, 3);
+            assert_eq!(bits(&wide), bits(&fresh), "{ctx}");
         }
     }
 }

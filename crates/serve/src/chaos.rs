@@ -1,8 +1,8 @@
 //! Fault injection for the serve tier.
 //!
-//! The pool carries a [`Chaos`] runtime built from a [`ChaosConfig`]
-//! (builder field on `ServeOptions`) that the `TSG_CHAOS` environment
-//! variable can override. Each fault point fires deterministically on
+//! The pool carries a [`Chaos`] runtime built from the [`ChaosConfig`]
+//! of its `ServeOptions`, installed as given: `tsg serve --chaos SPEC`
+//! arms it, and nothing in the environment does. Each fault point fires deterministically on
 //! every Nth crossing of its site, so soak tests can predict exactly
 //! how many faults a request sequence injects:
 //!
@@ -31,7 +31,7 @@
 //!
 //! All counters are per-pool, shared across workers and connections.
 //! `N = 0` (the default) disables a point. Parsing is forgiving:
-//! malformed `TSG_CHAOS` clauses warn on stderr and fall back to the
+//! malformed `--chaos` clauses warn on stderr and fall back to the
 //! builder value rather than refusing to start.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,13 +80,13 @@ impl ChaosConfig {
             || self.halfopen_every > 0
     }
 
-    /// Applies `TSG_CHAOS`-style clauses (`panic=20,delay=7:15,
-    /// garble=11,read_err=31`) over `self`. Unknown or malformed
-    /// clauses leave the builder value in place and warn on stderr.
-    pub fn with_env_spec(mut self, spec: &str) -> Self {
+    /// Applies `--chaos` clauses (`panic=20,delay=7:15,garble=11,
+    /// read_err=31`) over `self`. Unknown or malformed clauses leave
+    /// the builder value in place and warn on stderr.
+    pub fn with_spec(mut self, spec: &str) -> Self {
         for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
             let Some((key, value)) = clause.split_once('=') else {
-                eprintln!("tsg serve: ignoring malformed TSG_CHAOS clause {clause:?}");
+                eprintln!("tsg serve: ignoring malformed --chaos clause {clause:?}");
                 continue;
             };
             let parsed = match key.trim() {
@@ -115,24 +115,15 @@ impl ChaosConfig {
                     })
                 }
                 _ => {
-                    eprintln!("tsg serve: ignoring unknown TSG_CHAOS clause {clause:?}");
+                    eprintln!("tsg serve: ignoring unknown --chaos clause {clause:?}");
                     continue;
                 }
             };
             if parsed.is_err() {
-                eprintln!("tsg serve: ignoring malformed TSG_CHAOS clause {clause:?}");
+                eprintln!("tsg serve: ignoring malformed --chaos clause {clause:?}");
             }
         }
         self
-    }
-
-    /// The config with the `TSG_CHAOS` environment variable (if any)
-    /// applied over it — what `Pool::new` actually installs.
-    pub fn from_env(self) -> Self {
-        match std::env::var("TSG_CHAOS") {
-            Ok(spec) => self.with_env_spec(&spec),
-            Err(_) => self,
-        }
     }
 }
 
@@ -291,12 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn env_spec_overrides_builder_values() {
+    fn spec_overrides_builder_values() {
         let base = ChaosConfig {
             panic_every: 5,
             ..ChaosConfig::default()
         };
-        let cfg = base.with_env_spec(
+        let cfg = base.with_spec(
             "panic=20,delay=7:15,garble=11,read_err=31,kill=13,rst=4,dribble=5:2,halfopen=6",
         );
         assert_eq!(
@@ -347,20 +338,20 @@ mod tests {
 
     #[test]
     fn dribble_without_pacing_defaults_to_one_ms() {
-        let cfg = ChaosConfig::default().with_env_spec("dribble=9");
+        let cfg = ChaosConfig::default().with_spec("dribble=9");
         assert_eq!(cfg.dribble_every, 9);
         assert_eq!(cfg.dribble_ms, 1);
     }
 
     #[test]
-    fn malformed_env_clauses_keep_builder_values() {
+    fn malformed_clauses_keep_builder_values() {
         let base = ChaosConfig {
             panic_every: 5,
             delay_every: 2,
             delay_ms: 9,
             ..ChaosConfig::default()
         };
-        let cfg = base.with_env_spec("panic=lots,delay=x:y,nonsense,unknown=3,,garble=4");
+        let cfg = base.with_spec("panic=lots,delay=x:y,nonsense,unknown=3,,garble=4");
         assert_eq!(cfg.panic_every, 5);
         assert_eq!(cfg.delay_every, 2);
         assert_eq!(cfg.delay_ms, 9);

@@ -113,8 +113,7 @@ pub struct ServeOptions {
     /// listener, so further clients wait in the OS accept backlog until
     /// a slot frees (`--max-connections`).
     pub max_connections: Option<usize>,
-    /// Fault-injection config (builder baseline; the `TSG_CHAOS`
-    /// environment variable overrides it at pool spawn).
+    /// Fault-injection config, installed as given (`--chaos`).
     pub chaos: ChaosConfig,
 }
 
@@ -442,7 +441,7 @@ impl Pool {
             drain_deadline: opts.drain_deadline,
             max_request_bytes: opts.max_request_bytes,
             drain: Arc::new(AtomicBool::new(false)),
-            chaos: Chaos::new(opts.chaos.from_env()),
+            chaos: Chaos::new(opts.chaos),
             rejected_overloaded: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),

@@ -77,8 +77,9 @@ fn oversized_window_is_an_error_before_allocation() {
 
 #[test]
 fn budget_counts_windows_strips_and_the_winner_rerun() {
-    // 3 lanes, 10 events, 3 periods: 3 × (2·10 + 4) + 10 · 4.
-    assert_eq!(analysis_cells(10, 3, 3), Some(3 * 24 + 40));
+    // 3 lanes at a stride of 4, 10 events, 3 periods: a window of
+    // 2·10·4, a strip of 3·4 and a re-run of 10·4.
+    assert_eq!(analysis_cells(10, 3, 3), Some(80 + 12 + 40));
     assert_eq!(analysis_cells(usize::MAX, 2, 1), None);
 }
 

@@ -457,10 +457,11 @@ fn oneshot_window_records_equal_the_full_matrix() {
 }
 
 /// A one-shot analysis really runs in the window: on a fresh arena its
-/// wide buffer holds at most two rows (`2 · n · lanes` cells, rounded
-/// up to whole 64-byte lines), so a return to the full `(b + 1)`-row matrix
-/// fails here, not only in the served benchmark. A run cancelled at
-/// any row and re-run on the same arena gives the bits of a fresh run.
+/// wide buffer holds at most two rows (`2 · n · w` cells at the lane
+/// stride `w = b.next_multiple_of(4)`, rounded up to whole 64-byte
+/// lines), so a return to the full `(b + 1)`-row matrix fails here, not
+/// only in the served benchmark. A run cancelled at any row and re-run
+/// on the same arena gives the bits of a fresh run.
 #[test]
 fn oneshot_run_keeps_a_two_row_window() {
     use tsg::core::analysis::AnalysisError;
@@ -468,19 +469,19 @@ fn oneshot_run_keeps_a_two_row_window() {
     for (name, sg) in window_corpus() {
         let n = sg.event_count();
         let b = sg.border_events().len();
+        let w = b.next_multiple_of(4);
         let mut arena = AnalysisArena::new();
         let fresh = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
-        // Rounded up to whole 64-byte lines; a `Vec` of lines never
-        // allocates fewer than four.
-        let window = (2 * n * b).next_multiple_of(8).max(32);
+        let window = (2 * n * w).next_multiple_of(8);
         assert!(
             arena.capacity().0 <= window,
             "{name}: {} wide cells for n={n}, b={b}: more than a two-row window ({window})",
             arena.capacity().0
         );
         if b >= 2 {
-            // The full matrix would hold b + 1 >= 3 rows.
-            assert!(arena.capacity().0 < (b + 1) * n * b, "{name}");
+            // The full matrix would hold b + 1 >= 3 rows at the same
+            // stride.
+            assert!(arena.capacity().0 < (b + 1) * n * w, "{name}");
         }
         for budget in 0..=b as u64 {
             let token = CancelToken::cancel_after_checks(budget);
@@ -493,6 +494,29 @@ fn oneshot_run_keeps_a_two_row_window() {
             let redo = CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
             assert_analyses_identical(&fresh, &redo, &format!("{name} after cancel at {budget}"));
             assert_eq!(record_bits(&redo), record_bits(&fresh), "{name}");
+        }
+    }
+}
+
+/// The cell budget is counted before the arena allocates, so it must
+/// cover what the arena then holds: on a fresh arena, on every backend,
+/// the window never exceeds the window term of `analysis_cells` (the
+/// total less the strip and the winner re-run).
+#[test]
+fn budget_window_term_covers_the_arena() {
+    use tsg::core::analysis::cycle_time::analysis_cells;
+    for backend in available_backends() {
+        for (name, sg) in window_corpus() {
+            let (n, b) = (sg.event_count(), sg.border_events().len());
+            let mut arena = AnalysisArena::with_kernel(backend);
+            CycleTimeAnalysis::run_in(&sg, None, &mut arena).expect("live");
+            let rows = b + 1;
+            let window_term = analysis_cells(n, b, b as u32).unwrap() - (b + n) * rows;
+            assert!(
+                arena.capacity().0 <= window_term,
+                "{name} [{backend}]: {} wide cells, budget window {window_term}",
+                arena.capacity().0
+            );
         }
     }
 }
