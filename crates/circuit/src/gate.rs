@@ -83,11 +83,6 @@ impl GateKind {
             _ => n >= 1,
         }
     }
-
-    /// `true` for gates whose output depends on its previous value.
-    pub fn is_sequential(self) -> bool {
-        matches!(self, GateKind::CElement | GateKind::Majority)
-    }
 }
 
 impl fmt::Display for GateKind {
@@ -200,12 +195,5 @@ mod tests {
             assert_eq!(parsed, k);
         }
         assert!("frobnicator".parse::<GateKind>().is_err());
-    }
-
-    #[test]
-    fn sequential_classification() {
-        assert!(GateKind::CElement.is_sequential());
-        assert!(GateKind::Majority.is_sequential());
-        assert!(!GateKind::Nor.is_sequential());
     }
 }

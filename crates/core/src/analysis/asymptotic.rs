@@ -3,10 +3,8 @@
 //! For an event `e` on a critical cycle, the sequence `δ_{e0}(e_i)` attains
 //! the cycle time τ at some `i ≤ b` and keeps returning to it; for an event
 //! off every critical cycle the sequence stays strictly below τ while still
-//! converging to it (Proposition 8). This module produces those series and
-//! classifies events accordingly.
+//! converging to it (Proposition 8). This module produces those series.
 
-use crate::analysis::cycle_time::{AnalysisError, CycleTimeAnalysis};
 use crate::analysis::initiated::{NotRepetitive, SimArena};
 use crate::event::EventId;
 use crate::graph::SignalGraph;
@@ -62,27 +60,6 @@ pub fn delta_series(
         .collect())
 }
 
-/// Decides whether `event` lies on a critical cycle, by the Proposition 7/8
-/// dichotomy: the event's δ-series over `b` periods attains τ iff the event
-/// is on a critical cycle.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::NoCyclicBehavior`] for graphs without
-/// repetitive events, and treats prefix events as off-cycle.
-pub fn on_critical_cycle(sg: &SignalGraph, event: EventId) -> Result<bool, AnalysisError> {
-    if !sg.is_repetitive(event) {
-        return Ok(false);
-    }
-    let analysis = CycleTimeAnalysis::run(sg)?;
-    let tau = analysis.cycle_time();
-    let b = sg.border_events().len() as u32;
-    let series = delta_series(sg, event, b.max(1)).expect("repetitive event checked above");
-    Ok(series
-        .iter()
-        .any(|p| p.time * tau.periods() as f64 == tau.length() * p.index as f64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,7 +95,6 @@ mod tests {
         let ap = sg.event_by_label("a+").unwrap();
         let series = delta_series(&sg, ap, 10).unwrap();
         assert!(series.iter().any(|p| p.delta == 10.0));
-        assert!(on_critical_cycle(&sg, ap).unwrap());
     }
 
     #[test]
@@ -127,7 +103,6 @@ mod tests {
         let bp = sg.event_by_label("b+").unwrap();
         let series = delta_series(&sg, bp, 10).unwrap();
         assert!(series.iter().all(|p| p.delta < 10.0));
-        assert!(!on_critical_cycle(&sg, bp).unwrap());
     }
 
     #[test]
@@ -141,29 +116,5 @@ mod tests {
             assert!(w[1].delta >= w[0].delta);
         }
         assert!(series.last().unwrap().delta > 9.9);
-    }
-
-    #[test]
-    fn prefix_event_is_off_cycle() {
-        let sg = figure2();
-        let e = sg.event_by_label("e-").unwrap();
-        assert!(!on_critical_cycle(&sg, e).unwrap());
-    }
-
-    #[test]
-    fn non_critical_events_of_critical_signal() {
-        // All four of a+, a-, c+, c- are on the critical cycle.
-        let sg = figure2();
-        for l in ["a+", "a-", "c+", "c-"] {
-            let e = sg.event_by_label(l).unwrap();
-            assert!(on_critical_cycle(&sg, e).unwrap(), "{l} should be critical");
-        }
-        for l in ["b+", "b-"] {
-            let e = sg.event_by_label(l).unwrap();
-            assert!(
-                !on_critical_cycle(&sg, e).unwrap(),
-                "{l} should not be critical"
-            );
-        }
     }
 }

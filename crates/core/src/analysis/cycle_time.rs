@@ -34,7 +34,7 @@ use tsg_sim::{CancelKind, CancelToken};
 use crate::analysis::initiated::SimArena;
 use crate::analysis::scenario::{self, ScenarioAnalysis, ScenarioSet};
 use crate::analysis::sim::MAX_CELLS;
-use crate::analysis::structure::CyclicStructure;
+use crate::analysis::structure::EvalStructure;
 use crate::analysis::wide::{AnalysisArena, Cancelled, WideArena};
 use crate::analysis::CycleTime;
 use crate::arc::ArcId;
@@ -489,7 +489,7 @@ impl CycleTimeAnalysis {
         // `events × (b + 1)` matrix.
         check_budget(sg, 1, b)?;
 
-        let structure = CyclicStructure::new(sg);
+        let structure = EvalStructure::new(sg);
         let mut records = Vec::with_capacity(border.len());
         for &g in &border {
             arena
@@ -547,7 +547,7 @@ impl CycleTimeAnalysis {
     /// periods (only a caller-supplied `periods` below `b` can do that).
     pub(crate) fn finish(
         sg: &SignalGraph,
-        structure: &CyclicStructure,
+        structure: &EvalStructure,
         border: Vec<EventId>,
         records: Vec<BorderRecord>,
         periods: u32,

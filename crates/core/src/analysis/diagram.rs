@@ -59,19 +59,17 @@ impl std::error::Error for DiagramTooWide {}
 /// A signal's transition list: `(time, polarity)` sorted by time.
 type Waveform = Vec<(f64, Polarity)>;
 
-fn collect_waveforms(
-    sg: &SignalGraph,
-    mut time_of: impl FnMut(crate::event::EventId, u32) -> Option<f64>,
-    max_instances: u32,
-) -> BTreeMap<String, Waveform> {
+/// Every signal's transitions in `rows`, an event's instances counted
+/// up to its first unreached one.
+fn collect_waveforms(sg: &SignalGraph, rows: &SimArena) -> BTreeMap<String, Waveform> {
     let mut map: BTreeMap<String, Waveform> = BTreeMap::new();
     for e in sg.events() {
         let label = sg.label(e);
         let Some(pol) = label.polarity() else {
             continue;
         };
-        for i in 0..max_instances {
-            match time_of(e, i) {
+        for i in 0..rows.row_count() {
+            match rows.time(e, i) {
                 Some(t) => map
                     .entry(label.signal().to_owned())
                     .or_default()
@@ -84,6 +82,17 @@ fn collect_waveforms(
         wf.sort_by(|a, b| a.0.total_cmp(&b.0));
     }
     map
+}
+
+/// The one body of [`render`] and [`render_initiated`]: every row of
+/// the run, drawn up to `opts.horizon` or the run's latest time.
+fn render_rows(
+    sg: &SignalGraph,
+    rows: &SimArena,
+    opts: DiagramOptions,
+) -> Result<String, DiagramTooWide> {
+    let horizon = opts.horizon.unwrap_or_else(|| rows.horizon());
+    render_waveforms(&collect_waveforms(sg, rows), horizon, opts.chars_per_unit)
 }
 
 fn render_waveforms(
@@ -195,9 +204,7 @@ pub fn render(
     sim: &TimingSimulation,
     opts: DiagramOptions,
 ) -> Result<String, DiagramTooWide> {
-    let horizon = opts.horizon.unwrap_or_else(|| sim.horizon());
-    let wf = collect_waveforms(sg, |e, i| sim.time(e, i), sim.periods());
-    render_waveforms(&wf, horizon, opts.chars_per_unit)
+    render_rows(sg, &sim.rows, opts)
 }
 
 /// Renders the diagram of an event-initiated simulation (Figure 1d):
@@ -212,17 +219,7 @@ pub fn render_initiated(
     sim: &SimArena,
     opts: DiagramOptions,
 ) -> Result<String, DiagramTooWide> {
-    let mut horizon: f64 = 0.0;
-    for e in sg.events() {
-        for i in 0..=sim.periods() {
-            if let Some(t) = sim.time(e, i) {
-                horizon = horizon.max(t);
-            }
-        }
-    }
-    let horizon = opts.horizon.unwrap_or(horizon);
-    let wf = collect_waveforms(sg, |e, i| sim.time(e, i), sim.periods() + 1);
-    render_waveforms(&wf, horizon, opts.chars_per_unit)
+    render_rows(sg, sim, opts)
 }
 
 #[cfg(test)]

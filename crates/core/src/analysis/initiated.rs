@@ -17,9 +17,12 @@
 //! APIs run thousands of analyses per sweep; without the arena every one
 //! of them would allocate (and fault in) its own `Vec<Vec<f64>>`.
 //!
-//! The `SimArena` here is the **scalar reference kernel**: one
-//! simulation, row-major `times[p][e]` over every row, with optional
-//! parent tracking for backtracking. Its production twin is the
+//! The `SimArena` here is the **scalar kernel**, the one scalar form of
+//! the recurrence: one simulation, row-major `times[p][e]` over every
+//! row, with optional parent tracking for backtracking. Its row loop
+//! takes a seed — the origin alone for `t_g(·)`, every event for the
+//! timing simulation `t(·)` of [`sim`](crate::analysis::sim), which runs
+//! on it too. Its production twin for the analyses is the
 //! [`wide`](crate::analysis::wide) kernel, which runs all `b`
 //! simulations of an analysis in lockstep over one structure pass in a
 //! two-row window, storing times **lane-major** (`times[p % 2][e][lane]`)
@@ -32,7 +35,10 @@
 //! scalar kernel remains the oracle the wide one is verified against,
 //! and the engine for parent-tracked re-runs of the winning border.
 
-use crate::analysis::structure::CyclicStructure;
+use tsg_sim::CancelToken;
+
+use crate::analysis::structure::EvalStructure;
+use crate::analysis::wide::Cancelled;
 use crate::arc::ArcId;
 use crate::event::EventId;
 use crate::graph::SignalGraph;
@@ -97,12 +103,10 @@ pub struct SimArena {
     parent: Vec<u32>,
     /// Events per row of the last run.
     n: usize,
-    /// Rows of the last run (`periods + 1`).
+    /// Rows of the last run (`periods + 1` for `t_g(·)`).
     p_total: usize,
     /// Initiating event of the last run.
     origin: EventId,
-    /// Periods of the last run.
-    periods: u32,
 }
 
 impl Default for SimArena {
@@ -120,7 +124,6 @@ impl SimArena {
             n: 0,
             p_total: 0,
             origin: EventId(0),
-            periods: 0,
         }
     }
 
@@ -169,16 +172,16 @@ impl SimArena {
         periods: u32,
         track_parents: bool,
     ) -> Result<(), NotRepetitive> {
-        let structure = CyclicStructure::new(sg);
+        let structure = EvalStructure::new(sg);
         self.run_with(sg, &structure, origin, periods, track_parents)
     }
 
     /// Shared-structure variant: the cycle-time algorithm builds one
-    /// [`CyclicStructure`] and runs all `b` border simulations over it.
+    /// [`EvalStructure`] and runs all `b` border simulations over it.
     pub(crate) fn run_with(
         &mut self,
         sg: &SignalGraph,
-        structure: &CyclicStructure,
+        structure: &EvalStructure,
         origin: EventId,
         periods: u32,
         track_parents: bool,
@@ -187,13 +190,34 @@ impl SimArena {
         if !sg.is_repetitive(origin) {
             return Err(NotRepetitive(origin));
         }
+        // Instance indices 0..=periods.
+        let rows = periods as usize + 1;
+        self.run_rows(sg, structure, Some(origin), rows, track_parents, None)
+            .expect("no cancel token to fire");
+        Ok(())
+    }
+
+    /// The one scalar recurrence: `rows` rows of
+    /// `t(f) = max { t(e) + δ | e →δ f }` over `structure`, polling
+    /// `cancel` once before each row. Row 0 is seeded at 0 — every event
+    /// for `t(·)` (`seed` is `None`), the origin alone for `t_g(·)` — and
+    /// skips marked arcs, whose token enables for free; an event with no
+    /// reached in-arc stays `NEG_INFINITY`. Events outside the structure
+    /// (removed ones) are never written.
+    pub(crate) fn run_rows(
+        &mut self,
+        sg: &SignalGraph,
+        structure: &EvalStructure,
+        seed: Option<EventId>,
+        rows: usize,
+        track_parents: bool,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(), Cancelled> {
         let n = sg.event_count();
-        let p_total = periods as usize + 1; // instance indices 0..=periods
-        let cells = p_total * n;
+        let cells = rows * n;
         self.n = n;
-        self.p_total = p_total;
-        self.origin = origin;
-        self.periods = periods;
+        self.p_total = rows;
+        self.origin = seed.unwrap_or(EventId(0));
 
         // `resize` + `fill` touch existing capacity only: after the first
         // run of this shape, no allocator traffic.
@@ -205,17 +229,15 @@ impl SimArena {
         } else {
             self.parent.clear();
         }
-        self.times[origin.index()] = 0.0;
 
-        self.compute_rows(structure, track_parents);
-        Ok(())
-    }
-
-    /// The longest-path recurrence over every row of the last run's shape.
-    fn compute_rows(&mut self, structure: &CyclicStructure, track_parents: bool) {
-        let n = self.n;
-        let origin = self.origin;
-        for p in 0..self.p_total {
+        for p in 0..rows {
+            if let Some(kind) = cancel.and_then(CancelToken::check) {
+                return Err(Cancelled {
+                    kind,
+                    rows_done: p,
+                    rows_total: rows,
+                });
+            }
             let (before, current) = self.times.split_at_mut(p * n);
             let prev: Option<&[f64]> = (p > 0).then(|| &before[(p - 1) * n..]);
             let row = &mut current[..n];
@@ -225,10 +247,10 @@ impl SimArena {
                 &mut []
             };
             for &ev in &structure.order {
-                if p == 0 && ev == origin {
-                    continue; // t_g(g) = 0 by definition; no in-arc applies
-                }
-                let mut best = f64::NEG_INFINITY;
+                // The origin's in-arcs all come from events before it in
+                // topological order, which `t_g` never reaches in row 0.
+                let seeded = p == 0 && seed.is_none_or(|g| g == ev);
+                let mut best = if seeded { 0.0 } else { f64::NEG_INFINITY };
                 let mut best_arc = NO_PARENT;
                 for ia in structure.in_arcs(ev) {
                     let src_t = if ia.marked {
@@ -254,6 +276,17 @@ impl SimArena {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Rows of the last run.
+    pub(crate) fn row_count(&self) -> u32 {
+        self.p_total as u32
+    }
+
+    /// The latest time the last run reached, or 0 when none is later.
+    pub(crate) fn horizon(&self) -> f64 {
+        self.times.iter().copied().fold(0.0, f64::max)
     }
 
     /// Allocated capacity of the `(times, parent)` buffers, in cells.
@@ -273,7 +306,7 @@ impl SimArena {
 
     /// Periods of the last run (instances `0..=periods` are available).
     pub fn periods(&self) -> u32 {
-        self.periods
+        self.p_total.saturating_sub(1) as u32
     }
 
     /// `t_{g0}(e_p)` of the last run, or `None` when `g₀ ⇏ e_p` (the
@@ -309,7 +342,7 @@ impl SimArena {
 
     /// All defined `δ_{g0}(g_i)` for `0 < i <= periods`, as `(i, t, δ)`.
     pub fn distance_series(&self) -> Vec<(u32, f64, f64)> {
-        (1..=self.periods)
+        (1..=self.periods())
             .filter_map(|i| self.time(self.origin, i).map(|t| (i, t, t / i as f64)))
             .collect()
     }

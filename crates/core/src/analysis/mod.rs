@@ -1,13 +1,14 @@
 //! Timing analysis of Timed Signal Graphs (Sections IV–VII of the paper).
 //!
-//! * [`sim::TimingSimulation`] — the timing simulation `t(·)` over the
-//!   unfolding (Section IV.A), one period row at a time; `tsg sim` on
-//!   `.g` files, the timing diagrams and the long-run estimator all run
-//!   on it,
-//! * [`initiated::SimArena`] — the event-initiated simulation `t_g(·)`
-//!   (Section IV.B) in reusable buffers that hold the last run; the
-//!   Figure 1d diagram, the δ-series and the winner's parent-tracked
-//!   backtrack run on it,
+//! * [`initiated::SimArena`] — the one scalar recurrence, one period row
+//!   at a time over every live event, in reusable buffers that hold the
+//!   last run. Seeded at one origin it is the event-initiated simulation
+//!   `t_g(·)` (Section IV.B): the Figure 1d diagram, the δ-series and
+//!   the winner's parent-tracked backtrack run on it,
+//! * [`sim::TimingSimulation`] — the same rows seeded at every event:
+//!   the timing simulation `t(·)` over the unfolding (Section IV.A);
+//!   `tsg sim` on `.g` files, the Figure 1c diagram and the long-run
+//!   estimator run on it,
 //! * [`wide`] — all `b` event-initiated simulations of one analysis in
 //!   SIMD-friendly lockstep lanes over a single structure pass, in a
 //!   two-row window held by a [`wide::AnalysisArena`] (bit-identical to

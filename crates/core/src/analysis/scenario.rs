@@ -611,7 +611,7 @@ mod tests {
             want
         );
 
-        // A disengageable prefix arc lies outside the cyclic structure,
+        // A disengageable prefix arc never reaches a lane,
         // yet overflowing it alone still fails the sweep, naming it.
         let mut b = SignalGraph::builder();
         let go = b.initial_event("go");

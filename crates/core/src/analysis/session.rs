@@ -553,11 +553,6 @@ impl AnalysisSession {
         Ok(&self.scenarios.insert(Scenarios { set, analysis }).analysis)
     }
 
-    /// Drops the scenario state; edits go back to nominal-only.
-    pub fn disable_scenarios(&mut self) {
-        self.scenarios = None;
-    }
-
     /// The current scenario analysis, when scenarios are enabled —
     /// bit-identical to [`CycleTimeAnalysis::run_scenarios_in`] on
     /// [`graph`](Self::graph) with the current set unless the session
@@ -570,11 +565,6 @@ impl AnalysisSession {
     /// [`enable_scenarios`](Self::enable_scenarios), if any.
     pub fn scenario_set(&self) -> Option<&ScenarioSet> {
         self.scenarios.as_ref().map(|s| &s.set)
-    }
-
-    /// Number of enabled scenarios (0 when disabled).
-    pub fn scenario_count(&self) -> usize {
-        self.scenarios.as_ref().map_or(0, |s| s.set.len())
     }
 
     /// Captures the graph and its analyses for a later
@@ -1231,7 +1221,7 @@ mod tests {
         let mut session = AnalysisSession::open(figure2()).unwrap();
         let set = ScenarioSet::corners(10.0, &[Corner::Min, Corner::Typ, Corner::Max]).unwrap();
         session.enable_scenarios(&set, None).unwrap();
-        assert_eq!(session.scenario_count(), 3);
+        assert_eq!(session.scenario_set().map(ScenarioSet::len), Some(3));
         assert_scenarios_match_scratch(&session, "after enable");
 
         // A delay edit re-runs the scenario sweep with the scaled δs.
@@ -1283,10 +1273,6 @@ mod tests {
         }
         assert_matches_scratch(&session, "split, nominal");
         assert_scenarios_match_scratch(&session, "split reseed");
-
-        session.disable_scenarios();
-        assert_eq!(session.scenario_count(), 0);
-        assert!(session.scenario_analysis().is_none());
     }
 
     #[test]
@@ -1347,7 +1333,7 @@ mod tests {
         assert_scenarios_match_scratch(&session, "refused structural batch");
 
         // Enabling scenarios over an out-of-range graph installs nothing.
-        session.disable_scenarios();
+        let mut session = AnalysisSession::open(figure2()).unwrap();
         session
             .edit_delays(
                 &[DelayEdit {
@@ -1359,7 +1345,7 @@ mod tests {
             .unwrap();
         let err = session.enable_scenarios(&set, None).unwrap_err();
         assert!(matches!(err, AnalysisError::ScenarioDelay { .. }), "{err}");
-        assert_eq!(session.scenario_count(), 0);
+        assert!(session.scenario_analysis().is_none());
     }
 
     /// A refused delay batch names the first bad edit in batch order;
@@ -1681,7 +1667,7 @@ mod tests {
             matches!(err, AnalysisError::NonFiniteCycleLength { .. }),
             "{err:?}"
         );
-        assert_eq!(session.scenario_count(), 0);
+        assert!(session.scenario_analysis().is_none());
 
         // With scenarios on, an edit that overflows only the max corner
         // is refused and rolled back, scenario state included.

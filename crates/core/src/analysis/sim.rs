@@ -12,13 +12,20 @@
 //! it evaluates period-synchronously in a topological order of the
 //! unmarked-arc sub-DAG, feeding marked arcs from period `p` into period
 //! `p+1`. For acyclic graphs this degenerates to classical PERT analysis.
-//! This one recurrence backs `tsg sim` on `.g` files, the timing
-//! diagrams and the long-run estimator.
+//!
+//! It is the event-initiated recurrence of
+//! [`initiated`](crate::analysis::initiated) with another seed: row 0
+//! starts every event at 0 instead of the origin alone.
+//! [`TimingSimulation::run`] is that one row loop
+//! ([`SimArena`]'s) over the whole live graph, plus the cell budget and
+//! the overflow check; a prefix event's cells past row 0 and a removed
+//! event's cells are never reached. It backs `tsg sim` on `.g` files,
+//! the timing diagrams and the long-run estimator.
 
-use tsg_graph::topo;
 use tsg_sim::{CancelKind, CancelToken, TraceRecorder};
 
-use crate::arc::ArcId;
+use crate::analysis::initiated::SimArena;
+use crate::analysis::structure::EvalStructure;
 use crate::event::{EventId, Polarity};
 use crate::graph::SignalGraph;
 
@@ -107,10 +114,9 @@ impl std::error::Error for SimError {}
 /// ```
 #[derive(Clone, Debug)]
 pub struct TimingSimulation {
-    /// `times[p][e]` is `t(e_p)`; `f64::NAN` marks the slots a prefix
-    /// event does not have (it only occurs at instance 0).
-    times: Vec<Vec<f64>>,
-    periods: u32,
+    /// Row `p` holds `t(e_p)`; `NEG_INFINITY` marks the cells with no
+    /// firing (a prefix event past instance 0, a removed event).
+    pub(crate) rows: SimArena,
 }
 
 impl TimingSimulation {
@@ -140,54 +146,24 @@ impl TimingSimulation {
         if events.saturating_mul(periods as usize) > MAX_CELLS {
             return Err(SimError::TooLarge { events, periods });
         }
-        // Within a period every unmarked arc is a same-period dependency
-        // (prefix arcs only exist in period 0); validation makes that
-        // subgraph acyclic.
-        let order =
-            topo::topological_order_masked(sg.digraph(), |e| !sg.arc(ArcId(e.0)).is_marked())
-                .expect("validated unmarked subgraph is acyclic");
+        let mut rows = SimArena::new();
+        rows.run_rows(
+            sg,
+            &EvalStructure::new(sg),
+            None,
+            periods as usize,
+            false,
+            cancel,
+        )
+        .map_err(|c| SimError::Cancelled {
+            kind: c.kind,
+            rows_done: c.rows_done,
+            rows_total: c.rows_total,
+        })?;
+        let sim = TimingSimulation { rows };
         // Times only grow along arcs from finite roots, so a non-finite
-        // cell is always +∞: one flag per run detects every overflow.
-        let mut overflow = false;
-        let mut times = vec![vec![f64::NAN; events]; periods as usize];
-        for p in 0..periods as usize {
-            if let Some(kind) = cancel.and_then(CancelToken::check) {
-                return Err(SimError::Cancelled {
-                    kind,
-                    rows_done: p,
-                    rows_total: periods as usize,
-                });
-            }
-            for ev in order.iter().map(|node| EventId(node.0)) {
-                if p > 0 && !sg.is_repetitive(ev) {
-                    continue; // prefix events only occur at instance 0
-                }
-                // Validation makes the repetitive subgraph strongly
-                // connected, so every event has a repetitive in-arc and
-                // `t` never stays at −∞ past period 0.
-                let mut t: f64 = if p == 0 { 0.0 } else { f64::NEG_INFINITY };
-                for a in sg.in_arcs(ev) {
-                    let arc = sg.arc(a);
-                    let src = arc.src();
-                    let src_t = if arc.is_marked() {
-                        if p == 0 {
-                            continue; // the initial token enables for free
-                        }
-                        times[p - 1][src.index()]
-                    } else if p > 0 && !sg.is_repetitive(src) {
-                        continue; // disengaged after period 0
-                    } else {
-                        times[p][src.index()]
-                    };
-                    t = t.max(src_t + arc.delay().get());
-                }
-                overflow |= t == f64::INFINITY;
-                times[p][ev.index()] = t;
-            }
-        }
-
-        let sim = TimingSimulation { times, periods };
-        if overflow {
+        // cell is always +∞, and then it is the latest.
+        if sim.horizon() == f64::INFINITY {
             return Err(sim.overflow(sg));
         }
         Ok(sim)
@@ -207,7 +183,7 @@ impl TimingSimulation {
             .find(|&(e, p, t)| {
                 sg.out_arcs(e).any(|a| {
                     let arc = sg.arc(a);
-                    p + u32::from(arc.is_marked()) < self.periods
+                    p + u32::from(arc.is_marked()) < self.periods()
                         && (t + arc.delay().get()).is_infinite()
                 })
             })
@@ -220,7 +196,7 @@ impl TimingSimulation {
 
     /// Number of simulated periods.
     pub fn periods(&self) -> u32 {
-        self.periods
+        self.rows.row_count()
     }
 
     /// Occurrence time `t(e_i)`.
@@ -228,10 +204,7 @@ impl TimingSimulation {
     /// Prefix events only have instance 0. Returns `None` for instances
     /// outside the simulated horizon.
     pub fn time(&self, e: EventId, instance: u32) -> Option<f64> {
-        self.times
-            .get(instance as usize)
-            .map(|row| row[e.index()])
-            .filter(|t| t.is_finite())
+        self.rows.time(e, instance)
     }
 
     /// Average occurrence distance `δ(e_i) = t(e_i) / (i + 1)`
@@ -240,20 +213,9 @@ impl TimingSimulation {
         self.time(e, instance).map(|t| t / (instance + 1) as f64)
     }
 
-    /// Occurrence distance `t(e_j) − t(e_i)` between two instantiations of
-    /// the same event.
-    pub fn occurrence_distance(&self, e: EventId, i: u32, j: u32) -> Option<f64> {
-        Some(self.time(e, j)? - self.time(e, i)?)
-    }
-
     /// The latest occurrence time in the simulation (for diagram scaling).
     pub fn horizon(&self) -> f64 {
-        self.times
-            .iter()
-            .flatten()
-            .copied()
-            .filter(|t| t.is_finite())
-            .fold(0.0f64, f64::max)
+        self.rows.horizon()
     }
 
     /// All `(event, instance, time)` triples, sorted by time then event id —
@@ -261,7 +223,7 @@ impl TimingSimulation {
     pub fn chronological(&self, sg: &SignalGraph) -> Vec<(EventId, u32, f64)> {
         let mut out = Vec::new();
         for e in sg.events() {
-            for p in 0..self.periods {
+            for p in 0..self.periods() {
                 if let Some(t) = self.time(e, p) {
                     out.push((e, p, t));
                 }
@@ -278,13 +240,16 @@ impl TimingSimulation {
     /// toggles on each occurrence.
     pub fn record_trace(&self, sg: &SignalGraph, recorder: &mut TraceRecorder) {
         let mut wires = std::collections::HashMap::new();
+        // One wire per signal of a live event, declared in event order.
         let ids: Vec<_> = sg
             .events()
             .map(|e| {
-                let name = sg.label(e).signal().to_string();
-                *wires
-                    .entry(name.clone())
-                    .or_insert_with(|| recorder.declare(name))
+                sg.is_live_event(e).then(|| {
+                    let name = sg.label(e).signal().to_string();
+                    *wires
+                        .entry(name.clone())
+                        .or_insert_with(|| recorder.declare(name))
+                })
             })
             .collect();
         let mut levels: Vec<bool> = sg.events().map(|_| false).collect();
@@ -297,7 +262,7 @@ impl TimingSimulation {
                     levels[e.index()]
                 }
             };
-            recorder.record(t, ids[e.index()], value);
+            recorder.record(t, ids[e.index()].expect("only live events fire"), value);
         }
     }
 }
@@ -409,7 +374,7 @@ mod tests {
         let sg = figure2();
         let sim = TimingSimulation::run(&sg, 2, None).unwrap();
         let ap = sg.event_by_label("a+").unwrap();
-        assert_eq!(sim.occurrence_distance(ap, 0, 1), Some(11.0));
+        assert_eq!(sim.time(ap, 1).unwrap() - sim.time(ap, 0).unwrap(), 11.0);
     }
 
     #[test]
@@ -419,7 +384,10 @@ mod tests {
         let sim = TimingSimulation::run(&sg, 8, None).unwrap();
         let ap = sg.event_by_label("a+").unwrap();
         for i in 1..7 {
-            assert_eq!(sim.occurrence_distance(ap, i, i + 1), Some(10.0));
+            assert_eq!(
+                sim.time(ap, i + 1).unwrap() - sim.time(ap, i).unwrap(),
+                10.0
+            );
         }
     }
 
@@ -453,6 +421,35 @@ mod tests {
             assert_eq!(instances, want, "{}", sg.label(e));
         }
         assert_eq!(listed.len(), 2 + 6 * 3);
+    }
+
+    #[test]
+    fn removed_events_never_fire() {
+        // A removed event keeps its id slot but has no firing: not in the
+        // listing, the trace or the diagram.
+        let mut b = SignalGraph::builder();
+        let xp = b.event("x+");
+        let xm = b.event("x-");
+        b.arc(xp, xm, 3.0);
+        b.marked_arc(xm, xp, 2.0);
+        let mut sg = b.build().unwrap();
+        let z = sg.add_event("z+").unwrap();
+        sg.remove_event(z).unwrap();
+        sg.validate().unwrap();
+        let sim = TimingSimulation::run(&sg, 2, None).unwrap();
+        assert_eq!(sim.time(z, 0), None);
+        let listed = sim.chronological(&sg);
+        assert_eq!(
+            listed,
+            [(xp, 0, 0.0), (xm, 0, 3.0), (xp, 1, 5.0), (xm, 1, 8.0)]
+        );
+        let mut rec = TraceRecorder::new("tsg");
+        sim.record_trace(&sg, &mut rec);
+        assert_eq!(rec.signal_count(), 1, "no wire for the removed z+");
+        assert_eq!(rec.changes().len(), 4);
+        assert!(rec.changes().iter().all(|c| rec.name(c.signal) == "x"));
+        let text = crate::analysis::diagram::render(&sg, &sim, Default::default()).unwrap();
+        assert!(!text.lines().any(|l| l.starts_with('z')), "{text}");
     }
 
     #[test]

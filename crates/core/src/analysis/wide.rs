@@ -100,7 +100,7 @@
 //!   have no previous row (the scalar kernel skips them) and lane `k`'s
 //!   origin cell is pinned to `t_{gk}(g_k) = 0` after the row's
 //!   recurrence, in topological order, so later same-row reads see the
-//!   pinned value just as the scalar kernel's pre-seeded cell.
+//!   pinned value just as the scalar kernel's seeded cell.
 //!
 //! Identical candidate values in identical comparison order give
 //! identical IEEE-754 results bit for bit — asserted cell by cell on
@@ -121,7 +121,7 @@ use std::sync::OnceLock;
 use tsg_sim::{CancelKind, CancelToken};
 
 use crate::analysis::initiated::SimArena;
-use crate::analysis::structure::CyclicStructure;
+use crate::analysis::structure::EvalStructure;
 use crate::event::EventId;
 use crate::graph::SignalGraph;
 
@@ -350,7 +350,7 @@ impl WideArena {
     pub(crate) fn run_with(
         &mut self,
         sg: &SignalGraph,
-        structure: &CyclicStructure,
+        structure: &EvalStructure,
         origins: &[EventId],
         periods: u32,
         cancel: Option<&CancelToken>,
@@ -363,22 +363,13 @@ impl WideArena {
         self.p_total = p_total;
 
         // `resize` touches existing capacity only: after the first run
-        // of this shape, no allocator traffic. No global fill: the
-        // recurrence overwrites every repetitive event's cell in every
-        // row, padding lanes included, so only the cells of events
-        // *outside* the cyclic structure (prefix/finite events — usually
-        // none) need their NEG_INFINITY reset, in both slots, against
-        // stale cells of a previous run. The strip needs none: every
-        // computed row overwrites its cells.
+        // of this shape, no allocator traffic. No fill: the recurrence
+        // overwrites every live event's cell in every row, padding lanes
+        // included, and nothing reads a removed event's cell. The strip
+        // needs none either: every computed row overwrites its cells.
         self.times.resize(2 * n * w, f64::NEG_INFINITY);
         self.strip.resize(lanes * p_total, f64::NEG_INFINITY);
         let times = self.times.as_mut_slice();
-        for e in sg.events().filter(|&e| !sg.is_repetitive(e)) {
-            for slot in 0..2 {
-                let base = (slot * n + e.index()) * w;
-                times[base..base + w].fill(f64::NEG_INFINITY);
-            }
-        }
 
         #[cfg(target_arch = "x86_64")]
         let (avx512, avx2) = (
@@ -464,7 +455,7 @@ fn row_pair(times: &mut [f64], p: usize, row_cells: usize) -> (&[f64], &mut [f64
 /// (one lane each), the structure and the lane stride of a cell.
 struct RowKernel<'a> {
     origins: &'a [EventId],
-    structure: &'a CyclicStructure,
+    structure: &'a EvalStructure,
     stride: usize,
 }
 
@@ -538,7 +529,7 @@ impl LaneOps for Portable {
 /// marked in-arcs read the previous row. In row 0 each lane's origin
 /// cell is pinned to 0 once its event's recurrence is done, in
 /// topological order, so later same-row reads see it exactly as the
-/// scalar kernel's pre-seeded cell. The padding lanes are never pinned,
+/// scalar kernel's seeded cell. The padding lanes are never pinned,
 /// so they stay `NEG_INFINITY` in every row.
 ///
 /// # Safety
@@ -724,8 +715,8 @@ pub struct AnalysisArena {
     pub(crate) wide: WideArena,
     pub(crate) finish: SimArena,
     /// The evaluation structure, rebuilt in place per analysed graph
-    /// (buffer-reusing; see [`CyclicStructure::rebuild`]).
-    pub(crate) structure: CyclicStructure,
+    /// (buffer-reusing; see [`EvalStructure::rebuild`]).
+    pub(crate) structure: EvalStructure,
 }
 
 impl Default for AnalysisArena {
@@ -747,7 +738,7 @@ impl AnalysisArena {
         AnalysisArena {
             wide: WideArena::with_kernel(kernel),
             finish: SimArena::default(),
-            structure: CyclicStructure::default(),
+            structure: EvalStructure::default(),
         }
     }
 
@@ -857,7 +848,7 @@ mod tests {
     }
 
     fn run(wide: &mut WideArena, sg: &SignalGraph, origins: &[EventId], periods: u32) {
-        wide.run_with(sg, &CyclicStructure::new(sg), origins, periods, None)
+        wide.run_with(sg, &EvalStructure::new(sg), origins, periods, None)
             .unwrap();
     }
 
@@ -1004,7 +995,7 @@ mod tests {
         // exact bits of a fresh arena's run on every backend.
         let sg = figure2();
         let borders = sg.border_events();
-        let structure = CyclicStructure::new(&sg);
+        let structure = EvalStructure::new(&sg);
         for backend in available_backends() {
             let mut wide = WideArena::with_kernel(backend);
             for budget in 0..6u64 {

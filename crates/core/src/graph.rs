@@ -133,13 +133,6 @@ impl SignalGraph {
             .count()
     }
 
-    /// Number of live (non-removed) events. [`event_count`](Self::event_count)
-    /// stays the raw id bound, which removal never
-    /// shrinks.
-    pub fn live_event_count(&self) -> usize {
-        self.events.iter().filter(|e| e.alive).count()
-    }
-
     /// Number of live (non-removed) arcs. [`arc_count`](Self::arc_count)
     /// stays the raw id bound, which removal never
     /// shrinks.
@@ -178,8 +171,8 @@ impl SignalGraph {
     }
 
     /// `true` when `e` is repetitive (`e ∈ A_r`). Removed events are
-    /// never repetitive, so every border/cyclic-structure filter built
-    /// on this predicate skips tombstones automatically.
+    /// never repetitive, so every border filter built on this predicate
+    /// skips tombstones automatically.
     pub fn is_repetitive(&self, e: EventId) -> bool {
         let node = &self.events[e.index()];
         node.alive && node.kind == EventKind::Repetitive
@@ -455,14 +448,6 @@ impl SignalGraph {
         arcs.iter().filter(|&&a| self.arc(a).is_marked()).count() as u32
     }
 
-    /// `true` when every live arc's delay is an exact integer (enables
-    /// exact rational cycle times).
-    pub fn has_integral_delays(&self) -> bool {
-        self.arcs
-            .iter()
-            .all(|a| !a.is_alive() || a.delay().is_integral())
-    }
-
     /// Projects out the cyclic part: the subgraph induced by the repetitive
     /// events. All cycles of the Signal Graph live in this view, so the
     /// maximum-cycle-ratio baselines operate on it directly.
@@ -571,7 +556,6 @@ mod tests {
         let all: Vec<_> = sg.arc_ids().collect();
         assert_eq!(sg.path_length(&all), 3.0);
         assert_eq!(sg.occurrence_period(&all), 1);
-        assert!(sg.has_integral_delays());
     }
 
     #[test]
@@ -633,7 +617,6 @@ mod tests {
         sg.remove_event(y).unwrap();
         assert!(!sg.is_live_event(y));
         assert!(sg.event_by_label("y").is_none());
-        assert_eq!(sg.live_event_count(), 2);
         assert_eq!(sg.add_event("y").unwrap(), EventId(3));
     }
 
@@ -698,6 +681,5 @@ mod tests {
         assert_eq!(sg.border_events(), vec![xp, xm]);
         let view = sg.repetitive_view();
         assert_eq!(view.arcs.len(), 3, "dead arc excluded from the view");
-        assert!(!sg.has_integral_delays());
     }
 }

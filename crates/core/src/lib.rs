@@ -11,8 +11,8 @@
 //!   concurrency (`‖`) relations live in the dev-only `tsg-oracles` crate,
 //!   as test oracles the analyses here are checked against;
 //! * **timing simulation** `t(·)` and **event-initiated timing simulation**
-//!   `t_g(·)` (Section IV) — see [`analysis::sim`] and
-//!   [`analysis::initiated`];
+//!   `t_g(·)` (Section IV), one recurrence with two row-0 seeds — see
+//!   [`analysis::sim`] and [`analysis::initiated`];
 //! * the **O(b²m) cycle-time algorithm** with critical-cycle backtracking
 //!   (Sections VI–VII) — see [`analysis::CycleTimeAnalysis`];
 //! * border sets (Section VI.A) — see [`analysis::border`] (the cut-set

@@ -154,7 +154,7 @@ pub(crate) fn validate(sg: &SignalGraph) -> Result<Vec<EventId>, ValidationError
     check_arc_rules(sg)?;
     let order = unmarked_order(sg)?;
     check_connectivity(sg)?;
-    check_prefix_acyclic(sg)?;
+    prefix_order(sg)?;
     Ok(order)
 }
 
@@ -268,15 +268,22 @@ fn check_connectivity(sg: &SignalGraph) -> Result<(), ValidationError> {
     }
 }
 
-fn check_prefix_acyclic(sg: &SignalGraph) -> Result<(), ValidationError> {
+/// The live prefix events in a topological order of the prefix
+/// subgraph, which must be acyclic (prefix events occur once).
+pub(crate) fn prefix_order(sg: &SignalGraph) -> Result<Vec<EventId>, ValidationError> {
     if sg.prefix_events().next().is_none() {
-        return Ok(());
+        return Ok(Vec::new());
     }
     let res = topo::topological_order_masked(sg.digraph(), |e| {
         let arc = sg.arc(ArcId(e.0));
         !sg.is_repetitive(arc.src()) && !sg.is_repetitive(arc.dst())
     });
-    res.map(|_| ()).map_err(|_| ValidationError::CyclicPrefix)
+    let order = res.map_err(|_| ValidationError::CyclicPrefix)?;
+    Ok(order
+        .into_iter()
+        .map(|n| EventId(n.0))
+        .filter(|&e| sg.is_live_event(e) && !sg.is_repetitive(e))
+        .collect())
 }
 
 #[cfg(test)]

@@ -88,11 +88,6 @@ pub fn positive_cycle(
     Some(rev)
 }
 
-/// Sum of `weight` over the edges of `cycle`.
-pub fn cycle_weight(cycle: &[EdgeId], mut weight: impl FnMut(EdgeId) -> f64) -> f64 {
-    cycle.iter().map(|&e| weight(e)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +112,7 @@ mod tests {
         let (g, w) = ring_with_weights(&[1.0, 1.0, -1.0]);
         let c = positive_cycle(&g, |e| w[e.index()], 0.0).unwrap();
         assert_eq!(c.len(), 3);
-        assert!(cycle_weight(&c, |e| w[e.index()]) > 0.0);
+        assert!(c.iter().map(|e| w[e.index()]).sum::<f64>() > 0.0);
     }
 
     #[test]
@@ -134,7 +129,7 @@ mod tests {
         g.add_edge(d, c); // 3: -1
         let w = [-1.0, -1.0, 2.0, -1.0];
         let cyc = positive_cycle(&g, |e| w[e.index()], 0.0).unwrap();
-        assert!(cycle_weight(&cyc, |e| w[e.index()]) > 0.0);
+        assert!(cyc.iter().map(|e| w[e.index()]).sum::<f64>() > 0.0);
         let nodes: Vec<_> = cyc.iter().map(|&e| g.src(e)).collect();
         assert!(nodes.contains(&c) && nodes.contains(&d));
     }

@@ -335,11 +335,6 @@ impl DiGraph {
         self.out_edges(n).len()
     }
 
-    /// In-degree of `n`.
-    pub fn in_degree(&self, n: NodeId) -> usize {
-        self.in_edges(n).len()
-    }
-
     /// In-degree plus out-degree of `n` (a self-loop counts twice),
     /// known without rebuilding the adjacency.
     pub fn degree(&self, n: NodeId) -> usize {
@@ -380,7 +375,7 @@ mod tests {
         assert_eq!(g.out_edges(a), &[e1, e2]);
         assert_eq!(g.in_edges(c), &[e2, e3]);
         assert_eq!(g.out_degree(a), 2);
-        assert_eq!(g.in_degree(a), 0);
+        assert_eq!(g.in_edges(a).len(), 0);
         assert_eq!(g.endpoints(e3), (b, c));
     }
 
@@ -394,7 +389,7 @@ mod tests {
         let e3 = g.add_edge(a, a);
         assert_ne!(e1, e2);
         assert_eq!(g.out_degree(a), 3);
-        assert_eq!(g.in_degree(a), 1);
+        assert_eq!(g.in_edges(a).len(), 1);
         assert_eq!(g.src(e3), g.dst(e3));
     }
 

@@ -68,18 +68,6 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// True when at least one fault point is armed.
-    pub fn is_active(&self) -> bool {
-        self.panic_every > 0
-            || self.delay_every > 0
-            || self.garble_every > 0
-            || self.read_err_every > 0
-            || self.kill_every > 0
-            || self.rst_every > 0
-            || self.dribble_every > 0
-            || self.halfopen_every > 0
-    }
-
     /// Applies `--chaos` clauses (`panic=20,delay=7:15,garble=11,
     /// read_err=31`) over `self`. Unknown or malformed clauses leave
     /// the builder value in place and warn on stderr.
@@ -245,7 +233,6 @@ mod tests {
     #[test]
     fn default_config_is_inert() {
         let chaos = Chaos::new(ChaosConfig::default());
-        assert!(!chaos.config().is_active());
         for _ in 0..100 {
             chaos.before_request();
             assert!(!chaos.fail_read());
@@ -305,7 +292,6 @@ mod tests {
                 halfopen_every: 6,
             }
         );
-        assert!(cfg.is_active());
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   lockstep border simulations plus the scalar finish arena) and a
 //!   pre-sized netlist event queue — through [`Workspace::analyze`] /
 //!   [`Workspace::simulate`]. `.g` simulations need no warm state:
-//!   [`TimingSimulation::run`] sizes its period rows per request.
+//!   [`TimingSimulation::run`] builds its evaluation structure and
+//!   period rows per request.
 //!
 //! Either way an analysis runs its `b` lanes in one lockstep pass on
 //! the calling thread; serve scales across requests, not within one.

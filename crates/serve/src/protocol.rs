@@ -596,12 +596,6 @@ impl FrameDecoder {
         }
     }
 
-    /// True while a frame is partially buffered (or being skipped) —
-    /// i.e. the peer owes us the rest of a line.
-    pub fn mid_frame(&self) -> bool {
-        self.skipping || !self.buf.is_empty()
-    }
-
     /// Consumes one read's worth of bytes, appending every frame they
     /// complete to `out` in arrival order. A line that arrives whole in
     /// one read is decoded straight from `bytes`, copied once.
@@ -1300,10 +1294,8 @@ mod tests {
             assert!(decoder.buf.len() <= 8, "buffer stays under the cap");
         }
         assert!(out.is_empty(), "no frame until the line ends");
-        assert!(decoder.mid_frame());
         decoder.feed_into(b"\nok\n", &mut out);
         assert_eq!(out, [Frame::Oversized, Frame::Line("ok".into())]);
-        assert!(!decoder.mid_frame());
     }
 
     #[test]

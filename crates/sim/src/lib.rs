@@ -10,7 +10,8 @@
 //!   Storage is a binary heap. The gate-level transport-delay netlist
 //!   simulator in `tsg-circuit` is the only simulator left that runs on
 //!   it: Timed Signal Graphs are simulated period-synchronously by
-//!   `tsg-core`'s `TimingSimulation`, which needs no queue.
+//!   `tsg-core`'s one row recurrence (`TimingSimulation` for `t(·)`,
+//!   `SimArena` for `t_g(·)`), which needs no queue.
 //! * [`TraceRecorder`] — captures timed signal transitions during (or
 //!   after) a simulation and dumps them as a VCD waveform any standard
 //!   viewer (GTKWave, Surfer) can open.

@@ -54,10 +54,12 @@ fn scenario_set(pick: u64) -> ScenarioSet {
     }
 }
 
-/// One generated graph per `(family, seed)` pair — the same family mix
-/// the incremental-session properties use.
+/// One generated graph per `(family, seed)` pair — the family mix the
+/// incremental-session properties use, plus random graphs with a prefix
+/// (an initial and a finite event with disengageable arcs), whose
+/// events every kernel carries.
 fn graph(family: usize, seed: u64) -> SignalGraph {
-    match family % 4 {
+    match family % 5 {
         0 => ring(5 + (seed % 28) as usize, 1 + (seed % 5) as usize, 1.5),
         1 => torus(
             2 + (seed % 3) as usize,
@@ -73,7 +75,14 @@ fn graph(family: usize, seed: u64) -> SignalGraph {
                 coupling_delay: 1.0 + (seed % 3) as f64,
             },
         ),
-        _ => random_live_tsg(seed, RandomTsgConfig::default()),
+        3 => random_live_tsg(seed, RandomTsgConfig::default()),
+        _ => random_live_tsg(
+            seed,
+            RandomTsgConfig {
+                with_prefix: true,
+                ..RandomTsgConfig::default()
+            },
+        ),
     }
 }
 
@@ -101,7 +110,7 @@ proptest! {
     /// `tsg_bench`, the same one the `bench` binary runs before timing
     /// anything).
     #[test]
-    fn wide_equals_scalar_across_families(family in 0usize..4, seed in 0u64..10_000) {
+    fn wide_equals_scalar_across_families(family in 0usize..5, seed in 0u64..10_000) {
         let sg = graph(family, seed);
         assert_wide_matches_scalar(&sg, &format!("family {family} seed {seed}"));
     }
@@ -111,7 +120,7 @@ proptest! {
     /// from-scratch scalar analysis of the edited graph.
     #[test]
     fn session_edits_match_the_scalar_engine(
-        family in 0usize..4,
+        family in 0usize..5,
         seed in 0u64..10_000,
         edits in 1usize..8,
     ) {
@@ -132,7 +141,7 @@ proptest! {
     /// AVX2 when detected) ≡ `run_scalar` on every generator
     /// family — analyses bit-identical, records included.
     #[test]
-    fn every_backend_equals_scalar_across_families(family in 0usize..4, seed in 0u64..10_000) {
+    fn every_backend_equals_scalar_across_families(family in 0usize..5, seed in 0u64..10_000) {
         let sg = graph(family, seed);
         assert_backends_match(&sg, &format!("family {family} seed {seed}"));
     }
@@ -156,7 +165,7 @@ proptest! {
     /// step must stay bit-identical to a from-scratch scalar analysis.
     #[test]
     fn session_edits_resume_mid_matrix_on_every_backend(
-        family in 0usize..4,
+        family in 0usize..5,
         seed in 0u64..10_000,
         edits in 1usize..6,
     ) {
@@ -184,7 +193,7 @@ proptest! {
     /// from-scratch scalar analysis of the edited graph.
     #[test]
     fn structural_scripts_resume_on_every_backend(
-        family in 0usize..4,
+        family in 0usize..5,
         seed in 0u64..10_000,
         batches in 1usize..6,
     ) {
@@ -210,7 +219,7 @@ proptest! {
     /// the `corner_sweep` bench runs before timing anything).
     #[test]
     fn scenario_lanes_equal_scalar_across_families(
-        family in 0usize..4,
+        family in 0usize..5,
         seed in 0u64..10_000,
         pick in 0u64..1_000,
     ) {
@@ -258,7 +267,7 @@ proptest! {
 /// over many edits).
 #[test]
 fn long_wide_session_soak_per_family() {
-    for family in 0..4usize {
+    for family in 0..5usize {
         let mut session = AnalysisSession::open(graph(family, 11)).expect("live");
         for (step, (arc, delay)) in script(session.graph(), 11, 32).into_iter().enumerate() {
             session
@@ -280,7 +289,7 @@ fn long_wide_session_soak_per_family() {
 /// verified against the scalar engine at every step.
 #[test]
 fn long_structural_soak_per_family_on_every_backend() {
-    for family in 0..4usize {
+    for family in 0..5usize {
         for backend in available_backends() {
             let sg = graph(family, 11);
             let script = structural_edit_script(&sg, 16);
@@ -319,7 +328,7 @@ fn cancelled_run_leaves_arena_bit_identical_on_rerun() {
     use tsg::core::analysis::wide::AnalysisArena;
     use tsg::core::analysis::AnalysisError;
     use tsg::sim::{CancelKind, CancelToken};
-    for family in 0..4usize {
+    for family in 0..5usize {
         let sg = graph(family, 11);
         let full = CycleTimeAnalysis::run(&sg).expect("live");
         let mut arena = AnalysisArena::new();
@@ -373,7 +382,7 @@ fn figure2_with_prefix() -> SignalGraph {
 /// reused arena shrink and grow again.
 fn window_corpus() -> Vec<(String, SignalGraph)> {
     let mut out: Vec<(String, SignalGraph)> = Vec::new();
-    for family in 0..4usize {
+    for family in 0..5usize {
         for seed in [3u64, 11, 29] {
             out.push((format!("family {family} seed {seed}"), graph(family, seed)));
         }
