@@ -59,8 +59,9 @@ impl std::error::Error for DiagramTooWide {}
 /// A signal's transition list: `(time, polarity)` sorted by time.
 type Waveform = Vec<(f64, Polarity)>;
 
-/// Every signal's transitions in `rows`, an event's instances counted
-/// up to its first unreached one.
+/// Every signal's transitions in `rows`: each reached instance of each
+/// event. An unreached instance draws nothing, so the level stays as it
+/// is; a later instance of the same event may still be reached.
 fn collect_waveforms(sg: &SignalGraph, rows: &SimArena) -> BTreeMap<String, Waveform> {
     let mut map: BTreeMap<String, Waveform> = BTreeMap::new();
     for e in sg.events() {
@@ -68,14 +69,10 @@ fn collect_waveforms(sg: &SignalGraph, rows: &SimArena) -> BTreeMap<String, Wave
         let Some(pol) = label.polarity() else {
             continue;
         };
-        for i in 0..rows.row_count() {
-            match rows.time(e, i) {
-                Some(t) => map
-                    .entry(label.signal().to_owned())
-                    .or_default()
-                    .push((t, pol)),
-                None => break,
-            }
+        for t in (0..rows.row_count()).filter_map(|i| rows.time(e, i)) {
+            map.entry(label.signal().to_owned())
+                .or_default()
+                .push((t, pol));
         }
     }
     for wf in map.values_mut() {

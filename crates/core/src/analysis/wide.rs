@@ -6,84 +6,70 @@
 //! The cycle-time algorithm runs `b` event-initiated simulations that
 //! each replay the *same* longest-path recurrence over the *same*
 //! flattened in-arc table — only the initiating event differs. Run one
-//! after another (or one per thread), every simulation re-streams the
-//! whole in-arc table through cache to feed a single scalar
-//! `max(best, src + δ)`. The wide kernel instead stores its rows
-//! **lane-major**:
+//! after another, every simulation re-streams the whole in-arc table to
+//! feed a single scalar `max(best, src + δ)`. The wide kernel instead
+//! stores its cells **lane-major**:
 //!
 //! ```text
-//! times[(s · n + e) · w + k]  =  t_{gk,0}(e_p)      (lane k = border event g_k, slot s = p % 2)
+//! times[(h · S + s) · w + k]  =  t_{gk,0}(e_p)   (lane k = border event g_k, half h = p % 2, e's slot s)
 //!
-//!           ┌ lane 0 ┬ lane 1 ┬ … ┬ lane b-1 ┬ padding ┐   ← w contiguous f64s per (p, e)
-//! row p:    │  e = 0 cell                              │  e = 1 cell │ …
+//!           ┌ lane 0 ┬ lane 1 ┬ … ┬ lane b-1 ┬ padding ┐   ← w contiguous f64s per (p, slot)
+//! row p:    │  slot 0 cell                             │  slot 1 cell │ …
 //! ```
 //!
-//! so one traversal of the in-arc table feeds `b` contiguous lanes: per
-//! in-arc the kernel loads `(src, δ, marked)` once and performs `b`
-//! branchless `max(best, src + δ)` updates on adjacent memory. Arc-table
-//! traffic drops by a factor of `b` and the arithmetic widens to the
-//! machine's vector width.
+//! so per in-arc the kernel loads `(src, δ, marked)` once and performs
+//! `b` branchless `max(best, src + δ)` updates on adjacent memory, at
+//! the machine's vector width. A cell is `w = b.next_multiple_of(4)`
+//! lanes wide, so every lane operation works on whole 4-lane blocks and
+//! no backend has a remainder to mask. The `w − b` padding lanes start
+//! `NEG_INFINITY`, are never pinned, and stay so; nothing reads them.
 //!
-//! # The lane stride
+//! # Fused runs and slots
 //!
-//! A cell is `w = b.next_multiple_of(4)` lanes wide, so every lane
-//! operation works on whole 4-lane blocks and no backend has a
-//! remainder to mask. The `w − b` padding lanes run the recurrence like
-//! any lane whose origin is never pinned: they start `NEG_INFINITY` and
-//! stay so, and neither the strip nor the records read them. Whole
-//! blocks matter beyond the saved mask: each event reads the cell its
-//! ring predecessor has just written, and a masked store does not
-//! forward to the load that follows it, so a masked tail stalls every
-//! event of the row.
-//!
-//! # Two rows kept
+//! Most events have one unmarked in-arc, from the event just before them
+//! in the structure's topological order (a ring segment, a pipeline
+//! stage). The row program cuts that order into **runs**: a *head* — an
+//! event with any other in-arc shape, or an origin — folds its in-arcs
+//! from the window, and each *chain* event after it adds its one delay
+//! to the same accumulators, held in registers. The lanes go through the
+//! row in groups of at most `GROUP_BLOCKS` 4-lane blocks (what the
+//! backend keeps in registers), each at a const width.
 //!
 //! Row `p` reads only row `p − 1` (marked arcs) and itself (unmarked
-//! arcs, in topological order), and the cycle-time records read only
-//! each lane's origin cell `t_{gk,0}(g_{k,p})`. So the kernel keeps two
-//! row slots — row `p` in slot `p % 2` — plus a `b × (periods + 1)`
-//! strip of origin cells, filled after every row. On a 1024-event graph
-//! with `b = 37` (`w = 40`) that is 0.66 MB of rows where the full
-//! `(b + 1)`-row matrix would be 11.5 MB. Every analysis — one-shot runs, each
-//! scenario of a sweep and session edits alike — runs in this window,
-//! which lives in an [`AnalysisArena`]; the kernel itself is
-//! crate-private. This module's tests check both resident rows of every
-//! period count, cell by cell, against the scalar kernel's full matrix.
+//! arcs), and the records read only each lane's origin cell. So a cell
+//! is stored only for the source of a marked arc, the source of an arc
+//! into a head, or an origin: those events get the row's **slots**, in
+//! topological order, and every slot is written in every row. The kernel
+//! keeps two rows of slots — row `p` in half `p % 2` — plus a
+//! `b × (periods + 1)` strip of origin cells, filled after every row. On
+//! the served benchmark's 1024-event skeleton with `b = 37` (`w = 40`),
+//! 160 events have a slot: 0.10 MB of rows, where two rows of every event
+//! took 0.66 MB and the full `(b + 1)`-row matrix 11.5 MB. Every analysis
+//! runs in this window, which lives in an [`AnalysisArena`]. The program
+//! (slots, head in-arcs' source slots, chain events' `structure.entries`
+//! indices, row-0 pins) is resolved per run in `O(n + m)` into reused
+//! buffers; delays are read from `structure.entries`, so a scenario
+//! sweep's in-place rewrite of them is all a new scenario needs.
 //!
 //! # Explicit SIMD and runtime dispatch
 //!
-//! The portable lane loop is autovectorizer-friendly, but the x86-64
-//! baseline only guarantees 128-bit SSE2 — a portable build leaves most
-//! of an AVX2 or AVX-512 machine's vector width on the table.
-//! [`KernelBackend`] closes that gap with explicit `core::arch::x86_64`
-//! paths over the contiguous lane dimension:
+//! The x86-64 baseline only guarantees 128-bit SSE2, so
+//! [`KernelBackend`] adds explicit `core::arch::x86_64` paths:
 //!
-//! | backend    | per 4-lane block                                   | CPU check |
-//! |------------|----------------------------------------------------|-----------|
-//! | `Avx512`   | one `zmm` per pair (`_mm512_add_pd` / `_mm512_max_pd`), one `ymm` for an odd last block | `avx512f` |
-//! | `Avx2`     | one `ymm` (`_mm256_add_pd` / `_mm256_max_pd`)      | `avx2`    |
-//! | `Portable` | one `[f64; 4]` loop, autovectorized                | none      |
+//! | backend    | a group's registers                                  | CPU check |
+//! |------------|------------------------------------------------------|-----------|
+//! | `Avx512`   | one `zmm` per pair of blocks, one `ymm` for an odd last block | `avx512f` |
+//! | `Avx2`     | one `ymm` per block                                  | `avx2`    |
+//! | `Portable` | one `[f64; 4]` per block, autovectorized             | none      |
 //!
-//! Every backend runs one row function; they differ only in the two
-//! per-arc lane operations (`first`, `fold`).
-//!
-//! Selection is **runtime** dispatch: [`KernelBackend::detect`] picks
-//! the widest feature `is_x86_feature_detected!` reports (overridable
-//! through the `TSG_KERNEL` environment variable), and each `unsafe`
-//! dispatch branch carries its *own* `is_x86_feature_detected!` guard,
-//! so no intrinsic block can execute without the CPU check that makes
-//! it sound. The portable loop is the guaranteed fallback on every
-//! architecture.
-//!
-//! The SIMD paths are bit-identical to the portable loop (and hence to
-//! the scalar oracle): `src + δ` maps to a vector `add`, and the scalar
-//! `if cand > best { best = cand }` maps to `max_pd(cand, best)` — x86
-//! `MAXPD` returns its *second* operand on ties, at every vector width,
-//! so ties keep `best` exactly like the strict `>`. No lane is ever NaN (delays are finite
-//! and `NEG_INFINITY + δ` stays `NEG_INFINITY`), so `MAXPD`'s NaN corner
-//! is unreachable. Lane storage lives on a 64-byte-aligned allocation,
-//! so rows start on cache-line boundaries: vector loads never split a
-//! line more often than the lane offset forces.
+//! Every backend runs one row function; they differ only in the group
+//! operations of `LaneOps` (load, store, add a delay, max).
+//! [`KernelBackend::detect`] picks the widest feature
+//! `is_x86_feature_detected!` reports (overridable through the
+//! `TSG_KERNEL` environment variable), and each `unsafe` dispatch branch
+//! carries its *own* `is_x86_feature_detected!` guard, so no intrinsic
+//! block can execute without the CPU check that makes it sound. Lane
+//! storage lives on a 64-byte-aligned allocation.
 //!
 //! # Why the results are bit-identical to the scalar kernel
 //!
@@ -91,37 +77,37 @@
 //! the scalar kernel ([`SimArena`]):
 //!
 //! * in-arcs are visited in the same order, so the arg-max tie-breaking
-//!   (first strict improvement wins) is unchanged;
-//! * `NEG_INFINITY` ("not reached") propagates correctly through the
-//!   branchless form: delays are finite, so `NEG_INFINITY + δ` is
-//!   `NEG_INFINITY`, and it loses every strict `>` comparison — exactly
-//!   the scalar kernel's explicit skip;
-//! * row 0 is special-cased before the lockstep rows begin: marked arcs
-//!   have no previous row (the scalar kernel skips them) and lane `k`'s
-//!   origin cell is pinned to `t_{gk}(g_k) = 0` after the row's
-//!   recurrence, in topological order, so later same-row reads see the
-//!   pinned value just as the scalar kernel's seeded cell.
+//!   (first strict improvement wins) is unchanged. `src + δ` is a vector
+//!   `add`, and `if cand > best { best = cand }` is `max_pd(cand, best)`:
+//!   x86 `MAXPD` returns its *second* operand on ties at every width;
+//! * `NEG_INFINITY` ("not reached") loses every strict `>`, and delays
+//!   are finite, so `NEG_INFINITY + δ` stays `NEG_INFINITY` and no lane
+//!   is ever NaN. Folding the first in-arc into a `NEG_INFINITY`
+//!   accumulator is the scalar kernel's first candidate, and a chain
+//!   event's `acc + δ` is its one candidate;
+//! * in row 0 marked arcs have no previous row (the scalar kernel skips
+//!   them), and lane `k`'s origin cell is pinned to `t_{gk}(g_k) = 0`
+//!   after its head's fold, in topological order, so later same-row
+//!   reads see the pinned value just as the scalar kernel's seeded cell.
 //!
-//! Identical candidate values in identical comparison order give
-//! identical IEEE-754 results bit for bit — asserted cell by cell on
-//! every backend in this module's tests, record by record across
-//! generator families in `tests/wide.rs`, and re-asserted by the
-//! `bench` binary before any speedup is reported.
-//!
-//! The one thing the wide kernel does not track is parents: the
-//! cycle-time algorithm needs backtracking only for the single winning
-//! border event, which [`CycleTimeAnalysis::finish`] re-runs scalar with
-//! `track_parents` — `O(b·m)` against the `O(b²·m)` main phase.
+//! This is asserted cell by cell on every backend in this module's
+//! tests, record by record across generator families in
+//! `tests/wide.rs`, and by the `bench` binary before any speedup is
+//! reported. The wide kernel tracks no parents: only the winning border
+//! needs backtracking, which [`CycleTimeAnalysis::finish`] re-runs scalar
+//! with `track_parents` — `O(b·m)` against the `O(b²·m)` main phase.
 //!
 //! [`CycleTimeAnalysis::finish`]: crate::analysis::CycleTimeAnalysis
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 use std::fmt;
 use std::sync::OnceLock;
 
 use tsg_sim::{CancelKind, CancelToken};
 
 use crate::analysis::initiated::SimArena;
-use crate::analysis::structure::EvalStructure;
+use crate::analysis::structure::{EvalStructure, InArc};
 use crate::event::EventId;
 use crate::graph::SignalGraph;
 
@@ -299,13 +285,13 @@ impl AlignedF64Vec {
 }
 
 /// Reusable buffers of one analysis' lockstep event-initiated
-/// simulations, one lane per initiating event: the two-row window and
-/// the origin strip.
+/// simulations, one lane per initiating event: the row program, the
+/// two-row window of slots and the origin strip.
 #[derive(Clone, Debug)]
 pub(crate) struct WideArena {
-    /// Two lane-major rows on a 64-byte-aligned allocation:
-    /// `times[(s * n + e) * w + k]` holds row `p` in slot `s = p % 2`,
-    /// with the lane stride `w` of [`lane_stride`].
+    /// Two lane-major rows of slots on a 64-byte-aligned allocation:
+    /// `times[(h * slots + s) * w + k]` holds slot `s` of row `p` in
+    /// half `h = p % 2`, with the lane stride `w` of [`lane_stride`].
     times: AlignedF64Vec,
     /// Each lane's origin cell per row, lane-major:
     /// `strip[k * p_total + p] = t_{gk,0}(g_{k,p})` — everything the
@@ -313,8 +299,114 @@ pub(crate) struct WideArena {
     strip: Vec<f64>,
     /// Rows of the last run (`periods + 1`).
     p_total: usize,
+    /// The runs and slots of the last run.
+    program: Program,
     /// The execution backend.
     backend: KernelBackend,
+}
+
+/// The slot of an event no later read needs: its cell is never stored.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A head event, with in-arcs `structure.entries[first..end]` and a
+/// slot (or [`NO_SLOT`]), and the chain events after it: the links of
+/// `Program::chain` from where the run before ends up to `chain_end`.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    first: u32,
+    end: u32,
+    slot: u32,
+    chain_end: u32,
+}
+
+/// A chain event: its one in-arc's `structure.entries` index, and its slot.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    entry: u32,
+    slot: u32,
+}
+
+/// The row program of one run, resolved from the structure and the
+/// origins: the runs in topological order and where each cell lives.
+#[derive(Clone, Debug, Default)]
+struct Program {
+    /// Each event's slot, or [`NO_SLOT`].
+    slot_of: Vec<u32>,
+    /// The source slot of each head in-arc, by `structure.entries` index.
+    src_slot: Vec<u32>,
+    runs: Vec<Run>,
+    chain: Vec<Link>,
+    /// `(slot, lane)` of each origin, sorted: the row-0 pins, in the
+    /// order their heads come, and the strip's reads.
+    pins: Vec<(u32, u32)>,
+    slots: usize,
+}
+
+impl Program {
+    /// Resolves the program of `structure` over `origins` in place:
+    /// `O(n + m)`, plus sorting the `b` pins.
+    fn resolve(&mut self, structure: &EvalStructure, origins: &[EventId], events: usize) {
+        // Marks of the first pass, before the slots are numbered.
+        const ORIGIN: u32 = NO_SLOT - 1;
+        const READ: u32 = NO_SLOT - 2;
+        let (entries, slot_of) = (&structure.entries, &mut self.slot_of);
+        slot_of.clear();
+        slot_of.resize(events, NO_SLOT);
+        origins.iter().for_each(|g| slot_of[g.index()] = ORIGIN);
+        self.runs.clear();
+        self.chain.clear();
+        let mut before = None;
+        for &e in &structure.order {
+            let [first, end] = [e.index(), e.index() + 1].map(|i| structure.offsets[i]);
+            match &entries[first as usize..end as usize] {
+                [ia] if !ia.marked && before == Some(ia.src) && slot_of[e.index()] != ORIGIN => {
+                    let (entry, slot) = (first, e.0);
+                    self.chain.push(Link { entry, slot });
+                }
+                ins => {
+                    for ia in ins {
+                        if slot_of[ia.src as usize] == NO_SLOT {
+                            slot_of[ia.src as usize] = READ;
+                        }
+                    }
+                    let (slot, chain_end) = (e.0, 0);
+                    self.runs.push(Run {
+                        first,
+                        end,
+                        slot,
+                        chain_end,
+                    });
+                }
+            }
+            if let Some(run) = self.runs.last_mut() {
+                run.chain_end = self.chain.len() as u32;
+            }
+            before = Some(e.0);
+        }
+        let mut next = 0;
+        for &e in &structure.order {
+            if slot_of[e.index()] != NO_SLOT {
+                slot_of[e.index()] = next;
+                next += 1;
+            }
+        }
+        self.slots = next as usize;
+        self.src_slot.resize(entries.len(), NO_SLOT); // chain entries unread
+        for run in &mut self.runs {
+            for j in run.first as usize..run.end as usize {
+                self.src_slot[j] = slot_of[entries[j].src as usize];
+            }
+            run.slot = slot_of[run.slot as usize];
+        }
+        self.chain
+            .iter_mut()
+            .for_each(|l| l.slot = slot_of[l.slot as usize]);
+        self.pins.clear();
+        for (k, g) in origins.iter().enumerate() {
+            self.pins.push((slot_of[g.index()], k as u32));
+        }
+        self.pins.sort_unstable();
+    }
 }
 
 impl WideArena {
@@ -325,6 +417,7 @@ impl WideArena {
             times: AlignedF64Vec::new(),
             strip: Vec::new(),
             p_total: 0,
+            program: Program::default(),
             backend: if kernel.available() {
                 kernel
             } else {
@@ -357,17 +450,17 @@ impl WideArena {
     ) -> Result<(), Cancelled> {
         debug_assert!(periods >= 1 && !origins.is_empty());
         debug_assert!(origins.iter().all(|&g| sg.is_repetitive(g)));
-        let (n, lanes) = (sg.event_count(), origins.len());
+        let lanes = origins.len();
         let w = lane_stride(lanes);
         let p_total = periods as usize + 1;
         self.p_total = p_total;
+        self.program.resolve(structure, origins, sg.event_count());
+        let row_cells = self.program.slots * w;
 
-        // `resize` touches existing capacity only: after the first run
-        // of this shape, no allocator traffic. No fill: the recurrence
-        // overwrites every live event's cell in every row, padding lanes
-        // included, and nothing reads a removed event's cell. The strip
-        // needs none either: every computed row overwrites its cells.
-        self.times.resize(2 * n * w, f64::NEG_INFINITY);
+        // `resize` touches existing capacity only: after the first run of
+        // this shape, no allocator traffic. No fill: every row writes every
+        // slot, padding lanes included, and its strip cells.
+        self.times.resize(2 * row_cells, f64::NEG_INFINITY);
         self.strip.resize(lanes * p_total, f64::NEG_INFINITY);
         let times = self.times.as_mut_slice();
 
@@ -377,8 +470,8 @@ impl WideArena {
             self.backend == KernelBackend::Avx2 && std::arch::is_x86_feature_detected!("avx2"),
         );
         let kernel = RowKernel {
-            origins,
-            structure,
+            program: &self.program,
+            entries: &structure.entries,
             stride: w,
         };
         for p in 0..p_total {
@@ -392,7 +485,7 @@ impl WideArena {
                     rows_total: p_total,
                 });
             }
-            let (prev, row) = row_pair(times, p, n * w);
+            let (prev, row) = row_pair(times, p, row_cells);
             #[cfg(target_arch = "x86_64")]
             if avx512 {
                 // SAFETY: `avx512` is set only when the CPU reports
@@ -406,15 +499,15 @@ impl WideArena {
             }
             #[cfg(not(target_arch = "x86_64"))]
             row_portable(&kernel, prev, row);
-            for (lane, g) in origins.iter().enumerate() {
-                self.strip[lane * p_total + p] = row[g.index() * w + lane];
+            for &(slot, lane) in &self.program.pins {
+                self.strip[lane as usize * p_total + p] = row[slot as usize * w + lane as usize];
             }
         }
         Ok(())
     }
 
-    /// Allocated capacity of the window, in cells: `2 · n · w`, rounded
-    /// up to a cache line, for the largest shape run so far.
+    /// Allocated capacity of the window, in cells: `2 · slots · w`,
+    /// rounded up to a cache line, for the largest shape run so far.
     fn capacity(&self) -> usize {
         self.times.capacity()
     }
@@ -440,140 +533,188 @@ pub(crate) fn lane_stride(lanes: usize) -> usize {
 }
 
 /// Splits row `p`'s cells (mutable) and row `p - 1`'s (shared; empty
-/// for row 0) out of the two-slot window, where row `p` lives in slot
+/// for row 0) out of the two-half window, where row `p` lives in half
 /// `p % 2`.
 fn row_pair(times: &mut [f64], p: usize, row_cells: usize) -> (&[f64], &mut [f64]) {
-    let (slot0, slot1) = times.split_at_mut(row_cells);
+    let (half0, half1) = times.split_at_mut(row_cells);
     match p {
-        0 => (&[], slot0),
-        _ if p.is_multiple_of(2) => (slot1, slot0),
-        _ => (slot0, slot1),
+        0 => (&[], half0),
+        _ if p.is_multiple_of(2) => (half1, half0),
+        _ => (half0, half1),
     }
 }
 
-/// What the row function reads besides the row pair: the lanes' origins
-/// (one lane each), the structure and the lane stride of a cell.
+/// What the row function reads besides the row pair: the program, the
+/// structure's in-arcs (for their delays) and the lane stride of a cell.
 struct RowKernel<'a> {
-    origins: &'a [EventId],
-    structure: &'a EvalStructure,
+    program: &'a Program,
+    entries: &'a [InArc],
     stride: usize,
 }
 
-/// The per-backend lane arithmetic of the row function: the two
-/// operations [`row_body`] needs per in-arc.
-///
-/// Both take cells of the run's lane stride, a whole number of 4-lane
-/// blocks, so no implementation has a remainder to mask. They must keep
-/// `dst` on ties in `fold` (the strict `>` of the scalar kernel).
-trait LaneOps {
-    /// `dst[k] = src[k] + delay` — the event's first usable in-arc.
-    ///
-    /// Storing directly instead of folding into a freshly filled
-    /// `NEG_INFINITY` accumulator is bit-identical, because
-    /// `max(NEG_INFINITY, cand)` is `cand` whether `cand` is finite or
-    /// `NEG_INFINITY` itself — and it saves one pass over the lanes per
-    /// event.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support the implementing backend's feature (the
-    /// dispatch's `is_x86_feature_detected!` guard).
-    unsafe fn first(dst: &mut [f64], src: &[f64], delay: f64);
+/// The widest group any backend keeps in registers, in 4-lane blocks.
+const MAX_GROUP_BLOCKS: usize = 12;
 
-    /// `dst[k] = max(dst[k], src[k] + delay)`, keeping `dst` on ties.
-    ///
-    /// # Safety
-    ///
-    /// As [`LaneOps::first`].
-    unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64);
+/// The per-backend lane arithmetic of the row function, on the first `B`
+/// (at most `GROUP_BLOCKS`) 4-lane blocks of a group held in registers.
+/// Each operation needs the CPU to have the backend's feature (the
+/// dispatch's guard), and a pointer to address `4 · B` valid lanes.
+trait LaneOps {
+    /// The registers of a group of up to [`MAX_GROUP_BLOCKS`] blocks.
+    type Group: Copy;
+    const GROUP_BLOCKS: usize;
+    unsafe fn splat<const B: usize>(x: f64) -> Self::Group;
+    unsafe fn load<const B: usize>(src: *const f64) -> Self::Group;
+    unsafe fn store<const B: usize>(group: Self::Group, dst: *mut f64);
+    unsafe fn add<const B: usize>(group: Self::Group, delay: f64) -> Self::Group;
+    /// `if cand > best { cand } else { best }` per lane: `best` on ties.
+    unsafe fn max<const B: usize>(cand: Self::Group, best: Self::Group) -> Self::Group;
 }
 
-/// The portable lane loop: `max(best, src + δ)` over whole `[f64; 4]`
-/// blocks. The cells are taken as blocks and flattened back, so the
-/// compiler knows the length is a multiple of 4 and the autovectorizer
-/// emits one block per iteration with no remainder loop; the select
-/// form (not a conditional store) is what lets it use vector `max`.
+/// The portable lane loop over whole `[f64; 4]` blocks, which the
+/// autovectorizer turns into vector `add` and (from the select form)
+/// `max`. Eight blocks fill SSE2's sixteen registers; twelve read slower.
 struct Portable;
 
 impl LaneOps for Portable {
+    type Group = [[f64; 4]; MAX_GROUP_BLOCKS];
+    const GROUP_BLOCKS: usize = 8;
+
     #[inline(always)]
-    unsafe fn first(dst: &mut [f64], src: &[f64], delay: f64) {
-        let dst = dst.as_chunks_mut::<4>().0.as_flattened_mut();
-        let src = src.as_chunks::<4>().0.as_flattened();
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = s + delay;
+    unsafe fn splat<const B: usize>(x: f64) -> Self::Group {
+        [[x; 4]; MAX_GROUP_BLOCKS]
+    }
+
+    #[inline(always)]
+    unsafe fn load<const B: usize>(src: *const f64) -> Self::Group {
+        let mut group = [[0.0; 4]; MAX_GROUP_BLOCKS];
+        for (i, block) in group.iter_mut().enumerate().take(B) {
+            *block = src.add(4 * i).cast::<[f64; 4]>().read_unaligned();
+        }
+        group
+    }
+
+    #[inline(always)]
+    unsafe fn store<const B: usize>(group: Self::Group, dst: *mut f64) {
+        for (i, block) in group.iter().enumerate().take(B) {
+            dst.add(4 * i).cast::<[f64; 4]>().write_unaligned(*block);
         }
     }
 
     #[inline(always)]
-    unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64) {
-        let dst = dst.as_chunks_mut::<4>().0.as_flattened_mut();
-        let src = src.as_chunks::<4>().0.as_flattened();
-        for (d, &s) in dst.iter_mut().zip(src) {
-            let cand = s + delay;
-            *d = if cand > *d { cand } else { *d };
+    unsafe fn add<const B: usize>(mut group: Self::Group, delay: f64) -> Self::Group {
+        for block in group.iter_mut().take(B) {
+            for lane in block {
+                *lane += delay;
+            }
         }
+        group
+    }
+
+    #[inline(always)]
+    unsafe fn max<const B: usize>(mut cand: Self::Group, best: Self::Group) -> Self::Group {
+        for (c, b) in cand.iter_mut().zip(&best).take(B) {
+            for (c, &b) in c.iter_mut().zip(b) {
+                *c = if *c > b { *c } else { b };
+            }
+        }
+        cand
     }
 }
 
-/// One row of the recurrence: the one row function every backend runs.
-/// `prev` is empty for row 0. `#[inline(always)]` so each backend's
-/// wrapper compiles the whole body — intrinsics included — with its
-/// feature set.
-///
-/// Per event the row is split around the destination cell
-/// (`split_at_mut`), so the lane accumulator IS the destination — no
-/// scratch buffer, no copy-back pass. Unmarked in-arcs always read a
-/// *different* event's cell (the unmarked subgraph is acyclic, so
-/// `src ≠ ev`), which lands in the left or right remnant of the split;
-/// marked in-arcs read the previous row. In row 0 each lane's origin
-/// cell is pinned to 0 once its event's recurrence is done, in
-/// topological order, so later same-row reads see it exactly as the
-/// scalar kernel's seeded cell. The padding lanes are never pinned,
-/// so they stay `NEG_INFINITY` in every row.
+/// Calls `$f::<K, B>$args` at the const width `B` equal to `$b`.
+macro_rules! at_width {
+    ($b:expr, $f:ident::<$k:ty> $args:tt, $($w:literal)*) => {
+        match $b {
+            $($w => $f::<$k, $w> $args,)*
+            _ => unreachable!("a group is at most MAX_GROUP_BLOCKS wide"),
+        }
+    };
+}
+
+/// One row of the recurrence, the one row function every backend runs,
+/// `#[inline(always)]` so each backend's wrapper compiles it with its
+/// feature set. `prev` is empty for row 0. The `w / 4` lane blocks are
+/// cut into near-equal groups of at most `K::GROUP_BLOCKS`.
 ///
 /// # Safety
 ///
-/// The CPU must support the feature `K`'s operations require.
+/// The CPU must support the feature `K`'s operations require, and `row`
+/// and a non-empty `prev` must each hold `program.slots` cells.
 #[inline(always)]
 unsafe fn row_body<K: LaneOps>(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
-    let w = kernel.stride;
-    let structure = kernel.structure;
+    let blocks = kernel.stride / 4;
+    let width = blocks.div_ceil(blocks.div_ceil(K::GROUP_BLOCKS));
+    let mut block = 0;
+    while block < blocks {
+        let b = width.min(blocks - block);
+        let lane0 = 4 * block;
+        at_width!(b, group::<K> (kernel, prev, row, lane0), 1 2 3 4 5 6 7 8 9 10 11 12);
+        block += b;
+    }
+}
+
+/// One group's pass over the row: lanes `lane0..lane0 + 4 · B` of every
+/// run in topological order. A head folds `max(acc, src + δ)` over its
+/// in-arcs from `NEG_INFINITY`: marked ones read `prev` (skipped in row
+/// 0), unmarked ones this row, where an earlier run stored them. In row
+/// 0 each lane's origin cell is pinned to 0 in its head's slot and
+/// reloaded. Each chain event adds its delay in registers, and every
+/// slot is stored.
+///
+/// # Safety
+///
+/// As [`row_body`], with `lane0 + 4 · B <= stride`.
+#[inline(always)]
+unsafe fn group<K: LaneOps, const B: usize>(
+    kernel: &RowKernel<'_>,
+    prev: &[f64],
+    row: &mut [f64],
+    lane0: usize,
+) {
+    let (program, entries, w) = (kernel.program, kernel.entries, kernel.stride);
+    debug_assert!(lane0 + 4 * B <= w && row.len() == program.slots * w);
     let first_row = prev.is_empty();
-    for &ev in &structure.order {
-        let base = ev.index() * w;
-        let (left, rest) = row.split_at_mut(base);
-        let (dst, right) = rest.split_at_mut(w);
-        let mut first = true;
-        for ia in structure.in_arcs(ev) {
-            let sb = ia.src as usize * w;
-            let src = if ia.marked {
-                if first_row {
-                    continue; // no previous row: token enables for free
-                }
-                &prev[sb..sb + w]
-            } else if sb < base {
-                &left[sb..sb + w]
+    // Every slot is below `program.slots` (`Program::resolve` numbers
+    // every event it marks as read), so every address stays in its row.
+    let prev = prev.as_ptr().wrapping_add(lane0);
+    let cells = row.as_mut_ptr();
+    let row = cells.add(lane0);
+    let (mut link, mut pin) = (0, 0);
+    for run in &program.runs {
+        let mut acc = K::splat::<B>(f64::NEG_INFINITY);
+        for j in run.first as usize..run.end as usize {
+            let ia = entries.get_unchecked(j);
+            let at = *program.src_slot.get_unchecked(j) as usize * w;
+            let src = if !ia.marked {
+                row.add(at).cast_const()
+            } else if first_row {
+                continue; // no previous row: token enables for free
             } else {
-                &right[sb - base - w..][..w]
+                prev.add(at)
             };
-            if first {
-                K::first(dst, src, ia.delay);
-            } else {
-                K::fold(dst, src, ia.delay);
-            }
-            first = false;
+            acc = K::max::<B>(K::add::<B>(K::load::<B>(src), ia.delay), acc);
         }
-        if first {
-            dst.fill(f64::NEG_INFINITY); // no usable in-arc
-        }
-        if first_row {
-            for (lane, &g) in kernel.origins.iter().enumerate() {
-                if g == ev {
-                    dst[lane] = 0.0; // t_g(g) = 0 by definition
+        if run.slot != NO_SLOT {
+            let at = run.slot as usize * w;
+            K::store::<B>(acc, row.add(at));
+            if first_row {
+                while let Some(&(_, lane)) = program.pins.get(pin).filter(|p| p.0 == run.slot) {
+                    if (lane0..lane0 + 4 * B).contains(&(lane as usize)) {
+                        *cells.add(at + lane as usize) = 0.0; // t_g(g) = 0 by definition
+                    }
+                    pin += 1;
                 }
+                acc = K::load::<B>(row.add(at));
             }
         }
+        for l in program.chain.get_unchecked(link..run.chain_end as usize) {
+            acc = K::add::<B>(acc, entries.get_unchecked(l.entry as usize).delay);
+            if l.slot != NO_SLOT {
+                K::store::<B>(acc, row.add(l.slot as usize * w));
+            }
+        }
+        link = run.chain_end as usize;
     }
 }
 
@@ -583,47 +724,53 @@ fn row_portable(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
     unsafe { row_body::<Portable>(kernel, prev, row) }
 }
 
-/// AVX2 lane arithmetic: one `ymm` per 4-lane block. It stays because
-/// it beats the portable loop where the served benchmark runs: `run_in`
-/// on its skeleton shapes (random live rings with chords, 1024 events
-/// at b = 37 and 512 events at b = 20), timed in eight interleaved runs
-/// on a shared 2-vCPU x86-64 host, read a median 1.45x of the portable
-/// loop at b = 37 (per-run 1.44–1.52) and 1.29x at b = 20 (1.20–1.37).
-/// It is also what an AVX2 host without AVX-512F runs.
+/// AVX2 lane arithmetic: one `ymm` per 4-lane block, up to twelve of the
+/// sixteen registers per group; what an AVX2 host without AVX-512F runs.
 #[cfg(target_arch = "x86_64")]
 struct Avx2Ops;
 
 #[cfg(target_arch = "x86_64")]
 impl LaneOps for Avx2Ops {
+    type Group = [__m256d; MAX_GROUP_BLOCKS];
+    const GROUP_BLOCKS: usize = 12;
+
     #[inline(always)]
-    unsafe fn first(dst: &mut [f64], src: &[f64], delay: f64) {
-        use std::arch::x86_64::*;
-        debug_assert!(dst.len() == src.len() && dst.len().is_multiple_of(4));
-        let d = _mm256_set1_pd(delay);
-        let mut i = 0usize;
-        while i < dst.len() {
-            let s = _mm256_loadu_pd(src.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_add_pd(s, d));
-            i += 4;
+    unsafe fn splat<const B: usize>(x: f64) -> Self::Group {
+        [_mm256_set1_pd(x); MAX_GROUP_BLOCKS]
+    }
+
+    #[inline(always)]
+    unsafe fn load<const B: usize>(src: *const f64) -> Self::Group {
+        let mut group = Self::splat::<B>(0.0);
+        for (i, block) in group[..B].iter_mut().enumerate() {
+            *block = _mm256_loadu_pd(src.add(4 * i));
+        }
+        group
+    }
+
+    #[inline(always)]
+    unsafe fn store<const B: usize>(group: Self::Group, dst: *mut f64) {
+        for (i, &block) in group[..B].iter().enumerate() {
+            _mm256_storeu_pd(dst.add(4 * i), block);
         }
     }
 
     #[inline(always)]
-    unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64) {
-        use std::arch::x86_64::*;
-        debug_assert!(dst.len() == src.len() && dst.len().is_multiple_of(4));
+    unsafe fn add<const B: usize>(mut group: Self::Group, delay: f64) -> Self::Group {
         let d = _mm256_set1_pd(delay);
-        let mut i = 0usize;
-        while i < dst.len() {
-            let cand = _mm256_add_pd(_mm256_loadu_pd(src.as_ptr().add(i)), d);
-            let best = _mm256_loadu_pd(dst.as_ptr().add(i));
-            // MAXPD returns its second operand on ties: `(cand, best)`
-            // keeps `best` unless `cand` is strictly greater — exactly
-            // the portable `if cand > *d { *d = cand }`. No NaN can
-            // reach here (finite delays; NEG_INFINITY + δ = NEG_INFINITY).
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_max_pd(cand, best));
-            i += 4;
-        }
+        group[..B]
+            .iter_mut()
+            .for_each(|v| *v = _mm256_add_pd(*v, d));
+        group
+    }
+
+    #[inline(always)]
+    unsafe fn max<const B: usize>(mut cand: Self::Group, best: Self::Group) -> Self::Group {
+        // MAXPD returns its second operand on ties: `(cand, best)` is
+        // the portable select. No lane is NaN (module docs).
+        let pairs = cand[..B].iter_mut().zip(best);
+        pairs.for_each(|(c, b)| *c = _mm256_max_pd(*c, b));
+        cand
     }
 }
 
@@ -638,55 +785,64 @@ unsafe fn row_avx2(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
     row_body::<Avx2Ops>(kernel, prev, row)
 }
 
-/// AVX-512 lane arithmetic: one `zmm` per pair of 4-lane blocks, and
-/// one `ymm` for an odd trailing block. `VMAXPD` keeps its second
-/// operand on ties at every width, as in [`Avx2Ops`]. In the runs
-/// quoted there it read a median 1.61x of the portable loop at b = 37
-/// (1.58–1.69) and 1.41x at b = 20 (1.29–1.45), 1.11x and 1.08x of
-/// AVX2.
+/// AVX-512 lane arithmetic: one `zmm` per pair of 4-lane blocks, up to
+/// six per group, and one `ymm` for an odd last block. `VMAXPD` keeps
+/// its second operand on ties at every width, as in [`Avx2Ops`].
 #[cfg(target_arch = "x86_64")]
 struct Avx512Ops;
 
 #[cfg(target_arch = "x86_64")]
 impl LaneOps for Avx512Ops {
+    type Group = ([__m512d; MAX_GROUP_BLOCKS / 2], __m256d);
+    const GROUP_BLOCKS: usize = MAX_GROUP_BLOCKS;
+
     #[inline(always)]
-    unsafe fn first(dst: &mut [f64], src: &[f64], delay: f64) {
-        use std::arch::x86_64::*;
-        debug_assert!(dst.len() == src.len() && dst.len().is_multiple_of(4));
-        let n = dst.len();
-        let d = _mm512_set1_pd(delay);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let s = _mm512_loadu_pd(src.as_ptr().add(i));
-            _mm512_storeu_pd(dst.as_mut_ptr().add(i), _mm512_add_pd(s, d));
-            i += 8;
+    unsafe fn splat<const B: usize>(x: f64) -> Self::Group {
+        ([_mm512_set1_pd(x); MAX_GROUP_BLOCKS / 2], _mm256_set1_pd(x))
+    }
+
+    #[inline(always)]
+    unsafe fn load<const B: usize>(src: *const f64) -> Self::Group {
+        let mut group = Self::splat::<B>(0.0);
+        for (i, pair) in group.0[..B / 2].iter_mut().enumerate() {
+            *pair = _mm512_loadu_pd(src.add(8 * i));
         }
-        if i < n {
-            let d = _mm256_set1_pd(delay);
-            let s = _mm256_loadu_pd(src.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_add_pd(s, d));
+        if B % 2 == 1 {
+            group.1 = _mm256_loadu_pd(src.add(B / 2 * 8));
+        }
+        group
+    }
+
+    #[inline(always)]
+    unsafe fn store<const B: usize>(group: Self::Group, dst: *mut f64) {
+        for (i, &pair) in group.0[..B / 2].iter().enumerate() {
+            _mm512_storeu_pd(dst.add(8 * i), pair);
+        }
+        if B % 2 == 1 {
+            _mm256_storeu_pd(dst.add(B / 2 * 8), group.1);
         }
     }
 
     #[inline(always)]
-    unsafe fn fold(dst: &mut [f64], src: &[f64], delay: f64) {
-        use std::arch::x86_64::*;
-        debug_assert!(dst.len() == src.len() && dst.len().is_multiple_of(4));
-        let n = dst.len();
+    unsafe fn add<const B: usize>(mut group: Self::Group, delay: f64) -> Self::Group {
         let d = _mm512_set1_pd(delay);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let cand = _mm512_add_pd(_mm512_loadu_pd(src.as_ptr().add(i)), d);
-            let best = _mm512_loadu_pd(dst.as_ptr().add(i));
-            _mm512_storeu_pd(dst.as_mut_ptr().add(i), _mm512_max_pd(cand, best));
-            i += 8;
+        group.0[..B / 2]
+            .iter_mut()
+            .for_each(|v| *v = _mm512_add_pd(*v, d));
+        if B % 2 == 1 {
+            group.1 = _mm256_add_pd(group.1, _mm256_set1_pd(delay));
         }
-        if i < n {
-            let d = _mm256_set1_pd(delay);
-            let cand = _mm256_add_pd(_mm256_loadu_pd(src.as_ptr().add(i)), d);
-            let best = _mm256_loadu_pd(dst.as_ptr().add(i));
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), _mm256_max_pd(cand, best));
+        group
+    }
+
+    #[inline(always)]
+    unsafe fn max<const B: usize>(mut cand: Self::Group, best: Self::Group) -> Self::Group {
+        let pairs = cand.0[..B / 2].iter_mut().zip(best.0);
+        pairs.for_each(|(c, b)| *c = _mm512_max_pd(*c, b));
+        if B % 2 == 1 {
+            cand.1 = _mm256_max_pd(cand.1, best.1);
         }
+        cand
     }
 }
 
@@ -702,9 +858,10 @@ unsafe fn row_avx512(kernel: &RowKernel<'_>, prev: &[f64], row: &mut [f64]) {
 }
 
 /// The reusable state of one full cycle-time analysis: the wide arena
-/// holding the two-row window and origin strip of the `b` lockstep
-/// border simulations, the scalar [`SimArena`] the parent-tracked
-/// winner re-run uses, and the evaluation structure both read.
+/// holding the row program, the two-row window of slots and the origin
+/// strip of the `b` lockstep border simulations, the scalar
+/// [`SimArena`] the parent-tracked winner re-run uses, and the
+/// evaluation structure both read.
 ///
 /// [`CycleTimeAnalysis::run_in`](crate::analysis::CycleTimeAnalysis::run_in)
 /// reuses one of these per request or worker thread the way the scalar
@@ -750,9 +907,10 @@ impl AnalysisArena {
     /// Allocated capacities `(wide time cells, scalar time cells,
     /// scalar parent cells)` — the warm-pool zero-allocation assertions
     /// check all three stay constant across same-shape requests. The
-    /// wide cells are the two-row window: `2 · n · w` for the lane
-    /// stride `w = lanes.next_multiple_of(4)`, rounded up to a cache
-    /// line, for the largest shape analysed.
+    /// wide cells are the two-row window: `2 · slots · w` for the
+    /// events a later read needs (at most `n`) and the lane stride
+    /// `w = lanes.next_multiple_of(4)`, rounded up to a cache line, for
+    /// the largest shape analysed.
     pub fn capacity(&self) -> (usize, usize, usize) {
         let (t, p) = self.finish.capacity();
         (self.wide.capacity(), t, p)
@@ -859,11 +1017,29 @@ mod tests {
         (bits(wide.times.as_slice()), bits(&wide.strip))
     }
 
+    /// The event of each slot of the last run, in slot order; every
+    /// slot belongs to exactly one event.
+    fn slot_events(wide: &WideArena) -> Vec<EventId> {
+        let program = &wide.program;
+        let mut events = vec![None; program.slots];
+        for (e, &slot) in program.slot_of.iter().enumerate() {
+            if slot != NO_SLOT {
+                assert_eq!(events[slot as usize], None, "slot {slot} is taken twice");
+                events[slot as usize] = Some(EventId(e as u32));
+            }
+        }
+        events
+            .into_iter()
+            .map(|e| e.expect("every slot has an event"))
+            .collect()
+    }
+
     /// Both resident rows of a `periods`-period run over `origins` —
     /// rows `periods - 1` and `periods` — must equal the scalar
-    /// simulation of each lane's origin cell for cell, bit for bit, and
-    /// so must each lane's record. Every padding lane of both rows must
-    /// be `NEG_INFINITY`.
+    /// simulation of each lane's origin in every slot's cell, bit for
+    /// bit, and so must each lane's record. Every padding lane of both
+    /// rows must be `NEG_INFINITY`, and every read of the program must
+    /// have a slot.
     fn assert_window_matches_scalar(
         wide: &WideArena,
         sg: &SignalGraph,
@@ -871,10 +1047,11 @@ mod tests {
         periods: u32,
         ctx: &str,
     ) {
-        let (n, lanes) = (sg.event_count(), origins.len());
+        assert_reads_have_slots(wide, &EvalStructure::new(sg), origins, ctx);
+        let (slots, lanes) = (wide.program.slots, origins.len());
         let w = lane_stride(lanes);
         let window = wide.times.as_slice();
-        assert_eq!(window.len(), 2 * n * w, "{ctx}: window length");
+        assert_eq!(window.len(), 2 * slots * w, "{ctx}: window length");
         for (cell, lanes_of) in window.chunks_exact(w).enumerate() {
             assert!(
                 lanes_of[lanes..].iter().all(|&t| t == f64::NEG_INFINITY),
@@ -887,13 +1064,14 @@ mod tests {
                 .map(|(i, t, d)| (i, t.to_bits(), d.to_bits()))
                 .collect::<Vec<_>>()
         };
+        let events = slot_events(wide);
         let mut scalar = SimArena::new();
         for (k, &g) in origins.iter().enumerate() {
             scalar.run(sg, g, periods, false).unwrap();
             for p in periods - 1..=periods {
-                let slot = p as usize % 2;
-                for e in sg.events() {
-                    let t = window[(slot * n + e.index()) * w + k];
+                let half = p as usize % 2;
+                for (slot, &e) in events.iter().enumerate() {
+                    let t = window[(half * slots + slot) * w + k];
                     assert_eq!(
                         (t > f64::NEG_INFINITY).then_some(t.to_bits()),
                         scalar.time(e, p).map(f64::to_bits),
@@ -908,6 +1086,71 @@ mod tests {
                 record(scalar.distance_series()),
                 "{ctx}: lane {k} record"
             );
+        }
+    }
+
+    /// The program of the last run is the structure's order cut into
+    /// runs, and it reads only cells that have a slot: a chain event is
+    /// a non-origin whose one in-arc is unmarked and comes from the event
+    /// before it (and every such event chains); every source a head's
+    /// in-arc reads — marked arcs included, since only heads have them —
+    /// and every origin the strip reads has a slot; and the slots are
+    /// numbered in topological order.
+    fn assert_reads_have_slots(
+        wide: &WideArena,
+        structure: &EvalStructure,
+        origins: &[EventId],
+        ctx: &str,
+    ) {
+        let program = &wide.program;
+        let slot = |e: EventId| program.slot_of[e.index()];
+        let chains = |i: usize, e: EventId| {
+            matches!(structure.in_arcs(e), [ia] if !ia.marked
+                && i > 0 && ia.src == structure.order[i - 1].0 && !origins.contains(&e))
+        };
+        let (mut at, mut link) = (0, 0);
+        for run in &program.runs {
+            let head = structure.order[at];
+            assert!(!chains(at, head), "{ctx}: {head:?} heads a run but chains");
+            assert_eq!(run.first, structure.offsets[head.index()], "{ctx}");
+            assert_eq!(run.end, structure.offsets[head.index() + 1], "{ctx}");
+            assert_eq!(run.slot, slot(head), "{ctx}");
+            for j in run.first as usize..run.end as usize {
+                let src = EventId(structure.entries[j].src);
+                assert!(
+                    slot(src) != NO_SLOT,
+                    "{ctx}: {head:?} reads unslotted {src:?}"
+                );
+                assert_eq!(program.src_slot[j], slot(src), "{ctx}");
+            }
+            at += 1;
+            for l in &program.chain[link..run.chain_end as usize] {
+                let e = structure.order[at];
+                assert!(chains(at, e), "{ctx}: {e:?} chains but should head a run");
+                assert_eq!(l.entry, structure.offsets[e.index()], "{ctx}");
+                assert_eq!(l.slot, slot(e), "{ctx}");
+                at += 1;
+            }
+            link = run.chain_end as usize;
+        }
+        assert_eq!(
+            (at, link),
+            (structure.order.len(), program.chain.len()),
+            "{ctx}"
+        );
+        let numbered: Vec<u32> = structure
+            .order
+            .iter()
+            .map(|&e| slot(e))
+            .filter(|&s| s != NO_SLOT)
+            .collect();
+        assert_eq!(
+            numbered,
+            (0..program.slots as u32).collect::<Vec<_>>(),
+            "{ctx}: slot order"
+        );
+        for &g in origins {
+            assert!(slot(g) != NO_SLOT, "{ctx}: origin {g:?} has no slot");
         }
     }
 
@@ -930,13 +1173,16 @@ mod tests {
                 }
             }
         }
-        // A fresh arena's window holds exactly two rows of whole 4-lane
-        // blocks.
-        let sg = ring(14, 7);
+        // A fresh arena's window holds exactly two rows of slots of
+        // whole 4-lane blocks, and a chain graph keeps fewer slots than
+        // events.
+        let sg = ring(48, 8);
         let borders = sg.border_events();
         let mut wide = WideArena::with_kernel(KernelBackend::detect());
         run(&mut wide, &sg, &borders, 8);
-        let two_rows = 2 * sg.event_count() * lane_stride(borders.len());
+        let slots = wide.program.slots;
+        assert!(slots < sg.event_count(), "{slots} slots");
+        let two_rows = 2 * slots * lane_stride(borders.len());
         assert_eq!(wide.capacity(), two_rows.next_multiple_of(8));
     }
 
@@ -1080,14 +1326,15 @@ mod tests {
     }
 
     /// Every backend against the portable loop and the scalar kernel,
-    /// cell for cell, at every lane count from 1 to 41: every padding
-    /// width (0..=3 lanes) of one to eleven 4-lane blocks, so AVX-512
-    /// runs both with and without an odd trailing block.
+    /// cell for cell, at every lane count from 1 to 48: every padding
+    /// width (0..=3 lanes) of one to twelve 4-lane blocks, so every
+    /// group width of every backend runs, and AVX-512 runs both with
+    /// and without an odd trailing block.
     #[test]
     fn simd_backends_match_portable_at_every_remainder_width() {
         let sg = ring(48, 8);
         let repetitive: Vec<EventId> = sg.events().filter(|&e| sg.is_repetitive(e)).collect();
-        for lanes in 1..=41 {
+        for lanes in 1..=48 {
             let origins = &repetitive[..lanes];
             let mut portable = WideArena::with_kernel(KernelBackend::Portable);
             run(&mut portable, &sg, origins, 4);
@@ -1120,6 +1367,180 @@ mod tests {
             let mut fresh = WideArena::with_kernel(backend);
             run(&mut fresh, &sg, narrow, 3);
             assert_eq!(bits(&wide), bits(&fresh), "{ctx}");
+        }
+    }
+
+    /// A twelve-event chain `c0 → … → c11 →• c0` read in its middle: a
+    /// marked arc from `c4` into `c7`, a chord from `c5` into `c9`, and
+    /// `c6 →• h → c9`, where `h` is a head whose only in-arc is marked.
+    /// Its border events are `c0`, `c7` and `h`.
+    fn chain_graph() -> SignalGraph {
+        let mut b = SignalGraph::builder();
+        let c: Vec<_> = (0..12).map(|i| b.event(&format!("c{i}"))).collect();
+        let h = b.event("h");
+        for i in 0..11 {
+            b.arc(c[i], c[i + 1], 1.0 + (i % 3) as f64 * 0.5);
+        }
+        b.marked_arc(c[11], c[0], 2.0);
+        b.marked_arc(c[4], c[7], 0.25);
+        b.arc(c[5], c[9], 4.5);
+        b.marked_arc(c[6], h, 1.5);
+        b.arc(h, c[9], 0.75);
+        b.build().unwrap()
+    }
+
+    /// Whether `e` is a chain event of the last run's program.
+    fn chained(wide: &WideArena, structure: &EvalStructure, e: EventId) -> bool {
+        let entry = structure.offsets[e.index()];
+        structure.in_arcs(e).len() == 1 && wide.program.chain.iter().any(|l| l.entry == entry)
+    }
+
+    /// Runs and slots against the scalar kernel on every backend: chain
+    /// events read in mid-chain by a marked arc (`c4`) and by a chord
+    /// (`c5`), a head with only a marked in-arc (`h`, `NEG_INFINITY` in
+    /// row 0 unless it is an origin) and a non-border origin inside the
+    /// chain (`c2`, which then heads a run and is pinned in row 0).
+    #[test]
+    fn runs_and_slots_match_the_scalar_kernel() {
+        let sg = chain_graph();
+        let id = |label: &str| sg.event_by_label(label).unwrap();
+        let structure = EvalStructure::new(&sg);
+        let origin_sets = [
+            sg.border_events(),
+            vec![id("c2"), id("c7")],
+            vec![id("c9"), id("c2"), id("h"), id("c5"), id("c11")],
+        ];
+        for backend in available_backends() {
+            let mut wide = WideArena::with_kernel(backend);
+            for origins in &origin_sets {
+                for periods in 1..=4 {
+                    run(&mut wide, &sg, origins, periods);
+                    let ctx = format!("{origins:?} on {backend}, periods={periods}");
+                    assert_window_matches_scalar(&wide, &sg, origins, periods, &ctx);
+                }
+            }
+            run(&mut wide, &sg, &origin_sets[1], 1);
+            for mid in ["c4", "c5"] {
+                let e = id(mid);
+                assert!(chained(&wide, &structure, e), "{mid} on {backend}");
+                assert_ne!(
+                    wide.program.slot_of[e.index()],
+                    NO_SLOT,
+                    "{mid} on {backend}"
+                );
+            }
+            assert!(chained(&wide, &structure, id("c3")), "{backend}");
+            assert!(
+                !chained(&wide, &structure, id("c2")),
+                "origin c2 on {backend}"
+            );
+            // Row 0 (half 0 of a one-period run) has `h` unreached in
+            // every lane.
+            let (slots, h) = (wide.program.slots, wide.program.slot_of[id("h").index()]);
+            let w = lane_stride(2);
+            let row0 = &wide.times.as_slice()[..slots * w];
+            assert!(row0[h as usize * w..][..w]
+                .iter()
+                .all(|&t| t == f64::NEG_INFINITY));
+        }
+    }
+
+    /// The chain graph after structural edits: `c2 → c3` split through a
+    /// fresh event, the chord removed, and `h` removed with its arcs.
+    #[test]
+    fn runs_after_structural_edits_match_the_scalar_kernel() {
+        let mut sg = chain_graph();
+        let id = |sg: &SignalGraph, label: &str| sg.event_by_label(label).unwrap();
+        let arc = |sg: &SignalGraph, src: &str, dst: &str| {
+            let (src, dst) = (id(sg, src), id(sg, dst));
+            sg.in_arcs(dst).find(|&a| sg.arc(a).src() == src).unwrap()
+        };
+        let (c2, c3) = (id(&sg, "c2"), id(&sg, "c3"));
+        sg.remove_arc(arc(&sg, "c2", "c3")).unwrap();
+        let s = sg.add_event("s").unwrap();
+        sg.add_arc(c2, s, 0.5, false).unwrap();
+        sg.add_arc(s, c3, 0.75, false).unwrap();
+        for (src, dst) in [("c5", "c9"), ("c6", "h"), ("h", "c9")] {
+            sg.remove_arc(arc(&sg, src, dst)).unwrap();
+        }
+        sg.remove_event(id(&sg, "h")).unwrap();
+        sg.validate().unwrap();
+        let origin_sets = [sg.border_events(), vec![s, id(&sg, "c9"), id(&sg, "c0")]];
+        for backend in available_backends() {
+            let mut wide = WideArena::with_kernel(backend);
+            for origins in &origin_sets {
+                for periods in 1..=3 {
+                    run(&mut wide, &sg, origins, periods);
+                    let ctx = format!("edited, {origins:?} on {backend}, periods={periods}");
+                    assert_window_matches_scalar(&wide, &sg, origins, periods, &ctx);
+                }
+            }
+        }
+    }
+
+    /// A sweep rewrites `structure.entries`' delays in place per
+    /// scenario, and chain events add those delays: every corner and
+    /// sample of the chain graph equals the scalar analysis of the
+    /// reweighted graph on every backend.
+    #[test]
+    fn corner_sweep_links_read_the_rewritten_delays() {
+        use crate::analysis::scenario::{Corner, ScenarioSet};
+        use crate::analysis::CycleTimeAnalysis;
+        let sg = chain_graph();
+        let sets = [
+            ScenarioSet::corners(10.0, &[Corner::Min, Corner::Typ, Corner::Max]).unwrap(),
+            ScenarioSet::samples(4, 7, 10.0).unwrap(),
+        ];
+        let bits = |a: &CycleTimeAnalysis| {
+            let records: Vec<Vec<(u32, u64, u64)>> = a
+                .records()
+                .iter()
+                .map(|r| {
+                    let d = r.distances.iter();
+                    d.map(|&(i, t, d)| (i, t.to_bits(), d.to_bits())).collect()
+                })
+                .collect();
+            (
+                format!("{:?}", a.cycle_time()),
+                a.critical_cycle().to_vec(),
+                records,
+            )
+        };
+        for set in &sets {
+            for backend in available_backends() {
+                let mut arena = AnalysisArena::with_kernel(backend);
+                let swept =
+                    CycleTimeAnalysis::run_scenarios_in(&sg, set, &mut arena, None).unwrap();
+                for j in 0..set.len() {
+                    let scalar =
+                        CycleTimeAnalysis::run_scalar(&set.reweighted(&sg, j).unwrap()).unwrap();
+                    assert_eq!(
+                        bits(swept.analysis(j)),
+                        bits(&scalar),
+                        "{} on {backend}",
+                        set.label(j)
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every read of the program has a slot, on the corpus, the chain
+    /// graph and the lane sweep's ring, with borders and with every
+    /// repetitive event as an origin.
+    #[test]
+    fn every_read_has_a_slot() {
+        let mut graphs = corpus();
+        graphs.push(("chain".into(), chain_graph()));
+        graphs.push(("ring 48/8".into(), ring(48, 8)));
+        let mut wide = WideArena::with_kernel(KernelBackend::Portable);
+        for (name, sg) in &graphs {
+            let structure = EvalStructure::new(sg);
+            let every: Vec<EventId> = sg.events().filter(|&e| sg.is_repetitive(e)).collect();
+            for origins in [sg.border_events(), every] {
+                wide.run_with(sg, &structure, &origins, 1, None).unwrap();
+                assert_reads_have_slots(&wide, &structure, &origins, name);
+            }
         }
     }
 }

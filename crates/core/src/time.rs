@@ -56,11 +56,6 @@ impl Delay {
     pub fn get(self) -> f64 {
         self.0
     }
-
-    /// Returns `true` when the delay is an exact integer value.
-    pub fn is_integral(self) -> bool {
-        self.0.fract() == 0.0
-    }
 }
 
 impl fmt::Display for Delay {
@@ -198,8 +193,6 @@ mod tests {
         let d = Delay::new(2.0).unwrap();
         assert_eq!(d.to_string(), "2");
         assert_eq!(f64::from(d), 2.0);
-        assert!(d.is_integral());
-        assert!(!Delay::new(2.5).unwrap().is_integral());
         assert_eq!(Delay::try_from(1.0).unwrap().get(), 1.0);
     }
 

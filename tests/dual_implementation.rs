@@ -4,14 +4,22 @@
 //! implementation — explicit unfolding construction plus a generic DAG
 //! longest-path pass — and asserts exact agreement.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 
+use tsg::circuit::library::c_element_oscillator_tsg as oscillator_tsg;
+use tsg::core::analysis::diagram::{self, DiagramOptions};
 use tsg::core::analysis::initiated::SimArena;
 use tsg::core::analysis::sim::TimingSimulation;
 use tsg::core::SignalGraph;
 use tsg::gen::{random_live_tsg, RandomTsgConfig};
 use tsg::graph::topo::topological_order;
 use tsg::graph::NodeId;
+use tsg::stg::{
+    parse_stg, StgOptions, EXAMPLE_MULTI_EVENT, EXAMPLE_OSCILLATOR, EXAMPLE_PIPELINE_2PH,
+    EXAMPLE_RING5,
+};
 use tsg_oracles::unfold::{InstId, Unfolding};
 
 /// Longest-path times over the explicit unfolding, sources at 0.
@@ -134,6 +142,84 @@ proptest! {
                     prop_assert!(ta <= tb + 1e-9, "precedence violated: {ta} > {tb}");
                 }
             }
+        }
+    }
+}
+
+/// The `|` columns of each signal row of a rendered diagram.
+fn drawn_transitions(text: &str) -> BTreeMap<String, BTreeSet<usize>> {
+    text.lines()
+        .skip(2) // the ruler
+        .map(|line| {
+            let (signal, row) = line.split_once(' ').expect("name, then the row");
+            let row = row.trim_start_matches(' ');
+            let cols = row
+                .char_indices()
+                .filter(|&(_, c)| c == '|')
+                .map(|(i, _)| i);
+            (signal.to_owned(), cols.collect())
+        })
+        .collect()
+}
+
+/// An event-initiated diagram draws every instance the explicit
+/// unfolding reaches from the initiating instance, at its longest-path
+/// time, and nothing else: Figure 1d (`repro --experiment fig1d`, where
+/// `b+₀` is concurrent with `a+₀` but `b+₁` and `b+₂` are reached) and
+/// the diagram initiated at every border event of every bundled example.
+#[test]
+fn initiated_diagrams_draw_every_reached_instance() {
+    let mut cases = vec![(
+        "Figure 1d".to_owned(),
+        oscillator_tsg(),
+        vec!["a+".to_owned()],
+    )];
+    for (name, text) in [
+        ("oscillator", EXAMPLE_OSCILLATOR),
+        ("pipeline", EXAMPLE_PIPELINE_2PH),
+        ("ring5", EXAMPLE_RING5),
+        ("multi-event", EXAMPLE_MULTI_EVENT),
+    ] {
+        let sg = parse_stg(text, StgOptions::default()).unwrap();
+        let borders = sg
+            .border_events()
+            .iter()
+            .map(|&g| sg.label(g).to_string())
+            .collect();
+        cases.push((name.to_owned(), sg, borders));
+    }
+    let opts = DiagramOptions::default();
+    for (name, sg, borders) in &cases {
+        let periods = 3;
+        let unfolding = Unfolding::build(sg, periods + 1);
+        for border in borders {
+            let g = sg.event_by_label(border).unwrap();
+            let mut sim = SimArena::new();
+            sim.run(sg, g, periods, false).unwrap();
+            let origin = unfolding.instance(g, 0).unwrap();
+            let times = unfolding_initiated(sg, &unfolding, origin);
+            let mut expected: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
+            for id in unfolding.instance_ids() {
+                let info = unfolding.info(id);
+                let t = times[id.index()];
+                let got = sim.time(info.event, info.index);
+                let ctx = format!("{name} from {border}: {}", unfolding.display(sg, id));
+                assert_eq!(got, (t > f64::NEG_INFINITY).then_some(t), "{ctx}");
+                let label = sg.label(info.event);
+                if let (Some(t), Some(_)) = (got, label.polarity()) {
+                    let col = (t * opts.chars_per_unit).round() as usize;
+                    expected
+                        .entry(label.signal().to_owned())
+                        .or_default()
+                        .insert(col);
+                }
+            }
+            let text = diagram::render_initiated(sg, &sim, opts).unwrap();
+            assert_eq!(
+                drawn_transitions(&text),
+                expected,
+                "{name} from {border}:\n{text}"
+            );
         }
     }
 }

@@ -247,7 +247,8 @@ fn oscillator_report_is_pinned_verbatim() {
 
 /// Figure 1d: the `a+`-initiated diagram of the Figure 2c graph over 3
 /// periods (what `repro --experiment fig1d` prints above its δ line),
-/// spelled out.
+/// spelled out. `b+₀` is concurrent with `a+₀`, so `b` starts high and
+/// first falls at 4, then rises at 9, 19 and 29.
 #[test]
 fn figure1d_diagram_is_pinned_verbatim() {
     let sg = tsg::circuit::library::c_element_oscillator_tsg();
@@ -259,7 +260,7 @@ fn figure1d_diagram_is_pinned_verbatim() {
         "t 0         5         10        15        20        25        30        35\n\
          \x20 +         +         +         +         +         +         +         +     \x20\n\
          a |~~~~~~~~~|_________|~~~~~~~~~|_________|~~~~~~~~~|_________|~~~~~~~~~|______\n\
-         b ~~~~~~~~|___________________|___________________|___________________|________\n\
+         b ~~~~~~~~|_________|~~~~~~~~~|_________|~~~~~~~~~|_________|~~~~~~~~~|________\n\
          c ______|~~~~~~~~~|_________|~~~~~~~~~|_________|~~~~~~~~~|_________|~~~~~~~~~|\n"
     );
 }
